@@ -205,11 +205,13 @@ def cmd_check_conditions(cfg: dict):
     sec = cfg["conditions"]
     model = model_from_config(cfg["coefficient"])
     bw = _bandwidth(cfg)
-    gamma = float(sec.get("gamma") or bw.gamma)
+    gamma = sec.get("gamma")
+    gamma = float(gamma) if gamma is not None else bw.gamma
     beta = sec.get("beta")
     beta = float(beta) if beta is not None else model.decay_exponent()
     window = check_decay_window(model.d, beta, gamma)
-    delta = sec.get("delta") or cfg["schedule"].get("delta") or window.delta_star
+    choices = (sec.get("delta"), cfg["schedule"].get("delta"), window.delta_star)
+    delta = next((v for v in choices if v is not None), None)
     reports = {"decay_window": window.to_dict()}
     ok = window.passed
     if sec.get("hallin_q") is not None:

@@ -15,8 +15,10 @@ reports are bit-identical for any worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy import stats as sstats
@@ -67,6 +69,11 @@ KS_CRIT_05 = 1.358
 KS_CRIT_01 = 1.628
 MIN_REPLICATES_FOR_VERDICT = 100
 
+# Seed streams: grid point ni of an experiment draws from stream offset + ni,
+# so a grid longer than MAX_GRID_POINTS would reuse the next experiment's draws.
+STREAM_OFFSETS = {"clt": 0, "blocks": 100, "rectangles": 200, "gap": 300, "wu": 400}
+MAX_GRID_POINTS = 100
+
 
 class MomentError(ValueError):
     """A moment precondition on the innovations is violated."""
@@ -103,10 +110,14 @@ class ExperimentConfig:
             raise ValueError("model and bandwidth dimension disagree")
         if not self.n_grid:
             raise ValueError("n_grid must be nonempty")
+        if len(self.n_grid) > MAX_GRID_POINTS:
+            raise ValueError(f"n_grid holds at most {MAX_GRID_POINTS} points")
         if self.centering not in ("oracle", "pooled"):
             raise ValueError("centering must be 'oracle' or 'pooled'")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if self.x_points is not None:
             object.__setattr__(self, "x_points", tuple(float(x) for x in self.x_points))
@@ -169,15 +180,33 @@ def _plan_for(config: ExperimentConfig, m: int, b: float) -> TruncationPlan:
 # replicate scheduling
 
 
-def _map_replicates(worker, args, replicates: int, threads: int) -> list:
-    if threads <= 1:
-        return [worker(args, r) for r in range(replicates)]
-    out = [None] * replicates
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(worker, args, r): r for r in range(replicates)}
-        for fut, r in futures.items():
-            out[r] = fut.result()
-    return out
+def _replicate_chunk(config: ExperimentConfig, n, m, plan, stream, reduce, start, stop) -> list:
+    return [
+        reduce(
+            generate_coupled_fields(
+                config.model, config.innovations, n, m, plan,
+                SeedSpec(config.master_seed, stream, r), max_bytes=config.max_field_bytes,
+            )
+        )
+        for r in range(start, stop)
+    ]
+
+
+def _run_replicates(config: ExperimentConfig, n, m, plan, stream, reduce) -> list:
+    """reduce(coupled fields) for replicates 0..R-1, in replicate order.
+
+    Each of min(threads, cpu count, R) workers runs one contiguous chunk of
+    replicates; replicate r always draws from SeedSpec(master, stream, r), so
+    the result does not depend on the worker count.
+    """
+    R = config.replicates
+    workers = min(config.threads, os.cpu_count() or 1, R)
+    chunk = partial(_replicate_chunk, config, n, m, plan, stream, reduce)
+    if workers == 1:
+        return chunk(0, R)
+    bounds = [R * w // workers for w in range(workers + 1)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [row for part in pool.map(chunk, bounds[:-1], bounds[1:]) for row in part]
 
 
 def _padded_prefix(arr: np.ndarray) -> np.ndarray:
@@ -217,6 +246,20 @@ def _kernel_sums(fields, xs, kernel, b):
     return sums_f, sums_t
 
 
+def _oracle_means(oracle, kernel: KernelModel, b: float, xs, truncated=(False, True)) -> tuple:
+    """Exact E f_n(x) (flag False) or E f_n^truncated(x) (flag True) at each x, one array per flag."""
+    if not oracle.exact:
+        raise OracleError("oracle centering needs Gaussian innovations")
+    return tuple(
+        np.array([expected_kde(oracle, kernel, b, x, truncated=t) for x in xs]) for t in truncated
+    )
+
+
+def _decompose(fn, fnm, ef, efm, scale):
+    """(T_n, T_zeta, T_remainder) from raw full/truncated estimates and their centerings."""
+    return scale * (fn - ef), scale * (fnm - efm), scale * ((fn - fnm) - (ef - efm))
+
+
 def normalized_statistic(
     fields,
     x: float,
@@ -234,26 +277,16 @@ def normalized_statistic(
     """
     if b <= 0:
         raise ValueError("bandwidth must be positive")
-    n, d = fields.full.n, fields.full.d
-    N = n**d
-    scale = math.sqrt(N * b)
+    N = fields.full.n**fields.full.d
     sums_f, sums_t = _kernel_sums(fields, [x], kernel, b)
-    fn = sums_f[0] / (N * b)
-    fnm = sums_t[0] / (N * b)
     if expectations is None:
         if centering == "pooled":
             raise ValueError("pooled centering needs precomputed pooled means")
         oracle = density_oracle(fields.model, fields.innovations, fields.m)
-        if not oracle.exact:
-            raise OracleError("oracle centering needs Gaussian innovations")
-        ef = expected_kde(oracle, kernel, b, x)
-        efm = expected_kde(oracle, kernel, b, x, truncated=True)
+        ef, efm = (e[0] for e in _oracle_means(oracle, kernel, b, [x]))
     else:
         ef, efm = expectations
-    t_full = scale * (fn - ef)
-    t_zeta = scale * (fnm - efm)
-    t_rem = scale * ((fn - fnm) - (ef - efm))
-    return t_full, t_zeta, t_rem
+    return _decompose(sums_f[0] / (N * b), sums_t[0] / (N * b), ef, efm, math.sqrt(N * b))
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +332,6 @@ def ks_normality_test(samples, sigma2: float) -> KsResult:
 # main experiment
 
 
-def _clt_replicate(args, r):
-    (model, innovations, kernel, n, m, plan, b, xs, master, stream, max_bytes) = args
-    fields = generate_coupled_fields(
-        model, innovations, n, m, plan, SeedSpec(master, stream, r), max_bytes=max_bytes
-    )
-    sums_f, sums_t = _kernel_sums(fields, xs, kernel, b)
-    return sums_f, sums_t
-
-
 @dataclass
 class CltReport:
     """Replicate statistics of T_n and its decomposition, per (n, x)."""
@@ -347,23 +371,15 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
         b = bw.b(n)
         plan = _plan_for(config, m, b)
         oracle = density_oracle(model, innov, m)
-        args = (model, innov, kern, n, m, plan, b, xs, config.master_seed, ni, config.max_field_bytes)
-        rows = _map_replicates(_clt_replicate, args, R, config.threads)
-        sums_f = np.stack([row[0] for row in rows])
-        sums_t = np.stack([row[1] for row in rows])
+        stream = STREAM_OFFSETS["clt"] + ni
+        rows = _run_replicates(config, n, m, plan, stream, partial(_kernel_sums, xs=xs, kernel=kern, b=b))
         N = n**model.d
-        scale = math.sqrt(N * b)
-        raw_f = sums_f / (N * b)
-        raw_t = sums_t / (N * b)
+        raw_f, raw_t = (np.array(sums) / (N * b) for sums in zip(*rows))
         if config.centering == "oracle":
-            ef = np.array([expected_kde(oracle, kern, b, x) for x in xs])
-            efm = np.array([expected_kde(oracle, kern, b, x, truncated=True) for x in xs])
+            ef, efm = _oracle_means(oracle, kern, b, xs)
         else:
-            ef = raw_f.mean(axis=0)
-            efm = raw_t.mean(axis=0)
-        t_full = scale * (raw_f - ef)
-        t_zeta = scale * (raw_t - efm)
-        t_rem = scale * ((raw_f - raw_t) - (ef - efm))
+            ef, efm = raw_f.mean(axis=0), raw_t.mean(axis=0)
+        t_full, t_zeta, t_rem = _decompose(raw_f, raw_t, ef, efm, math.sqrt(N * b))
         report.nonfinite += int(np.sum(~np.isfinite(t_full)))
         for xi, x in enumerate(xs):
             T = t_full[:, xi]
@@ -375,7 +391,7 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
                 "m": m,
                 "M": plan.M,
                 "replicates": R,
-                "seeds": {"master": config.master_seed, "stream": ni},
+                "seeds": {"master": config.master_seed, "stream": stream},
                 "centering": config.centering,
                 "sigma2_target": sigma2,
                 "sigma2_exact_oracle": oracle.exact,
@@ -441,16 +457,13 @@ class BlockPlan:
         return m_n, l_n, max(q, 1)
 
 
-def _block_replicate(args, r):
-    (model, innovations, kernel, n, m, plan, b, x, l, q, master, stream, max_bytes) = args
-    fields = generate_coupled_fields(
-        model, innovations, n, m, plan, SeedSpec(master, stream, r), max_bytes=max_bytes
-    )
+def _block_windows(fields, kernel, b, x, l, q):
+    """Total and big-block sums of the truncated kernel field K((x - X_m)/b)/sqrt(b)."""
     raw = kernel((x - fields.truncated.values) / b) / math.sqrt(b)
     prefix = _padded_prefix(raw)
     total = float(prefix[(-1,) * raw.ndim])
     windows = _window_sums(prefix, l)
-    idx = np.arange(q) * (l + m)
+    idx = np.arange(q) * (l + fields.m)
     eta = windows[np.ix_(*[idx] * raw.ndim)]
     return total, eta
 
@@ -459,24 +472,18 @@ def _block_samples(config: ExperimentConfig, plan: BlockPlan) -> list[dict]:
     """Per-n raw block sums of the truncated kernel field (shared by checks)."""
     model, innov, kern, bw = config.model, config.innovations, config.kernel, config.bandwidth
     x = config.resolve_x()[0]
-    R = config.replicates
     out = []
     for ni, n in enumerate(config.n_grid):
         m, l, q = plan.resolve(n)
         b = bw.b(n)
         tplan = TruncationPlan(M=m, B_M=residual_sqrt_mass(model, m), policy="fixed")
-        args = (
-            model, innov, kern, n, m, tplan, b, x, l, q,
-            config.master_seed, 100 + ni, config.max_field_bytes,
-        )
-        rows = _map_replicates(_block_replicate, args, R, config.threads)
-        totals = np.array([row[0] for row in rows])
-        etas = np.stack([row[1] for row in rows])
+        reduce = partial(_block_windows, kernel=kern, b=b, x=x, l=l, q=q)
+        rows = _run_replicates(config, n, m, tplan, STREAM_OFFSETS["blocks"] + ni, reduce)
+        totals, etas = (np.array(col) for col in zip(*rows))
         if config.centering == "oracle":
             oracle = density_oracle(model, innov, m)
-            if not oracle.exact:
-                raise OracleError("oracle centering needs Gaussian innovations")
-            e_site = math.sqrt(b) * expected_kde(oracle, kern, b, x, truncated=True)
+            (efm,) = _oracle_means(oracle, kern, b, [x], truncated=(True,))
+            e_site = math.sqrt(b) * float(efm[0])
         else:
             e_site = float(totals.mean()) / (n**model.d)
         out.append(
@@ -608,17 +615,14 @@ def lindeberg_estimate(config: ExperimentConfig, plan: BlockPlan, eps, samples=N
 # rectangle moments
 
 
-def _rect_replicate(args, r):
-    (model, innovations, kernel, n, m, plan, b, x, rect_idx, master, stream, max_bytes) = args
-    fields = generate_coupled_fields(
-        model, innovations, n, m, plan, SeedSpec(master, stream, r), max_bytes=max_bytes
-    )
+def _rectangle_sums(fields, kernel, b, x, rects):
+    """Corner-rectangle sums of the truncated and remainder kernel fields, and remainder moments."""
     zeta_raw = kernel((x - fields.truncated.values) / b) / math.sqrt(b)
     diff_raw = kernel((x - fields.full.values) / b) / math.sqrt(b) - zeta_raw
     pz = _padded_prefix(zeta_raw)
     pd_ = _padded_prefix(diff_raw)
-    zsums = np.array([float(pz[j]) for j in rect_idx])
-    dsums = np.array([float(pd_[j]) for j in rect_idx])
+    zsums = np.array([float(pz[j]) for j in rects])
+    dsums = np.array([float(pd_[j]) for j in rects])
     return zsums, dsums, float(np.sum(diff_raw)), float(np.sum(diff_raw**2))
 
 
@@ -659,16 +663,12 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
         m = m_schedule(n, delta)
         b = bw.b(n)
         plan = _plan_for(config, m, b)
-        oracle = density_oracle(model, innov, m)
-        ez = math.sqrt(b) * expected_kde(oracle, kern, b, x, truncated=True)
-        ed = math.sqrt(b) * expected_kde(oracle, kern, b, x) - ez
-        args = (model, innov, kern, n, m, plan, b, x, fit_rects, config.master_seed, 200 + ni,
-                config.max_field_bytes)
-        rows_r = _map_replicates(_rect_replicate, args, R, config.threads)
-        zs = np.stack([row[0] for row in rows_r])
-        ds = np.stack([row[1] for row in rows_r])
-        dsum = np.array([row[2] for row in rows_r])
-        dsq = np.array([row[3] for row in rows_r])
+        ef, efm = _oracle_means(density_oracle(model, innov, m), kern, b, [x])
+        ez = math.sqrt(b) * float(efm[0])
+        ed = math.sqrt(b) * float(ef[0]) - ez
+        reduce = partial(_rectangle_sums, kernel=kern, b=b, x=x, rects=fit_rects)
+        rows_r = _run_replicates(config, n, m, plan, STREAM_OFFSETS["rectangles"] + ni, reduce)
+        zs, ds, dsum, dsq = (np.array(col) for col in zip(*rows_r))
         N = n**model.d
         site_mean = float(dsum.sum()) / (R * N)
         site_m2 = float(dsq.sum()) / (R * N)
@@ -742,7 +742,7 @@ def wu_inequality_check(
             if side > 1 << 12:
                 raise ValueError("coefficient tail too slow to truncate for sampling")
     a = coeff_box(model, side).ravel()
-    rng = spawn_rng(SeedSpec(master_seed, stream=400))
+    rng = spawn_rng(SeedSpec(master_seed, stream=STREAM_OFFSETS["wu"]))
     sum_y = 0.0
     sum_y2 = 0.0
     sum_a4 = float(np.sum(a**4))
@@ -783,7 +783,7 @@ def wu_inequality_check(
         "weight_mass": float(total),
         "truncation_side": side,
         "reference_c": ref,
-        "seeds": {"master": master_seed, "stream": 400},
+        "seeds": {"master": master_seed, "stream": STREAM_OFFSETS["wu"]},
     }
 
 
@@ -791,11 +791,8 @@ def wu_inequality_check(
 # truncation gap
 
 
-def _gap_replicate(args, r):
-    (model, innovations, kernel, n, m, plan, b, x, master, stream, max_bytes) = args
-    fields = generate_coupled_fields(
-        model, innovations, n, m, plan, SeedSpec(master, stream, r), max_bytes=max_bytes
-    )
+def _squared_gap(fields, kernel, b, x):
+    """Site mean of (K((x - X_m)/b) - K((x - X)/b))^2 / b."""
     kt = kernel((x - fields.truncated.values) / b)
     kf = kernel((x - fields.full.values) / b)
     return float(np.mean((kt - kf) ** 2)) / b
@@ -822,19 +819,16 @@ def fixed_m_gap(
         raise ValueError("fixed mode needs m >= 1")
     if not config.innovations.is_gaussian:
         raise OracleError("the truncation-gap oracle needs Gaussian innovations")
-    grid = [int(n) for n in (n_grid or config.n_grid)]
+    config = replace(config, n_grid=n_grid or config.n_grid)
     x = config.resolve_x()[0]
     delta = config.resolve_delta()[0] if mode == "growing" else None
     rows = []
-    for ni, n in enumerate(grid):
+    for ni, n in enumerate(config.n_grid):
         m_n = m if mode == "fixed" else m_schedule(n, delta)
         b = config.bandwidth.b(n)
         plan = _plan_for(config, m_n, b)
-        args = (
-            config.model, config.innovations, config.kernel, n, m_n, plan, b, x,
-            config.master_seed, 300 + ni, config.max_field_bytes,
-        )
-        gaps = np.array(_map_replicates(_gap_replicate, args, config.replicates, config.threads))
+        reduce = partial(_squared_gap, kernel=config.kernel, b=b, x=x)
+        gaps = np.array(_run_replicates(config, n, m_n, plan, STREAM_OFFSETS["gap"] + ni, reduce))
         rows.append(
             {
                 "n": n,

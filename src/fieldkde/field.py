@@ -302,7 +302,10 @@ def read_field_binary(path) -> LatticeField:
         if version != _VERSION:
             raise ValueError(f"unsupported field file version {version}")
         prov = json.loads(fh.read(plen).decode())
-        data = np.frombuffer(fh.read(8 * n**d), dtype="<f8").reshape((n,) * d)
+        payload = fh.read()
+    if len(payload) != 8 * n**d:
+        raise ValueError(f"field payload holds {len(payload)} bytes, expected 8 * n^d = {8 * n**d}")
+    data = np.frombuffer(payload, dtype="<f8").reshape((n,) * d)
     return LatticeField(d=int(d), n=int(n), values=data.copy(), provenance=prov)
 
 

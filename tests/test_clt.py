@@ -47,6 +47,17 @@ def _config(model, **kw):
     return ExperimentConfig(model=model, **defaults)
 
 
+class TestExperimentConfig:
+    def test_grid_limited_to_stream_spacing(self, geometric_half):
+        # grid point ni draws from stream offset + ni; offsets are 100 apart
+        grid = tuple(range(16, 16 + 101))
+        assert len(_config(geometric_half, n_grid=grid[:100]).n_grid) == 100
+        with pytest.raises(ValueError, match="at most 100"):
+            _config(geometric_half, n_grid=grid)
+        with pytest.raises(ValueError, match="at most 100"):
+            fixed_m_gap(_config(geometric_half), m=2, n_grid=grid)
+
+
 class TestNormalizedStatistic:
     def test_identity_truncation_kills_remainder(self, identity_weights, epanechnikov):
         plan = plan_truncation(identity_weights, m=1, policy="fixed", M=1)

@@ -190,6 +190,16 @@ class TestExport:
         assert np.array_equal(back.values, cf.full.values)
         assert back.provenance == cf.full.provenance
 
+    def test_binary_payload_length_checked(self, geometric_half, tmp_path):
+        cf = _coupled(geometric_half, 40, 2, 16)
+        path = tmp_path / "field.bin"
+        write_field_binary(cf.full, path)
+        blob = path.read_bytes()
+        for bad in (blob[:-8], blob + b"\0"):
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match="payload"):
+                read_field_binary(path)
+
     def test_csv_export_small_only(self, power_d2, tmp_path):
         cf = _coupled(power_d2, 8, 1, 4)
         p = tmp_path / "f.csv"

@@ -83,6 +83,17 @@ class TestConfigResolution:
             load_config(None, ["oops"])
 
 
+THREAD_INVARIANCE_SETS = {
+    "clt-run": ["clt.replicates=25", "clt.n_grid=[128]"],
+    "blocks": ["blocks.replicates=25", "blocks.n_grid=[256,1024]"],
+    "moment-check": [
+        "moment_check.replicates=25", "moment_check.n_grid=[256]",
+        "moment_check.rectangles=[4,16,64]", "moment_check.wu_sample=2000",
+    ],
+    "fixed-m-gap": ["gap.replicates=25", "gap.n_grid=[512,2048]", "bandwidth.gamma=0.5"],
+}
+
+
 def _run(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
 
@@ -155,21 +166,31 @@ class TestCli:
         f = read_field_binary(out / "field_full.bin")
         assert f.n == 16
 
-    def test_reports_identical_across_thread_counts(self, tmp_path):
+    @pytest.mark.parametrize("sub", list(THREAD_INVARIANCE_SETS))
+    def test_reports_identical_across_thread_counts(self, tmp_path, sub):
+        # an odd replicate count splits into uneven per-worker chunks
         blobs = []
-        for t, sub in ((1, "a"), (4, "b"), (8, "c")):
-            code = main(
-                [
-                    "clt-run",
-                    "--set", "clt.replicates=24",
-                    "--set", "clt.n_grid=[128]",
-                    "--threads", str(t),
-                    "--out", str(tmp_path / sub),
-                ]
-            )
-            assert code == 0
-            blobs.append((tmp_path / sub / "clt_run" / "report.json").read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
+        for t in (1, 2):
+            argv = [sub, "--threads", str(t), "--out", str(tmp_path / str(t))]
+            for assignment in THREAD_INVARIANCE_SETS[sub]:
+                argv += ["--set", assignment]
+            assert main(argv) == 0
+            blobs.append((tmp_path / str(t) / sub.replace("-", "_") / "report.json").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_1(self, tmp_path, threads):
+        code = _run(tmp_path, "clt-run", "--set", "clt.replicates=2", "--set", "clt.n_grid=[64]",
+                    "--threads", threads)
+        assert code == 1
+        manifest = json.loads((tmp_path / "clt_run" / "manifest.json").read_text())
+        assert "threads" in manifest["error"]
+
+    def test_check_conditions_explicit_zero_gamma_exit_1(self, tmp_path):
+        code = _run(tmp_path, "check-conditions", "--set", "conditions.gamma=0")
+        assert code == 1
+        manifest = json.loads((tmp_path / "check_conditions" / "manifest.json").read_text())
+        assert "gamma" in manifest["error"]
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FIELDKDE_OUT", str(tmp_path / "envout"))
