@@ -4,19 +4,22 @@
 Checks that dropping the between-block gaps costs a vanishing share of the
 normalised sum, that block sums are uncorrelated, that the truncated block
 second moments behave, and that the Monte Carlo moment-inequality constants
-stay bounded.
+stay bounded.  Outputs go to OUT/block_construction/<subcommand>/.
 """
 
 import pathlib
 import sys
 
-from fieldkde.cli import main
+from fieldkde.cli import run_script
 
 HERE = pathlib.Path(__file__).resolve().parent
-CFG = str(HERE.parent / "configs" / "blocks_d1.json")
 
 if __name__ == "__main__":
-    code = main(["blocks", "--config", CFG, *sys.argv[1:]])
-    if code == 1:
-        sys.exit(code)
-    sys.exit(max(code, main(["moment-check", "--config", CFG, *sys.argv[1:]])))
+    sys.exit(
+        run_script(
+            "block_construction",
+            HERE.parent / "configs" / "blocks_d1.json",
+            ["blocks", "moment-check"],
+            sys.argv[1:],
+        )
+    )

@@ -3,24 +3,20 @@
 
 The empirical variance should land near phi(0) * int K^2 = 0.23937 (the
 finite-bandwidth value sits a little below it) and the replicate
-distribution should clear the KS test against N(0, sigma_0^2).
+distribution should clear the KS test against N(0, sigma_0^2).  Outputs go
+to OUT/iid_baseline/clt_run/.
 """
 
 import pathlib
 import sys
 
-from fieldkde.cli import main
+from fieldkde.cli import run_script
 
 HERE = pathlib.Path(__file__).resolve().parent
 
 if __name__ == "__main__":
     sys.exit(
-        main(
-            [
-                "clt-run",
-                "--config",
-                str(HERE.parent / "configs" / "iid_baseline.json"),
-                *sys.argv[1:],
-            ]
+        run_script(
+            "iid_baseline", HERE.parent / "configs" / "iid_baseline.json", ["clt-run"], sys.argv[1:]
         )
     )

@@ -3,19 +3,23 @@
 
 Runs the schedule checker first (the pair (beta, gamma) = (3, 1) sits inside
 the feasible window with delta interval (1/3, 1/2)), then the replicate
-experiment on n in {32, 64}.  Exit code 2 flags a verdict failure.
+experiment on n in {32, 64}.  Exit code 2 flags a verdict failure.  Outputs
+go to OUT/power_decay_d2/<subcommand>/.
 """
 
 import pathlib
 import sys
 
-from fieldkde.cli import main
+from fieldkde.cli import run_script
 
 HERE = pathlib.Path(__file__).resolve().parent
-CFG = str(HERE.parent / "configs" / "power_decay_d2.json")
 
 if __name__ == "__main__":
-    code = main(["check-conditions", "--config", CFG, *sys.argv[1:]])
-    if code == 1:
-        sys.exit(code)
-    sys.exit(max(code, main(["clt-run", "--config", CFG, *sys.argv[1:]])))
+    sys.exit(
+        run_script(
+            "power_decay_d2",
+            HERE.parent / "configs" / "power_decay_d2.json",
+            ["check-conditions", "clt-run"],
+            sys.argv[1:],
+        )
+    )

@@ -4,23 +4,22 @@
 With m fixed the site-level second moment of (zeta - Z) stabilises at the
 strictly positive value (p_2(x) + p(x)) * int K^2 = 0.42139 at x=0 for the
 geometric model; re-run with --set gap.mode=growing to watch it collapse.
+Outputs go to OUT/truncation_gap/fixed_m_gap/.
 """
 
 import pathlib
 import sys
 
-from fieldkde.cli import main
+from fieldkde.cli import run_script
 
 HERE = pathlib.Path(__file__).resolve().parent
 
 if __name__ == "__main__":
     sys.exit(
-        main(
-            [
-                "fixed-m-gap",
-                "--config",
-                str(HERE.parent / "configs" / "geometric_truncation_gap.json"),
-                *sys.argv[1:],
-            ]
+        run_script(
+            "truncation_gap",
+            HERE.parent / "configs" / "geometric_truncation_gap.json",
+            ["fixed-m-gap"],
+            sys.argv[1:],
         )
     )

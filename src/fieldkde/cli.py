@@ -49,7 +49,7 @@ from .innovations import InnovationModel, SeedSpec
 from .kde import BandwidthSchedule, OracleError, asymptotic_variance, density_oracle, expected_kde, kde_estimate, kernel_by_name
 from .reporting import RunManifest, write_csv, write_report
 
-__all__ = ["main", "DEFAULT_CONFIG"]
+__all__ = ["main", "run_script", "DEFAULT_CONFIG"]
 
 OUT_ENV = "FIELDKDE_OUT"
 
@@ -159,6 +159,7 @@ def _bandwidth(cfg: dict) -> BandwidthSchedule:
 
 def _experiment(cfg: dict, section: str) -> ExperimentConfig:
     sec = cfg[section]
+    truncation = _truncation(cfg)
     return ExperimentConfig(
         model=model_from_config(cfg["coefficient"]),
         innovations=InnovationModel.from_config(cfg["innovations"]),
@@ -167,16 +168,44 @@ def _experiment(cfg: dict, section: str) -> ExperimentConfig:
         n_grid=tuple(sec["n_grid"]),
         x_points=tuple(sec["x_points"]) if sec.get("x_points") is not None else None,
         delta=cfg["schedule"].get("delta"),
-        truncation_policy=cfg["truncation"]["policy"],
-        truncation_eta=float(cfg["truncation"].get("eta", 0.01)),
-        truncation_M=cfg["truncation"].get("M"),
+        truncation_policy=truncation["policy"],
+        truncation_eta=truncation["eta"],
+        truncation_M=truncation["M"],
         replicates=int(sec.get("replicates", 200)),
         master_seed=int(cfg["seed"]),
         centering=sec.get("centering", "oracle"),
         variance_band=float(sec.get("variance_band", 0.10)),
         threads=int(cfg.get("threads", 1)),
-        max_field_bytes=int(cfg.get("limits", {}).get("max_field_bytes", 1 << 30)),
+        max_field_bytes=_max_field_bytes(cfg),
     )
+
+
+def _truncation(cfg: dict) -> dict:
+    """The truncation section as ``plan_truncation`` keyword arguments."""
+    tr = cfg["truncation"]
+    return {"policy": tr["policy"], "eta": float(tr.get("eta", 0.01)), "M": tr.get("M")}
+
+
+def _max_field_bytes(cfg: dict) -> int:
+    return int(cfg.get("limits", {}).get("max_field_bytes", 1 << 30))
+
+
+def _coupled_draw(cfg: dict, sec: dict):
+    """(fields, b) for one coupled draw at the section's n and m, honouring truncation and limits."""
+    model = model_from_config(cfg["coefficient"])
+    n, m = int(sec["n"]), int(sec["m"])
+    b = _bandwidth(cfg).b(n)
+    plan = plan_truncation(model, m=m, b=b, **_truncation(cfg))
+    fields = generate_coupled_fields(
+        model,
+        InnovationModel.from_config(cfg["innovations"]),
+        n,
+        m,
+        plan,
+        SeedSpec(int(cfg["seed"])),
+        max_bytes=_max_field_bytes(cfg),
+    )
+    return fields, b
 
 
 # ---------------------------------------------------------------------------
@@ -239,27 +268,8 @@ def cmd_check_conditions(cfg: dict):
 
 def cmd_gen_field(cfg: dict, out_dir: Path):
     sec = cfg["gen_field"]
-    model = model_from_config(cfg["coefficient"])
-    innov = InnovationModel.from_config(cfg["innovations"])
-    bw = _bandwidth(cfg)
-    n, m = int(sec["n"]), int(sec["m"])
-    plan = plan_truncation(
-        model,
-        m=m,
-        policy=cfg["truncation"]["policy"],
-        b=bw.b(n),
-        eta=float(cfg["truncation"].get("eta", 0.01)),
-        M=cfg["truncation"].get("M"),
-    )
-    fields = generate_coupled_fields(
-        model,
-        innov,
-        n,
-        m,
-        plan,
-        SeedSpec(int(cfg["seed"])),
-        max_bytes=int(cfg.get("limits", {}).get("max_field_bytes", 1 << 30)),
-    )
+    fields, _ = _coupled_draw(cfg, sec)
+    n, m, plan = int(sec["n"]), fields.m, fields.plan
     names = []
     for tag, f in (("full", fields.full), ("truncated", fields.truncated), ("residual", fields.residual)):
         p = out_dir / f"field_{tag}.bin"
@@ -288,17 +298,11 @@ def cmd_gen_field(cfg: dict, out_dir: Path):
 
 def cmd_kde(cfg: dict):
     sec = cfg["kde"]
-    model = model_from_config(cfg["coefficient"])
-    innov = InnovationModel.from_config(cfg["innovations"])
     kern = kernel_by_name(cfg["kernel"])
-    bw = _bandwidth(cfg)
-    n, m = int(sec["n"]), int(sec["m"])
-    b = bw.b(n)
-    plan = plan_truncation(model, m=m, policy="bandwidth_relative", b=b,
-                           eta=float(cfg["truncation"].get("eta", 0.01)))
-    fields = generate_coupled_fields(model, innov, n, m, plan, SeedSpec(int(cfg["seed"])))
+    fields, b = _coupled_draw(cfg, sec)
+    model, innov, n, m = fields.model, fields.innovations, int(sec["n"]), fields.m
     xs = [float(x) for x in sec["x_grid"]]
-    est = kde_estimate(fields.full, np.array(xs), b, kern)
+    est = kde_estimate(fields.x, np.array(xs), b, kern)
     rows = []
     oracle = density_oracle(model, innov, m)
     for x, e in zip(xs, np.atleast_1d(est)):
@@ -311,6 +315,8 @@ def cmd_kde(cfg: dict):
     report = {
         "subcommand": "kde",
         "n": n,
+        "m": m,
+        "plan": fields.plan.to_config(),
         "b": b,
         "kernel": kern.name,
         "oracle_exact": oracle.exact,
@@ -500,6 +506,24 @@ def main(argv=None) -> int:
         code = 1
     finally:
         manifest.write(out_dir / "manifest.json")
+    return code
+
+
+def run_script(name: str, config, subcommands, argv) -> int:
+    """Run ready-made experiment ``name``: each subcommand with ``config`` and ``argv``.
+
+    Outputs go to OUT/<name>/<subcommand_name>/, so experiments that share a
+    subcommand do not overwrite each other.  Stops at the first tool error
+    (exit 1); otherwise returns the largest exit code.
+    """
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    base = out.parse_known_args(argv)[0].out or os.environ.get(OUT_ENV) or "runs"
+    code = 0
+    for sub in subcommands:
+        code = max(code, main([sub, "--config", str(config), *argv, "--out", str(Path(base) / name)]))
+        if code == 1:
+            break
     return code
 
 

@@ -36,6 +36,7 @@ from .coefficients import (
 from .field import (
     DEFAULT_MAX_FIELD_BYTES,
     TruncationPlan,
+    coupled_spectra,
     generate_coupled_fields,
     plan_truncation,
 )
@@ -177,11 +178,12 @@ def _plan_for(config: ExperimentConfig, m: int, b: float) -> TruncationPlan:
 
 
 def _replicate_chunk(config: ExperimentConfig, n, m, plan, stream, reduce, start, stop) -> list:
+    spectra = coupled_spectra(config.model, n, m, plan, max_bytes=config.max_field_bytes)
     return [
         reduce(
             generate_coupled_fields(
                 config.model, config.innovations, n, m, plan,
-                SeedSpec(config.master_seed, stream, r), max_bytes=config.max_field_bytes,
+                SeedSpec(config.master_seed, stream, r), spectra=spectra,
             )
         )
         for r in range(start, stop)
@@ -192,8 +194,9 @@ def _run_replicates(config: ExperimentConfig, n, m, plan, stream, reduce) -> lis
     """reduce(coupled fields) for replicates 0..R-1, in replicate order.
 
     Each of min(threads, cpu count, R) workers runs one contiguous chunk of
-    replicates; replicate r always draws from SeedSpec(master, stream, r), so
-    the result does not depend on the worker count.
+    replicates and builds the coefficient spectra once for it; replicate r
+    always draws from SeedSpec(master, stream, r), so the result does not
+    depend on the worker count.
     """
     R = config.replicates
     workers = min(config.threads, os.cpu_count() or 1, R)
@@ -232,13 +235,17 @@ def _window_sums(prefix: np.ndarray, l: int) -> np.ndarray:
 # normalised statistic
 
 
+def _kernel_sum(kernel, x, values, b) -> float:
+    u = x - values
+    u /= b
+    return float(kernel(u).sum())
+
+
 def _kernel_sums(fields, xs, kernel, b):
     """Raw kernel sums over the lattice for the full and truncated fields."""
-    xf = fields.full.values.ravel()
-    xt = fields.truncated.values.ravel()
     xs = np.asarray(xs, dtype=float)
-    sums_f = np.array([float(kernel((x - xf) / b).sum()) for x in xs])
-    sums_t = np.array([float(kernel((x - xt) / b).sum()) for x in xs])
+    sums_f = np.array([_kernel_sum(kernel, x, fields.x, b) for x in xs])
+    sums_t = np.array([_kernel_sum(kernel, x, fields.x_m, b) for x in xs])
     return sums_f, sums_t
 
 
@@ -273,7 +280,7 @@ def normalized_statistic(
     """
     if b <= 0:
         raise ValueError("bandwidth must be positive")
-    N = fields.full.n**fields.full.d
+    N = fields.x.size
     sums_f, sums_t = _kernel_sums(fields, [x], kernel, b)
     if expectations is None:
         if centering == "pooled":
@@ -328,6 +335,24 @@ def ks_normality_test(samples, sigma2: float) -> KsResult:
 # main experiment
 
 
+_MOMENT_KEYS = ("mean", "variance", "skewness", "excess_kurtosis", "remainder_second_moment")
+
+
+def _moments(T: np.ndarray, t_rem: np.ndarray) -> dict:
+    R = T.size
+    return {
+        "mean": float(T.mean()),
+        "variance": float(T.var(ddof=1)) if R > 1 else 0.0,
+        "skewness": float(sstats.skew(T)) if R > 2 else 0.0,
+        "excess_kurtosis": float(sstats.kurtosis(T, fisher=True)) if R > 3 else 0.0,
+        "remainder_second_moment": float(np.mean(t_rem**2)),
+    }
+
+
+def _finite_or_null(values: np.ndarray) -> list:
+    return [v if math.isfinite(v) else None for v in values.tolist()]
+
+
 @dataclass
 class CltReport:
     """Replicate statistics of T_n and its decomposition, per (n, x)."""
@@ -352,7 +377,10 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     Verdict per point: "consistent" when |mean| <= 3*sqrt(sigma_x^2/R), the
     empirical variance sits within ``variance_band`` of sigma_x^2 =
     p(x) int K^2, and the KS distance to N(0, sigma_x^2) clears the 1%
-    asymptotic critical value; "inconclusive" for R < 100.
+    asymptotic critical value; "inconclusive" for R < 100.  A point with a
+    non-finite T, T_zeta or T_remainder fails whatever R is: those values
+    and the point's moments are reported as null, and ``nonfinite`` counts
+    the (n, x, replicate) rows that hold them.
     """
     model, innov, kern, bw = config.model, config.innovations, config.kernel, config.bandwidth
     delta, _ = config.resolve_delta()
@@ -376,7 +404,8 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
         else:
             ef, efm = raw_f.mean(axis=0), raw_t.mean(axis=0)
         t_full, t_zeta, t_rem = _decompose(raw_f, raw_t, ef, efm, math.sqrt(N * b))
-        report.nonfinite += int(np.sum(~np.isfinite(t_full)))
+        bad_rows = ~(np.isfinite(t_full) & np.isfinite(t_zeta) & np.isfinite(t_rem))
+        report.nonfinite += int(np.sum(bad_rows))
         for xi, x in enumerate(xs):
             T = t_full[:, xi]
             sigma2 = asymptotic_variance(float(oracle.p(x)), kern)
@@ -392,18 +421,17 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
                 "sigma2_target": sigma2,
                 "sigma2_exact_oracle": oracle.exact,
                 "oracle": oracle.summary(),
-                "T": T.tolist(),
-                "T_zeta": t_zeta[:, xi].tolist(),
-                "T_remainder": t_rem[:, xi].tolist(),
-                "mean": float(T.mean()),
-                "variance": float(T.var(ddof=1)) if R > 1 else 0.0,
-                "skewness": float(sstats.skew(T)) if R > 2 else 0.0,
-                "excess_kurtosis": float(sstats.kurtosis(T, fisher=True)) if R > 3 else 0.0,
-                "remainder_second_moment": float(np.mean(t_rem[:, xi] ** 2)),
+                "T": _finite_or_null(T),
+                "T_zeta": _finite_or_null(t_zeta[:, xi]),
+                "T_remainder": _finite_or_null(t_rem[:, xi]),
             }
+            nonfinite = int(np.sum(bad_rows[:, xi]))
+            entry.update(dict.fromkeys(_MOMENT_KEYS) if nonfinite else _moments(T, t_rem[:, xi]))
             if config.centering == "pooled":
                 entry["pooled_correlation"] = 1.0 / R
-            if R >= MIN_REPLICATES_FOR_VERDICT:
+            if nonfinite:
+                entry["verdicts"] = {"overall": "fail", "nonfinite": nonfinite}
+            elif R >= MIN_REPLICATES_FOR_VERDICT:
                 ks = ks_normality_test(T, sigma2)
                 mean_ok = abs(entry["mean"]) <= 3.0 * math.sqrt(sigma2 / R)
                 var_ok = abs(entry["variance"] - sigma2) <= config.variance_band * sigma2
@@ -455,7 +483,7 @@ class BlockPlan:
 
 def _block_windows(fields, kernel, b, x, l, q):
     """Total and big-block sums of the truncated kernel field K((x - X_m)/b)/sqrt(b)."""
-    raw = kernel((x - fields.truncated.values) / b) / math.sqrt(b)
+    raw = kernel((x - fields.x_m) / b) / math.sqrt(b)
     prefix = _padded_prefix(raw)
     total = float(prefix[(-1,) * raw.ndim])
     windows = _window_sums(prefix, l)
@@ -613,8 +641,8 @@ def lindeberg_estimate(config: ExperimentConfig, plan: BlockPlan, eps, samples=N
 
 def _rectangle_sums(fields, kernel, b, x, rects):
     """Corner-rectangle sums of the truncated and remainder kernel fields, and remainder moments."""
-    zeta_raw = kernel((x - fields.truncated.values) / b) / math.sqrt(b)
-    diff_raw = kernel((x - fields.full.values) / b) / math.sqrt(b) - zeta_raw
+    zeta_raw = kernel((x - fields.x_m) / b) / math.sqrt(b)
+    diff_raw = kernel((x - fields.x) / b) / math.sqrt(b) - zeta_raw
     pz = _padded_prefix(zeta_raw)
     pd_ = _padded_prefix(diff_raw)
     zsums = np.array([float(pz[j]) for j in rects])
@@ -789,8 +817,8 @@ def wu_inequality_check(
 
 def _squared_gap(fields, kernel, b, x):
     """Site mean of (K((x - X_m)/b) - K((x - X)/b))^2 / b."""
-    kt = kernel((x - fields.truncated.values) / b)
-    kf = kernel((x - fields.full.values) / b)
+    kt = kernel((x - fields.x_m) / b)
+    kf = kernel((x - fields.x) / b)
     return float(np.mean((kt - kf) ** 2)) / b
 
 

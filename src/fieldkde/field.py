@@ -4,7 +4,9 @@ A field realisation on [1, n]^d is the valid-region convolution of an
 innovation lattice of side n + M - 1 with the coefficient cube [0, M)^d.
 The m-truncated field reuses the *same* innovations with the kernel cut to
 [0, m)^d, so X = X_m + residual holds exactly at every site, which is what
-the truncation-gap experiments measure.
+the truncation-gap experiments measure.  On the FFT path one forward
+transform of the lattice serves both fields, against coefficient spectra
+that ``coupled_spectra`` builds once per (n, m, M).
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import json
 import math
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .coefficients import CoefficientModel, coeff_box, pair_weight_sum, residual_sqrt_mass
 from .innovations import InnovationModel, SeedSpec, draw_lattice
@@ -23,10 +26,12 @@ from .innovations import InnovationModel, SeedSpec, draw_lattice
 __all__ = [
     "LatticeField",
     "CoupledFields",
+    "CoupledSpectra",
     "TruncationPlan",
     "FieldSizeError",
     "plan_truncation",
     "estimate_field_bytes",
+    "coupled_spectra",
     "lattice_convolve",
     "generate_coupled_fields",
     "field_moment_diagnostics",
@@ -114,9 +119,36 @@ def plan_truncation(
 
 
 def estimate_field_bytes(d: int, n: int, M: int) -> int:
-    """Footprint of one coupled generation (innovations + three fields)."""
-    eps = (n + M - 1) ** d
-    return 8 * (eps + 3 * n**d + M**d)
+    """Peak footprint of one coupled generation on the FFT path.
+
+    Counts the innovation lattice of side n + M - 1, the zero-padded real
+    buffer of side P = next_fast_len(n + M - 1), four half spectra of
+    P^(d-1) * (P//2 + 1) complex values (the two coefficient spectra, the
+    lattice's and one product) and the two fields, which are views into
+    inverse transforms of side P.  The direct path allocates less.
+    """
+    P = next_fast_len(n + M - 1, real=True)
+    half = P ** (d - 1) * (P // 2 + 1)
+    return 8 * ((n + M - 1) ** d + 3 * P**d) + 16 * 4 * half
+
+
+def _auto_method(lattice_shape, coeffs: np.ndarray) -> str:
+    """Direct when its multiply count beats FFT_COST * size * log2(size) of the lattice."""
+    out_size = float(np.prod([s - c + 1 for s, c in zip(lattice_shape, coeffs.shape)]))
+    direct_cost = int(np.count_nonzero(coeffs)) * out_size
+    size = float(np.prod(lattice_shape))
+    fft_cost = FFT_COST * size * max(math.log2(size), 1.0)
+    return "direct" if direct_cost <= fft_cost else "fourier"
+
+
+def _fourier_valid(spectrum, coeff_spectrum, shape, lattice_shape, coeff_shape) -> np.ndarray:
+    """Valid region of a lattice-coefficient convolution from their real spectra of ``shape``.
+
+    The circular convolution of period P >= lattice side has no wrap-around
+    in the valid region [c - 1, lattice side) of the linear one.
+    """
+    out = irfftn(spectrum * coeff_spectrum, shape, overwrite_x=True)
+    return out[tuple(slice(c - 1, s) for c, s in zip(coeff_shape, lattice_shape))]
 
 
 def lattice_convolve(lattice: np.ndarray, coeffs: np.ndarray, method: str = "auto") -> np.ndarray:
@@ -133,13 +165,12 @@ def lattice_convolve(lattice: np.ndarray, coeffs: np.ndarray, method: str = "aut
         raise ValueError("coefficient cube larger than the lattice")
     out_shape = tuple(s - c + 1 for s, c in zip(lattice.shape, coeffs.shape))
     if method == "auto":
-        nnz = int(np.count_nonzero(coeffs))
-        direct_cost = nnz * float(np.prod(out_shape))
-        size = float(np.prod(lattice.shape))
-        fft_cost = FFT_COST * size * max(math.log2(size), 1.0)
-        method = "direct" if direct_cost <= fft_cost else "fourier"
+        method = _auto_method(lattice.shape, coeffs)
     if method == "fourier":
-        return fftconvolve(lattice, coeffs, mode="valid")
+        shape = tuple(next_fast_len(s, real=True) for s in lattice.shape)
+        return _fourier_valid(
+            rfftn(lattice, shape), rfftn(coeffs, shape), shape, lattice.shape, coeffs.shape
+        )
     if method != "direct":
         raise ValueError(f"unknown convolution method {method!r}")
     out = np.zeros(out_shape)
@@ -170,18 +201,112 @@ class LatticeField:
             raise ValueError("values must form an (n,)*d cube")
 
 
+@dataclass(frozen=True)
+class CoupledSpectra:
+    """What every replicate at one (n, m, M) shares: the method and its coefficient data.
+
+    ``fourier`` holds the real FFTs of a on [0, M)^d and of a on [0, m)^d
+    (the same box masked), zero-padded to ``shape`` = (P,)^d; ``direct`` holds
+    the two coefficient boxes.
+    """
+
+    n: int
+    m: int
+    M: int
+    method: str
+    full: np.ndarray
+    truncated: np.ndarray
+    shape: tuple = ()
+
+    def convolve(self, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(X, X_m) on [1, n]^d from an innovation lattice of side n + M - 1."""
+        d = eps.ndim
+        if self.method == "direct":
+            x = lattice_convolve(eps, self.full, "direct")
+            x_m = lattice_convolve(eps[(slice(self.M - self.m, None),) * d], self.truncated, "direct")
+            return x, x_m
+        # X_m convolves the same lattice with the M-box masked to [0, m)^d
+        spectrum = rfftn(eps, self.shape)
+        box = (self.M,) * d
+        return tuple(
+            _fourier_valid(spectrum, coeff, self.shape, eps.shape, box)
+            for coeff in (self.full, self.truncated)
+        )
+
+
+def coupled_spectra(
+    model: CoefficientModel,
+    n: int,
+    m: int,
+    plan: TruncationPlan,
+    method: str = "auto",
+    max_bytes: int = DEFAULT_MAX_FIELD_BYTES,
+) -> CoupledSpectra:
+    """Check the memory cap, pick the method and transform the coefficients once.
+
+    ``auto`` decides as ``lattice_convolve`` does for the full field.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if m < 1 or m > plan.M:
+        raise ValueError(f"need 1 <= m <= M (got m={m}, M={plan.M})")
+    d, M = model.d, plan.M
+    need = estimate_field_bytes(d, n, M)
+    if need > max_bytes:
+        raise FieldSizeError(
+            f"coupled generation for d={d}, n={n}, M={M} needs about "
+            f"{need} bytes (> cap {max_bytes}); shrink n or relax the plan"
+        )
+    a_full = coeff_box(model, M)
+    a_trunc = a_full[(slice(0, m),) * d]
+    if method == "auto":
+        method = _auto_method((n + M - 1,) * d, a_full)
+    if method == "direct":
+        return CoupledSpectra(n, m, M, method, a_full, a_trunc)
+    if method != "fourier":
+        raise ValueError(f"unknown convolution method {method!r}")
+    shape = (next_fast_len(n + M - 1, real=True),) * d
+    return CoupledSpectra(n, m, M, method, rfftn(a_full, shape), rfftn(a_trunc, shape), shape)
+
+
 @dataclass
 class CoupledFields:
-    """Full field, m-truncation and residual built on shared innovations."""
+    """Full field X and m-truncation X_m built on shared innovations.
 
-    full: LatticeField
-    truncated: LatticeField
-    residual: LatticeField
+    The replicate engine reads the arrays ``x`` and ``x_m``; the exported
+    ``full``, ``truncated`` and ``residual`` = X - X_m fields with their
+    provenance are built on first access.
+    """
+
+    x: np.ndarray
+    x_m: np.ndarray
     m: int
     plan: TruncationPlan
     model: CoefficientModel
     innovations: InnovationModel
     seed: SeedSpec
+
+    def _export(self, values: np.ndarray, component: str) -> LatticeField:
+        provenance = {
+            "coefficients": self.model.label(),
+            "innovations": self.innovations.label(),
+            "truncation_radius": self.plan.M,
+            "seed": self.seed.to_config(),
+            "component": component,
+        }
+        return LatticeField(d=values.ndim, n=values.shape[0], values=values, provenance=provenance)
+
+    @cached_property
+    def full(self) -> LatticeField:
+        return self._export(self.x, "full")
+
+    @cached_property
+    def truncated(self) -> LatticeField:
+        return self._export(self.x_m, "truncated")
+
+    @cached_property
+    def residual(self) -> LatticeField:
+        return self._export(self.x - self.x_m, "residual")
 
 
 def generate_coupled_fields(
@@ -193,50 +318,25 @@ def generate_coupled_fields(
     seed: SeedSpec,
     method: str = "auto",
     max_bytes: int = DEFAULT_MAX_FIELD_BYTES,
+    spectra: CoupledSpectra | None = None,
 ) -> CoupledFields:
-    """Generate X, X_m and X - X_m from one innovation lattice.
+    """Generate X and X_m from one innovation lattice.
 
     X_i = sum_{k in [0,M)^d} a_k eps_{i-k} needs innovations on a lattice of
-    side n + M - 1; the truncation reuses the same lattice restricted to the
-    most recent m layers per axis, so the coupling identity is exact.
+    side n + M - 1; the truncation keeps only the weights on [0, m)^d of the
+    same sum, so X = X_m + (X - X_m) holds exactly.  On the FFT path the
+    lattice is transformed once and both fields come from one inverse FFT
+    each.  ``spectra`` from ``coupled_spectra`` for the same (n, m, plan)
+    skips the per-call cap check and coefficient transforms, and fixes the
+    method; ``method`` and ``max_bytes`` then do not apply.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if m < 1 or m > plan.M:
-        raise ValueError(f"need 1 <= m <= M (got m={m}, M={plan.M})")
-    need = estimate_field_bytes(model.d, n, plan.M)
-    if need > max_bytes:
-        raise FieldSizeError(
-            f"coupled generation for d={model.d}, n={n}, M={plan.M} needs about "
-            f"{need} bytes (> cap {max_bytes}); shrink n or relax the plan"
-        )
-    d = model.d
-    M = plan.M
-    eps = draw_lattice(innovations, seed, (n + M - 1,) * d)
-    a_full = coeff_box(model, M)
-    x = lattice_convolve(eps, a_full, method=method)
-    a_trunc = a_full[(slice(0, m),) * d]
-    x_m = lattice_convolve(eps[(slice(M - m, None),) * d], a_trunc, method=method)
-    resid = x - x_m
-    prov = {
-        "coefficients": model.label(),
-        "innovations": innovations.label(),
-        "truncation_radius": M,
-        "seed": seed.to_config(),
-    }
-    mk = lambda vals, tag: LatticeField(
-        d=d, n=n, values=vals, provenance={**prov, "component": tag}
-    )
-    return CoupledFields(
-        full=mk(x, "full"),
-        truncated=mk(x_m, "truncated"),
-        residual=mk(resid, "residual"),
-        m=m,
-        plan=plan,
-        model=model,
-        innovations=innovations,
-        seed=seed,
-    )
+    if spectra is None:
+        spectra = coupled_spectra(model, n, m, plan, method, max_bytes)
+    elif (spectra.n, spectra.m, spectra.M) != (n, m, plan.M):
+        raise ValueError("spectra were built for another (n, m, M)")
+    eps = draw_lattice(innovations, seed, (n + plan.M - 1,) * model.d)
+    x, x_m = spectra.convolve(eps)
+    return CoupledFields(x, x_m, m, plan, model, innovations, seed)
 
 
 def field_moment_diagnostics(field: LatticeField, model: CoefficientModel, lags) -> dict:

@@ -53,7 +53,14 @@ def _epanechnikov(u):
 
 def _gaussian_kernel(u):
     u = np.asarray(u, dtype=float)
-    return np.exp(-0.5 * u * u) / SQRT2PI
+    if u.ndim == 0:
+        return np.exp(-0.5 * u * u) / SQRT2PI
+    # same operations in the same order as the scalar branch, in one buffer
+    w = -0.5 * u
+    w *= u
+    np.exp(w, out=w)
+    w /= SQRT2PI
+    return w
 
 
 def _triangular(u):

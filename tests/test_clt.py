@@ -27,6 +27,7 @@ from fieldkde import (
     wu_inequality_check,
 )
 from fieldkde.clt import _block_samples
+from fieldkde.field import coupled_spectra
 from fieldkde.reporting import canonical_json
 
 from conftest import MASTER_SEED
@@ -56,6 +57,26 @@ class TestExperimentConfig:
             _config(geometric_half, n_grid=grid)
         with pytest.raises(ValueError, match="at most 100"):
             fixed_m_gap(_config(geometric_half), m=2, n_grid=grid)
+
+
+class TestReplicateEngine:
+    def test_spectra_built_once_per_chunk(self, power_d2, monkeypatch):
+        import fieldkde.clt as clt
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:4])
+            return coupled_spectra(*args, **kwargs)
+
+        monkeypatch.setattr(clt, "coupled_spectra", counting)
+        config = _config(power_d2, bandwidth=BandwidthSchedule(d=2, gamma=1.0), replicates=7)
+        plan = plan_truncation(power_d2, m=2, policy="fixed", M=6)
+        rows = clt._run_replicates(config, 16, 2, plan, 0, lambda fields: float(fields.x.sum()))
+        assert len(rows) == 7 and len(calls) == 1
+        # a second chunk builds its own spectra and reproduces the same replicates
+        tail = clt._replicate_chunk(config, 16, 2, plan, 0, lambda fields: float(fields.x.sum()), 3, 7)
+        assert len(calls) == 2 and tail == rows[3:]
 
 
 class TestNormalizedStatistic:

@@ -15,11 +15,13 @@ from fieldkde import (
     plan_truncation,
 )
 from fieldkde.field import (
+    coupled_spectra,
     estimate_field_bytes,
     read_field_binary,
     write_field_binary,
     write_field_csv,
 )
+from fieldkde.coefficients import coeff_box
 from fieldkde.innovations import draw_lattice
 
 from conftest import MASTER_SEED
@@ -82,8 +84,7 @@ class TestCoupledGeneration:
         for model, n, m, M in ((geometric_half, 300, 3, 32), (power_d2, 24, 2, 8)):
             cf = _coupled(model, n, m, M)
             gap = np.abs(cf.full.values - cf.truncated.values - cf.residual.values)
-            scale = np.max(np.abs(cf.full.values))
-            assert np.max(gap) <= 1e-12 * scale
+            assert np.max(gap) == 0.0
 
     def test_geometric_moments(self, geometric_half):
         cf = _coupled(geometric_half, 100_000, 1, 64, stream=1)
@@ -119,6 +120,26 @@ class TestCoupledGeneration:
                 power_d2, InnovationModel("gaussian"), 40_000, 2, plan, SeedSpec(1)
             )
         assert str(estimate_field_bytes(2, 40_000, 64)) in str(err.value)
+
+    def test_cap_just_below_estimate_raises(self, power_d2):
+        plan = plan_truncation(power_d2, m=2, policy="fixed", M=9)
+        need = estimate_field_bytes(2, 30, 9)
+        innov = InnovationModel("gaussian")
+        with pytest.raises(FieldSizeError):
+            generate_coupled_fields(power_d2, innov, 30, 2, plan, SeedSpec(1), max_bytes=need - 1)
+        generate_coupled_fields(power_d2, innov, 30, 2, plan, SeedSpec(1), max_bytes=need)
+
+    def test_estimate_bounds_traced_peak(self, power_d2):
+        import tracemalloc
+
+        plan = plan_truncation(power_d2, m=6, policy="fixed", M=15)
+        tracemalloc.start()
+        try:
+            generate_coupled_fields(power_d2, InnovationModel("gaussian"), 64, 6, plan, SeedSpec(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate_field_bytes(2, 64, 15)
 
     def test_stationarity_across_subboxes(self, geometric_half):
         cf = _coupled(geometric_half, 80_000, 1, 48, stream=3)
@@ -210,3 +231,46 @@ class TestExport:
         big = _coupled(power_d2, 65, 1, 4)
         with pytest.raises(ValueError):
             write_field_csv(big.full, tmp_path / "g.csv")
+
+
+class TestSharedSpectrum:
+    # n + M - 1 is 67, 37 and 17, none of them a fast FFT length, so the
+    # padded side P exceeds n + M - 1
+    @pytest.mark.parametrize("d, n, M", [(1, 60, 8), (2, 30, 8), (3, 12, 6)])
+    @pytest.mark.parametrize("full_m", [False, True])
+    def test_fourier_fields_match_direct(self, d, n, M, full_m):
+        model = CoefficientModel(d=d, family="power_decay", q=4.0)
+        m = M if full_m else 1
+        plan = plan_truncation(model, m=m, policy="fixed", M=M)
+        spectra = coupled_spectra(model, n, m, plan, method="fourier")
+        assert spectra.shape[0] > n + M - 1
+        seed = SeedSpec(MASTER_SEED, 11)
+        cf = generate_coupled_fields(model, InnovationModel("gaussian"), n, m, plan, seed, spectra=spectra)
+        eps = draw_lattice(InnovationModel("gaussian"), seed, (n + M - 1,) * d)
+        a = coeff_box(model, M)
+        x = lattice_convolve(eps, a, "direct")
+        x_m = lattice_convolve(eps[(slice(M - m, None),) * d], a[(slice(0, m),) * d], "direct")
+        for got, want in ((cf.x, x), (cf.x_m, x_m)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_direct_path_is_lattice_convolve(self, geometric_half):
+        plan = plan_truncation(geometric_half, m=2, policy="fixed", M=5)
+        spectra = coupled_spectra(geometric_half, 40, 2, plan, method="direct")
+        seed = SeedSpec(MASTER_SEED, 12)
+        cf = generate_coupled_fields(
+            geometric_half, InnovationModel("gaussian"), 40, 2, plan, seed, spectra=spectra
+        )
+        eps = draw_lattice(InnovationModel("gaussian"), seed, (44,))
+        assert np.array_equal(cf.x, lattice_convolve(eps, coeff_box(geometric_half, 5), "direct"))
+
+    def test_auto_keeps_direct_for_short_d1_kernels(self, geometric_half):
+        plan = plan_truncation(geometric_half, m=4, policy="fixed", M=4)
+        assert coupled_spectra(geometric_half, 4096, 4, plan).method == "direct"
+
+    def test_spectra_must_match_the_request(self, geometric_half):
+        plan = plan_truncation(geometric_half, m=2, policy="fixed", M=8)
+        spectra = coupled_spectra(geometric_half, 32, 2, plan)
+        with pytest.raises(ValueError, match="another"):
+            generate_coupled_fields(
+                geometric_half, InnovationModel("gaussian"), 33, 2, plan, SeedSpec(1), spectra=spectra
+            )

@@ -48,6 +48,14 @@ class TestKernels:
         assert np.max(vals) <= k.sup_value + 1e-15
         assert np.all(vals >= 0)
 
+    def test_gaussian_in_place_equals_plain_expression(self):
+        k = kernel_by_name("gaussian")
+        u = np.random.default_rng(MASTER_SEED).standard_normal((64, 48)) * 3.0
+        before = u.copy()
+        assert np.array_equal(k(u), np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
+        assert np.array_equal(u, before)
+        assert k(0.7) == np.exp(-0.5 * 0.7 * 0.7) / math.sqrt(2.0 * math.pi)
+
 
 class TestEstimator:
     def test_single_point(self, epanechnikov):

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,7 +163,7 @@ class TestCli:
         assert code == 0
         out = tmp_path / "gen_field"
         report = json.loads((out / "report.json").read_text())
-        assert report["coupling_max_abs_gap"] == 0.0 or report["coupling_max_abs_gap"] < 1e-12
+        assert report["coupling_max_abs_gap"] == 0.0
         from fieldkde.field import read_field_binary
 
         f = read_field_binary(out / "field_full.bin")
@@ -206,6 +209,55 @@ class TestCli:
         assert code == 0
         lines = (tmp_path / "kde" / "kde_curve.csv").read_text().splitlines()
         assert lines[0] == "x,estimate,b,oracle_density,expected_estimate,sigma2_x"
+
+    def test_kde_honours_fixed_truncation(self, tmp_path):
+        code = _run(tmp_path, "kde", "--set", "kde.n=64", "--set", "truncation.policy=fixed",
+                    "--set", "truncation.M=30")
+        assert code == 0
+        report = json.loads((tmp_path / "kde" / "report.json").read_text())
+        assert report["plan"]["M"] == 30 and report["plan"]["policy"] == "fixed"
+
+    def test_kde_memory_cap_exit_1(self, tmp_path):
+        code = _run(tmp_path, "kde", "--set", "kde.n=64", "--set", "limits.max_field_bytes=1000")
+        assert code == 1
+        manifest = json.loads((tmp_path / "kde" / "manifest.json").read_text())
+        assert "bytes" in manifest["error"]
+
+    def test_nonfinite_kernel_sum_reported_as_null_exit_2(self, tmp_path, monkeypatch):
+        import fieldkde.clt as clt
+
+        kernel_sums = clt._kernel_sums
+        calls = []
+
+        def first_nan(fields, **kw):
+            sums_f, sums_t = kernel_sums(fields, **kw)
+            if not calls:
+                sums_f[0] = math.nan
+            calls.append(1)
+            return sums_f, sums_t
+
+        monkeypatch.setattr(clt, "_kernel_sums", first_nan)
+        code = _run(tmp_path, "clt-run", "--set", "clt.replicates=3", "--set", "clt.n_grid=[64]")
+        assert code == 2
+        out = tmp_path / "clt_run"
+        report = json.loads((out / "report.json").read_text())
+        point = report["points"][0]
+        assert report["nonfinite"] == 1 and report["overall"] == "fail"
+        assert point["T"][0] is None and point["T_remainder"][0] is None
+        assert point["T_zeta"][0] is not None and point["T"][1] is not None
+        assert point["mean"] is None and point["verdicts"] == {"overall": "fail", "nonfinite": 1}
+        assert (out / "clt_replicates.csv").read_text().splitlines()[1].split(",")[3] == ""
+
+    def test_scripts_sharing_a_subcommand_write_apart(self, tmp_path, monkeypatch):
+        scripts = Path(__file__).resolve().parent.parent / "scripts"
+        for name in ("run_iid_baseline", "run_power_decay_d2"):
+            monkeypatch.setattr(sys, "argv", [name, "--out", str(tmp_path), "--set", "clt.replicates=2",
+                                              "--set", "clt.n_grid=[16]"])
+            with pytest.raises(SystemExit) as done:
+                runpy.run_path(str(scripts / f"{name}.py"), run_name="__main__")
+            assert done.value.code == 0
+        reports = sorted(tmp_path.glob("*/clt_run/report.json"))
+        assert [p.relative_to(tmp_path).parts[0] for p in reports] == ["iid_baseline", "power_decay_d2"]
 
     def test_report_regenerates_from_manifest(self, tmp_path):
         code = _run(
