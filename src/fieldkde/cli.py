@@ -101,6 +101,18 @@ DEFAULT_CONFIG = {
 }
 
 
+# keys the lab reads that DEFAULT_CONFIG leaves unset; _experiment reads the
+# last group in every experiment section
+_EXPERIMENT_KEYS = ("x_points", "centering", "variance_band", "replicates")
+_OPTIONAL_KEYS = {
+    "coefficient": ("q", "scale", "table", "beta", "c1"),
+    "innovations": ("nu",),
+    "blocks": _EXPERIMENT_KEYS,
+    "moment_check": _EXPERIMENT_KEYS,
+    "gap": _EXPERIMENT_KEYS,
+}
+
+
 class ToolError(RuntimeError):
     pass
 
@@ -148,7 +160,23 @@ def load_config(path: str | None, sets, seed=None, threads=None) -> dict:
         cfg["seed"] = seed
     if threads is not None:
         cfg["threads"] = threads
+    _check_keys(cfg)
     return cfg
+
+
+def _check_keys(cfg: dict) -> None:
+    """Reject every key the lab does not read, naming it by its dotted path."""
+    unknown = []
+    for key, value in cfg.items():
+        if key not in DEFAULT_CONFIG:
+            unknown.append(key)
+        elif isinstance(DEFAULT_CONFIG[key], dict):
+            if not isinstance(value, dict):
+                raise ToolError(f"config section {key!r} must be an object")
+            known = {*DEFAULT_CONFIG[key], *_OPTIONAL_KEYS.get(key, ())}
+            unknown.extend(f"{key}.{sub}" for sub in value if sub not in known)
+    if unknown:
+        raise ToolError(f"unknown config key(s): {', '.join(unknown)}")
 
 
 def _bandwidth(cfg: dict) -> BandwidthSchedule:
@@ -305,11 +333,12 @@ def cmd_kde(cfg: dict):
     est = kde_estimate(fields.x, np.array(xs), b, kern)
     rows = []
     oracle = density_oracle(model, innov, m)
-    for x, e in zip(xs, np.atleast_1d(est)):
+    expected = expected_kde(oracle, kern, b, xs) if oracle.exact else None
+    for i, (x, e) in enumerate(zip(xs, np.atleast_1d(est))):
         row = {"x": x, "estimate": float(e), "b": b}
         row["oracle_density"] = float(oracle.p(x))
-        if oracle.exact:
-            row["expected_estimate"] = expected_kde(oracle, kern, b, x)
+        if expected is not None:
+            row["expected_estimate"] = float(expected[i])
         row["sigma2_x"] = asymptotic_variance(float(oracle.p(x)), kern)
         rows.append(row)
     report = {
@@ -391,17 +420,13 @@ def cmd_blocks(cfg: dict):
 def cmd_moment_check(cfg: dict):
     sec = cfg["moment_check"]
     config = _experiment(cfg, "moment_check")
-    wu_reports = []
-    ok = True
-    for p in sec.get("wu_p", [1, 2]):
-        try:
-            wu = wu_inequality_check(
-                config.model, config.innovations, p, int(sec.get("wu_sample", 200000)),
-                master_seed=config.master_seed,
-            )
-            wu_reports.append(wu)
-        except (ValueError,) as exc:
-            raise ToolError(str(exc))
+    wu_reports = [
+        wu_inequality_check(
+            config.model, config.innovations, p, int(sec.get("wu_sample", 200000)),
+            master_seed=config.master_seed,
+        )
+        for p in sec.get("wu_p", [1, 2])
+    ]
     rect = rectangle_moment_check(config, sec["rectangles"], ratio_cap=float(sec.get("ratio_cap", 3.0)))
     ok = rect["passed"]
     report = {

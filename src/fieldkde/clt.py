@@ -249,15 +249,6 @@ def _kernel_sums(fields, xs, kernel, b):
     return sums_f, sums_t
 
 
-def _oracle_means(oracle, kernel: KernelModel, b: float, xs, truncated=(False, True)) -> tuple:
-    """Exact E f_n(x) (flag False) or E f_n^truncated(x) (flag True) at each x, one array per flag."""
-    if not oracle.exact:
-        raise OracleError("oracle centering needs Gaussian innovations")
-    return tuple(
-        np.array([expected_kde(oracle, kernel, b, x, truncated=t) for x in xs]) for t in truncated
-    )
-
-
 def _decompose(fn, fnm, ef, efm, scale):
     """(T_n, T_zeta, T_remainder) from raw full/truncated estimates and their centerings."""
     return scale * (fn - ef), scale * (fnm - efm), scale * ((fn - fnm) - (ef - efm))
@@ -286,7 +277,7 @@ def normalized_statistic(
         if centering == "pooled":
             raise ValueError("pooled centering needs precomputed pooled means")
         oracle = density_oracle(fields.model, fields.innovations, fields.m)
-        ef, efm = (e[0] for e in _oracle_means(oracle, kernel, b, [x]))
+        ef, efm = (expected_kde(oracle, kernel, b, x, truncated=t) for t in (False, True))
     else:
         ef, efm = expectations
     return _decompose(sums_f[0] / (N * b), sums_t[0] / (N * b), ef, efm, math.sqrt(N * b))
@@ -400,7 +391,7 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
         N = n**model.d
         raw_f, raw_t = (np.array(sums) / (N * b) for sums in zip(*rows))
         if config.centering == "oracle":
-            ef, efm = _oracle_means(oracle, kern, b, xs)
+            ef, efm = (expected_kde(oracle, kern, b, xs, truncated=t) for t in (False, True))
         else:
             ef, efm = raw_f.mean(axis=0), raw_t.mean(axis=0)
         t_full, t_zeta, t_rem = _decompose(raw_f, raw_t, ef, efm, math.sqrt(N * b))
@@ -506,8 +497,7 @@ def _block_samples(config: ExperimentConfig, plan: BlockPlan) -> list[dict]:
         totals, etas = (np.array(col) for col in zip(*rows))
         if config.centering == "oracle":
             oracle = density_oracle(model, innov, m)
-            (efm,) = _oracle_means(oracle, kern, b, [x], truncated=(True,))
-            e_site = math.sqrt(b) * float(efm[0])
+            e_site = math.sqrt(b) * expected_kde(oracle, kern, b, x, truncated=True)
         else:
             e_site = float(totals.mean()) / (n**model.d)
         out.append(
@@ -687,9 +677,9 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
         m = m_schedule(n, delta)
         b = bw.b(n)
         plan = _plan_for(config, m, b)
-        ef, efm = _oracle_means(density_oracle(model, innov, m), kern, b, [x])
-        ez = math.sqrt(b) * float(efm[0])
-        ed = math.sqrt(b) * float(ef[0]) - ez
+        oracle = density_oracle(model, innov, m)
+        ez = math.sqrt(b) * expected_kde(oracle, kern, b, x, truncated=True)
+        ed = math.sqrt(b) * expected_kde(oracle, kern, b, x) - ez
         reduce = partial(_rectangle_sums, kernel=kern, b=b, x=x, rects=fit_rects)
         rows_r = _run_replicates(config, n, m, plan, STREAM_OFFSETS["rectangles"] + ni, reduce)
         zs, ds, dsum, dsq = (np.array(col) for col in zip(*rows_r))

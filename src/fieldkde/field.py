@@ -154,8 +154,8 @@ def _fourier_valid(spectrum, coeff_spectrum, shape, lattice_shape, coeff_shape) 
 def lattice_convolve(lattice: np.ndarray, coeffs: np.ndarray, method: str = "auto") -> np.ndarray:
     """Valid-region causal convolution: out[t] = sum_k coeffs[k] * lattice[t + M - 1 - k].
 
-    ``fourier`` and ``direct`` agree to relative 1e-8; ``auto`` picks by an
-    operation-count estimate.
+    ``fourier`` and ``direct`` agree to 1e-12 of the largest output value;
+    ``auto`` picks by an operation-count estimate.
     """
     lattice = np.asarray(lattice, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)

@@ -2,9 +2,9 @@
 
 For Gaussian innovations every marginal and bivariate density of the field
 and of its truncated version is an explicit normal law, so the estimator's
-centering E f_n(x) and the limit variance p(x) * int K^2 can be computed to
-quadrature accuracy instead of being estimated.  Non-Gaussian innovations get
-a diagnostic-only Monte Carlo oracle.
+centering E f_n(x) and the limit variance p(x) * int K^2 are closed forms
+instead of estimates.  Non-Gaussian innovations get a diagnostic-only Monte
+Carlo oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 
 from .coefficients import (
     CoefficientModel,
@@ -23,7 +24,6 @@ from .coefficients import (
     total_sq_mass,
 )
 from .innovations import InnovationModel, SeedSpec, spawn_rng
-from .quadrature import adaptive_simpson
 
 __all__ = [
     "KernelModel",
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
-GAUSS_TRUNC = 10.0  # quadrature support for the unbounded kernel, in kernel units
 
 
 class OracleError(RuntimeError):
@@ -79,8 +78,8 @@ _KERNELS = {
 class KernelModel:
     """Nonnegative unit-mass kernel with its regularity constants.
 
-    ``roughness`` is int K^2, ``abs_first_moment`` is int |u| K(u) du and
-    ``deriv_sq_integral`` is int K'(u)^2 du; all three are exact values.
+    ``roughness`` is int K^2 and ``abs_first_moment`` is int |u| K(u) du;
+    both are exact values.
     """
 
     name: str
@@ -89,7 +88,6 @@ class KernelModel:
     roughness: float
     support_radius: float
     abs_first_moment: float
-    deriv_sq_integral: float
 
     def __call__(self, u):
         return _KERNELS[self.name](u)
@@ -106,7 +104,6 @@ _KERNEL_MODELS = {
         roughness=0.6,
         support_radius=1.0,
         abs_first_moment=0.375,
-        deriv_sq_integral=1.5,
     ),
     "gaussian": KernelModel(
         name="gaussian",
@@ -115,7 +112,6 @@ _KERNEL_MODELS = {
         roughness=1.0 / (2.0 * math.sqrt(math.pi)),
         support_radius=math.inf,
         abs_first_moment=math.sqrt(2.0 / math.pi),
-        deriv_sq_integral=1.0 / (4.0 * math.sqrt(math.pi)),
     ),
     "triangular": KernelModel(
         name="triangular",
@@ -124,7 +120,6 @@ _KERNEL_MODELS = {
         roughness=2.0 / 3.0,
         support_radius=1.0,
         abs_first_moment=1.0 / 3.0,
-        deriv_sq_integral=2.0,
     ),
 }
 
@@ -218,7 +213,7 @@ class DensityOracle:
     Exact mode (Gaussian innovations): all densities are centered normals
     with variances from the coefficient masses.  Diagnostic mode: histogram
     estimates with standard errors, usable for reporting but refused by the
-    quadrature centering.
+    exact centering.
     """
 
     exact: bool
@@ -384,31 +379,73 @@ def density_oracle(
     return out
 
 
-def expected_kde(
-    oracle: DensityOracle,
-    kernel: KernelModel,
-    b: float,
-    x: float,
-    truncated: bool = False,
-    tol: float = 1e-10,
-) -> float:
-    """E f_n(x) = int K(u) p(x - b u) du to absolute accuracy ``tol``.
+# even moments mu_2j = int u^(2j) K(u) du of the compact kernels
+_EVEN_MOMENTS = {
+    "epanechnikov": lambda j: 3.0 / ((2 * j + 1) * (2 * j + 3)),
+    "triangular": lambda j: 2.0 / ((2 * j + 1) * (2 * j + 2)),
+}
 
+
+def _cdf_form(name: str, a, beta: float):
+    """int K(u) phi(a - beta u) du for a >= 0 from Phi and phi.
+
+    Exact, but it cancels away about (1/beta)^3 of its digits.  Upper-tail
+    probabilities are ``ndtr(-z)``, never 1 - Phi(z).
+    """
+    z1, z2 = a - beta, a + beta
+    if name == "epanechnikov":  # 3/(4 beta^3) int_z1^z2 (t - z1)(z2 - t) phi(t) dt
+        mass = np.where(z1 > 0, ndtr(-z1) - ndtr(-z2), ndtr(z2) - ndtr(z1))
+        bracket = z2 * _normal_pdf(z1, 1.0) - z1 * _normal_pdf(z2, 1.0) - (1.0 + z1 * z2) * mass
+        return 0.75 / beta**3 * bracket
+    # triangular: second difference of G(z) = z Phi(z) + phi(z) = max(z, 0) + H(|z|)
+    # over beta^2; the max(z, 0) parts sum to max(beta - a, 0) exactly
+    def H(z):
+        return _normal_pdf(z, 1.0) - z * ndtr(-z)
+
+    return (np.maximum(beta - a, 0.0) + H(z2) - 2.0 * H(a) + H(np.abs(z1))) / beta**2
+
+
+def _moment_series(name: str, a, beta: float):
+    """int K(u) phi(a - beta u) du as sum_j mu_2j P_2j; it cancels for large beta.
+
+    P_n = beta^n He_n(a) phi(a) / n! (He: probabilists' Hermite polynomials)
+    is the u^n coefficient of phi(a - beta u).  He's recurrence gives
+    P_(n+1) = beta (a P_n - beta P_(n-1)) / (n+1), so nothing overflows.
+    """
+    moment = _EVEN_MOMENTS[name]
+    prev = _normal_pdf(a, 1.0)
+    cur = beta * a * prev
+    total = moment(0) * prev
+    for j in range(1, 200):  # the bound only stops non-finite input; finite input converges first
+        even = beta * (a * cur - beta * prev) / (2 * j)
+        odd = beta * (a * even - beta * cur) / (2 * j + 1)
+        total = total + moment(j) * even
+        if np.all(np.abs(even) + np.abs(odd) <= 1e-17 * np.abs(total)):
+            break
+        prev, cur = even, odd
+    return total
+
+
+def expected_kde(oracle: DensityOracle, kernel: KernelModel, b: float, x, truncated: bool = False):
+    """E f_n(x) = int K(u) p(x - b u) du in closed form, for scalar or array ``x``.
+
+    p is N(0, v), v the truncated variance when ``truncated``.  The Gaussian
+    kernel gives the N(0, v + b^2) density.  For the compact kernels, with
+    s = sqrt(v) and beta = b/s, it is (1/s) int K(u) phi(|x|/s - beta u) du:
+    the Phi/phi form for beta >= 1, the moment series for beta < 1.
     Independent of n.  Refuses diagnostic oracles: pooled-mean centering is
     the supported route for non-Gaussian innovations.
     """
     if b <= 0:
         raise ValueError("bandwidth must be positive")
     if not oracle.exact:
-        raise OracleError(
-            "exact centering needs Gaussian innovations; use pooled centering"
-        )
+        raise OracleError("exact centering needs Gaussian innovations; use pooled centering")
     v = oracle.truncated_variance if truncated else oracle.variance
-    radius = kernel.support_radius
-    if math.isinf(radius):
-        radius = GAUSS_TRUNC
-
-    def integrand(u: float) -> float:
-        return float(kernel(u)) * float(_normal_pdf(x - b * u, v))
-
-    return adaptive_simpson(integrand, -radius, radius, tol=tol)
+    xs = np.asarray(x, dtype=float)
+    if kernel.name == "gaussian":
+        out = _normal_pdf(xs, v + b * b)
+    else:
+        s = math.sqrt(v)
+        form = _cdf_form if b >= s else _moment_series
+        out = form(kernel.name, np.abs(xs) / s, b / s) / s
+    return float(out) if xs.ndim == 0 else out

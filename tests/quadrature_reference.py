@@ -1,7 +1,8 @@
 """Adaptive Simpson quadrature for smooth 1-d integrands.
 
-Used for kernel/density convolutions where the centering error must sit far
-below Monte Carlo noise, so the default absolute tolerance is tight (1e-10).
+The tests' numerical reference: closed forms in the package, such as the
+exact centering E f_n(x), are checked against it.  The default absolute
+tolerance is tight (1e-10).
 """
 
 from __future__ import annotations

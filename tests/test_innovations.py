@@ -5,9 +5,9 @@ import pytest
 from scipy import stats
 
 from fieldkde import InnovationModel, SeedSpec, innovation_density, innovation_stream
-from fieldkde.quadrature import adaptive_simpson
 
 from conftest import MASTER_SEED
+from quadrature_reference import adaptive_simpson
 
 
 def test_same_seed_bit_identical():

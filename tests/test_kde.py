@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 from fieldkde import (
     BandwidthSchedule,
     CoefficientModel,
+    DensityOracle,
     InnovationModel,
     OracleError,
     SeedSpec,
@@ -19,11 +21,58 @@ from fieldkde import (
 )
 from fieldkde.innovations import innovation_stream
 from fieldkde.kde import sup_abs_normal_diff
-from fieldkde.quadrature import adaptive_simpson
 
 from conftest import MASTER_SEED
+from quadrature_reference import adaptive_simpson
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
+KERNEL_NAMES = ("epanechnikov", "gaussian", "triangular")
+
+# pure-Python kernels (with the radius they are integrated over) for the reference
+# integrals; numpy calls per quadrature node would make the grid tests slow
+_REFERENCE_KERNELS = {
+    "epanechnikov": (lambda u: 0.75 * (1.0 - u * u) if abs(u) <= 1.0 else 0.0, 1.0),
+    "gaussian": (lambda u: PHI0 * math.exp(-0.5 * u * u), 12.0),
+    "triangular": (lambda u: max(1.0 - abs(u), 0.0), 1.0),
+}
+
+
+def _reference_centering(name, xi, beta, tol=1e-13):
+    """int K(u) phi(xi - beta u) du by adaptive Simpson.
+
+    The error is at most ``tol`` times the integrand's peak (which is below
+    one), so tail values get relative accuracy too.  The range is cut at the
+    kernel's kinks and wherever xi - beta u is an integer, so a peak of phi
+    narrower than the first Simpson nodes cannot be stepped over.
+    """
+    kern, radius = _REFERENCE_KERNELS[name]
+    cuts = {-radius, 0.0, radius} | {(xi + k) / beta for k in range(-12, 13)}
+    cuts = sorted(c for c in cuts if -radius <= c <= radius)
+
+    def f(u):
+        return kern(u) * PHI0 * math.exp(-0.5 * (xi - beta * u) ** 2)
+
+    peak = max(f(u) for u in [*cuts, *np.linspace(-radius, radius, 2001)])
+    if peak == 0.0:
+        return 0.0
+    piece_tol = tol / (len(cuts) - 1)
+    pieces = (adaptive_simpson(lambda u: f(u) / peak, lo, hi, piece_tol) for lo, hi in zip(cuts, cuts[1:]))
+    return peak * sum(pieces)
+
+
+def _oracle(v):
+    """Exact oracle whose full and truncated marginals are both N(0, v)."""
+    peak = 1.0 / math.sqrt(2.0 * math.pi * v)
+    return DensityOracle(
+        exact=True,
+        m=1,
+        variance=v,
+        truncated_variance=v,
+        sup_marginal=peak,
+        sup_truncated=peak,
+        sup_gap=0.0,
+        density_regularity="lipschitz-certified",
+    )
 
 
 class TestKernels:
@@ -225,6 +274,72 @@ class TestExpectedKde:
         o = density_oracle(geometric_half, InnovationModel("uniform"), 2, mc_sample=20_000)
         with pytest.raises(OracleError):
             expected_kde(o, kernel_by_name("gaussian"), 0.2, 0.0)
+
+    # beta = b / sqrt(v) spans both sides of the switch between the Phi/phi
+    # form (beta >= 1) and the moment series (beta < 1)
+    @pytest.mark.parametrize("beta", (1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0))
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    def test_closed_form_matches_quadrature(self, name, beta):
+        k = kernel_by_name(name)
+        for xi in (0.0, 0.3, -0.3, 1.0, -1.0, 2.0, -3.5, 6.0):
+            ref = _reference_centering(name, xi, beta)
+            for v in (0.5, 4.0 / 3.0, 4.0):
+                s = math.sqrt(v)
+                got = expected_kde(_oracle(v), k, beta * s, xi * s)
+                assert got >= 0.0
+                assert got == pytest.approx(ref / s, abs=1e-12), (xi, v)
+
+    @given(
+        name=st.sampled_from(KERNEL_NAMES),
+        xi=st.floats(min_value=-8.0, max_value=8.0),
+        log_beta=st.floats(min_value=-4.0, max_value=1.5),
+        v=st.floats(min_value=0.1, max_value=10.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_matches_quadrature_random(self, name, xi, log_beta, v):
+        beta, s = 10.0**log_beta, math.sqrt(v)
+        got = expected_kde(_oracle(v), kernel_by_name(name), beta * s, xi * s)
+        assert got >= 0.0
+        assert got == pytest.approx(_reference_centering(name, xi, beta) / s, abs=1e-12)
+
+    @pytest.mark.parametrize("beta", (1e-2, 0.5, 2.0, 5.0))
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    def test_relative_accuracy_in_moderate_tails(self, name, beta):
+        # far from the mode the value is tiny, so absolute agreement says
+        # nothing; tail probabilities must not be formed as 1 - Phi(z)
+        k = kernel_by_name(name)
+        for xi in (8.0, 12.0):
+            ref = _reference_centering(name, xi, beta)
+            assert expected_kde(_oracle(1.0), k, beta, xi) == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    def test_far_tails_finite_and_nonnegative(self, name):
+        xs = np.array([40.0, -40.0, 1e3, -1e3, 1e8, -1e8])
+        k = kernel_by_name(name)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+            warnings.simplefilter("error")
+            for beta in (1e-4, 0.5, 1.0, 20.0):
+                for v in (0.5, 4.0):
+                    s = math.sqrt(v)
+                    got = expected_kde(_oracle(v), k, beta * s, xs * s)
+                    assert np.all(np.isfinite(got)) and np.all(got >= 0.0), (beta, v, got)
+
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    def test_scalar_and_array_calls_agree(self, name, geometric_half, gaussian_innov):
+        o = density_oracle(geometric_half, gaussian_innov, 2)
+        k = kernel_by_name(name)
+        xs = np.linspace(-4.0, 4.0, 33)
+        for b in (0.01, 0.5, 3.0):
+            for truncated in (False, True):
+                batch = expected_kde(o, k, b, xs, truncated=truncated)
+                single = [expected_kde(o, k, b, float(x), truncated=truncated) for x in xs]
+                assert all(isinstance(e, float) for e in single)
+                np.testing.assert_allclose(batch, single, rtol=1e-15, atol=0.0)
+
+    def test_no_tolerance_argument(self, geometric_half, gaussian_innov, epanechnikov):
+        o = density_oracle(geometric_half, gaussian_innov, 2)
+        with pytest.raises(TypeError):
+            expected_kde(o, epanechnikov, 0.3, 0.0, tol=1e-10)
 
 
 def test_sup_abs_normal_diff_closed_form():

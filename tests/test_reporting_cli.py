@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fieldkde.cli import load_config, main
+from fieldkde.cli import DEFAULT_CONFIG, _OPTIONAL_KEYS, load_config, main
 from fieldkde.reporting import SCHEMA_VERSION, canonical_json, float_repr, write_csv
 
 from conftest import MASTER_SEED
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestCanonicalJson:
@@ -84,6 +86,22 @@ class TestConfigResolution:
 
         with pytest.raises(ToolError):
             load_config(None, ["oops"])
+
+    @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        load_config(str(path), [])
+
+    def test_readme_config_reference_loads_and_is_complete(self, tmp_path):
+        text = (REPO / "README.md").read_text()
+        block = text.split("## Config reference", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        reference = json.loads(block)
+        cfgfile = tmp_path / "reference.json"
+        cfgfile.write_text(json.dumps(reference))
+        load_config(str(cfgfile), [])
+        for section, default in DEFAULT_CONFIG.items():
+            assert section in reference
+            if isinstance(default, dict):
+                assert set(reference[section]) == {*default, *_OPTIONAL_KEYS.get(section, ())}, section
 
 
 THREAD_INVARIANCE_SETS = {
@@ -200,6 +218,27 @@ class TestCli:
         code = main(["check-conditions", "--set", "conditions.delta=0.1"])
         assert code == 0
         assert (tmp_path / "envout" / "check_conditions" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "assignment,key",
+        [
+            ("conditions.n_gird=[16]", "conditions.n_gird"),
+            ("bogus=1", "bogus"),
+            ("clt.replicate=5", "clt.replicate"),
+            ("innovations.nuu=3", "innovations.nuu"),
+            ("coefficient.ratoi=0.5", "coefficient.ratoi"),
+        ],
+    )
+    def test_unknown_config_key_exit_1(self, tmp_path, capsys, assignment, key):
+        assert _run(tmp_path, "clt-run", "--set", assignment) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "clt_run" / "report.json").exists()
+
+    def test_unknown_key_in_config_file_exit_1(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"gap": {"replicates": 5, "mdoe": "growing"}}))
+        assert _run(tmp_path, "fixed-m-gap", "--config", str(cfgfile)) == 1
+        assert "gap.mdoe" in capsys.readouterr().err
 
     def test_unknown_config_file(self, tmp_path):
         assert _run(tmp_path, "clt-run", "--config", "/nonexistent.json") == 1
