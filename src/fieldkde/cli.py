@@ -101,15 +101,20 @@ DEFAULT_CONFIG = {
 }
 
 
-# keys the lab reads that DEFAULT_CONFIG leaves unset; _experiment reads the
-# last group in every experiment section
-_EXPERIMENT_KEYS = ("x_points", "centering", "variance_band", "replicates")
+# keys the lab reads that DEFAULT_CONFIG leaves unset; `variance_band` is
+# read only by clt-run's verdict, and fixed-m-gap does not center
 _OPTIONAL_KEYS = {
     "coefficient": ("q", "scale", "table", "beta", "c1"),
     "innovations": ("nu",),
-    "blocks": _EXPERIMENT_KEYS,
-    "moment_check": _EXPERIMENT_KEYS,
-    "gap": _EXPERIMENT_KEYS,
+    "blocks": ("x_points", "centering", "replicates"),
+    "moment_check": ("x_points", "centering", "replicates"),
+    "gap": ("x_points", "replicates"),
+}
+# keys that select a model, law or plan; a section replaced as a whole must keep them
+_REQUIRED_KEYS = {
+    "coefficient": ("family", "d"),
+    "innovations": ("name",),
+    "truncation": ("policy",),
 }
 
 
@@ -165,8 +170,8 @@ def load_config(path: str | None, sets, seed=None, threads=None) -> dict:
 
 
 def _check_keys(cfg: dict) -> None:
-    """Reject every key the lab does not read, naming it by its dotted path."""
-    unknown = []
+    """Reject every key the lab does not read and every missing required key, by dotted path."""
+    unknown, missing = [], []
     for key, value in cfg.items():
         if key not in DEFAULT_CONFIG:
             unknown.append(key)
@@ -175,8 +180,14 @@ def _check_keys(cfg: dict) -> None:
                 raise ToolError(f"config section {key!r} must be an object")
             known = {*DEFAULT_CONFIG[key], *_OPTIONAL_KEYS.get(key, ())}
             unknown.extend(f"{key}.{sub}" for sub in value if sub not in known)
+            required = _REQUIRED_KEYS.get(key, ())
+            missing.extend(f"{key}.{sub}" for sub in required if value.get(sub) is None)
     if unknown:
         raise ToolError(f"unknown config key(s): {', '.join(unknown)}")
+    if missing:
+        raise ToolError(f"missing config key(s): {', '.join(missing)}")
+    if not isinstance(cfg["kernel"], str):
+        raise ToolError(f"config key 'kernel' must be a kernel name, got {cfg['kernel']!r}")
 
 
 def _bandwidth(cfg: dict) -> BandwidthSchedule:

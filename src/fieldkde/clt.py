@@ -56,7 +56,6 @@ __all__ = [
     "BlockPlan",
     "KsResult",
     "MomentError",
-    "normalized_statistic",
     "run_clt_experiment",
     "block_decomposition_check",
     "lindeberg_estimate",
@@ -252,35 +251,6 @@ def _kernel_sums(fields, xs, kernel, b):
 def _decompose(fn, fnm, ef, efm, scale):
     """(T_n, T_zeta, T_remainder) from raw full/truncated estimates and their centerings."""
     return scale * (fn - ef), scale * (fnm - efm), scale * ((fn - fnm) - (ef - efm))
-
-
-def normalized_statistic(
-    fields,
-    x: float,
-    kernel: KernelModel,
-    b: float,
-    centering: str = "oracle",
-    expectations: tuple[float, float] | None = None,
-):
-    """(T_n, T_zeta, T_remainder) for one coupled replicate at one x.
-
-    ``expectations`` may carry precomputed (E f_n, E f_n^truncated); with
-    oracle centering and no expectations they are derived from the exact
-    Gaussian oracle (non-Gaussian innovations are refused).  With pooled
-    centering the caller must supply the pooled means.
-    """
-    if b <= 0:
-        raise ValueError("bandwidth must be positive")
-    N = fields.x.size
-    sums_f, sums_t = _kernel_sums(fields, [x], kernel, b)
-    if expectations is None:
-        if centering == "pooled":
-            raise ValueError("pooled centering needs precomputed pooled means")
-        oracle = density_oracle(fields.model, fields.innovations, fields.m)
-        ef, efm = (expected_kde(oracle, kernel, b, x, truncated=t) for t in (False, True))
-    else:
-        ef, efm = expectations
-    return _decompose(sums_f[0] / (N * b), sums_t[0] / (N * b), ef, efm, math.sqrt(N * b))
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,6 @@ __all__ = [
     "box_mass",
     "total_sq_mass",
     "residual_sqrt_mass",
-    "pair_weight_sum",
-    "pair_weight_sum_truncated",
     "check_decay_window",
     "check_hallin",
     "check_machkouri_qsum",
@@ -311,48 +309,6 @@ def residual_sqrt_mass(model: CoefficientModel, m: int) -> float:
     return math.sqrt(max(total_sq_mass(model) - box_mass(model, m), 0.0))
 
 
-def pair_weight_sum(model: CoefficientModel, lag, tol: float = 1e-12) -> float:
-    """sum_k a_k a_{k+lag}, the lag covariance contribution of the weights."""
-    lag = tuple(int(t) for t in np.atleast_1d(lag))
-    if len(lag) != model.d:
-        raise ValueError("lag length must match dimension")
-    if model.family == "geometric":
-        r = model.ratio
-        return r ** sum(abs(t) for t in lag) * (1.0 - r**2) ** (-model.d)
-    if model.family == "power_decay":
-        total = math.sqrt(total_sq_mass(model))
-        side = 64
-        prev = None
-        while True:
-            val = _pair_sum_box(model, lag, side)
-            tail = residual_sqrt_mass(model, max(side - max(abs(t) for t in lag) - 1, 1)) * total
-            if tail <= tol or (prev is not None and abs(val - prev) <= tol):
-                return val
-            if side > 1 << 14:
-                raise ToleranceError("pair sum truncation did not certify; relax tol")
-            prev, side = val, side * 2
-    side = max(model.table.shape) + max(abs(t) for t in lag) + 1
-    return _pair_sum_box(model, lag, side)
-
-
-def _pair_sum_box(model: CoefficientModel, lag, side: int) -> float:
-    a = coeff_box(model, side + max(max(abs(t) for t in lag), 0))
-    lead = tuple(slice(max(-t, 0), max(-t, 0) + side) for t in lag)
-    shift = tuple(slice(max(t, 0), max(t, 0) + side) for t in lag)
-    return float(np.sum(a[lead] * a[shift]))
-
-
-def pair_weight_sum_truncated(model: CoefficientModel, lag, m: int) -> float:
-    """sum over k with both k and k+lag inside [0, m)^d of a_k a_{k+lag}."""
-    lag = tuple(int(t) for t in np.atleast_1d(lag))
-    a = coeff_box(model, m)
-    if any(abs(t) >= m for t in lag):
-        return 0.0
-    lead = tuple(slice(max(-t, 0), m - max(t, 0)) for t in lag)
-    shift = tuple(slice(max(t, 0), m - max(-t, 0)) for t in lag)
-    return float(np.sum(a[lead] * a[shift]))
-
-
 # ---------------------------------------------------------------------------
 # tail functionals
 
@@ -386,20 +342,6 @@ class TailFunctionals:
         if all(t < self.table_side for t in k):
             return float(self.a_values[k])
         return 0.0
-
-    def summary(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "m": self.m,
-            "a_bracket_n": self.a_bracket_n,
-            "b_m": self.b_m,
-            "delta_n": self.delta_n,
-            "total_sq": self.total_sq,
-            "table_side": self.table_side,
-            "tail_error": self.tail_error,
-            "delta_tail_error": self.delta_tail_error,
-        }
 
 
 def _suffix_box_sums(arr: np.ndarray) -> np.ndarray:

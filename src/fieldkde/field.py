@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
-from .coefficients import CoefficientModel, coeff_box, pair_weight_sum, residual_sqrt_mass
+from .coefficients import CoefficientModel, coeff_box, residual_sqrt_mass
 from .innovations import InnovationModel, SeedSpec, draw_lattice
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "coupled_spectra",
     "lattice_convolve",
     "generate_coupled_fields",
-    "field_moment_diagnostics",
     "write_field_binary",
     "read_field_binary",
     "write_field_csv",
@@ -339,47 +338,6 @@ def generate_coupled_fields(
     return CoupledFields(x, x_m, m, plan, model, innovations, seed)
 
 
-def field_moment_diagnostics(field: LatticeField, model: CoefficientModel, lags) -> dict:
-    """Sample mean/variance/autocovariances against the weight-sum oracle.
-
-    The oracle covariance at lag j is sum_k a_k a_{k+j}; discrepancies are
-    standardised by the empirical standard error of the lag products.
-    """
-    x = field.values
-    n = field.n
-    mean = float(x.mean())
-    var = float(x.var())
-    rows = []
-    centered = x - mean
-    for lag in lags:
-        lag = tuple(int(t) for t in np.atleast_1d(lag))
-        if len(lag) != field.d:
-            raise ValueError("lag length must match dimension")
-        if any(t < 0 or t > n // 4 for t in lag):
-            raise ValueError("lags must lie in [0, n/4]^d")
-        lead = tuple(slice(0, n - t) for t in lag)
-        tail = tuple(slice(t, n) for t in lag)
-        prods = centered[lead] * centered[tail]
-        sample = float(prods.mean())
-        oracle = pair_weight_sum(model, lag)
-        se = float(prods.std() / math.sqrt(prods.size))
-        rows.append(
-            {
-                "lag": list(lag),
-                "sample": sample,
-                "oracle": oracle,
-                "standardized": (sample - oracle) / se if se > 0 else 0.0,
-                "pairs": int(prods.size),
-            }
-        )
-    return {
-        "mean": mean,
-        "variance": var,
-        "sites": int(x.size),
-        "autocovariance": rows,
-    }
-
-
 # ---------------------------------------------------------------------------
 # export
 
@@ -398,7 +356,10 @@ def read_field_binary(path) -> LatticeField:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError("not a lattice field file")
-        version, d, n, plen = struct.unpack("<IIQQ", fh.read(24))
+        header = fh.read(24)
+        if len(header) != 24:
+            raise ValueError("field file header is truncated")
+        version, d, n, plen = struct.unpack("<IIQQ", header)
         if version != _VERSION:
             raise ValueError(f"unsupported field file version {version}")
         prov = json.loads(fh.read(plen).decode())

@@ -1,4 +1,4 @@
-"""Reproducible i.i.d. innovation streams with known densities and moments.
+"""Reproducible i.i.d. innovation lattices with known laws and moments.
 
 Streams are keyed by a (master seed, stream, replicate) triple hashed into a
 counter-based Philox generator, so replicate-parallel experiments reproduce
@@ -11,14 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "InnovationModel",
     "SeedSpec",
     "spawn_rng",
-    "innovation_stream",
-    "innovation_density",
     "draw_lattice",
 ]
 
@@ -112,26 +109,6 @@ def _draw(model: InnovationModel, rng: np.random.Generator, shape) -> np.ndarray
     return scale * rng.standard_t(model.nu, shape)
 
 
-def innovation_stream(model: InnovationModel, seed: SeedSpec, count: int) -> np.ndarray:
-    """``count`` i.i.d. draws, deterministic in the seed triple."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return _draw(model, spawn_rng(seed), count)
-
-
 def draw_lattice(model: InnovationModel, seed: SeedSpec, shape) -> np.ndarray:
     """Innovation lattice of the given shape (row-major fill order)."""
     return _draw(model, spawn_rng(seed), tuple(shape))
-
-
-def innovation_density(model: InnovationModel, x) -> np.ndarray | float:
-    """Density p_eps(x); vectorized over x."""
-    x = np.asarray(x, dtype=float)
-    if model.name == "gaussian":
-        out = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    elif model.name == "uniform":
-        out = np.where(np.abs(x) <= UNIFORM_HALF_WIDTH, 1.0 / (2.0 * UNIFORM_HALF_WIDTH), 0.0)
-    else:
-        scale = math.sqrt((model.nu - 2.0) / model.nu)
-        out = stats.t.pdf(x / scale, df=model.nu) / scale
-    return float(out) if out.ndim == 0 else out

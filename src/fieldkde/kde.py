@@ -1,7 +1,7 @@
 """Kernels, bandwidth schedules, the kernel density estimator, and density oracles.
 
-For Gaussian innovations every marginal and bivariate density of the field
-and of its truncated version is an explicit normal law, so the estimator's
+For Gaussian innovations the marginal density of the field and of its
+truncated version is an explicit normal law, so the estimator's
 centering E f_n(x) and the limit variance p(x) * int K^2 are closed forms
 instead of estimates.  Non-Gaussian innovations get a diagnostic-only Monte
 Carlo oracle.
@@ -19,8 +19,6 @@ from .coefficients import (
     CoefficientModel,
     box_mass,
     coeff_box,
-    pair_weight_sum,
-    pair_weight_sum_truncated,
     total_sq_mass,
 )
 from .innovations import InnovationModel, SeedSpec, spawn_rng
@@ -208,7 +206,7 @@ def sup_abs_normal_diff(v1: float, v2: float) -> float:
 
 @dataclass
 class DensityOracle:
-    """Marginal/truncated/bivariate density data for one model at one m.
+    """Marginal and truncated density data for one model at one m.
 
     Exact mode (Gaussian innovations): all densities are centered normals
     with variances from the coefficient masses.  Diagnostic mode: histogram
@@ -224,11 +222,6 @@ class DensityOracle:
     sup_truncated: float
     sup_gap: float
     density_regularity: str
-    lag: tuple | None = None
-    joint_cov: np.ndarray | None = None
-    joint_cov_truncated: np.ndarray | None = None
-    sup_joint: float | None = None
-    sup_joint_truncated: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def p(self, x):
@@ -250,7 +243,7 @@ class DensityOracle:
         )
 
     def summary(self) -> dict:
-        out = {
+        return {
             "exact": self.exact,
             "m": self.m,
             "variance": self.variance,
@@ -260,13 +253,6 @@ class DensityOracle:
             "sup_gap": self.sup_gap,
             "density_regularity": self.density_regularity,
         }
-        if self.lag is not None:
-            out["lag"] = list(self.lag)
-            out["joint_cov"] = np.asarray(self.joint_cov).tolist()
-            out["joint_cov_truncated"] = np.asarray(self.joint_cov_truncated).tolist()
-            out["sup_joint"] = self.sup_joint
-            out["sup_joint_truncated"] = self.sup_joint_truncated
-        return out
 
 
 def _mc_marginals(model, innovations, m, sample, seed):
@@ -312,17 +298,14 @@ def density_oracle(
     model: CoefficientModel,
     innovations: InnovationModel,
     m: int,
-    lag=None,
     mc_sample: int = 200_000,
     seed: SeedSpec | None = None,
 ) -> DensityOracle:
-    """Exact densities of (X_0, X_lag) and their m-truncations (Gaussian case).
+    """Exact density of X_0 and of its m-truncation (Gaussian case).
 
-    The marginal is N(0, v) with v = sum a_k^2, the truncated marginal is
-    N(0, v_m) with v_m the mass of [0, m)^d, and the bivariate laws have
-    off-diagonal sum_k a_k a_{k+lag}.  For non-Gaussian innovations a
-    histogram-based diagnostic oracle is returned instead (``exact=False``,
-    marginals only; the joint-law fields stay empty).
+    The marginal is N(0, v) with v = sum a_k^2 and the truncated marginal is
+    N(0, v_m) with v_m the mass of [0, m)^d.  For non-Gaussian innovations a
+    histogram-based diagnostic oracle is returned instead (``exact=False``).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -349,7 +332,7 @@ def density_oracle(
             density_regularity=regularity,
             diagnostics=diag,
         )
-    out = DensityOracle(
+    return DensityOracle(
         exact=True,
         m=m,
         variance=v,
@@ -359,24 +342,6 @@ def density_oracle(
         sup_gap=sup_abs_normal_diff(v_m, v),
         density_regularity=regularity,
     )
-    if lag is not None:
-        lag = tuple(int(t) for t in np.atleast_1d(lag))
-        if all(t == 0 for t in lag):
-            raise ValueError("joint law needs a nonzero lag")
-        c = pair_weight_sum(model, lag)
-        c_m = pair_weight_sum_truncated(model, lag, m)
-        cov = np.array([[v, c], [c, v]])
-        cov_m = np.array([[v_m, c_m], [c_m, v_m]])
-        det = v * v - c * c
-        det_m = v_m * v_m - c_m * c_m
-        if det <= 0 or det_m <= 0:
-            raise ValueError("degenerate bivariate law at this lag")
-        out.lag = lag
-        out.joint_cov = cov
-        out.joint_cov_truncated = cov_m
-        out.sup_joint = 1.0 / (2.0 * math.pi * math.sqrt(det))
-        out.sup_joint_truncated = 1.0 / (2.0 * math.pi * math.sqrt(det_m))
-    return out
 
 
 # even moments mu_2j = int u^(2j) K(u) du of the compact kernels

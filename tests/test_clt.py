@@ -20,7 +20,6 @@ from fieldkde import (
     ks_normality_test,
     lindeberg_estimate,
     m_schedule,
-    normalized_statistic,
     plan_truncation,
     rectangle_moment_check,
     run_clt_experiment,
@@ -80,40 +79,20 @@ class TestReplicateEngine:
 
 
 class TestNormalizedStatistic:
-    def test_identity_truncation_kills_remainder(self, identity_weights, epanechnikov):
-        plan = plan_truncation(identity_weights, m=1, policy="fixed", M=1)
-        fields = generate_coupled_fields(
-            identity_weights, InnovationModel("gaussian"), 256, 1, plan, SeedSpec(MASTER_SEED)
-        )
-        t, tz, tr = normalized_statistic(fields, 0.0, epanechnikov, 0.3)
-        assert tr == 0.0
-        assert t == tz
+    def test_identity_truncation_kills_remainder(self, identity_weights):
+        # one weight: the truncated field is the field itself at every m
+        pt = run_clt_experiment(
+            _config(identity_weights, n_grid=(256,), x_points=(0.0,), replicates=20)
+        ).points[0]
+        assert pt["T_remainder"] == [0.0] * 20
+        assert pt["T"] == pt["T_zeta"]
 
-    def test_decomposition_identity(self, geometric_half, epanechnikov):
-        plan = plan_truncation(geometric_half, m=3, policy="fixed", M=32)
-        fields = generate_coupled_fields(
-            geometric_half, InnovationModel("gaussian"), 512, 3, plan, SeedSpec(MASTER_SEED, 1)
-        )
-        t, tz, tr = normalized_statistic(fields, 0.2, epanechnikov, 0.25)
-        assert t - (tz + tr) == pytest.approx(0.0, abs=1e-12 * max(abs(t), 1.0))
-
-    def test_pooled_needs_expectations(self, geometric_half, epanechnikov):
-        plan = plan_truncation(geometric_half, m=2, policy="fixed", M=16)
-        fields = generate_coupled_fields(
-            geometric_half, InnovationModel("gaussian"), 64, 2, plan, SeedSpec(MASTER_SEED)
-        )
-        with pytest.raises(ValueError):
-            normalized_statistic(fields, 0.0, epanechnikov, 0.3, centering="pooled")
-
-    def test_oracle_refuses_non_gaussian(self, geometric_half, epanechnikov):
-        from fieldkde import OracleError
-
-        plan = plan_truncation(geometric_half, m=2, policy="fixed", M=16)
-        fields = generate_coupled_fields(
-            geometric_half, InnovationModel("uniform"), 64, 2, plan, SeedSpec(MASTER_SEED)
-        )
-        with pytest.raises(OracleError):
-            normalized_statistic(fields, 0.0, epanechnikov, 0.3)
+    def test_decomposition_identity(self, geometric_half):
+        pt = run_clt_experiment(
+            _config(geometric_half, n_grid=(512,), x_points=(0.2,), replicates=20)
+        ).points[0]
+        t, tz, tr = (np.array(pt[k]) for k in ("T", "T_zeta", "T_remainder"))
+        assert np.max(np.abs(t - (tz + tr))) <= 1e-12 * max(np.max(np.abs(t)), 1.0)
 
 
 class TestRunCltExperiment:
@@ -218,11 +197,22 @@ class TestAgainstNaiveReimplementation:
 
         from fieldkde.innovations import draw_lattice
 
-        n, m, M, b, x = 12, 2, 5, 0.4, 0.1
+        n, m, M, x = 12, 2, 5, 0.1
         innov = InnovationModel("gaussian")
-        seed = SeedSpec(MASTER_SEED, 77)
-        plan = plan_truncation(power_d2, m=m, policy="fixed", M=M)
-        fields = generate_coupled_fields(power_d2, innov, n, m, plan, seed)
+        cfg = _config(
+            power_d2,
+            bandwidth=BandwidthSchedule(d=2, gamma=0.4),
+            n_grid=(n,),
+            x_points=(x,),
+            delta=0.25,  # round(12^0.25) = 2
+            truncation_policy="fixed",
+            truncation_M=M,
+            replicates=1,
+        )
+        pt = run_clt_experiment(cfg).points[0]
+        assert (pt["m"], pt["M"], pt["seeds"]["stream"]) == (m, M, 0)
+        b = pt["b"]
+        seed = SeedSpec(MASTER_SEED, 0, 0)
 
         eps = draw_lattice(innov, seed, (n + M - 1, n + M - 1))
         a = np.array(
@@ -238,6 +228,9 @@ class TestAgainstNaiveReimplementation:
                         x_naive[i1, i2] += v
                         if k1 < m and k2 < m:
                             xm_naive[i1, i2] += v
+
+        plan = plan_truncation(power_d2, m=m, policy="fixed", M=M)
+        fields = generate_coupled_fields(power_d2, innov, n, m, plan, seed)
         assert np.max(np.abs(fields.full.values - x_naive)) < 1e-12
         assert np.max(np.abs(fields.truncated.values - xm_naive)) < 1e-12
 
@@ -260,7 +253,7 @@ class TestAgainstNaiveReimplementation:
         fnm = float(np.sum(epanechnikov((x - xm_naive) / b))) / (N * b)
         t_ref = scale * (fn - ef(v))
         tz_ref = scale * (fnm - ef(v_m))
-        t, tz, tr = normalized_statistic(fields, x, epanechnikov, b)
+        (t,), (tz,), (tr,) = pt["T"], pt["T_zeta"], pt["T_remainder"]
         assert t == pytest.approx(t_ref, abs=1e-8)
         assert tz == pytest.approx(tz_ref, abs=1e-8)
         assert tr == pytest.approx(t_ref - tz_ref, abs=1e-8)
@@ -285,8 +278,15 @@ class TestMDependence:
 
     def test_covariance_decay_bound(self, geometric_half, epanechnikov):
         # |cov(zeta_0, zeta_i)| <= C * sup p_{i,m} * b with C the same
-        # order across bandwidths
+        # order across bandwidths; sup p_{i,m} = 1 / (2 pi sqrt(v_m^2 - c_m^2))
+        # for the truncated weights a = [1, 1/2, 1/4], c_m = sum_k a_k a_{k+i}
         m = 3
+        a = np.array([1.0, 0.5, 0.25])
+        v_m = float(a @ a)
+        sup_joint = {
+            h: 1.0 / (2.0 * math.pi * math.sqrt(v_m**2 - float(a[:-h] @ a[h:]) ** 2))
+            for h in (1, 2)
+        }
         ratios = []
         for stream, n in ((42, 200_000), (43, 50_000)):
             b = float(n) ** -0.2
@@ -299,10 +299,7 @@ class TestMDependence:
             worst = 0.0
             for h in (1, 2):
                 cov = abs(float(np.mean(z[:-h] * z[h:])))
-                sup_joint = density_oracle(
-                    geometric_half, InnovationModel("gaussian"), m, lag=[h]
-                ).sup_joint_truncated
-                worst = max(worst, cov / (sup_joint * b))
+                worst = max(worst, cov / (sup_joint[h] * b))
             ratios.append(worst)
         assert max(ratios) < 2.0
         assert max(ratios) <= 2.5 * min(ratios)

@@ -19,8 +19,6 @@ from fieldkde.coefficients import (
     coeff_at,
     coeff_box,
     model_from_config,
-    pair_weight_sum,
-    pair_weight_sum_truncated,
     residual_sqrt_mass,
     total_sq_mass,
 )
@@ -58,15 +56,6 @@ class TestGeometricClosedForms:
             brute_orthant_tail(geometric_half, (k - 1,)) / math.sqrt(k) for k in kk
         )
         assert f.delta_n == pytest.approx(direct, rel=1e-12)
-
-    def test_lag_weight_sums(self, geometric_half):
-        # sum_k 2^-k 2^-(k+2) = 1/3
-        assert pair_weight_sum(geometric_half, [2]) == pytest.approx(1.0 / 3.0, abs=1e-14)
-        k = np.arange(200)
-        a = 0.5**k
-        assert pair_weight_sum(geometric_half, [1]) == pytest.approx(
-            float(np.sum(a[:-1] * a[1:])), abs=1e-13
-        )
 
 
 class TestTrivialModels:
@@ -174,12 +163,6 @@ class TestInvariants:
             expect = math.sqrt(float(np.sum(tab[k[0] :, k[1] :] ** 2)))
             assert f.a_at(k) == pytest.approx(expect, abs=1e-14)
         assert f.b_m**2 + box_mass(model, 2) == pytest.approx(f.total_sq, abs=1e-14)
-
-    def test_truncated_pair_sum(self, geometric_half):
-        # both k and k+1 inside [0, 3): 2^0*2^-1 + 2^-1*2^-2
-        assert pair_weight_sum_truncated(geometric_half, [1], 3) == pytest.approx(
-            0.5 + 0.125, abs=1e-15
-        )
 
 
 class TestDecayWindow:

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from fieldkde import (
     CoefficientModel,
     FieldSizeError,
     InnovationModel,
+    LatticeField,
     SeedSpec,
-    field_moment_diagnostics,
     generate_coupled_fields,
     lattice_convolve,
     plan_truncation,
@@ -160,27 +162,25 @@ class TestCoupledGeneration:
         assert abs(stats.kurtosis(z, fisher=True)) < 8.0 / math.sqrt(n)
 
 
+def _lag_products(values, h):
+    """Centered products x_i x_{i+h} of a d=1 field: the lag-h autocovariance sample."""
+    c = values - values.mean()
+    return c[: c.size - h] * c[h:]
+
+
 class TestDiagnostics:
     def test_iid_lag_is_noise(self, identity_weights):
         cf = _coupled(identity_weights, 40_000, 1, 1, stream=5)
-        rep = field_moment_diagnostics(cf.full, identity_weights, [(1,)])
-        row = rep["autocovariance"][0]
-        assert row["oracle"] == 0.0
-        assert abs(row["sample"]) < 4.0 / math.sqrt(row["pairs"])
+        prods = _lag_products(cf.full.values, 1)
+        assert abs(prods.mean()) < 4.0 / math.sqrt(prods.size)
 
     def test_geometric_lags_match_weight_sums(self, geometric_half):
+        # sum_k 2^-k 2^-(k+h) = (4/3) 2^-h: 4/3 at lag 0 and 1/3 at lag 2
         cf = _coupled(geometric_half, 100_000, 1, 64, stream=6)
-        rep = field_moment_diagnostics(cf.full, geometric_half, [(0,), (2,)])
-        lag0, lag2 = rep["autocovariance"]
-        assert lag0["oracle"] == pytest.approx(4.0 / 3.0, abs=1e-12)
-        assert lag2["oracle"] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        for row in (lag0, lag2):
-            assert abs(row["standardized"]) < 4.0
-
-    def test_rejects_far_lags(self, identity_weights):
-        cf = _coupled(identity_weights, 100, 1, 1)
-        with pytest.raises(ValueError):
-            field_moment_diagnostics(cf.full, identity_weights, [(80,)])
+        for h, cov in ((0, 4.0 / 3.0), (2, 1.0 / 3.0)):
+            prods = _lag_products(cf.full.values, h)
+            se = prods.std() / math.sqrt(prods.size)
+            assert abs(prods.mean() - cov) < 4.0 * se
 
 
 class TestPlans:
@@ -220,6 +220,30 @@ class TestExport:
             path.write_bytes(bad)
             with pytest.raises(ValueError, match="payload"):
                 read_field_binary(path)
+
+    @given(
+        d=st.integers(1, 3),
+        n=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        provenance=st.dictionaries(st.text(max_size=4), st.integers(), max_size=3),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_binary_round_trip_and_truncation(self, d, n, seed, provenance):
+        field = LatticeField(
+            d=d, n=n, values=np.random.default_rng(seed).standard_normal((n,) * d),
+            provenance=provenance,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "field.bin"
+            write_field_binary(field, path)
+            back = read_field_binary(path)
+            assert (back.d, back.n, back.provenance) == (d, n, provenance)
+            assert np.array_equal(back.values, field.values)
+            blob = path.read_bytes()
+            for cut in range(len(blob)):
+                path.write_bytes(blob[:cut])
+                with pytest.raises(ValueError):
+                    read_field_binary(path)
 
     def test_csv_export_small_only(self, power_d2, tmp_path):
         cf = _coupled(power_d2, 8, 1, 4)

@@ -19,7 +19,7 @@ from fieldkde import (
     kde_estimate,
     kernel_by_name,
 )
-from fieldkde.innovations import innovation_stream
+from fieldkde.innovations import draw_lattice
 from fieldkde.kde import sup_abs_normal_diff
 
 from conftest import MASTER_SEED
@@ -123,7 +123,7 @@ class TestEstimator:
         # classical regime: estimate near p(0) within noise + Lipschitz bias
         n = 4096
         b = n ** (-0.2)
-        x = innovation_stream(InnovationModel("gaussian"), SeedSpec(MASTER_SEED, 21), n)
+        x = draw_lattice(InnovationModel("gaussian"), SeedSpec(MASTER_SEED, 21), (n,))
         est = kde_estimate(x, 0.0, b, epanechnikov)
         sigma2 = PHI0 * epanechnikov.roughness
         c0 = PHI0 * math.exp(-0.5)  # sup |phi'|
@@ -131,7 +131,7 @@ class TestEstimator:
         assert abs(est - PHI0) <= allowance
 
     def test_integrates_to_one(self, epanechnikov):
-        vals = innovation_stream(InnovationModel("gaussian"), SeedSpec(MASTER_SEED, 22), 200)
+        vals = draw_lattice(InnovationModel("gaussian"), SeedSpec(MASTER_SEED, 22), (200,))
         b = 0.4
         total = adaptive_simpson(
             lambda x: kde_estimate(vals, x, b, epanechnikov),
@@ -185,14 +185,9 @@ class TestDensityOracle:
             assert o.sup_gap == 0.0
 
     def test_geometric_oracle(self, geometric_half, gaussian_innov):
-        o = density_oracle(geometric_half, gaussian_innov, 1, lag=[1])
+        o = density_oracle(geometric_half, gaussian_innov, 1)
         assert o.variance == pytest.approx(4.0 / 3.0, abs=1e-13)
         assert o.truncated_variance == pytest.approx(1.0, abs=1e-15)
-        det = np.linalg.det(o.joint_cov)
-        assert det == pytest.approx(4.0 / 3.0, abs=1e-12)
-        assert o.sup_joint == pytest.approx(0.13783222385544802, abs=1e-12)
-        # truncated pair at m=1 has no shared innovations at lag 1
-        assert o.joint_cov_truncated[0, 1] == 0.0
 
     def test_sup_gap_matches_grid_search(self, geometric_half, gaussian_innov):
         o = density_oracle(geometric_half, gaussian_innov, 1)

@@ -103,6 +103,12 @@ class TestConfigResolution:
             if isinstance(default, dict):
                 assert set(reference[section]) == {*default, *_OPTIONAL_KEYS.get(section, ())}, section
 
+    def test_readme_quickstart_runs(self, capsys):
+        text = (REPO / "README.md").read_text()
+        block = text.split("## Library quickstart", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md quickstart", "exec"), {})
+        assert "overall" in capsys.readouterr().out
+
 
 THREAD_INVARIANCE_SETS = {
     "clt-run": ["clt.replicates=25", "clt.n_grid=[128]"],
@@ -227,12 +233,37 @@ class TestCli:
             ("clt.replicate=5", "clt.replicate"),
             ("innovations.nuu=3", "innovations.nuu"),
             ("coefficient.ratoi=0.5", "coefficient.ratoi"),
+            # read by no subcommand: only clt-run has a variance verdict, and
+            # fixed-m-gap does not center
+            ("blocks.variance_band=0.1", "blocks.variance_band"),
+            ("moment_check.variance_band=0.1", "moment_check.variance_band"),
+            ("gap.variance_band=0.1", "gap.variance_band"),
+            ('gap.centering="oracle"', "gap.centering"),
         ],
     )
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, assignment, key):
         assert _run(tmp_path, "clt-run", "--set", assignment) == 1
         assert key in capsys.readouterr().err
         assert not (tmp_path / "clt_run" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "subcommand,assignment,key",
+        [
+            ("check-conditions", 'coefficient={"d":1}', "coefficient.family"),
+            ("kde", 'innovations={"nu":3}', "innovations.name"),
+            ("kde", 'truncation={"eta":0.1}', "truncation.policy"),
+            ("kde", 'kernel={"a":1}', "kernel"),
+        ],
+    )
+    def test_incomplete_section_exit_1(self, tmp_path, capsys, subcommand, assignment, key):
+        assert _run(tmp_path, subcommand, "--set", assignment) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", ["", ',"qsum_radius":null'])
+    def test_conditions_section_without_qsum_runs(self, tmp_path, extra):
+        # qsum_radius is read only when qsum_q is set
+        assignment = 'conditions={"n_grid":[16,32,64]' + extra + "}"
+        assert _run(tmp_path, "check-conditions", "--set", assignment) == 0
 
     def test_unknown_key_in_config_file_exit_1(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.json"
