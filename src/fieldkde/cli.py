@@ -186,8 +186,10 @@ def _check_keys(cfg: dict) -> None:
         raise ToolError(f"unknown config key(s): {', '.join(unknown)}")
     if missing:
         raise ToolError(f"missing config key(s): {', '.join(missing)}")
-    if not isinstance(cfg["kernel"], str):
-        raise ToolError(f"config key 'kernel' must be a kernel name, got {cfg['kernel']!r}")
+    try:
+        kernel_by_name(cfg["kernel"])
+    except (TypeError, ValueError):  # TypeError: an unhashable value such as an object
+        raise ToolError(f"config key 'kernel' must be a kernel name, got {cfg['kernel']!r}") from None
 
 
 def _bandwidth(cfg: dict) -> BandwidthSchedule:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy import stats as sstats
 from scipy.special import ndtr
 
 from .coefficients import (
@@ -45,6 +44,7 @@ from .kde import (
     BandwidthSchedule,
     KernelModel,
     OracleError,
+    _kernel_sum,
     asymptotic_variance,
     density_oracle,
     expected_kde,
@@ -234,12 +234,6 @@ def _window_sums(prefix: np.ndarray, l: int) -> np.ndarray:
 # normalised statistic
 
 
-def _kernel_sum(kernel, x, values, b) -> float:
-    u = x - values
-    u /= b
-    return float(kernel(u).sum())
-
-
 def _kernel_sums(fields, xs, kernel, b):
     """Raw kernel sums over the lattice for the full and truncated fields."""
     xs = np.asarray(xs, dtype=float)
@@ -299,13 +293,31 @@ def ks_normality_test(samples, sigma2: float) -> KsResult:
 _MOMENT_KEYS = ("mean", "variance", "skewness", "excess_kurtosis", "remainder_second_moment")
 
 
+def _skew_kurtosis(T: np.ndarray) -> tuple[float, float]:
+    """Biased skewness and excess kurtosis of ``T``, both NaN for zero variance.
+
+    The operations and their order are those of scipy.stats.skew and
+    scipy.stats.kurtosis, which give the same bits; importing scipy.stats
+    would cost every process more than half a second.
+    """
+    mean = T.mean(keepdims=True)
+    d = T - mean
+    m2 = np.mean(d**2)
+    if m2 <= (np.finfo(float).eps * mean[0]) ** 2:
+        return math.nan, math.nan
+    m3 = np.mean(d**2 * d)
+    m4 = np.mean((d**2) ** 2)
+    return float(m3 / m2**1.5), float(m4 / m2**2.0 - 3)
+
+
 def _moments(T: np.ndarray, t_rem: np.ndarray) -> dict:
     R = T.size
+    skew, kurt = _skew_kurtosis(T)
     return {
         "mean": float(T.mean()),
         "variance": float(T.var(ddof=1)) if R > 1 else 0.0,
-        "skewness": float(sstats.skew(T)) if R > 2 else 0.0,
-        "excess_kurtosis": float(sstats.kurtosis(T, fisher=True)) if R > 3 else 0.0,
+        "skewness": skew if R > 2 else 0.0,
+        "excess_kurtosis": kurt if R > 3 else 0.0,
         "remainder_second_moment": float(np.mean(t_rem**2)),
     }
 

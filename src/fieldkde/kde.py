@@ -45,7 +45,13 @@ class OracleError(RuntimeError):
 
 def _epanechnikov(u):
     u = np.asarray(u, dtype=float)
-    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+    # tested as |u| > 1, not |u| <= 1, so that a NaN stays NaN
+    return np.where(np.abs(u) > 1.0, 0.0, 0.75 * (1.0 - u * u))
+
+
+# exp(w) is exactly 0.0 for w below this: it is under half the smallest
+# subnormal, 2**-1075 = exp(-745.13...)
+EXP_ZERO_FLOOR = -746.0
 
 
 def _gaussian_kernel(u):
@@ -55,7 +61,17 @@ def _gaussian_kernel(u):
     # same operations in the same order as the scalar branch, in one buffer
     w = -0.5 * u
     w *= u
-    np.exp(w, out=w)
+    live = w >= EXP_ZERO_FLOOR
+    if not live.all():
+        # numpy's exp is ~20x slower on an argument whose result is 0, and
+        # with b -> 0 most are; send it 0 there and zero the result instead.
+        # Clipping first keeps -inf * 0 from becoming NaN; NaN stays NaN.
+        np.maximum(w, EXP_ZERO_FLOOR, out=w)
+        w *= live
+        np.exp(w, out=w)
+        w *= live
+    else:
+        np.exp(w, out=w)
     w /= SQRT2PI
     return w
 
@@ -150,12 +166,20 @@ class BandwidthSchedule:
         return {"gamma": self.gamma, "c2": self.c2}
 
 
-def kde_estimate(values, x, b: float, kernel: KernelModel, chunk: int = 1 << 22):
+def _kernel_sum(kernel, x, values, b) -> float:
+    """sum_i K((x - X_i)/b) over the array ``values`` at one scalar ``x``."""
+    u = x - values
+    u /= b
+    return float(kernel(u).sum())
+
+
+def kde_estimate(values, x, b: float, kernel: KernelModel):
     """Kernel density estimate (1/(N b)) * sum_i K((x - X_i)/b).
 
-    ``values`` is a LatticeField or any array; ``x`` may be scalar or array
-    (evaluated in chunks to bound memory).  The estimate is invariant under
-    any permutation of the values.
+    ``values`` is a LatticeField or any array; ``x`` may be scalar or array.
+    Each x is one kernel sum over the N values, so memory stays at a few
+    arrays of N doubles however many points are asked for.  The estimate is
+    invariant under any permutation of the values.
     """
     if b <= 0:
         raise ValueError("bandwidth must be positive")
@@ -163,11 +187,7 @@ def kde_estimate(values, x, b: float, kernel: KernelModel, chunk: int = 1 << 22)
     if data.size == 0:
         raise ValueError("field must be nonempty")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty(xs.shape)
-    per = max(1, chunk // data.size)
-    for lo in range(0, xs.size, per):
-        sub = xs[lo : lo + per]
-        out[lo : lo + per] = kernel((sub[:, None] - data[None, :]) / b).mean(axis=1) / b
+    out = np.array([_kernel_sum(kernel, xi, data, b) for xi in xs]) / data.size / b
     return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 

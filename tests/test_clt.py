@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from fieldkde import (
     run_clt_experiment,
     wu_inequality_check,
 )
-from fieldkde.clt import _block_samples
+from fieldkde.clt import _block_samples, _skew_kurtosis
 from fieldkde.field import coupled_spectra
 from fieldkde.reporting import canonical_json
 
@@ -303,6 +304,29 @@ class TestMDependence:
             ratios.append(worst)
         assert max(ratios) < 2.0
         assert max(ratios) <= 2.5 * min(ratios)
+
+
+class TestMoments:
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            np.random.default_rng(MASTER_SEED).standard_normal(3),
+            np.random.default_rng(MASTER_SEED).standard_normal(200),
+            np.random.default_rng(MASTER_SEED).standard_exponential(1000) * 40.0 - 7.0,
+            np.random.default_rng(MASTER_SEED).standard_t(3, 57) * 1e-3 + 1e3,
+            np.random.default_rng(MASTER_SEED).integers(-2, 3, 101).astype(float),
+            np.full(50, 0.3),
+            np.zeros(4),
+        ],
+    )
+    def test_skew_kurtosis_match_scipy(self, sample):
+        from scipy import stats
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # scipy warns on a constant sample
+            want = (float(stats.skew(sample)), float(stats.kurtosis(sample, fisher=True)))
+        got = _skew_kurtosis(sample)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestKs:

@@ -20,7 +20,7 @@ from fieldkde import (
     kernel_by_name,
 )
 from fieldkde.innovations import draw_lattice
-from fieldkde.kde import sup_abs_normal_diff
+from fieldkde.kde import EXP_ZERO_FLOOR, sup_abs_normal_diff
 
 from conftest import MASTER_SEED
 from quadrature_reference import adaptive_simpson
@@ -99,11 +99,29 @@ class TestKernels:
 
     def test_gaussian_in_place_equals_plain_expression(self):
         k = kernel_by_name("gaussian")
-        u = np.random.default_rng(MASTER_SEED).standard_normal((64, 48)) * 3.0
-        before = u.copy()
-        assert np.array_equal(k(u), np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
-        assert np.array_equal(u, before)
+        rng = np.random.default_rng(MASTER_SEED)
+        edge = math.sqrt(-2.0 * EXP_ZERO_FLOOR)  # |u| where -u^2/2 meets the floor
+        inputs = [
+            rng.standard_normal((64, 48)) * 3.0,  # nothing underflows
+            rng.standard_normal(4096) * 256.0,  # b = 1/256 scale: most results are 0
+            rng.standard_normal((64, 64)) * 64.0,  # 2-D, b = 1/64 scale
+            rng.uniform(37.6, 38.6, 512) * rng.choice([-1.0, 1.0], 512),  # subnormal results
+            np.array([edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), -edge]),
+            np.array([np.nan, np.inf, -np.inf, 1e200, -1e200, 0.0, 1.5, np.nan]),
+            np.array([[np.nan, 50.0], [-np.inf, 0.3]]),
+        ]
+        for u in inputs:
+            before = u.copy()
+            with np.errstate(over="ignore"):
+                got = k(u)
+                want = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(u, before, equal_nan=True)
         assert k(0.7) == np.exp(-0.5 * 0.7 * 0.7) / math.sqrt(2.0 * math.pi)
+
+    def test_exp_is_zero_below_the_floor(self):
+        # the Gaussian kernel skips exp below the floor on this fact
+        assert np.exp(np.nextafter(EXP_ZERO_FLOOR, -np.inf)) == 0.0
 
 
 class TestEstimator:
@@ -155,9 +173,9 @@ class TestEstimator:
         rng = np.random.default_rng(11)
         vals = rng.standard_normal(300)
         xs = np.linspace(-2, 2, 17)
-        batch = kde_estimate(vals, xs, 0.3, epanechnikov, chunk=512)
+        batch = kde_estimate(vals, xs, 0.3, epanechnikov)
         single = np.array([kde_estimate(vals, float(x), 0.3, epanechnikov) for x in xs])
-        assert batch == pytest.approx(single, rel=1e-14)
+        assert np.array_equal(batch, single)
 
 
 class TestAsymptoticVariance:

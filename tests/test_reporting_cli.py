@@ -2,6 +2,7 @@ import json
 import math
 import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -96,8 +97,10 @@ class TestConfigResolution:
         block = text.split("## Config reference", 1)[1].split("```json", 1)[1].split("```", 1)[0]
         reference = json.loads(block)
         cfgfile = tmp_path / "reference.json"
-        cfgfile.write_text(json.dumps(reference))
-        load_config(str(cfgfile), [])
+        # the kernel name is checked as the config loads, so load each listed choice
+        for kernel in reference["kernel"].split("|"):
+            cfgfile.write_text(json.dumps({**reference, "kernel": kernel}))
+            load_config(str(cfgfile), [])
         for section, default in DEFAULT_CONFIG.items():
             assert section in reference
             if isinstance(default, dict):
@@ -253,6 +256,9 @@ class TestCli:
             ("kde", 'innovations={"nu":3}', "innovations.name"),
             ("kde", 'truncation={"eta":0.1}', "truncation.policy"),
             ("kde", 'kernel={"a":1}', "kernel"),
+            # an unknown kernel name, also where the subcommand uses no kernel
+            ("check-conditions", 'kernel="nope"', "kernel"),
+            ("gen-field", 'kernel="nope"', "kernel"),
         ],
     )
     def test_incomplete_section_exit_1(self, tmp_path, capsys, subcommand, assignment, key):
@@ -317,6 +323,37 @@ class TestCli:
         assert point["T_zeta"][0] is not None and point["T"][1] is not None
         assert point["mean"] is None and point["verdicts"] == {"overall": "fail", "nonfinite": 1}
         assert (out / "clt_replicates.csv").read_text().splitlines()[1].split(",")[3] == ""
+
+    @pytest.mark.parametrize("kernel", ["epanechnikov", "gaussian", "triangular"])
+    def test_nan_in_field_reported_as_null_exit_2(self, tmp_path, monkeypatch, kernel):
+        import fieldkde.clt as clt
+
+        generate = clt.generate_coupled_fields
+        calls = []
+
+        def first_nan(*args, **kw):
+            fields = generate(*args, **kw)
+            if not calls:
+                fields.x[(0,) * fields.x.ndim] = math.nan
+            calls.append(1)
+            return fields
+
+        monkeypatch.setattr(clt, "generate_coupled_fields", first_nan)
+        code = _run(tmp_path, "clt-run", "--set", f"kernel={kernel}", "--set", "clt.replicates=3",
+                    "--set", "clt.n_grid=[64]")
+        assert code == 2
+        report = json.loads((tmp_path / "clt_run" / "report.json").read_text())
+        point = report["points"][0]
+        assert report["nonfinite"] == 1 and report["overall"] == "fail"
+        assert point["T"][0] is None and point["T_remainder"][0] is None
+        assert point["T_zeta"][0] is not None and point["T"][1] is not None
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        probe = "import sys, fieldkde.cli; print('scipy.stats' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
 
     def test_scripts_sharing_a_subcommand_write_apart(self, tmp_path, monkeypatch):
         scripts = Path(__file__).resolve().parent.parent / "scripts"
