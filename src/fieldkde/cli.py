@@ -122,6 +122,21 @@ class ToolError(RuntimeError):
     pass
 
 
+class _Section(dict):
+    """A config section whose ``[]`` names a missing key as a tool error, not a KeyError.
+
+    A key a subcommand reads with ``[]`` is one it needs, so a section
+    replaced as a whole without it exits 1 naming the key.
+    """
+
+    def __init__(self, name: str, values: dict):
+        super().__init__(values)
+        self.name = name
+
+    def __missing__(self, key):
+        raise ToolError(f"missing config key {self.name}.{key}")
+
+
 def _deep_merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for k, v in override.items():
@@ -166,7 +181,7 @@ def load_config(path: str | None, sets, seed=None, threads=None) -> dict:
     if threads is not None:
         cfg["threads"] = threads
     _check_keys(cfg)
-    return cfg
+    return {key: _Section(key, v) if isinstance(v, dict) else v for key, v in cfg.items()}
 
 
 def _check_keys(cfg: dict) -> None:
@@ -433,13 +448,10 @@ def cmd_blocks(cfg: dict):
 def cmd_moment_check(cfg: dict):
     sec = cfg["moment_check"]
     config = _experiment(cfg, "moment_check")
-    wu_reports = [
-        wu_inequality_check(
-            config.model, config.innovations, p, int(sec.get("wu_sample", 200000)),
-            master_seed=config.master_seed,
-        )
-        for p in sec.get("wu_p", [1, 2])
-    ]
+    wu_reports = wu_inequality_check(
+        config.model, config.innovations, list(sec.get("wu_p", [1, 2])),
+        int(sec.get("wu_sample", 200000)), master_seed=config.master_seed,
+    )
     rect = rectangle_moment_check(config, sec["rectangles"], ratio_cap=float(sec.get("ratio_cap", 3.0)))
     ok = rect["passed"]
     report = {

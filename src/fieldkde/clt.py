@@ -36,6 +36,7 @@ from .field import (
     DEFAULT_MAX_FIELD_BYTES,
     TruncationPlan,
     coupled_spectra,
+    estimate_field_bytes,
     generate_coupled_fields,
     plan_truncation,
 )
@@ -74,6 +75,11 @@ MIN_REPLICATES_FOR_VERDICT = 100
 # so a grid longer than MAX_GRID_POINTS would reuse the next experiment's draws.
 STREAM_OFFSETS = {"clt": 0, "blocks": 100, "rectangles": 200, "gap": 300, "wu": 400}
 MAX_GRID_POINTS = 100
+
+# A batch holds as many replicates as keep their innovation lattices within
+# this many bytes, so small lattices share each numpy call while a d=2 FFT
+# at n = 256, measured slower when batched, runs one replicate at a time.
+BATCH_BYTES = 1 << 20
 
 
 class MomentError(ValueError):
@@ -176,26 +182,35 @@ def _plan_for(config: ExperimentConfig, m: int, b: float) -> TruncationPlan:
 # replicate scheduling
 
 
+def _batch_size(d: int, n: int, M: int, max_bytes: int) -> int:
+    """Replicates per batch: lattices within BATCH_BYTES, estimated peaks within ``max_bytes``."""
+    by_budget = BATCH_BYTES // (8 * (n + M - 1) ** d)
+    return max(1, min(by_budget, max_bytes // estimate_field_bytes(d, n, M)))
+
+
 def _replicate_chunk(config: ExperimentConfig, n, m, plan, stream, reduce, start, stop) -> list:
     spectra = coupled_spectra(config.model, n, m, plan, max_bytes=config.max_field_bytes)
-    return [
-        reduce(
-            generate_coupled_fields(
-                config.model, config.innovations, n, m, plan,
-                SeedSpec(config.master_seed, stream, r), spectra=spectra,
-            )
-        )
-        for r in range(start, stop)
-    ]
+    size = _batch_size(config.model.d, n, plan.M, config.max_field_bytes)
+    rows = []
+    for lo in range(start, stop, size):
+        seeds = [SeedSpec(config.master_seed, stream, r) for r in range(lo, min(lo + size, stop))]
+        # no name holds a batch, so it is freed before the next one is drawn
+        rows.extend(reduce(generate_coupled_fields(
+            config.model, config.innovations, n, m, plan, seeds, spectra=spectra
+        )))
+    return rows
 
 
 def _run_replicates(config: ExperimentConfig, n, m, plan, stream, reduce) -> list:
-    """reduce(coupled fields) for replicates 0..R-1, in replicate order.
+    """Rows of reduce(batch of coupled fields) for replicates 0..R-1, in replicate order.
 
-    Each of min(threads, cpu count, R) workers runs one contiguous chunk of
-    replicates and builds the coefficient spectra once for it; replicate r
-    always draws from SeedSpec(master, stream, r), so the result does not
-    depend on the worker count.
+    ``reduce`` takes fields with a leading replicate axis and returns one
+    row per replicate.  Each of min(threads, cpu count, R) workers runs one
+    contiguous chunk of replicates in batches of ``_batch_size`` and builds
+    the coefficient spectra once for it; replicate r always draws from
+    SeedSpec(master, stream, r), and a batch gives the same bits as one
+    replicate at a time, so the result depends on neither the worker count
+    nor the batch size.
     """
     R = config.replicates
     workers = min(config.threads, os.cpu_count() or 1, R)
@@ -208,9 +223,9 @@ def _run_replicates(config: ExperimentConfig, n, m, plan, stream, reduce) -> lis
 
 
 def _padded_prefix(arr: np.ndarray) -> np.ndarray:
-    """Prefix sums with a zero layer in front of every axis."""
+    """Prefix sums with a zero layer in front of every axis but the first (replicate) axis."""
     out = arr
-    for ax in range(arr.ndim):
+    for ax in range(1, arr.ndim):
         out = np.cumsum(out, axis=ax)
         pad = [(0, 0)] * arr.ndim
         pad[ax] = (1, 0)
@@ -219,9 +234,9 @@ def _padded_prefix(arr: np.ndarray) -> np.ndarray:
 
 
 def _window_sums(prefix: np.ndarray, l: int) -> np.ndarray:
-    """Box sums over [t, t+l)^d for every offset t, from a padded prefix."""
+    """Box sums over [t, t+l)^d for every offset t, from a padded prefix with a replicate axis."""
     out = prefix
-    for ax in range(prefix.ndim):
+    for ax in range(1, prefix.ndim):
         lead = [slice(None)] * prefix.ndim
         lag = [slice(None)] * prefix.ndim
         lead[ax] = slice(l, None)
@@ -235,11 +250,16 @@ def _window_sums(prefix: np.ndarray, l: int) -> np.ndarray:
 
 
 def _kernel_sums(fields, xs, kernel, b):
-    """Raw kernel sums over the lattice for the full and truncated fields."""
-    xs = np.asarray(xs, dtype=float)
-    sums_f = np.array([_kernel_sum(kernel, x, fields.x, b) for x in xs])
-    sums_t = np.array([_kernel_sum(kernel, x, fields.x_m, b) for x in xs])
-    return sums_f, sums_t
+    """Per replicate, raw kernel sums over the lattice at each x for the full and truncated fields."""
+    axes = tuple(range(1, fields.x.ndim))  # the lattice axes of a batch
+
+    def sums(values):
+        per_x = [_kernel_sum(kernel, x, values, b, axes) for x in xs]
+        return np.array(per_x).reshape(len(xs), len(values)).T
+
+    sums_f = sums(fields.x)
+    sums_t = sums_f if fields.x_m is fields.x else sums(fields.x_m)
+    return list(zip(sums_f, sums_t))
 
 
 def _decompose(fn, fnm, ef, efm, scale):
@@ -455,14 +475,14 @@ class BlockPlan:
 
 
 def _block_windows(fields, kernel, b, x, l, q):
-    """Total and big-block sums of the truncated kernel field K((x - X_m)/b)/sqrt(b)."""
+    """Per replicate, total and big-block sums of the truncated kernel field K((x - X_m)/b)/sqrt(b)."""
     raw = kernel((x - fields.x_m) / b) / math.sqrt(b)
+    d = raw.ndim - 1
     prefix = _padded_prefix(raw)
-    total = float(prefix[(-1,) * raw.ndim])
     windows = _window_sums(prefix, l)
     idx = np.arange(q) * (l + fields.m)
-    eta = windows[np.ix_(*[idx] * raw.ndim)]
-    return total, eta
+    etas = windows[(slice(None),) + np.ix_(*[idx] * d)]
+    return list(zip(prefix[(slice(None),) + (-1,) * d], etas))
 
 
 def _block_samples(config: ExperimentConfig, plan: BlockPlan) -> list[dict]:
@@ -617,9 +637,10 @@ def _rectangle_sums(fields, kernel, b, x, rects):
     diff_raw = kernel((x - fields.x) / b) / math.sqrt(b) - zeta_raw
     pz = _padded_prefix(zeta_raw)
     pd_ = _padded_prefix(diff_raw)
-    zsums = np.array([float(pz[j]) for j in rects])
-    dsums = np.array([float(pd_[j]) for j in rects])
-    return zsums, dsums, float(np.sum(diff_raw)), float(np.sum(diff_raw**2))
+    zsums = np.stack([pz[(slice(None),) + j] for j in rects], axis=1)
+    dsums = np.stack([pd_[(slice(None),) + j] for j in rects], axis=1)
+    axes = tuple(range(1, diff_raw.ndim))
+    return list(zip(zsums, dsums, np.sum(diff_raw, axis=axes), np.sum(diff_raw**2, axis=axes)))
 
 
 def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: float = 3.0) -> dict:
@@ -708,27 +729,33 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
 def wu_inequality_check(
     model: CoefficientModel,
     innovations: InnovationModel,
-    p: float,
+    p,
     sample: int,
     master_seed: int = 20260810,
-) -> dict:
+):
     """Monte Carlo constant in E|sum_k a_k eps_k|^(2p) <= C (sum_k a_k^2)^p.
 
     Independent truncated draws of X_0 give C_hat = mean|X|^(2p)/(mass)^p with
     its standard error; for p=1 the identity C=1 is exact, and when the
     innovation kurtosis is known the exact fourth-moment reference is
-    attached.  Requires E|eps|^(2 v 2p) < infinity.
+    attached.  Requires E|eps|^(2 v 2p) < infinity.  A sequence of orders
+    ``p`` gives the list of their reports, all from one sample of X_0, with
+    the same numbers as one call per order.
     """
-    if p not in (1, 2):
-        raise ValueError("p must be 1 or 2")
-    if sample < 2:
-        raise ValueError("sample must be >= 2")
-    order = max(2, 2 * p)
-    if innovations.max_moment_order <= order:
-        raise MomentError(
-            f"innovations need E|eps|^{order} < inf "
-            f"(max finite order {innovations.max_moment_order})"
-        )
+    orders = [p] if np.isscalar(p) else list(p)
+    for q in orders:
+        if q not in (1, 2):
+            raise ValueError("p must be 1 or 2")
+        if sample < 2:
+            raise ValueError("sample must be >= 2")
+        order = max(2, 2 * q)
+        if innovations.max_moment_order <= order:
+            raise MomentError(
+                f"innovations need E|eps|^{order} < inf "
+                f"(max finite order {innovations.max_moment_order})"
+            )
+    if not orders:
+        return []
     total = total_sq_mass(model)
     side = model.support_side()
     if side is None:
@@ -739,48 +766,51 @@ def wu_inequality_check(
                 raise ValueError("coefficient tail too slow to truncate for sampling")
     a = coeff_box(model, side).ravel()
     rng = spawn_rng(SeedSpec(master_seed, stream=STREAM_OFFSETS["wu"]))
-    sum_y = 0.0
-    sum_y2 = 0.0
+    sums = {q: [0.0, 0.0] for q in orders}  # order -> [sum |X|^(2p), sum |X|^(4p)]
     sum_a4 = float(np.sum(a**4))
     chunk = max(1, (1 << 22) // a.size)
     done = 0
     while done < sample:
         take = min(chunk, sample - done)
         eps = _draw(innovations, rng, (take, a.size))
-        xvals = (eps * a).sum(axis=1)
-        y = np.abs(xvals) ** (2 * p)
-        sum_y += float(y.sum())
-        sum_y2 += float((y**2).sum())
+        abs_x = np.abs((eps * a).sum(axis=1))
+        for q, acc in sums.items():
+            y = abs_x ** (2 * q)
+            acc[0] += float(y.sum())
+            acc[1] += float((y**2).sum())
         done += take
-    mean_y = sum_y / sample
-    var_y = max(sum_y2 / sample - mean_y**2, 0.0)
-    c_hat = mean_y / total**p
-    se = math.sqrt(var_y / sample) / total**p
-    ref = None
-    if p == 1:
-        ref = 1.0
+    if innovations.name == "gaussian":
+        kurt = 3.0
+    elif innovations.name == "uniform":
+        kurt = 9.0 / 5.0
+    elif innovations.nu > 4:
+        kurt = 3.0 + 6.0 / (innovations.nu - 4.0)
     else:
-        if innovations.name == "gaussian":
-            kurt = 3.0
-        elif innovations.name == "uniform":
-            kurt = 9.0 / 5.0
-        elif innovations.nu > 4:
-            kurt = 3.0 + 6.0 / (innovations.nu - 4.0)
-        else:
-            kurt = None
-        if kurt is not None:
+        kurt = None
+    reports = []
+    for q in orders:
+        sum_y, sum_y2 = sums[q]
+        mean_y = sum_y / sample
+        var_y = max(sum_y2 / sample - mean_y**2, 0.0)
+        c_hat = mean_y / total**q
+        se = math.sqrt(var_y / sample) / total**q
+        ref = None
+        if q == 1:
+            ref = 1.0
+        elif kurt is not None:
             ref = (kurt - 3.0) * sum_a4 / total**2 + 3.0
-    return {
-        "name": "wu_moment",
-        "p": p,
-        "sample": sample,
-        "c_hat": float(c_hat),
-        "se": float(se),
-        "weight_mass": float(total),
-        "truncation_side": side,
-        "reference_c": ref,
-        "seeds": {"master": master_seed, "stream": STREAM_OFFSETS["wu"]},
-    }
+        reports.append({
+            "name": "wu_moment",
+            "p": q,
+            "sample": sample,
+            "c_hat": float(c_hat),
+            "se": float(se),
+            "weight_mass": float(total),
+            "truncation_side": side,
+            "reference_c": ref,
+            "seeds": {"master": master_seed, "stream": STREAM_OFFSETS["wu"]},
+        })
+    return reports[0] if np.isscalar(p) else reports
 
 
 # ---------------------------------------------------------------------------
@@ -788,10 +818,10 @@ def wu_inequality_check(
 
 
 def _squared_gap(fields, kernel, b, x):
-    """Site mean of (K((x - X_m)/b) - K((x - X)/b))^2 / b."""
+    """Per replicate, site mean of (K((x - X_m)/b) - K((x - X)/b))^2 / b."""
     kt = kernel((x - fields.x_m) / b)
     kf = kernel((x - fields.x) / b)
-    return float(np.mean((kt - kf) ** 2)) / b
+    return np.mean((kt - kf) ** 2, axis=tuple(range(1, kf.ndim))) / b
 
 
 def fixed_m_gap(

@@ -143,11 +143,13 @@ def _auto_method(lattice_shape, coeffs: np.ndarray) -> str:
 def _fourier_valid(spectrum, coeff_spectrum, shape, lattice_shape, coeff_shape) -> np.ndarray:
     """Valid region of a lattice-coefficient convolution from their real spectra of ``shape``.
 
-    The circular convolution of period P >= lattice side has no wrap-around
-    in the valid region [c - 1, lattice side) of the linear one.
+    A spectrum with a leading replicate axis is a stack.  The circular
+    convolution of period P >= lattice side has no wrap-around in the valid
+    region [c - 1, lattice side) of the linear one.
     """
-    out = irfftn(spectrum * coeff_spectrum, shape, overwrite_x=True)
-    return out[tuple(slice(c - 1, s) for c, s in zip(coeff_shape, lattice_shape))]
+    axes = tuple(range(-len(shape), 0))
+    out = irfftn(spectrum * coeff_spectrum, shape, axes=axes, overwrite_x=True)
+    return out[(...,) + tuple(slice(c - 1, s) for c, s in zip(coeff_shape, lattice_shape))]
 
 
 def lattice_convolve(lattice: np.ndarray, coeffs: np.ndarray, method: str = "auto") -> np.ndarray:
@@ -218,19 +220,26 @@ class CoupledSpectra:
     shape: tuple = ()
 
     def convolve(self, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(X, X_m) on [1, n]^d from an innovation lattice of side n + M - 1."""
-        d = eps.ndim
+        """(X, X_m) on [1, n]^d for each lattice of side n + M - 1 in the stack ``eps``.
+
+        When m == M the truncation is the field itself, and X_m is X.
+        """
+        d = eps.ndim - 1
         if self.method == "direct":
-            x = lattice_convolve(eps, self.full, "direct")
-            x_m = lattice_convolve(eps[(slice(self.M - self.m, None),) * d], self.truncated, "direct")
-            return x, x_m
-        # X_m convolves the same lattice with the M-box masked to [0, m)^d
-        spectrum = rfftn(eps, self.shape)
-        box = (self.M,) * d
-        return tuple(
-            _fourier_valid(spectrum, coeff, self.shape, eps.shape, box)
-            for coeff in (self.full, self.truncated)
-        )
+            # a on [0, c)^d meets the lattice from offset M - c on every axis,
+            # and a weight of side 1 on the replicate axis keeps lattices apart
+            def conv(coeffs):
+                cut = (slice(self.M - coeffs.shape[0], None),) * d
+                return lattice_convolve(eps[(slice(None),) + cut], coeffs[np.newaxis], "direct")
+        else:
+            # X_m convolves the same lattice with the M-box masked to [0, m)^d
+            spectrum = rfftn(eps, self.shape, axes=tuple(range(1, d + 1)))
+
+            def conv(coeff):
+                return _fourier_valid(spectrum, coeff, self.shape, eps.shape[1:], (self.M,) * d)
+
+        x = conv(self.full)
+        return x, x if self.m == self.M else conv(self.truncated)
 
 
 def coupled_spectra(
@@ -272,9 +281,11 @@ def coupled_spectra(
 class CoupledFields:
     """Full field X and m-truncation X_m built on shared innovations.
 
-    The replicate engine reads the arrays ``x`` and ``x_m``; the exported
-    ``full``, ``truncated`` and ``residual`` = X - X_m fields with their
-    provenance are built on first access.
+    The replicate engine reads the arrays ``x`` and ``x_m``, which carry a
+    leading replicate axis when ``seed`` is a sequence of seeds; X_m shares
+    X's memory when m == M.  For a single seed the exported ``full``,
+    ``truncated`` and ``residual`` = X - X_m fields with their provenance
+    are built on first access.
     """
 
     x: np.ndarray
@@ -283,7 +294,7 @@ class CoupledFields:
     plan: TruncationPlan
     model: CoefficientModel
     innovations: InnovationModel
-    seed: SeedSpec
+    seed: SeedSpec | tuple
 
     def _export(self, values: np.ndarray, component: str) -> LatticeField:
         provenance = {
@@ -314,16 +325,19 @@ def generate_coupled_fields(
     n: int,
     m: int,
     plan: TruncationPlan,
-    seed: SeedSpec,
+    seed,
     method: str = "auto",
     max_bytes: int = DEFAULT_MAX_FIELD_BYTES,
     spectra: CoupledSpectra | None = None,
 ) -> CoupledFields:
-    """Generate X and X_m from one innovation lattice.
+    """Generate X and X_m from one innovation lattice per seed.
 
     X_i = sum_{k in [0,M)^d} a_k eps_{i-k} needs innovations on a lattice of
     side n + M - 1; the truncation keeps only the weights on [0, m)^d of the
-    same sum, so X = X_m + (X - X_m) holds exactly.  On the FFT path the
+    same sum, so X = X_m + (X - X_m) holds exactly.  ``seed`` is a SeedSpec,
+    or a sequence of them: the lattices are then drawn one per seed into one
+    stack and convolved together, and the fields gain a leading replicate
+    axis with the same bits as one call per seed.  On the FFT path each
     lattice is transformed once and both fields come from one inverse FFT
     each.  ``spectra`` from ``coupled_spectra`` for the same (n, m, plan)
     skips the per-call cap check and coefficient transforms, and fixes the
@@ -333,9 +347,12 @@ def generate_coupled_fields(
         spectra = coupled_spectra(model, n, m, plan, method, max_bytes)
     elif (spectra.n, spectra.m, spectra.M) != (n, m, plan.M):
         raise ValueError("spectra were built for another (n, m, M)")
-    eps = draw_lattice(innovations, seed, (n + plan.M - 1,) * model.d)
+    seeds = (seed,) if isinstance(seed, SeedSpec) else tuple(seed)
+    eps = np.stack([draw_lattice(innovations, s, (n + plan.M - 1,) * model.d) for s in seeds])
     x, x_m = spectra.convolve(eps)
-    return CoupledFields(x, x_m, m, plan, model, innovations, seed)
+    if isinstance(seed, SeedSpec):
+        return CoupledFields(x[0], x_m[0], m, plan, model, innovations, seed)
+    return CoupledFields(x, x_m, m, plan, model, innovations, seeds)
 
 
 # ---------------------------------------------------------------------------

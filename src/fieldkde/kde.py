@@ -166,11 +166,11 @@ class BandwidthSchedule:
         return {"gamma": self.gamma, "c2": self.c2}
 
 
-def _kernel_sum(kernel, x, values, b) -> float:
-    """sum_i K((x - X_i)/b) over the array ``values`` at one scalar ``x``."""
+def _kernel_sum(kernel, x, values, b, axis=None):
+    """sum_i K((x - X_i)/b) over the array ``values``, or over its ``axis``, at one scalar ``x``."""
     u = x - values
     u /= b
-    return float(kernel(u).sum())
+    return kernel(u).sum(axis=axis)
 
 
 def kde_estimate(values, x, b: float, kernel: KernelModel):

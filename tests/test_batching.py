@@ -1,0 +1,229 @@
+"""The batched replicate engine gives the same bits as one replicate at a time.
+
+Reports must not depend on the batch size or the worker count, which rests
+on numpy and scipy computing a batched reduction or FFT row by row exactly as
+they compute it on one row; the pins below check that on the installed
+versions, which the `oldest` CI job makes the oldest numpy and scipy supported.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.fft import irfftn, next_fast_len, rfftn
+
+import fieldkde.clt as clt
+from fieldkde import (
+    CoefficientModel,
+    InnovationModel,
+    SeedSpec,
+    generate_coupled_fields,
+    lattice_convolve,
+    plan_truncation,
+)
+from fieldkde.cli import main
+from fieldkde.coefficients import coeff_box
+from fieldkde.field import coupled_spectra, estimate_field_bytes
+from fieldkde.innovations import draw_lattice
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+REPLICATES = 17  # a multiple of neither forced batch size, and split unevenly by 2 workers
+
+# subcommand, config, overrides: an FFT path at d=2, a direct path with m == M,
+# and the two experiments that reduce rectangles and squared gaps
+RUNS = {
+    "clt-run": ("power_decay_d2.json", ["clt.n_grid=[16,24]", f"clt.replicates={REPLICATES}"]),
+    "blocks": ("blocks_d1.json", ["blocks.n_grid=[64,128]", f"blocks.replicates={REPLICATES}"]),
+    "moment-check": (
+        "blocks_d1.json",
+        ["moment_check.n_grid=[128]", f"moment_check.replicates={REPLICATES}",
+         "moment_check.rectangles=[4,16,64]", "moment_check.wu_sample=1000"],
+    ),
+    "fixed-m-gap": (
+        "geometric_truncation_gap.json", ["gap.n_grid=[128,256]", f"gap.replicates={REPLICATES}"]
+    ),
+}
+
+
+def _cli(out: Path, subcommand: str, config: str, sets, threads: int = 1):
+    """(exit code, {file name: bytes}) of one CLI run, manifest left out."""
+    argv = [subcommand, "--config", str(CONFIGS / config), "--threads", str(threads), "--out", str(out)]
+    for assignment in sets:
+        argv += ["--set", assignment]
+    code = main(argv)
+    return code, {p.name: p.read_bytes() for p in sorted(out.glob("*/*")) if p.name != "manifest.json"}
+
+
+def _outputs(tmp_path: Path, subcommand: str, threads: int, tag: str):
+    config, sets = RUNS[subcommand]
+    return _cli(tmp_path / tag, subcommand, config, sets, threads)
+
+
+def _record_batches(monkeypatch):
+    """Record the method, (m, M) and batch sizes the engine uses in this process."""
+    seen = {"methods": set(), "mM": set(), "sizes": []}
+    spectra, generate = clt.coupled_spectra, clt.generate_coupled_fields
+
+    def recording_spectra(model, n, m, plan, **kw):
+        out = spectra(model, n, m, plan, **kw)
+        seen["methods"].add(out.method)
+        seen["mM"].add((m, plan.M))
+        return out
+
+    def recording_generate(*args, **kw):
+        fields = generate(*args, **kw)
+        seen["sizes"].append(len(fields.x))
+        return fields
+
+    monkeypatch.setattr(clt, "coupled_spectra", recording_spectra)
+    monkeypatch.setattr(clt, "generate_coupled_fields", recording_generate)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    """Each subcommand's outputs at one thread with the batch size the engine picks."""
+    tmp = tmp_path_factory.mktemp("reference")
+    return {sub: _outputs(tmp, sub, 1, sub) for sub in RUNS}
+
+
+class TestBatchSize:
+    def test_byte_budget(self):
+        # blocks_d1 (M = m = 4), and power_decay_d2 at n = 256 with M = 24
+        assert [clt._batch_size(1, n, 4, 1 << 30) for n in (256, 1024, 4096)] == [506, 127, 31]
+        assert clt._batch_size(2, 256, 24, 1 << 30) == 1
+
+    def test_field_byte_cap(self):
+        need = estimate_field_bytes(1, 256, 4)
+        assert clt._batch_size(1, 256, 4, 3 * need) == 3
+        assert clt._batch_size(1, 256, 4, need) == 1
+
+    # fixed-m-gap on one grid point, so one estimate decides the batch size
+    GAP_ONE = ["gap.n_grid=[128]", f"gap.replicates={REPLICATES}"]
+
+    def _gap_need(self):
+        plan = plan_truncation(CoefficientModel(d=1, family="geometric", ratio=0.5), m=2, b=128**-0.5)
+        return estimate_field_bytes(1, 128, plan.M)
+
+    def test_cap_above_one_replicate_gives_batches_of_one(self, tmp_path, monkeypatch):
+        config = RUNS["fixed-m-gap"][0]
+        default = _cli(tmp_path / "default", "fixed-m-gap", config, self.GAP_ONE)
+        seen = _record_batches(monkeypatch)
+        cap = f"limits.max_field_bytes={self._gap_need() + 1}"
+        capped = _cli(tmp_path / "capped", "fixed-m-gap", config, [*self.GAP_ONE, cap])
+        assert seen["sizes"] == [1] * REPLICATES
+        assert capped == default and "report.json" in default[1]
+
+    def test_cap_below_one_replicate_exit_1(self, tmp_path, capsys):
+        cap = f"limits.max_field_bytes={self._gap_need() - 1}"
+        code, files = _cli(tmp_path, "fixed-m-gap", RUNS["fixed-m-gap"][0], [*self.GAP_ONE, cap])
+        assert code == 1 and "cap" in capsys.readouterr().err
+        assert "report.json" not in files
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("size", [1, 3, 7, None], ids=["B1", "B3", "B7", "whole_chunk"])
+    @pytest.mark.parametrize("subcommand", list(RUNS))
+    def test_reports_identical_for_any_batch_size_and_thread_count(
+        self, tmp_path, monkeypatch, reference, subcommand, size
+    ):
+        forced = size or 10**9
+        monkeypatch.setattr(clt, "_batch_size", lambda d, n, M, max_bytes: forced)
+        seen = _record_batches(monkeypatch)
+        one = _outputs(tmp_path, subcommand, 1, "t1")
+        # forked pool workers inherit the forced size; spawned ones would use the engine's own
+        two = _outputs(tmp_path, subcommand, 2, "t2")
+        assert one[1] and one == reference[subcommand] and two == reference[subcommand]
+        assert max(seen["sizes"]) == min(forced, REPLICATES)
+        if subcommand == "clt-run":
+            assert seen["methods"] == {"fourier"}
+        if subcommand == "blocks":
+            assert seen["methods"] == {"direct"} and all(m == M for m, M in seen["mM"])
+
+    def test_engine_picks_several_replicates_per_batch(self, tmp_path, monkeypatch):
+        seen = _record_batches(monkeypatch)
+        _outputs(tmp_path, "blocks", 1, "t1")
+        assert seen["sizes"] == [REPLICATES, REPLICATES]
+
+
+@st.composite
+def _generation_case(draw):
+    d = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value={1: 40, 2: 12, 3: 5}[d]))
+    M = draw(st.integers(min_value=1, max_value={1: 9, 2: 5, 3: 3}[d]))
+    m = draw(st.integers(min_value=1, max_value=M))
+    family = draw(st.sampled_from(["geometric", "power_decay"]))
+    model = (
+        CoefficientModel(d=d, family="geometric", ratio=0.6)
+        if family == "geometric"
+        else CoefficientModel(d=d, family="power_decay", q=4.0)
+    )
+    innov = draw(st.sampled_from([InnovationModel("gaussian"), InnovationModel("uniform"),
+                                  InnovationModel("student_t", nu=5.0)]))
+    method = draw(st.sampled_from(["direct", "fourier"]))
+    replicates = draw(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=5))
+    return model, innov, n, m, M, method, replicates
+
+
+class TestBatchedGeneration:
+    @given(_generation_case())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_equals_one_at_a_time_and_coupling_holds(self, case):
+        model, innov, n, m, M, method, replicates = case
+        plan = plan_truncation(model, m=m, policy="fixed", M=M)
+        seeds = [SeedSpec(11, 3, r) for r in replicates]
+        batch = generate_coupled_fields(model, innov, n, m, plan, seeds, method=method)
+        assert batch.x.shape == batch.x_m.shape == (len(seeds),) + (n,) * model.d
+        a = coeff_box(model, M)
+        tail = a.copy()
+        tail[(slice(0, m),) * model.d] = 0.0
+        for i, seed in enumerate(seeds):
+            one = generate_coupled_fields(model, innov, n, m, plan, seed, method=method)
+            assert np.array_equal(batch.x[i], one.x) and np.array_equal(batch.x_m[i], one.x_m)
+            # X - X_m is the residual, which is the lattice convolved with the weights off [0, m)^d
+            assert np.array_equal(one.residual.values, one.x - one.x_m)
+            eps = draw_lattice(innov, seed, (n + M - 1,) * model.d)
+            residual = lattice_convolve(eps, tail, "direct")
+            scale = max(float(np.max(np.abs(one.x))), 1.0)
+            assert np.max(np.abs(one.residual.values - residual)) <= 1e-12 * scale
+
+    def test_m_equal_M_shares_the_field(self, geometric_half):
+        plan = plan_truncation(geometric_half, m=4, policy="fixed", M=4)
+        for method in ("direct", "fourier"):
+            spectra = coupled_spectra(geometric_half, 32, 4, plan, method)
+            fields = generate_coupled_fields(
+                geometric_half, InnovationModel("gaussian"), 32, 4, plan,
+                [SeedSpec(5, 0, r) for r in range(3)], spectra=spectra,
+            )
+            assert fields.x_m is fields.x
+
+
+class TestNumpyBatchPins:
+    """Batched numpy/scipy calls equal per-row calls bit for bit, at the engine's sizes."""
+
+    CASES = [(1, 259, 8), (1, 4099, 3), (1, 16384, 2), (2, 79, 4), (2, 47, 3), (3, 12, 3)]
+
+    @pytest.mark.parametrize("d,side,batch", CASES)
+    def test_row_sums_over_lattice_axes(self, d, side, batch):
+        rng = np.random.default_rng(side)
+        values = rng.standard_normal((batch,) + (side + 3,) * d)
+        view = values[(slice(None),) + (slice(3, None),) * d]  # fields are views like this
+        axes = tuple(range(1, d + 1))
+        for arr in (values, view, view - 0.25):
+            sums, means = arr.sum(axis=axes), np.mean(arr, axis=axes)
+            for i in range(batch):
+                assert sums[i] == arr[i].sum() and means[i] == np.mean(arr[i])
+
+    @pytest.mark.parametrize("d,side,batch", CASES)
+    def test_batched_rfftn_and_irfftn(self, d, side, batch):
+        rng = np.random.default_rng(side + 1)
+        lattices = rng.standard_normal((batch,) + (side,) * d)
+        shape = (next_fast_len(side, real=True),) * d
+        coeff = rfftn(rng.standard_normal((5,) * d), shape)
+        spectra = rfftn(lattices, shape, axes=tuple(range(1, d + 1)))
+        inverse = irfftn(spectra * coeff, shape, axes=tuple(range(-d, 0)))
+        for i in range(batch):
+            one = rfftn(lattices[i], shape)
+            assert np.array_equal(spectra[i], one)
+            assert np.array_equal(inverse[i], irfftn(one * coeff, shape))

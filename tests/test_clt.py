@@ -72,10 +72,11 @@ class TestReplicateEngine:
         monkeypatch.setattr(clt, "coupled_spectra", counting)
         config = _config(power_d2, bandwidth=BandwidthSchedule(d=2, gamma=1.0), replicates=7)
         plan = plan_truncation(power_d2, m=2, policy="fixed", M=6)
-        rows = clt._run_replicates(config, 16, 2, plan, 0, lambda fields: float(fields.x.sum()))
+        # a reduction takes a batch of fields and returns one row per replicate
+        rows = clt._run_replicates(config, 16, 2, plan, 0, lambda fields: list(fields.x.sum(axis=(1, 2))))
         assert len(rows) == 7 and len(calls) == 1
         # a second chunk builds its own spectra and reproduces the same replicates
-        tail = clt._replicate_chunk(config, 16, 2, plan, 0, lambda fields: float(fields.x.sum()), 3, 7)
+        tail = clt._replicate_chunk(config, 16, 2, plan, 0, lambda fields: list(fields.x.sum(axis=(1, 2))), 3, 7)
         assert len(calls) == 2 and tail == rows[3:]
 
 
@@ -374,6 +375,24 @@ class TestWuInequality:
     def test_moment_precondition(self, geometric_half):
         with pytest.raises(MomentError):
             wu_inequality_check(geometric_half, InnovationModel("student_t", nu=4.0), 2, 100)
+
+    def test_orders_share_one_sample(self, geometric_half, monkeypatch):
+        import fieldkde.clt as clt
+
+        innov = InnovationModel("uniform")
+        apart = [wu_inequality_check(geometric_half, innov, p, 30_000) for p in (1, 2)]
+        draw, drawn = clt._draw, []
+
+        def counting(model, rng, shape):
+            out = draw(model, rng, shape)
+            drawn.append(out.size)
+            return out
+
+        monkeypatch.setattr(clt, "_draw", counting)
+        together = wu_inequality_check(geometric_half, innov, [1, 2], 30_000)
+        assert together == apart
+        assert sum(drawn) == 30_000 * apart[0]["truncation_side"]
+        assert wu_inequality_check(geometric_half, innov, [], 30_000) == []
 
 
 class TestBlocks:

@@ -265,6 +265,24 @@ class TestCli:
         assert _run(tmp_path, subcommand, "--set", assignment) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "subcommand,assignment,key",
+        [
+            ("clt-run", 'clt={"replicates":5}', "clt.n_grid"),
+            ("blocks", 'blocks={"replicates":5}', "blocks.n_grid"),
+            ("moment-check", 'moment_check={"n_grid":[64]}', "moment_check.rectangles"),
+            ("fixed-m-gap", 'gap={"replicates":5}', "gap.n_grid"),
+            ("kde", 'kde={"m":2}', "kde.n"),
+            ("gen-field", 'gen_field={"n":16}', "gen_field.m"),
+            ("check-conditions", 'conditions={"delta":0.2}', "conditions.n_grid"),
+            ("kde", 'bandwidth={"c2":1.0}', "bandwidth.gamma"),
+        ],
+    )
+    def test_section_missing_a_read_key_exit_1(self, tmp_path, capsys, subcommand, assignment, key):
+        # a section replaced as a whole names the first key the subcommand reads and misses
+        assert _run(tmp_path, subcommand, "--set", assignment) == 1
+        assert capsys.readouterr().err.strip() == f"error: missing config key {key}"
+
     @pytest.mark.parametrize("extra", ["", ',"qsum_radius":null'])
     def test_conditions_section_without_qsum_runs(self, tmp_path, extra):
         # qsum_radius is read only when qsum_q is set
@@ -306,11 +324,12 @@ class TestCli:
         calls = []
 
         def first_nan(fields, **kw):
-            sums_f, sums_t = kernel_sums(fields, **kw)
+            rows = kernel_sums(fields, **kw)  # (full sums, truncated sums) per replicate
             if not calls:
+                sums_f, _ = rows[0]
                 sums_f[0] = math.nan
             calls.append(1)
-            return sums_f, sums_t
+            return rows
 
         monkeypatch.setattr(clt, "_kernel_sums", first_nan)
         code = _run(tmp_path, "clt-run", "--set", "clt.replicates=3", "--set", "clt.n_grid=[64]")
@@ -347,6 +366,25 @@ class TestCli:
         assert report["nonfinite"] == 1 and report["overall"] == "fail"
         assert point["T"][0] is None and point["T_remainder"][0] is None
         assert point["T_zeta"][0] is not None and point["T"][1] is not None
+
+    def test_moment_check_draws_one_wu_sample_for_every_order(self, tmp_path, monkeypatch):
+        import fieldkde.clt as clt
+
+        draw, drawn = clt._draw, []
+
+        def counting(model, rng, shape):
+            out = draw(model, rng, shape)
+            drawn.append(out.size)
+            return out
+
+        monkeypatch.setattr(clt, "_draw", counting)
+        code = _run(tmp_path, "moment-check", "--set", "moment_check.n_grid=[64]",
+                    "--set", "moment_check.replicates=5", "--set", "moment_check.rectangles=[4,16]",
+                    "--set", "moment_check.wu_sample=1000")
+        assert code in (0, 2)
+        wu = json.loads((tmp_path / "moment_check" / "report.json").read_text())["wu"]
+        assert [w["p"] for w in wu] == [1, 2]
+        assert sum(drawn) == 1000 * wu[0]["truncation_side"]
 
     def test_cli_import_leaves_out_scipy_stats(self):
         path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
