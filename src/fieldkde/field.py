@@ -54,7 +54,7 @@ class FieldSizeError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncationPlan:
-    """Global truncation radius M with its certified residual mass B_M."""
+    """Global truncation radius M with its residual mass B_M."""
 
     M: int
     B_M: float

@@ -15,6 +15,7 @@ from fieldkde import (
     tail_functionals,
 )
 from fieldkde.coefficients import (
+    _power_moments,
     box_mass,
     coeff_at,
     coeff_box,
@@ -22,6 +23,8 @@ from fieldkde.coefficients import (
     residual_sqrt_mass,
     total_sq_mass,
 )
+
+from shell_reference import shell_power_moments
 
 
 def brute_orthant_tail(model, k, radius=4000):
@@ -113,6 +116,76 @@ class TestPowerDecay:
             ((s + 1) ** 3 - s**3) * (1.0 + s) ** -8.0 for s in range(3000)
         )
         assert f.total_sq == pytest.approx(total_shells, rel=1e-12)
+
+
+def _direct_shell_tail_bound(d, q, side):
+    """Bound on the mass of {|i|_inf >= side} for c = 1: shells hold at most d(1+s)^(d-1) points."""
+    return d * float(side) ** (d - 2.0 * q) / (2.0 * q - d)
+
+
+class TestPowerMomentsClosedForm:
+    @pytest.mark.parametrize(
+        "d, q, start",
+        [(1, 3.0, 0), (1, 2.5, 7), (2, 4.0, 0), (2, 4.0, 1), (2, 4.0, 15), (2, 4.0, 300),
+         (2, 3.0, 24), (3, 4.0, 2), (3, 5.5, 6)],
+    )
+    def test_against_certified_shell_sums(self, d, q, start):
+        model = CoefficientModel(d=d, family="power_decay", q=q, scale=1.5)
+        shells, rem = shell_power_moments(model, start, 1e-24)
+        closed = _power_moments(model, start)
+        for r in range(d):
+            assert closed[r] == pytest.approx(shells[r], rel=1e-13, abs=2 * rem)
+
+    @pytest.mark.parametrize(
+        "d, q, side, ms",
+        [(1, 3.0, 1 << 20, (1, 6, 40)), (2, 6.0, 1000, (1, 3, 15)), (3, 7.0, 100, (1, 2))],
+    )
+    def test_masses_against_direct_box_sum(self, d, q, side, ms):
+        model = CoefficientModel(d=d, family="power_decay", q=q)
+        a2 = coeff_box(model, side) ** 2
+        axes = np.ix_(*[np.arange(side)] * d)
+        radial = np.maximum.reduce(np.broadcast_arrays(*axes)) if d > 1 else axes[0]
+        dropped = _direct_shell_tail_bound(d, q, side)
+        total = float(np.sum(a2))
+        assert dropped < 1e-15 * total
+        assert total_sq_mass(model) == pytest.approx(total, rel=1e-13)
+        for m in ms:
+            resid = float(np.sum(a2[radial >= m]))
+            assert dropped < 1e-15 * resid
+            assert residual_sqrt_mass(model, m) == pytest.approx(math.sqrt(resid), rel=1e-13)
+
+    def test_against_mpmath(self):
+        # 40-digit values of the same expansion, taken from s = 0 where start = 0
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(40):
+            for d in (1, 2, 3):
+                qs = [d / 2.0 + 0.05, *np.arange(d / 2.0 + 0.25, 6.0, 0.25), 6.0]
+                for q in qs:
+                    model = CoefficientModel(d=d, family="power_decay", q=float(q))
+                    q2 = 2 * mpmath.mpf(float(q))
+                    for start in (0, 1, 2, 6, 15, 24, 300):
+                        closed = _power_moments(model, start)
+                        zs = [mpmath.zeta(q2 - k, start + 1) for k in range(d)]
+                        for r in range(d):
+                            exact = sum(
+                                mpmath.binomial(r, k) * (-1) ** (r - k) * zs[k]
+                                for k in range(r + 1)
+                            )
+                            worst = max(worst, float(abs(mpmath.mpf(closed[r]) / exact - 1)))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("d, q", [(1, 1.8), (1, 2.0), (2, 2.5), (2, 1.05)])
+    def test_exponents_near_square_summability(self, d, q):
+        # shell sums do not reach a 1e-24 remainder within 2^26 shells here;
+        # the closed form needs only q > d/2
+        model = CoefficientModel(d=d, family="power_decay", q=q)
+        total = total_sq_mass(model)
+        assert math.isfinite(total) and total > 1.0
+        resid = [residual_sqrt_mass(model, m) for m in (1, 2, 4, 8)]
+        assert all(math.isfinite(v) for v in resid)
+        assert resid == sorted(resid, reverse=True)
+        assert resid[0] ** 2 + 1.0 == pytest.approx(total, rel=1e-14)
 
 
 class TestInvariants:

@@ -289,6 +289,49 @@ class TestCli:
         assignment = 'conditions={"n_grid":[16,32,64]' + extra + "}"
         assert _run(tmp_path, "check-conditions", "--set", assignment) == 0
 
+    def test_a_table_cap_exit_1(self, tmp_path, capsys):
+        # n = 8192 at d=2 needs an A-table of 8193^2 doubles, above the 2^28-byte cap
+        code = _run(
+            tmp_path,
+            "check-conditions",
+            "--config", str(REPO / "configs" / "power_decay_d2.json"),
+            "--set", "conditions.n_grid=[16,32,64,8192]",
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: A-table")
+        manifest = json.loads((tmp_path / "check_conditions" / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert "A-table" in manifest["error"]
+
+    @pytest.mark.parametrize("q", [1.8, 2.0])
+    def test_power_decay_near_the_beta_boundary_runs(self, tmp_path, q):
+        # d=1: beta = q - 1/2 is 1.3 or 1.5 > d, inside the decay window at gamma = 0.2
+        model = ("--set", f'coefficient={{"family":"power_decay","d":1,"q":{q}}}',
+                 "--set", "bandwidth.gamma=0.2")
+        assert _run(tmp_path, "check-conditions", *model) == 0
+        report = json.loads((tmp_path / "check_conditions" / "report.json").read_text())
+        assert report["checks"]["schedule_limits"]["verdict"] == "pass (window)"
+        code = _run(tmp_path, "clt-run", *model, "--set", "clt.n_grid=[64]",
+                    "--set", "clt.replicates=20")
+        assert code in (0, 2)
+        report = json.loads((tmp_path / "clt_run" / "report.json").read_text())
+        T = report["points"][0]["T"]
+        assert len(T) == 20 and all(t is not None and math.isfinite(t) for t in T)
+
+    def test_power_decay_d2_below_the_beta_boundary_exit_2(self, tmp_path):
+        # d=2, q=2.5: beta = 1.5 < d fails the window, yet every sequence is computed
+        code = _run(
+            tmp_path,
+            "check-conditions",
+            "--set", 'coefficient={"family":"power_decay","d":2,"q":2.5}',
+            "--set", "schedule.delta=0.3",
+        )
+        assert code == 2
+        report = json.loads((tmp_path / "check_conditions" / "report.json").read_text())
+        assert report["checks"]["schedule_limits"]["verdict"] == "fail"
+        rows = [r["residual_over_b"] for r in report["checks"]["schedule_limits"]["grid_rows"]]
+        assert rows == pytest.approx([0.3209, 0.2315, 0.2659, 0.2137], rel=1e-3)
+
     def test_unknown_key_in_config_file_exit_1(self, tmp_path, capsys):
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({"gap": {"replicates": 5, "mdoe": "growing"}}))
