@@ -40,6 +40,8 @@ from .coefficients import (
 )
 from .field import (
     FieldSizeError,
+    LatticeField,
+    coupled_spectra,
     generate_coupled_fields,
     plan_truncation,
     write_field_binary,
@@ -64,13 +66,10 @@ DEFAULT_CONFIG = {
     "threads": 1,
     "limits": {"max_field_bytes": 1 << 30},
     "conditions": {
-        "beta": None,
-        "gamma": None,
         "hallin_q": None,
         "qsum_q": None,
         "qsum_radius": 256,
         "n_grid": [16, 32, 64, 128],
-        "delta": None,
     },
     "gen_field": {"n": 64, "m": 2, "write_csv": False},
     "kde": {"n": 1024, "m": 2, "x_grid": [-2.0, -1.0, 0.0, 1.0, 2.0]},
@@ -104,7 +103,7 @@ DEFAULT_CONFIG = {
 # keys the lab reads that DEFAULT_CONFIG leaves unset; `variance_band` is
 # read only by clt-run's verdict, and fixed-m-gap does not center
 _OPTIONAL_KEYS = {
-    "coefficient": ("q", "scale", "table", "beta", "c1"),
+    "coefficient": ("q", "scale", "table", "beta"),
     "innovations": ("nu",),
     "blocks": ("x_points", "centering", "replicates"),
     "moment_check": ("x_points", "centering", "replicates"),
@@ -169,7 +168,11 @@ def load_config(path: str | None, sets, seed=None, threads=None) -> dict:
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                cfg = _deep_merge(cfg, json.load(fh))
+                doc = json.load(fh)
+            if "coefficient" in doc:
+                # replaced whole, not merged: the default's ratio belongs to the geometric family only
+                del cfg["coefficient"]
+            cfg = _deep_merge(cfg, doc)
         except FileNotFoundError:
             raise ToolError(f"config file {path!r} not found")
         except json.JSONDecodeError as exc:
@@ -247,21 +250,15 @@ def _max_field_bytes(cfg: dict) -> int:
 
 
 def _coupled_draw(cfg: dict, sec: dict):
-    """(fields, b) for one coupled draw at the section's n and m, honouring truncation and limits."""
+    """(model, innovations, plan, b, X, X_m) of one seed at the section's n and m, drawn as the engine draws."""
     model = model_from_config(cfg["coefficient"])
+    innov = InnovationModel.from_config(cfg["innovations"])
     n, m = int(sec["n"]), int(sec["m"])
     b = _bandwidth(cfg).b(n)
     plan = plan_truncation(model, m=m, b=b, **_truncation(cfg))
-    fields = generate_coupled_fields(
-        model,
-        InnovationModel.from_config(cfg["innovations"]),
-        n,
-        m,
-        plan,
-        SeedSpec(int(cfg["seed"])),
-        max_bytes=_max_field_bytes(cfg),
-    )
-    return fields, b
+    spectra = coupled_spectra(model, n, m, plan, max_bytes=_max_field_bytes(cfg))
+    x, x_m = generate_coupled_fields(model, innov, n, m, plan, [SeedSpec(int(cfg["seed"]))], spectra)
+    return model, innov, plan, b, x[0], x_m[0]
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +287,12 @@ def cmd_check_conditions(cfg: dict):
     sec = cfg["conditions"]
     model = model_from_config(cfg["coefficient"])
     bw = _bandwidth(cfg)
-    gamma = sec.get("gamma")
-    gamma = float(gamma) if gamma is not None else bw.gamma
-    beta = sec.get("beta")
-    beta = float(beta) if beta is not None else model.decay_exponent()
-    window = check_decay_window(model.d, beta, gamma)
-    choices = (sec.get("delta"), cfg["schedule"].get("delta"), window.delta_star)
-    delta = next((v for v in choices if v is not None), None)
+    window = check_decay_window(model.d, model.decay_exponent(), bw.gamma)
+    delta = next((v for v in (cfg["schedule"].get("delta"), window.delta_star) if v is not None), None)
     reports = {"decay_window": window.to_dict()}
     ok = window.passed
     if sec.get("hallin_q") is not None:
-        hallin = check_hallin(model.d, float(sec["hallin_q"]), gamma)
+        hallin = check_hallin(model.d, float(sec["hallin_q"]), bw.gamma)
         reports["hallin"] = hallin.to_dict()
     if sec.get("qsum_q") is not None:
         qs = check_machkouri_qsum(model, float(sec["qsum_q"]), int(sec["qsum_radius"]))
@@ -324,20 +316,26 @@ def cmd_check_conditions(cfg: dict):
 
 def cmd_gen_field(cfg: dict, out_dir: Path):
     sec = cfg["gen_field"]
-    fields, _ = _coupled_draw(cfg, sec)
-    n, m, plan = int(sec["n"]), fields.m, fields.plan
-    names = []
-    for tag, f in (("full", fields.full), ("truncated", fields.truncated), ("residual", fields.residual)):
-        p = out_dir / f"field_{tag}.bin"
-        write_field_binary(f, p)
-        names.append(p.name)
-        if sec.get("write_csv") and n <= 64:
-            pc = out_dir / f"field_{tag}.csv"
-            write_field_csv(f, pc)
-            names.append(pc.name)
-    coupling = float(
-        np.max(np.abs(fields.full.values - fields.truncated.values - fields.residual.values))
-    )
+    model, innov, plan, _, x, x_m = _coupled_draw(cfg, sec)
+    n, m = int(sec["n"]), int(sec["m"])
+    provenance = {"coefficients": model.label(), "innovations": innov.label(), "truncation_radius": plan.M,
+                  "seed": SeedSpec(int(cfg["seed"])).to_config()}
+    fields = {
+        tag: LatticeField(model.d, n, values, {**provenance, "component": tag})
+        for tag, values in (("full", x), ("truncated", x_m), ("residual", x - x_m))
+    }
+    if sec.get("write_csv"):
+        # first, so a side beyond write_field_csv's limit fails before any file is written
+        try:
+            for tag, f in fields.items():
+                write_field_csv(f, out_dir / f"field_{tag}.csv")
+        except ValueError as exc:
+            raise ToolError(f"gen_field.write_csv: {exc}") from None
+    for tag, f in fields.items():
+        write_field_binary(f, out_dir / f"field_{tag}.bin")
+    exts = ("bin", "csv") if sec.get("write_csv") else ("bin",)
+    names = [f"field_{tag}.{ext}" for tag in fields for ext in exts]
+    coupling = float(np.max(np.abs(x - x_m - fields["residual"].values)))
     # report carries names only so it regenerates byte-identically into any
     # output directory; the manifest records absolute paths
     report = {
@@ -355,10 +353,10 @@ def cmd_gen_field(cfg: dict, out_dir: Path):
 def cmd_kde(cfg: dict):
     sec = cfg["kde"]
     kern = kernel_by_name(cfg["kernel"])
-    fields, b = _coupled_draw(cfg, sec)
-    model, innov, n, m = fields.model, fields.innovations, int(sec["n"]), fields.m
+    model, innov, plan, b, values, _ = _coupled_draw(cfg, sec)
+    n, m = int(sec["n"]), int(sec["m"])
     xs = [float(x) for x in sec["x_grid"]]
-    est = kde_estimate(fields.x, np.array(xs), b, kern)
+    est = kde_estimate(values, np.array(xs), b, kern)
     rows = []
     oracle = density_oracle(model, innov, m)
     expected = expected_kde(oracle, kern, b, xs) if oracle.exact else None
@@ -373,7 +371,7 @@ def cmd_kde(cfg: dict):
         "subcommand": "kde",
         "n": n,
         "m": m,
-        "plan": fields.plan.to_config(),
+        "plan": plan.to_config(),
         "b": b,
         "kernel": kern.name,
         "oracle_exact": oracle.exact,

@@ -189,37 +189,41 @@ def _batch_size(d: int, n: int, M: int, max_bytes: int) -> int:
 
 
 def _replicate_chunk(config: ExperimentConfig, n, m, plan, stream, reduce, start, stop) -> list:
+    """reduce(X, X_m) of each batch of replicates start..stop-1, in replicate order."""
     spectra = coupled_spectra(config.model, n, m, plan, max_bytes=config.max_field_bytes)
     size = _batch_size(config.model.d, n, plan.M, config.max_field_bytes)
-    rows = []
-    for lo in range(start, stop, size):
-        seeds = [SeedSpec(config.master_seed, stream, r) for r in range(lo, min(lo + size, stop))]
-        # no name holds a batch, so it is freed before the next one is drawn
-        rows.extend(reduce(generate_coupled_fields(
-            config.model, config.innovations, n, m, plan, seeds, spectra=spectra
-        )))
-    return rows
+    seeds = [SeedSpec(config.master_seed, stream, r) for r in range(start, stop)]
+    # no name holds a batch, so it is freed before the next one is drawn
+    return [
+        reduce(*generate_coupled_fields(
+            config.model, config.innovations, n, m, plan, seeds[lo:lo + size], spectra
+        ))
+        for lo in range(0, stop - start, size)
+    ]
 
 
-def _run_replicates(config: ExperimentConfig, n, m, plan, stream, reduce) -> list:
-    """Rows of reduce(batch of coupled fields) for replicates 0..R-1, in replicate order.
+def _run_replicates(config: ExperimentConfig, n, m, plan, stream, reduce) -> tuple:
+    """reduce(X, X_m) over replicates 0..R-1: a tuple of arrays with R rows in replicate order.
 
-    ``reduce`` takes fields with a leading replicate axis and returns one
-    row per replicate.  Each of min(threads, cpu count, R) workers runs one
+    ``reduce`` takes the two fields of a batch, each with a leading
+    replicate axis, and returns a tuple of arrays with one row per
+    replicate.  Each of min(threads, cpu count, R) workers runs one
     contiguous chunk of replicates in batches of ``_batch_size`` and builds
     the coefficient spectra once for it; replicate r always draws from
     SeedSpec(master, stream, r), and a batch gives the same bits as one
     replicate at a time, so the result depends on neither the worker count
-    nor the batch size.
+    nor the batch size.  Each output is joined once, in C order: row sums round by layout.
     """
     R = config.replicates
     workers = min(config.threads, os.cpu_count() or 1, R)
     chunk = partial(_replicate_chunk, config, n, m, plan, stream, reduce)
     if workers == 1:
-        return chunk(0, R)
-    bounds = [R * w // workers for w in range(workers + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [row for part in pool.map(chunk, bounds[:-1], bounds[1:]) for row in part]
+        batches = chunk(0, R)
+    else:
+        bounds = [R * w // workers for w in range(workers + 1)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            batches = [out for part in pool.map(chunk, bounds[:-1], bounds[1:]) for out in part]
+    return tuple(np.ascontiguousarray(np.concatenate(parts)) for parts in zip(*batches))
 
 
 def _padded_prefix(arr: np.ndarray) -> np.ndarray:
@@ -249,17 +253,15 @@ def _window_sums(prefix: np.ndarray, l: int) -> np.ndarray:
 # normalised statistic
 
 
-def _kernel_sums(fields, xs, kernel, b):
-    """Per replicate, raw kernel sums over the lattice at each x for the full and truncated fields."""
-    axes = tuple(range(1, fields.x.ndim))  # the lattice axes of a batch
+def _kernel_sums(x, x_m, xs, kernel, b):
+    """Raw kernel sums over the lattice at each point of ``xs``, of X and of X_m: two (B, len(xs)) arrays."""
+    axes = tuple(range(1, x.ndim))  # the lattice axes of a batch
 
     def sums(values):
-        per_x = [_kernel_sum(kernel, x, values, b, axes) for x in xs]
-        return np.array(per_x).reshape(len(xs), len(values)).T
+        return np.stack([_kernel_sum(kernel, point, values, b, axes) for point in xs], axis=1)
 
-    sums_f = sums(fields.x)
-    sums_t = sums_f if fields.x_m is fields.x else sums(fields.x_m)
-    return list(zip(sums_f, sums_t))
+    sums_f = sums(x)
+    return sums_f, sums_f if x_m is x else sums(x_m)
 
 
 def _decompose(fn, fnm, ef, efm, scale):
@@ -389,9 +391,9 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
         plan = _plan_for(config, m, b)
         oracle = density_oracle(model, innov, m)
         stream = STREAM_OFFSETS["clt"] + ni
-        rows = _run_replicates(config, n, m, plan, stream, partial(_kernel_sums, xs=xs, kernel=kern, b=b))
+        sums = _run_replicates(config, n, m, plan, stream, partial(_kernel_sums, xs=xs, kernel=kern, b=b))
         N = n**model.d
-        raw_f, raw_t = (np.array(sums) / (N * b) for sums in zip(*rows))
+        raw_f, raw_t = (s / (N * b) for s in sums)
         if config.centering == "oracle":
             ef, efm = (expected_kde(oracle, kern, b, xs, truncated=t) for t in (False, True))
         else:
@@ -474,15 +476,14 @@ class BlockPlan:
         return m_n, l_n, max(q, 1)
 
 
-def _block_windows(fields, kernel, b, x, l, q):
-    """Per replicate, total and big-block sums of the truncated kernel field K((x - X_m)/b)/sqrt(b)."""
-    raw = kernel((x - fields.x_m) / b) / math.sqrt(b)
+def _block_windows(x, x_m, kernel, b, point, m, l, q):
+    """Per replicate, total and big-block sums of the truncated kernel field K((point - X_m)/b)/sqrt(b)."""
+    raw = kernel((point - x_m) / b) / math.sqrt(b)
     d = raw.ndim - 1
     prefix = _padded_prefix(raw)
     windows = _window_sums(prefix, l)
-    idx = np.arange(q) * (l + fields.m)
-    etas = windows[(slice(None),) + np.ix_(*[idx] * d)]
-    return list(zip(prefix[(slice(None),) + (-1,) * d], etas))
+    idx = np.arange(q) * (l + m)
+    return prefix[(slice(None),) + (-1,) * d], windows[(slice(None),) + np.ix_(*[idx] * d)]
 
 
 def _block_samples(config: ExperimentConfig, plan: BlockPlan) -> list[dict]:
@@ -494,9 +495,8 @@ def _block_samples(config: ExperimentConfig, plan: BlockPlan) -> list[dict]:
         m, l, q = plan.resolve(n)
         b = bw.b(n)
         tplan = TruncationPlan(M=m, B_M=residual_sqrt_mass(model, m), policy="fixed")
-        reduce = partial(_block_windows, kernel=kern, b=b, x=x, l=l, q=q)
-        rows = _run_replicates(config, n, m, tplan, STREAM_OFFSETS["blocks"] + ni, reduce)
-        totals, etas = (np.array(col) for col in zip(*rows))
+        reduce = partial(_block_windows, kernel=kern, b=b, point=x, m=m, l=l, q=q)
+        totals, etas = _run_replicates(config, n, m, tplan, STREAM_OFFSETS["blocks"] + ni, reduce)
         if config.centering == "oracle":
             oracle = density_oracle(model, innov, m)
             e_site = math.sqrt(b) * expected_kde(oracle, kern, b, x, truncated=True)
@@ -631,16 +631,16 @@ def lindeberg_estimate(config: ExperimentConfig, plan: BlockPlan, eps, samples=N
 # rectangle moments
 
 
-def _rectangle_sums(fields, kernel, b, x, rects):
+def _rectangle_sums(x, x_m, kernel, b, point, rects):
     """Corner-rectangle sums of the truncated and remainder kernel fields, and remainder moments."""
-    zeta_raw = kernel((x - fields.x_m) / b) / math.sqrt(b)
-    diff_raw = kernel((x - fields.x) / b) / math.sqrt(b) - zeta_raw
+    zeta_raw = kernel((point - x_m) / b) / math.sqrt(b)
+    diff_raw = kernel((point - x) / b) / math.sqrt(b) - zeta_raw
     pz = _padded_prefix(zeta_raw)
     pd_ = _padded_prefix(diff_raw)
     zsums = np.stack([pz[(slice(None),) + j] for j in rects], axis=1)
     dsums = np.stack([pd_[(slice(None),) + j] for j in rects], axis=1)
     axes = tuple(range(1, diff_raw.ndim))
-    return list(zip(zsums, dsums, np.sum(diff_raw, axis=axes), np.sum(diff_raw**2, axis=axes)))
+    return zsums, dsums, np.sum(diff_raw, axis=axes), np.sum(diff_raw**2, axis=axes)
 
 
 def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: float = 3.0) -> dict:
@@ -683,9 +683,8 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
         oracle = density_oracle(model, innov, m)
         ez = math.sqrt(b) * expected_kde(oracle, kern, b, x, truncated=True)
         ed = math.sqrt(b) * expected_kde(oracle, kern, b, x) - ez
-        reduce = partial(_rectangle_sums, kernel=kern, b=b, x=x, rects=fit_rects)
-        rows_r = _run_replicates(config, n, m, plan, STREAM_OFFSETS["rectangles"] + ni, reduce)
-        zs, ds, dsum, dsq = (np.array(col) for col in zip(*rows_r))
+        reduce = partial(_rectangle_sums, kernel=kern, b=b, point=x, rects=fit_rects)
+        zs, ds, dsum, dsq = _run_replicates(config, n, m, plan, STREAM_OFFSETS["rectangles"] + ni, reduce)
         N = n**model.d
         site_mean = float(dsum.sum()) / (R * N)
         site_m2 = float(dsq.sum()) / (R * N)
@@ -817,11 +816,11 @@ def wu_inequality_check(
 # truncation gap
 
 
-def _squared_gap(fields, kernel, b, x):
-    """Per replicate, site mean of (K((x - X_m)/b) - K((x - X)/b))^2 / b."""
-    kt = kernel((x - fields.x_m) / b)
-    kf = kernel((x - fields.x) / b)
-    return np.mean((kt - kf) ** 2, axis=tuple(range(1, kf.ndim))) / b
+def _squared_gap(x, x_m, kernel, b, point):
+    """Per replicate, site mean of (K((point - X_m)/b) - K((point - X)/b))^2 / b."""
+    kt = kernel((point - x_m) / b)
+    kf = kernel((point - x) / b)
+    return (np.mean((kt - kf) ** 2, axis=tuple(range(1, kf.ndim))) / b,)
 
 
 def fixed_m_gap(
@@ -853,8 +852,8 @@ def fixed_m_gap(
         m_n = m if mode == "fixed" else m_schedule(n, delta)
         b = config.bandwidth.b(n)
         plan = _plan_for(config, m_n, b)
-        reduce = partial(_squared_gap, kernel=config.kernel, b=b, x=x)
-        gaps = np.array(_run_replicates(config, n, m_n, plan, STREAM_OFFSETS["gap"] + ni, reduce))
+        reduce = partial(_squared_gap, kernel=config.kernel, b=b, point=x)
+        (gaps,) = _run_replicates(config, n, m_n, plan, STREAM_OFFSETS["gap"] + ni, reduce)
         rows.append(
             {
                 "n": n,

@@ -47,33 +47,40 @@ __all__ = [
     "model_from_config",
 ]
 
-FAMILIES = ("power_decay", "geometric", "finite_support", "tabulated")
+FAMILIES = ("power_decay", "geometric", "finite_support")
+# parameters that belong to one family; another family rejects them
+_FAMILY_OF = {"q": "power_decay", "scale": "power_decay", "ratio": "geometric", "table": "finite_support"}
 
 
 @dataclass(frozen=True)
 class CoefficientModel:
     """Rule k -> a_k on the positive orthant, plus decay metadata.
 
-    ``beta``/``c1`` optionally declare a bound A[n] <= c1 * n^(-beta); when
-    absent, ``decay_exponent`` derives beta from the family (q - d/2 for
-    power decay, +inf for geometric and finite tables).
+    ``beta`` optionally declares the exponent of a bound A[n] <= c1 * n^(-beta);
+    when absent, ``decay_exponent`` derives it from the family (q - d/2 for
+    power decay, +inf for geometric and finite tables).  A parameter of
+    another family is rejected; ``scale`` defaults to 1.
     """
 
     d: int
     family: str
     q: float | None = None
-    scale: float = 1.0
+    scale: float | None = None
     ratio: float | None = None
     table: np.ndarray | None = None
     beta: float | None = None
-    c1: float | None = None
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be a positive integer")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown coefficient family {self.family!r}")
+        for key, family in _FAMILY_OF.items():
+            if getattr(self, key) is not None and family != self.family:
+                raise ValueError(f"coefficient.{key} belongs to the {family} family, not to {self.family}")
         if self.family == "power_decay":
+            if self.scale is None:
+                object.__setattr__(self, "scale", 1.0)
             if self.q is None or self.q <= self.d / 2.0:
                 raise ValueError(
                     "power-decay requires q > d/2 for square summability "
@@ -86,7 +93,7 @@ class CoefficientModel:
                 raise ValueError("geometric ratio must lie in (0, 1)")
         else:
             if self.table is None:
-                raise ValueError(f"{self.family} model needs a value table")
+                raise ValueError("finite_support model needs a value table")
             tab = np.asarray(self.table, dtype=float)
             if tab.ndim != self.d:
                 raise ValueError("table dimensionality must match d")
@@ -123,8 +130,6 @@ class CoefficientModel:
             cfg["table"] = np.asarray(self.table).tolist()
         if self.beta is not None:
             cfg["beta"] = self.beta
-        if self.c1 is not None:
-            cfg["c1"] = self.c1
         return cfg
 
     def label(self) -> str:

@@ -15,17 +15,15 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .coefficients import CoefficientModel, coeff_box, residual_sqrt_mass
-from .innovations import InnovationModel, SeedSpec, draw_lattice
+from .innovations import InnovationModel, draw_lattice
 
 __all__ = [
     "LatticeField",
-    "CoupledFields",
     "CoupledSpectra",
     "TruncationPlan",
     "FieldSizeError",
@@ -277,82 +275,30 @@ def coupled_spectra(
     return CoupledSpectra(n, m, M, method, rfftn(a_full, shape), rfftn(a_trunc, shape), shape)
 
 
-@dataclass
-class CoupledFields:
-    """Full field X and m-truncation X_m built on shared innovations.
-
-    The replicate engine reads the arrays ``x`` and ``x_m``, which carry a
-    leading replicate axis when ``seed`` is a sequence of seeds; X_m shares
-    X's memory when m == M.  For a single seed the exported ``full``,
-    ``truncated`` and ``residual`` = X - X_m fields with their provenance
-    are built on first access.
-    """
-
-    x: np.ndarray
-    x_m: np.ndarray
-    m: int
-    plan: TruncationPlan
-    model: CoefficientModel
-    innovations: InnovationModel
-    seed: SeedSpec | tuple
-
-    def _export(self, values: np.ndarray, component: str) -> LatticeField:
-        provenance = {
-            "coefficients": self.model.label(),
-            "innovations": self.innovations.label(),
-            "truncation_radius": self.plan.M,
-            "seed": self.seed.to_config(),
-            "component": component,
-        }
-        return LatticeField(d=values.ndim, n=values.shape[0], values=values, provenance=provenance)
-
-    @cached_property
-    def full(self) -> LatticeField:
-        return self._export(self.x, "full")
-
-    @cached_property
-    def truncated(self) -> LatticeField:
-        return self._export(self.x_m, "truncated")
-
-    @cached_property
-    def residual(self) -> LatticeField:
-        return self._export(self.x - self.x_m, "residual")
-
-
 def generate_coupled_fields(
     model: CoefficientModel,
     innovations: InnovationModel,
     n: int,
     m: int,
     plan: TruncationPlan,
-    seed,
-    method: str = "auto",
-    max_bytes: int = DEFAULT_MAX_FIELD_BYTES,
-    spectra: CoupledSpectra | None = None,
-) -> CoupledFields:
-    """Generate X and X_m from one innovation lattice per seed.
+    seeds,
+    spectra: CoupledSpectra,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(X, X_m) from one innovation lattice per seed, each with a leading replicate axis.
 
     X_i = sum_{k in [0,M)^d} a_k eps_{i-k} needs innovations on a lattice of
     side n + M - 1; the truncation keeps only the weights on [0, m)^d of the
-    same sum, so X = X_m + (X - X_m) holds exactly.  ``seed`` is a SeedSpec,
-    or a sequence of them: the lattices are then drawn one per seed into one
-    stack and convolved together, and the fields gain a leading replicate
-    axis with the same bits as one call per seed.  On the FFT path each
-    lattice is transformed once and both fields come from one inverse FFT
-    each.  ``spectra`` from ``coupled_spectra`` for the same (n, m, plan)
-    skips the per-call cap check and coefficient transforms, and fixes the
-    method; ``method`` and ``max_bytes`` then do not apply.
+    same sum, so X = X_m + (X - X_m) holds exactly.  The lattices of the
+    sequence ``seeds`` are drawn into one stack and convolved together, with
+    the same bits as one call per seed.  ``spectra`` from ``coupled_spectra``
+    for the same (n, m, plan) fixes the method; on the FFT path each lattice
+    is transformed once and both fields come from one inverse FFT each.  X_m
+    is X when m == M.
     """
-    if spectra is None:
-        spectra = coupled_spectra(model, n, m, plan, method, max_bytes)
-    elif (spectra.n, spectra.m, spectra.M) != (n, m, plan.M):
+    if (spectra.n, spectra.m, spectra.M) != (n, m, plan.M):
         raise ValueError("spectra were built for another (n, m, M)")
-    seeds = (seed,) if isinstance(seed, SeedSpec) else tuple(seed)
     eps = np.stack([draw_lattice(innovations, s, (n + plan.M - 1,) * model.d) for s in seeds])
-    x, x_m = spectra.convolve(eps)
-    if isinstance(seed, SeedSpec):
-        return CoupledFields(x[0], x_m[0], m, plan, model, innovations, seed)
-    return CoupledFields(x, x_m, m, plan, model, innovations, seeds)
+    return spectra.convolve(eps)
 
 
 # ---------------------------------------------------------------------------

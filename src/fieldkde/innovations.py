@@ -42,6 +42,8 @@ class InnovationModel:
     def __post_init__(self):
         if self.name not in _NAMES:
             raise ValueError(f"unknown innovation model {self.name!r}")
+        if self.nu is not None and self.name != "student_t":
+            raise ValueError(f"innovations.nu belongs to student_t, not to {self.name}")
         if self.name == "student_t":
             if self.nu is None or self.nu <= 2.0:
                 raise ValueError(

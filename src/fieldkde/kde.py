@@ -176,14 +176,14 @@ def _kernel_sum(kernel, x, values, b, axis=None):
 def kde_estimate(values, x, b: float, kernel: KernelModel):
     """Kernel density estimate (1/(N b)) * sum_i K((x - X_i)/b).
 
-    ``values`` is a LatticeField or any array; ``x`` may be scalar or array.
+    ``values`` is any array of field values; ``x`` may be scalar or array.
     Each x is one kernel sum over the N values, so memory stays at a few
     arrays of N doubles however many points are asked for.  The estimate is
     invariant under any permutation of the values.
     """
     if b <= 0:
         raise ValueError("bandwidth must be positive")
-    data = np.asarray(getattr(values, "values", values), dtype=float).ravel()
+    data = np.asarray(values, dtype=float).ravel()
     if data.size == 0:
         raise ValueError("field must be nonempty")
     xs = np.atleast_1d(np.asarray(x, dtype=float))

@@ -29,3 +29,12 @@ def gaussian_innov():
 @pytest.fixture(scope="session")
 def epanechnikov():
     return kernel_by_name("epanechnikov")
+
+
+def coupled_pair(model, n, m, plan, seed, innovations=InnovationModel("gaussian"), method="auto"):
+    """(X, X_m) of one seed, generated as a batch of one with its own spectra."""
+    from fieldkde import coupled_spectra, generate_coupled_fields
+
+    spectra = coupled_spectra(model, n, m, plan, method)
+    x, x_m = generate_coupled_fields(model, innovations, n, m, plan, [seed], spectra)
+    return x[0], x_m[0]

@@ -266,7 +266,7 @@ def test_criterion_8_engineering_invariants():
         worst = max(worst, float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), 1e-300)))
     conv_ok = worst <= 1e-8
 
-    from fieldkde import SeedSpec, generate_coupled_fields, plan_truncation
+    from fieldkde import SeedSpec, coupled_spectra, generate_coupled_fields, plan_truncation
 
     coupling_ok = True
     for model in (
@@ -274,11 +274,13 @@ def test_criterion_8_engineering_invariants():
         CoefficientModel(d=2, family="power_decay", q=4.0),
     ):
         plan = plan_truncation(model, m=2, policy="fixed", M=12)
-        cf = generate_coupled_fields(
-            model, InnovationModel("gaussian"), 48, 2, plan, SeedSpec(MASTER_SEED, 9)
+        spectra = coupled_spectra(model, 48, 2, plan)
+        x, x_m = generate_coupled_fields(
+            model, InnovationModel("gaussian"), 48, 2, plan, [SeedSpec(MASTER_SEED, 9)], spectra
         )
-        gap = np.max(np.abs(cf.full.values - cf.truncated.values - cf.residual.values))
-        coupling_ok &= gap <= 1e-12 * np.max(np.abs(cf.full.values))
+        residual = x - x_m
+        gap = np.max(np.abs(x - x_m - residual))
+        coupling_ok &= gap <= 1e-12 * np.max(np.abs(x))
 
     model = CoefficientModel(d=1, family="geometric", ratio=0.5)
     blobs = []

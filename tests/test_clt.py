@@ -16,7 +16,6 @@ from fieldkde import (
     block_decomposition_check,
     density_oracle,
     fixed_m_gap,
-    generate_coupled_fields,
     kernel_by_name,
     ks_normality_test,
     lindeberg_estimate,
@@ -30,7 +29,7 @@ from fieldkde.clt import _block_samples, _skew_kurtosis
 from fieldkde.field import coupled_spectra
 from fieldkde.reporting import canonical_json
 
-from conftest import MASTER_SEED
+from conftest import MASTER_SEED, coupled_pair
 
 
 def _config(model, **kw):
@@ -59,7 +58,29 @@ class TestExperimentConfig:
             fixed_m_gap(_config(geometric_half), m=2, n_grid=grid)
 
 
+def _fortran_head(x, x_m):
+    """A reduction whose first output is a Fortran-ordered slice, as fancy-indexed block sums are."""
+    return np.asfortranarray(x)[:, :4], x_m[:, 0]
+
+
 class TestReplicateEngine:
+    @pytest.mark.parametrize("size", [1, 3, None], ids=["B1", "B3", "whole_chunk"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_outputs_are_c_ordered_rows_in_replicate_order(self, geometric_half, monkeypatch, threads, size):
+        import fieldkde.clt as clt
+
+        if size is not None:
+            # forked pool workers inherit the forced size
+            monkeypatch.setattr(clt, "_batch_size", lambda d, n, M, max_bytes: size)
+        R, stream = 7, 5
+        config = _config(geometric_half, replicates=R, threads=threads)
+        plan = plan_truncation(geometric_half, m=2, policy="fixed", M=4)
+        head, first = clt._run_replicates(config, 32, 2, plan, stream, _fortran_head)
+        alone = [coupled_pair(geometric_half, 32, 2, plan, SeedSpec(MASTER_SEED, stream, r)) for r in range(R)]
+        assert head.flags.c_contiguous and first.flags.c_contiguous
+        assert np.array_equal(head, np.array([x[:4] for x, _ in alone]))
+        assert np.array_equal(first, np.array([x_m[0] for _, x_m in alone]))
+
     def test_spectra_built_once_per_chunk(self, power_d2, monkeypatch):
         import fieldkde.clt as clt
 
@@ -72,12 +93,15 @@ class TestReplicateEngine:
         monkeypatch.setattr(clt, "coupled_spectra", counting)
         config = _config(power_d2, bandwidth=BandwidthSchedule(d=2, gamma=1.0), replicates=7)
         plan = plan_truncation(power_d2, m=2, policy="fixed", M=6)
-        # a reduction takes a batch of fields and returns one row per replicate
-        rows = clt._run_replicates(config, 16, 2, plan, 0, lambda fields: list(fields.x.sum(axis=(1, 2))))
+        # a reduction takes the two fields of a batch and returns arrays with one row per replicate
+        def reduce(x, x_m):
+            return (x.sum(axis=(1, 2)),)
+
+        (rows,) = clt._run_replicates(config, 16, 2, plan, 0, reduce)
         assert len(rows) == 7 and len(calls) == 1
         # a second chunk builds its own spectra and reproduces the same replicates
-        tail = clt._replicate_chunk(config, 16, 2, plan, 0, lambda fields: list(fields.x.sum(axis=(1, 2))), 3, 7)
-        assert len(calls) == 2 and tail == rows[3:]
+        tail = np.concatenate([out for out, in clt._replicate_chunk(config, 16, 2, plan, 0, reduce, 3, 7)])
+        assert len(calls) == 2 and np.array_equal(tail, rows[3:])
 
 
 class TestNormalizedStatistic:
@@ -232,9 +256,9 @@ class TestAgainstNaiveReimplementation:
                             xm_naive[i1, i2] += v
 
         plan = plan_truncation(power_d2, m=m, policy="fixed", M=M)
-        fields = generate_coupled_fields(power_d2, innov, n, m, plan, seed)
-        assert np.max(np.abs(fields.full.values - x_naive)) < 1e-12
-        assert np.max(np.abs(fields.truncated.values - xm_naive)) < 1e-12
+        x_full, x_m = coupled_pair(power_d2, n, m, plan, seed, innov)
+        assert np.max(np.abs(x_full - x_naive)) < 1e-12
+        assert np.max(np.abs(x_m - xm_naive)) < 1e-12
 
         o = density_oracle(power_d2, innov, m)
         v, v_m = o.variance, o.truncated_variance
@@ -266,10 +290,8 @@ class TestMDependence:
         # zeta values at sup-distance >= m are independent; below m they are not
         m, n, b = 3, 400_000, 0.5
         plan = plan_truncation(geometric_half, m=m, policy="fixed", M=m)
-        fields = generate_coupled_fields(
-            geometric_half, InnovationModel("gaussian"), n, m, plan, SeedSpec(MASTER_SEED, 41)
-        )
-        z = epanechnikov((0.0 - fields.truncated.values) / b) / math.sqrt(b)
+        _, x_m = coupled_pair(geometric_half, n, m, plan, SeedSpec(MASTER_SEED, 41))
+        z = epanechnikov((0.0 - x_m) / b) / math.sqrt(b)
         z = z - z.mean()
         def corr(h):
             return float(np.mean(z[:-h] * z[h:]) / np.mean(z * z))
@@ -293,10 +315,8 @@ class TestMDependence:
         for stream, n in ((42, 200_000), (43, 50_000)):
             b = float(n) ** -0.2
             plan = plan_truncation(geometric_half, m=m, policy="fixed", M=m)
-            fields = generate_coupled_fields(
-                geometric_half, InnovationModel("gaussian"), n, m, plan, SeedSpec(MASTER_SEED, stream)
-            )
-            z = epanechnikov((0.0 - fields.truncated.values) / b) / math.sqrt(b)
+            _, x_m = coupled_pair(geometric_half, n, m, plan, SeedSpec(MASTER_SEED, stream))
+            z = epanechnikov((0.0 - x_m) / b) / math.sqrt(b)
             z = z - z.mean()
             worst = 0.0
             for h in (1, 2):

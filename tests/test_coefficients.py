@@ -227,10 +227,10 @@ class TestInvariants:
         assert f1.delta_n == pytest.approx(scale * f0.delta_n, rel=1e-13)
         assert f1.a_at([3]) == pytest.approx(scale * f0.a_at([3]), rel=1e-13)
 
-    def test_tabulated_functionals_match_brute_force(self):
+    def test_finite_support_functionals_match_brute_force(self):
         rng = np.random.default_rng(5)
         tab = rng.normal(size=(3, 3))
-        model = CoefficientModel(d=2, family="tabulated", table=tab)
+        model = CoefficientModel(d=2, family="finite_support", table=tab)
         f = tail_functionals(model, n=4, m=2)
         for k in [(0, 0), (1, 2), (2, 2)]:
             expect = math.sqrt(float(np.sum(tab[k[0] :, k[1] :] ** 2)))

@@ -26,14 +26,18 @@ from fieldkde.field import (
 from fieldkde.coefficients import coeff_box
 from fieldkde.innovations import draw_lattice
 
-from conftest import MASTER_SEED
+from conftest import MASTER_SEED, coupled_pair
 
 
 def _coupled(model, n, m, M, seed=MASTER_SEED, stream=0):
+    """(X, X_m) of one seed under a fixed plan of radius M."""
     plan = plan_truncation(model, m=m, policy="fixed", M=M)
-    return generate_coupled_fields(
-        model, InnovationModel("gaussian"), n, m, plan, SeedSpec(seed, stream)
-    )
+    return coupled_pair(model, n, m, plan, SeedSpec(seed, stream))
+
+
+def _field(values):
+    """An exported field as gen-field writes it, with a stand-in provenance."""
+    return LatticeField(values.ndim, values.shape[0], values, {"component": "full"})
 
 
 class TestConvolution:
@@ -77,59 +81,54 @@ class TestConvolution:
 
 class TestCoupledGeneration:
     def test_identity_weights_reproduce_innovations(self, identity_weights):
-        cf = _coupled(identity_weights, 50, 1, 1)
+        x, x_m = _coupled(identity_weights, 50, 1, 1)
         eps = draw_lattice(InnovationModel("gaussian"), SeedSpec(MASTER_SEED, 0), (50,))
-        assert np.array_equal(cf.full.values, eps)
-        assert np.max(np.abs(cf.residual.values)) == 0.0
+        assert np.array_equal(x, eps)
+        assert np.max(np.abs(x - x_m)) == 0.0
 
     def test_coupling_identity_exact(self, geometric_half, power_d2):
         for model, n, m, M in ((geometric_half, 300, 3, 32), (power_d2, 24, 2, 8)):
-            cf = _coupled(model, n, m, M)
-            gap = np.abs(cf.full.values - cf.truncated.values - cf.residual.values)
+            x, x_m = _coupled(model, n, m, M)
+            residual = x - x_m
+            gap = np.abs(x - x_m - residual)
             assert np.max(gap) == 0.0
 
     def test_geometric_moments(self, geometric_half):
-        cf = _coupled(geometric_half, 100_000, 1, 64, stream=1)
-        x = cf.full.values
+        x, _ = _coupled(geometric_half, 100_000, 1, 64, stream=1)
         assert x.var() == pytest.approx(4.0 / 3.0, rel=0.02)
         lag1 = np.mean((x[:-1] - x.mean()) * (x[1:] - x.mean()))
         assert lag1 == pytest.approx(2.0 / 3.0, rel=0.03)
 
     def test_truncated_field_variance(self, geometric_half):
-        cf = _coupled(geometric_half, 100_000, 2, 64, stream=2)
+        x, x_m = _coupled(geometric_half, 100_000, 2, 64, stream=2)
         # truncated variance = 1 + 1/4
-        assert cf.truncated.values.var() == pytest.approx(1.25, rel=0.02)
+        assert x_m.var() == pytest.approx(1.25, rel=0.02)
         # residual variance = B_2^2 = 4^-2 * 4/3
-        assert cf.residual.values.var() == pytest.approx(1.0 / 12.0, rel=0.05)
+        assert (x - x_m).var() == pytest.approx(1.0 / 12.0, rel=0.05)
 
     def test_identical_inputs_identical_output(self, geometric_half):
         a = _coupled(geometric_half, 64, 2, 16, stream=7)
         b = _coupled(geometric_half, 64, 2, 16, stream=7)
-        assert np.array_equal(a.full.values, b.full.values)
-        assert np.array_equal(a.truncated.values, b.truncated.values)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_rejects_m_above_M(self, geometric_half):
         plan = plan_truncation(geometric_half, m=2, policy="fixed", M=8)
         with pytest.raises(ValueError):
-            generate_coupled_fields(
-                geometric_half, InnovationModel("gaussian"), 16, 9, plan, SeedSpec(1)
-            )
+            coupled_spectra(geometric_half, 16, 9, plan)
 
     def test_memory_cap_message_carries_estimate(self, power_d2):
         plan = plan_truncation(power_d2, m=2, policy="fixed", M=64)
         with pytest.raises(FieldSizeError) as err:
-            generate_coupled_fields(
-                power_d2, InnovationModel("gaussian"), 40_000, 2, plan, SeedSpec(1)
-            )
+            coupled_spectra(power_d2, 40_000, 2, plan)
         assert str(estimate_field_bytes(2, 40_000, 64)) in str(err.value)
 
     def test_cap_just_below_estimate_raises(self, power_d2):
         plan = plan_truncation(power_d2, m=2, policy="fixed", M=9)
         need = estimate_field_bytes(2, 30, 9)
-        innov = InnovationModel("gaussian")
         with pytest.raises(FieldSizeError):
-            generate_coupled_fields(power_d2, innov, 30, 2, plan, SeedSpec(1), max_bytes=need - 1)
-        generate_coupled_fields(power_d2, innov, 30, 2, plan, SeedSpec(1), max_bytes=need)
+            coupled_spectra(power_d2, 30, 2, plan, max_bytes=need - 1)
+        coupled_spectra(power_d2, 30, 2, plan, max_bytes=need)
 
     def test_estimate_bounds_traced_peak(self, power_d2):
         import tracemalloc
@@ -137,15 +136,14 @@ class TestCoupledGeneration:
         plan = plan_truncation(power_d2, m=6, policy="fixed", M=15)
         tracemalloc.start()
         try:
-            generate_coupled_fields(power_d2, InnovationModel("gaussian"), 64, 6, plan, SeedSpec(1))
+            coupled_pair(power_d2, 64, 6, plan, SeedSpec(1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= estimate_field_bytes(2, 64, 15)
 
     def test_stationarity_across_subboxes(self, geometric_half):
-        cf = _coupled(geometric_half, 80_000, 1, 48, stream=3)
-        x = cf.full.values
+        x, _ = _coupled(geometric_half, 80_000, 1, 48, stream=3)
         quarters = np.array_split(x, 4)
         vs = [q.var() for q in quarters]
         se = math.sqrt(2.0 / len(quarters[0])) * np.mean(vs) * math.sqrt(2)
@@ -155,8 +153,8 @@ class TestCoupledGeneration:
     def test_gaussian_site_moments(self, geometric_half):
         from scipy import stats
 
-        cf = _coupled(geometric_half, 100_000, 1, 48, stream=4)
-        z = cf.full.values / cf.full.values.std()
+        x, _ = _coupled(geometric_half, 100_000, 1, 48, stream=4)
+        z = x / x.std()
         n = z.size
         assert abs(stats.skew(z)) < 4.0 / math.sqrt(n)
         assert abs(stats.kurtosis(z, fisher=True)) < 8.0 / math.sqrt(n)
@@ -170,15 +168,15 @@ def _lag_products(values, h):
 
 class TestDiagnostics:
     def test_iid_lag_is_noise(self, identity_weights):
-        cf = _coupled(identity_weights, 40_000, 1, 1, stream=5)
-        prods = _lag_products(cf.full.values, 1)
+        x, _ = _coupled(identity_weights, 40_000, 1, 1, stream=5)
+        prods = _lag_products(x, 1)
         assert abs(prods.mean()) < 4.0 / math.sqrt(prods.size)
 
     def test_geometric_lags_match_weight_sums(self, geometric_half):
         # sum_k 2^-k 2^-(k+h) = (4/3) 2^-h: 4/3 at lag 0 and 1/3 at lag 2
-        cf = _coupled(geometric_half, 100_000, 1, 64, stream=6)
+        x, _ = _coupled(geometric_half, 100_000, 1, 64, stream=6)
         for h, cov in ((0, 4.0 / 3.0), (2, 1.0 / 3.0)):
-            prods = _lag_products(cf.full.values, h)
+            prods = _lag_products(x, h)
             se = prods.std() / math.sqrt(prods.size)
             assert abs(prods.mean() - cov) < 4.0 * se
 
@@ -203,18 +201,18 @@ class TestPlans:
 
 class TestExport:
     def test_binary_round_trip(self, geometric_half, tmp_path):
-        cf = _coupled(geometric_half, 40, 2, 16)
+        full = _field(_coupled(geometric_half, 40, 2, 16)[0])
         path = tmp_path / "field.bin"
-        write_field_binary(cf.full, path)
+        write_field_binary(full, path)
         back = read_field_binary(path)
-        assert back.d == cf.full.d and back.n == cf.full.n
-        assert np.array_equal(back.values, cf.full.values)
-        assert back.provenance == cf.full.provenance
+        assert back.d == full.d and back.n == full.n
+        assert np.array_equal(back.values, full.values)
+        assert back.provenance == full.provenance
 
     def test_binary_payload_length_checked(self, geometric_half, tmp_path):
-        cf = _coupled(geometric_half, 40, 2, 16)
+        full = _field(_coupled(geometric_half, 40, 2, 16)[0])
         path = tmp_path / "field.bin"
-        write_field_binary(cf.full, path)
+        write_field_binary(full, path)
         blob = path.read_bytes()
         for bad in (blob[:-8], blob + b"\0"):
             path.write_bytes(bad)
@@ -246,15 +244,15 @@ class TestExport:
                     read_field_binary(path)
 
     def test_csv_export_small_only(self, power_d2, tmp_path):
-        cf = _coupled(power_d2, 8, 1, 4)
+        full = _field(_coupled(power_d2, 8, 1, 4)[0])
         p = tmp_path / "f.csv"
-        write_field_csv(cf.full, p)
+        write_field_csv(full, p)
         lines = p.read_text().strip().splitlines()
         assert lines[0] == "i1,i2,value"
         assert len(lines) == 1 + 64
-        big = _coupled(power_d2, 65, 1, 4)
+        big = _field(_coupled(power_d2, 65, 1, 4)[0])
         with pytest.raises(ValueError):
-            write_field_csv(big.full, tmp_path / "g.csv")
+            write_field_csv(big, tmp_path / "g.csv")
 
 
 class TestSharedSpectrum:
@@ -269,23 +267,23 @@ class TestSharedSpectrum:
         spectra = coupled_spectra(model, n, m, plan, method="fourier")
         assert spectra.shape[0] > n + M - 1
         seed = SeedSpec(MASTER_SEED, 11)
-        cf = generate_coupled_fields(model, InnovationModel("gaussian"), n, m, plan, seed, spectra=spectra)
+        x_got, x_m_got = generate_coupled_fields(model, InnovationModel("gaussian"), n, m, plan, [seed], spectra)
         eps = draw_lattice(InnovationModel("gaussian"), seed, (n + M - 1,) * d)
         a = coeff_box(model, M)
         x = lattice_convolve(eps, a, "direct")
         x_m = lattice_convolve(eps[(slice(M - m, None),) * d], a[(slice(0, m),) * d], "direct")
-        for got, want in ((cf.x, x), (cf.x_m, x_m)):
+        for got, want in ((x_got[0], x), (x_m_got[0], x_m)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_direct_path_is_lattice_convolve(self, geometric_half):
         plan = plan_truncation(geometric_half, m=2, policy="fixed", M=5)
         spectra = coupled_spectra(geometric_half, 40, 2, plan, method="direct")
         seed = SeedSpec(MASTER_SEED, 12)
-        cf = generate_coupled_fields(
-            geometric_half, InnovationModel("gaussian"), 40, 2, plan, seed, spectra=spectra
+        x, _ = generate_coupled_fields(
+            geometric_half, InnovationModel("gaussian"), 40, 2, plan, [seed], spectra
         )
         eps = draw_lattice(InnovationModel("gaussian"), seed, (44,))
-        assert np.array_equal(cf.x, lattice_convolve(eps, coeff_box(geometric_half, 5), "direct"))
+        assert np.array_equal(x[0], lattice_convolve(eps, coeff_box(geometric_half, 5), "direct"))
 
     def test_auto_keeps_direct_for_short_d1_kernels(self, geometric_half):
         plan = plan_truncation(geometric_half, m=4, policy="fixed", M=4)
@@ -296,5 +294,5 @@ class TestSharedSpectrum:
         spectra = coupled_spectra(geometric_half, 32, 2, plan)
         with pytest.raises(ValueError, match="another"):
             generate_coupled_fields(
-                geometric_half, InnovationModel("gaussian"), 33, 2, plan, SeedSpec(1), spectra=spectra
+                geometric_half, InnovationModel("gaussian"), 33, 2, plan, [SeedSpec(1)], spectra
             )

@@ -135,7 +135,7 @@ class TestCli:
             "check-conditions",
             "--set", 'coefficient={"family":"power_decay","d":2,"q":4.0}',
             "--set", "bandwidth.gamma=1.0",
-            "--set", "conditions.delta=0.4166666666666667",
+            "--set", "schedule.delta=0.4166666666666667",
         )
         assert code == 0
         report = json.loads((tmp_path / "check_conditions" / "report.json").read_text())
@@ -149,7 +149,7 @@ class TestCli:
             "check-conditions",
             "--set", 'coefficient={"family":"power_decay","d":2,"q":4.0}',
             "--set", "bandwidth.gamma=1.3",
-            "--set", "conditions.delta=0.4",
+            "--set", "schedule.delta=0.4",
         )
         assert code == 2
         manifest = json.loads((tmp_path / "check_conditions" / "manifest.json").read_text())
@@ -217,14 +217,14 @@ class TestCli:
         assert "threads" in manifest["error"]
 
     def test_check_conditions_explicit_zero_gamma_exit_1(self, tmp_path):
-        code = _run(tmp_path, "check-conditions", "--set", "conditions.gamma=0")
+        code = _run(tmp_path, "check-conditions", "--set", "bandwidth.gamma=0")
         assert code == 1
         manifest = json.loads((tmp_path / "check_conditions" / "manifest.json").read_text())
         assert "gamma" in manifest["error"]
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FIELDKDE_OUT", str(tmp_path / "envout"))
-        code = main(["check-conditions", "--set", "conditions.delta=0.1"])
+        code = main(["check-conditions", "--set", "schedule.delta=0.1"])
         assert code == 0
         assert (tmp_path / "envout" / "check_conditions" / "report.json").exists()
 
@@ -274,7 +274,7 @@ class TestCli:
             ("fixed-m-gap", 'gap={"replicates":5}', "gap.n_grid"),
             ("kde", 'kde={"m":2}', "kde.n"),
             ("gen-field", 'gen_field={"n":16}', "gen_field.m"),
-            ("check-conditions", 'conditions={"delta":0.2}', "conditions.n_grid"),
+            ("check-conditions", 'conditions={"hallin_q":4.0}', "conditions.n_grid"),
             ("kde", 'bandwidth={"c2":1.0}', "bandwidth.gamma"),
         ],
     )
@@ -282,6 +282,50 @@ class TestCli:
         # a section replaced as a whole names the first key the subcommand reads and misses
         assert _run(tmp_path, subcommand, "--set", assignment) == 1
         assert capsys.readouterr().err.strip() == f"error: missing config key {key}"
+
+    @pytest.mark.parametrize(
+        "subcommand,sets,key",
+        [
+            # parameters of another coefficient family or innovation law
+            ("check-conditions", ["coefficient.q=3.0"], "coefficient.q"),
+            ("check-conditions", ["coefficient.scale=2.0"], "coefficient.scale"),
+            ("check-conditions", ["coefficient.table=[1.0]"], "coefficient.table"),
+            ("check-conditions", ['coefficient={"family":"power_decay","d":1,"q":4.0,"ratio":0.5}'],
+             "coefficient.ratio"),
+            ("kde", ["innovations.nu=5"], "innovations.nu"),
+            # duplicates of coefficient.beta, bandwidth.gamma and schedule.delta
+            ("check-conditions", ["conditions.beta=3.0"], "conditions.beta"),
+            ("check-conditions", ["conditions.gamma=0.5"], "conditions.gamma"),
+            ("check-conditions", ["conditions.delta=0.4"], "conditions.delta"),
+            # only echoed, and a second name for finite_support
+            ("check-conditions", ["coefficient.c1=1.0"], "coefficient.c1"),
+            ("check-conditions", ['coefficient={"family":"tabulated","d":1,"table":[1.0]}'], "tabulated"),
+            # CSV export is limited to sides <= 64
+            ("gen-field", ["gen_field.write_csv=true", "gen_field.n=128"], "gen_field.write_csv"),
+        ],
+    )
+    def test_rejected_key_exit_1_naming_it(self, tmp_path, capsys, subcommand, sets, key):
+        argv = [subcommand]
+        for assignment in sets:
+            argv += ["--set", assignment]
+        assert _run(tmp_path, *argv) == 1
+        assert key in capsys.readouterr().err
+        out = tmp_path / subcommand.replace("-", "_")
+        assert [p.name for p in out.iterdir() if p.name != "manifest.json"] == []
+
+    def test_gen_field_provenance(self, tmp_path):
+        from fieldkde.field import read_field_binary
+
+        assert _run(tmp_path, "gen-field", "--set", "gen_field.n=8", "--seed", "7") == 0
+        for component in ("full", "truncated", "residual"):
+            prov = read_field_binary(tmp_path / "gen_field" / f"field_{component}.bin").provenance
+            assert prov == {
+                "coefficients": "geometric(d=1,ratio=0.5)",
+                "innovations": "gaussian",
+                "truncation_radius": prov["truncation_radius"],
+                "seed": {"master": 7, "stream": 0, "replicate": 0},
+                "component": component,
+            }
 
     @pytest.mark.parametrize("extra", ["", ',"qsum_radius":null'])
     def test_conditions_section_without_qsum_runs(self, tmp_path, extra):
@@ -366,13 +410,12 @@ class TestCli:
         kernel_sums = clt._kernel_sums
         calls = []
 
-        def first_nan(fields, **kw):
-            rows = kernel_sums(fields, **kw)  # (full sums, truncated sums) per replicate
+        def first_nan(x, x_m, **kw):
+            sums_f, sums_t = kernel_sums(x, x_m, **kw)  # (replicate, x) arrays for X and X_m
             if not calls:
-                sums_f, _ = rows[0]
-                sums_f[0] = math.nan
+                sums_f[0, 0] = math.nan
             calls.append(1)
-            return rows
+            return sums_f, sums_t
 
         monkeypatch.setattr(clt, "_kernel_sums", first_nan)
         code = _run(tmp_path, "clt-run", "--set", "clt.replicates=3", "--set", "clt.n_grid=[64]")
@@ -394,11 +437,11 @@ class TestCli:
         calls = []
 
         def first_nan(*args, **kw):
-            fields = generate(*args, **kw)
+            x, x_m = generate(*args, **kw)
             if not calls:
-                fields.x[(0,) * fields.x.ndim] = math.nan
+                x[(0,) * x.ndim] = math.nan
             calls.append(1)
-            return fields
+            return x, x_m
 
         monkeypatch.setattr(clt, "generate_coupled_fields", first_nan)
         code = _run(tmp_path, "clt-run", "--set", f"kernel={kernel}", "--set", "clt.replicates=3",
