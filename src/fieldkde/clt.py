@@ -193,11 +193,12 @@ def _replicate_chunk(config: ExperimentConfig, n, m, plan, stream, reduce, start
     spectra = coupled_spectra(config.model, n, m, plan, max_bytes=config.max_field_bytes)
     size = _batch_size(config.model.d, n, plan.M, config.max_field_bytes)
     seeds = [SeedSpec(config.master_seed, stream, r) for r in range(start, stop)]
-    # no name holds a batch, so it is freed before the next one is drawn
+    # each output is copied into its own C-ordered array: a view would keep the
+    # batch's fields or prefix sums alive until the join, and row sums round by layout
     return [
-        reduce(*generate_coupled_fields(
+        tuple(np.array(out, order="C") for out in reduce(*generate_coupled_fields(
             config.model, config.innovations, n, m, plan, seeds[lo:lo + size], spectra
-        ))
+        )))
         for lo in range(0, stop - start, size)
     ]
 
@@ -212,7 +213,7 @@ def _run_replicates(config: ExperimentConfig, n, m, plan, stream, reduce) -> tup
     the coefficient spectra once for it; replicate r always draws from
     SeedSpec(master, stream, r), and a batch gives the same bits as one
     replicate at a time, so the result depends on neither the worker count
-    nor the batch size.  Each output is joined once, in C order: row sums round by layout.
+    nor the batch size.  Each output is joined once from C-ordered parts.
     """
     R = config.replicates
     workers = min(config.threads, os.cpu_count() or 1, R)
@@ -223,7 +224,7 @@ def _run_replicates(config: ExperimentConfig, n, m, plan, stream, reduce) -> tup
         bounds = [R * w // workers for w in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = [out for part in pool.map(chunk, bounds[:-1], bounds[1:]) for out in part]
-    return tuple(np.ascontiguousarray(np.concatenate(parts)) for parts in zip(*batches))
+    return tuple(np.concatenate(parts) for parts in zip(*batches))
 
 
 def _padded_prefix(arr: np.ndarray) -> np.ndarray:

@@ -31,10 +31,10 @@ def epanechnikov():
     return kernel_by_name("epanechnikov")
 
 
-def coupled_pair(model, n, m, plan, seed, innovations=InnovationModel("gaussian"), method="auto"):
+def coupled_pair(model, n, m, plan, seed, innovations=InnovationModel("gaussian")):
     """(X, X_m) of one seed, generated as a batch of one with its own spectra."""
     from fieldkde import coupled_spectra, generate_coupled_fields
 
-    spectra = coupled_spectra(model, n, m, plan, method)
+    spectra = coupled_spectra(model, n, m, plan)
     x, x_m = generate_coupled_fields(model, innovations, n, m, plan, [seed], spectra)
     return x[0], x_m[0]

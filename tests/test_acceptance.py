@@ -34,6 +34,8 @@ from fieldkde import (
     wu_inequality_check,
 )
 from fieldkde.clt import _block_samples
+from fieldkde.coefficients import coeff_box
+from fieldkde.innovations import draw_lattice
 from fieldkde.reporting import canonical_json
 
 from conftest import MASTER_SEED
@@ -278,8 +280,11 @@ def test_criterion_8_engineering_invariants():
         x, x_m = generate_coupled_fields(
             model, InnovationModel("gaussian"), 48, 2, plan, [SeedSpec(MASTER_SEED, 9)], spectra
         )
-        residual = x - x_m
-        gap = np.max(np.abs(x - x_m - residual))
+        # X - X_m is the residual: the same innovations convolved with the weights off [0, 2)^d
+        tail = coeff_box(model, 12)
+        tail[(slice(0, 2),) * model.d] = 0.0
+        eps = draw_lattice(InnovationModel("gaussian"), SeedSpec(MASTER_SEED, 9), (48 + 12 - 1,) * model.d)
+        gap = np.max(np.abs(x[0] - x_m[0] - lattice_convolve(eps, tail, "direct")))
         coupling_ok &= gap <= 1e-12 * np.max(np.abs(x))
 
     model = CoefficientModel(d=1, family="geometric", ratio=0.5)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -80,6 +81,30 @@ class TestReplicateEngine:
         assert head.flags.c_contiguous and first.flags.c_contiguous
         assert np.array_equal(head, np.array([x[:4] for x, _ in alone]))
         assert np.array_equal(first, np.array([x_m[0] for _, x_m in alone]))
+
+    @pytest.mark.parametrize("size", [1, 3], ids=["B1", "B3"])
+    def test_batch_intermediates_freed_before_the_join(self, geometric_half, monkeypatch, size):
+        import weakref
+
+        import fieldkde.clt as clt
+
+        monkeypatch.setattr(clt, "_batch_size", lambda d, n, M, max_bytes: size)
+        config = _config(geometric_half, replicates=7)
+        plan = plan_truncation(geometric_half, m=2, policy="fixed", M=4)
+        alive = []
+
+        def prefix_views(x, x_m):
+            # like _block_windows: both outputs are views into one batch-sized prefix array
+            prefix = np.cumsum(x_m, axis=1)
+            alive.append(weakref.ref(prefix))
+            return prefix[:, -1], prefix[:, ::8]
+
+        batches = clt._replicate_chunk(config, 32, 2, plan, 0, prefix_views, 0, 7)
+        assert len(alive) == len(batches) == -(-7 // size)
+        assert all(ref() is None for ref in alive)
+        blocks = partial(clt._block_windows, kernel=config.kernel, b=0.5, point=0.0, m=2, l=6, q=4)
+        for outs in clt._replicate_chunk(config, 32, 2, plan, 0, blocks, 0, 7):
+            assert all(out.base is None and out.flags.c_contiguous for out in outs)
 
     def test_spectra_built_once_per_chunk(self, power_d2, monkeypatch):
         import fieldkde.clt as clt
