@@ -36,6 +36,7 @@ from .coefficients import (
     check_decay_window,
     check_hallin,
     check_machkouri_qsum,
+    coeff_box,
     model_from_config,
 )
 from .field import (
@@ -43,12 +44,13 @@ from .field import (
     LatticeField,
     coupled_spectra,
     generate_coupled_fields,
+    lattice_convolve,
     plan_truncation,
     write_field_binary,
     write_field_csv,
 )
-from .innovations import InnovationModel, SeedSpec
-from .kde import BandwidthSchedule, OracleError, asymptotic_variance, density_oracle, expected_kde, kde_estimate, kernel_by_name
+from .innovations import InnovationModel, SeedSpec, draw_lattice
+from .kde import BandwidthSchedule, asymptotic_variance, density_oracle, expected_kde, kde_estimate, kernel_by_name
 from .reporting import RunManifest, write_csv, write_report
 
 __all__ = ["main", "run_script", "DEFAULT_CONFIG"]
@@ -77,7 +79,6 @@ DEFAULT_CONFIG = {
         "n_grid": [1024],
         "x_points": [0.0],
         "replicates": 200,
-        "centering": "oracle",
         "variance_band": 0.10,
     },
     "blocks": {
@@ -105,8 +106,8 @@ DEFAULT_CONFIG = {
 _OPTIONAL_KEYS = {
     "coefficient": ("q", "scale", "table", "beta"),
     "innovations": ("nu",),
-    "blocks": ("x_points", "centering", "replicates"),
-    "moment_check": ("x_points", "centering", "replicates"),
+    "blocks": ("x_points", "replicates"),
+    "moment_check": ("x_points", "replicates"),
     "gap": ("x_points", "replicates"),
 }
 # keys that select a model, law or plan; a section replaced as a whole must keep them
@@ -169,6 +170,8 @@ def load_config(path: str | None, sets, seed=None, threads=None) -> dict:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ToolError(f"config file {path!r} must hold a JSON object, not {type(doc).__name__}")
             if "coefficient" in doc:
                 # replaced whole, not merged: the default's ratio belongs to the geometric family only
                 del cfg["coefficient"]
@@ -232,7 +235,6 @@ def _experiment(cfg: dict, section: str) -> ExperimentConfig:
         truncation_M=truncation["M"],
         replicates=int(sec.get("replicates", 200)),
         master_seed=int(cfg["seed"]),
-        centering=sec.get("centering", "oracle"),
         variance_band=float(sec.get("variance_band", 0.10)),
         threads=int(cfg.get("threads", 1)),
         max_field_bytes=_max_field_bytes(cfg),
@@ -335,7 +337,11 @@ def cmd_gen_field(cfg: dict, out_dir: Path):
         write_field_binary(f, out_dir / f"field_{tag}.bin")
     exts = ("bin", "csv") if sec.get("write_csv") else ("bin",)
     names = [f"field_{tag}.{ext}" for tag in fields for ext in exts]
-    coupling = float(np.max(np.abs(x - x_m - fields["residual"].values)))
+    # the same seed's lattice convolved with the weights off [0, m)^d, computed apart from the generator
+    tail = coeff_box(model, plan.M)
+    tail[(slice(0, m),) * model.d] = 0.0
+    eps = draw_lattice(innov, SeedSpec(int(cfg["seed"])), (n + plan.M - 1,) * model.d)
+    coupling = float(np.max(np.abs(x - x_m - lattice_convolve(eps, tail))))
     # report carries names only so it regenerates byte-identically into any
     # output directory; the manifest records absolute paths
     report = {
@@ -359,14 +365,10 @@ def cmd_kde(cfg: dict):
     est = kde_estimate(values, np.array(xs), b, kern)
     rows = []
     oracle = density_oracle(model, innov, m)
-    expected = expected_kde(oracle, kern, b, xs) if oracle.exact else None
-    for i, (x, e) in enumerate(zip(xs, np.atleast_1d(est))):
-        row = {"x": x, "estimate": float(e), "b": b}
-        row["oracle_density"] = float(oracle.p(x))
-        if expected is not None:
-            row["expected_estimate"] = float(expected[i])
-        row["sigma2_x"] = asymptotic_variance(float(oracle.p(x)), kern)
-        rows.append(row)
+    for x, e, ex in zip(xs, np.atleast_1d(est), expected_kde(oracle, kern, b, xs)):
+        px = float(oracle.p(x))
+        rows.append({"x": x, "estimate": float(e), "b": b, "oracle_density": px,
+                     "expected_estimate": float(ex), "sigma2_x": asymptotic_variance(px, kern)})
     report = {
         "subcommand": "kde",
         "n": n,
@@ -374,7 +376,6 @@ def cmd_kde(cfg: dict):
         "plan": plan.to_config(),
         "b": b,
         "kernel": kern.name,
-        "oracle_exact": oracle.exact,
         "curve": rows,
         "passed": True,
     }
@@ -547,7 +548,7 @@ def main(argv=None) -> int:
         manifest.verdicts = {"passed": bool(ok)}
         manifest.status = "complete"
         code = 0 if ok else 2
-    except (ToolError, FieldSizeError, OracleError, ValueError) as exc:
+    except (ToolError, FieldSizeError, ValueError) as exc:
         manifest.status = "error"
         manifest.error = str(exc)
         print(f"error: {exc}", file=sys.stderr)

@@ -44,7 +44,6 @@ from .innovations import InnovationModel, SeedSpec, spawn_rng, _draw
 from .kde import (
     BandwidthSchedule,
     KernelModel,
-    OracleError,
     _kernel_sum,
     asymptotic_variance,
     density_oracle,
@@ -102,7 +101,6 @@ class ExperimentConfig:
     truncation_M: int | None = None
     replicates: int = 200
     master_seed: int = 20260810
-    centering: str = "oracle"  # or "pooled"
     variance_band: float = 0.10
     threads: int = 1
     max_field_bytes: int = DEFAULT_MAX_FIELD_BYTES
@@ -114,8 +112,6 @@ class ExperimentConfig:
             raise ValueError("n_grid must be nonempty")
         if len(self.n_grid) > MAX_GRID_POINTS:
             raise ValueError(f"n_grid holds at most {MAX_GRID_POINTS} points")
-        if self.centering not in ("oracle", "pooled"):
-            raise ValueError("centering must be 'oracle' or 'pooled'")
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
         if self.threads < 1:
@@ -160,7 +156,6 @@ class ExperimentConfig:
             },
             "replicates": self.replicates,
             "master_seed": self.master_seed,
-            "centering": self.centering,
             "variance_band": self.variance_band,
             # worker count changes wall time only, never numbers, so it is
             # recorded in the manifest rather than the report
@@ -382,8 +377,6 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     delta, _ = config.resolve_delta()
     xs = config.resolve_x()
     R = config.replicates
-    if config.centering == "oracle" and not innov.is_gaussian:
-        raise OracleError("oracle centering needs Gaussian innovations; use pooled")
     report = CltReport(config=config.resolved())
     verdicts = []
     for ni, n in enumerate(config.n_grid):
@@ -395,10 +388,7 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
         sums = _run_replicates(config, n, m, plan, stream, partial(_kernel_sums, xs=xs, kernel=kern, b=b))
         N = n**model.d
         raw_f, raw_t = (s / (N * b) for s in sums)
-        if config.centering == "oracle":
-            ef, efm = (expected_kde(oracle, kern, b, xs, truncated=t) for t in (False, True))
-        else:
-            ef, efm = raw_f.mean(axis=0), raw_t.mean(axis=0)
+        ef, efm = (expected_kde(oracle, kern, b, xs, truncated=t) for t in (False, True))
         t_full, t_zeta, t_rem = _decompose(raw_f, raw_t, ef, efm, math.sqrt(N * b))
         bad_rows = ~(np.isfinite(t_full) & np.isfinite(t_zeta) & np.isfinite(t_rem))
         report.nonfinite += int(np.sum(bad_rows))
@@ -413,9 +403,7 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
                 "M": plan.M,
                 "replicates": R,
                 "seeds": {"master": config.master_seed, "stream": stream},
-                "centering": config.centering,
                 "sigma2_target": sigma2,
-                "sigma2_exact_oracle": oracle.exact,
                 "oracle": oracle.summary(),
                 "T": _finite_or_null(T),
                 "T_zeta": _finite_or_null(t_zeta[:, xi]),
@@ -423,8 +411,6 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
             }
             nonfinite = int(np.sum(bad_rows[:, xi]))
             entry.update(dict.fromkeys(_MOMENT_KEYS) if nonfinite else _moments(T, t_rem[:, xi]))
-            if config.centering == "pooled":
-                entry["pooled_correlation"] = 1.0 / R
             if nonfinite:
                 entry["verdicts"] = {"overall": "fail", "nonfinite": nonfinite}
             elif R >= MIN_REPLICATES_FOR_VERDICT:
@@ -498,11 +484,7 @@ def _block_samples(config: ExperimentConfig, plan: BlockPlan) -> list[dict]:
         tplan = TruncationPlan(M=m, B_M=residual_sqrt_mass(model, m), policy="fixed")
         reduce = partial(_block_windows, kernel=kern, b=b, point=x, m=m, l=l, q=q)
         totals, etas = _run_replicates(config, n, m, tplan, STREAM_OFFSETS["blocks"] + ni, reduce)
-        if config.centering == "oracle":
-            oracle = density_oracle(model, innov, m)
-            e_site = math.sqrt(b) * expected_kde(oracle, kern, b, x, truncated=True)
-        else:
-            e_site = float(totals.mean()) / (n**model.d)
+        e_site = math.sqrt(b) * expected_kde(density_oracle(model, innov, m), kern, b, x, truncated=True)
         out.append(
             {
                 "n": n,
@@ -655,10 +637,6 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
     smallest constant covering the grid is reported.
     """
     model, innov, kern, bw = config.model, config.innovations, config.kernel, config.bandwidth
-    if config.centering != "oracle":
-        raise ValueError("rectangle check supports oracle centering only")
-    if not innov.is_gaussian:
-        raise OracleError("oracle centering needs Gaussian innovations")
     delta, _ = config.resolve_delta()
     x = config.resolve_x()[0]
     R = config.replicates
@@ -779,14 +757,7 @@ def wu_inequality_check(
             acc[0] += float(y.sum())
             acc[1] += float((y**2).sum())
         done += take
-    if innovations.name == "gaussian":
-        kurt = 3.0
-    elif innovations.name == "uniform":
-        kurt = 9.0 / 5.0
-    elif innovations.nu > 4:
-        kurt = 3.0 + 6.0 / (innovations.nu - 4.0)
-    else:
-        kurt = None
+    kurt = innovations.kurtosis
     reports = []
     for q in orders:
         sum_y, sum_y2 = sums[q]
@@ -843,8 +814,6 @@ def fixed_m_gap(
         raise ValueError("mode must be 'fixed' or 'growing'")
     if mode == "fixed" and (m is None or m < 1):
         raise ValueError("fixed mode needs m >= 1")
-    if not config.innovations.is_gaussian:
-        raise OracleError("the truncation-gap oracle needs Gaussian innovations")
     config = replace(config, n_grid=n_grid or config.n_grid)
     x = config.resolve_x()[0]
     delta = config.resolve_delta()[0] if mode == "growing" else None

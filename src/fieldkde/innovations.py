@@ -61,8 +61,11 @@ class InnovationModel:
         return math.inf if self.name != "student_t" else self.nu
 
     @property
-    def is_gaussian(self) -> bool:
-        return self.name == "gaussian"
+    def kurtosis(self) -> float | None:
+        """E eps^4, or None where it is infinite."""
+        if self.name == "student_t":
+            return 3.0 + 6.0 / (self.nu - 4.0) if self.nu > 4.0 else None
+        return 3.0 if self.name == "gaussian" else 9.0 / 5.0
 
     def to_config(self) -> dict:
         cfg = {"name": self.name}

@@ -1,33 +1,26 @@
 """Kernels, bandwidth schedules, the kernel density estimator, and density oracles.
 
-For Gaussian innovations the marginal density of the field and of its
-truncated version is an explicit normal law, so the estimator's
-centering E f_n(x) and the limit variance p(x) * int K^2 are closed forms
-instead of estimates.  Non-Gaussian innovations get a diagnostic-only Monte
-Carlo oracle.
+The density oracle gives the marginal density p of the field, p_m of its
+m-truncation and the centering E f_n(x) for every innovation law: in
+closed form for Gaussian innovations, otherwise by Fourier inversion of
+phi_X(t) = prod_k phi_eps(a_k t) with a certified error bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import erfc, gamma, kv, ndtr, spherical_jn
 
-from .coefficients import (
-    CoefficientModel,
-    box_mass,
-    coeff_box,
-    total_sq_mass,
-)
-from .innovations import InnovationModel, SeedSpec, spawn_rng
+from .coefficients import CoefficientModel, box_mass, coeff_box, residual_sqrt_mass, total_sq_mass
+from .innovations import UNIFORM_HALF_WIDTH, InnovationModel
 
 __all__ = [
     "KernelModel",
     "BandwidthSchedule",
     "DensityOracle",
-    "OracleError",
     "kernel_by_name",
     "kde_estimate",
     "expected_kde",
@@ -37,10 +30,6 @@ __all__ = [
 ]
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
-
-
-class OracleError(RuntimeError):
-    """Raised when an exact density oracle is required but unavailable."""
 
 
 def _epanechnikov(u):
@@ -228,104 +217,157 @@ def sup_abs_normal_diff(v1: float, v2: float) -> float:
 class DensityOracle:
     """Marginal and truncated density data for one model at one m.
 
-    Exact mode (Gaussian innovations): all densities are centered normals
-    with variances from the coefficient masses.  Diagnostic mode: histogram
-    estimates with standard errors, usable for reporting but refused by the
-    exact centering.
+    Gaussian innovations: centered normals.  Other laws: phi of X and of X_m
+    on the nodes ``t`` with weights ``w``, within ``error_bound`` of the true
+    densities; ``sup_gap`` is then the bound (1/pi) int |phi_X - phi_(X_m)|.
     """
 
-    exact: bool
     m: int
     variance: float
     truncated_variance: float
-    sup_marginal: float
-    sup_truncated: float
-    sup_gap: float
-    density_regularity: str
-    diagnostics: dict = field(default_factory=dict)
+    sup_marginal: float = 0.0
+    sup_truncated: float = 0.0
+    sup_gap: float = 0.0
+    density_regularity: str = ""
+    error_bound: float = 0.0
+    t: np.ndarray | None = None
+    w: np.ndarray | None = None
+    phi: np.ndarray | None = None
+    phi_m: np.ndarray | None = None
+    half_period: float = math.inf
+
+    def invert(self, x, f):
+        """sum_j w_j f_j cos(t_j x) for scalar or array ``x``, clipped at 0; 0 from half the period on."""
+        xs = np.asarray(x, dtype=float)
+        wf = self.w * f
+        out = np.array([max(np.dot(np.cos(self.t * xi), wf), 0.0) if abs(xi) < self.half_period else 0.0
+                        for xi in xs.ravel()])
+        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
     def p(self, x):
-        if self.exact:
-            return _normal_pdf(x, self.variance)
-        return np.interp(
-            np.asarray(x, dtype=float),
-            self.diagnostics["grid"],
-            self.diagnostics["marginal"],
-        )
+        return _normal_pdf(x, self.variance) if self.phi is None else self.invert(x, self.phi)
 
     def p_m(self, x):
-        if self.exact:
-            return _normal_pdf(x, self.truncated_variance)
-        return np.interp(
-            np.asarray(x, dtype=float),
-            self.diagnostics["grid"],
-            self.diagnostics["truncated"],
-        )
+        return _normal_pdf(x, self.truncated_variance) if self.phi is None else self.invert(x, self.phi_m)
 
     def summary(self) -> dict:
-        return {
-            "exact": self.exact,
-            "m": self.m,
-            "variance": self.variance,
-            "truncated_variance": self.truncated_variance,
-            "sup_marginal": self.sup_marginal,
-            "sup_truncated": self.sup_truncated,
-            "sup_gap": self.sup_gap,
-            "density_regularity": self.density_regularity,
-        }
+        names = ("m", "variance", "truncated_variance", "sup_marginal", "sup_truncated", "sup_gap",
+                 "density_regularity", "error_bound")
+        return {name: getattr(self, name) for name in names}
 
 
-def _mc_marginals(model, innovations, m, sample, seed):
-    """Histogram density estimates of X_0 and its m-truncation."""
-    rng = spawn_rng(seed)
-    side = 64 if model.d == 1 else 24
-    side = max(side, m)
-    a = coeff_box(model, side).ravel()
-    a_m = coeff_box(model, side).copy()
-    mask = np.zeros_like(a_m, dtype=bool)
-    mask[(slice(0, m),) * model.d] = True
-    a_m[~mask] = 0.0
-    a_m = a_m.ravel()
-    vals = np.empty(sample)
-    vals_m = np.empty(sample)
-    chunk = max(1, (1 << 22) // a.size)
-    from .innovations import _draw  # local: chunked draws share one generator
-
-    for lo in range(0, sample, chunk):
-        hi = min(lo + chunk, sample)
-        eps = _draw(innovations, rng, (hi - lo, a.size))
-        vals[lo:hi] = eps @ a
-        vals_m[lo:hi] = eps @ a_m
-    lim = max(np.abs(vals).max(), np.abs(vals_m).max())
-    bins = np.linspace(-lim, lim, 121)
-    grid = 0.5 * (bins[:-1] + bins[1:])
-    width = bins[1] - bins[0]
-    h, _ = np.histogram(vals, bins=bins)
-    h_m, _ = np.histogram(vals_m, bins=bins)
-    dens = h / (sample * width)
-    dens_m = h_m / (sample * width)
-    se = np.sqrt(np.maximum(dens, 1e-12) / (sample * width))
-    return {
-        "grid": grid,
-        "marginal": dens,
-        "truncated": dens_m,
-        "se": se,
-        "sample": sample,
-    }
+def _innovation_cf(innovations: InnovationModel, s):
+    """phi_eps(s) for s >= 0, the characteristic function of one unit-variance innovation."""
+    if innovations.name == "gaussian":
+        return np.exp(-0.5 * s * s)
+    if innovations.name == "uniform":
+        return np.sinc(UNIFORM_HALF_WIDTH * s / math.pi)
+    return _bessel_form(0.5 * innovations.nu, math.sqrt(innovations.nu - 2.0) * s)
 
 
-def density_oracle(
-    model: CoefficientModel,
-    innovations: InnovationModel,
-    m: int,
-    mc_sample: int = 200_000,
-    seed: SeedSpec | None = None,
-) -> DensityOracle:
-    """Exact density of X_0 and of its m-truncation (Gaussian case).
+def _bessel_form(mu: float, z):
+    """psi_mu(z) = z^mu K_mu(z) / (Gamma(mu) 2^(mu-1)), phi of the unit-variance t(2 mu) at z/sqrt(2 mu - 2).
 
-    The marginal is N(0, v) with v = sum a_k^2 and the truncated marginal is
-    N(0, v_m) with v_m the mass of [0, m)^d.  For non-Gaussian innovations a
-    histogram-based diagnostic oracle is returned instead (``exact=False``).
+    K_mu overflows at large orders, so the order climbs from k in (1, 2] by the
+    positive sum psi_(k+1) = psi_k + z^2 psi_(k-1) / (4 k (k-1)).  Below z = 1e-8,
+    psi_k is 1 - z^2/(4 (k-1)); psi_(k-1) enters only times z^2 and is taken as 1.
+    """
+    k = mu - math.ceil(mu - 2.0)
+
+    def low(order, near_zero):
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.where(z > 1e-8, z**order * kv(order, z) / (gamma(order) * 2.0 ** (order - 1.0)), near_zero)
+
+    prev, cur = low(k - 1.0, 1.0), low(k, 1.0 - z * z / (4.0 * (k - 1.0)))
+    for step in range(math.ceil(mu - 2.0)):
+        prev, cur = cur, cur + z * z * prev / (4.0 * (k + step) * (k + step - 1.0))
+    return cur
+
+
+def _envelope_tail(innovations: InnovationModel, weights: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Upper bound on int_T^inf |prod_k phi_eps(a_k t)| dt at each T, from ``weights`` |a_k| in descending order.
+
+    Uniform: |sinc x| <= 1/|x| on the J largest weights, minimised over J >= 2.  Student t and
+    Gaussian: the largest weight alone, with int_Z^inf z^mu K_mu(z) dz <= Z^mu K_(mu+1)(Z) for t.
+    """
+    a = weights[0]
+    if innovations.name == "uniform":
+        logs = np.cumsum(np.log(UNIFORM_HALF_WIDTH * weights))[1:, np.newaxis]
+        J = np.arange(2, weights.size + 1)[:, np.newaxis]
+        return np.exp(np.min(-logs - (J - 1) * np.log(T) - np.log(J - 1), axis=0))
+    if innovations.name == "gaussian":
+        return math.sqrt(0.5 * math.pi) / a * erfc(a * T / math.sqrt(2.0))
+    mu, c = 0.5 * innovations.nu, math.sqrt(innovations.nu - 2.0) * a
+    return 2.0 * mu * _bessel_form(mu + 1.0, c * T) / (c * c * T)  # Z^mu K_(mu+1)(Z) / (Gamma(mu) 2^(mu-1) c)
+
+
+def _box_cf(innovations: InnovationModel, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """prod_k phi_eps(a_k t), one factor per distinct weight raised to its count."""
+    out = np.ones_like(t)
+    for a, count in zip(*np.unique(weights, return_counts=True)):
+        out *= _innovation_cf(innovations, a * t) ** count
+    return out
+
+
+def _inverted(oracle: DensityOracle, model: CoefficientModel, innovations: InnovationModel) -> DensityOracle:
+    """``oracle`` with its densities from Fourier inversion, for any innovation law.
+
+    phi_(X_m) is exact; phi_X is exact on [0, L)^d and exp(-B_L^2 t^2/2) off
+    it.  The trapezoid nodes t_j = j h give the density periodised with
+    period 2 pi/h = 4 R.  ``error_bound`` adds bounds on the tail
+    replacement, on the integral beyond the last node and on the aliasing;
+    README, "Density oracles", gives L, R, the nodes and each bound.
+
+    Raises ``ValueError`` for uniform innovations with fewer than two nonzero
+    weights in [0, m)^d: that density has jumps and its phi is not integrable.
+    """
+    v, sd = oracle.variance, math.sqrt(oracle.variance)
+    L = oracle.m
+    while residual_sqrt_mass(model, L) ** 2 > 1e-13 * v and (2 * L) ** model.d <= 1 << 16:
+        L *= 2
+    # the nonzero |a_k| of each box, in descending order
+    box_m, box = (np.sort(np.abs(a[a != 0.0]))[::-1] for a in (coeff_box(model, oracle.m), coeff_box(model, L)))
+    if innovations.name == "uniform" and box_m.size < 2:
+        raise ValueError("uniform innovations need two nonzero weights in [0, m)^d: with one, the truncated "
+                         "density has jumps and its characteristic function is not integrable")
+    tail = residual_sqrt_mass(model, L) ** 2
+    radius = 128.0 * sd
+    if innovations.name == "uniform" and UNIFORM_HALF_WIDTH * box.sum() + 8.0 * sd < radius:
+        radius, aliasing = UNIFORM_HALF_WIDTH * box.sum() + 8.0 * sd, 0.0
+    elif innovations.kurtosis is None:
+        aliasing = 1.052 * 2.0 * v / radius**3  # 1.052 >= (1 - 2^-3) zeta(3)
+    else:  # 1.0046 >= (1 - 2^-5) zeta(5); sum a^4 over the tail is at most B_L^4
+        aliasing = 1.0046 * (12.0 * v * v + max(innovations.kurtosis - 3.0, 0.0) * (np.sum(box**4) + tail**2)) / radius**5
+    h = 0.5 * math.pi / radius
+    grid = h * 2.0 ** (np.arange(8 * 19 + 1) / 8.0)
+
+    def cutoff(weights):
+        envelope = _envelope_tail(innovations, weights[:128], grid)
+        k = min(int(np.sum(envelope > 1e-15)), grid.size - 1)  # the envelope falls with T
+        return math.ceil(grid[k] / h - 1e-9) + 1, float(envelope[k]) / math.pi
+
+    (size, truncation_m), (size_box, truncation) = cutoff(box_m), cutoff(box)
+    t = h * np.arange(size)
+    w = np.full(size, h / math.pi)
+    w[0] *= 0.5
+    phi_box = np.zeros(size)
+    phi_box[:size_box] = _box_cf(innovations, box, t[:size_box])
+    replacement = tail * float(np.dot(w, t * t * np.abs(phi_box)))
+    out = replace(
+        oracle, t=t, w=w, phi=phi_box * np.exp(-0.5 * tail * t * t), phi_m=_box_cf(innovations, box_m, t),
+        half_period=2.0 * radius, error_bound=max(replacement + truncation, truncation_m) + aliasing,
+    )
+    out.sup_marginal, out.sup_truncated = out.p(0.0), out.p_m(0.0)
+    out.sup_gap = float(np.dot(w, np.abs(out.phi - out.phi_m)))
+    return out
+
+
+def density_oracle(model: CoefficientModel, innovations: InnovationModel, m: int) -> DensityOracle:
+    """Density of X_0 and of its m-truncation, for any innovation law.
+
+    Gaussian innovations: N(0, v) with v = sum a_k^2 and N(0, v_m) with v_m
+    the mass of [0, m)^d, in closed form with ``error_bound`` 0.  Other laws:
+    Fourier inversion (``_inverted``), whose sups are the values at 0.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -333,35 +375,20 @@ def density_oracle(
     v_m = box_mass(model, m)
     if v_m <= 0:
         raise ValueError("truncated field is degenerate (no mass in [0, m)^d)")
-    regularity = (
-        "lipschitz-certified" if innovations.lipschitz_density else "not certified"
-    )
-    if not innovations.is_gaussian:
-        diag = _mc_marginals(
-            model, innovations, m, mc_sample, seed or SeedSpec(master=0x5EED, stream=977)
-        )
-        dens, dens_m = diag["marginal"], diag["truncated"]
-        return DensityOracle(
-            exact=False,
-            m=m,
-            variance=v,
-            truncated_variance=v_m,
-            sup_marginal=float(dens.max()),
-            sup_truncated=float(dens_m.max()),
-            sup_gap=float(np.max(np.abs(dens - dens_m))),
-            density_regularity=regularity,
-            diagnostics=diag,
-        )
-    return DensityOracle(
-        exact=True,
-        m=m,
-        variance=v,
-        truncated_variance=v_m,
-        sup_marginal=1.0 / math.sqrt(2.0 * math.pi * v),
-        sup_truncated=1.0 / math.sqrt(2.0 * math.pi * v_m),
-        sup_gap=sup_abs_normal_diff(v_m, v),
-        density_regularity=regularity,
-    )
+    regularity = "lipschitz-certified" if innovations.lipschitz_density else "not certified"
+    if innovations.name != "gaussian":
+        return _inverted(DensityOracle(m, v, v_m, density_regularity=regularity), model, innovations)
+    peak, peak_m = (1.0 / math.sqrt(2.0 * math.pi * var) for var in (v, v_m))
+    return DensityOracle(m, v, v_m, peak, peak_m, sup_abs_normal_diff(v_m, v), regularity)
+
+
+# characteristic functions int K(v) e^(iuv) dv of the kernels at u >= 0; the
+# Epanechnikov one, 3 (sin u - u cos u)/u^3, is 3 j_1(u)/u without the cancellation near 0
+_KERNEL_CFS = {
+    "epanechnikov": lambda u: np.where(u > 0.0, 3.0 * spherical_jn(1, u) / np.maximum(u, 1e-300), 1.0),
+    "gaussian": lambda u: np.exp(-0.5 * u * u),
+    "triangular": lambda u: np.sinc(u / (2.0 * math.pi)) ** 2,
+}
 
 
 # even moments mu_2j = int u^(2j) K(u) du of the compact kernels
@@ -412,19 +439,20 @@ def _moment_series(name: str, a, beta: float):
 
 
 def expected_kde(oracle: DensityOracle, kernel: KernelModel, b: float, x, truncated: bool = False):
-    """E f_n(x) = int K(u) p(x - b u) du in closed form, for scalar or array ``x``.
+    """E f_n(x) = int K(u) p(x - b u) du, for scalar or array ``x``.
 
-    p is N(0, v), v the truncated variance when ``truncated``.  The Gaussian
-    kernel gives the N(0, v + b^2) density.  For the compact kernels, with
-    s = sqrt(v) and beta = b/s, it is (1/s) int K(u) phi(|x|/s - beta u) du:
-    the Phi/phi form for beta >= 1, the moment series for beta < 1.
-    Independent of n.  Refuses diagnostic oracles: pooled-mean centering is
-    the supported route for non-Gaussian innovations.
+    p is the oracle's marginal, or its truncated one when ``truncated``.
+    Gaussian innovations, p = N(0, v): the Gaussian kernel gives the
+    N(0, v + b^2) density; for the compact kernels, with s = sqrt(v) and
+    beta = b/s, it is (1/s) int K(u) phi(|x|/s - beta u) du, from the Phi/phi
+    form for beta >= 1 and from the moment series for beta < 1.  Other laws:
+    the oracle's inversion with the kernel's characteristic function at b t,
+    within ``oracle.error_bound``.  Independent of n.
     """
     if b <= 0:
         raise ValueError("bandwidth must be positive")
-    if not oracle.exact:
-        raise OracleError("exact centering needs Gaussian innovations; use pooled centering")
+    if oracle.phi is not None:
+        return oracle.invert(x, (oracle.phi_m if truncated else oracle.phi) * _KERNEL_CFS[kernel.name](b * oracle.t))
     v = oracle.truncated_variance if truncated else oracle.variance
     xs = np.asarray(x, dtype=float)
     if kernel.name == "gaussian":

@@ -186,29 +186,6 @@ class TestRunCltExperiment:
         c = canonical_json(run_clt_experiment(cfg4).to_dict())
         assert a == b == c
 
-    def test_pooled_centering_non_gaussian(self, geometric_half):
-        cfg = _config(
-            geometric_half,
-            innovations=InnovationModel("student_t", nu=5.0),
-            bandwidth=BandwidthSchedule(d=1, gamma=0.4),
-            n_grid=(1024,),
-            delta=0.2,
-            replicates=150,
-            centering="pooled",
-        )
-        rep = run_clt_experiment(cfg)
-        pt = rep.points[0]
-        assert pt["sigma2_exact_oracle"] is False
-        assert pt["pooled_correlation"] == pytest.approx(1.0 / 150.0)
-        assert abs(np.mean(pt["T"])) < 1e-12  # pooled centering zeroes the mean
-
-    def test_oracle_centering_rejects_non_gaussian(self, geometric_half):
-        from fieldkde import OracleError
-
-        cfg = _config(geometric_half, innovations=InnovationModel("uniform"))
-        with pytest.raises(OracleError):
-            run_clt_experiment(cfg)
-
     def test_fail_regime_runs_but_is_labelled(self, power_d2):
         # experiments outside the feasible window are allowed with an
         # explicit schedule and carry the window verdict in the report
@@ -614,9 +591,3 @@ class TestTruncationGap:
         assert gaps[-1] <= 0.5 * gaps[0]
         assert rep["fitted_c"] > 0
 
-    def test_needs_gaussian(self, geometric_half):
-        from fieldkde import OracleError
-
-        cfg = _config(geometric_half, innovations=InnovationModel("uniform"))
-        with pytest.raises(OracleError):
-            fixed_m_gap(cfg, m=2, mode="fixed")

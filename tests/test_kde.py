@@ -11,7 +11,6 @@ from fieldkde import (
     CoefficientModel,
     DensityOracle,
     InnovationModel,
-    OracleError,
     SeedSpec,
     asymptotic_variance,
     density_oracle,
@@ -19,8 +18,9 @@ from fieldkde import (
     kde_estimate,
     kernel_by_name,
 )
+from fieldkde.cli import main
 from fieldkde.innovations import draw_lattice
-from fieldkde.kde import EXP_ZERO_FLOOR, sup_abs_normal_diff
+from fieldkde.kde import EXP_ZERO_FLOOR, _inverted, sup_abs_normal_diff
 
 from conftest import MASTER_SEED
 from quadrature_reference import adaptive_simpson
@@ -64,7 +64,6 @@ def _oracle(v):
     """Exact oracle whose full and truncated marginals are both N(0, v)."""
     peak = 1.0 / math.sqrt(2.0 * math.pi * v)
     return DensityOracle(
-        exact=True,
         m=1,
         variance=v,
         truncated_variance=v,
@@ -238,28 +237,6 @@ class TestDensityOracle:
         with pytest.raises(ValueError):
             density_oracle(model, gaussian_innov, 1)
 
-    def test_mc_oracle_flags_and_histogram(self, geometric_half):
-        o = density_oracle(geometric_half, InnovationModel("uniform"), 2, mc_sample=100_000)
-        assert not o.exact
-        assert o.density_regularity == "not certified"
-        # histogram should put the right mass near the centre
-        assert o.p(0.0) == pytest.approx(
-            1.0 / math.sqrt(2 * math.pi * o.variance), rel=0.2
-        )
-
-    def test_histogram_matches_exact_density(self, geometric_half, gaussian_innov):
-        # Monte Carlo draws of the field value against the exact normal law
-        from fieldkde.kde import _mc_marginals
-
-        diag = _mc_marginals(geometric_half, gaussian_innov, 2, 10**6, SeedSpec(MASTER_SEED, 31))
-        v = 4.0 / 3.0
-        exact = np.exp(-diag["grid"] ** 2 / (2 * v)) / math.sqrt(2 * math.pi * v)
-        inside = diag["marginal"] > 0.01
-        err = np.abs(diag["marginal"] - exact)[inside]
-        se = diag["se"][inside]
-        # sup over ~120 bins: two-sided 1% Bonferroni critical value ~ 3.94
-        assert np.max(err / se) < 4.0
-
 
 class TestExpectedKde:
     def test_gaussian_kernel_convolution_identity(self, geometric_half, gaussian_innov):
@@ -282,11 +259,6 @@ class TestExpectedKde:
         o = density_oracle(geometric_half, gaussian_innov, 2)
         vals = [expected_kde(o, epanechnikov, 0.3, x) for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
         assert max(vals) == vals[2]
-
-    def test_refuses_mc_oracle(self, geometric_half):
-        o = density_oracle(geometric_half, InnovationModel("uniform"), 2, mc_sample=20_000)
-        with pytest.raises(OracleError):
-            expected_kde(o, kernel_by_name("gaussian"), 0.2, 0.0)
 
     # beta = b / sqrt(v) spans both sides of the switch between the Phi/phi
     # form (beta >= 1) and the moment series (beta < 1)
@@ -353,6 +325,79 @@ class TestExpectedKde:
         o = density_oracle(geometric_half, gaussian_innov, 2)
         with pytest.raises(TypeError):
             expected_kde(o, epanechnikov, 0.3, 0.0, tol=1e-10)
+
+
+class TestInversionOracle:
+    """Fourier inversion of phi_X against densities known in closed form."""
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    @pytest.mark.parametrize("model_name", ("geometric_half", "power_d2"))
+    def test_gaussian_cf_reproduces_closed_forms(self, request, model_name, m, gaussian_innov):
+        model = request.getfixturevalue(model_name)
+        closed = density_oracle(model, gaussian_innov, m)
+        inverted = _inverted(closed, model, gaussian_innov)
+        assert inverted.phi is not None and closed.phi is None
+        xs = np.linspace(-6.0, 6.0, 49) * math.sqrt(closed.variance)
+        for a, b in ((inverted.p(xs), closed.p(xs)), (inverted.p_m(xs), closed.p_m(xs))):
+            assert np.max(np.abs(a - b)) <= min(1e-11, inverted.error_bound)
+        for name in KERNEL_NAMES:
+            k = kernel_by_name(name)
+            for b in (0.01, 0.2, 1.0):
+                for truncated in (False, True):
+                    got = expected_kde(inverted, k, b, xs, truncated=truncated)
+                    want = expected_kde(closed, k, b, xs, truncated=truncated)
+                    assert np.max(np.abs(got - want)) <= min(1e-11, inverted.error_bound), (name, b, truncated)
+
+    def test_uniform_pair_matches_triangular_density(self):
+        model = CoefficientModel(d=1, family="finite_support", table=np.array([1.0, 1.0]))
+        o = density_oracle(model, InnovationModel("uniform"), 2)
+        edge = 2.0 * math.sqrt(3.0)
+        kinks = np.array([0.0, edge, -edge])
+        smooth = np.array([0.1, -0.5, 1.0, 1.7, 2.5, -3.0, 3.4, 3.6, 5.0, 8.0])
+        for xs in (kinks, smooth):
+            want = np.maximum(edge - np.abs(xs), 0.0) / 12.0
+            for got in (o.p(xs), o.p_m(xs)):
+                assert np.all(np.abs(got - want) <= o.error_bound)
+        # at the kinks the inversion converges as 1/T; elsewhere as 1/T^2
+        for got in (o.p(smooth), o.p_m(smooth)):
+            assert np.max(np.abs(got - np.maximum(edge - np.abs(smooth), 0.0) / 12.0)) <= 1e-9
+
+    def test_single_t_weight_matches_scaled_t_density(self):
+        model = CoefficientModel(d=1, family="finite_support", table=np.array([1.0]))
+        o = density_oracle(model, InnovationModel("student_t", nu=5.0), 1)
+        xs = np.array([0.0, 0.3, -1.0, 2.0, 5.0, -10.0, 40.0])
+        want = math.gamma(3.0) / (math.sqrt(3.0 * math.pi) * math.gamma(2.5)) * (1.0 + xs**2 / 3.0) ** -3.0
+        for got in (o.p(xs), o.p_m(xs)):
+            assert np.max(np.abs(got - want)) <= min(1e-9, o.error_bound)
+        assert o.sup_marginal == o.p(0.0)
+
+    @pytest.mark.parametrize("innovations", (InnovationModel("uniform"), InnovationModel("student_t", nu=5.0)))
+    def test_centering_matches_monte_carlo(self, geometric_half, innovations):
+        # E K_b(x - X) against the mean over independent draws of X from 40 weights
+        o = density_oracle(geometric_half, innovations, 2)
+        k = kernel_by_name("epanechnikov")
+        a = 0.5 ** np.arange(40)
+        eps = draw_lattice(innovations, SeedSpec(MASTER_SEED, 41), (200_000, a.size))
+        xs = eps @ a
+        for x in (0.0, 1.0):
+            vals = k((x - xs) / 0.5) / 0.5
+            se = vals.std() / math.sqrt(vals.size)
+            assert expected_kde(o, k, 0.5, x) == pytest.approx(vals.mean(), abs=4.0 * se)
+
+    def test_uniform_single_weight_refused(self, tmp_path, capsys):
+        model = CoefficientModel(d=1, family="finite_support", table=np.array([1.0]))
+        with pytest.raises(ValueError, match="two nonzero weights"):
+            density_oracle(model, InnovationModel("uniform"), 1)
+        code = main(["kde", "--set", 'coefficient={"family":"finite_support","d":1,"table":[1.0]}',
+                     "--set", 'innovations={"name":"uniform"}', "--set", "kde.n=64", "--out", str(tmp_path)])
+        assert code == 1
+        assert "uniform innovations need two nonzero weights" in capsys.readouterr().err
+
+    def test_summary_carries_the_bound(self, geometric_half, gaussian_innov):
+        assert density_oracle(geometric_half, gaussian_innov, 2).summary()["error_bound"] == 0.0
+        o = density_oracle(geometric_half, InnovationModel("student_t", nu=5.0), 2)
+        assert 0.0 < o.summary()["error_bound"] < 1e-8
+        assert "exact" not in o.summary()
 
 
 def test_sup_abs_normal_diff_closed_form():

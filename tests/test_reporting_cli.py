@@ -190,11 +190,26 @@ class TestCli:
         assert code == 0
         out = tmp_path / "gen_field"
         report = json.loads((out / "report.json").read_text())
-        assert report["coupling_max_abs_gap"] == 0.0
         from fieldkde.field import read_field_binary
 
         f = read_field_binary(out / "field_full.bin")
         assert f.n == 16
+        # X - X_m against the lattice convolved apart with the weights off [0, m)^d
+        assert report["coupling_max_abs_gap"] <= 1e-12 * np.max(np.abs(f.values))
+
+    def test_gen_field_coupling_check_sees_a_broken_truncation(self, tmp_path, monkeypatch):
+        from fieldkde.field import CoupledSpectra
+
+        convolve = CoupledSpectra.convolve
+
+        def broken(self, eps):
+            x, x_m = convolve(self, eps)
+            return x, x_m + 1e-9
+
+        monkeypatch.setattr(CoupledSpectra, "convolve", broken)
+        assert _run(tmp_path, "gen-field", "--set", "gen_field.n=16") == 0
+        report = json.loads((tmp_path / "gen_field" / "report.json").read_text())
+        assert report["coupling_max_abs_gap"] == pytest.approx(1e-9, rel=1e-3)
 
     @pytest.mark.parametrize("sub", list(THREAD_INVARIANCE_SETS))
     def test_reports_identical_across_thread_counts(self, tmp_path, sub):
@@ -242,6 +257,8 @@ class TestCli:
             ("moment_check.variance_band=0.1", "moment_check.variance_band"),
             ("gap.variance_band=0.1", "gap.variance_band"),
             ('gap.centering="oracle"', "gap.centering"),
+            # centering is always the density oracle's
+            ('clt.centering="oracle"', "clt.centering"),
         ],
     )
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, assignment, key):
@@ -384,6 +401,34 @@ class TestCli:
 
     def test_unknown_config_file(self, tmp_path):
         assert _run(tmp_path, "clt-run", "--config", "/nonexistent.json") == 1
+
+    @pytest.mark.parametrize("doc", ["[1]", "3", '"x"', "null"])
+    def test_config_file_not_an_object_exit_1(self, tmp_path, capsys, doc):
+        path = tmp_path / "top.json"
+        path.write_text(doc)
+        assert _run(tmp_path, "check-conditions", "--config", str(path)) == 1
+        assert str(path) in capsys.readouterr().err
+
+    # every subcommand under each non-Gaussian law, at m >= 2 wherever an oracle is built
+    LAW_COVERAGE_RUNS = {
+        "kde": ["kde.n=256", "kde.x_grid=[-9,-2,0,2,9]"],  # +-9 lie beyond the uniform law's support
+        "gen-field": ["gen_field.n=32"],
+        "clt-run": ["clt.n_grid=[128]", "clt.replicates=20"],
+        "blocks": ["blocks.n_grid=[64,128]", "blocks.replicates=20"],
+        "moment-check": [
+            "moment_check.n_grid=[128]", "moment_check.replicates=20",
+            "moment_check.rectangles=[4,16]", "moment_check.wu_sample=2000",
+        ],
+        "fixed-m-gap": ["gap.n_grid=[256,1024]", "gap.replicates=20"],
+        "fixed-m-gap growing": ["gap.n_grid=[256,1024]", "gap.replicates=20", "gap.mode=growing"],
+    }
+
+    @pytest.mark.parametrize("innovations", ['{"name":"uniform"}', '{"name":"student_t","nu":5.0}'])
+    @pytest.mark.parametrize("run", list(LAW_COVERAGE_RUNS))
+    def test_every_subcommand_runs_under_non_gaussian_laws(self, tmp_path, capsys, run, innovations):
+        sets = [arg for s in self.LAW_COVERAGE_RUNS[run] for arg in ("--set", s)]
+        code = _run(tmp_path, run.split()[0], "--set", f"innovations={innovations}", *sets)
+        assert code in (0, 2), capsys.readouterr().err
 
     def test_kde_curve(self, tmp_path):
         code = _run(tmp_path, "kde", "--set", "kde.n=256")
