@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtr
 
 from .coefficients import (
     CoefficientModel,
@@ -49,6 +48,7 @@ from .kde import (
     density_oracle,
     expected_kde,
 )
+from .special import ndtr
 
 __all__ = [
     "ExperimentConfig",

@@ -27,7 +27,8 @@ from fractions import Fraction
 from functools import reduce
 
 import numpy as np
-from scipy.special import zeta
+
+from .special import zeta
 
 __all__ = [
     "CoefficientModel",

@@ -17,9 +17,9 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .coefficients import CoefficientModel, coeff_box, residual_sqrt_mass
+from .fourier import irfftn, next_fast_len, rfftn
 from .innovations import InnovationModel, draw_lattice
 
 __all__ = [
@@ -118,13 +118,16 @@ def plan_truncation(
 def estimate_field_bytes(d: int, n: int, M: int) -> int:
     """Peak footprint of one coupled generation on the FFT path.
 
-    Counts the innovation lattice of side n + M - 1, the zero-padded real
-    buffer of side P = next_fast_len(n + M - 1), four half spectra of
-    P^(d-1) * (P//2 + 1) complex values (the two coefficient spectra, the
-    lattice's and one product) and the two fields, which are views into
-    inverse transforms of side P.  The direct path allocates less.
+    Counts the innovation lattice of side n + M - 1, four half spectra of
+    P^(d-1) * (P//2 + 1) complex values with P = next_fast_len(n + M - 1)
+    (the two coefficient spectra, the lattice's and one product, which the
+    inverse transform overwrites) and three real buffers of side P, two of
+    them the inverse transforms the fields are views into.  The third is
+    headroom: the forward transform writes straight into the lattice's half
+    spectrum, so no padded real copy of the lattice exists.  The direct path
+    allocates less.
     """
-    P = next_fast_len(n + M - 1, real=True)
+    P = next_fast_len(n + M - 1)
     half = P ** (d - 1) * (P // 2 + 1)
     return 8 * ((n + M - 1) ** d + 3 * P**d) + 16 * 4 * half
 
@@ -145,8 +148,7 @@ def _fourier_valid(spectrum, coeff_spectrum, shape, lattice_shape, coeff_shape) 
     convolution of period P >= lattice side has no wrap-around in the valid
     region [c - 1, lattice side) of the linear one.
     """
-    axes = tuple(range(-len(shape), 0))
-    out = irfftn(spectrum * coeff_spectrum, shape, axes=axes, overwrite_x=True)
+    out = irfftn(spectrum * coeff_spectrum, shape)
     return out[(...,) + tuple(slice(c - 1, s) for c, s in zip(coeff_shape, lattice_shape))]
 
 
@@ -166,7 +168,7 @@ def lattice_convolve(lattice: np.ndarray, coeffs: np.ndarray, method: str = "aut
     if method == "auto":
         method = _auto_method(lattice.shape, coeffs)
     if method == "fourier":
-        shape = tuple(next_fast_len(s, real=True) for s in lattice.shape)
+        shape = tuple(next_fast_len(s) for s in lattice.shape)
         return _fourier_valid(
             rfftn(lattice, shape), rfftn(coeffs, shape), shape, lattice.shape, coeffs.shape
         )
@@ -231,7 +233,7 @@ class CoupledSpectra:
                 return lattice_convolve(eps[(slice(None),) + cut], coeffs[np.newaxis], "direct")
         else:
             # X_m convolves the same lattice with the M-box masked to [0, m)^d
-            spectrum = rfftn(eps, self.shape, axes=tuple(range(1, d + 1)))
+            spectrum = rfftn(eps, self.shape)
 
             def conv(coeff):
                 return _fourier_valid(spectrum, coeff, self.shape, eps.shape[1:], (self.M,) * d)
@@ -271,7 +273,7 @@ def coupled_spectra(
         return CoupledSpectra(n, m, M, method, a_full, a_trunc)
     if method != "fourier":
         raise ValueError(f"unknown convolution method {method!r}")
-    shape = (next_fast_len(n + M - 1, real=True),) * d
+    shape = (next_fast_len(n + M - 1),) * d
     return CoupledSpectra(n, m, M, method, rfftn(a_full, shape), rfftn(a_trunc, shape), shape)
 
 

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# loaded at import, not inside the first draw: numpy imports np.random lazily
+from numpy.random import Generator, Philox, SeedSequence
+
 __all__ = [
     "InnovationModel",
     "SeedSpec",
@@ -99,13 +102,12 @@ class SeedSpec:
         return {"master": self.master, "stream": self.stream, "replicate": self.replicate}
 
 
-def spawn_rng(seed: SeedSpec) -> np.random.Generator:
+def spawn_rng(seed: SeedSpec) -> Generator:
     """Philox generator keyed by hashing the seed triple; no global state."""
-    ss = np.random.SeedSequence((seed.master, seed.stream, seed.replicate))
-    return np.random.Generator(np.random.Philox(ss))
+    return Generator(Philox(SeedSequence((seed.master, seed.stream, seed.replicate))))
 
 
-def _draw(model: InnovationModel, rng: np.random.Generator, shape) -> np.ndarray:
+def _draw(model: InnovationModel, rng: Generator, shape) -> np.ndarray:
     if model.name == "gaussian":
         return rng.standard_normal(shape)
     if model.name == "uniform":

@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erfc, gamma, kv, ndtr, spherical_jn
 
 from .coefficients import CoefficientModel, box_mass, coeff_box, residual_sqrt_mass, total_sq_mass
 from .innovations import UNIFORM_HALF_WIDTH, InnovationModel
+from .special import erfc, ndtr
 
 __all__ = [
     "KernelModel",
@@ -265,6 +265,17 @@ def _innovation_cf(innovations: InnovationModel, s):
     return _bessel_form(0.5 * innovations.nu, math.sqrt(innovations.nu - 2.0) * s)
 
 
+def _scipy_special():
+    """scipy.special, imported on first use: the inversion oracle's kv, gamma and spherical_jn.
+
+    A fractional-order Bessel K, and spherical_jn below 1, have no short port
+    with scipy's bits; Gaussian runs never reach them and never load scipy.
+    """
+    import scipy.special
+
+    return scipy.special
+
+
 def _bessel_form(mu: float, z):
     """psi_mu(z) = z^mu K_mu(z) / (Gamma(mu) 2^(mu-1)), phi of the unit-variance t(2 mu) at z/sqrt(2 mu - 2).
 
@@ -273,10 +284,11 @@ def _bessel_form(mu: float, z):
     psi_k is 1 - z^2/(4 (k-1)); psi_(k-1) enters only times z^2 and is taken as 1.
     """
     k = mu - math.ceil(mu - 2.0)
+    sp = _scipy_special()
 
     def low(order, near_zero):
         with np.errstate(invalid="ignore", over="ignore"):
-            return np.where(z > 1e-8, z**order * kv(order, z) / (gamma(order) * 2.0 ** (order - 1.0)), near_zero)
+            return np.where(z > 1e-8, z**order * sp.kv(order, z) / (sp.gamma(order) * 2.0 ** (order - 1.0)), near_zero)
 
     prev, cur = low(k - 1.0, 1.0), low(k, 1.0 - z * z / (4.0 * (k - 1.0)))
     for step in range(math.ceil(mu - 2.0)):
@@ -385,7 +397,7 @@ def density_oracle(model: CoefficientModel, innovations: InnovationModel, m: int
 # characteristic functions int K(v) e^(iuv) dv of the kernels at u >= 0; the
 # Epanechnikov one, 3 (sin u - u cos u)/u^3, is 3 j_1(u)/u without the cancellation near 0
 _KERNEL_CFS = {
-    "epanechnikov": lambda u: np.where(u > 0.0, 3.0 * spherical_jn(1, u) / np.maximum(u, 1e-300), 1.0),
+    "epanechnikov": lambda u: np.where(u > 0.0, 3.0 * _scipy_special().spherical_jn(1, u) / np.maximum(u, 1e-300), 1.0),
     "gaussian": lambda u: np.exp(-0.5 * u * u),
     "triangular": lambda u: np.sinc(u / (2.0 * math.pi)) ** 2,
 }

@@ -4,7 +4,6 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 from fieldkde import (
     BandwidthSchedule,

@@ -517,12 +517,25 @@ class TestCli:
         assert [w["p"] for w in wu] == [1, 2]
         assert sum(drawn) == 1000 * wu[0]["truncation_side"]
 
-    def test_cli_import_leaves_out_scipy_stats(self):
+    def test_gaussian_runs_leave_out_scipy(self, tmp_path):
+        # importing scipy costs a process about a third of a second; only the
+        # inversion oracle, for uniform and Student t laws, loads scipy.special
         path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-        probe = "import sys, fieldkde.cli; print('scipy.stats' in sys.modules)"
+        config = str(REPO / "configs" / "power_decay_d2.json")
+        probe = f"""
+import sys
+import fieldkde.cli
+from fieldkde import CoefficientModel, InnovationModel, density_oracle
+print(any(m.split(".")[0] == "scipy" for m in sys.modules))
+for argv in (["clt-run", "--set", "clt.n_grid=[16]", "--set", "clt.replicates=2"], ["kde", "--set", "kde.n=32"]):
+    assert fieldkde.cli.main([*argv, "--config", {config!r}, "--out", {str(tmp_path)!r}]) in (0, 2)
+print(any(m.split(".")[0] == "scipy" for m in sys.modules))
+density_oracle(CoefficientModel(d=2, family="power_decay", q=4.0), InnovationModel("student_t", 5.0), 2)
+print("scipy.special" in sys.modules)
+"""
         done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
                               capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "False"
+        assert done.stdout.split() == ["False", "False", "True"]
 
     def test_scripts_sharing_a_subcommand_write_apart(self, tmp_path, monkeypatch):
         scripts = Path(__file__).resolve().parent.parent / "scripts"
