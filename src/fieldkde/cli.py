@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 import time
@@ -207,10 +208,25 @@ def _check_keys(cfg: dict) -> None:
         raise ToolError(f"unknown config key(s): {', '.join(unknown)}")
     if missing:
         raise ToolError(f"missing config key(s): {', '.join(missing)}")
+    # the manifest echoes the config, and reports hold finite numbers only
+    nonfinite = list(dict.fromkeys(_nonfinite_keys(cfg)))
+    if nonfinite:
+        raise ToolError(f"config key(s) must hold finite numbers: {', '.join(nonfinite)}")
     try:
         kernel_by_name(cfg["kernel"])
     except (TypeError, ValueError):  # TypeError: an unhashable value such as an object
         raise ToolError(f"config key 'kernel' must be a kernel name, got {cfg['kernel']!r}") from None
+
+
+def _nonfinite_keys(node, path=""):
+    """Dotted paths of every NaN or infinite number in ``node``, a list's elements under the list's key."""
+    if isinstance(node, float):
+        return [] if math.isfinite(node) else [path]
+    if isinstance(node, dict):
+        return [bad for key, value in node.items() for bad in _nonfinite_keys(value, f"{path}.{key}" if path else key)]
+    if isinstance(node, list):
+        return [bad for value in node for bad in _nonfinite_keys(value, path)]
+    return []
 
 
 def _bandwidth(cfg: dict) -> BandwidthSchedule:
@@ -359,9 +375,11 @@ def cmd_gen_field(cfg: dict, out_dir: Path):
 def cmd_kde(cfg: dict):
     sec = cfg["kde"]
     kern = kernel_by_name(cfg["kernel"])
-    model, innov, plan, b, values, _ = _coupled_draw(cfg, sec)
     n, m = int(sec["n"]), int(sec["m"])
     xs = [float(x) for x in sec["x_grid"]]
+    if not xs:
+        raise ToolError("kde.x_grid must be nonempty")
+    model, innov, plan, b, values, _ = _coupled_draw(cfg, sec)
     est = kde_estimate(values, np.array(xs), b, kern)
     rows = []
     oracle = density_oracle(model, innov, m)

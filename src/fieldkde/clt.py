@@ -119,6 +119,8 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if self.x_points is not None:
             object.__setattr__(self, "x_points", tuple(float(x) for x in self.x_points))
+            if not self.x_points or not all(map(math.isfinite, self.x_points)):
+                raise ValueError("x_points must be nonempty and finite")
 
     def resolve_delta(self) -> tuple[float, dict]:
         window = check_decay_window(

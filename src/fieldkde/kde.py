@@ -41,6 +41,9 @@ def _epanechnikov(u):
 # exp(w) is exactly 0.0 for w below this: it is under half the smallest
 # subnormal, 2**-1075 = exp(-745.13...)
 EXP_ZERO_FLOOR = -746.0
+# every kernel here is exactly 0.0 for |u| beyond this: the compact ones past
+# their support radius, the Gaussian where -u^2/2 falls below the floor
+KERNEL_REACH = math.sqrt(-2.0 * EXP_ZERO_FLOOR)
 
 
 def _gaussian_kernel(u):
@@ -162,13 +165,46 @@ def _kernel_sum(kernel, x, values, b, axis=None):
     return kernel(u).sum(axis=axis)
 
 
+def _windowed_sums(kernel, xs, data, b):
+    """``_kernel_sum`` at each of the points ``xs`` over the 1-D ``data``, bit for bit, from the sites in reach.
+
+    The data are sorted once, and each x evaluates the kernel only on the
+    sites within ``KERNEL_REACH`` bandwidths of it.  Those terms go into a
+    zeroed array of N doubles at their lattice positions, where every other
+    site holds the exact 0.0 the full sum gives it, and the sum runs over the
+    whole array in lattice order; a sum of the window alone would round
+    differently.
+    """
+    order = np.argsort(data)
+    ordered = data[order]
+    # the margin keeps rounding in (x - X)/b from dropping a site whose term is nonzero
+    reach = min(kernel.support_radius, KERNEL_REACH) * (1.0 + 1e-9) * b
+    lo = np.searchsorted(ordered, xs - reach, side="left")
+    hi = np.searchsorted(ordered, xs + reach, side="right")
+    terms = np.zeros(data.size)
+    sums = np.empty(xs.size)
+    for j, xi in enumerate(xs):
+        u = xi - ordered[lo[j]:hi[j]]
+        u /= b
+        sites = order[lo[j]:hi[j]]
+        terms[sites] = kernel(u)
+        sums[j] = terms.sum()
+        terms[sites] = 0.0
+    # a NaN datum sorts last and lies in no window, and a NaN x has an empty
+    # one, but either makes the full sum NaN
+    sums[np.isnan(xs) | np.isnan(ordered[-1])] = np.nan
+    return sums
+
+
 def kde_estimate(values, x, b: float, kernel: KernelModel):
     """Kernel density estimate (1/(N b)) * sum_i K((x - X_i)/b).
 
     ``values`` is any array of field values; ``x`` may be scalar or array.
-    Each x is one kernel sum over the N values, so memory stays at a few
-    arrays of N doubles however many points are asked for.  The estimate is
-    invariant under any permutation of the values.
+    The kernel sums are ``_windowed_sums``: one sort, then at each x the
+    kernel on the sites within its reach only, with the bits of the full sum
+    over all N sites.  Memory stays at three arrays of N doubles however many
+    points are asked for.  The estimate is invariant under any permutation
+    of the values.
     """
     if b <= 0:
         raise ValueError("bandwidth must be positive")
@@ -176,7 +212,7 @@ def kde_estimate(values, x, b: float, kernel: KernelModel):
     if data.size == 0:
         raise ValueError("field must be nonempty")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([_kernel_sum(kernel, xi, data, b) for xi in xs]) / data.size / b
+    out = _windowed_sums(kernel, xs, data, b) / data.size / b
     return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 

@@ -57,6 +57,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="at most 100"):
             fixed_m_gap(_config(geometric_half), m=2, n_grid=grid)
 
+    @pytest.mark.parametrize("points", [(), (math.nan,), (0.0, math.inf), (-math.inf,)])
+    def test_rejects_empty_or_nonfinite_x_points(self, geometric_half, points):
+        with pytest.raises(ValueError, match="x_points must be nonempty and finite"):
+            _config(geometric_half, x_points=points)
+
 
 def _fortran_head(x, x_m):
     """A reduction whose first output is a Fortran-ordered slice, as fancy-indexed block sums are."""

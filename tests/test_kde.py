@@ -20,9 +20,18 @@ from fieldkde import (
 )
 from fieldkde.cli import main
 from fieldkde.innovations import draw_lattice
-from fieldkde.kde import EXP_ZERO_FLOOR, _inverted, sup_abs_normal_diff
+from fieldkde.field import plan_truncation
+from fieldkde.kde import (
+    EXP_ZERO_FLOOR,
+    KERNEL_REACH,
+    KernelModel,
+    _inverted,
+    _kernel_sum,
+    _windowed_sums,
+    sup_abs_normal_diff,
+)
 
-from conftest import MASTER_SEED
+from conftest import MASTER_SEED, coupled_pair
 from quadrature_reference import adaptive_simpson
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
@@ -175,6 +184,68 @@ class TestEstimator:
         batch = kde_estimate(vals, xs, 0.3, epanechnikov)
         single = np.array([kde_estimate(vals, float(x), 0.3, epanechnikov) for x in xs])
         assert np.array_equal(batch, single)
+
+
+@st.composite
+def _windowed_cases(draw):
+    """(kernel name, data, xs, b) with sites on and near every window edge and non-finite values."""
+    name = draw(st.sampled_from(KERNEL_NAMES))
+    # 1e-12: every window empty; 1e3: every finite site in reach of every finite x
+    b = draw(st.sampled_from([1e-12, 1e3]) | st.floats(1e-6, 10.0))
+    xs = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=5))
+    data = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=30))
+    x0, edge = xs[0], min(kernel_by_name(name).support_radius, KERNEL_REACH) * b
+    data += [x0 - edge, x0 + edge]  # exactly at the edges of x0's window
+    # the Gaussian kernel's subnormal zone
+    data += [x0 + sign * u * b for sign, u in draw(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]),
+                                                                     st.floats(37.6, 38.7)), max_size=6))]
+    data += draw(st.lists(st.sampled_from(data), max_size=10))  # duplicates
+    data += draw(st.lists(st.sampled_from([math.inf, -math.inf]), max_size=2))
+    if draw(st.booleans()):
+        data.append(math.nan)
+    xs += [max(data) + 1.0, min(data) - 1.0]  # beyond the data, where finite
+    xs += draw(st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=3))
+    order = draw(st.permutations(range(len(data))))
+    return name, np.array(data)[list(order)], np.array(xs), b
+
+
+class TestWindowedSums:
+    @given(_windowed_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_bits_equal_the_full_sums(self, case):
+        name, data, xs, b = case
+        k = kernel_by_name(name)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _windowed_sums(k, xs, data, b)
+            want = np.array([_kernel_sum(k, x, data, b) for x in xs])
+            estimate = kde_estimate(data, xs, b, k)
+        same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+        assert same.all(), (got[~same], want[~same], xs[~same])
+        assert np.array_equal(estimate, got / data.size / b, equal_nan=True)
+        if np.isnan(data).any():
+            assert np.isnan(got).all()
+
+    def test_kernel_sees_only_the_sites_in_reach(self, power_d2, monkeypatch):
+        n = 128
+        b = 1.0 / n
+        plan = plan_truncation(power_d2, m=4, b=b)
+        field, _ = coupled_pair(power_d2, n, 4, plan, SeedSpec(MASTER_SEED, 31))
+        xs = np.linspace(-2.5, 2.5, 101)
+        k = kernel_by_name("gaussian")
+        counted = []
+        call = KernelModel.__call__
+
+        def counting(self, u):
+            counted.append(np.size(u))
+            return call(self, u)
+
+        monkeypatch.setattr(KernelModel, "__call__", counting)
+        kde_estimate(field, xs, b, k)
+        ordered = np.sort(field.ravel())
+        reach = KERNEL_REACH * (1.0 + 1e-9) * b
+        windows = np.searchsorted(ordered, xs + reach, side="right") - np.searchsorted(ordered, xs - reach)
+        assert counted == windows.tolist()
+        assert sum(counted) < 0.15 * field.size * xs.size
 
 
 class TestAsymptoticVariance:

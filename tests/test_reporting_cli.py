@@ -319,6 +319,9 @@ class TestCli:
             ("check-conditions", ['coefficient={"family":"tabulated","d":1,"table":[1.0]}'], "tabulated"),
             # CSV export is limited to sides <= 64
             ("gen-field", ["gen_field.write_csv=true", "gen_field.n=128"], "gen_field.write_csv"),
+            # the manifest echoes the config, and reports hold finite numbers only
+            ("check-conditions", ["bandwidth.gamma=NaN"], "bandwidth.gamma"),
+            ("gen-field", ['limits={"max_field_bytes":Infinity}'], "limits.max_field_bytes"),
         ],
     )
     def test_rejected_key_exit_1_naming_it(self, tmp_path, capsys, subcommand, sets, key):
@@ -329,6 +332,36 @@ class TestCli:
         assert key in capsys.readouterr().err
         out = tmp_path / subcommand.replace("-", "_")
         assert [p.name for p in out.iterdir() if p.name != "manifest.json"] == []
+
+    @pytest.mark.parametrize(
+        "subcommand,assignment,key",
+        [
+            ("kde", "kde.x_grid=[NaN]", "kde.x_grid"),
+            ("kde", "kde.x_grid=[0.0, Infinity]", "kde.x_grid"),
+            ("kde", "kde.x_grid=[]", "kde.x_grid"),
+            ("clt-run", "clt.x_points=[NaN]", "clt.x_points"),
+            ("clt-run", "clt.x_points=[]", "x_points"),
+            ("blocks", "blocks.x_points=[-Infinity]", "blocks.x_points"),
+            ("blocks", "blocks.x_points=[]", "x_points"),
+            ("moment-check", "moment_check.x_points=[NaN]", "moment_check.x_points"),
+            ("moment-check", "moment_check.x_points=[]", "x_points"),
+            ("fixed-m-gap", "gap.x_points=[Infinity]", "gap.x_points"),
+            ("fixed-m-gap", "gap.x_points=[]", "x_points"),
+        ],
+    )
+    def test_empty_or_nonfinite_evaluation_points_exit_1(self, tmp_path, capsys, monkeypatch, subcommand,
+                                                         assignment, key):
+        import fieldkde.clt as clt
+        import fieldkde.innovations as innovations
+
+        def no_draw(*args, **kw):
+            raise AssertionError("a field was drawn before the evaluation points were checked")
+
+        monkeypatch.setattr(innovations, "_draw", no_draw)
+        monkeypatch.setattr(clt, "_draw", no_draw)
+        assert _run(tmp_path, subcommand, "--set", assignment) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, err
 
     def test_gen_field_provenance(self, tmp_path):
         from fieldkde.field import read_field_binary
