@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +72,6 @@ DEFAULT_CONFIG = {
     "conditions": {
         "hallin_q": None,
         "qsum_q": None,
-        "qsum_radius": 256,
         "n_grid": [16, 32, 64, 128],
     },
     "gen_field": {"n": 64, "m": 2, "write_csv": False},
@@ -89,6 +89,7 @@ DEFAULT_CONFIG = {
         "n_grid": [256, 1024, 4096],
         "replicates": 400,
         "eps": [0.5, 1.0, 2.0],
+        "x_points": None,
     },
     "moment_check": {
         "wu_p": [1, 2],
@@ -97,19 +98,16 @@ DEFAULT_CONFIG = {
         "n_grid": [1024],
         "replicates": 400,
         "ratio_cap": 3.0,
+        "x_points": None,
     },
-    "gap": {"m": 2, "mode": "fixed", "n_grid": [1024, 4096], "replicates": 100},
+    "gap": {"m": 2, "mode": "fixed", "n_grid": [1024, 4096], "replicates": 100, "x_points": None},
 }
 
 
-# keys the lab reads that DEFAULT_CONFIG leaves unset; `variance_band` is
-# read only by clt-run's verdict, and fixed-m-gap does not center
+# parameters of one coefficient family or innovation law, which DEFAULT_CONFIG leaves unset
 _OPTIONAL_KEYS = {
     "coefficient": ("q", "scale", "table", "beta"),
     "innovations": ("nu",),
-    "blocks": ("x_points", "replicates"),
-    "moment_check": ("x_points", "replicates"),
-    "gap": ("x_points", "replicates"),
 }
 # keys that select a model, law or plan; a section replaced as a whole must keep them
 _REQUIRED_KEYS = {
@@ -232,7 +230,15 @@ def _nonfinite_keys(node, path=""):
 def _bandwidth(cfg: dict) -> BandwidthSchedule:
     d = int(cfg["coefficient"]["d"])
     bw = cfg["bandwidth"]
-    return BandwidthSchedule(d=d, gamma=float(bw["gamma"]), c2=float(bw.get("c2", 1.0)))
+    return BandwidthSchedule(d=d, gamma=float(bw["gamma"]), c2=float(bw["c2"]))
+
+
+def _points(sec: _Section, key: str) -> tuple:
+    """``sec[key]`` as floats; anything but a nonempty list of numbers exits 1 naming the key."""
+    values = sec[key]
+    if not (isinstance(values, list) and values and all(type(v) in (int, float) for v in values)):
+        raise ToolError(f"{sec.name}.{key} must be a nonempty list of numbers, got {json.dumps(values)}")
+    return tuple(float(v) for v in values)
 
 
 def _experiment(cfg: dict, section: str) -> ExperimentConfig:
@@ -244,15 +250,14 @@ def _experiment(cfg: dict, section: str) -> ExperimentConfig:
         kernel=kernel_by_name(cfg["kernel"]),
         bandwidth=_bandwidth(cfg),
         n_grid=tuple(sec["n_grid"]),
-        x_points=tuple(sec["x_points"]) if sec.get("x_points") is not None else None,
-        delta=cfg["schedule"].get("delta"),
+        x_points=None if sec["x_points"] is None else _points(sec, "x_points"),
+        delta=cfg["schedule"]["delta"],
         truncation_policy=truncation["policy"],
         truncation_eta=truncation["eta"],
         truncation_M=truncation["M"],
-        replicates=int(sec.get("replicates", 200)),
+        replicates=int(sec["replicates"]),
         master_seed=int(cfg["seed"]),
-        variance_band=float(sec.get("variance_band", 0.10)),
-        threads=int(cfg.get("threads", 1)),
+        threads=int(cfg["threads"]),
         max_field_bytes=_max_field_bytes(cfg),
     )
 
@@ -260,11 +265,11 @@ def _experiment(cfg: dict, section: str) -> ExperimentConfig:
 def _truncation(cfg: dict) -> dict:
     """The truncation section as ``plan_truncation`` keyword arguments."""
     tr = cfg["truncation"]
-    return {"policy": tr["policy"], "eta": float(tr.get("eta", 0.01)), "M": tr.get("M")}
+    return {"policy": tr["policy"], "eta": float(tr["eta"]), "M": tr["M"]}
 
 
 def _max_field_bytes(cfg: dict) -> int:
-    return int(cfg.get("limits", {}).get("max_field_bytes", 1 << 30))
+    return int(cfg["limits"]["max_field_bytes"])
 
 
 def _coupled_draw(cfg: dict, sec: dict):
@@ -303,21 +308,25 @@ GAP_COLUMNS = ["n", "m", "b", "gap", "se", "residual_ratio"]
 
 def cmd_check_conditions(cfg: dict):
     sec = cfg["conditions"]
+    n_grid = [int(n) for n in sec["n_grid"]]
     model = model_from_config(cfg["coefficient"])
     bw = _bandwidth(cfg)
     window = check_decay_window(model.d, model.decay_exponent(), bw.gamma)
-    delta = next((v for v in (cfg["schedule"].get("delta"), window.delta_star) if v is not None), None)
+    delta = next((v for v in (cfg["schedule"]["delta"], window.delta_star) if v is not None), None)
     reports = {"decay_window": window.to_dict()}
     ok = window.passed
-    if sec.get("hallin_q") is not None:
+    if sec["hallin_q"] is not None:
         hallin = check_hallin(model.d, float(sec["hallin_q"]), bw.gamma)
         reports["hallin"] = hallin.to_dict()
-    if sec.get("qsum_q") is not None:
-        qs = check_machkouri_qsum(model, float(sec["qsum_q"]), int(sec["qsum_radius"]))
+    if sec["qsum_q"] is not None:
+        try:
+            qs = check_machkouri_qsum(model, float(sec["qsum_q"]))
+        except (TypeError, ValueError) as exc:
+            raise ToolError(f"conditions.qsum_q: {exc}") from None
         reports["qsum"] = qs.to_dict()
     rows = []
     if delta is not None:
-        cond = check_condition_c(model, bw, float(delta), [int(n) for n in sec["n_grid"]])
+        cond = check_condition_c(model, bw, float(delta), n_grid)
         reports["schedule_limits"] = cond.to_dict()
         rows = cond.grid_rows
         ok = ok and cond.passed
@@ -342,7 +351,7 @@ def cmd_gen_field(cfg: dict, out_dir: Path):
         tag: LatticeField(model.d, n, values, {**provenance, "component": tag})
         for tag, values in (("full", x), ("truncated", x_m), ("residual", x - x_m))
     }
-    if sec.get("write_csv"):
+    if sec["write_csv"]:
         # first, so a side beyond write_field_csv's limit fails before any file is written
         try:
             for tag, f in fields.items():
@@ -351,7 +360,7 @@ def cmd_gen_field(cfg: dict, out_dir: Path):
             raise ToolError(f"gen_field.write_csv: {exc}") from None
     for tag, f in fields.items():
         write_field_binary(f, out_dir / f"field_{tag}.bin")
-    exts = ("bin", "csv") if sec.get("write_csv") else ("bin",)
+    exts = ("bin", "csv") if sec["write_csv"] else ("bin",)
     names = [f"field_{tag}.{ext}" for tag in fields for ext in exts]
     # the same seed's lattice convolved with the weights off [0, m)^d, computed apart from the generator
     tail = coeff_box(model, plan.M)
@@ -376,9 +385,7 @@ def cmd_kde(cfg: dict):
     sec = cfg["kde"]
     kern = kernel_by_name(cfg["kernel"])
     n, m = int(sec["n"]), int(sec["m"])
-    xs = [float(x) for x in sec["x_grid"]]
-    if not xs:
-        raise ToolError("kde.x_grid must be nonempty")
+    xs = _points(sec, "x_grid")
     model, innov, plan, b, values, _ = _coupled_draw(cfg, sec)
     est = kde_estimate(values, np.array(xs), b, kern)
     rows = []
@@ -402,7 +409,8 @@ def cmd_kde(cfg: dict):
 
 
 def cmd_clt_run(cfg: dict):
-    config = _experiment(cfg, "clt")
+    # only clt-run has a variance verdict
+    config = replace(_experiment(cfg, "clt"), variance_band=float(cfg["clt"]["variance_band"]))
     report = run_clt_experiment(config)
     rows = []
     summary = []
@@ -437,10 +445,10 @@ def cmd_clt_run(cfg: dict):
 def cmd_blocks(cfg: dict):
     sec = cfg["blocks"]
     config = _experiment(cfg, "blocks")
-    plan = BlockPlan(m=sec.get("m"), delta=sec.get("delta"), l=sec.get("l"))
+    plan = BlockPlan(m=sec["m"], delta=sec["delta"], l=sec["l"])
     samples = _block_samples(config, plan)
-    decomposition = block_decomposition_check(config, plan, samples=samples)
-    lf = lindeberg_estimate(config, plan, sec.get("eps", [0.5, 1.0, 2.0]), samples=samples)
+    decomposition = block_decomposition_check(config, samples)
+    lf = lindeberg_estimate(config, samples, sec["eps"])
     ok = decomposition["passed"] and lf["passed"]
     report = {
         "subcommand": "blocks",
@@ -466,10 +474,10 @@ def cmd_moment_check(cfg: dict):
     sec = cfg["moment_check"]
     config = _experiment(cfg, "moment_check")
     wu_reports = wu_inequality_check(
-        config.model, config.innovations, list(sec.get("wu_p", [1, 2])),
-        int(sec.get("wu_sample", 200000)), master_seed=config.master_seed,
+        config.model, config.innovations, list(sec["wu_p"]),
+        int(sec["wu_sample"]), master_seed=config.master_seed,
     )
-    rect = rectangle_moment_check(config, sec["rectangles"], ratio_cap=float(sec.get("ratio_cap", 3.0)))
+    rect = rectangle_moment_check(config, sec["rectangles"], ratio_cap=float(sec["ratio_cap"]))
     ok = rect["passed"]
     report = {
         "subcommand": "moment-check",
@@ -486,9 +494,9 @@ def cmd_fixed_m_gap(cfg: dict):
     config = _experiment(cfg, "gap")
     rep = fixed_m_gap(
         config,
-        m=sec.get("m"),
-        n_grid=sec.get("n_grid"),
-        mode=sec.get("mode", "fixed"),
+        m=sec["m"],
+        n_grid=sec["n_grid"],
+        mode=sec["mode"],
     )
     report = {
         "subcommand": "fixed-m-gap",

@@ -26,9 +26,9 @@ from .coefficients import (
     CoefficientModel,
     check_decay_window,
     coeff_box,
+    delta_n,
     m_schedule,
     residual_sqrt_mass,
-    tail_functionals,
     total_sq_mass,
 )
 from .field import (
@@ -503,15 +503,15 @@ def _block_samples(config: ExperimentConfig, plan: BlockPlan) -> list[dict]:
     return out
 
 
-def block_decomposition_check(config: ExperimentConfig, plan: BlockPlan, samples=None) -> dict:
+def block_decomposition_check(config: ExperimentConfig, samples: list[dict]) -> dict:
     """Gap between the full sum and the big-block sum of the truncated field.
 
     Per replicate Delta = (S_n(Y) - S_n(eta)) / n^(d/2); the report carries
     Var(Delta) along the n-grid, the rate proxy m_n/(l_n + m_n), and an
     independence audit of adjacent blocks (their sample correlation must sit
     within +-4/sqrt(#blocks * R)).  Verdict: Var(Delta) strictly decreasing.
+    ``samples`` are the block sums of ``_block_samples``.
     """
-    samples = samples or _block_samples(config, plan)
     d = config.model.d
     rows = []
     for s in samples:
@@ -569,19 +569,19 @@ def block_decomposition_check(config: ExperimentConfig, plan: BlockPlan, samples
     }
 
 
-def lindeberg_estimate(config: ExperimentConfig, plan: BlockPlan, eps, samples=None) -> dict:
+def lindeberg_estimate(config: ExperimentConfig, samples: list[dict], eps) -> dict:
     """Triangular-array side conditions on big-block sums xi of the truncated field.
 
     Estimates (1/l^d) E[xi^2] (should stabilise near sigma_x^2) and the
     truncated second moment (1/l^d) E[xi^2 1{|xi| > n^(d/2) eps}] (should
     vanish) on the n-grid; independent block copies across the lattice and
-    replicates provide the samples.  A stricter variant that shrinks the
-    threshold by m^(2d) (Heinrich) is deliberately not implemented.
+    replicates, the block sums of ``_block_samples``, provide the samples.
+    A stricter variant that shrinks the threshold by m^(2d) (Heinrich) is
+    deliberately not implemented.
     """
     eps_list = [float(e) for e in np.atleast_1d(eps)]
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps must be positive")
-    samples = samples or _block_samples(config, plan)
     d = config.model.d
     oracle = density_oracle(config.model, config.innovations, samples[-1]["m"])
     x = samples[-1]["x"]
@@ -670,8 +670,7 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
         site_mean = float(dsum.sum()) / (R * N)
         site_m2 = float(dsq.sum()) / (R * N)
         diff_l2 = math.sqrt(max(site_m2 - 2 * ed * site_mean + ed**2, 0.0))
-        f = tail_functionals(model, n, m)
-        bound_unit = diff_l2 + math.sqrt(b) * f.delta_n
+        bound_unit = diff_l2 + math.sqrt(b) * delta_n(model, n)
         for ri, rect in enumerate(fit_rects):
             vol = float(np.prod(rect))
             zc = zs[:, ri] - vol * ez
@@ -718,16 +717,16 @@ def wu_inequality_check(
     Independent truncated draws of X_0 give C_hat = mean|X|^(2p)/(mass)^p with
     its standard error; for p=1 the identity C=1 is exact, and when the
     innovation kurtosis is known the exact fourth-moment reference is
-    attached.  Requires E|eps|^(2 v 2p) < infinity.  A sequence of orders
-    ``p`` gives the list of their reports, all from one sample of X_0, with
-    the same numbers as one call per order.
+    attached.  Requires E|eps|^(2 v 2p) < infinity.  ``p`` is a sequence of
+    orders; the list of their reports comes from one sample of X_0, with the
+    same numbers as one call per order.
     """
-    orders = [p] if np.isscalar(p) else list(p)
+    orders = list(p)
+    if sample < 2:
+        raise ValueError("sample must be >= 2")
     for q in orders:
         if q not in (1, 2):
             raise ValueError("p must be 1 or 2")
-        if sample < 2:
-            raise ValueError("sample must be >= 2")
         order = max(2, 2 * q)
         if innovations.max_moment_order <= order:
             raise MomentError(
@@ -783,7 +782,7 @@ def wu_inequality_check(
             "reference_c": ref,
             "seeds": {"master": master_seed, "stream": STREAM_OFFSETS["wu"]},
         })
-    return reports[0] if np.isscalar(p) else reports
+    return reports
 
 
 # ---------------------------------------------------------------------------

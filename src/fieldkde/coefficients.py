@@ -32,9 +32,8 @@ from .special import zeta
 
 __all__ = [
     "CoefficientModel",
-    "TailFunctionals",
     "ConditionReport",
-    "tail_functionals",
+    "delta_n",
     "coeff_box",
     "coeff_at",
     "box_mass",
@@ -297,39 +296,10 @@ def residual_sqrt_mass(model: CoefficientModel, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# tail functionals
+# Delta_n
 
 
-@dataclass(frozen=True)
-class TailFunctionals:
-    """A-table, A[n], B_m and Delta_n for one model at one (n, m).
-
-    ``a_values[j]`` holds A_j on [0, L)^d with L = ``table_side``.  Every
-    family has closed-form orthant tails, so the entries are exact up to
-    floating-point rounding.
-    """
-
-    d: int
-    n: int
-    m: int
-    a_values: np.ndarray
-    a_bracket_n: float
-    b_m: float
-    delta_n: float
-    total_sq: float
-    table_side: int
-
-    def a_at(self, k) -> float:
-        """A_k for any integer multi-index (coordinates below 0 clamp to 0)."""
-        k = tuple(max(int(t), 0) for t in np.atleast_1d(k))
-        if len(k) != self.d:
-            raise ValueError("index length must match dimension")
-        if all(t < self.table_side for t in k):
-            return float(self.a_values[k])
-        return 0.0
-
-
-# the A-table is one float64 array of side max(n, m) + 1 (or the support side)
+# the A-table is one float64 array of side max(n + 1, support side)
 MAX_TABLE_BYTES = 1 << 28
 
 
@@ -346,65 +316,40 @@ def _delta_weights(n: int, d: int) -> np.ndarray:
     return reduce(np.multiply, np.ix_(*[w] * d)) if d > 1 else w
 
 
-def tail_functionals(model: CoefficientModel, n: int, m: int) -> TailFunctionals:
-    """Compute A-table, A[n], B_m and Delta_n.
+def _a_table(model: CoefficientModel, side: int) -> np.ndarray:
+    """A_j on [0, side)^d for the power family and finite tables.
 
-    The A-table covers [0, max(n, m) + 1)^d, which is everything Delta_n and
-    A[n] consume.  For the power family the infinite orthant tails outside
-    the table are added through the Hurwitz zeta moments of
-    ``_power_moments``.
-
-    Raises ``ValueError`` for n, m < 1 and for an A-table above
-    ``MAX_TABLE_BYTES``.
+    ``side`` must cover a finite table's support.  For the power family the
+    orthant tails outside the cube are added through the Hurwitz zeta
+    moments of ``_power_moments``, so every entry is exact up to rounding.
+    Raises ``ValueError`` above ``MAX_TABLE_BYTES``.
     """
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
-    d = model.d
-    L = max(n + 1, m + 1)
-    if model.family not in ("power_decay", "geometric"):
-        L = max(L, model.support_side())
-    if (L**d) * 8 > MAX_TABLE_BYTES:
-        raise ValueError(
-            f"A-table of side {L}^{d} exceeds the {MAX_TABLE_BYTES} byte cap"
-        )
+    if (side**model.d) * 8 > MAX_TABLE_BYTES:
+        raise ValueError(f"A-table of side {side}^{model.d} exceeds the {MAX_TABLE_BYTES} byte cap")
+    sq = _suffix_box_sums(coeff_box(model, side) ** 2)
+    if model.family == "power_decay":
+        sq = sq + _power_outside_mass(model, side)
+    return np.sqrt(np.maximum(sq, 0.0))
 
+
+def delta_n(model: CoefficientModel, n: int) -> float:
+    """Delta_n = sum_{k in [1,n]^d} A_{k-1} / prod_t sqrt(k_t).
+
+    Geometric tails factor over the axes, A_j = (1-r^2)^(-d/2) r^(j_1+...+j_d),
+    so Delta_n is the d-th power of a one-axis sum.  The other families sum
+    an A-table of side max(n + 1, support side); the side decides which part
+    of each tail the zeta moments carry, so another side moves Delta_n in the
+    last bits.  Raises ``ValueError`` for n < 1 and through ``_a_table``.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    d = model.d
     if model.family == "geometric":
         r = model.ratio
-        factor = (1.0 - r * r) ** (-d / 2.0)
-        pows = r ** np.arange(L, dtype=float)
-        radial = reduce(np.multiply, np.ix_(*[pows] * d)) if d > 1 else pows.copy()
-        a_table = factor * radial
-        total = (1.0 - r * r) ** (-d)
-        b_m = residual_sqrt_mass(model, m)
         kk = np.arange(1, n + 1, dtype=float)
-        delta = factor * float(np.sum(r ** (kk - 1.0) / np.sqrt(kk))) ** d
-    else:
-        a2 = coeff_box(model, L) ** 2
-        sq = _suffix_box_sums(a2)
-        if model.family == "power_decay":
-            sq = sq + _power_outside_mass(model, L)
-            total = _power_residual_mass(model, 0)
-            b_m = residual_sqrt_mass(model, m)
-        else:
-            total = float(np.sum(a2))
-            b_m = math.sqrt(max(total - box_mass(model, m), 0.0))
-        a_table = np.sqrt(np.maximum(sq, 0.0))
-        w = _delta_weights(n, d)
-        delta = float(np.sum(a_table[(slice(0, n),) * d] * w))
-
-    idx = [tuple(n if t == ax else 1 for t in range(d)) for ax in range(d)]
-    bracket = max(float(a_table[i]) for i in idx)
-    return TailFunctionals(
-        d=d,
-        n=n,
-        m=m,
-        a_values=a_table,
-        a_bracket_n=bracket,
-        b_m=b_m,
-        delta_n=delta,
-        total_sq=total,
-        table_side=L,
-    )
+        return (1.0 - r * r) ** (-d / 2.0) * float(np.sum(r ** (kk - 1.0) / np.sqrt(kk))) ** d
+    a_table = _a_table(model, max(n + 1, model.support_side() or 0))
+    return float(np.sum(a_table[(slice(0, n),) * d] * _delta_weights(n, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -540,55 +485,32 @@ def check_hallin(d: int, q: float, gamma: float) -> ConditionReport:
     )
 
 
-def check_machkouri_qsum(
-    model: CoefficientModel,
-    q: float,
-    radius: int,
-    increment_tol: float = 1e-12,
-) -> ConditionReport:
-    """Numerical Cauchy check of sum_{i >= 0} |i|_inf^q |a_i| on dyadic boxes.
+def check_machkouri_qsum(model: CoefficientModel, q: float) -> ConditionReport:
+    """Exact verdict on sum_{i >= 0} |i|_inf^q |a_i| < infinity for a finite q >= 0.
 
-    Pass when the last dyadic increment is below ``increment_tol`` (always
-    true for finite tables), fail when the increments grow, inconclusive
-    otherwise.  The convergent q = 5d/2 benchmark and the weaker q > d regime
-    are reported for comparison.
+    Finite tables and geometric weights always converge.  Power decay
+    c*(1+|i|_inf)^(-q_a) puts (s+1)^d - s^d ~ d*s^(d-1) weights on the shell
+    |i|_inf = s, whose terms then behave like s^(q + d - 1 - q_a): the sum
+    converges iff q < q_a - d, compared as exact rationals.  The convergent
+    q = 5d/2 benchmark and the weaker q > d regime are reported for comparison.
     """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    radii = []
-    r = 1
-    while r < radius:
-        radii.append(r)
-        r *= 2
-    radii.append(radius)
-    partial = []
-    for r in radii:
-        a = np.abs(coeff_box(model, r + 1))
-        axes = np.ix_(*[np.arange(r + 1)] * model.d)
-        radial = reduce(np.maximum, axes) if model.d > 1 else axes[0]
-        partial.append(float(np.sum(radial.astype(float) ** q * a)))
-    inc = [b - a for a, b in zip(partial, partial[1:])]
-    if not inc:
-        inc = [0.0]
-    if inc[-1] <= increment_tol:
-        verdict, passed = "pass", True
-    elif len(inc) >= 3 and inc[-1] >= inc[-2] >= inc[-3]:
-        verdict, passed = "fail", False
+    if not (math.isfinite(q) and q >= 0):
+        raise ValueError(f"q must be finite and >= 0, got {q}")
+    if model.family == "power_decay":
+        bound = _exact(model.q) - model.d
+        passed, q_bound = _exact(q) < bound, float(bound)
     else:
-        verdict, passed = "inconclusive", False
+        passed, q_bound = True, "inf"
     return ConditionReport(
         name="qsum",
         passed=passed,
-        verdict=verdict,
+        verdict="pass" if passed else "fail",
         details={
             "q": q,
+            "q_bound": q_bound,
             "elm_benchmark_q": 2.5 * model.d,
             "weaker_regime_q_gt_d": bool(q > model.d),
-            "radii": radii,
-            "partial_sums": partial,
-            "increments": inc,
         },
-        thresholds={"increment_tol": increment_tol},
     )
 
 
@@ -645,10 +567,9 @@ def check_condition_c(
     seqs = {k: [] for k in ("sqrt_b_delta", "residual_over_b", "m_vol_times_b", "m_logs_over_nb")}
     for n in n_grid:
         m_n = m_schedule(n, delta)
-        f = tail_functionals(model, n, m_n)
         b = bandwidth.b(n)
-        c1v = math.sqrt(b) * f.delta_n
-        c2v = f.b_m / b
+        c1v = math.sqrt(b) * delta_n(model, n)
+        c2v = residual_sqrt_mass(model, m_n) / b
         c3v = (m_n**d) * b
         c4v = (m_n**d) * math.log(n) ** d / ((float(n) ** d) * b)
         seqs["sqrt_b_delta"].append(c1v)

@@ -385,28 +385,33 @@ class TestKs:
 
 class TestWuInequality:
     def test_second_moment_identity(self, geometric_half):
-        rep = wu_inequality_check(geometric_half, InnovationModel("gaussian"), 1, 200_000)
+        (rep,) = wu_inequality_check(geometric_half, InnovationModel("gaussian"), [1], 200_000)
         assert abs(rep["c_hat"] - 1.0) <= 3 * rep["se"]
 
     def test_gaussian_fourth_moment(self, geometric_half):
-        rep = wu_inequality_check(geometric_half, InnovationModel("gaussian"), 2, 200_000)
+        (rep,) = wu_inequality_check(geometric_half, InnovationModel("gaussian"), [2], 200_000)
         assert rep["reference_c"] == pytest.approx(3.0, abs=1e-12)
         assert rep["c_hat"] == pytest.approx(3.0, rel=0.1)
 
     def test_uniform_kurtosis(self, identity_weights):
-        rep = wu_inequality_check(identity_weights, InnovationModel("uniform"), 2, 200_000)
+        (rep,) = wu_inequality_check(identity_weights, InnovationModel("uniform"), [2], 200_000)
         assert rep["reference_c"] == pytest.approx(9.0 / 5.0, abs=1e-12)
         assert rep["c_hat"] == pytest.approx(9.0 / 5.0, rel=0.05)
 
     def test_moment_precondition(self, geometric_half):
         with pytest.raises(MomentError):
-            wu_inequality_check(geometric_half, InnovationModel("student_t", nu=4.0), 2, 100)
+            wu_inequality_check(geometric_half, InnovationModel("student_t", nu=4.0), [2], 100)
+
+    def test_rejects_sample_below_two(self, geometric_half):
+        for orders in ([1], []):
+            with pytest.raises(ValueError, match="sample must be >= 2"):
+                wu_inequality_check(geometric_half, InnovationModel("gaussian"), orders, 1)
 
     def test_orders_share_one_sample(self, geometric_half, monkeypatch):
         import fieldkde.clt as clt
 
         innov = InnovationModel("uniform")
-        apart = [wu_inequality_check(geometric_half, innov, p, 30_000) for p in (1, 2)]
+        apart = [wu_inequality_check(geometric_half, innov, [p], 30_000)[0] for p in (1, 2)]
         draw, drawn = clt._draw, []
 
         def counting(model, rng, shape):
@@ -426,10 +431,10 @@ class TestBlocks:
         # block side l = n: the single block covers everything, so the gap
         # statistic is exactly zero
         cfg1 = _config(identity_weights, n_grid=(128,), replicates=40)
-        rep = block_decomposition_check(cfg1, BlockPlan(m=1, l=128))
+        samples = _block_samples(cfg1, BlockPlan(m=1, l=128))
+        rep = block_decomposition_check(cfg1, samples)
         assert rep["rows"][0]["blocks_per_axis"] == 1
         assert rep["rows"][0]["var_delta"] == 0.0
-        samples = _block_samples(cfg1, BlockPlan(m=1, l=128))
         d = samples[0]
         gap = d["totals"] - d["etas"].reshape(len(d["totals"]), -1).sum(axis=1)
         assert np.max(np.abs(gap)) == 0.0
@@ -450,8 +455,7 @@ class TestBlocks:
             replicates=600,
         )
         plan = BlockPlan(m=4)
-        samples = _block_samples(cfg, plan)
-        rep = block_decomposition_check(cfg, plan, samples=samples)
+        rep = block_decomposition_check(cfg, _block_samples(cfg, plan))
         vals = [r["var_delta"] for r in rep["rows"]]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         proxies = [r["rate_proxy"] for r in rep["rows"]]
@@ -469,7 +473,7 @@ class TestBlocks:
             replicates=300,
         )
         plan = BlockPlan(m=1, l=512)
-        rep = lindeberg_estimate(cfg, plan, [1.0])
+        rep = lindeberg_estimate(cfg, _block_samples(cfg, plan), [1.0])
         target = rep["sigma2_target"]
         assert rep["rows"][0]["lf1"] == pytest.approx(target, rel=0.1)
 
@@ -483,7 +487,7 @@ class TestBlocks:
         # that kills the indicator for every replicate
         bound = s["l"] * 2 * epanechnikov.sup_value / math.sqrt(b)
         eps = 2.0 * bound / math.sqrt(256.0)
-        rep = lindeberg_estimate(cfg, plan, [eps], samples=samples)
+        rep = lindeberg_estimate(cfg, samples, [eps])
         assert rep["rows"][0]["lf2"][eps] == 0.0
 
     def test_lf2_decreasing(self, geometric_half):
@@ -494,7 +498,7 @@ class TestBlocks:
             replicates=600,
         )
         plan = BlockPlan(m=4)
-        rep = lindeberg_estimate(cfg, plan, [0.5, 1.0, 2.0])
+        rep = lindeberg_estimate(cfg, _block_samples(cfg, plan), [0.5, 1.0, 2.0])
         for e, ok in rep["verdicts"]["lf2_vanishes"].items():
             assert ok
 

@@ -11,10 +11,11 @@ from fieldkde import (
     check_decay_window,
     check_hallin,
     check_machkouri_qsum,
+    delta_n,
     m_schedule,
-    tail_functionals,
 )
 from fieldkde.coefficients import (
+    _a_table,
     _power_moments,
     box_mass,
     coeff_at,
@@ -41,41 +42,52 @@ def brute_orthant_tail(model, k, radius=4000):
 
 
 class TestGeometricClosedForms:
-    def test_a_values_match_direct_summation(self, geometric_half):
-        f = tail_functionals(geometric_half, n=10, m=1)
-        # direct summation oracle
+    def test_tails_match_direct_summation(self, geometric_half):
+        # Delta_1 = A_0 and Delta_2 - Delta_1 = A_1 / sqrt(2) in d=1
         k = np.arange(400)
         a = 0.5**k
-        assert f.a_at([0]) == pytest.approx(math.sqrt(np.sum(a**2)), abs=1e-14)
-        assert f.a_at([0]) == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-13)
-        assert f.a_at([1]) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-13)
-        assert f.b_m == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-13)
-        assert f.total_sq == pytest.approx(4.0 / 3.0, abs=1e-13)
+        assert delta_n(geometric_half, 1) == pytest.approx(math.sqrt(np.sum(a**2)), abs=1e-14)
+        assert delta_n(geometric_half, 1) == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-13)
+        a_1 = (delta_n(geometric_half, 2) - delta_n(geometric_half, 1)) * math.sqrt(2.0)
+        assert a_1 == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-13)
+        assert residual_sqrt_mass(geometric_half, 1) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-13)
+        assert total_sq_mass(geometric_half) == pytest.approx(4.0 / 3.0, abs=1e-13)
 
     def test_delta_matches_direct_summation(self, geometric_half):
-        f = tail_functionals(geometric_half, n=25, m=2)
         kk = np.arange(1, 26)
         direct = sum(
             brute_orthant_tail(geometric_half, (k - 1,)) / math.sqrt(k) for k in kk
         )
-        assert f.delta_n == pytest.approx(direct, rel=1e-12)
+        assert delta_n(geometric_half, 25) == pytest.approx(direct, rel=1e-12)
+
+    def test_d2_delta_matches_direct_summation(self):
+        model = CoefficientModel(d=2, family="geometric", ratio=0.6)
+        a2 = coeff_box(model, 400) ** 2
+        direct = sum(
+            math.sqrt(float(np.sum(a2[k1 - 1 :, k2 - 1 :]))) / math.sqrt(k1 * k2)
+            for k1 in range(1, 9)
+            for k2 in range(1, 9)
+        )
+        assert delta_n(model, 8) == pytest.approx(direct, rel=1e-12)
 
 
 class TestTrivialModels:
     def test_single_weight(self, identity_weights):
-        f = tail_functionals(identity_weights, n=10, m=1)
-        assert f.a_at([0]) == 1.0
-        assert f.a_at([1]) == 0.0
-        assert f.b_m == 0.0
-        assert f.delta_n == 1.0
+        a = _a_table(identity_weights, 11)
+        assert a[0] == 1.0
+        assert a[1] == 0.0
+        assert residual_sqrt_mass(identity_weights, 1) == 0.0
+        assert delta_n(identity_weights, 10) == 1.0
 
-    def test_truncation_radius_invariance(self, identity_weights):
-        # recomputing with any n, m beyond the support gives identical values
-        f1 = tail_functionals(identity_weights, n=10, m=1)
-        f2 = tail_functionals(identity_weights, n=50, m=7)
-        assert f1.a_at([0]) == f2.a_at([0])
-        assert f1.total_sq == f2.total_sq
-        assert f1.b_m == f2.b_m == 0.0
+    def test_table_side_invariance(self, identity_weights):
+        # any side beyond the support gives identical values
+        assert _a_table(identity_weights, 11)[0] == _a_table(identity_weights, 51)[0]
+        assert delta_n(identity_weights, 10) == delta_n(identity_weights, 50)
+        assert residual_sqrt_mass(identity_weights, 1) == residual_sqrt_mass(identity_weights, 7) == 0.0
+
+    def test_rejects_n_below_one(self, identity_weights):
+        with pytest.raises(ValueError):
+            delta_n(identity_weights, 0)
 
 
 class TestPowerDecay:
@@ -84,26 +96,23 @@ class TestPowerDecay:
             CoefficientModel(d=2, family="power_decay", q=1.0)
 
     def test_a_table_against_brute_force(self, power_d2):
-        f = tail_functionals(power_d2, n=8, m=2)
+        a = _a_table(power_d2, 9)
         for k in [(0, 0), (3, 2), (7, 0), (8, 8)]:
-            assert f.a_at(k) == pytest.approx(
-                brute_orthant_tail(power_d2, k), abs=1e-11
-            )
+            assert a[k] == pytest.approx(brute_orthant_tail(power_d2, k), abs=1e-11)
 
-    def test_bracket_decay_exponent(self, power_d2):
-        # slope of log A[n] vs log n on a dyadic grid ~ -(q - d/2) = -3
-        ns = [8, 16, 32, 64, 128, 256, 512]
-        vals = [tail_functionals(power_d2, n=n, m=1).a_bracket_n for n in ns]
-        slope = np.polyfit(np.log(ns), np.log(vals), 1)[0]
-        assert abs(slope - (-3.0)) < 0.1
-
-    def test_negative_indices_clamp(self, power_d2):
-        f = tail_functionals(power_d2, n=4, m=1)
-        assert f.a_at([-3, -1]) == f.a_at([0, 0])
+    def test_delta_against_brute_force(self, power_d2):
+        n = 6
+        direct = sum(
+            brute_orthant_tail(power_d2, (k1 - 1, k2 - 1), radius=1200) / math.sqrt(k1 * k2)
+            for k1 in range(1, n + 1)
+            for k2 in range(1, n + 1)
+        )
+        # the brute-force box misses tail mass below 1e-12
+        assert delta_n(power_d2, n) == pytest.approx(direct, rel=1e-10)
 
     def test_d3_orthant_tails_against_box_sum(self):
         model = CoefficientModel(d=3, family="power_decay", q=4.0)
-        f = tail_functionals(model, n=4, m=2)
+        a = _a_table(model, 5)
         for k in [(0, 0, 0), (2, 1, 0), (3, 3, 3)]:
             r = 160
             axes = [np.arange(t, t + r) for t in k]
@@ -111,11 +120,11 @@ class TestPowerDecay:
             radial = np.maximum(np.maximum(g1, g2), g3)
             box = float(np.sum((1.0 + radial) ** -8.0))
             # remainder of the box sum is below 3*160^(3-8)/5 ~ 6e-12 in mass
-            assert f.a_at(k) == pytest.approx(math.sqrt(box), abs=1e-5)
+            assert a[k] == pytest.approx(math.sqrt(box), abs=1e-5)
         total_shells = sum(
             ((s + 1) ** 3 - s**3) * (1.0 + s) ** -8.0 for s in range(3000)
         )
-        assert f.total_sq == pytest.approx(total_shells, rel=1e-12)
+        assert total_sq_mass(model) == pytest.approx(total_shells, rel=1e-12)
 
 
 def _direct_shell_tail_bound(d, q, side):
@@ -206,36 +215,37 @@ class TestInvariants:
     @settings(max_examples=25, deadline=None)
     def test_monotone_in_each_coordinate(self, data):
         d = data.draw(st.integers(min_value=1, max_value=2))
-        if d == 1:
-            model = CoefficientModel(d=1, family="geometric", ratio=0.6)
-        else:
-            model = CoefficientModel(d=2, family="power_decay", q=3.0)
-        f = tail_functionals(model, n=6, m=1)
+        model = CoefficientModel(d=d, family="power_decay", q=3.0 if d == 2 else 2.0)
+        a = _a_table(model, 10)
         k = tuple(data.draw(st.integers(min_value=0, max_value=5)) for _ in range(d))
         j = tuple(t + data.draw(st.integers(min_value=0, max_value=3)) for t in k)
-        assert f.a_at(j) <= f.a_at(k) + 1e-12
+        assert a[j] <= a[k] + 1e-12
 
     @given(scale=st.floats(min_value=0.1, max_value=8.0))
     @settings(max_examples=20, deadline=None)
     def test_power_decay_scaling_is_exact(self, scale):
         base = CoefficientModel(d=1, family="power_decay", q=2.5)
         scaled = CoefficientModel(d=1, family="power_decay", q=2.5, scale=scale)
-        f0 = tail_functionals(base, n=6, m=2)
-        f1 = tail_functionals(scaled, n=6, m=2)
-        assert f1.a_bracket_n == pytest.approx(scale * f0.a_bracket_n, rel=1e-13)
-        assert f1.b_m == pytest.approx(scale * f0.b_m, rel=1e-13)
-        assert f1.delta_n == pytest.approx(scale * f0.delta_n, rel=1e-13)
-        assert f1.a_at([3]) == pytest.approx(scale * f0.a_at([3]), rel=1e-13)
+        assert residual_sqrt_mass(scaled, 2) == pytest.approx(scale * residual_sqrt_mass(base, 2), rel=1e-13)
+        assert delta_n(scaled, 6) == pytest.approx(scale * delta_n(base, 6), rel=1e-13)
+        assert _a_table(scaled, 7)[3] == pytest.approx(scale * _a_table(base, 7)[3], rel=1e-13)
 
     def test_finite_support_functionals_match_brute_force(self):
         rng = np.random.default_rng(5)
         tab = rng.normal(size=(3, 3))
         model = CoefficientModel(d=2, family="finite_support", table=tab)
-        f = tail_functionals(model, n=4, m=2)
-        for k in [(0, 0), (1, 2), (2, 2)]:
-            expect = math.sqrt(float(np.sum(tab[k[0] :, k[1] :] ** 2)))
-            assert f.a_at(k) == pytest.approx(expect, abs=1e-14)
-        assert f.b_m**2 + box_mass(model, 2) == pytest.approx(f.total_sq, abs=1e-14)
+
+        def tail(k):
+            return math.sqrt(float(np.sum(tab[k[0] :, k[1] :] ** 2)))
+
+        a = _a_table(model, 5)
+        for k in [(0, 0), (1, 2), (2, 2), (3, 0)]:
+            assert a[k] == pytest.approx(tail(k), abs=1e-14)
+        direct = sum(tail((k1 - 1, k2 - 1)) / math.sqrt(k1 * k2) for k1 in range(1, 5) for k2 in range(1, 5))
+        assert delta_n(model, 4) == pytest.approx(direct, rel=1e-14)
+        # a table wider than n: Delta_n still sums the whole tails
+        assert delta_n(model, 1) == pytest.approx(tail((0, 0)), rel=1e-14)
+        assert residual_sqrt_mass(model, 2) ** 2 + box_mass(model, 2) == pytest.approx(total_sq_mass(model), abs=1e-14)
 
 
 class TestDecayWindow:
@@ -294,27 +304,69 @@ class TestHallin:
         assert rep.details["exponent_defined"] is False
 
 
+def _dyadic_shell_increments(q, q_a, ks):
+    """d=1 brute force: sum of s^q (1+s)^(-q_a) over each dyadic shell [2^k, 2^(k+1))."""
+    out = []
+    for k in ks:
+        s = np.arange(2**k, 2 ** (k + 1), dtype=float)
+        out.append(float(np.sum(s**q * (1.0 + s) ** -q_a)))
+    return out
+
+
 class TestQSum:
-    def test_geometric_converges(self, geometric_half):
-        rep = check_machkouri_qsum(geometric_half, 2.5, 128)
-        assert rep.verdict == "pass"
-        assert rep.details["increments"][-1] < 1e-12
-        # value against direct summation
-        k = np.arange(129, dtype=float)
-        direct = float(np.sum(k**2.5 * 0.5**k))
-        assert rep.details["partial_sums"][-1] == pytest.approx(direct, rel=1e-12)
+    @pytest.mark.parametrize("ratio,q", [(0.5, 2.5), (0.99, 5.0)])
+    def test_geometric_converges(self, ratio, q):
+        rep = check_machkouri_qsum(CoefficientModel(d=1, family="geometric", ratio=ratio), q)
+        assert (rep.passed, rep.verdict) == (True, "pass")
+        assert rep.details["q_bound"] == "inf"
+
+    def test_finite_support_converges(self, identity_weights):
+        rep = check_machkouri_qsum(identity_weights, 7.0)
+        assert (rep.passed, rep.verdict) == (True, "pass")
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("q_a", [4.0, 4.75])
+    def test_power_decay_converges_iff_q_below_q_a_minus_d(self, d, q_a):
+        model = CoefficientModel(d=d, family="power_decay", q=q_a)
+        below = check_machkouri_qsum(model, q_a - d - 0.1)
+        assert (below.passed, below.verdict) == (True, "pass")
+        at = check_machkouri_qsum(model, q_a - d)
+        assert (at.passed, at.verdict) == (False, "fail")
+        # the bound is compared exactly: the next float below it passes
+        assert check_machkouri_qsum(model, math.nextafter(q_a - d, 0.0)).passed
+        assert at.details["q_bound"] == q_a - d
+        assert at.details["elm_benchmark_q"] == 2.5 * d
+        assert at.details["weaker_regime_q_gt_d"] == (q_a - d > d)
+
+    def test_bound_is_not_rounded(self):
+        # q_a - d = 2^53 + 1 is no float; rounded to 2^53 it would fail q = 2^53
+        model = CoefficientModel(d=1, family="power_decay", q=2.0**53 + 2)
+        assert check_machkouri_qsum(model, 2.0**53).passed
+        assert not check_machkouri_qsum(model, 2.0**53 + 2).passed
+
+    @pytest.mark.parametrize("q,converges", [(2.5, True), (2.9, True), (3.0, False), (3.5, False)])
+    def test_d1_verdict_against_dyadic_shells(self, q, converges):
+        # (1+s)^(-4) on d=1: the bound is q_a - d = 3; dyadic shell sums shrink
+        # geometrically below it, stay level at it and grow above it
+        q_a = 4.0
+        inc = _dyadic_shell_increments(q, q_a, range(6, 18))
+        ratios = [b / a for a, b in zip(inc, inc[1:])]
+        assert all(r < 1.0 for r in ratios) if converges else all(r >= 1.0 for r in ratios)
+        assert ratios[-1] == pytest.approx(2.0 ** (q - 3.0), rel=1e-3)
+        rep = check_machkouri_qsum(CoefficientModel(d=1, family="power_decay", q=q_a), q)
+        assert rep.passed == converges
 
     def test_divergent_power_decay_fails(self):
+        # q_a - d = 0.2: sum |a_i| converges, sum |i| |a_i| does not
         slow = CoefficientModel(d=1, family="power_decay", q=1.2)
-        rep = check_machkouri_qsum(slow, 2.5, 256)
-        assert rep.verdict in ("fail", "inconclusive")
-        inc = rep.details["increments"]
-        assert inc[-1] > inc[0]
+        assert check_machkouri_qsum(slow, 0.0).verdict == "pass"
+        assert check_machkouri_qsum(slow, 1.0).verdict == "fail"
+        assert check_machkouri_qsum(slow, 2.5).verdict == "fail"
 
-    def test_finite_support_exact(self, identity_weights):
-        rep = check_machkouri_qsum(identity_weights, 7.0, 64)
-        assert rep.verdict == "pass"
-        assert rep.details["partial_sums"][-1] == 0.0  # |0|^q * a_0 contributes nothing
+    @pytest.mark.parametrize("q", [-1.0, -1e-300, math.nan, math.inf])
+    def test_rejects_negative_or_nonfinite_q(self, identity_weights, q):
+        with pytest.raises(ValueError, match="q must be finite and >= 0"):
+            check_machkouri_qsum(identity_weights, q)
 
 
 class TestMSchedule:

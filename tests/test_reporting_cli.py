@@ -287,12 +287,28 @@ class TestCli:
         [
             ("clt-run", 'clt={"replicates":5}', "clt.n_grid"),
             ("blocks", 'blocks={"replicates":5}', "blocks.n_grid"),
-            ("moment-check", 'moment_check={"n_grid":[64]}', "moment_check.rectangles"),
+            ("moment-check", 'moment_check={"n_grid":[64]}', "moment_check.x_points"),
+            ("moment-check", 'moment_check={"n_grid":[64],"x_points":null,"replicates":5,"wu_p":[1],'
+             '"wu_sample":100}', "moment_check.rectangles"),
             ("fixed-m-gap", 'gap={"replicates":5}', "gap.n_grid"),
             ("kde", 'kde={"m":2}', "kde.n"),
             ("gen-field", 'gen_field={"n":16}', "gen_field.m"),
             ("check-conditions", 'conditions={"hallin_q":4.0}', "conditions.n_grid"),
+            ("check-conditions", 'conditions={"n_grid":[16,32,64]}', "conditions.hallin_q"),
+            ("check-conditions", 'conditions={"n_grid":[16,32,64],"hallin_q":null}', "conditions.qsum_q"),
             ("kde", 'bandwidth={"c2":1.0}', "bandwidth.gamma"),
+            ("kde", 'bandwidth={"gamma":0.2}', "bandwidth.c2"),
+            ("kde", 'truncation={"policy":"fixed"}', "truncation.eta"),
+            ("kde", 'limits={}', "limits.max_field_bytes"),
+            # every key with a default is read from the config, never from a second
+            # fallback: these ran 200 replicates and three x points
+            ("blocks", 'blocks={"m":4,"n_grid":[256,1024,4096],"x_points":null}', "blocks.replicates"),
+            ("blocks", 'blocks={"m":4,"n_grid":[256,1024,4096]}', "blocks.x_points"),
+            ("blocks", 'blocks={"n_grid":[256],"x_points":null,"replicates":5}', "blocks.m"),
+            ("clt-run", 'clt={"n_grid":[16],"replicates":5,"variance_band":0.1}', "clt.x_points"),
+            ("clt-run", 'clt={"n_grid":[16],"replicates":5,"x_points":[0.0]}', "clt.variance_band"),
+            ("fixed-m-gap", 'gap={"n_grid":[64],"x_points":null,"replicates":5}', "gap.m"),
+            ("gen-field", 'gen_field={"n":16,"m":2}', "gen_field.write_csv"),
         ],
     )
     def test_section_missing_a_read_key_exit_1(self, tmp_path, capsys, subcommand, assignment, key):
@@ -322,6 +338,13 @@ class TestCli:
             # the manifest echoes the config, and reports hold finite numbers only
             ("check-conditions", ["bandwidth.gamma=NaN"], "bandwidth.gamma"),
             ("gen-field", ['limits={"max_field_bytes":Infinity}'], "limits.max_field_bytes"),
+            # q-sum convergence is decided exactly, with no summation radius
+            ("check-conditions", ["conditions.qsum_q=1.0", "conditions.qsum_radius=256"], "conditions.qsum_radius"),
+            ("check-conditions", ['conditions={"n_grid":[16,32,64],"hallin_q":null,"qsum_q":null,"qsum_radius":null}'],
+             "conditions.qsum_radius"),
+            ("check-conditions", ["conditions.qsum_q=-1.0"], "conditions.qsum_q"),
+            ("check-conditions", ['conditions.qsum_q="a"'], "conditions.qsum_q"),
+            ("check-conditions", ["conditions.qsum_q=[5.0]"], "conditions.qsum_q"),
         ],
     )
     def test_rejected_key_exit_1_naming_it(self, tmp_path, capsys, subcommand, sets, key):
@@ -347,6 +370,16 @@ class TestCli:
             ("moment-check", "moment_check.x_points=[]", "x_points"),
             ("fixed-m-gap", "gap.x_points=[Infinity]", "gap.x_points"),
             ("fixed-m-gap", "gap.x_points=[]", "x_points"),
+            # values that are not lists of numbers
+            ("clt-run", "clt.x_points=[null]", "clt.x_points"),
+            ("clt-run", 'clt.x_points="a"', "clt.x_points"),
+            ("clt-run", "clt.x_points=[true]", "clt.x_points"),
+            ("kde", "kde.x_grid=2", "kde.x_grid"),
+            ("kde", "kde.x_grid=null", "kde.x_grid"),
+            ("kde", 'kde.x_grid=[0.0,"1"]', "kde.x_grid"),
+            ("blocks", "blocks.x_points=0.5", "blocks.x_points"),
+            ("moment-check", 'moment_check.x_points={"x":0}', "moment_check.x_points"),
+            ("fixed-m-gap", "gap.x_points=[[0.0]]", "gap.x_points"),
         ],
     )
     def test_empty_or_nonfinite_evaluation_points_exit_1(self, tmp_path, capsys, monkeypatch, subcommand,
@@ -377,11 +410,30 @@ class TestCli:
                 "component": component,
             }
 
-    @pytest.mark.parametrize("extra", ["", ',"qsum_radius":null'])
-    def test_conditions_section_without_qsum_runs(self, tmp_path, extra):
-        # qsum_radius is read only when qsum_q is set
-        assignment = 'conditions={"n_grid":[16,32,64]' + extra + "}"
+    @pytest.mark.parametrize("qsum_q", ["null", "5.0"])
+    def test_conditions_section_replaced_whole_runs(self, tmp_path, qsum_q):
+        assignment = f'conditions={{"n_grid":[16,32,64],"hallin_q":null,"qsum_q":{qsum_q}}}'
         assert _run(tmp_path, "check-conditions", "--set", assignment) == 0
+        checks = json.loads((tmp_path / "check_conditions" / "report.json").read_text())["checks"]
+        assert ("qsum" in checks) == (qsum_q != "null")
+        assert "hallin" not in checks
+
+    @pytest.mark.parametrize(
+        "coefficient,q,verdict,q_bound",
+        [
+            ('{"family":"geometric","d":1,"ratio":0.99}', 5.0, "pass", "inf"),
+            ('{"family":"power_decay","d":1,"q":4.0}', 2.9, "pass", 3.0),
+            ('{"family":"power_decay","d":1,"q":4.0}', 3.0, "fail", 3.0),
+            ('{"family":"power_decay","d":2,"q":4.0}', 1.5, "pass", 2.0),
+            ('{"family":"power_decay","d":2,"q":4.0}', 5.0, "fail", 2.0),
+        ],
+    )
+    def test_qsum_verdict_is_exact(self, tmp_path, coefficient, q, verdict, q_bound):
+        code = _run(tmp_path, "check-conditions", "--set", f"coefficient={coefficient}",
+                    "--set", f"conditions.qsum_q={q}", "--set", "bandwidth.gamma=0.2")
+        assert code in (0, 2)
+        qsum = json.loads((tmp_path / "check_conditions" / "report.json").read_text())["checks"]["qsum"]
+        assert (qsum["verdict"], qsum["details"]["q_bound"], qsum["thresholds"]) == (verdict, q_bound, {})
 
     def test_a_table_cap_exit_1(self, tmp_path, capsys):
         # n = 8192 at d=2 needs an A-table of 8193^2 doubles, above the 2^28-byte cap
