@@ -121,19 +121,48 @@ class ToolError(RuntimeError):
     pass
 
 
+def _is_number(value, integer: bool) -> bool:
+    """A JSON number, not a bool, and integral when ``integer``."""
+    return type(value) in (int, float) and not (integer and type(value) is float and not value.is_integer())
+
+
 class _Section(dict):
-    """A config section whose ``[]`` names a missing key as a tool error, not a KeyError.
+    """A config section (the name "" is the top level) that reads keys as tool errors, not tracebacks.
 
     A key a subcommand reads with ``[]`` is one it needs, so a section
-    replaced as a whole without it exits 1 naming the key.
+    replaced as a whole without it exits 1 naming the key, and so does a
+    value that ``number`` or ``numbers`` cannot read.
     """
 
     def __init__(self, name: str, values: dict):
         super().__init__(values)
         self.name = name
 
+    def path(self, key: str) -> str:
+        return f"{self.name}.{key}" if self.name else key
+
     def __missing__(self, key):
-        raise ToolError(f"missing config key {self.name}.{key}")
+        raise ToolError(f"missing config key {self.path(key)}")
+
+    def number(self, key: str, integer: bool = False, optional: bool = False):
+        """``self[key]`` as an int or a float, or None when ``optional`` allows it."""
+        value = self[key]
+        if value is None and optional:
+            return None
+        if not _is_number(value, integer):
+            kind = "an integer" if integer else "a number"
+            raise ToolError(f"config key {self.path(key)} must be {kind}, got {json.dumps(value)}")
+        return int(value) if integer else float(value)
+
+    def numbers(self, key: str, integer: bool = False) -> tuple:
+        """``self[key]`` as a tuple of ints or floats; it must be a nonempty list of them."""
+        values = self[key]
+        if not (isinstance(values, list) and values and all(_is_number(v, integer) for v in values)):
+            kind = "integers" if integer else "numbers"
+            raise ToolError(
+                f"config key {self.path(key)} must be a nonempty list of {kind}, got {json.dumps(values)}"
+            )
+        return tuple(int(v) if integer else float(v) for v in values)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -186,7 +215,12 @@ def load_config(path: str | None, sets, seed=None, threads=None) -> dict:
     if threads is not None:
         cfg["threads"] = threads
     _check_keys(cfg)
-    return {key: _Section(key, v) if isinstance(v, dict) else v for key, v in cfg.items()}
+    cfg = _Section("", {key: _Section(key, v) if isinstance(v, dict) else v for key, v in cfg.items()})
+    # read before any handler runs: the manifest's seed and the model's dimension
+    cfg.number("seed", integer=True)
+    cfg.number("threads", integer=True)
+    cfg["coefficient"].number("d", integer=True)
+    return cfg
 
 
 def _check_keys(cfg: dict) -> None:
@@ -228,17 +262,10 @@ def _nonfinite_keys(node, path=""):
 
 
 def _bandwidth(cfg: dict) -> BandwidthSchedule:
-    d = int(cfg["coefficient"]["d"])
     bw = cfg["bandwidth"]
-    return BandwidthSchedule(d=d, gamma=float(bw["gamma"]), c2=float(bw["c2"]))
-
-
-def _points(sec: _Section, key: str) -> tuple:
-    """``sec[key]`` as floats; anything but a nonempty list of numbers exits 1 naming the key."""
-    values = sec[key]
-    if not (isinstance(values, list) and values and all(type(v) in (int, float) for v in values)):
-        raise ToolError(f"{sec.name}.{key} must be a nonempty list of numbers, got {json.dumps(values)}")
-    return tuple(float(v) for v in values)
+    return BandwidthSchedule(
+        d=cfg["coefficient"].number("d", integer=True), gamma=bw.number("gamma"), c2=bw.number("c2")
+    )
 
 
 def _experiment(cfg: dict, section: str) -> ExperimentConfig:
@@ -249,15 +276,15 @@ def _experiment(cfg: dict, section: str) -> ExperimentConfig:
         innovations=InnovationModel.from_config(cfg["innovations"]),
         kernel=kernel_by_name(cfg["kernel"]),
         bandwidth=_bandwidth(cfg),
-        n_grid=tuple(sec["n_grid"]),
-        x_points=None if sec["x_points"] is None else _points(sec, "x_points"),
-        delta=cfg["schedule"]["delta"],
+        n_grid=sec.numbers("n_grid", integer=True),
+        x_points=None if sec["x_points"] is None else sec.numbers("x_points"),
+        delta=cfg["schedule"].number("delta", optional=True),
         truncation_policy=truncation["policy"],
         truncation_eta=truncation["eta"],
         truncation_M=truncation["M"],
-        replicates=int(sec["replicates"]),
-        master_seed=int(cfg["seed"]),
-        threads=int(cfg["threads"]),
+        replicates=sec.number("replicates", integer=True),
+        master_seed=cfg.number("seed", integer=True),
+        threads=cfg.number("threads", integer=True),
         max_field_bytes=_max_field_bytes(cfg),
     )
 
@@ -265,22 +292,23 @@ def _experiment(cfg: dict, section: str) -> ExperimentConfig:
 def _truncation(cfg: dict) -> dict:
     """The truncation section as ``plan_truncation`` keyword arguments."""
     tr = cfg["truncation"]
-    return {"policy": tr["policy"], "eta": float(tr["eta"]), "M": tr["M"]}
+    return {"policy": tr["policy"], "eta": tr.number("eta"), "M": tr.number("M", integer=True, optional=True)}
 
 
 def _max_field_bytes(cfg: dict) -> int:
-    return int(cfg["limits"]["max_field_bytes"])
+    return cfg["limits"].number("max_field_bytes", integer=True)
 
 
 def _coupled_draw(cfg: dict, sec: dict):
     """(model, innovations, plan, b, X, X_m) of one seed at the section's n and m, drawn as the engine draws."""
     model = model_from_config(cfg["coefficient"])
     innov = InnovationModel.from_config(cfg["innovations"])
-    n, m = int(sec["n"]), int(sec["m"])
+    n, m = sec.number("n", integer=True), sec.number("m", integer=True)
     b = _bandwidth(cfg).b(n)
     plan = plan_truncation(model, m=m, b=b, **_truncation(cfg))
     spectra = coupled_spectra(model, n, m, plan, max_bytes=_max_field_bytes(cfg))
-    x, x_m = generate_coupled_fields(model, innov, n, m, plan, [SeedSpec(int(cfg["seed"]))], spectra)
+    seed = SeedSpec(cfg.number("seed", integer=True))
+    x, x_m = generate_coupled_fields(model, innov, n, m, plan, [seed], spectra)
     return model, innov, plan, b, x[0], x_m[0]
 
 
@@ -308,25 +336,28 @@ GAP_COLUMNS = ["n", "m", "b", "gap", "se", "residual_ratio"]
 
 def cmd_check_conditions(cfg: dict):
     sec = cfg["conditions"]
-    n_grid = [int(n) for n in sec["n_grid"]]
+    n_grid = list(sec.numbers("n_grid", integer=True))
     model = model_from_config(cfg["coefficient"])
     bw = _bandwidth(cfg)
     window = check_decay_window(model.d, model.decay_exponent(), bw.gamma)
-    delta = next((v for v in (cfg["schedule"]["delta"], window.delta_star) if v is not None), None)
+    delta = cfg["schedule"].number("delta", optional=True)
+    if delta is None:
+        delta = window.delta_star
     reports = {"decay_window": window.to_dict()}
     ok = window.passed
-    if sec["hallin_q"] is not None:
-        hallin = check_hallin(model.d, float(sec["hallin_q"]), bw.gamma)
+    hallin_q, qsum_q = sec.number("hallin_q", optional=True), sec.number("qsum_q", optional=True)
+    if hallin_q is not None:
+        hallin = check_hallin(model.d, hallin_q, bw.gamma)
         reports["hallin"] = hallin.to_dict()
-    if sec["qsum_q"] is not None:
+    if qsum_q is not None:
         try:
-            qs = check_machkouri_qsum(model, float(sec["qsum_q"]))
-        except (TypeError, ValueError) as exc:
+            qs = check_machkouri_qsum(model, qsum_q)
+        except ValueError as exc:
             raise ToolError(f"conditions.qsum_q: {exc}") from None
         reports["qsum"] = qs.to_dict()
     rows = []
     if delta is not None:
-        cond = check_condition_c(model, bw, float(delta), n_grid)
+        cond = check_condition_c(model, bw, delta, n_grid)
         reports["schedule_limits"] = cond.to_dict()
         rows = cond.grid_rows
         ok = ok and cond.passed
@@ -344,9 +375,10 @@ def cmd_check_conditions(cfg: dict):
 def cmd_gen_field(cfg: dict, out_dir: Path):
     sec = cfg["gen_field"]
     model, innov, plan, _, x, x_m = _coupled_draw(cfg, sec)
-    n, m = int(sec["n"]), int(sec["m"])
+    n, m = sec.number("n", integer=True), sec.number("m", integer=True)
+    seed = SeedSpec(cfg.number("seed", integer=True))
     provenance = {"coefficients": model.label(), "innovations": innov.label(), "truncation_radius": plan.M,
-                  "seed": SeedSpec(int(cfg["seed"])).to_config()}
+                  "seed": seed.to_config()}
     fields = {
         tag: LatticeField(model.d, n, values, {**provenance, "component": tag})
         for tag, values in (("full", x), ("truncated", x_m), ("residual", x - x_m))
@@ -365,7 +397,7 @@ def cmd_gen_field(cfg: dict, out_dir: Path):
     # the same seed's lattice convolved with the weights off [0, m)^d, computed apart from the generator
     tail = coeff_box(model, plan.M)
     tail[(slice(0, m),) * model.d] = 0.0
-    eps = draw_lattice(innov, SeedSpec(int(cfg["seed"])), (n + plan.M - 1,) * model.d)
+    eps = draw_lattice(innov, seed, (n + plan.M - 1,) * model.d)
     coupling = float(np.max(np.abs(x - x_m - lattice_convolve(eps, tail))))
     # report carries names only so it regenerates byte-identically into any
     # output directory; the manifest records absolute paths
@@ -384,8 +416,8 @@ def cmd_gen_field(cfg: dict, out_dir: Path):
 def cmd_kde(cfg: dict):
     sec = cfg["kde"]
     kern = kernel_by_name(cfg["kernel"])
-    n, m = int(sec["n"]), int(sec["m"])
-    xs = _points(sec, "x_grid")
+    n, m = sec.number("n", integer=True), sec.number("m", integer=True)
+    xs = sec.numbers("x_grid")
     model, innov, plan, b, values, _ = _coupled_draw(cfg, sec)
     est = kde_estimate(values, np.array(xs), b, kern)
     rows = []
@@ -410,7 +442,7 @@ def cmd_kde(cfg: dict):
 
 def cmd_clt_run(cfg: dict):
     # only clt-run has a variance verdict
-    config = replace(_experiment(cfg, "clt"), variance_band=float(cfg["clt"]["variance_band"]))
+    config = replace(_experiment(cfg, "clt"), variance_band=cfg["clt"].number("variance_band"))
     report = run_clt_experiment(config)
     rows = []
     summary = []
@@ -445,10 +477,14 @@ def cmd_clt_run(cfg: dict):
 def cmd_blocks(cfg: dict):
     sec = cfg["blocks"]
     config = _experiment(cfg, "blocks")
-    plan = BlockPlan(m=sec["m"], delta=sec["delta"], l=sec["l"])
+    plan = BlockPlan(
+        m=sec.number("m", integer=True, optional=True),
+        delta=sec.number("delta", optional=True),
+        l=sec.number("l", integer=True, optional=True),
+    )
     samples = _block_samples(config, plan)
     decomposition = block_decomposition_check(config, samples)
-    lf = lindeberg_estimate(config, samples, sec["eps"])
+    lf = lindeberg_estimate(config, samples, sec.numbers("eps"))
     ok = decomposition["passed"] and lf["passed"]
     report = {
         "subcommand": "blocks",
@@ -473,11 +509,15 @@ def cmd_blocks(cfg: dict):
 def cmd_moment_check(cfg: dict):
     sec = cfg["moment_check"]
     config = _experiment(cfg, "moment_check")
-    wu_reports = wu_inequality_check(
-        config.model, config.innovations, list(sec["wu_p"]),
-        int(sec["wu_sample"]), master_seed=config.master_seed,
-    )
-    rect = rectangle_moment_check(config, sec["rectangles"], ratio_cap=float(sec["ratio_cap"]))
+    try:
+        wu_reports = wu_inequality_check(
+            config.model, config.innovations, list(sec["wu_p"]),
+            sec.number("wu_sample", integer=True), master_seed=config.master_seed,
+            max_bytes=config.max_field_bytes,
+        )
+    except FieldSizeError as exc:
+        raise ToolError(f"limits.max_field_bytes: {exc}") from None
+    rect = rectangle_moment_check(config, sec["rectangles"], ratio_cap=sec.number("ratio_cap"))
     ok = rect["passed"]
     report = {
         "subcommand": "moment-check",
@@ -494,8 +534,7 @@ def cmd_fixed_m_gap(cfg: dict):
     config = _experiment(cfg, "gap")
     rep = fixed_m_gap(
         config,
-        m=sec["m"],
-        n_grid=sec["n_grid"],
+        m=sec.number("m", integer=True, optional=True),
         mode=sec["mode"],
     )
     report = {
@@ -556,7 +595,7 @@ def main(argv=None) -> int:
     manifest = RunManifest(
         subcommand=args.subcommand,
         config=cfg,
-        master_seed=int(cfg["seed"]),
+        master_seed=cfg.number("seed", integer=True),
         tool_version=__version__,
         started=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     )

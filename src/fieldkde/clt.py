@@ -33,6 +33,8 @@ from .coefficients import (
 )
 from .field import (
     DEFAULT_MAX_FIELD_BYTES,
+    CoupledWorkspace,
+    FieldSizeError,
     TruncationPlan,
     coupled_spectra,
     estimate_field_bytes,
@@ -44,6 +46,7 @@ from .kde import (
     BandwidthSchedule,
     KernelModel,
     _kernel_sum,
+    _kernel_values,
     asymptotic_variance,
     density_oracle,
     expected_kde,
@@ -186,28 +189,36 @@ def _batch_size(d: int, n: int, M: int, max_bytes: int) -> int:
 
 
 def _replicate_chunk(config: ExperimentConfig, n, m, plan, stream, reduce, start, stop) -> list:
-    """reduce(X, X_m) of each batch of replicates start..stop-1, in replicate order."""
+    """reduce(X, X_m, scratch) of each batch of replicates start..stop-1, in replicate order.
+
+    One workspace, allocated at the chunk's batch size, serves every batch:
+    its generation buffers, and as ``scratch`` two of them the fields no
+    longer need.
+    """
     spectra = coupled_spectra(config.model, n, m, plan, max_bytes=config.max_field_bytes)
-    size = _batch_size(config.model.d, n, plan.M, config.max_field_bytes)
+    size = min(_batch_size(config.model.d, n, plan.M, config.max_field_bytes), max(stop - start, 1))
+    work = CoupledWorkspace(spectra, size)
     seeds = [SeedSpec(config.master_seed, stream, r) for r in range(start, stop)]
-    # each output is copied into its own C-ordered array: a view would keep the
-    # batch's fields or prefix sums alive until the join, and row sums round by layout
-    return [
-        tuple(np.array(out, order="C") for out in reduce(*generate_coupled_fields(
-            config.model, config.innovations, n, m, plan, seeds[lo:lo + size], spectra
-        )))
-        for lo in range(0, stop - start, size)
-    ]
+    batches = []
+    for lo in range(0, stop - start, size):
+        batch = seeds[lo:lo + size]
+        fields = generate_coupled_fields(config.model, config.innovations, n, m, plan, batch, spectra, work)
+        # each output is copied into its own C-ordered array: the next batch
+        # overwrites the workspace, a view would keep a batch's prefix sums
+        # alive until the join, and row sums round by layout
+        batches.append(tuple(np.array(out, order="C") for out in reduce(*fields, work.scratch(len(batch)))))
+    return batches
 
 
 def _run_replicates(config: ExperimentConfig, n, m, plan, stream, reduce) -> tuple:
-    """reduce(X, X_m) over replicates 0..R-1: a tuple of arrays with R rows in replicate order.
+    """reduce(X, X_m, scratch) over replicates 0..R-1: a tuple of arrays with R rows in replicate order.
 
     ``reduce`` takes the two fields of a batch, each with a leading
-    replicate axis, and returns a tuple of arrays with one row per
-    replicate.  Each of min(threads, cpu count, R) workers runs one
-    contiguous chunk of replicates in batches of ``_batch_size`` and builds
-    the coefficient spectra once for it; replicate r always draws from
+    replicate axis, and two scratch arrays of the fields' shape; the fields
+    are views that stay valid for the call only.  It returns a tuple of
+    arrays with one row per replicate.  Each of min(threads, cpu count, R)
+    workers runs one contiguous chunk of replicates in batches of
+    ``_batch_size`` and builds the coefficient spectra once for it; replicate r always draws from
     SeedSpec(master, stream, r), and a batch gives the same bits as one
     replicate at a time, so the result depends on neither the worker count
     nor the batch size.  Each output is joined once from C-ordered parts.
@@ -251,12 +262,12 @@ def _window_sums(prefix: np.ndarray, l: int) -> np.ndarray:
 # normalised statistic
 
 
-def _kernel_sums(x, x_m, xs, kernel, b):
+def _kernel_sums(x, x_m, scratch, xs, kernel, b):
     """Raw kernel sums over the lattice at each point of ``xs``, of X and of X_m: two (B, len(xs)) arrays."""
     axes = tuple(range(1, x.ndim))  # the lattice axes of a batch
 
     def sums(values):
-        return np.stack([_kernel_sum(kernel, point, values, b, axes) for point in xs], axis=1)
+        return np.stack([_kernel_sum(kernel, point, values, b, axes, scratch) for point in xs], axis=1)
 
     sums_f = sums(x)
     return sums_f, sums_f if x_m is x else sums(x_m)
@@ -465,9 +476,10 @@ class BlockPlan:
         return m_n, l_n, max(q, 1)
 
 
-def _block_windows(x, x_m, kernel, b, point, m, l, q):
+def _block_windows(x, x_m, scratch, kernel, b, point, m, l, q):
     """Per replicate, total and big-block sums of the truncated kernel field K((point - X_m)/b)/sqrt(b)."""
-    raw = kernel((point - x_m) / b) / math.sqrt(b)
+    raw = _kernel_values(kernel, point, x_m, b, scratch)
+    raw /= math.sqrt(b)
     d = raw.ndim - 1
     prefix = _padded_prefix(raw)
     windows = _window_sums(prefix, l)
@@ -616,9 +628,10 @@ def lindeberg_estimate(config: ExperimentConfig, samples: list[dict], eps) -> di
 # rectangle moments
 
 
-def _rectangle_sums(x, x_m, kernel, b, point, rects):
+def _rectangle_sums(x, x_m, scratch, kernel, b, point, rects):
     """Corner-rectangle sums of the truncated and remainder kernel fields, and remainder moments."""
-    zeta_raw = kernel((point - x_m) / b) / math.sqrt(b)
+    zeta_raw = _kernel_values(kernel, point, x_m, b, scratch)
+    zeta_raw /= math.sqrt(b)
     diff_raw = kernel((point - x) / b) / math.sqrt(b) - zeta_raw
     pz = _padded_prefix(zeta_raw)
     pd_ = _padded_prefix(diff_raw)
@@ -711,6 +724,7 @@ def wu_inequality_check(
     p,
     sample: int,
     master_seed: int = 20260810,
+    max_bytes: int = DEFAULT_MAX_FIELD_BYTES,
 ):
     """Monte Carlo constant in E|sum_k a_k eps_k|^(2p) <= C (sum_k a_k^2)^p.
 
@@ -719,7 +733,8 @@ def wu_inequality_check(
     innovation kurtosis is known the exact fourth-moment reference is
     attached.  Requires E|eps|^(2 v 2p) < infinity.  ``p`` is a sequence of
     orders; the list of their reports comes from one sample of X_0, with the
-    same numbers as one call per order.
+    same numbers as one call per order.  The coefficient box and one block
+    of draws must fit in ``max_bytes``, checked before either is allocated.
     """
     orders = list(p)
     if sample < 2:
@@ -743,11 +758,18 @@ def wu_inequality_check(
             side *= 2
             if side > 1 << 12:
                 raise ValueError("coefficient tail too slow to truncate for sampling")
+    size = side**model.d
+    chunk = max(1, (1 << 22) // size)
+    need = 8 * size * (1 + min(chunk, sample))
+    if need > max_bytes:
+        raise FieldSizeError(
+            f"the moment-inequality sample's coefficient box of side {side} and its draws "
+            f"need about {need} bytes (> cap {max_bytes})"
+        )
     a = coeff_box(model, side).ravel()
     rng = spawn_rng(SeedSpec(master_seed, stream=STREAM_OFFSETS["wu"]))
     sums = {q: [0.0, 0.0] for q in orders}  # order -> [sum |X|^(2p), sum |X|^(4p)]
     sum_a4 = float(np.sum(a**4))
-    chunk = max(1, (1 << 22) // a.size)
     done = 0
     while done < sample:
         take = min(chunk, sample - done)
@@ -789,9 +811,9 @@ def wu_inequality_check(
 # truncation gap
 
 
-def _squared_gap(x, x_m, kernel, b, point):
+def _squared_gap(x, x_m, scratch, kernel, b, point):
     """Per replicate, site mean of (K((point - X_m)/b) - K((point - X)/b))^2 / b."""
-    kt = kernel((point - x_m) / b)
+    kt = _kernel_values(kernel, point, x_m, b, scratch)
     kf = kernel((point - x) / b)
     return (np.mean((kt - kf) ** 2, axis=tuple(range(1, kf.ndim))) / b,)
 

@@ -25,6 +25,7 @@ from .innovations import InnovationModel, draw_lattice
 __all__ = [
     "LatticeField",
     "CoupledSpectra",
+    "CoupledWorkspace",
     "TruncationPlan",
     "FieldSizeError",
     "plan_truncation",
@@ -116,15 +117,18 @@ def plan_truncation(
 
 
 def estimate_field_bytes(d: int, n: int, M: int) -> int:
-    """Peak footprint of one coupled generation on the FFT path.
+    """Peak footprint of one coupled generation on the FFT path, per replicate.
 
-    Counts the innovation lattice of side n + M - 1, four half spectra of
-    P^(d-1) * (P//2 + 1) complex values with P = next_fast_len(n + M - 1)
-    (the two coefficient spectra, the lattice's and one product, which the
-    inverse transform overwrites) and three real buffers of side P, two of
-    them the inverse transforms the fields are views into.  The third is
-    headroom: the forward transform writes straight into the lattice's half
-    spectrum, so no padded real copy of the lattice exists.  The direct path
+    Counts what a ``CoupledWorkspace`` and its spectra hold: the innovation
+    lattice of side n + M - 1, four half spectra of P^(d-1) * (P//2 + 1)
+    complex values with P = next_fast_len(n + M - 1) (the two coefficient
+    spectra, the lattice's and one product, which the inverse transform
+    overwrites) and three real buffers of side P, two of them the inverse
+    transforms the fields are views into.  The third is headroom for the
+    reduction that reads the fields: the forward transform writes straight
+    into the lattice's half spectrum, so no padded real copy of the lattice
+    exists, and the reduction's two scratch arrays are that spectrum and the
+    product, idle once the fields are transformed back.  The direct path
     allocates less.
     """
     P = next_fast_len(n + M - 1)
@@ -141,15 +145,33 @@ def _auto_method(lattice_shape, coeffs: np.ndarray) -> str:
     return "direct" if direct_cost <= fft_cost else "fourier"
 
 
-def _fourier_valid(spectrum, coeff_spectrum, shape, lattice_shape, coeff_shape) -> np.ndarray:
+def _fourier_valid(
+    spectrum, coeff_spectrum, shape, lattice_shape, coeff_shape, product=None, out=None
+) -> np.ndarray:
     """Valid region of a lattice-coefficient convolution from their real spectra of ``shape``.
 
     A spectrum with a leading replicate axis is a stack.  The circular
     convolution of period P >= lattice side has no wrap-around in the valid
-    region [c - 1, lattice side) of the linear one.
+    region [c - 1, lattice side) of the linear one.  ``product`` and ``out``,
+    when given, take the product of the spectra and the inverse transform.
     """
-    out = irfftn(spectrum * coeff_spectrum, shape)
+    out = irfftn(np.multiply(spectrum, coeff_spectrum, out=product), shape, out)
     return out[(...,) + tuple(slice(c - 1, s) for c, s in zip(coeff_shape, lattice_shape))]
+
+
+def _direct_valid(lattice, coeffs, out, tap) -> np.ndarray:
+    """Valid region of the convolution summed tap by tap into ``out``, each tap's product in ``tap``."""
+    out.fill(0.0)
+    for k in np.ndindex(coeffs.shape):
+        c = coeffs[k]
+        if c == 0.0:
+            continue
+        sl = tuple(
+            slice(cs - 1 - kt, cs - 1 - kt + os)
+            for kt, cs, os in zip(k, coeffs.shape, out.shape)
+        )
+        out += np.multiply(lattice[sl], c, out=tap)
+    return out
 
 
 def lattice_convolve(lattice: np.ndarray, coeffs: np.ndarray, method: str = "auto") -> np.ndarray:
@@ -174,17 +196,7 @@ def lattice_convolve(lattice: np.ndarray, coeffs: np.ndarray, method: str = "aut
         )
     if method != "direct":
         raise ValueError(f"unknown convolution method {method!r}")
-    out = np.zeros(out_shape)
-    for k in np.ndindex(coeffs.shape):
-        c = coeffs[k]
-        if c == 0.0:
-            continue
-        sl = tuple(
-            slice(cs - 1 - kt, cs - 1 - kt + os)
-            for kt, cs, os in zip(k, coeffs.shape, out_shape)
-        )
-        out += c * lattice[sl]
-    return out
+    return _direct_valid(lattice, coeffs, np.empty(out_shape), np.empty(out_shape))
 
 
 @dataclass
@@ -219,27 +231,69 @@ class CoupledSpectra:
     truncated: np.ndarray
     shape: tuple = ()
 
-    def convolve(self, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(X, X_m) on [1, n]^d for each lattice of side n + M - 1 in the stack ``eps``.
 
-        When m == M the truncation is the field itself, and X_m is X.
-        """
+class CoupledWorkspace:
+    """Buffers for the coupled generation of up to ``size`` replicates at one ``CoupledSpectra``.
+
+    Allocated once and reused by every batch, so a run of many batches
+    faults in no fresh pages after its first: the stack of innovation
+    lattices, which the draws fill slot by slot; on the FFT path the
+    lattices' half spectrum, one product of spectra and one inverse
+    transform per field, of which the fields are views; on the direct path
+    one array per field and one that takes each tap's product in turn.  The
+    fields of a batch stay valid until the next batch is convolved.
+    """
+
+    def __init__(self, spectra: CoupledSpectra, size: int):
+        self.spectra = spectra
+        n, M, d = spectra.n, spectra.M, spectra.full.ndim
+        self.lattices = np.empty((size,) + (n + M - 1,) * d)
+        # when m == M the truncation is the field itself, and one buffer serves both
+        count = 1 if spectra.m == M else 2
+        if spectra.method == "fourier":
+            P = spectra.shape
+            half = (size,) + P[:-1] + (P[-1] // 2 + 1,)
+            self.spectrum = np.empty(half, dtype=complex)
+            self.product = np.empty(half, dtype=complex)
+            self.fields = np.empty((count, size) + P)
+        else:
+            self.product = np.empty((size,) + (n,) * d)
+            self.fields = np.empty((count, size) + (n,) * d)
+
+    def convolve(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """(X, X_m) on [1, n]^d of the first ``count`` lattices of the stack; X_m is X when m == M."""
+        sp = self.spectra
+        eps = self.lattices[:count]
         d = eps.ndim - 1
-        if self.method == "direct":
+        product = self.product[:count]
+        if sp.method == "direct":
             # a on [0, c)^d meets the lattice from offset M - c on every axis,
             # and a weight of side 1 on the replicate axis keeps lattices apart
-            def conv(coeffs):
-                cut = (slice(self.M - coeffs.shape[0], None),) * d
-                return lattice_convolve(eps[(slice(None),) + cut], coeffs[np.newaxis], "direct")
+            def conv(coeffs, out):
+                cut = (slice(sp.M - coeffs.shape[0], None),) * d
+                return _direct_valid(eps[(slice(None),) + cut], coeffs[np.newaxis], out, product)
         else:
-            # X_m convolves the same lattice with the M-box masked to [0, m)^d
-            spectrum = rfftn(eps, self.shape)
+            # X_m convolves the same lattice spectrum with the M-box masked to [0, m)^d
+            spectrum = rfftn(eps, sp.shape, self.spectrum[:count])
 
-            def conv(coeff):
-                return _fourier_valid(spectrum, coeff, self.shape, eps.shape[1:], (self.M,) * d)
+            def conv(coeff, out):
+                return _fourier_valid(spectrum, coeff, sp.shape, eps.shape[1:], (sp.M,) * d, product, out)
 
-        x = conv(self.full)
-        return x, x if self.m == self.M else conv(self.truncated)
+        x = conv(sp.full, self.fields[0, :count])
+        return x, x if sp.m == sp.M else conv(sp.truncated, self.fields[1, :count])
+
+    def scratch(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two arrays shaped like ``count`` fields, for a reduction to overwrite.
+
+        They are buffers the fields no longer need, valid until the next
+        batch is drawn: the lattices' spectrum on the FFT path and the
+        lattice stack on the direct path, and the product.
+        """
+        shape = (count,) + (self.spectra.n,) * self.spectra.full.ndim
+        idle = self.lattices if self.spectra.method == "direct" else self.spectrum
+        return tuple(
+            buf.reshape(-1).view(float)[: math.prod(shape)].reshape(shape) for buf in (idle, self.product)
+        )
 
 
 def coupled_spectra(
@@ -285,6 +339,7 @@ def generate_coupled_fields(
     plan: TruncationPlan,
     seeds,
     spectra: CoupledSpectra,
+    workspace: CoupledWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(X, X_m) from one innovation lattice per seed, each with a leading replicate axis.
 
@@ -296,11 +351,19 @@ def generate_coupled_fields(
     for the same (n, m, plan) fixes the method; on the FFT path each lattice
     is transformed once and both fields come from one inverse FFT each.  X_m
     is X when m == M.
+
+    Everything happens in ``workspace``, a fresh one sized for ``seeds``
+    when none is given; the fields returned are views into it, which the
+    next call with the same workspace overwrites.
     """
     if (spectra.n, spectra.m, spectra.M) != (n, m, plan.M):
         raise ValueError("spectra were built for another (n, m, M)")
-    eps = np.stack([draw_lattice(innovations, s, (n + plan.M - 1,) * model.d) for s in seeds])
-    return spectra.convolve(eps)
+    work = CoupledWorkspace(spectra, len(seeds)) if workspace is None else workspace
+    if work.spectra is not spectra or len(seeds) > len(work.lattices):
+        raise ValueError("workspace was built for other spectra or fewer replicates")
+    for seed, slot in zip(seeds, work.lattices):
+        draw_lattice(innovations, seed, slot.shape, slot)
+    return work.convolve(len(seeds))
 
 
 # ---------------------------------------------------------------------------

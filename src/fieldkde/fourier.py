@@ -30,25 +30,29 @@ def next_fast_len(target: int) -> int:
     return best
 
 
-def rfftn(x: np.ndarray, shape) -> np.ndarray:
+def rfftn(x: np.ndarray, shape, out=None) -> np.ndarray:
     """Real FFT over the last len(shape) axes of ``x``, zero-padded to ``shape``.
 
-    One zeroed complex buffer takes the last axis's transform and then the
-    other axes' in place, which faults in fewer fresh pages than a new array
-    per axis.
+    One complex buffer, ``out`` when given, takes the last axis's transform
+    and then the other axes' in place, which faults in fewer fresh pages
+    than a new array per axis.  Only its padding is zeroed: the last axis's
+    transform writes the rest.
     """
     k = len(shape)
-    out = np.zeros(x.shape[:-k] + tuple(shape[:-1]) + (shape[-1] // 2 + 1,), dtype=complex)
+    if out is None:
+        out = np.empty(x.shape[:-k] + tuple(shape[:-1]) + (shape[-1] // 2 + 1,), dtype=complex)
+    for j, side in enumerate(x.shape[-k:-1]):
+        out[(..., slice(side, None)) + (slice(None),) * (k - 1 - j)] = 0.0
     rfft(x, shape[-1], -1, out=out[(...,) + tuple(map(slice, x.shape[-k:-1])) + (slice(None),)])
     for axis, n in enumerate(shape[:-1], -k):
         fft(out, n, axis, out=out)
     return out
 
 
-def irfftn(spectrum: np.ndarray, shape) -> np.ndarray:
-    """Inverse of ``rfftn`` with real output ``shape``; overwrites ``spectrum``."""
+def irfftn(spectrum: np.ndarray, shape, out=None) -> np.ndarray:
+    """Inverse of ``rfftn`` with real output ``shape``, into ``out`` when given; overwrites ``spectrum``."""
     for axis, n in enumerate(shape[:-1], -len(shape)):
         ifft(spectrum, n, axis, norm="forward", out=spectrum)
-    out = irfft(spectrum, shape[-1], -1, norm="forward")
+    out = irfft(spectrum, shape[-1], -1, norm="forward", out=out)
     out *= 1.0 / math.prod(shape)
     return out

@@ -107,15 +107,20 @@ def spawn_rng(seed: SeedSpec) -> Generator:
     return Generator(Philox(SeedSequence((seed.master, seed.stream, seed.replicate))))
 
 
-def _draw(model: InnovationModel, rng: Generator, shape) -> np.ndarray:
+def _draw(model: InnovationModel, rng: Generator, shape, out=None) -> np.ndarray:
+    """Draws of ``model`` of the given shape, into ``out`` when given, with the bits of a fresh array."""
     if model.name == "gaussian":
-        return rng.standard_normal(shape)
+        return rng.standard_normal(shape, out=out)
     if model.name == "uniform":
-        return rng.uniform(-UNIFORM_HALF_WIDTH, UNIFORM_HALF_WIDTH, shape)
+        draw = rng.uniform(-UNIFORM_HALF_WIDTH, UNIFORM_HALF_WIDTH, shape)
+        if out is None:
+            return draw
+        out[...] = draw
+        return out
     scale = math.sqrt((model.nu - 2.0) / model.nu)
-    return scale * rng.standard_t(model.nu, shape)
+    return np.multiply(scale, rng.standard_t(model.nu, shape), out=out)
 
 
-def draw_lattice(model: InnovationModel, seed: SeedSpec, shape) -> np.ndarray:
-    """Innovation lattice of the given shape (row-major fill order)."""
-    return _draw(model, spawn_rng(seed), tuple(shape))
+def draw_lattice(model: InnovationModel, seed: SeedSpec, shape, out=None) -> np.ndarray:
+    """Innovation lattice of the given shape (row-major fill order), into ``out`` when given."""
+    return _draw(model, spawn_rng(seed), tuple(shape), out)

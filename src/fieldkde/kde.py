@@ -32,10 +32,16 @@ __all__ = [
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
-def _epanechnikov(u):
+# Each kernel writes into ``out`` when it is given and returns it.
+
+
+def _epanechnikov(u, out=None):
     u = np.asarray(u, dtype=float)
-    # tested as |u| > 1, not |u| <= 1, so that a NaN stays NaN
-    return np.where(np.abs(u) > 1.0, 0.0, 0.75 * (1.0 - u * u))
+    # 0.75 max(1 - u^2, 0): u^2 rounds above 1 exactly when |u| > 1, and a NaN stays NaN
+    w = np.multiply(u, u, out=np.empty(u.shape) if out is None else out)
+    np.subtract(1.0, w, out=w)
+    np.maximum(w, 0.0, out=w)
+    return np.multiply(w, 0.75, out=w)
 
 
 # exp(w) is exactly 0.0 for w below this: it is under half the smallest
@@ -46,12 +52,12 @@ EXP_ZERO_FLOOR = -746.0
 KERNEL_REACH = math.sqrt(-2.0 * EXP_ZERO_FLOOR)
 
 
-def _gaussian_kernel(u):
+def _gaussian_kernel(u, out=None):
     u = np.asarray(u, dtype=float)
     if u.ndim == 0:
         return np.exp(-0.5 * u * u) / SQRT2PI
     # same operations in the same order as the scalar branch, in one buffer
-    w = -0.5 * u
+    w = np.multiply(-0.5, u, out=out)
     w *= u
     live = w >= EXP_ZERO_FLOOR
     if not live.all():
@@ -68,9 +74,11 @@ def _gaussian_kernel(u):
     return w
 
 
-def _triangular(u):
+def _triangular(u, out=None):
     u = np.asarray(u, dtype=float)
-    return np.maximum(1.0 - np.abs(u), 0.0)
+    w = np.abs(u, out=np.empty(u.shape) if out is None else out)
+    np.subtract(1.0, w, out=w)
+    return np.maximum(w, 0.0, out=w)
 
 
 _KERNELS = {
@@ -95,8 +103,8 @@ class KernelModel:
     support_radius: float
     abs_first_moment: float
 
-    def __call__(self, u):
-        return _KERNELS[self.name](u)
+    def __call__(self, u, out=None):
+        return _KERNELS[self.name](u, out)
 
     def to_config(self) -> str:
         return self.name
@@ -158,11 +166,21 @@ class BandwidthSchedule:
         return {"gamma": self.gamma, "c2": self.c2}
 
 
-def _kernel_sum(kernel, x, values, b, axis=None):
-    """sum_i K((x - X_i)/b) over the array ``values``, or over its ``axis``, at one scalar ``x``."""
-    u = x - values
+def _kernel_values(kernel, x, values, b, scratch=None):
+    """K((x - X_i)/b) for the array ``values`` at one scalar ``x``.
+
+    ``scratch``, two arrays shaped like ``values``, takes (x - X_i)/b and the
+    kernel values in place of fresh arrays; the result is its second array.
+    """
+    u, out = (None, None) if scratch is None else scratch
+    u = np.subtract(x, values, out=u)
     u /= b
-    return kernel(u).sum(axis=axis)
+    return kernel(u, out=out)
+
+
+def _kernel_sum(kernel, x, values, b, axis=None, scratch=None):
+    """sum_i K((x - X_i)/b) over the array ``values``, or over its ``axis``, at one scalar ``x``."""
+    return _kernel_values(kernel, x, values, b, scratch).sum(axis=axis)
 
 
 def _windowed_sums(kernel, xs, data, b):

@@ -6,6 +6,11 @@ computes one row; the pins below check that on the installed version, which
 the `oldest` CI job makes the oldest numpy supported.
 """
 
+import os
+import platform
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 import fieldkde.clt as clt
 from fieldkde import (
+    BandwidthSchedule,
     CoefficientModel,
+    ExperimentConfig,
     InnovationModel,
     SeedSpec,
     generate_coupled_fields,
+    kernel_by_name,
     lattice_convolve,
     plan_truncation,
 )
@@ -199,6 +207,72 @@ class TestBatchedGeneration:
             assert x_m is x
 
 
+INNOVATIONS = [InnovationModel("gaussian"), InnovationModel("uniform"), InnovationModel("student_t", nu=5.0)]
+
+
+class TestChunkWorkspace:
+    """One workspace per chunk gives the bits of a fresh generation per seed."""
+
+    @pytest.mark.parametrize("innov", INNOVATIONS, ids=lambda i: i.name)
+    @pytest.mark.parametrize("method", ["fourier", "direct"])
+    @pytest.mark.parametrize("d,n", [(1, 30), (2, 9), (3, 4)])
+    @pytest.mark.parametrize("m,M", [(2, 3), (3, 3)], ids=["m<M", "m=M"])
+    def test_chunk_equals_one_generation_per_seed(self, monkeypatch, innov, method, d, n, m, M):
+        model = CoefficientModel(d=d, family="power_decay", q=4.0)
+        plan = plan_truncation(model, m=m, policy="fixed", M=M)
+        config = ExperimentConfig(
+            model=model, innovations=innov, kernel=kernel_by_name("gaussian"),
+            bandwidth=BandwidthSchedule(d=d, gamma=0.5), n_grid=(n,), replicates=5, master_seed=11,
+        )
+        monkeypatch.setattr(clt, "_batch_size", lambda d, n, M, max_bytes: 2)  # batches of 2, 2 and 1
+        monkeypatch.setattr(clt, "coupled_spectra", lambda *a, **kw: coupled_spectra(*a, method=method, **kw))
+        seen = []
+
+        def fields(x, x_m, scratch):
+            seen.append((x, x_m, x.copy(), x_m.copy()))
+            for buf in scratch:  # buffers apart from the fields, which the next batch writes anew
+                buf.fill(np.nan)
+            return x, x_m
+
+        start, stop, stream = 3, 8, 4
+        batches = clt._replicate_chunk(config, n, m, plan, stream, fields, start, stop)
+        assert [len(x) for x, _ in batches] == [2, 2, 1]
+        # the next batch overwrites the fields of the last, so only the copies outlive it
+        assert not np.array_equal(seen[0][0], seen[0][2])
+        spectra = coupled_spectra(model, n, m, plan, method)
+        got_x, got_x_m = (np.concatenate(parts) for parts in zip(*batches))
+        for i, r in enumerate(range(start, stop)):
+            want_x, want_x_m = generate_coupled_fields(model, innov, n, m, plan, [SeedSpec(11, stream, r)], spectra)
+            assert np.array_equal(got_x[i].view(np.int64), want_x[0].view(np.int64))
+            assert np.array_equal(got_x_m[i].view(np.int64), want_x_m[0].view(np.int64))
+        assert all((x_m is x) == (m == M) for x, x_m, _, _ in seen)
+        for (x, x_m), (_, _, x_copy, x_m_copy) in zip(batches, seen):
+            assert x.base is None and np.array_equal(x.view(np.int64), x_copy.view(np.int64))
+            assert np.array_equal(x_m.view(np.int64), x_m_copy.view(np.int64))
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="counts minor faults of glibc's heap"
+)
+def test_replicates_fault_in_no_fresh_pages(tmp_path):
+    """clt-run at n = 256 faults in fewer than 100 pages per extra replicate.
+
+    A fresh array per replicate, which glibc trims back to the system when
+    it is freed, faults its pages in anew every time: about 1,000 a replicate.
+    """
+    src = Path(clt.__file__).resolve().parents[1]
+
+    def minor_faults(replicates):
+        argv = [sys.executable, "-m", "fieldkde", "clt-run", "--config", str(CONFIGS / "power_decay_d2.json"),
+                "--set", "clt.n_grid=[256]", "--set", f"clt.replicates={replicates}", "--threads", "1",
+                "--out", str(tmp_path / str(replicates))]
+        before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+        subprocess.run(argv, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+    assert (minor_faults(24) - minor_faults(8)) / 16 < 100
+
+
 class TestNumpyBatchPins:
     """Batched numpy calls equal per-row calls bit for bit, at the engine's sizes."""
 
@@ -227,3 +301,19 @@ class TestNumpyBatchPins:
             one = rfftn(lattices[i], shape)
             assert np.array_equal(spectra[i], one)
             assert np.array_equal(inverse[i], irfftn(one * coeff, shape))
+
+    @pytest.mark.parametrize("d,side,batch", CASES)
+    def test_transforms_into_used_buffers(self, d, side, batch):
+        rng = np.random.default_rng(side + 2)
+        lattices = rng.standard_normal((batch,) + (side,) * d)
+        shape = (next_fast_len(side),) * d
+        coeff = rfftn(rng.standard_normal((5,) * d), shape)
+        spectra = rfftn(lattices, shape)
+        inverse = irfftn(spectra * coeff, shape)
+        # buffers that hold another lattice's transforms, padding included
+        used = rfftn(rng.standard_normal(lattices.shape), shape)
+        out = irfftn(used * coeff, shape)
+        assert rfftn(lattices, shape, used) is used
+        assert np.array_equal(used.view(np.int64), spectra.view(np.int64))
+        assert irfftn(np.multiply(used, coeff, out=used), shape, out) is out
+        assert np.array_equal(out.view(np.int64), inverse.view(np.int64))

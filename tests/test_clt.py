@@ -10,6 +10,7 @@ from fieldkde import (
     BlockPlan,
     CoefficientModel,
     ExperimentConfig,
+    FieldSizeError,
     InnovationModel,
     MomentError,
     SeedSpec,
@@ -63,7 +64,7 @@ class TestExperimentConfig:
             _config(geometric_half, x_points=points)
 
 
-def _fortran_head(x, x_m):
+def _fortran_head(x, x_m, scratch):
     """A reduction whose first output is a Fortran-ordered slice, as fancy-indexed block sums are."""
     return np.asfortranarray(x)[:, :4], x_m[:, 0]
 
@@ -97,7 +98,7 @@ class TestReplicateEngine:
         plan = plan_truncation(geometric_half, m=2, policy="fixed", M=4)
         alive = []
 
-        def prefix_views(x, x_m):
+        def prefix_views(x, x_m, scratch):
             # like _block_windows: both outputs are views into one batch-sized prefix array
             prefix = np.cumsum(x_m, axis=1)
             alive.append(weakref.ref(prefix))
@@ -122,8 +123,9 @@ class TestReplicateEngine:
         monkeypatch.setattr(clt, "coupled_spectra", counting)
         config = _config(power_d2, bandwidth=BandwidthSchedule(d=2, gamma=1.0), replicates=7)
         plan = plan_truncation(power_d2, m=2, policy="fixed", M=6)
-        # a reduction takes the two fields of a batch and returns arrays with one row per replicate
-        def reduce(x, x_m):
+        # a reduction takes the two fields of a batch and two scratch arrays shaped like them,
+        # and returns arrays with one row per replicate
+        def reduce(x, x_m, scratch):
             return (x.sum(axis=(1, 2)),)
 
         (rows,) = clt._run_replicates(config, 16, 2, plan, 0, reduce)
@@ -424,6 +426,25 @@ class TestWuInequality:
         assert together == apart
         assert sum(drawn) == 30_000 * apart[0]["truncation_side"]
         assert wu_inequality_check(geometric_half, innov, [], 30_000) == []
+
+
+    def test_memory_cap_checked_before_the_box_is_built(self, geometric_half, monkeypatch):
+        import fieldkde.clt as clt
+
+        innov = InnovationModel("gaussian")
+        (rep,) = wu_inequality_check(geometric_half, innov, [1], 1000)
+        need = 8 * rep["truncation_side"] * (1 + 1000)  # the box and one block of 1000 draws
+        assert wu_inequality_check(geometric_half, innov, [1], 1000, max_bytes=need) == [rep]
+
+        def no_box(*args, **kw):
+            raise AssertionError("the coefficient box was built before the cap was checked")
+
+        monkeypatch.setattr(clt, "coeff_box", no_box)
+        with pytest.raises(FieldSizeError, match="cap"):
+            wu_inequality_check(geometric_half, innov, [1], 1000, max_bytes=need - 1)
+        # power decay at d = 3 truncates at side 1024: 16 GiB with its draws
+        with pytest.raises(FieldSizeError):
+            wu_inequality_check(CoefficientModel(d=3, family="power_decay", q=4.0), innov, [1, 2], 200_000)
 
 
 class TestBlocks:

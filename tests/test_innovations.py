@@ -17,6 +17,17 @@ def test_same_seed_bit_identical():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("name,nu", [("gaussian", None), ("uniform", None), ("student_t", 5.0)])
+def test_draw_into_a_slot_keeps_the_bits(name, nu):
+    m = InnovationModel(name, nu)
+    fresh = draw_lattice(m, SeedSpec(MASTER_SEED, 2, 7), (6, 5))
+    stack = np.full((3, 6, 5), np.nan)
+    slot = stack[1]
+    assert draw_lattice(m, SeedSpec(MASTER_SEED, 2, 7), (6, 5), slot) is slot
+    assert np.array_equal(slot.view(np.int64), fresh.view(np.int64))
+    assert np.isnan(stack[[0, 2]]).all()
+
+
 def test_distinct_streams_uncorrelated():
     m = InnovationModel("gaussian")
     a = draw_lattice(m, SeedSpec(MASTER_SEED, 0, 0), (100_000,))

@@ -127,6 +127,39 @@ class TestKernels:
             assert np.array_equal(u, before, equal_nan=True)
         assert k(0.7) == np.exp(-0.5 * 0.7 * 0.7) / math.sqrt(2.0 * math.pi)
 
+    # the plain numpy expression of each kernel
+    PLAIN = {
+        "epanechnikov": lambda u: np.where(np.abs(u) > 1.0, 0.0, 0.75 * (1.0 - u * u)),
+        "gaussian": lambda u: np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi),
+        "triangular": lambda u: np.maximum(1.0 - np.abs(u), 0.0),
+    }
+
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    def test_into_a_used_buffer_equals_plain_expression(self, name):
+        k = kernel_by_name(name)
+        one = np.nextafter(1.0, 2.0)
+        u = np.concatenate([
+            np.random.default_rng(MASTER_SEED).standard_normal(2048) * 2.0,
+            [0.0, -0.0, 1.0, -1.0, one, -one, np.nextafter(1.0, 0.0), 5e-324, 1e200, -1e200],
+            [np.inf, -np.inf, np.nan, 37.9, -38.5],
+        ])
+        out = np.full_like(u, 7.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = self.PLAIN[name](u)
+            assert k(u, out=out) is out
+            fresh = k(u)
+        for got in (out, fresh):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_kernel_sum_in_scratch_equals_fresh(self):
+        values = np.random.default_rng(5).standard_normal((3, 16, 16))
+        scratch = np.full((2,) + values.shape, np.nan)
+        for name in KERNEL_NAMES:
+            k = kernel_by_name(name)
+            want = _kernel_sum(k, 0.25, values, 0.3, (1, 2))
+            got = _kernel_sum(k, 0.25, values, 0.3, (1, 2), scratch)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_exp_is_zero_below_the_floor(self):
         # the Gaussian kernel skips exp below the floor on this fact
         assert np.exp(np.nextafter(EXP_ZERO_FLOOR, -np.inf)) == 0.0

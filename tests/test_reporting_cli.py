@@ -198,15 +198,15 @@ class TestCli:
         assert report["coupling_max_abs_gap"] <= 1e-12 * np.max(np.abs(f.values))
 
     def test_gen_field_coupling_check_sees_a_broken_truncation(self, tmp_path, monkeypatch):
-        from fieldkde.field import CoupledSpectra
+        from fieldkde.field import CoupledWorkspace
 
-        convolve = CoupledSpectra.convolve
+        convolve = CoupledWorkspace.convolve
 
-        def broken(self, eps):
-            x, x_m = convolve(self, eps)
+        def broken(self, count):
+            x, x_m = convolve(self, count)
             return x, x_m + 1e-9
 
-        monkeypatch.setattr(CoupledSpectra, "convolve", broken)
+        monkeypatch.setattr(CoupledWorkspace, "convolve", broken)
         assert _run(tmp_path, "gen-field", "--set", "gen_field.n=16") == 0
         report = json.loads((tmp_path / "gen_field" / "report.json").read_text())
         assert report["coupling_max_abs_gap"] == pytest.approx(1e-9, rel=1e-3)
@@ -355,6 +355,51 @@ class TestCli:
         assert key in capsys.readouterr().err
         out = tmp_path / subcommand.replace("-", "_")
         assert [p.name for p in out.iterdir() if p.name != "manifest.json"] == []
+
+    @pytest.mark.parametrize(
+        "subcommand,assignment,key",
+        [
+            ("check-conditions", "conditions.hallin_q=[4]", "conditions.hallin_q"),
+            ("check-conditions", "conditions.n_grid=[16,null]", "conditions.n_grid"),
+            ("clt-run", "clt.n_grid=[null]", "clt.n_grid"),
+            ("clt-run", "clt.n_grid=32", "clt.n_grid"),
+            ("clt-run", 'clt.replicates="a"', "clt.replicates"),
+            ("clt-run", "clt.replicates=2.7", "clt.replicates"),
+            ("clt-run", "clt.replicates=true", "clt.replicates"),
+            ("clt-run", "clt.variance_band=null", "clt.variance_band"),
+            ("clt-run", 'seed="1"', "seed"),
+            ("clt-run", "threads=1.5", "threads"),
+            ("kde", "coefficient.d=1.5", "coefficient.d"),
+            ("kde", 'bandwidth.gamma="0.2"', "bandwidth.gamma"),
+            ("kde", "truncation.eta=[0.01]", "truncation.eta"),
+            ("kde", "truncation.M=2.5", "truncation.M"),
+            ("kde", "limits.max_field_bytes=false", "limits.max_field_bytes"),
+            ("gen-field", 'gen_field.n="16"', "gen_field.n"),
+            ("blocks", "blocks.eps=[0.5,null]", "blocks.eps"),
+            ("blocks", "blocks.l=7.5", "blocks.l"),
+            ("moment-check", "moment_check.wu_sample=1000.5", "moment_check.wu_sample"),
+            ("fixed-m-gap", "gap.m=2.5", "gap.m"),
+        ],
+    )
+    def test_config_number_exit_1_naming_it(self, tmp_path, capsys, subcommand, assignment, key):
+        assert _run(tmp_path, subcommand, "--set", assignment) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key ") and key in err, err
+        out = tmp_path / subcommand.replace("-", "_")
+        assert [p.name for p in out.iterdir() if p.name != "manifest.json"] == []
+
+    def test_integral_float_counts_as_an_integer(self, tmp_path):
+        assert _run(tmp_path, "clt-run", "--set", "clt.n_grid=[16.0]", "--set", "clt.replicates=3.0") == 0
+        point = json.loads((tmp_path / "clt_run" / "report.json").read_text())["points"][0]
+        assert point["n"] == 16 and point["replicates"] == 3 and len(point["T"]) == 3
+
+    def test_moment_check_sample_over_the_memory_cap_exit_1(self, tmp_path, capsys):
+        # the sample's box and draws are checked before anything is allocated
+        code = _run(tmp_path, "moment-check", "--set", "limits.max_field_bytes=100000")
+        assert code == 1
+        assert "limits.max_field_bytes" in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "moment_check" / "manifest.json").read_text())
+        assert manifest["status"] == "error" and "limits.max_field_bytes" in manifest["error"]
 
     @pytest.mark.parametrize(
         "subcommand,assignment,key",
@@ -540,8 +585,8 @@ class TestCli:
         kernel_sums = clt._kernel_sums
         calls = []
 
-        def first_nan(x, x_m, **kw):
-            sums_f, sums_t = kernel_sums(x, x_m, **kw)  # (replicate, x) arrays for X and X_m
+        def first_nan(x, x_m, scratch, **kw):
+            sums_f, sums_t = kernel_sums(x, x_m, scratch, **kw)  # (replicate, x) arrays for X and X_m
             if not calls:
                 sums_f[0, 0] = math.nan
             calls.append(1)
