@@ -31,6 +31,7 @@ from .clt import (
     lindeberg_estimate,
     rectangle_moment_check,
     run_clt_experiment,
+    worker_pool,
     wu_inequality_check,
 )
 from .coefficients import (
@@ -51,7 +52,7 @@ from .field import (
     write_field_binary,
     write_field_csv,
 )
-from .innovations import InnovationModel, SeedSpec, draw_lattice
+from .innovations import InnovationModel, Seeds, SeedSpec, draw_lattice
 from .kde import BandwidthSchedule, asymptotic_variance, density_oracle, expected_kde, kde_estimate, kernel_by_name
 from .reporting import RunManifest, write_csv, write_report
 
@@ -307,8 +308,8 @@ def _coupled_draw(cfg: dict, sec: dict):
     b = _bandwidth(cfg).b(n)
     plan = plan_truncation(model, m=m, b=b, **_truncation(cfg))
     spectra = coupled_spectra(model, n, m, plan, max_bytes=_max_field_bytes(cfg))
-    seed = SeedSpec(cfg.number("seed", integer=True))
-    x, x_m = generate_coupled_fields(model, innov, n, m, plan, [seed], spectra)
+    seeds = Seeds.of(SeedSpec(cfg.number("seed", integer=True)))
+    x, x_m = generate_coupled_fields(model, innov, n, m, plan, seeds, spectra)
     return model, innov, plan, b, x[0], x_m[0]
 
 
@@ -397,7 +398,7 @@ def cmd_gen_field(cfg: dict, out_dir: Path):
     # the same seed's lattice convolved with the weights off [0, m)^d, computed apart from the generator
     tail = coeff_box(model, plan.M)
     tail[(slice(0, m),) * model.d] = 0.0
-    eps = draw_lattice(innov, seed, (n + plan.M - 1,) * model.d)
+    eps = draw_lattice(innov, Seeds.of(seed)[0], (n + plan.M - 1,) * model.d)
     coupling = float(np.max(np.abs(x - x_m - lattice_convolve(eps, tail))))
     # report carries names only so it regenerates byte-identically into any
     # output directory; the manifest records absolute paths
@@ -506,18 +507,45 @@ def cmd_blocks(cfg: dict):
     }
 
 
+def _wu_orders(sec: _Section) -> list:
+    """moment_check.wu_p: a list of orders 1 and 2, empty to leave the moment inequality out."""
+    orders = sec["wu_p"]
+    if not (isinstance(orders, list) and all(_is_number(p, True) and p in (1, 2) for p in orders)):
+        raise ToolError(f"config key {sec.path('wu_p')} must be a list of orders 1 or 2, got {json.dumps(orders)}")
+    return [int(p) for p in orders]
+
+
+def _rectangles(sec: _Section, d: int) -> list:
+    """moment_check.rectangles: a nonempty list of integer sides >= 1, or of lists of d of them."""
+    rects = sec["rectangles"]
+
+    def sides(rect):
+        return rect if isinstance(rect, list) else [rect] * d
+
+    if not (
+        isinstance(rects, list) and rects
+        and all(len(sides(r)) == d and all(_is_number(t, True) and t >= 1 for t in sides(r)) for r in rects)
+    ):
+        raise ToolError(
+            f"config key {sec.path('rectangles')} must be a nonempty list of integer sides >= 1, "
+            f"or of lists of d = {d} of them, got {json.dumps(rects)}"
+        )
+    return [tuple(int(t) for t in sides(r)) for r in rects]
+
+
 def cmd_moment_check(cfg: dict):
     sec = cfg["moment_check"]
     config = _experiment(cfg, "moment_check")
+    orders, rects = _wu_orders(sec), _rectangles(sec, config.model.d)
     try:
         wu_reports = wu_inequality_check(
-            config.model, config.innovations, list(sec["wu_p"]),
+            config.model, config.innovations, orders,
             sec.number("wu_sample", integer=True), master_seed=config.master_seed,
             max_bytes=config.max_field_bytes,
         )
     except FieldSizeError as exc:
         raise ToolError(f"limits.max_field_bytes: {exc}") from None
-    rect = rectangle_moment_check(config, sec["rectangles"], ratio_cap=sec.number("ratio_cap"))
+    rect = rectangle_moment_check(config, rects, ratio_cap=sec.number("ratio_cap"))
     ok = rect["passed"]
     report = {
         "subcommand": "moment-check",
@@ -601,7 +629,8 @@ def main(argv=None) -> int:
     )
     code = 0
     try:
-        ok, report, tables = _HANDLERS[args.subcommand](cfg, out_dir)
+        with worker_pool():
+            ok, report, tables = _HANDLERS[args.subcommand](cfg, out_dir)
         if isinstance(report, dict) and report.get("files"):
             manifest.outputs.extend(str(out_dir / name) for name in report["files"])
         if args.format in ("json", "both"):
@@ -628,16 +657,18 @@ def run_script(name: str, config, subcommands, argv) -> int:
 
     Outputs go to OUT/<name>/<subcommand_name>/, so experiments that share a
     subcommand do not overwrite each other.  Stops at the first tool error
-    (exit 1); otherwise returns the largest exit code.
+    (exit 1); otherwise returns the largest exit code.  The subcommands
+    share one worker pool.
     """
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None)
     base = out.parse_known_args(argv)[0].out or os.environ.get(OUT_ENV) or "runs"
     code = 0
-    for sub in subcommands:
-        code = max(code, main([sub, "--config", str(config), *argv, "--out", str(Path(base) / name)]))
-        if code == 1:
-            break
+    with worker_pool():
+        for sub in subcommands:
+            code = max(code, main([sub, "--config", str(config), *argv, "--out", str(Path(base) / name)]))
+            if code == 1:
+                break
     return code
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -41,7 +42,7 @@ from .field import (
     generate_coupled_fields,
     plan_truncation,
 )
-from .innovations import InnovationModel, SeedSpec, spawn_rng, _draw
+from .innovations import InnovationModel, Seeds, _draw
 from .kde import (
     BandwidthSchedule,
     KernelModel,
@@ -67,6 +68,7 @@ __all__ = [
     "fixed_m_gap",
     "ks_normality_test",
     "m_schedule",
+    "worker_pool",
 ]
 
 KS_CRIT_05 = 1.358
@@ -193,12 +195,12 @@ def _replicate_chunk(config: ExperimentConfig, n, m, plan, stream, reduce, start
 
     One workspace, allocated at the chunk's batch size, serves every batch:
     its generation buffers, and as ``scratch`` two of them the fields no
-    longer need.
+    longer need.  The chunk's seeds are hashed in one pass.
     """
     spectra = coupled_spectra(config.model, n, m, plan, max_bytes=config.max_field_bytes)
     size = min(_batch_size(config.model.d, n, plan.M, config.max_field_bytes), max(stop - start, 1))
     work = CoupledWorkspace(spectra, size)
-    seeds = [SeedSpec(config.master_seed, stream, r) for r in range(start, stop)]
+    seeds = Seeds(config.master_seed, stream, range(start, stop))
     batches = []
     for lo in range(0, stop - start, size):
         batch = seeds[lo:lo + size]
@@ -210,39 +212,82 @@ def _replicate_chunk(config: ExperimentConfig, n, m, plan, stream, reduce, start
     return batches
 
 
+# the process pool of the open worker_pool() scope, and its worker count; None outside any scope
+_scope: dict | None = None
+
+
+@contextmanager
+def worker_pool():
+    """Scope in which every parallel ``_run_replicates`` shares one process pool.
+
+    The pool starts with the first call that needs one and is shut down
+    when the outermost scope exits, by error too; an inner scope uses the
+    outer one's.  Workers fork from the process as it is when the pool
+    starts, so they see what was patched before that.
+    """
+    global _scope
+    if _scope is not None:
+        yield
+        return
+    _scope = {"pool": None, "workers": 0}
+    try:
+        yield
+    finally:
+        pool, _scope = _scope["pool"], None
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The open scope's pool, restarted when a run asks for another worker count."""
+    if _scope["workers"] != workers:
+        if _scope["pool"] is not None:
+            _scope["pool"].shutdown()
+        _scope.update(pool=ProcessPoolExecutor(max_workers=workers), workers=workers)
+    return _scope["pool"]
+
+
 def _run_replicates(config: ExperimentConfig, n, m, plan, stream, reduce) -> tuple:
     """reduce(X, X_m, scratch) over replicates 0..R-1: a tuple of arrays with R rows in replicate order.
 
     ``reduce`` takes the two fields of a batch, each with a leading
     replicate axis, and two scratch arrays of the fields' shape; the fields
     are views that stay valid for the call only.  It returns a tuple of
-    arrays with one row per replicate.  Each of min(threads, cpu count, R)
-    workers runs one contiguous chunk of replicates in batches of
-    ``_batch_size`` and builds the coefficient spectra once for it; replicate r always draws from
-    SeedSpec(master, stream, r), and a batch gives the same bits as one
-    replicate at a time, so the result depends on neither the worker count
-    nor the batch size.  Each output is joined once from C-ordered parts.
+    arrays with one row per replicate.  The replicates split into
+    min(threads, cpu count, R) contiguous chunks, one per task of the
+    ``worker_pool`` of min(threads, cpu count) processes, or run in this
+    process as one chunk.  A chunk runs in batches of ``_batch_size`` and
+    builds the coefficient spectra once; replicate r always draws from
+    (master, stream, r), and a batch gives the same bits as one replicate
+    at a time, so the result depends on neither the worker count nor the
+    batch size.  Each output is joined once from C-ordered parts.
     """
     R = config.replicates
-    workers = min(config.threads, os.cpu_count() or 1, R)
+    workers = min(config.threads, os.cpu_count() or 1)
+    chunks = min(workers, R)
     chunk = partial(_replicate_chunk, config, n, m, plan, stream, reduce)
-    if workers == 1:
+    if chunks == 1:
         batches = chunk(0, R)
     else:
-        bounds = [R * w // workers for w in range(workers + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = [out for part in pool.map(chunk, bounds[:-1], bounds[1:]) for out in part]
+        bounds = [R * w // chunks for w in range(chunks + 1)]
+        with worker_pool():
+            parts = _pool(workers).map(chunk, bounds[:-1], bounds[1:])
+            batches = [out for part in parts for out in part]
     return tuple(np.concatenate(parts) for parts in zip(*batches))
 
 
 def _padded_prefix(arr: np.ndarray) -> np.ndarray:
-    """Prefix sums with a zero layer in front of every axis but the first (replicate) axis."""
-    out = arr
-    for ax in range(1, arr.ndim):
-        out = np.cumsum(out, axis=ax)
-        pad = [(0, 0)] * arr.ndim
-        pad[ax] = (1, 0)
-        out = np.pad(out, pad)
+    """Prefix sums with a zero layer in front of every axis but the first (replicate) axis.
+
+    Each axis is summed in place into the interior of one zero-fronted
+    array; a cumulative sum runs in order, so the bits are those of a
+    fresh array per axis.
+    """
+    out = np.zeros(arr.shape[:1] + tuple(s + 1 for s in arr.shape[1:]))
+    interior = out[(slice(None),) + (slice(1, None),) * (arr.ndim - 1)]
+    np.cumsum(arr, axis=1, out=interior)
+    for ax in range(2, arr.ndim):
+        np.cumsum(interior, axis=ax, out=interior)
     return out
 
 
@@ -767,7 +812,7 @@ def wu_inequality_check(
             f"need about {need} bytes (> cap {max_bytes})"
         )
     a = coeff_box(model, side).ravel()
-    rng = spawn_rng(SeedSpec(master_seed, stream=STREAM_OFFSETS["wu"]))
+    rng = Seeds(master_seed, STREAM_OFFSETS["wu"], [0])[0]
     sums = {q: [0.0, 0.0] for q in orders}  # order -> [sum |X|^(2p), sum |X|^(4p)]
     sum_a4 = float(np.sum(a**4))
     done = 0

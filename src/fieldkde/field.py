@@ -20,7 +20,7 @@ import numpy as np
 
 from .coefficients import CoefficientModel, coeff_box, residual_sqrt_mass
 from .fourier import irfftn, next_fast_len, rfftn
-from .innovations import InnovationModel, draw_lattice
+from .innovations import InnovationModel, Seeds, draw_lattice
 
 __all__ = [
     "LatticeField",
@@ -337,7 +337,7 @@ def generate_coupled_fields(
     n: int,
     m: int,
     plan: TruncationPlan,
-    seeds,
+    seeds: Seeds,
     spectra: CoupledSpectra,
     workspace: CoupledWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -346,8 +346,8 @@ def generate_coupled_fields(
     X_i = sum_{k in [0,M)^d} a_k eps_{i-k} needs innovations on a lattice of
     side n + M - 1; the truncation keeps only the weights on [0, m)^d of the
     same sum, so X = X_m + (X - X_m) holds exactly.  The lattices of the
-    sequence ``seeds`` are drawn into one stack and convolved together, with
-    the same bits as one call per seed.  ``spectra`` from ``coupled_spectra``
+    replicates of ``seeds`` are drawn into one stack and convolved together,
+    with the same bits as one call per replicate.  ``spectra`` from ``coupled_spectra``
     for the same (n, m, plan) fixes the method; on the FFT path each lattice
     is transformed once and both fields come from one inverse FFT each.  X_m
     is X when m == M.
@@ -361,8 +361,8 @@ def generate_coupled_fields(
     work = CoupledWorkspace(spectra, len(seeds)) if workspace is None else workspace
     if work.spectra is not spectra or len(seeds) > len(work.lattices):
         raise ValueError("workspace was built for other spectra or fewer replicates")
-    for seed, slot in zip(seeds, work.lattices):
-        draw_lattice(innovations, seed, slot.shape, slot)
+    for rng, slot in zip(seeds, work.lattices):
+        draw_lattice(innovations, rng, slot.shape, slot)
     return work.convolve(len(seeds))
 
 

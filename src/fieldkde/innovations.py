@@ -2,23 +2,26 @@
 
 Streams are keyed by a (master seed, stream, replicate) triple hashed into a
 counter-based Philox generator, so replicate-parallel experiments reproduce
-bit-identically regardless of scheduling order or worker count.
+bit-identically regardless of scheduling order or worker count.  The hash is
+numpy's ``SeedSequence`` entropy mix, computed for many replicates at once.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # loaded at import, not inside the first draw: numpy imports np.random lazily
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Generator, Philox
 
 __all__ = [
     "InnovationModel",
     "SeedSpec",
-    "spawn_rng",
+    "Seeds",
+    "philox_keys",
     "draw_lattice",
 ]
 
@@ -95,16 +98,112 @@ class SeedSpec:
     def __post_init__(self):
         if not (0 <= self.master < 1 << 64):
             raise ValueError("master seed must fit in 64 bits")
-        if self.stream < 0 or self.replicate < 0:
-            raise ValueError("stream and replicate indices must be >= 0")
+        if not (0 <= self.stream < 1 << 64 and 0 <= self.replicate < 1 << 64):
+            raise ValueError("stream and replicate indices must be >= 0 and fit in 64 bits")
 
     def to_config(self) -> dict:
         return {"master": self.master, "stream": self.stream, "replicate": self.replicate}
 
 
-def spawn_rng(seed: SeedSpec) -> Generator:
-    """Philox generator keyed by hashing the seed triple; no global state."""
-    return Generator(Philox(SeedSequence((seed.master, seed.stream, seed.replicate))))
+# numpy's SeedSequence: its hash constants and the size of its entropy pool in 32-bit words
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+
+
+def _words(value: int) -> list:
+    """The 32-bit words SeedSequence reads from a nonnegative integer, least significant first."""
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def philox_keys(master: int, stream: int, replicates) -> np.ndarray:
+    """Philox keys of (master, stream, r) for each r of ``replicates``, as an (R, 2) uint64 array.
+
+    Row i equals ``SeedSequence((master, stream, replicates[i])).generate_state(2, np.uint64)``:
+    numpy's mix of the triple's 32-bit words into a four-word pool, run on
+    arrays of replicates at once.  The hash constant of each step does not
+    depend on the data, so every row runs in lockstep; a replicate of two
+    words (r >= 2^32) only adds a step that the other rows skip.
+    """
+    r = np.asarray(replicates, dtype=np.uint64).reshape(-1)
+    head = _words(master) + _words(stream)
+    # word-major, zero-padded to the pool: SeedSequence hashes 0 for pool words past its entropy
+    entropy = np.zeros((max(_POOL_WORDS, len(head) + 2), r.size), dtype=np.uint32)
+    entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, np.newaxis]
+    entropy[len(head)] = r & _MASK32
+    entropy[len(head) + 1] = r >> 32
+    count = len(head) + 1 + (entropy[len(head) + 1] > 0)
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return out ^ (out >> 16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_WORDS, len(entropy)):
+        for dst in range(_POOL_WORDS):
+            pool[dst] = np.where(src < count, mix(pool[dst], hashmix(entropy[src])), pool[dst])
+    # generate_state(2, np.uint64): the pool's four words hashed once more, read as little-endian pairs
+    const, state = _INIT_B, []
+    for word in pool:
+        word = word ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        word = word * np.uint32(const)
+        state.append((word ^ (word >> 16)).astype(np.uint64))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+class Seeds:
+    """The generators of replicates ``replicates`` of one (master, stream), keyed in one pass.
+
+    ``seeds[i]`` is one reused ``Generator(Philox)`` reset to counter 0
+    under replicate i's key with an empty buffer, which is the state a
+    fresh ``Generator(Philox(SeedSequence((master, stream, r))))`` starts
+    from, so its draws have the same bits.  It stays replicate i's until the
+    next index; iterating gives each replicate's in turn.  A slice shares
+    the generator.
+    """
+
+    def __init__(self, master: int, stream: int, replicates):
+        SeedSpec(master, stream)  # both must fit in 64 bits
+        self.keys = philox_keys(master, stream, replicates)
+        self._bits = Philox(key=0)
+        self._generator = Generator(self._bits)
+        self._state = self._bits.state  # counter 0, an empty buffer; only the key changes
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            part = copy.copy(self)
+            part.keys = self.keys[index]
+            return part
+        self._state["state"]["key"] = self.keys[index]
+        self._bits.state = self._state
+        return self._generator
+
+    @classmethod
+    def of(cls, seed: SeedSpec) -> "Seeds":
+        """The one-replicate sequence of ``seed``."""
+        return cls(seed.master, seed.stream, [seed.replicate])
 
 
 def _draw(model: InnovationModel, rng: Generator, shape, out=None) -> np.ndarray:
@@ -121,6 +220,6 @@ def _draw(model: InnovationModel, rng: Generator, shape, out=None) -> np.ndarray
     return np.multiply(scale, rng.standard_t(model.nu, shape), out=out)
 
 
-def draw_lattice(model: InnovationModel, seed: SeedSpec, shape, out=None) -> np.ndarray:
-    """Innovation lattice of the given shape (row-major fill order), into ``out`` when given."""
-    return _draw(model, spawn_rng(seed), tuple(shape), out)
+def draw_lattice(model: InnovationModel, rng: Generator, shape, out=None) -> np.ndarray:
+    """Innovation lattice of the given shape (row-major fill order) from ``rng``, into ``out`` when given."""
+    return _draw(model, rng, tuple(shape), out)

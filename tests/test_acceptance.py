@@ -38,7 +38,7 @@ from fieldkde.coefficients import coeff_box
 from fieldkde.innovations import draw_lattice
 from fieldkde.reporting import canonical_json
 
-from conftest import MASTER_SEED
+from conftest import MASTER_SEED, generator
 
 SIGMA0_EPAN = 0.2393653682408596  # phi(0) * 3/5
 GAP_LIMIT = 0.42139138362113384  # (p_2(0) + p(0)) * 3/5 for the geometric model
@@ -267,7 +267,7 @@ def test_criterion_8_engineering_invariants():
         worst = max(worst, float(np.max(np.abs(a - b)) / max(np.max(np.abs(a)), 1e-300)))
     conv_ok = worst <= 1e-8
 
-    from fieldkde import SeedSpec, coupled_spectra, generate_coupled_fields, plan_truncation
+    from fieldkde import Seeds, coupled_spectra, generate_coupled_fields, plan_truncation
 
     coupling_ok = True
     for model in (
@@ -277,12 +277,12 @@ def test_criterion_8_engineering_invariants():
         plan = plan_truncation(model, m=2, policy="fixed", M=12)
         spectra = coupled_spectra(model, 48, 2, plan)
         x, x_m = generate_coupled_fields(
-            model, InnovationModel("gaussian"), 48, 2, plan, [SeedSpec(MASTER_SEED, 9)], spectra
+            model, InnovationModel("gaussian"), 48, 2, plan, Seeds(MASTER_SEED, 9, [0]), spectra
         )
         # X - X_m is the residual: the same innovations convolved with the weights off [0, 2)^d
         tail = coeff_box(model, 12)
         tail[(slice(0, 2),) * model.d] = 0.0
-        eps = draw_lattice(InnovationModel("gaussian"), SeedSpec(MASTER_SEED, 9), (48 + 12 - 1,) * model.d)
+        eps = draw_lattice(InnovationModel("gaussian"), generator(MASTER_SEED, 9), (48 + 12 - 1,) * model.d)
         gap = np.max(np.abs(x[0] - x_m[0] - lattice_convolve(eps, tail, "direct")))
         coupling_ok &= gap <= 1e-12 * np.max(np.abs(x))
 

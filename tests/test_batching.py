@@ -6,11 +6,15 @@ computes one row; the pins below check that on the installed version, which
 the `oldest` CI job makes the oldest numpy supported.
 """
 
+import json
+import multiprocessing
 import os
 import platform
 import resource
 import subprocess
 import sys
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +28,13 @@ from fieldkde import (
     ExperimentConfig,
     InnovationModel,
     SeedSpec,
+    Seeds,
     generate_coupled_fields,
     kernel_by_name,
     lattice_convolve,
     plan_truncation,
 )
-from fieldkde.cli import main
+from fieldkde.cli import main, run_script
 from fieldkde.coefficients import coeff_box
 from fieldkde.field import coupled_spectra, estimate_field_bytes
 from fieldkde.fourier import irfftn, next_fast_len, rfftn
@@ -155,6 +160,82 @@ class TestBatchInvariance:
         assert seen["sizes"] == [REPLICATES, REPLICATES]
 
 
+class TestWorkerPool:
+    """A run starts one process pool at most and leaves no worker behind."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The pools started in this process; two CPUs, so that two threads run two workers."""
+        started = []
+
+        class CountingPool(clt.ProcessPoolExecutor):
+            def __init__(self, *args, **kw):
+                super().__init__(*args, **kw)
+                started.append(self)
+
+        monkeypatch.setattr(clt, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(clt.os, "cpu_count", lambda: 2)
+        return started
+
+    def test_one_pool_for_a_whole_grid(self, tmp_path, pools):
+        code, files = _cli(tmp_path, "blocks", "blocks_d1.json",
+                           ["blocks.n_grid=[64,128,256]", f"blocks.replicates={REPLICATES}"], threads=2)
+        assert code in (0, 2) and "report.json" in files
+        assert len(pools) == 1 and pools[0]._max_workers == 2
+        assert multiprocessing.active_children() == []
+
+    def test_subcommands_of_a_script_share_one_pool(self, tmp_path, pools):
+        sets = [*RUNS["blocks"][1], *RUNS["moment-check"][1]]
+        argv = ["--threads", "2", "--out", str(tmp_path)] + [arg for s in sets for arg in ("--set", s)]
+        code = run_script("shared", CONFIGS / "blocks_d1.json", ["blocks", "moment-check"], argv)
+        assert code in (0, 2) and len(pools) == 1
+        assert sorted(p.parent.name for p in tmp_path.glob("shared/*/report.json")) == ["blocks", "moment_check"]
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_run_that_fails_partway(self, tmp_path, pools, capsys):
+        # n = 8 is too short for a block of side m * ceil(log n) = 12, after two grid points ran
+        code, files = _cli(tmp_path, "blocks", "blocks_d1.json",
+                           ["blocks.n_grid=[64,128,8]", f"blocks.replicates={REPLICATES}"], threads=2)
+        assert code == 1 and "block side 12" in capsys.readouterr().err
+        assert len(pools) == 1 and multiprocessing.active_children() == []
+        manifest = json.loads((tmp_path / "blocks" / "manifest.json").read_text())
+        assert manifest["status"] == "error" and "report.json" not in files
+
+    def test_a_scope_restarts_its_pool_for_another_worker_count(self, monkeypatch, pools, geometric_half):
+        monkeypatch.setattr(clt.os, "cpu_count", lambda: 3)
+        plan = plan_truncation(geometric_half, m=2, policy="fixed", M=4)
+        config = ExperimentConfig(
+            model=geometric_half, innovations=InnovationModel("gaussian"), kernel=kernel_by_name("gaussian"),
+            bandwidth=BandwidthSchedule(d=1, gamma=0.5), n_grid=(16,), replicates=7,
+        )
+
+        reduce = partial(clt._squared_gap, kernel=config.kernel, b=0.5, point=0.0)
+
+        def run(threads):
+            return clt._run_replicates(replace(config, threads=threads), 16, 2, plan, 0, reduce)
+
+        (alone,) = run(1)
+        with clt.worker_pool():
+            assert all(np.array_equal(run(t)[0], alone) for t in (2, 2, 3))
+            assert [p._max_workers for p in pools] == [2, 3]
+        assert multiprocessing.active_children() == []
+
+    def test_workers_see_a_patch_made_before_main(self, tmp_path, monkeypatch, pools):
+        generate = clt.generate_coupled_fields
+
+        def nan_fields(*args, **kw):
+            x, x_m = generate(*args, **kw)
+            x.fill(np.nan)
+            return x, x_m
+
+        monkeypatch.setattr(clt, "generate_coupled_fields", nan_fields)
+        code, files = _outputs(tmp_path, "clt-run", 2, "t2")
+        report = json.loads(files["report.json"])
+        assert code == 2 and len(pools) == 1
+        # every (n, x, replicate) row, all of them computed in the workers
+        assert report["nonfinite"] == len(report["points"]) * REPLICATES
+
+
 @st.composite
 def _generation_case(draw):
     d = draw(st.integers(min_value=1, max_value=3))
@@ -182,16 +263,16 @@ class TestBatchedGeneration:
         plan = plan_truncation(model, m=m, policy="fixed", M=M)
         spectra = coupled_spectra(model, n, m, plan, method)
         seeds = [SeedSpec(11, 3, r) for r in replicates]
-        x, x_m = generate_coupled_fields(model, innov, n, m, plan, seeds, spectra)
+        x, x_m = generate_coupled_fields(model, innov, n, m, plan, Seeds(11, 3, replicates), spectra)
         assert x.shape == x_m.shape == (len(seeds),) + (n,) * model.d
         a = coeff_box(model, M)
         tail = a.copy()
         tail[(slice(0, m),) * model.d] = 0.0
         for i, seed in enumerate(seeds):
-            one_x, one_x_m = generate_coupled_fields(model, innov, n, m, plan, [seed], spectra)
+            one_x, one_x_m = generate_coupled_fields(model, innov, n, m, plan, Seeds.of(seed), spectra)
             assert np.array_equal(x[i], one_x[0]) and np.array_equal(x_m[i], one_x_m[0])
             # X - X_m is the residual, which is the lattice convolved with the weights off [0, m)^d
-            eps = draw_lattice(innov, seed, (n + M - 1,) * model.d)
+            eps = draw_lattice(innov, Seeds.of(seed)[0], (n + M - 1,) * model.d)
             residual = lattice_convolve(eps, tail, "direct")
             scale = max(float(np.max(np.abs(one_x))), 1.0)
             assert np.max(np.abs(one_x[0] - one_x_m[0] - residual)) <= 1e-12 * scale
@@ -202,7 +283,7 @@ class TestBatchedGeneration:
             spectra = coupled_spectra(geometric_half, 32, 4, plan, method)
             x, x_m = generate_coupled_fields(
                 geometric_half, InnovationModel("gaussian"), 32, 4, plan,
-                [SeedSpec(5, 0, r) for r in range(3)], spectra,
+                Seeds(5, 0, range(3)), spectra,
             )
             assert x_m is x
 
@@ -242,7 +323,7 @@ class TestChunkWorkspace:
         spectra = coupled_spectra(model, n, m, plan, method)
         got_x, got_x_m = (np.concatenate(parts) for parts in zip(*batches))
         for i, r in enumerate(range(start, stop)):
-            want_x, want_x_m = generate_coupled_fields(model, innov, n, m, plan, [SeedSpec(11, stream, r)], spectra)
+            want_x, want_x_m = generate_coupled_fields(model, innov, n, m, plan, Seeds(11, stream, [r]), spectra)
             assert np.array_equal(got_x[i].view(np.int64), want_x[0].view(np.int64))
             assert np.array_equal(got_x_m[i].view(np.int64), want_x_m[0].view(np.int64))
         assert all((x_m is x) == (m == M) for x, x_m, _, _ in seen)

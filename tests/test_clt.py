@@ -14,6 +14,7 @@ from fieldkde import (
     InnovationModel,
     MomentError,
     SeedSpec,
+    Seeds,
     block_decomposition_check,
     density_oracle,
     fixed_m_gap,
@@ -248,7 +249,7 @@ class TestAgainstNaiveReimplementation:
         b = pt["b"]
         seed = SeedSpec(MASTER_SEED, 0, 0)
 
-        eps = draw_lattice(innov, seed, (n + M - 1, n + M - 1))
+        eps = draw_lattice(innov, Seeds.of(seed)[0], (n + M - 1, n + M - 1))
         a = np.array(
             [[(1.0 + max(k1, k2)) ** -4.0 for k2 in range(M)] for k1 in range(M)]
         )

@@ -12,6 +12,7 @@ from fieldkde import (
     InnovationModel,
     LatticeField,
     SeedSpec,
+    Seeds,
     generate_coupled_fields,
     lattice_convolve,
     plan_truncation,
@@ -26,7 +27,7 @@ from fieldkde.field import (
 from fieldkde.coefficients import coeff_box
 from fieldkde.innovations import draw_lattice
 
-from conftest import MASTER_SEED, coupled_pair
+from conftest import MASTER_SEED, coupled_pair, generator
 
 
 def _coupled(model, n, m, M, seed=MASTER_SEED, stream=0):
@@ -82,7 +83,7 @@ class TestConvolution:
 class TestCoupledGeneration:
     def test_identity_weights_reproduce_innovations(self, identity_weights):
         x, x_m = _coupled(identity_weights, 50, 1, 1)
-        eps = draw_lattice(InnovationModel("gaussian"), SeedSpec(MASTER_SEED, 0), (50,))
+        eps = draw_lattice(InnovationModel("gaussian"), generator(MASTER_SEED, 0), (50,))
         assert np.array_equal(x, eps)
         assert np.max(np.abs(x - x_m)) == 0.0
 
@@ -92,7 +93,7 @@ class TestCoupledGeneration:
             x, x_m = _coupled(model, n, m, M)
             tail = coeff_box(model, M)
             tail[(slice(0, m),) * model.d] = 0.0
-            eps = draw_lattice(InnovationModel("gaussian"), SeedSpec(MASTER_SEED, 0), (n + M - 1,) * model.d)
+            eps = draw_lattice(InnovationModel("gaussian"), generator(MASTER_SEED, 0), (n + M - 1,) * model.d)
             residual = lattice_convolve(eps, tail, "direct")
             assert np.max(np.abs(x - x_m - residual)) <= 1e-12 * np.max(np.abs(x))
 
@@ -270,8 +271,8 @@ class TestSharedSpectrum:
         spectra = coupled_spectra(model, n, m, plan, method="fourier")
         assert spectra.shape[0] > n + M - 1
         seed = SeedSpec(MASTER_SEED, 11)
-        x_got, x_m_got = generate_coupled_fields(model, InnovationModel("gaussian"), n, m, plan, [seed], spectra)
-        eps = draw_lattice(InnovationModel("gaussian"), seed, (n + M - 1,) * d)
+        x_got, x_m_got = generate_coupled_fields(model, InnovationModel("gaussian"), n, m, plan, Seeds.of(seed), spectra)
+        eps = draw_lattice(InnovationModel("gaussian"), Seeds.of(seed)[0], (n + M - 1,) * d)
         a = coeff_box(model, M)
         x = lattice_convolve(eps, a, "direct")
         x_m = lattice_convolve(eps[(slice(M - m, None),) * d], a[(slice(0, m),) * d], "direct")
@@ -283,9 +284,9 @@ class TestSharedSpectrum:
         spectra = coupled_spectra(geometric_half, 40, 2, plan, method="direct")
         seed = SeedSpec(MASTER_SEED, 12)
         x, _ = generate_coupled_fields(
-            geometric_half, InnovationModel("gaussian"), 40, 2, plan, [seed], spectra
+            geometric_half, InnovationModel("gaussian"), 40, 2, plan, Seeds.of(seed), spectra
         )
-        eps = draw_lattice(InnovationModel("gaussian"), seed, (44,))
+        eps = draw_lattice(InnovationModel("gaussian"), Seeds.of(seed)[0], (44,))
         assert np.array_equal(x[0], lattice_convolve(eps, coeff_box(geometric_half, 5), "direct"))
 
     def test_auto_keeps_direct_for_short_d1_kernels(self, geometric_half):
@@ -297,5 +298,5 @@ class TestSharedSpectrum:
         spectra = coupled_spectra(geometric_half, 32, 2, plan)
         with pytest.raises(ValueError, match="another"):
             generate_coupled_fields(
-                geometric_half, InnovationModel("gaussian"), 33, 2, plan, [SeedSpec(1)], spectra
+                geometric_half, InnovationModel("gaussian"), 33, 2, plan, Seeds.of(SeedSpec(1)), spectra
             )

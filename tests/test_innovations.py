@@ -2,37 +2,38 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 from scipy import stats
 
-from fieldkde import InnovationModel, SeedSpec
-from fieldkde.innovations import draw_lattice
+from fieldkde import InnovationModel, Seeds, SeedSpec
+from fieldkde.innovations import draw_lattice, philox_keys
 
-from conftest import MASTER_SEED
+from conftest import MASTER_SEED, generator
 
 
 def test_same_seed_bit_identical():
     m = InnovationModel("gaussian")
-    a = draw_lattice(m, SeedSpec(MASTER_SEED, 3, 9), (1000,))
-    b = draw_lattice(m, SeedSpec(MASTER_SEED, 3, 9), (1000,))
+    a = draw_lattice(m, generator(MASTER_SEED, 3, 9), (1000,))
+    b = draw_lattice(m, generator(MASTER_SEED, 3, 9), (1000,))
     assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name,nu", [("gaussian", None), ("uniform", None), ("student_t", 5.0)])
 def test_draw_into_a_slot_keeps_the_bits(name, nu):
     m = InnovationModel(name, nu)
-    fresh = draw_lattice(m, SeedSpec(MASTER_SEED, 2, 7), (6, 5))
+    fresh = draw_lattice(m, generator(MASTER_SEED, 2, 7), (6, 5))
     stack = np.full((3, 6, 5), np.nan)
     slot = stack[1]
-    assert draw_lattice(m, SeedSpec(MASTER_SEED, 2, 7), (6, 5), slot) is slot
+    assert draw_lattice(m, generator(MASTER_SEED, 2, 7), (6, 5), slot) is slot
     assert np.array_equal(slot.view(np.int64), fresh.view(np.int64))
     assert np.isnan(stack[[0, 2]]).all()
 
 
 def test_distinct_streams_uncorrelated():
     m = InnovationModel("gaussian")
-    a = draw_lattice(m, SeedSpec(MASTER_SEED, 0, 0), (100_000,))
-    b = draw_lattice(m, SeedSpec(MASTER_SEED, 1, 0), (100_000,))
-    c = draw_lattice(m, SeedSpec(MASTER_SEED, 0, 1), (100_000,))
+    a = draw_lattice(m, generator(MASTER_SEED, 0, 0), (100_000,))
+    b = draw_lattice(m, generator(MASTER_SEED, 1, 0), (100_000,))
+    c = draw_lattice(m, generator(MASTER_SEED, 0, 1), (100_000,))
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
     assert abs(np.corrcoef(a, c)[0, 1]) < 0.02
 
@@ -40,7 +41,7 @@ def test_distinct_streams_uncorrelated():
 @pytest.mark.parametrize("name,nu", [("gaussian", None), ("uniform", None), ("student_t", 5.0)])
 def test_unit_variance(name, nu):
     m = InnovationModel(name, nu=nu)
-    x = draw_lattice(m, SeedSpec(MASTER_SEED, 11), (10**6,))
+    x = draw_lattice(m, generator(MASTER_SEED, 11), (10**6,))
     assert abs(x.mean()) < 0.005
     assert x.var() == pytest.approx(1.0, abs=0.01)
 
@@ -48,7 +49,7 @@ def test_unit_variance(name, nu):
 def test_student_t_kurtosis():
     # kurtosis of unit-variance t(5) is 3 + 6/(nu-4) = 9
     m = InnovationModel("student_t", nu=5.0)
-    x = draw_lattice(m, SeedSpec(MASTER_SEED, 7), (10**6,))
+    x = draw_lattice(m, generator(MASTER_SEED, 7), (10**6,))
     assert stats.kurtosis(x, fisher=False) == pytest.approx(9.0, abs=1.5)
 
 
@@ -65,3 +66,76 @@ def test_uniform_density_not_certified_lipschitz():
 def test_moment_orders():
     assert InnovationModel("gaussian").max_moment_order == math.inf
     assert InnovationModel("student_t", nu=4.5).max_moment_order == 4.5
+
+
+# 64-bit masters and streams, and replicates on both sides of 2^32, where a
+# replicate index takes a second 32-bit word of entropy
+MASTERS = [0, 1, MASTER_SEED, 2**32 - 1, 2**32, 2**64 - 1]
+STREAMS = [0, 100, 403, 2**32]
+REPLICATES = [0, 1, 1499, 2**32 - 1, 2**32, 2**40]
+LAWS = [InnovationModel("gaussian"), InnovationModel("uniform"), InnovationModel("student_t", nu=5.0)]
+
+
+def _seed_sequence_key(master, stream, replicate):
+    return SeedSequence((master, stream, replicate)).generate_state(2, np.uint64)
+
+
+def _state(bit_generator):
+    """Every field of a Philox state, as plain tuples."""
+    s = bit_generator.state
+    return (tuple(s["state"]["counter"]), tuple(s["state"]["key"]), tuple(s["buffer"]),
+            s["buffer_pos"], s["has_uint32"], s["uinteger"])
+
+
+class TestPhiloxKeys:
+    @pytest.mark.parametrize("stream", STREAMS)
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_keys_equal_seed_sequence(self, master, stream):
+        keys = philox_keys(master, stream, REPLICATES)
+        assert keys.dtype == np.uint64 and keys.shape == (len(REPLICATES), 2)
+        for key, r in zip(keys, REPLICATES):
+            assert np.array_equal(key, _seed_sequence_key(master, stream, r))
+
+    @pytest.mark.parametrize("master,stream", [(MASTER_SEED, 403), (2**64 - 1, 2**32)])
+    def test_a_chunk_across_two_word_replicates(self, master, stream):
+        # the entropy grows by a word at r = 2^32; with a 64-bit master and
+        # stream that word lies past the four-word pool
+        replicates = range(2**32 - 3, 2**32 + 3)
+        keys = philox_keys(master, stream, replicates)
+        assert [tuple(k) for k in keys] == [tuple(_seed_sequence_key(master, stream, r)) for r in replicates]
+
+    def test_out_of_range_seeds_rejected(self):
+        with pytest.raises(ValueError):
+            SeedSpec(1, 2**64)
+        with pytest.raises(ValueError):
+            Seeds(2**64, 0, [0])
+        with pytest.raises(OverflowError):
+            Seeds(1, 0, [-1])
+
+
+class TestRekeyedGenerator:
+    def test_state_equals_a_fresh_generator(self):
+        seeds = Seeds(MASTER_SEED, 7, [3, 4])
+        used = seeds[0]
+        used.standard_normal(5)
+        used.random(dtype=np.float32)  # leaves half a buffered 64-bit word
+        assert _state(used.bit_generator) != _state(Generator(Philox(SeedSequence((MASTER_SEED, 7, 3)))).bit_generator)
+        fresh = Generator(Philox(SeedSequence((MASTER_SEED, 7, 4))))
+        assert _state(seeds[1].bit_generator) == _state(fresh.bit_generator)
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.name)
+    def test_draws_after_a_used_replicate_equal_a_fresh_generator(self, law):
+        seeds = Seeds(MASTER_SEED, 5, range(4))
+        for r, rng in enumerate(seeds):
+            got = draw_lattice(law, rng, (7, 3))
+            rng.random(dtype=np.float32)  # buffered state for the next replicate to discard
+            want = draw_lattice(law, Generator(Philox(SeedSequence((MASTER_SEED, 5, r)))), (7, 3))
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_a_slice_keys_its_own_replicates(self):
+        seeds = Seeds(MASTER_SEED, 2, range(10))
+        part = seeds[3:6]
+        assert len(part) == 3 and np.array_equal(part.keys, seeds.keys[3:6])
+        for r, rng in zip(range(3, 6), part):
+            want = Generator(Philox(SeedSequence((MASTER_SEED, 2, r)))).standard_normal(4)
+            assert np.array_equal(rng.standard_normal(4), want)

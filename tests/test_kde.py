@@ -31,7 +31,7 @@ from fieldkde.kde import (
     sup_abs_normal_diff,
 )
 
-from conftest import MASTER_SEED, coupled_pair
+from conftest import MASTER_SEED, coupled_pair, generator
 from quadrature_reference import adaptive_simpson
 
 PHI0 = 1.0 / math.sqrt(2.0 * math.pi)
@@ -182,7 +182,7 @@ class TestEstimator:
         # classical regime: estimate near p(0) within noise + Lipschitz bias
         n = 4096
         b = n ** (-0.2)
-        x = draw_lattice(InnovationModel("gaussian"), SeedSpec(MASTER_SEED, 21), (n,))
+        x = draw_lattice(InnovationModel("gaussian"), generator(MASTER_SEED, 21), (n,))
         est = kde_estimate(x, 0.0, b, epanechnikov)
         sigma2 = PHI0 * epanechnikov.roughness
         c0 = PHI0 * math.exp(-0.5)  # sup |phi'|
@@ -190,7 +190,7 @@ class TestEstimator:
         assert abs(est - PHI0) <= allowance
 
     def test_integrates_to_one(self, epanechnikov):
-        vals = draw_lattice(InnovationModel("gaussian"), SeedSpec(MASTER_SEED, 22), (200,))
+        vals = draw_lattice(InnovationModel("gaussian"), generator(MASTER_SEED, 22), (200,))
         b = 0.4
         total = adaptive_simpson(
             lambda x: kde_estimate(vals, x, b, epanechnikov),
@@ -481,7 +481,7 @@ class TestInversionOracle:
         o = density_oracle(geometric_half, innovations, 2)
         k = kernel_by_name("epanechnikov")
         a = 0.5 ** np.arange(40)
-        eps = draw_lattice(innovations, SeedSpec(MASTER_SEED, 41), (200_000, a.size))
+        eps = draw_lattice(innovations, generator(MASTER_SEED, 41), (200_000, a.size))
         xs = eps @ a
         for x in (0.0, 1.0):
             vals = k((x - xs) / 0.5) / 0.5

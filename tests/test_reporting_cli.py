@@ -388,6 +388,36 @@ class TestCli:
         out = tmp_path / subcommand.replace("-", "_")
         assert [p.name for p in out.iterdir() if p.name != "manifest.json"] == []
 
+    @pytest.mark.parametrize(
+        "assignment",
+        [
+            "moment_check.wu_p=[true]",
+            "moment_check.wu_p=[3]",
+            "moment_check.wu_p=2",
+            "moment_check.rectangles=[null]",
+            "moment_check.rectangles=[2.5]",
+            "moment_check.rectangles=[0]",
+            "moment_check.rectangles=[]",
+            "moment_check.rectangles=[[4,4]]",
+            "moment_check.rectangles=[[true]]",
+        ],
+    )
+    def test_moment_check_orders_and_rectangles_exit_1_naming_the_key(self, tmp_path, capsys, assignment):
+        key = assignment.split("=")[0]
+        assert _run(tmp_path, "moment-check", "--set", assignment) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key {key} must be ")
+        manifest = json.loads((tmp_path / "moment_check" / "manifest.json").read_text())
+        assert manifest["status"] == "error" and key in manifest["error"]
+
+    def test_moment_check_takes_sides_as_lists_and_no_orders(self, tmp_path):
+        small = ["--set", "moment_check.n_grid=[64]", "--set", "moment_check.replicates=5"]
+        assert _run(tmp_path / "a", "moment-check", *small, "--set", "moment_check.rectangles=[4,16]") in (0, 2)
+        code = _run(tmp_path / "b", "moment-check", *small, "--set", "moment_check.rectangles=[[4],[16]]",
+                    "--set", "moment_check.wu_p=[]")
+        assert code in (0, 2)
+        a, b = (json.loads((tmp_path / t / "moment_check" / "report.json").read_text()) for t in "ab")
+        assert b["wu"] == [] and a["rectangles"] == b["rectangles"]
+
     def test_integral_float_counts_as_an_integer(self, tmp_path):
         assert _run(tmp_path, "clt-run", "--set", "clt.n_grid=[16.0]", "--set", "clt.replicates=3.0") == 0
         point = json.loads((tmp_path / "clt_run" / "report.json").read_text())["points"][0]
