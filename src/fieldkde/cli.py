@@ -515,8 +515,9 @@ def _wu_orders(sec: _Section) -> list:
     return [int(p) for p in orders]
 
 
-def _rectangles(sec: _Section, d: int) -> list:
-    """moment_check.rectangles: a nonempty list of integer sides >= 1, or of lists of d of them."""
+def _rectangles(sec: _Section, d: int, n_grid) -> list:
+    """moment_check.rectangles: a nonempty list of integer sides >= 1, or of lists of d of them,
+    each side at most the smallest grid point's n."""
     rects = sec["rectangles"]
 
     def sides(rect):
@@ -530,13 +531,19 @@ def _rectangles(sec: _Section, d: int) -> list:
             f"config key {sec.path('rectangles')} must be a nonempty list of integer sides >= 1, "
             f"or of lists of d = {d} of them, got {json.dumps(rects)}"
         )
+    too_big = [r for r in rects if max(sides(r)) > min(n_grid)]
+    if too_big:
+        raise ToolError(
+            f"config key {sec.path('rectangles')} must fit inside every grid point: "
+            f"{json.dumps(too_big)} exceed n = {min(n_grid)}"
+        )
     return [tuple(int(t) for t in sides(r)) for r in rects]
 
 
 def cmd_moment_check(cfg: dict):
     sec = cfg["moment_check"]
     config = _experiment(cfg, "moment_check")
-    orders, rects = _wu_orders(sec), _rectangles(sec, config.model.d)
+    orders, rects = _wu_orders(sec), _rectangles(sec, config.model.d, config.n_grid)
     try:
         wu_reports = wu_inequality_check(
             config.model, config.innovations, orders,

@@ -85,6 +85,11 @@ MAX_GRID_POINTS = 100
 # at n = 256, measured slower when batched, runs one replicate at a time.
 BATCH_BYTES = 1 << 20
 
+# The moment-inequality sample is drawn, scaled and summed one block of this
+# many bytes at a time, so each block is reused while it sits in L2 cache and
+# the sample's memory does not grow with its size.
+WU_BLOCK_BYTES = 1 << 19
+
 
 class MomentError(ValueError):
     """A moment precondition on the innovations is violated."""
@@ -700,36 +705,33 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
     delta, _ = config.resolve_delta()
     x = config.resolve_x()[0]
     R = config.replicates
+    n_min = min(config.n_grid)
     rect_list = []
     for rect in rectangles:
-        if np.isscalar(rect):
-            rect_list.append((int(rect),) * model.d)
-        else:
-            tup = tuple(int(t) for t in np.atleast_1d(rect))
-            if len(tup) != model.d:
-                raise ValueError("rectangle arity must match dimension")
-            rect_list.append(tup)
+        tup = (int(rect),) * model.d if np.isscalar(rect) else tuple(int(t) for t in np.atleast_1d(rect))
+        if len(tup) != model.d:
+            raise ValueError("rectangle arity must match dimension")
+        if not all(1 <= t <= n_min for t in tup):
+            raise ValueError(f"rectangle {list(tup)} does not fit inside n={n_min}")
+        rect_list.append(tup)
     rows = []
     norm_values = []
     fitted = []
     for ni, n in enumerate(config.n_grid):
-        fit_rects = [rect for rect in rect_list if all(1 <= t <= n for t in rect)]
-        if not fit_rects:
-            raise ValueError(f"no requested rectangle fits inside n={n}")
         m = m_schedule(n, delta)
         b = bw.b(n)
         plan = _plan_for(config, m, b)
         oracle = density_oracle(model, innov, m)
         ez = math.sqrt(b) * expected_kde(oracle, kern, b, x, truncated=True)
         ed = math.sqrt(b) * expected_kde(oracle, kern, b, x) - ez
-        reduce = partial(_rectangle_sums, kernel=kern, b=b, point=x, rects=fit_rects)
+        reduce = partial(_rectangle_sums, kernel=kern, b=b, point=x, rects=rect_list)
         zs, ds, dsum, dsq = _run_replicates(config, n, m, plan, STREAM_OFFSETS["rectangles"] + ni, reduce)
         N = n**model.d
         site_mean = float(dsum.sum()) / (R * N)
         site_m2 = float(dsq.sum()) / (R * N)
         diff_l2 = math.sqrt(max(site_m2 - 2 * ed * site_mean + ed**2, 0.0))
         bound_unit = diff_l2 + math.sqrt(b) * delta_n(model, n)
-        for ri, rect in enumerate(fit_rects):
+        for ri, rect in enumerate(rect_list):
             vol = float(np.prod(rect))
             zc = zs[:, ri] - vol * ez
             dc = ds[:, ri] - vol * ed
@@ -778,8 +780,10 @@ def wu_inequality_check(
     innovation kurtosis is known the exact fourth-moment reference is
     attached.  Requires E|eps|^(2 v 2p) < infinity.  ``p`` is a sequence of
     orders; the list of their reports comes from one sample of X_0, with the
-    same numbers as one call per order.  The coefficient box and one block
-    of draws must fit in ``max_bytes``, checked before either is allocated.
+    same numbers as one call per order.  The draws are made block by block
+    into one reused buffer; the coefficient box, that block (twice, for the
+    laws whose draws are copied in) and one chunk of |X| with its two power
+    temporaries must fit in ``max_bytes``, checked before any is allocated.
     """
     orders = list(p)
     if sample < 2:
@@ -804,22 +808,30 @@ def wu_inequality_check(
             if side > 1 << 12:
                 raise ValueError("coefficient tail too slow to truncate for sampling")
     size = side**model.d
-    chunk = max(1, (1 << 22) // size)
-    need = 8 * size * (1 + min(chunk, sample))
+    chunk = min(max(1, (1 << 22) // size), sample)  # samples per partial sum of |X|^(2p)
+    rows = min(max(1, WU_BLOCK_BYTES // (8 * size)), chunk)  # samples per draw block
+    need = 8 * (size + 2 * rows * size + 3 * chunk)
     if need > max_bytes:
         raise FieldSizeError(
-            f"the moment-inequality sample's coefficient box of side {side} and its draws "
-            f"need about {need} bytes (> cap {max_bytes})"
+            f"the moment-inequality sample's coefficient box of side {side}, its draw block "
+            f"and |X| need about {need} bytes (> cap {max_bytes})"
         )
     a = coeff_box(model, side).ravel()
     rng = Seeds(master_seed, STREAM_OFFSETS["wu"], [0])[0]
     sums = {q: [0.0, 0.0] for q in orders}  # order -> [sum |X|^(2p), sum |X|^(4p)]
     sum_a4 = float(np.sum(a**4))
+    block, x = np.empty((rows, size)), np.empty(chunk)
     done = 0
     while done < sample:
         take = min(chunk, sample - done)
-        eps = _draw(innovations, rng, (take, a.size))
-        abs_x = np.abs((eps * a).sum(axis=1))
+        # one Philox stream cut into blocks gives the draws of one (take, size) array,
+        # and each row sums alone, so the bits do not depend on the block size
+        for start in range(0, take, rows):
+            eps = block[: min(rows, take - start)]
+            _draw(innovations, rng, eps.shape, out=eps)
+            np.multiply(eps, a, out=eps)
+            np.sum(eps, axis=1, out=x[start : start + len(eps)])
+        abs_x = np.abs(x[:take], out=x[:take])
         for q, acc in sums.items():
             y = abs_x ** (2 * q)
             acc[0] += float(y.sum())

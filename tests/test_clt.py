@@ -417,8 +417,8 @@ class TestWuInequality:
         apart = [wu_inequality_check(geometric_half, innov, [p], 30_000)[0] for p in (1, 2)]
         draw, drawn = clt._draw, []
 
-        def counting(model, rng, shape):
-            out = draw(model, rng, shape)
+        def counting(model, rng, shape, out=None):
+            out = draw(model, rng, shape, out)
             drawn.append(out.size)
             return out
 
@@ -434,7 +434,8 @@ class TestWuInequality:
 
         innov = InnovationModel("gaussian")
         (rep,) = wu_inequality_check(geometric_half, innov, [1], 1000)
-        need = 8 * rep["truncation_side"] * (1 + 1000)  # the box and one block of 1000 draws
+        # the box, one block of 1000 draws counted twice, and |X| with its two powers
+        need = 8 * (rep["truncation_side"] * (1 + 2 * 1000) + 3 * 1000)
         assert wu_inequality_check(geometric_half, innov, [1], 1000, max_bytes=need) == [rep]
 
         def no_box(*args, **kw):
@@ -443,9 +444,50 @@ class TestWuInequality:
         monkeypatch.setattr(clt, "coeff_box", no_box)
         with pytest.raises(FieldSizeError, match="cap"):
             wu_inequality_check(geometric_half, innov, [1], 1000, max_bytes=need - 1)
-        # power decay at d = 3 truncates at side 1024: 16 GiB with its draws
+        # power decay at d = 3 truncates at side 1024: 8 GiB for the box alone
         with pytest.raises(FieldSizeError):
             wu_inequality_check(CoefficientModel(d=3, family="power_decay", q=4.0), innov, [1, 2], 200_000)
+
+    @pytest.mark.parametrize(
+        "innov", [InnovationModel("gaussian"), InnovationModel("uniform"), InnovationModel("student_t", nu=5.0)]
+    )
+    def test_streamed_blocks_equal_one_shot_chunks(self, geometric_half, innov, monkeypatch):
+        import fieldkde.clt as clt
+        from fieldkde.coefficients import coeff_box
+
+        side = 32  # geometric_half's sampling box: 2^22 // 32 samples per chunk
+        chunk = (1 << 22) // side
+        sample = chunk + 2500  # a second chunk, and a partial last block in each chunk
+        monkeypatch.setattr(clt, "WU_BLOCK_BYTES", 8 * side * 1000)
+        streamed = wu_inequality_check(geometric_half, innov, [1, 2], sample)
+        assert streamed[0]["truncation_side"] == side
+
+        a = coeff_box(geometric_half, side).ravel()
+        rng = Seeds(MASTER_SEED, clt.STREAM_OFFSETS["wu"], [0])[0]
+        sums = {q: [0.0, 0.0] for q in (1, 2)}
+        for done in range(0, sample, chunk):
+            eps = clt._draw(innov, rng, (min(chunk, sample - done), side))
+            abs_x = np.abs((eps * a).sum(axis=1))
+            for q, acc in sums.items():
+                y = abs_x ** (2 * q)
+                acc[0] += float(y.sum())
+                acc[1] += float((y**2).sum())
+        for rep, (q, (sum_y, sum_y2)) in zip(streamed, sums.items()):
+            mass = rep["weight_mass"] ** q
+            mean_y = sum_y / sample
+            assert rep["c_hat"] == mean_y / mass
+            assert rep["se"] == math.sqrt(max(sum_y2 / sample - mean_y**2, 0.0) / sample) / mass
+
+    def test_sample_memory_does_not_grow_with_its_size(self, geometric_half):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            wu_inequality_check(geometric_half, InnovationModel("gaussian"), [1, 2], 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20  # 65 MiB when each chunk was drawn whole
 
 
 class TestBlocks:
@@ -539,6 +581,11 @@ class TestRectangles:
         rep = rectangle_moment_check(cfg, [2**r for r in range(2, 11)])
         assert rep["max_min_ratio"] < 3.0
         assert rep["passed"]
+
+    def test_rectangle_larger_than_the_grid_is_rejected(self, identity_weights):
+        cfg = _config(identity_weights, n_grid=(64, 128), replicates=5)
+        with pytest.raises(ValueError, match=r"rectangle \[128\] does not fit inside n=64"):
+            rectangle_moment_check(cfg, [4, 128])
 
     def test_scaling_leaves_verdict_unchanged(self):
         base = CoefficientModel(d=1, family="power_decay", q=2.5)

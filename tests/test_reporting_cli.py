@@ -409,6 +409,28 @@ class TestCli:
         manifest = json.loads((tmp_path / "moment_check" / "manifest.json").read_text())
         assert manifest["status"] == "error" and key in manifest["error"]
 
+    def test_moment_check_rectangle_above_n_exit_1_before_the_sample(self, tmp_path, capsys, monkeypatch):
+        import fieldkde.clt as clt
+
+        def no_draw(*args, **kw):
+            raise AssertionError("the moment-inequality sample was drawn before the rectangles were checked")
+
+        monkeypatch.setattr(clt, "_draw", no_draw)
+        # the default rectangles [4, 16, 64, 256, 1024] at n = 64
+        assert _run(tmp_path, "moment-check", "--set", "moment_check.n_grid=[64,128]") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key moment_check.rectangles must fit") and "[256, 1024]" in err
+        manifest = json.loads((tmp_path / "moment_check" / "manifest.json").read_text())
+        assert manifest["status"] == "error" and "moment_check.rectangles" in manifest["error"]
+
+    def test_moment_check_reports_every_rectangle_that_fits(self, tmp_path):
+        code = _run(tmp_path, "moment-check", "--set", "moment_check.n_grid=[64,128]",
+                    "--set", "moment_check.replicates=5", "--set", "moment_check.rectangles=[4,[16],64]",
+                    "--set", "moment_check.wu_p=[]")
+        assert code in (0, 2)
+        rows = json.loads((tmp_path / "moment_check" / "report.json").read_text())["rectangles"]["rows"]
+        assert [(r["n"], r["rectangle"]) for r in rows] == [(n, [s]) for n in (64, 128) for s in (4, 16, 64)]
+
     def test_moment_check_takes_sides_as_lists_and_no_orders(self, tmp_path):
         small = ["--set", "moment_check.n_grid=[64]", "--set", "moment_check.replicates=5"]
         assert _run(tmp_path / "a", "moment-check", *small, "--set", "moment_check.rectangles=[4,16]") in (0, 2)
@@ -663,8 +685,8 @@ class TestCli:
 
         draw, drawn = clt._draw, []
 
-        def counting(model, rng, shape):
-            out = draw(model, rng, shape)
+        def counting(model, rng, shape, out=None):
+            out = draw(model, rng, shape, out)
             drawn.append(out.size)
             return out
 
