@@ -548,7 +548,7 @@ def cmd_moment_check(cfg: dict):
         wu_reports = wu_inequality_check(
             config.model, config.innovations, orders,
             sec.number("wu_sample", integer=True), master_seed=config.master_seed,
-            max_bytes=config.max_field_bytes,
+            max_bytes=config.max_field_bytes, threads=config.threads,
         )
     except FieldSizeError as exc:
         raise ToolError(f"limits.max_field_bytes: {exc}") from None

@@ -86,8 +86,11 @@ MAX_GRID_POINTS = 100
 BATCH_BYTES = 1 << 20
 
 # The moment-inequality sample is drawn, scaled and summed one block of this
-# many bytes at a time, so each block is reused while it sits in L2 cache and
-# the sample's memory does not grow with its size.
+# many bytes of draws at a time, so each block is reused while it sits in L2
+# cache and the sample's memory does not grow with its size.  Block b draws
+# from its own key (master, STREAM_OFFSETS["wu"], b), so like STREAM_OFFSETS
+# this constant fixes which key draws which samples: changing it changes the
+# Wu reports.
 WU_BLOCK_BYTES = 1 << 19
 
 
@@ -252,32 +255,39 @@ def _pool(workers: int) -> ProcessPoolExecutor:
     return _scope["pool"]
 
 
+def _map_chunks(task, count: int, threads: int) -> list:
+    """The lists task(start, stop) over min(threads, cpu count, count) contiguous ranges of 0..count-1, joined.
+
+    Each range is one task of the ``worker_pool`` of min(threads, cpu
+    count) processes, or a single range runs in this process.  ``task``
+    gives each index the same output whatever range holds it, so the result
+    does not depend on the worker count.
+    """
+    workers = min(threads, os.cpu_count() or 1)
+    chunks = min(workers, count)
+    if chunks == 1:
+        return task(0, count)
+    bounds = [count * w // chunks for w in range(chunks + 1)]
+    with worker_pool():
+        parts = _pool(workers).map(task, bounds[:-1], bounds[1:])
+        return [out for part in parts for out in part]
+
+
 def _run_replicates(config: ExperimentConfig, n, m, plan, stream, reduce) -> tuple:
     """reduce(X, X_m, scratch) over replicates 0..R-1: a tuple of arrays with R rows in replicate order.
 
     ``reduce`` takes the two fields of a batch, each with a leading
     replicate axis, and two scratch arrays of the fields' shape; the fields
     are views that stay valid for the call only.  It returns a tuple of
-    arrays with one row per replicate.  The replicates split into
-    min(threads, cpu count, R) contiguous chunks, one per task of the
-    ``worker_pool`` of min(threads, cpu count) processes, or run in this
-    process as one chunk.  A chunk runs in batches of ``_batch_size`` and
+    arrays with one row per replicate.  The replicates split into chunks
+    by ``_map_chunks``.  A chunk runs in batches of ``_batch_size`` and
     builds the coefficient spectra once; replicate r always draws from
     (master, stream, r), and a batch gives the same bits as one replicate
     at a time, so the result depends on neither the worker count nor the
     batch size.  Each output is joined once from C-ordered parts.
     """
-    R = config.replicates
-    workers = min(config.threads, os.cpu_count() or 1)
-    chunks = min(workers, R)
     chunk = partial(_replicate_chunk, config, n, m, plan, stream, reduce)
-    if chunks == 1:
-        batches = chunk(0, R)
-    else:
-        bounds = [R * w // chunks for w in range(chunks + 1)]
-        with worker_pool():
-            parts = _pool(workers).map(chunk, bounds[:-1], bounds[1:])
-            batches = [out for part in parts for out in part]
+    batches = _map_chunks(chunk, config.replicates, config.threads)
     return tuple(np.concatenate(parts) for parts in zip(*batches))
 
 
@@ -293,18 +303,6 @@ def _padded_prefix(arr: np.ndarray) -> np.ndarray:
     np.cumsum(arr, axis=1, out=interior)
     for ax in range(2, arr.ndim):
         np.cumsum(interior, axis=ax, out=interior)
-    return out
-
-
-def _window_sums(prefix: np.ndarray, l: int) -> np.ndarray:
-    """Box sums over [t, t+l)^d for every offset t, from a padded prefix with a replicate axis."""
-    out = prefix
-    for ax in range(1, prefix.ndim):
-        lead = [slice(None)] * prefix.ndim
-        lag = [slice(None)] * prefix.ndim
-        lead[ax] = slice(l, None)
-        lag[ax] = slice(0, -l)
-        out = out[tuple(lead)] - out[tuple(lag)]
     return out
 
 
@@ -532,9 +530,12 @@ def _block_windows(x, x_m, scratch, kernel, b, point, m, l, q):
     raw /= math.sqrt(b)
     d = raw.ndim - 1
     prefix = _padded_prefix(raw)
-    windows = _window_sums(prefix, l)
+    # the q^d windows [t, t+l)^d at offsets t = idx, one prefix difference per axis at those indices
     idx = np.arange(q) * (l + m)
-    return prefix[(slice(None),) + (-1,) * d], windows[(slice(None),) + np.ix_(*[idx] * d)]
+    windows = prefix
+    for ax in range(1, d + 1):
+        windows = np.take(windows, idx + l, axis=ax) - np.take(windows, idx, axis=ax)
+    return prefix[(slice(None),) + (-1,) * d], windows
 
 
 def _block_samples(config: ExperimentConfig, plan: BlockPlan) -> list[dict]:
@@ -765,6 +766,31 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
 # moment inequality
 
 
+def _wu_block_sums(innovations, a, master_seed, sample, rows, orders, start, stop) -> list:
+    """Per block start..stop-1 of the moment-inequality sample, a (len(orders), 2) array of
+    the sums of |X|^(2p) and |X|^(4p) over that block, one row per order.
+
+    Block b holds samples [b*rows, (b+1)*rows) and draws them from the key
+    (master, STREAM_OFFSETS["wu"], b) into one reused buffer, so its sums do
+    not depend on which range holds it.
+    """
+    seeds = Seeds(master_seed, STREAM_OFFSETS["wu"], range(start, stop))
+    buffer, x = np.empty((rows, a.size)), np.empty(rows)
+    out = []
+    for i, block in enumerate(range(start, stop)):
+        take = min(rows, sample - block * rows)
+        eps, abs_x = buffer[:take], x[:take]
+        _draw(innovations, seeds[i], eps.shape, out=eps)
+        np.multiply(eps, a, out=eps)
+        np.abs(np.sum(eps, axis=1, out=abs_x), out=abs_x)
+        sums = np.empty((len(orders), 2))
+        for j, q in enumerate(orders):
+            y = abs_x ** (2 * q)
+            sums[j] = y.sum(), (y**2).sum()
+        out.append(sums)
+    return out
+
+
 def wu_inequality_check(
     model: CoefficientModel,
     innovations: InnovationModel,
@@ -772,6 +798,7 @@ def wu_inequality_check(
     sample: int,
     master_seed: int = 20260810,
     max_bytes: int = DEFAULT_MAX_FIELD_BYTES,
+    threads: int = 1,
 ):
     """Monte Carlo constant in E|sum_k a_k eps_k|^(2p) <= C (sum_k a_k^2)^p.
 
@@ -780,14 +807,19 @@ def wu_inequality_check(
     innovation kurtosis is known the exact fourth-moment reference is
     attached.  Requires E|eps|^(2 v 2p) < infinity.  ``p`` is a sequence of
     orders; the list of their reports comes from one sample of X_0, with the
-    same numbers as one call per order.  The draws are made block by block
-    into one reused buffer; the coefficient box, that block (twice, for the
-    laws whose draws are copied in) and one chunk of |X| with its two power
-    temporaries must fit in ``max_bytes``, checked before any is allocated.
+    same numbers as one call per order.  The sample is drawn in keyed blocks
+    of ``WU_BLOCK_BYTES`` of draws (``_wu_block_sums``), split over workers
+    by ``_map_chunks``; the blocks' sums are added in block order here, so
+    the reports do not depend on ``threads``.  The coefficient box, one
+    block (twice, for the laws whose draws are copied in), a block's |X|
+    with its two power temporaries and the sums of every block must fit in
+    ``max_bytes``, checked before any is allocated.
     """
     orders = list(p)
     if sample < 2:
         raise ValueError("sample must be >= 2")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     for q in orders:
         if q not in (1, 2):
             raise ValueError("p must be 1 or 2")
@@ -808,39 +840,23 @@ def wu_inequality_check(
             if side > 1 << 12:
                 raise ValueError("coefficient tail too slow to truncate for sampling")
     size = side**model.d
-    chunk = min(max(1, (1 << 22) // size), sample)  # samples per partial sum of |X|^(2p)
-    rows = min(max(1, WU_BLOCK_BYTES // (8 * size)), chunk)  # samples per draw block
-    need = 8 * (size + 2 * rows * size + 3 * chunk)
+    rows = min(max(1, WU_BLOCK_BYTES // (8 * size)), sample)  # samples per keyed block
+    blocks = -(-sample // rows)
+    need = 8 * (size + 2 * rows * size + 3 * rows) + 16 * len(orders) * blocks
     if need > max_bytes:
         raise FieldSizeError(
-            f"the moment-inequality sample's coefficient box of side {side}, its draw block "
-            f"and |X| need about {need} bytes (> cap {max_bytes})"
+            f"the moment-inequality sample's coefficient box of side {side}, its draw block, "
+            f"|X| and the block sums need about {need} bytes (> cap {max_bytes})"
         )
     a = coeff_box(model, side).ravel()
-    rng = Seeds(master_seed, STREAM_OFFSETS["wu"], [0])[0]
-    sums = {q: [0.0, 0.0] for q in orders}  # order -> [sum |X|^(2p), sum |X|^(4p)]
+    task = partial(_wu_block_sums, innovations, a, master_seed, sample, rows, orders)
+    sums = np.zeros((len(orders), 2))  # per order: sum |X|^(2p), sum |X|^(4p)
+    for part in _map_chunks(task, blocks, threads):
+        sums += part
     sum_a4 = float(np.sum(a**4))
-    block, x = np.empty((rows, size)), np.empty(chunk)
-    done = 0
-    while done < sample:
-        take = min(chunk, sample - done)
-        # one Philox stream cut into blocks gives the draws of one (take, size) array,
-        # and each row sums alone, so the bits do not depend on the block size
-        for start in range(0, take, rows):
-            eps = block[: min(rows, take - start)]
-            _draw(innovations, rng, eps.shape, out=eps)
-            np.multiply(eps, a, out=eps)
-            np.sum(eps, axis=1, out=x[start : start + len(eps)])
-        abs_x = np.abs(x[:take], out=x[:take])
-        for q, acc in sums.items():
-            y = abs_x ** (2 * q)
-            acc[0] += float(y.sum())
-            acc[1] += float((y**2).sum())
-        done += take
     kurt = innovations.kurtosis
     reports = []
-    for q in orders:
-        sum_y, sum_y2 = sums[q]
+    for q, (sum_y, sum_y2) in zip(orders, sums.tolist()):
         mean_y = sum_y / sample
         var_y = max(sum_y2 / sample - mean_y**2, 0.0)
         c_hat = mean_y / total**q

@@ -434,8 +434,9 @@ class TestWuInequality:
 
         innov = InnovationModel("gaussian")
         (rep,) = wu_inequality_check(geometric_half, innov, [1], 1000)
-        # the box, one block of 1000 draws counted twice, and |X| with its two powers
-        need = 8 * (rep["truncation_side"] * (1 + 2 * 1000) + 3 * 1000)
+        # the box, one block of 1000 draws counted twice, |X| with its two powers,
+        # and the one block's two sums for the one order
+        need = 8 * (rep["truncation_side"] * (1 + 2 * 1000) + 3 * 1000) + 16 * 1 * 1
         assert wu_inequality_check(geometric_half, innov, [1], 1000, max_bytes=need) == [rep]
 
         def no_box(*args, **kw):
@@ -451,32 +452,49 @@ class TestWuInequality:
     @pytest.mark.parametrize(
         "innov", [InnovationModel("gaussian"), InnovationModel("uniform"), InnovationModel("student_t", nu=5.0)]
     )
-    def test_streamed_blocks_equal_one_shot_chunks(self, geometric_half, innov, monkeypatch):
+    def test_keyed_blocks_equal_one_shot_reference(self, geometric_half, innov, monkeypatch):
         import fieldkde.clt as clt
         from fieldkde.coefficients import coeff_box
 
-        side = 32  # geometric_half's sampling box: 2^22 // 32 samples per chunk
-        chunk = (1 << 22) // side
-        sample = chunk + 2500  # a second chunk, and a partial last block in each chunk
-        monkeypatch.setattr(clt, "WU_BLOCK_BYTES", 8 * side * 1000)
-        streamed = wu_inequality_check(geometric_half, innov, [1, 2], sample)
-        assert streamed[0]["truncation_side"] == side
+        side, rows = 32, 1000  # geometric_half's sampling box, and the forced block length
+        sample = 2 * rows + 500  # a partial last block
+        monkeypatch.setattr(clt, "WU_BLOCK_BYTES", 8 * side * rows)
+        keyed = wu_inequality_check(geometric_half, innov, [1, 2], sample)
+        assert keyed[0]["truncation_side"] == side
 
+        # block b: a fresh (rows, side) draw from key (master, wu stream, b), summed alone;
+        # the blocks' sums are added in block order
         a = coeff_box(geometric_half, side).ravel()
-        rng = Seeds(MASTER_SEED, clt.STREAM_OFFSETS["wu"], [0])[0]
         sums = {q: [0.0, 0.0] for q in (1, 2)}
-        for done in range(0, sample, chunk):
-            eps = clt._draw(innov, rng, (min(chunk, sample - done), side))
+        for block, done in enumerate(range(0, sample, rows)):
+            rng = Seeds(MASTER_SEED, clt.STREAM_OFFSETS["wu"], [block])[0]
+            eps = clt._draw(innov, rng, (min(rows, sample - done), side))
             abs_x = np.abs((eps * a).sum(axis=1))
             for q, acc in sums.items():
                 y = abs_x ** (2 * q)
                 acc[0] += float(y.sum())
                 acc[1] += float((y**2).sum())
-        for rep, (q, (sum_y, sum_y2)) in zip(streamed, sums.items()):
+        for rep, (q, (sum_y, sum_y2)) in zip(keyed, sums.items()):
             mass = rep["weight_mass"] ** q
             mean_y = sum_y / sample
             assert rep["c_hat"] == mean_y / mass
             assert rep["se"] == math.sqrt(max(sum_y2 / sample - mean_y**2, 0.0) / sample) / mass
+
+    @pytest.mark.parametrize("innov", [InnovationModel("gaussian"), InnovationModel("student_t", nu=5.0)])
+    def test_reports_equal_at_one_and_two_threads(self, geometric_half, innov):
+        import fieldkde.clt as clt
+
+        # 30,000 samples of side 32 make 15 blocks, so two workers split them 7 and 8
+        assert 30_000 > 2 * clt.WU_BLOCK_BYTES // (8 * 32)
+        with clt.worker_pool():
+            alone = wu_inequality_check(geometric_half, innov, [1, 2], 30_000, threads=1)
+            split = wu_inequality_check(geometric_half, innov, [1, 2], 30_000, threads=2)
+        assert split == alone
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_threads_below_one(self, geometric_half, threads):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            wu_inequality_check(geometric_half, InnovationModel("gaussian"), [1], 100, threads=threads)
 
     def test_sample_memory_does_not_grow_with_its_size(self, geometric_half):
         import tracemalloc
@@ -488,6 +506,18 @@ class TestWuInequality:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20  # 65 MiB when each chunk was drawn whole
+
+    def test_small_box_memory_does_not_grow_with_the_sample(self, identity_weights):
+        import tracemalloc
+
+        # a box of side 1 makes 65,536-sample blocks
+        tracemalloc.start()
+        try:
+            wu_inequality_check(identity_weights, InnovationModel("gaussian"), [1, 2], 5_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20  # 96.5 MiB with 2^22-value chunks of |X|
 
 
 class TestBlocks:
@@ -502,6 +532,29 @@ class TestBlocks:
         d = samples[0]
         gap = d["totals"] - d["etas"].reshape(len(d["totals"]), -1).sum(axis=1)
         assert np.max(np.abs(gap)) == 0.0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_block_windows_equal_the_full_window_sums(self, epanechnikov, d):
+        import fieldkde.clt as clt
+
+        n, m, l, q = 40, 2, 6, 5
+        rng = np.random.default_rng(MASTER_SEED)
+        x_m = rng.standard_normal((3,) + (n,) * d)
+        total, windows = clt._block_windows(
+            x_m, x_m, np.empty((2,) + x_m.shape), kernel=epanechnikov, b=0.5, point=0.2, m=m, l=l, q=q
+        )
+        # every window [t, t+l)^d from the padded prefix, then the kept offsets t = idx
+        prefix = clt._padded_prefix(clt._kernel_values(epanechnikov, 0.2, x_m, 0.5) / math.sqrt(0.5))
+        full = prefix
+        for ax in range(1, d + 1):
+            lead = [slice(None)] * (d + 1)
+            lag = [slice(None)] * (d + 1)
+            lead[ax], lag[ax] = slice(l, None), slice(0, -l)
+            full = full[tuple(lead)] - full[tuple(lag)]
+        idx = np.arange(q) * (l + m)
+        assert windows.shape == (3,) + (q,) * d
+        assert np.array_equal(windows, full[(slice(None),) + np.ix_(*[idx] * d)])
+        assert np.array_equal(total, prefix[(slice(None),) + (-1,) * d])
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):

@@ -223,6 +223,26 @@ class TestCli:
             blobs.append((tmp_path / str(t) / sub.replace("-", "_") / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("innovations", ['{"name":"gaussian"}', '{"name":"uniform"}',
+                                             '{"name":"student_t","nu":5.0}'])
+    def test_moment_check_wu_blocks_split_over_workers_keep_the_bytes(self, tmp_path, innovations):
+        import fieldkde.clt as clt
+
+        # the default weights truncate at side 32: 20,000 samples make 10 keyed blocks
+        assert 20_000 > 2 * clt.WU_BLOCK_BYTES // (8 * 32)
+        outputs = []
+        for t in (1, 2):
+            code = main(["moment-check", "--threads", str(t), "--out", str(tmp_path / str(t)),
+                         "--set", f"innovations={innovations}", "--set", "moment_check.wu_sample=20000",
+                         "--set", "moment_check.n_grid=[64]", "--set", "moment_check.replicates=5",
+                         "--set", "moment_check.rectangles=[4,16]"])
+            assert code in (0, 2)
+            out = tmp_path / str(t) / "moment_check"
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "manifest.json"})
+        assert outputs[0] == outputs[1] and "report.json" in outputs[0]
+        wu = json.loads(outputs[0]["report.json"])["wu"]
+        assert [w["truncation_side"] for w in wu] == [32, 32]
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_1(self, tmp_path, threads):
         code = _run(tmp_path, "clt-run", "--set", "clt.replicates=2", "--set", "clt.n_grid=[64]",
