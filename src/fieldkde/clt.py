@@ -683,7 +683,7 @@ def _rectangle_sums(x, x_m, scratch, kernel, b, point, rects):
     """Corner-rectangle sums of the truncated and remainder kernel fields, and remainder moments."""
     zeta_raw = _kernel_values(kernel, point, x_m, b, scratch)
     zeta_raw /= math.sqrt(b)
-    diff_raw = kernel((point - x) / b) / math.sqrt(b) - zeta_raw
+    diff_raw = _kernel_values(kernel, point, x, b) / math.sqrt(b) - zeta_raw
     pz = _padded_prefix(zeta_raw)
     pd_ = _padded_prefix(diff_raw)
     zsums = np.stack([pz[(slice(None),) + j] for j in rects], axis=1)
@@ -887,7 +887,7 @@ def wu_inequality_check(
 def _squared_gap(x, x_m, scratch, kernel, b, point):
     """Per replicate, site mean of (K((point - X_m)/b) - K((point - X)/b))^2 / b."""
     kt = _kernel_values(kernel, point, x_m, b, scratch)
-    kf = kernel((point - x) / b)
+    kf = _kernel_values(kernel, point, x, b)
     return (np.mean((kt - kf) ** 2, axis=tuple(range(1, kf.ndim))) / b,)
 
 

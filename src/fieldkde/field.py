@@ -125,11 +125,11 @@ def estimate_field_bytes(d: int, n: int, M: int) -> int:
     spectra, the lattice's and one product, which the inverse transform
     overwrites) and three real buffers of side P, two of them the inverse
     transforms the fields are views into.  The third is headroom for the
-    reduction that reads the fields: the forward transform writes straight
-    into the lattice's half spectrum, so no padded real copy of the lattice
-    exists, and the reduction's two scratch arrays are that spectrum and the
-    product, idle once the fields are transformed back.  The direct path
-    allocates less.
+    reduction that reads the fields.  The padded copy of the lattice that
+    the forward transform reads lives in the product, idle until the spectra
+    are multiplied, and the reduction's two scratch arrays are the lattice's
+    spectrum and the product, idle once the fields are transformed back;
+    none of them adds to the count.  The direct path allocates less.
     """
     P = next_fast_len(n + M - 1)
     half = P ** (d - 1) * (P // 2 + 1)
@@ -155,8 +155,9 @@ def _fourier_valid(
     region [c - 1, lattice side) of the linear one.  ``product`` and ``out``,
     when given, take the product of the spectra and the inverse transform.
     """
-    out = irfftn(np.multiply(spectrum, coeff_spectrum, out=product), shape, out)
-    return out[(...,) + tuple(slice(c - 1, s) for c, s in zip(coeff_shape, lattice_shape))]
+    valid = tuple(slice(c - 1, s) for c, s in zip(coeff_shape, lattice_shape))
+    out = irfftn(np.multiply(spectrum, coeff_spectrum, out=product), shape, out, valid[:-1])
+    return out[(...,) + valid]
 
 
 def _direct_valid(lattice, coeffs, out, tap) -> np.ndarray:
@@ -238,8 +239,10 @@ class CoupledWorkspace:
     Allocated once and reused by every batch, so a run of many batches
     faults in no fresh pages after its first: the stack of innovation
     lattices, which the draws fill slot by slot; on the FFT path the
-    lattices' half spectrum, one product of spectra and one inverse
-    transform per field, of which the fields are views; on the direct path
+    lattices' half spectrum, one product of spectra, whose real view first
+    holds the lattices zero-padded for the forward transform, and one
+    inverse transform per field, of which the fields are views and whose
+    rows outside the valid region are left unwritten; on the direct path
     one array per field and one that takes each tap's product in turn.  The
     fields of a batch stay valid until the next batch is convolved.
     """
@@ -273,8 +276,10 @@ class CoupledWorkspace:
                 cut = (slice(sp.M - coeffs.shape[0], None),) * d
                 return _direct_valid(eps[(slice(None),) + cut], coeffs[np.newaxis], out, product)
         else:
-            # X_m convolves the same lattice spectrum with the M-box masked to [0, m)^d
-            spectrum = rfftn(eps, sp.shape, self.spectrum[:count])
+            # the lattices are padded in the real view of the product, idle until
+            # the spectra are multiplied; X_m convolves the same lattice spectrum
+            # with the M-box masked to [0, m)^d
+            spectrum = rfftn(eps, sp.shape, self.spectrum[:count], product.view(float))
 
             def conv(coeff, out):
                 return _fourier_valid(spectrum, coeff, sp.shape, eps.shape[1:], (sp.M,) * d, product, out)

@@ -30,17 +30,25 @@ def next_fast_len(target: int) -> int:
     return best
 
 
-def rfftn(x: np.ndarray, shape, out=None) -> np.ndarray:
+def rfftn(x: np.ndarray, shape, out=None, stage=None) -> np.ndarray:
     """Real FFT over the last len(shape) axes of ``x``, zero-padded to ``shape``.
 
     One complex buffer, ``out`` when given, takes the last axis's transform
     and then the other axes' in place, which faults in fewer fresh pages
     than a new array per axis.  Only its padding is zeroed: the last axis's
-    transform writes the rest.
+    transform writes the rest.  ``stage``, a real array with ``x``'s leading
+    sides and a last axis of at least shape[-1], first takes ``x`` with its
+    last axis zero-padded there, so pocketfft transforms rows that already
+    have their length and pads none; the bits are the same.
     """
     k = len(shape)
     if out is None:
         out = np.empty(x.shape[:-k] + tuple(shape[:-1]) + (shape[-1] // 2 + 1,), dtype=complex)
+    if stage is not None:
+        stage = stage[tuple(map(slice, x.shape[:-1])) + (slice(shape[-1]),)]
+        stage[..., : x.shape[-1]] = x
+        stage[..., x.shape[-1]:] = 0.0
+        x = stage
     for j, side in enumerate(x.shape[-k:-1]):
         out[(..., slice(side, None)) + (slice(None),) * (k - 1 - j)] = 0.0
     rfft(x, shape[-1], -1, out=out[(...,) + tuple(map(slice, x.shape[-k:-1])) + (slice(None),)])
@@ -49,10 +57,22 @@ def rfftn(x: np.ndarray, shape, out=None) -> np.ndarray:
     return out
 
 
-def irfftn(spectrum: np.ndarray, shape, out=None) -> np.ndarray:
-    """Inverse of ``rfftn`` with real output ``shape``, into ``out`` when given; overwrites ``spectrum``."""
-    for axis, n in enumerate(shape[:-1], -len(shape)):
-        ifft(spectrum, n, axis, norm="forward", out=spectrum)
-    out = irfft(spectrum, shape[-1], -1, norm="forward", out=out)
-    out *= 1.0 / math.prod(shape)
+def irfftn(spectrum: np.ndarray, shape, out=None, keep=None) -> np.ndarray:
+    """Inverse of ``rfftn`` with real output ``shape``, into ``out`` when given; overwrites ``spectrum``.
+
+    ``keep``, one slice per axis but the last, limits the output to those
+    indices: each axis is transformed back only on the rows the axes before
+    it keep, and the last axis's transform and the scaling run only on the
+    kept rows.  The rest of ``out`` is left as it was.
+    """
+    k = len(shape)
+    keep = (slice(None),) * (k - 1) if keep is None else tuple(keep)
+    for j, n in enumerate(shape[:-1]):
+        part = spectrum[(...,) + keep[:j] + (slice(None),) * (k - j)]
+        ifft(part, n, j - k, norm="forward", out=part)
+    if out is None:
+        out = np.empty(spectrum.shape[:-k] + tuple(shape))
+    rows = (...,) + keep + (slice(None),)
+    part = irfft(spectrum[rows], shape[-1], -1, norm="forward", out=out[rows])
+    np.multiply(part, 1.0 / math.prod(shape), out=part)
     return out

@@ -166,16 +166,49 @@ class BandwidthSchedule:
         return {"gamma": self.gamma, "c2": self.c2}
 
 
+def _reach(kernel, b):
+    """Distance from x beyond which K((x - X)/b) is exactly 0.0.
+
+    The margin keeps rounding in (x - X)/b from dropping a site whose term is nonzero.
+    """
+    return min(kernel.support_radius, KERNEL_REACH) * (1.0 + 1e-9) * b
+
+
+# below this share of the sites in reach of x, _kernel_values evaluates the
+# kernel at those sites alone.  Finding them costs two comparisons, a count
+# and an index per site, about what a compact kernel costs everywhere; the
+# Gaussian's exp costs more.  Live over dense time on a 2-vCPU host (numpy
+# 2.4), over one field of 256^2, 500 of 256 and 21 of 64^2: Gaussian
+# 0.33-0.63 at shares 0.5-5%, 0.71-0.78 at 25% and 0.91-1.44 at 50%;
+# Epanechnikov 0.65-0.80 at 2% and 0.91-1.08 at 5%; triangular 0.83-1.06 at
+# 2% and 1.13-1.32 at 5%
+LIVE_SITE_SHARE = {"epanechnikov": 0.02, "gaussian": 0.25, "triangular": 0.02}
+
+
 def _kernel_values(kernel, x, values, b, scratch=None):
     """K((x - X_i)/b) for the array ``values`` at one scalar ``x``.
 
-    ``scratch``, two arrays shaped like ``values``, takes (x - X_i)/b and the
-    kernel values in place of fresh arrays; the result is its second array.
+    ``scratch``, two C-ordered arrays shaped like ``values``, takes x - X_i
+    and the kernel values in place of fresh arrays; the result is its second
+    array.  When fewer than ``LIVE_SITE_SHARE`` of the sites lie within
+    ``_reach`` of x, the kernel runs at those sites alone and every other
+    site gets the exact 0.0 the kernel gives it, so the bits are those of
+    the evaluation at every site.  A NaN difference counts as in reach.
     """
-    u, out = (None, None) if scratch is None else scratch
-    u = np.subtract(x, values, out=u)
-    u /= b
-    return kernel(u, out=out)
+    u, out = np.empty((2,) + np.shape(values)) if scratch is None else scratch
+    np.subtract(x, values, out=u)
+    reach = _reach(kernel, b)
+    dead = u > reach
+    dead |= u < -reach
+    if dead.size - np.count_nonzero(dead) >= LIVE_SITE_SHARE[kernel.name] * dead.size:
+        u /= b
+        return kernel(u, out=out)
+    sites = np.flatnonzero(np.logical_not(dead, out=dead))
+    near = u.take(sites)
+    near /= b
+    out.fill(0.0)
+    out.reshape(-1)[sites] = kernel(near)
+    return out
 
 
 def _kernel_sum(kernel, x, values, b, axis=None, scratch=None):
@@ -195,8 +228,7 @@ def _windowed_sums(kernel, xs, data, b):
     """
     order = np.argsort(data)
     ordered = data[order]
-    # the margin keeps rounding in (x - X)/b from dropping a site whose term is nonzero
-    reach = min(kernel.support_radius, KERNEL_REACH) * (1.0 + 1e-9) * b
+    reach = _reach(kernel, b)
     lo = np.searchsorted(ordered, xs - reach, side="left")
     hi = np.searchsorted(ordered, xs + reach, side="right")
     terms = np.zeros(data.size)

@@ -398,3 +398,29 @@ class TestNumpyBatchPins:
         assert np.array_equal(used.view(np.int64), spectra.view(np.int64))
         assert irfftn(np.multiply(used, coeff, out=used), shape, out) is out
         assert np.array_equal(out.view(np.int64), inverse.view(np.int64))
+
+    @pytest.mark.parametrize("d,side,batch", CASES)
+    def test_staged_rows_equal_padding_in_the_transform(self, d, side, batch):
+        rng = np.random.default_rng(side + 3)
+        lattices = rng.standard_normal((batch,) + (side,) * d)
+        shape = (next_fast_len(side),) * d
+        half = (batch,) + shape[:-1] + (shape[-1] // 2 + 1,)
+        # a used product buffer, padding and the rows past the lattice's included
+        stage = (rng.standard_normal(half) + 1j * rng.standard_normal(half)).view(float)
+        used = rfftn(rng.standard_normal(lattices.shape), shape)
+        assert rfftn(lattices, shape, used, stage) is used
+        assert np.array_equal(used.view(np.int64), rfftn(lattices, shape).view(np.int64))
+
+    @pytest.mark.parametrize("d,side,batch", CASES)
+    def test_valid_rows_inverse_equals_the_full_one(self, d, side, batch):
+        rng = np.random.default_rng(side + 4)
+        shape = (next_fast_len(side),) * d
+        c = 5
+        coeff = rfftn(rng.standard_normal((c,) * d), shape)
+        product = rfftn(rng.standard_normal((batch,) + (side,) * d), shape) * coeff
+        valid = (...,) + (slice(c - 1, side),) * d
+        full = irfftn(product.copy(), shape)
+        out = np.full((batch,) + shape, np.nan)
+        assert irfftn(product, shape, out, valid[1:-1]) is out
+        assert np.array_equal(out[valid].view(np.int64), full[valid].view(np.int64))
+        assert np.isnan(out[(...,) + (slice(c - 1),) + (slice(None),) * (d - 1)]).all() == (d > 1)

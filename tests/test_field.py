@@ -146,6 +146,28 @@ class TestCoupledGeneration:
             tracemalloc.stop()
         assert peak <= estimate_field_bytes(2, 64, 15)
 
+    @pytest.mark.parametrize("n,batch", [(64, 1), (128, 3)])
+    def test_generation_into_a_used_workspace_allocates_little(self, power_d2, n, batch):
+        import tracemalloc
+
+        from fieldkde.field import CoupledWorkspace
+
+        plan = plan_truncation(power_d2, m=6, policy="fixed", M=15)
+        spectra = coupled_spectra(power_d2, n, 6, plan)
+        assert spectra.method == "fourier"
+        work = CoupledWorkspace(spectra, batch)
+        seeds = Seeds(MASTER_SEED, 0, range(batch))
+        generate_coupled_fields(power_d2, InnovationModel("gaussian"), n, 6, plan, seeds, spectra, work)
+        tracemalloc.start()
+        try:
+            generate_coupled_fields(power_d2, InnovationModel("gaussian"), n, 6, plan, seeds, spectra, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the lattices are padded in the product buffer and the fields scaled in
+        # place: nothing the size of a lattice or a field is allocated
+        assert peak < 8 * 1024
+
     def test_stationarity_across_subboxes(self, geometric_half):
         x, _ = _coupled(geometric_half, 80_000, 1, 48, stream=3)
         quarters = np.array_split(x, 4)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -24,9 +25,12 @@ from fieldkde.field import plan_truncation
 from fieldkde.kde import (
     EXP_ZERO_FLOOR,
     KERNEL_REACH,
+    LIVE_SITE_SHARE,
     KernelModel,
     _inverted,
     _kernel_sum,
+    _kernel_values,
+    _reach,
     _windowed_sums,
     sup_abs_normal_diff,
 )
@@ -279,6 +283,70 @@ class TestWindowedSums:
         windows = np.searchsorted(ordered, xs + reach, side="right") - np.searchsorted(ordered, xs - reach)
         assert counted == windows.tolist()
         assert sum(counted) < 0.15 * field.size * xs.size
+
+
+def _live_site_values(name, d, share):
+    """(values, b): a strided batch of 3 fields of 576 sites in which about ``share`` of them lie in reach of 0.
+
+    Some sites are non-finite, huge, exactly at the reach from 0 or one ulp
+    either side of it.
+    """
+    rng = np.random.default_rng(int(1000 * share) + d)
+    side = round(576 ** (1 / d))
+    values = rng.standard_normal((3,) + (side + 2,) * d)[(slice(None),) + (slice(2, None),) * d]
+    b = NormalDist().inv_cdf(0.5 + share / 2.0) / min(kernel_by_name(name).support_radius, KERNEL_REACH)
+    r = _reach(kernel_by_name(name), b)
+    special = [np.nan, np.inf, -np.inf, 1e200, -1e200, r, -r]
+    special += [np.nextafter(edge, to) for edge in (r, -r) for to in (0.0, 2.0 * edge)]
+    sites = rng.choice(values.size, len(special), replace=False)
+    values[np.unravel_index(sites, values.shape)] = special
+    return values, b
+
+
+class TestLiveSites:
+    """The kernel at the sites in reach alone gives the bits of the kernel at every site."""
+
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("share", [0.004, 0.1, 0.5])
+    def test_bits_equal_the_dense_evaluation(self, monkeypatch, name, d, share):
+        k = kernel_by_name(name)
+        values, b = _live_site_values(name, d, share)
+        axes = tuple(range(1, d + 1))
+        for x in (0.0, 0.3, -1e200, np.nan):
+            got = {}
+            for forced in (0.0, 2.0):  # every site, then the sites in reach alone
+                monkeypatch.setitem(LIVE_SITE_SHARE, name, forced)
+                scratch = np.full((2,) + values.shape, np.nan)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got[forced] = [_kernel_values(k, x, values, b, scratch).copy(), _kernel_values(k, x, values, b),
+                                   _kernel_sum(k, x, values, b, axes), _kernel_sum(k, x, values, b, axes, scratch)]
+            for dense, live in zip(got[0.0], got[2.0]):
+                assert np.array_equal(dense.view(np.int64), live.view(np.int64))
+            assert np.isnan(got[0.0][2]).all() == (x != x)
+
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_the_switch_follows_the_share_in_reach(self, monkeypatch, name, d):
+        k = kernel_by_name(name)
+        counted = []
+        call = KernelModel.__call__
+
+        def counting(self, u, out=None):
+            counted.append(np.size(u))
+            return call(self, u, out)
+
+        monkeypatch.setattr(KernelModel, "__call__", counting)
+        for factor in (0.25, 3.0):
+            values, b = _live_site_values(name, d, factor * LIVE_SITE_SHARE[name])
+            reach = _reach(k, b)
+            live = int(np.count_nonzero(~(np.abs(values) > reach)))
+            assert (live < LIVE_SITE_SHARE[name] * values.size) == (factor < 1.0)
+            for x, expected in ((0.0, live if factor < 1.0 else values.size), (np.nan, values.size)):
+                counted.clear()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _kernel_values(k, x, values, b)
+                assert counted == [expected]
 
 
 class TestAsymptoticVariance:
