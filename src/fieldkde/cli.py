@@ -25,6 +25,7 @@ from . import __version__
 from .clt import (
     BlockPlan,
     ExperimentConfig,
+    MomentError,
     block_decomposition_check,
     _block_samples,
     fixed_m_gap,
@@ -478,6 +479,9 @@ def cmd_clt_run(cfg: dict):
 def cmd_blocks(cfg: dict):
     sec = cfg["blocks"]
     config = _experiment(cfg, "blocks")
+    if config.replicates < 2:
+        # var_delta is a sample variance, which one replicate cannot give
+        raise ToolError(f"config key {sec.path('replicates')} must be at least 2, got {config.replicates}")
     plan = BlockPlan(
         m=sec.number("m", integer=True, optional=True),
         delta=sec.number("delta", optional=True),
@@ -552,7 +556,10 @@ def cmd_moment_check(cfg: dict):
         )
     except FieldSizeError as exc:
         raise ToolError(f"limits.max_field_bytes: {exc}") from None
-    rect = rectangle_moment_check(config, rects, ratio_cap=sec.number("ratio_cap"))
+    try:
+        rect = rectangle_moment_check(config, rects, ratio_cap=sec.number("ratio_cap"))
+    except MomentError as exc:
+        raise ToolError(f"config key {sec.path('x_points')}: {exc}") from None
     ok = rect["passed"]
     report = {
         "subcommand": "moment-check",

@@ -95,7 +95,7 @@ WU_BLOCK_BYTES = 1 << 19
 
 
 class MomentError(ValueError):
-    """A moment precondition on the innovations is violated."""
+    """A moment precondition is violated: on the innovations, or a rectangle norm that is 0."""
 
 
 @dataclass(frozen=True)
@@ -278,13 +278,14 @@ def _run_replicates(config: ExperimentConfig, n, m, plan, stream, reduce) -> tup
 
     ``reduce`` takes the two fields of a batch, each with a leading
     replicate axis, and two scratch arrays of the fields' shape; the fields
-    are views that stay valid for the call only.  It returns a tuple of
-    arrays with one row per replicate.  The replicates split into chunks
-    by ``_map_chunks``.  A chunk runs in batches of ``_batch_size`` and
-    builds the coefficient spectra once; replicate r always draws from
-    (master, stream, r), and a batch gives the same bits as one replicate
-    at a time, so the result depends on neither the worker count nor the
-    batch size.  Each output is joined once from C-ordered parts.
+    are views that stay valid for the call only, and it may overwrite
+    them.  It returns a tuple of arrays with one row per replicate.  The
+    replicates split into chunks by ``_map_chunks``.  A chunk runs in
+    batches of ``_batch_size`` and builds the coefficient spectra once;
+    replicate r always draws from (master, stream, r), and a batch gives
+    the same bits as one replicate at a time, so the result depends on
+    neither the worker count nor the batch size.  Each output is joined
+    once from C-ordered parts.
     """
     chunk = partial(_replicate_chunk, config, n, m, plan, stream, reduce)
     batches = _map_chunks(chunk, config.replicates, config.threads)
@@ -579,29 +580,31 @@ def block_decomposition_check(config: ExperimentConfig, samples: list[dict]) -> 
     rows = []
     for s in samples:
         n, m, l, q = s["n"], s["m"], s["l"], s["q"]
+        etas = s["etas"]
         center_full = (n**d) * s["e_site"]
         center_block = (l**d) * s["e_site"]
-        eta_c = s["etas"] - center_block
         s_full = s["totals"] - center_full
-        s_eta = eta_c.reshape(eta_c.shape[0], -1).sum(axis=1)
+        s_eta = (etas - center_block).reshape(etas.shape[0], -1).sum(axis=1)
         delta = (s_full - s_eta) / float(n) ** (d / 2.0)
-        pairs = []
-        for ax in range(d):
-            lead = [slice(None)] * (d + 1)
-            lag = [slice(None)] * (d + 1)
-            lead[ax + 1] = slice(0, -1)
-            lag[ax + 1] = slice(1, None)
-            if eta_c.shape[ax + 1] > 1:
-                pairs.append(
-                    np.stack(
-                        [eta_c[tuple(lead)].ravel(), eta_c[tuple(lag)].ravel()]
-                    )
-                )
-        if pairs:
-            stacked = np.concatenate(pairs, axis=1)
-            corr = float(np.corrcoef(stacked)[0, 1])
-        else:
-            corr = None
+        corr = None
+        if q > 1:
+            # row 0 holds every lead block and row 1 the next block along the
+            # same axis, centred, axis after axis; then np.corrcoef's steps,
+            # centring the rows in place instead of in a copy
+            part = etas.size // q * (q - 1)
+            pairs = np.empty((2, d * part))
+            for ax in range(1, d + 1):
+                for row, cut in enumerate((slice(0, -1), slice(1, None))):
+                    blocks = etas[(slice(None),) * ax + (cut,)]
+                    out = pairs[row, (ax - 1) * part : ax * part].reshape(blocks.shape)
+                    np.subtract(blocks, center_block, out=out)
+            pairs -= pairs.mean(axis=1)[:, None]
+            c = np.dot(pairs, pairs.T)
+            c *= np.true_divide(1, pairs.shape[1] - 1)
+            stddev = np.sqrt(np.diag(c))
+            c /= stddev[:, None]
+            c /= stddev[None, :]
+            corr = float(np.clip(c[0, 1], -1, 1))
         n_blocks = q**d
         rows.append(
             {
@@ -652,13 +655,14 @@ def lindeberg_estimate(config: ExperimentConfig, samples: list[dict], eps) -> di
     rows = []
     for s in samples:
         n, l = s["n"], s["l"]
-        xi = (s["etas"] - (l**d) * s["e_site"]).ravel()
-        lf1 = float(np.mean(xi**2)) / l**d
-        lf2 = {}
-        for e in eps_list:
-            thr = float(n) ** (d / 2.0) * e
-            lf2[e] = float(np.mean(xi**2 * (np.abs(xi) > thr))) / l**d
-        rows.append({"n": n, "m": s["m"], "l": l, "block_samples": xi.size, "lf1": lf1, "lf2": lf2})
+        # one array takes |xi| and then xi^2, which has the bits of a square of xi
+        xi2 = np.abs((s["etas"] - (l**d) * s["e_site"]).ravel())
+        over = [xi2 > float(n) ** (d / 2.0) * e for e in eps_list]
+        np.square(xi2, out=xi2)
+        lf1 = float(np.mean(xi2)) / l**d
+        kept = np.empty_like(xi2)
+        lf2 = {e: float(np.mean(np.multiply(xi2, mask, out=kept))) / l**d for e, mask in zip(eps_list, over)}
+        rows.append({"n": n, "m": s["m"], "l": l, "block_samples": xi2.size, "lf1": lf1, "lf2": lf2})
     lf1_last = rows[-1]["lf1"]
     lf1_ok = abs(lf1_last - target) <= 0.15 * target
     lf2_ok = {}
@@ -680,16 +684,23 @@ def lindeberg_estimate(config: ExperimentConfig, samples: list[dict], eps) -> di
 
 
 def _rectangle_sums(x, x_m, scratch, kernel, b, point, rects):
-    """Corner-rectangle sums of the truncated and remainder kernel fields, and remainder moments."""
-    zeta_raw = _kernel_values(kernel, point, x_m, b, scratch)
-    zeta_raw /= math.sqrt(b)
-    diff_raw = _kernel_values(kernel, point, x, b) / math.sqrt(b) - zeta_raw
-    pz = _padded_prefix(zeta_raw)
-    pd_ = _padded_prefix(diff_raw)
-    zsums = np.stack([pz[(slice(None),) + j] for j in rects], axis=1)
-    dsums = np.stack([pd_[(slice(None),) + j] for j in rects], axis=1)
-    axes = tuple(range(1, diff_raw.ndim))
-    return zsums, dsums, np.sum(diff_raw, axis=axes), np.sum(diff_raw**2, axis=axes)
+    """Corner-rectangle sums of the truncated and remainder kernel fields, and remainder moments.
+
+    The truncated field's values go into the second scratch array, and the
+    full field's into the first, with x - X_i taken in ``x`` itself, which
+    is read no more; the square of the remainder then takes the second.
+    """
+    root_b = math.sqrt(b)
+    zeta = _kernel_values(kernel, point, x_m, b, scratch)
+    zeta /= root_b
+    diff = _kernel_values(kernel, point, x, b, (x, scratch[0]))
+    diff /= root_b
+    diff -= zeta
+    corners = (slice(None),) + tuple(np.array(rects).T)  # one sum per replicate and rectangle
+    zsums = _padded_prefix(zeta)[corners]
+    dsums = _padded_prefix(diff)[corners]
+    axes = tuple(range(1, diff.ndim))
+    return zsums, dsums, np.sum(diff, axis=axes), np.sum(np.square(diff, out=zeta), axis=axes)
 
 
 def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: float = 3.0) -> dict:
@@ -715,6 +726,8 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
         if not all(1 <= t <= n_min for t in tup):
             raise ValueError(f"rectangle {list(tup)} does not fit inside n={n_min}")
         rect_list.append(tup)
+    if not rect_list:
+        raise ValueError("need at least one rectangle")
     rows = []
     norm_values = []
     fitted = []
@@ -738,6 +751,12 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
             dc = ds[:, ri] - vol * ed
             znorm = math.sqrt(float(np.mean(zc**2))) / math.sqrt(vol)
             dnorm = math.sqrt(float(np.mean(dc**2)))
+            if znorm == 0.0:
+                raise MomentError(
+                    f"at x = {x} the truncated kernel field sums to its mean over rectangle {list(rect)} "
+                    f"in every replicate at n = {n}, so the max/min ratio of the norms is undefined: "
+                    "x lies beyond the kernel's reach of the field's values"
+                )
             c_fit = dnorm / (math.sqrt(vol) * bound_unit) if bound_unit > 0 else 0.0
             norm_values.append(znorm)
             fitted.append(c_fit)

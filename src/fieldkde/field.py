@@ -153,10 +153,16 @@ def _fourier_valid(
     A spectrum with a leading replicate axis is a stack.  The circular
     convolution of period P >= lattice side has no wrap-around in the valid
     region [c - 1, lattice side) of the linear one.  ``product`` and ``out``,
-    when given, take the product of the spectra and the inverse transform.
+    when given, take the product of the spectra and the inverse transform;
+    without ``product`` the spectrum takes it.  The product runs one
+    replicate at a time: a multiply broadcast over the replicate axis goes
+    through numpy's buffered loop, which allocates for small stacks.
     """
     valid = tuple(slice(c - 1, s) for c, s in zip(coeff_shape, lattice_shape))
-    out = irfftn(np.multiply(spectrum, coeff_spectrum, out=product), shape, out, valid[:-1])
+    product = spectrum if product is None else product
+    for k in np.ndindex(spectrum.shape[: spectrum.ndim - coeff_spectrum.ndim]):
+        np.multiply(spectrum[k], coeff_spectrum, out=product[k])
+    out = irfftn(product, shape, out, valid[:-1])
     return out[(...,) + valid]
 
 

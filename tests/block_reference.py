@@ -1,0 +1,117 @@
+"""The block and rectangle reductions as they were before they reused their buffers.
+
+The tests' reference for ``clt.block_decomposition_check``,
+``clt.lindeberg_estimate`` and ``clt._rectangle_sums``: each builds its
+centred copies, pair stacks and kernel arrays afresh, and the correlation
+is ``np.corrcoef``'s.  The package's versions must give the same bits.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from fieldkde.clt import _padded_prefix
+from fieldkde.kde import _kernel_values, asymptotic_variance, density_oracle
+
+__all__ = ["block_decomposition_check", "lindeberg_estimate", "rectangle_sums"]
+
+
+def block_decomposition_check(config, samples) -> dict:
+    d = config.model.d
+    rows = []
+    for s in samples:
+        n, m, l, q = s["n"], s["m"], s["l"], s["q"]
+        center_full = (n**d) * s["e_site"]
+        center_block = (l**d) * s["e_site"]
+        eta_c = s["etas"] - center_block
+        s_full = s["totals"] - center_full
+        s_eta = eta_c.reshape(eta_c.shape[0], -1).sum(axis=1)
+        delta = (s_full - s_eta) / float(n) ** (d / 2.0)
+        pairs = []
+        for ax in range(d):
+            lead = [slice(None)] * (d + 1)
+            lag = [slice(None)] * (d + 1)
+            lead[ax + 1] = slice(0, -1)
+            lag[ax + 1] = slice(1, None)
+            if eta_c.shape[ax + 1] > 1:
+                pairs.append(np.stack([eta_c[tuple(lead)].ravel(), eta_c[tuple(lag)].ravel()]))
+        if pairs:
+            stacked = np.concatenate(pairs, axis=1)
+            corr = float(np.corrcoef(stacked)[0, 1])
+        else:
+            corr = None
+        n_blocks = q**d
+        rows.append(
+            {
+                "n": n,
+                "m": m,
+                "l": l,
+                "blocks_per_axis": q,
+                "var_delta": float(np.var(delta, ddof=1)),
+                "rate_proxy": m / (l + m),
+                "adjacent_corr": corr,
+                "corr_threshold": 4.0 / math.sqrt(n_blocks * config.replicates),
+            }
+        )
+    vals = [r["var_delta"] for r in rows]
+    decreasing = all(b < a for a, b in zip(vals, vals[1:]))
+    corr_ok = all(
+        r["adjacent_corr"] is None or abs(r["adjacent_corr"]) <= r["corr_threshold"] for r in rows
+    )
+    return {
+        "name": "block_decomposition",
+        "rows": rows,
+        "verdicts": {
+            "var_delta_decreasing": bool(decreasing),
+            "adjacent_blocks_uncorrelated": bool(corr_ok),
+        },
+        "passed": bool(decreasing),
+    }
+
+
+def lindeberg_estimate(config, samples, eps) -> dict:
+    eps_list = [float(e) for e in np.atleast_1d(eps)]
+    if any(e <= 0 for e in eps_list):
+        raise ValueError("eps must be positive")
+    d = config.model.d
+    oracle = density_oracle(config.model, config.innovations, samples[-1]["m"])
+    x = samples[-1]["x"]
+    target = asymptotic_variance(float(oracle.p(x)), config.kernel)
+    rows = []
+    for s in samples:
+        n, l = s["n"], s["l"]
+        xi = (s["etas"] - (l**d) * s["e_site"]).ravel()
+        lf1 = float(np.mean(xi**2)) / l**d
+        lf2 = {}
+        for e in eps_list:
+            thr = float(n) ** (d / 2.0) * e
+            lf2[e] = float(np.mean(xi**2 * (np.abs(xi) > thr))) / l**d
+        rows.append({"n": n, "m": s["m"], "l": l, "block_samples": xi.size, "lf1": lf1, "lf2": lf2})
+    lf1_last = rows[-1]["lf1"]
+    lf1_ok = abs(lf1_last - target) <= 0.15 * target
+    lf2_ok = {}
+    for e in eps_list:
+        seq = [r["lf2"][e] for r in rows]
+        nonincreasing = all(b <= a for a, b in zip(seq, seq[1:]))
+        lf2_ok[e] = bool(nonincreasing and (seq[-1] == 0.0 or seq[-1] < seq[0]))
+    return {
+        "name": "lindeberg",
+        "rows": rows,
+        "sigma2_target": target,
+        "verdicts": {"lf1_stabilises": bool(lf1_ok), "lf2_vanishes": lf2_ok},
+        "passed": bool(lf1_ok and all(lf2_ok.values())),
+    }
+
+
+def rectangle_sums(x, x_m, scratch, kernel, b, point, rects):
+    zeta_raw = _kernel_values(kernel, point, x_m, b, scratch)
+    zeta_raw /= math.sqrt(b)
+    diff_raw = _kernel_values(kernel, point, x, b) / math.sqrt(b) - zeta_raw
+    pz = _padded_prefix(zeta_raw)
+    pd_ = _padded_prefix(diff_raw)
+    zsums = np.stack([pz[(slice(None),) + j] for j in rects], axis=1)
+    dsums = np.stack([pd_[(slice(None),) + j] for j in rects], axis=1)
+    axes = tuple(range(1, diff_raw.ndim))
+    return zsums, dsums, np.sum(diff_raw, axis=axes), np.sum(diff_raw**2, axis=axes)

@@ -31,6 +31,7 @@ from fieldkde.clt import _block_samples, _skew_kurtosis
 from fieldkde.field import coupled_spectra
 from fieldkde.reporting import canonical_json
 
+import block_reference
 from conftest import MASTER_SEED, coupled_pair
 
 
@@ -620,6 +621,104 @@ class TestBlocks:
             assert ok
 
 
+def _synthetic_block_sample(replicates, q):
+    """One n-grid point of ``_block_samples``' shape, with normal block sums."""
+    rng = np.random.default_rng(MASTER_SEED)
+    return {
+        "n": 4096, "m": 4, "l": 36, "q": q, "b": 4096**-0.5, "x": 0.0, "e_site": 2.0**-6,
+        "totals": rng.standard_normal(replicates), "etas": rng.standard_normal((replicates, q)),
+    }
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes ``tracemalloc`` sees in a second call of fn(*args)."""
+    import tracemalloc
+
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLeanReductions:
+    """The block and rectangle reductions give the bits of their copying versions in ``block_reference``."""
+
+    @pytest.mark.parametrize(
+        "model,n_grid,plan",
+        [
+            (CoefficientModel(d=1, family="geometric", ratio=0.5), (256, 512), BlockPlan(m=2)),
+            # lead and lag pairs along both axes
+            (CoefficientModel(d=2, family="power_decay", q=4.0), (32, 48), BlockPlan(m=1, l=4)),
+            # one block per axis: no pairs, and adjacent_corr is null
+            (CoefficientModel(d=1, family="geometric", ratio=0.5), (128,), BlockPlan(m=1, l=128)),
+            (CoefficientModel(d=2, family="power_decay", q=4.0), (16,), BlockPlan(m=1, l=16)),
+        ],
+    )
+    def test_block_checks_equal_the_reference(self, model, n_grid, plan):
+        cfg = _config(model, n_grid=n_grid, replicates=40)
+        samples = _block_samples(cfg, plan)
+        got = block_decomposition_check(cfg, samples)
+        assert got == block_reference.block_decomposition_check(cfg, samples)
+        q = samples[0]["q"]
+        assert (got["rows"][0]["adjacent_corr"] is None) == (q == 1)
+        eps = [0.05, 0.5, 0.5, 2.0, 1e6]
+        assert lindeberg_estimate(cfg, samples, eps) == block_reference.lindeberg_estimate(cfg, samples, eps)
+
+    def test_block_checks_equal_the_reference_on_a_large_sample(self, geometric_half):
+        cfg = _config(geometric_half, n_grid=(4096,), replicates=2000)
+        samples = [_synthetic_block_sample(2000, 102)]
+        # xi = eta - 36 * 2^-6 is exactly +-1, the threshold n^(1/2) eps at eps = 2^-6
+        samples[0]["etas"][0, :2] = (1.5625, -0.4375)
+        assert block_decomposition_check(cfg, samples) == block_reference.block_decomposition_check(cfg, samples)
+        eps = [2.0**-6, 0.02, 0.04]
+        assert lindeberg_estimate(cfg, samples, eps) == block_reference.lindeberg_estimate(cfg, samples, eps)
+
+    def test_block_checks_hold_few_copies_of_the_sample(self, geometric_half):
+        # 7.0 and 3.1 times the sample with a centred copy and stacked pairs
+        cfg = _config(geometric_half, n_grid=(4096,), replicates=20_000)
+        samples = [_synthetic_block_sample(20_000, 102)]
+        size = samples[0]["etas"].nbytes
+        assert _traced_peak(block_decomposition_check, cfg, samples) <= 4.5 * size
+        assert _traced_peak(lindeberg_estimate, cfg, samples, [0.5, 1.0, 2.0]) <= 2.5 * size
+
+    @pytest.mark.parametrize(
+        "model,n,m,M,method",
+        [
+            (CoefficientModel(d=1, family="geometric", ratio=0.5), 256, 2, 12, "direct"),
+            (CoefficientModel(d=1, family="geometric", ratio=0.5), 256, 4, 4, "direct"),
+            (CoefficientModel(d=2, family="power_decay", q=4.0), 64, 6, 15, "fourier"),
+            (CoefficientModel(d=2, family="power_decay", q=4.0), 64, 8, 8, "fourier"),
+        ],
+    )
+    @pytest.mark.parametrize("kernel", ["epanechnikov", "gaussian"])
+    @pytest.mark.parametrize("point", [0.0, 2.5])
+    def test_rectangle_sums_equal_the_reference(self, model, n, m, M, method, kernel, point):
+        import fieldkde.clt as clt
+        from fieldkde.field import CoupledWorkspace, generate_coupled_fields
+
+        plan = plan_truncation(model, m=m, policy="fixed", M=M)
+        spectra = coupled_spectra(model, n, m, plan)
+        assert spectra.method == method
+        work = CoupledWorkspace(spectra, 3)
+        x, x_m = generate_coupled_fields(
+            model, InnovationModel("gaussian"), n, m, plan, Seeds(MASTER_SEED, 0, range(3)), spectra, work
+        )
+        assert (x_m is x) == (m == M)
+        rects = [(4,) * model.d, (n,) * model.d, tuple(range(5, 5 + model.d)), (1,) * model.d]
+        args = dict(kernel=kernel_by_name(kernel), b=0.25, point=point, rects=rects)
+        copy = x.copy()
+        expected = block_reference.rectangle_sums(
+            copy, copy if x_m is x else x_m.copy(), np.empty((2,) + x.shape), **args
+        )
+        got = clt._rectangle_sums(x, x_m, work.scratch(3), **args)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
+
 class TestRectangles:
     def test_iid_normalisation_constant(self, identity_weights):
         # independence: ||sum over rect||_2 / sqrt(vol) equals ||zeta_bar||_2
@@ -639,6 +738,8 @@ class TestRectangles:
         cfg = _config(identity_weights, n_grid=(64, 128), replicates=5)
         with pytest.raises(ValueError, match=r"rectangle \[128\] does not fit inside n=64"):
             rectangle_moment_check(cfg, [4, 128])
+        with pytest.raises(ValueError, match="need at least one rectangle"):
+            rectangle_moment_check(cfg, [])
 
     def test_scaling_leaves_verdict_unchanged(self):
         base = CoefficientModel(d=1, family="power_decay", q=2.5)

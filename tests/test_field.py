@@ -146,7 +146,7 @@ class TestCoupledGeneration:
             tracemalloc.stop()
         assert peak <= estimate_field_bytes(2, 64, 15)
 
-    @pytest.mark.parametrize("n,batch", [(64, 1), (128, 3)])
+    @pytest.mark.parametrize("n,batch", [(64, 1), (64, 21), (128, 3)])
     def test_generation_into_a_used_workspace_allocates_little(self, power_d2, n, batch):
         import tracemalloc
 

@@ -473,6 +473,33 @@ class TestCli:
         manifest = json.loads((tmp_path / "moment_check" / "manifest.json").read_text())
         assert manifest["status"] == "error" and "limits.max_field_bytes" in manifest["error"]
 
+    def test_moment_check_at_a_point_no_site_reaches_exit_1(self, tmp_path, capsys):
+        # every rectangle norm is 0 there, so their max/min ratio has no value
+        code = _run(tmp_path, "moment-check", "--set", "moment_check.wu_p=[]",
+                    "--set", "moment_check.x_points=[60.0]", "--set", "moment_check.n_grid=[64]",
+                    "--set", "moment_check.replicates=5", "--set", "moment_check.rectangles=[4,16]")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key moment_check.x_points: at x = 60.0 "), err
+        manifest = json.loads((tmp_path / "moment_check" / "manifest.json").read_text())
+        assert manifest["status"] == "error" and "moment_check.x_points" in manifest["error"]
+        assert not (tmp_path / "moment_check" / "report.json").exists()
+
+    @pytest.mark.parametrize("replicates", [1, 1.0])
+    def test_blocks_with_one_replicate_exit_1_before_any_draw(self, tmp_path, capsys, monkeypatch, replicates):
+        import fieldkde.clt as clt
+        import fieldkde.innovations as innovations
+
+        def no_draw(*args, **kw):
+            raise AssertionError("a field was drawn before blocks.replicates was checked")
+
+        monkeypatch.setattr(innovations, "_draw", no_draw)
+        monkeypatch.setattr(clt, "_draw", no_draw)
+        assert _run(tmp_path, "blocks", "--set", f"blocks.replicates={replicates}") == 1
+        assert capsys.readouterr().err == "error: config key blocks.replicates must be at least 2, got 1\n"
+        manifest = json.loads((tmp_path / "blocks" / "manifest.json").read_text())
+        assert manifest["status"] == "error" and "blocks.replicates" in manifest["error"]
+
     @pytest.mark.parametrize(
         "subcommand,assignment,key",
         [
