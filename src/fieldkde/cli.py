@@ -2,7 +2,8 @@
 
 Subcommands: check-conditions, gen-field, kde, clt-run, blocks, moment-check,
 fixed-m-gap.  A single JSON config document carries per-subcommand sections;
-``--set key=value`` overrides win over file values.  Exit code 0 means the
+``--set key=value`` overrides win over file values, and the whole document is
+checked against ``CONFIG_KEYS`` as it loads.  Exit code 0 means the
 run completed and every verdict passed (or was inconclusive), 2 means a
 method verdict failed, 1 means a tool error.
 """
@@ -13,10 +14,11 @@ import argparse
 import copy
 import json
 import math
+import operator
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,7 @@ from .clt import (
     wu_inequality_check,
 )
 from .coefficients import (
+    FAMILIES,
     check_condition_c,
     check_decay_window,
     check_hallin,
@@ -54,117 +57,118 @@ from .field import (
     write_field_csv,
 )
 from .innovations import InnovationModel, Seeds, SeedSpec, draw_lattice
+from .innovations import _NAMES as INNOVATION_NAMES
 from .kde import BandwidthSchedule, asymptotic_variance, density_oracle, expected_kde, kde_estimate, kernel_by_name
+from .kde import _KERNEL_MODELS
 from .reporting import RunManifest, write_csv, write_report
 
-__all__ = ["main", "run_script", "DEFAULT_CONFIG"]
+__all__ = ["main", "run_script", "CONFIG_KEYS", "DEFAULT_CONFIG"]
 
 OUT_ENV = "FIELDKDE_OUT"
 
-DEFAULT_CONFIG = {
-    "coefficient": {"family": "geometric", "d": 1, "ratio": 0.5},
-    "innovations": {"name": "gaussian"},
-    "kernel": "epanechnikov",
-    "bandwidth": {"gamma": 0.2, "c2": 1.0},
-    "schedule": {"delta": None},
-    "truncation": {"policy": "bandwidth_relative", "eta": 0.01, "M": None},
-    "seed": 20260810,
-    "threads": 1,
-    "limits": {"max_field_bytes": 1 << 30},
-    "conditions": {
-        "hallin_q": None,
-        "qsum_q": None,
-        "n_grid": [16, 32, 64, 128],
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its default, its kind (see ``_KINDS``) and its bounds.
+
+    An integral float counts as an integer, and every number must be finite.
+    ``optional`` admits null.  A ``family`` key is a parameter of one
+    coefficient family or innovation law: it may be null or absent, and the
+    model checks the rest.  The bounds hold for each number of the value;
+    ``lt`` may name the key "section.key" that holds the bound.  ``fits``
+    names the key of the section whose least entry bounds every side, and
+    ``only_if`` = (key, value) admits null alone unless that key of the
+    section holds that value.
+    """
+
+    kind: str
+    default: object = None
+    ge: float | None = None
+    gt: float | None = None
+    lt: float | str | None = None
+    choices: tuple = ()
+    optional: bool = False
+    family: bool = False
+    fits: str | None = None
+    only_if: tuple | None = None
+
+
+# every key the lab reads, each section's keys in the order the handlers read them,
+# so a section replaced whole names the first key it misses
+CONFIG_KEYS = {
+    "coefficient": {
+        "family": Key("name", "geometric", choices=FAMILIES),
+        "d": Key("int", 1, ge=1),
+        "ratio": Key("num", 0.5, family=True),
+        "q": Key("num", family=True),
+        "scale": Key("num", family=True),
+        "table": Key("table", family=True),
+        "beta": Key("num", family=True),
     },
-    "gen_field": {"n": 64, "m": 2, "write_csv": False},
-    "kde": {"n": 1024, "m": 2, "x_grid": [-2.0, -1.0, 0.0, 1.0, 2.0]},
+    "innovations": {"name": Key("name", "gaussian", choices=INNOVATION_NAMES), "nu": Key("num", family=True)},
+    "kernel": Key("name", "epanechnikov", choices=tuple(_KERNEL_MODELS)),
+    "bandwidth": {"gamma": Key("num", 0.2, gt=0, lt="coefficient.d"), "c2": Key("num", 1.0, gt=0)},
+    # m_n = round(n^delta) is 1 at every n for delta <= 0
+    "schedule": {"delta": Key("num", optional=True, gt=0)},
+    "truncation": {
+        "policy": Key("name", "bandwidth_relative", choices=("bandwidth_relative", "fixed")),
+        "eta": Key("num", 0.01, gt=0),
+        "M": Key("int", optional=True, ge=1, only_if=("policy", "fixed")),
+    },
+    "seed": Key("int", 20260810, ge=0, lt=1 << 64),
+    "threads": Key("int", 1, ge=1),
+    "limits": {"max_field_bytes": Key("int", 1 << 30, ge=1)},
+    "conditions": {
+        "n_grid": Key("ints", [16, 32, 64, 128], ge=1),
+        "hallin_q": Key("num", optional=True, gt=0),
+        "qsum_q": Key("num", optional=True, ge=0),
+    },
+    "gen_field": {"n": Key("int", 64, ge=1), "m": Key("int", 2, ge=1), "write_csv": Key("bool", False)},
+    "kde": {"n": Key("int", 1024, ge=1), "m": Key("int", 2, ge=1), "x_grid": Key("nums", [-2.0, -1.0, 0.0, 1.0, 2.0])},
     "clt": {
-        "n_grid": [1024],
-        "x_points": [0.0],
-        "replicates": 200,
-        "variance_band": 0.10,
+        "n_grid": Key("ints", [1024], ge=1),
+        "x_points": Key("nums", [0.0], optional=True),
+        "replicates": Key("int", 200, ge=1),
+        "variance_band": Key("num", 0.10, gt=0),
     },
     "blocks": {
-        "m": 4,
-        "l": None,
-        "delta": None,
-        "n_grid": [256, 1024, 4096],
-        "replicates": 400,
-        "eps": [0.5, 1.0, 2.0],
-        "x_points": None,
+        "n_grid": Key("ints", [256, 1024, 4096], ge=1),
+        "x_points": Key("nums", optional=True),
+        # var_delta is a sample variance, which one replicate cannot give
+        "replicates": Key("int", 400, ge=2),
+        "m": Key("int", 4, optional=True, ge=1),
+        "delta": Key("num", optional=True, gt=0),
+        "l": Key("int", optional=True, ge=1),
+        "eps": Key("nums", [0.5, 1.0, 2.0], gt=0),
     },
     "moment_check": {
-        "wu_p": [1, 2],
-        "wu_sample": 200000,
-        "rectangles": [4, 16, 64, 256, 1024],
-        "n_grid": [1024],
-        "replicates": 400,
-        "ratio_cap": 3.0,
-        "x_points": None,
+        "n_grid": Key("ints", [1024], ge=1),
+        "x_points": Key("nums", optional=True),
+        "replicates": Key("int", 400, ge=1),
+        "wu_p": Key("orders", [1, 2], choices=(1, 2)),
+        "rectangles": Key("sides", [4, 16, 64, 256, 1024], fits="n_grid"),
+        "wu_sample": Key("int", 200000, ge=2),
+        # the max/min ratio of the rectangle norms is at least 1
+        "ratio_cap": Key("num", 3.0, gt=1),
     },
-    "gap": {"m": 2, "mode": "fixed", "n_grid": [1024, 4096], "replicates": 100, "x_points": None},
+    "gap": {
+        "n_grid": Key("ints", [1024, 4096], ge=1),
+        "x_points": Key("nums", optional=True),
+        "replicates": Key("int", 100, ge=1),
+        "m": Key("int", 2, optional=True, ge=1),
+        "mode": Key("name", "fixed", choices=("fixed", "growing")),
+    },
 }
 
-
-# parameters of one coefficient family or innovation law, which DEFAULT_CONFIG leaves unset
-_OPTIONAL_KEYS = {
-    "coefficient": ("q", "scale", "table", "beta"),
-    "innovations": ("nu",),
-}
-# keys that select a model, law or plan; a section replaced as a whole must keep them
-_REQUIRED_KEYS = {
-    "coefficient": ("family", "d"),
-    "innovations": ("name",),
-    "truncation": ("policy",),
+DEFAULT_CONFIG = {
+    name: keys.default if isinstance(keys, Key)
+    else {key: k.default for key, k in keys.items() if not (k.family and k.default is None)}
+    for name, keys in CONFIG_KEYS.items()
 }
 
 
 class ToolError(RuntimeError):
     pass
-
-
-def _is_number(value, integer: bool) -> bool:
-    """A JSON number, not a bool, and integral when ``integer``."""
-    return type(value) in (int, float) and not (integer and type(value) is float and not value.is_integer())
-
-
-class _Section(dict):
-    """A config section (the name "" is the top level) that reads keys as tool errors, not tracebacks.
-
-    A key a subcommand reads with ``[]`` is one it needs, so a section
-    replaced as a whole without it exits 1 naming the key, and so does a
-    value that ``number`` or ``numbers`` cannot read.
-    """
-
-    def __init__(self, name: str, values: dict):
-        super().__init__(values)
-        self.name = name
-
-    def path(self, key: str) -> str:
-        return f"{self.name}.{key}" if self.name else key
-
-    def __missing__(self, key):
-        raise ToolError(f"missing config key {self.path(key)}")
-
-    def number(self, key: str, integer: bool = False, optional: bool = False):
-        """``self[key]`` as an int or a float, or None when ``optional`` allows it."""
-        value = self[key]
-        if value is None and optional:
-            return None
-        if not _is_number(value, integer):
-            kind = "an integer" if integer else "a number"
-            raise ToolError(f"config key {self.path(key)} must be {kind}, got {json.dumps(value)}")
-        return int(value) if integer else float(value)
-
-    def numbers(self, key: str, integer: bool = False) -> tuple:
-        """``self[key]`` as a tuple of ints or floats; it must be a nonempty list of them."""
-        values = self[key]
-        if not (isinstance(values, list) and values and all(_is_number(v, integer) for v in values)):
-            kind = "integers" if integer else "numbers"
-            raise ToolError(
-                f"config key {self.path(key)} must be a nonempty list of {kind}, got {json.dumps(values)}"
-            )
-        return tuple(int(v) if integer else float(v) for v in values)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -195,6 +199,7 @@ def _apply_set(cfg: dict, assignment: str) -> None:
 
 
 def load_config(path: str | None, sets, seed=None, threads=None) -> dict:
+    """The config document with every key of CONFIG_KEYS checked and read, or a ToolError naming the key."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path:
         try:
@@ -216,100 +221,137 @@ def load_config(path: str | None, sets, seed=None, threads=None) -> dict:
         cfg["seed"] = seed
     if threads is not None:
         cfg["threads"] = threads
-    _check_keys(cfg)
-    cfg = _Section("", {key: _Section(key, v) if isinstance(v, dict) else v for key, v in cfg.items()})
-    # read before any handler runs: the manifest's seed and the model's dimension
-    cfg.number("seed", integer=True)
-    cfg.number("threads", integer=True)
-    cfg["coefficient"].number("d", integer=True)
-    return cfg
-
-
-def _check_keys(cfg: dict) -> None:
-    """Reject every key the lab does not read and every missing required key, by dotted path."""
-    unknown, missing = [], []
-    for key, value in cfg.items():
-        if key not in DEFAULT_CONFIG:
-            unknown.append(key)
-        elif isinstance(DEFAULT_CONFIG[key], dict):
+    unknown = []
+    for name, value in cfg.items():
+        if name not in CONFIG_KEYS:
+            unknown.append(name)
+        elif isinstance(CONFIG_KEYS[name], dict):
             if not isinstance(value, dict):
-                raise ToolError(f"config section {key!r} must be an object")
-            known = {*DEFAULT_CONFIG[key], *_OPTIONAL_KEYS.get(key, ())}
-            unknown.extend(f"{key}.{sub}" for sub in value if sub not in known)
-            required = _REQUIRED_KEYS.get(key, ())
-            missing.extend(f"{key}.{sub}" for sub in required if value.get(sub) is None)
+                raise ToolError(f"config section {name!r} must be an object")
+            unknown.extend(f"{name}.{key}" for key in value if key not in CONFIG_KEYS[name])
     if unknown:
         raise ToolError(f"unknown config key(s): {', '.join(unknown)}")
-    if missing:
-        raise ToolError(f"missing config key(s): {', '.join(missing)}")
-    # the manifest echoes the config, and reports hold finite numbers only
-    nonfinite = list(dict.fromkeys(_nonfinite_keys(cfg)))
-    if nonfinite:
-        raise ToolError(f"config key(s) must hold finite numbers: {', '.join(nonfinite)}")
-    try:
-        kernel_by_name(cfg["kernel"])
-    except (TypeError, ValueError):  # TypeError: an unhashable value such as an object
-        raise ToolError(f"config key 'kernel' must be a kernel name, got {cfg['kernel']!r}") from None
+    out = {}
+    for name, keys in CONFIG_KEYS.items():
+        if isinstance(keys, Key):
+            out[name] = _read(keys, cfg[name], name, out, out)
+            continue
+        section = out[name] = {}
+        for key, k in keys.items():
+            if key in cfg[name]:
+                section[key] = _read(k, cfg[name][key], f"{name}.{key}", section, out)
+            elif not k.family:
+                raise ToolError(f"missing config key {name}.{key}")
+    return out
 
 
-def _nonfinite_keys(node, path=""):
-    """Dotted paths of every NaN or infinite number in ``node``, a list's elements under the list's key."""
-    if isinstance(node, float):
-        return [] if math.isfinite(node) else [path]
-    if isinstance(node, dict):
-        return [bad for key, value in node.items() for bad in _nonfinite_keys(value, f"{path}.{key}" if path else key)]
-    if isinstance(node, list):
-        return [bad for value in node for bad in _nonfinite_keys(value, path)]
-    return []
+def _number(value, integer: bool):
+    """``value`` as an int or a float, or None unless it is a finite JSON number, integral for ``integer``."""
+    if type(value) is int:  # of any size, where a float overflows
+        return value if integer else float(value) if abs(value) <= sys.float_info.max else None
+    if type(value) is float and math.isfinite(value) and (value.is_integer() or not integer):
+        return int(value) if integer else value
+    return None
+
+
+def _parse(k: Key, value, d: int | None):
+    """``value`` read as the kind of ``k``, or None when it is not of that kind."""
+    if k.kind in ("int", "num"):
+        return _number(value, k.kind == "int")
+    if k.kind == "bool":
+        return value if type(value) is bool else None
+    if k.kind == "name":
+        return value if type(value) is str and value in k.choices else None
+    if not isinstance(value, list) or not (value or k.kind == "orders"):
+        return None
+    if k.kind == "table":
+        ok = all(_parse(k, v, d) is not None if isinstance(v, list) else _number(v, False) is not None for v in value)
+        return value if ok else None
+    if k.kind == "sides":  # a side alone stands for the cube of that side
+        rects = [tuple(_number(t, True) for t in r) if isinstance(r, list) and len(r) == d else _number(r, True)
+                 for r in value]
+        sides = [t for r in rects for t in (r if isinstance(r, tuple) else [r])]
+        return rects if None not in sides and min(sides) >= 1 else None
+    values = tuple(_number(v, k.kind != "nums") for v in value)
+    if None in values or (k.choices and not all(v in k.choices for v in values)):
+        return None
+    return values
+
+
+_KINDS = {
+    "int": "an integer", "num": "a number", "ints": "a nonempty list of integers",
+    "nums": "a nonempty list of numbers", "orders": "a list of orders, each one of {choices}",
+    "bool": "true or false", "name": "one of {choices}", "table": "a list of numbers, or of such lists",
+    "sides": "a nonempty list of integer sides >= 1, or of lists of d = {d} of them",
+}
+_BOUNDS = (("ge", "at least", operator.ge), ("gt", "greater than", operator.gt), ("lt", "below", operator.lt))
+
+
+def _read(k: Key, value, path: str, section: dict, cfg: dict):
+    """``value`` of the key at ``path`` as the handlers read it, checked against ``k``.
+
+    ``section`` and ``cfg`` hold what was read before it, of its section and of the whole config.
+    """
+    if value is None and (k.optional or k.family):
+        return None
+    d = cfg["coefficient"].get("d")  # the first section read
+    got = _parse(k, value, d)
+    kind = ("null or " if k.optional else "") + _KINDS[k.kind].format(choices=", ".join(map(str, k.choices)), d=d)
+    if got is None:
+        raise ToolError(f"config key {path} must be {kind}, got {json.dumps(value)}")
+    listed = k.kind in ("ints", "nums")
+    for name, words, holds in _BOUNDS:
+        limit = getattr(k, name)
+        if isinstance(limit, str):
+            holder, key = limit.split(".")
+            words, limit = f"{words} {limit} =", cfg[holder][key]
+        if limit is not None and not all(holds(v, limit) for v in (got if listed else [got])):
+            bound = f"{kind} {words} {limit}, got {json.dumps(value)}" if listed else f"{words} {limit}, got {got}"
+            raise ToolError(f"config key {path} must be {bound}")
+    if k.fits:
+        n = min(section[k.fits])
+        too_big = [r for r in value if max(r if isinstance(r, list) else [r]) > n]
+        if too_big:
+            raise ToolError(f"config key {path} must fit inside every grid point: {json.dumps(too_big)} exceed n = {n}")
+    if k.only_if and section[k.only_if[0]] != k.only_if[1]:
+        other = f"{path.rsplit('.', 1)[0]}.{k.only_if[0]}"
+        raise ToolError(f"config key {path} must be null unless {other} is {json.dumps(k.only_if[1])}, got {value}")
+    return got
 
 
 def _bandwidth(cfg: dict) -> BandwidthSchedule:
-    bw = cfg["bandwidth"]
-    return BandwidthSchedule(
-        d=cfg["coefficient"].number("d", integer=True), gamma=bw.number("gamma"), c2=bw.number("c2")
-    )
+    return BandwidthSchedule(d=cfg["coefficient"]["d"], **cfg["bandwidth"])
 
 
 def _experiment(cfg: dict, section: str) -> ExperimentConfig:
-    sec = cfg[section]
-    truncation = _truncation(cfg)
+    sec, tr = cfg[section], cfg["truncation"]
     return ExperimentConfig(
         model=model_from_config(cfg["coefficient"]),
         innovations=InnovationModel.from_config(cfg["innovations"]),
         kernel=kernel_by_name(cfg["kernel"]),
         bandwidth=_bandwidth(cfg),
-        n_grid=sec.numbers("n_grid", integer=True),
-        x_points=None if sec["x_points"] is None else sec.numbers("x_points"),
-        delta=cfg["schedule"].number("delta", optional=True),
-        truncation_policy=truncation["policy"],
-        truncation_eta=truncation["eta"],
-        truncation_M=truncation["M"],
-        replicates=sec.number("replicates", integer=True),
-        master_seed=cfg.number("seed", integer=True),
-        threads=cfg.number("threads", integer=True),
-        max_field_bytes=_max_field_bytes(cfg),
+        n_grid=sec["n_grid"],
+        x_points=sec["x_points"],
+        delta=cfg["schedule"]["delta"],
+        truncation_policy=tr["policy"],
+        truncation_eta=tr["eta"],
+        truncation_M=tr["M"],
+        replicates=sec["replicates"],
+        master_seed=cfg["seed"],
+        threads=cfg["threads"],
+        max_field_bytes=cfg["limits"]["max_field_bytes"],
     )
-
-
-def _truncation(cfg: dict) -> dict:
-    """The truncation section as ``plan_truncation`` keyword arguments."""
-    tr = cfg["truncation"]
-    return {"policy": tr["policy"], "eta": tr.number("eta"), "M": tr.number("M", integer=True, optional=True)}
-
-
-def _max_field_bytes(cfg: dict) -> int:
-    return cfg["limits"].number("max_field_bytes", integer=True)
 
 
 def _coupled_draw(cfg: dict, sec: dict):
     """(model, innovations, plan, b, X, X_m) of one seed at the section's n and m, drawn as the engine draws."""
     model = model_from_config(cfg["coefficient"])
     innov = InnovationModel.from_config(cfg["innovations"])
-    n, m = sec.number("n", integer=True), sec.number("m", integer=True)
+    n, m = sec["n"], sec["m"]
     b = _bandwidth(cfg).b(n)
-    plan = plan_truncation(model, m=m, b=b, **_truncation(cfg))
-    spectra = coupled_spectra(model, n, m, plan, max_bytes=_max_field_bytes(cfg))
-    seeds = Seeds.of(SeedSpec(cfg.number("seed", integer=True)))
+    plan = plan_truncation(model, m=m, b=b, **cfg["truncation"])
+    spectra = coupled_spectra(model, n, m, plan, max_bytes=cfg["limits"]["max_field_bytes"])
+    seeds = Seeds.of(SeedSpec(cfg["seed"]))
     x, x_m = generate_coupled_fields(model, innov, n, m, plan, seeds, spectra)
     return model, innov, plan, b, x[0], x_m[0]
 
@@ -338,28 +380,21 @@ GAP_COLUMNS = ["n", "m", "b", "gap", "se", "residual_ratio"]
 
 def cmd_check_conditions(cfg: dict):
     sec = cfg["conditions"]
-    n_grid = list(sec.numbers("n_grid", integer=True))
     model = model_from_config(cfg["coefficient"])
     bw = _bandwidth(cfg)
     window = check_decay_window(model.d, model.decay_exponent(), bw.gamma)
-    delta = cfg["schedule"].number("delta", optional=True)
+    delta = cfg["schedule"]["delta"]
     if delta is None:
         delta = window.delta_star
     reports = {"decay_window": window.to_dict()}
     ok = window.passed
-    hallin_q, qsum_q = sec.number("hallin_q", optional=True), sec.number("qsum_q", optional=True)
-    if hallin_q is not None:
-        hallin = check_hallin(model.d, hallin_q, bw.gamma)
-        reports["hallin"] = hallin.to_dict()
-    if qsum_q is not None:
-        try:
-            qs = check_machkouri_qsum(model, qsum_q)
-        except ValueError as exc:
-            raise ToolError(f"conditions.qsum_q: {exc}") from None
-        reports["qsum"] = qs.to_dict()
+    if sec["hallin_q"] is not None:
+        reports["hallin"] = check_hallin(model.d, sec["hallin_q"], bw.gamma).to_dict()
+    if sec["qsum_q"] is not None:
+        reports["qsum"] = check_machkouri_qsum(model, sec["qsum_q"]).to_dict()
     rows = []
     if delta is not None:
-        cond = check_condition_c(model, bw, delta, n_grid)
+        cond = check_condition_c(model, bw, delta, sec["n_grid"])
         reports["schedule_limits"] = cond.to_dict()
         rows = cond.grid_rows
         ok = ok and cond.passed
@@ -377,8 +412,8 @@ def cmd_check_conditions(cfg: dict):
 def cmd_gen_field(cfg: dict, out_dir: Path):
     sec = cfg["gen_field"]
     model, innov, plan, _, x, x_m = _coupled_draw(cfg, sec)
-    n, m = sec.number("n", integer=True), sec.number("m", integer=True)
-    seed = SeedSpec(cfg.number("seed", integer=True))
+    n, m = sec["n"], sec["m"]
+    seed = SeedSpec(cfg["seed"])
     provenance = {"coefficients": model.label(), "innovations": innov.label(), "truncation_radius": plan.M,
                   "seed": seed.to_config()}
     fields = {
@@ -418,8 +453,7 @@ def cmd_gen_field(cfg: dict, out_dir: Path):
 def cmd_kde(cfg: dict):
     sec = cfg["kde"]
     kern = kernel_by_name(cfg["kernel"])
-    n, m = sec.number("n", integer=True), sec.number("m", integer=True)
-    xs = sec.numbers("x_grid")
+    n, m, xs = sec["n"], sec["m"], sec["x_grid"]
     model, innov, plan, b, values, _ = _coupled_draw(cfg, sec)
     est = kde_estimate(values, np.array(xs), b, kern)
     rows = []
@@ -444,7 +478,7 @@ def cmd_kde(cfg: dict):
 
 def cmd_clt_run(cfg: dict):
     # only clt-run has a variance verdict
-    config = replace(_experiment(cfg, "clt"), variance_band=cfg["clt"].number("variance_band"))
+    config = replace(_experiment(cfg, "clt"), variance_band=cfg["clt"]["variance_band"])
     report = run_clt_experiment(config)
     rows = []
     summary = []
@@ -479,17 +513,9 @@ def cmd_clt_run(cfg: dict):
 def cmd_blocks(cfg: dict):
     sec = cfg["blocks"]
     config = _experiment(cfg, "blocks")
-    if config.replicates < 2:
-        # var_delta is a sample variance, which one replicate cannot give
-        raise ToolError(f"config key {sec.path('replicates')} must be at least 2, got {config.replicates}")
-    plan = BlockPlan(
-        m=sec.number("m", integer=True, optional=True),
-        delta=sec.number("delta", optional=True),
-        l=sec.number("l", integer=True, optional=True),
-    )
-    samples = _block_samples(config, plan)
+    samples = _block_samples(config, BlockPlan(m=sec["m"], delta=sec["delta"], l=sec["l"]))
     decomposition = block_decomposition_check(config, samples)
-    lf = lindeberg_estimate(config, samples, sec.numbers("eps"))
+    lf = lindeberg_estimate(config, samples, sec["eps"])
     ok = decomposition["passed"] and lf["passed"]
     report = {
         "subcommand": "blocks",
@@ -511,55 +537,21 @@ def cmd_blocks(cfg: dict):
     }
 
 
-def _wu_orders(sec: _Section) -> list:
-    """moment_check.wu_p: a list of orders 1 and 2, empty to leave the moment inequality out."""
-    orders = sec["wu_p"]
-    if not (isinstance(orders, list) and all(_is_number(p, True) and p in (1, 2) for p in orders)):
-        raise ToolError(f"config key {sec.path('wu_p')} must be a list of orders 1 or 2, got {json.dumps(orders)}")
-    return [int(p) for p in orders]
-
-
-def _rectangles(sec: _Section, d: int, n_grid) -> list:
-    """moment_check.rectangles: a nonempty list of integer sides >= 1, or of lists of d of them,
-    each side at most the smallest grid point's n."""
-    rects = sec["rectangles"]
-
-    def sides(rect):
-        return rect if isinstance(rect, list) else [rect] * d
-
-    if not (
-        isinstance(rects, list) and rects
-        and all(len(sides(r)) == d and all(_is_number(t, True) and t >= 1 for t in sides(r)) for r in rects)
-    ):
-        raise ToolError(
-            f"config key {sec.path('rectangles')} must be a nonempty list of integer sides >= 1, "
-            f"or of lists of d = {d} of them, got {json.dumps(rects)}"
-        )
-    too_big = [r for r in rects if max(sides(r)) > min(n_grid)]
-    if too_big:
-        raise ToolError(
-            f"config key {sec.path('rectangles')} must fit inside every grid point: "
-            f"{json.dumps(too_big)} exceed n = {min(n_grid)}"
-        )
-    return [tuple(int(t) for t in sides(r)) for r in rects]
-
-
 def cmd_moment_check(cfg: dict):
     sec = cfg["moment_check"]
     config = _experiment(cfg, "moment_check")
-    orders, rects = _wu_orders(sec), _rectangles(sec, config.model.d, config.n_grid)
     try:
         wu_reports = wu_inequality_check(
-            config.model, config.innovations, orders,
-            sec.number("wu_sample", integer=True), master_seed=config.master_seed,
+            config.model, config.innovations, sec["wu_p"],
+            sec["wu_sample"], master_seed=config.master_seed,
             max_bytes=config.max_field_bytes, threads=config.threads,
         )
     except FieldSizeError as exc:
         raise ToolError(f"limits.max_field_bytes: {exc}") from None
     try:
-        rect = rectangle_moment_check(config, rects, ratio_cap=sec.number("ratio_cap"))
+        rect = rectangle_moment_check(config, sec["rectangles"], ratio_cap=sec["ratio_cap"])
     except MomentError as exc:
-        raise ToolError(f"config key {sec.path('x_points')}: {exc}") from None
+        raise ToolError(f"config key moment_check.x_points: {exc}") from None
     ok = rect["passed"]
     report = {
         "subcommand": "moment-check",
@@ -574,11 +566,7 @@ def cmd_moment_check(cfg: dict):
 def cmd_fixed_m_gap(cfg: dict):
     sec = cfg["gap"]
     config = _experiment(cfg, "gap")
-    rep = fixed_m_gap(
-        config,
-        m=sec.number("m", integer=True, optional=True),
-        mode=sec["mode"],
-    )
+    rep = fixed_m_gap(config, m=sec["m"], mode=sec["mode"])
     report = {
         "subcommand": "fixed-m-gap",
         "config": config.resolved(),
@@ -629,20 +617,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out or os.environ.get(OUT_ENV) or "runs") / args.subcommand.replace("-", "_")
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        cfg = load_config(args.config, args.set, seed=args.seed, threads=args.threads)
-    except ToolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # opened before the config loads, so a rejected config leaves a manifest at "error" too
     manifest = RunManifest(
         subcommand=args.subcommand,
-        config=cfg,
-        master_seed=cfg.number("seed", integer=True),
+        config=None,
+        master_seed=None,
         tool_version=__version__,
         started=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     )
-    code = 0
+    code = 1
     try:
+        cfg = load_config(args.config, args.set, seed=args.seed, threads=args.threads)
+        manifest.config, manifest.master_seed = cfg, cfg["seed"]
         with worker_pool():
             ok, report, tables = _HANDLERS[args.subcommand](cfg, out_dir)
         if isinstance(report, dict) and report.get("files"):
@@ -657,10 +643,12 @@ def main(argv=None) -> int:
         manifest.status = "complete"
         code = 0 if ok else 2
     except (ToolError, FieldSizeError, ValueError) as exc:
-        manifest.status = "error"
-        manifest.error = str(exc)
+        manifest.status, manifest.error = "error", str(exc)
         print(f"error: {exc}", file=sys.stderr)
-        code = 1
+    except BaseException as exc:
+        # a fault of the lab, not of the config: recorded, then raised with its traceback
+        manifest.status, manifest.error = "error", f"{type(exc).__name__}: {exc}"
+        raise
     finally:
         manifest.write(out_dir / "manifest.json")
     return code

@@ -128,8 +128,8 @@ class RunManifest:
     """Enough to re-create every artifact of one CLI invocation bit-for-bit."""
 
     subcommand: str
-    config: dict
-    master_seed: int
+    config: dict | None  # None until the config has loaded
+    master_seed: int | None
     tool_version: str
     started: str
     finished: str = ""

@@ -8,14 +8,81 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fieldkde.cli import DEFAULT_CONFIG, _OPTIONAL_KEYS, load_config, main
+from fieldkde.cli import CONFIG_KEYS, DEFAULT_CONFIG, load_config, main
 from fieldkde.reporting import SCHEMA_VERSION, canonical_json, float_repr, write_csv
 
 from conftest import MASTER_SEED
 
 REPO = Path(__file__).resolve().parents[1]
+SUBCOMMANDS = ["check-conditions", "gen-field", "kde", "clt-run", "blocks", "moment-check", "fixed-m-gap"]
+# every key of the table with its dotted path
+TABLE_KEYS = [(name, k) for name, k in CONFIG_KEYS.items() if not isinstance(k, dict)] + [
+    (f"{name}.{key}", k) for name, keys in CONFIG_KEYS.items() if isinstance(keys, dict) for key, k in keys.items()
+]
+
+
+def _default(path):
+    section, _, key = path.partition(".")
+    return DEFAULT_CONFIG[section][key] if key else DEFAULT_CONFIG[section]
+
+
+def _bad_values(path, k):
+    """Strategies for values of the wrong kind for the table key ``k`` at ``path``, and for values
+    out of its bounds in the default config (None when it has no bounds)."""
+    lists = ("ints", "nums", "orders", "sides", "table")
+    bad = [st.sampled_from(["", "a", "1"]), st.just({"a": 1})]
+    if not (k.optional or k.family):
+        bad.append(st.none())
+    if k.kind != "bool":
+        bad.append(st.booleans())
+    if k.kind in lists:
+        bad += [st.integers(1, 9), st.lists(st.sampled_from(["a", None, True, math.nan]), min_size=1, max_size=3)]
+        if k.kind != "orders":
+            bad.append(st.just([]))
+    else:
+        bad.append(st.lists(st.integers(1, 9), min_size=1, max_size=2))
+    if k.kind in ("int", "num", "ints", "nums"):
+        non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+        bad.append(non_finite if k.kind in ("int", "num") else st.lists(non_finite, min_size=1, max_size=2))
+    if k.kind in ("int", "ints"):
+        fractional = st.floats(-1e6, 1e6).filter(lambda v: not v.is_integer())
+        bad.append(fractional if k.kind == "int" else st.lists(fractional, min_size=1, max_size=2))
+    if k.kind == "bool":
+        bad.append(st.integers())
+    integer = k.kind in ("int", "ints")
+
+    def beyond(edge, below):
+        """``edge``, the first value out of bounds, and the values past it."""
+        edge = edge if integer else float(edge)
+        past = st.integers(**{"max_value" if below else "min_value": edge}) if integer else st.floats(
+            **{"max_value" if below else "min_value": edge}, allow_infinity=False)
+        return st.just(edge) | past
+
+    outside = []
+    if k.ge is not None:
+        outside.append(beyond(k.ge - 1 if integer else math.nextafter(k.ge, -math.inf), below=True))
+    if k.gt is not None:
+        outside.append(beyond(k.gt, below=True))
+    if k.lt is not None:
+        outside.append(beyond(_default(k.lt) if isinstance(k.lt, str) else k.lt, below=False))
+    if k.kind in ("ints", "nums"):
+        outside = [st.lists(values, min_size=1, max_size=3) for values in outside]
+    if k.kind == "orders":
+        outside.append(st.lists(st.integers().filter(lambda v: v not in k.choices), min_size=1, max_size=2))
+    if k.kind == "sides":
+        grid = min(_default(f"{path.rsplit('.', 1)[0]}.{k.fits}"))
+        outside.append(st.lists(beyond(0, below=True) | beyond(grid + 1, below=False), min_size=1, max_size=2))
+    if k.only_if is not None:
+        assert _default(f"{path.rsplit('.', 1)[0]}.{k.only_if[0]}") != k.only_if[1]
+        outside.append(st.integers(1, 99))
+    return st.one_of(*bad), st.one_of(*outside) if outside else None
+
+
+# (path, key, "kind" or "bounds"): each key with a value of the wrong kind, and each bounded key out of bounds
+BAD_VALUES = [(path, k, test) for path, k in TABLE_KEYS for test, values in zip(("kind", "bounds"), _bad_values(path, k))
+              if values is not None]
 
 
 class TestCanonicalJson:
@@ -97,14 +164,24 @@ class TestConfigResolution:
         block = text.split("## Config reference", 1)[1].split("```json", 1)[1].split("```", 1)[0]
         reference = json.loads(block)
         cfgfile = tmp_path / "reference.json"
-        # the kernel name is checked as the config loads, so load each listed choice
-        for kernel in reference["kernel"].split("|"):
-            cfgfile.write_text(json.dumps({**reference, "kernel": kernel}))
-            load_config(str(cfgfile), [])
+        # names are checked as the config loads, so load each listed choice of each
+        # name, with every other name at its first choice
+        names = {(section, key): value.split("|") for section, body in reference.items()
+                 for key, value in (body.items() if isinstance(body, dict) else [(None, body)])
+                 if isinstance(value, str) and "|" in value}
+        assert ("kernel", None) in names and ("coefficient", "family") in names
+        for (section, key), choices in names.items():
+            for choice in choices:
+                doc = json.loads(block)
+                for (s, k), listed in names.items():
+                    value = choice if (s, k) == (section, key) else listed[0]
+                    doc[s] = value if k is None else {**doc[s], k: value}
+                cfgfile.write_text(json.dumps(doc))
+                load_config(str(cfgfile), [])
         for section, default in DEFAULT_CONFIG.items():
             assert section in reference
             if isinstance(default, dict):
-                assert set(reference[section]) == {*default, *_OPTIONAL_KEYS.get(section, ())}, section
+                assert set(reference[section]) == set(CONFIG_KEYS[section]), section
 
     def test_readme_quickstart_runs(self, capsys):
         text = (REPO / "README.md").read_text()
@@ -399,6 +476,30 @@ class TestCli:
             ("blocks", "blocks.l=7.5", "blocks.l"),
             ("moment-check", "moment_check.wu_sample=1000.5", "moment_check.wu_sample"),
             ("fixed-m-gap", "gap.m=2.5", "gap.m"),
+            # below their least value, which a library check rejected without the key; eta = 0
+            # ran at the radius where B_M rounds to 0
+            ("clt-run", "clt.replicates=-3", "clt.replicates"),
+            ("clt-run", "clt.replicates=0", "clt.replicates"),
+            ("fixed-m-gap", "gap.replicates=0", "gap.replicates"),
+            ("moment-check", "moment_check.replicates=0", "moment_check.replicates"),
+            ("moment-check", "moment_check.wu_sample=1", "moment_check.wu_sample"),
+            ("kde", "truncation.eta=0", "truncation.eta"),
+            ("kde", "truncation.eta=-0.5", "truncation.eta"),
+            # sizes below 1: n = 0 ended in a ZeroDivisionError and n = -4 in a TypeError
+            ("kde", "kde.n=0", "kde.n"),
+            ("gen-field", "gen_field.m=0", "gen_field.m"),
+            ("clt-run", "clt.n_grid=[0]", "clt.n_grid"),
+            ("clt-run", "clt.n_grid=[-4]", "clt.n_grid"),
+            ("fixed-m-gap", "gap.m=0", "gap.m"),
+            # values that were accepted and meant nothing
+            ("gen-field", "gen_field.write_csv=3", "gen_field.write_csv"),
+            ("moment-check", "moment_check.ratio_cap=1", "moment_check.ratio_cap"),
+            ("moment-check", "moment_check.ratio_cap=0.5", "moment_check.ratio_cap"),
+            ("check-conditions", "schedule.delta=0", "schedule.delta"),
+            ("clt-run", "schedule.delta=-0.2", "schedule.delta"),
+            ("clt-run", "clt.variance_band=0", "clt.variance_band"),
+            # the radius of the fixed policy alone; bandwidth_relative chooses its own
+            ("kde", "truncation.M=7", "truncation.M"),
         ],
     )
     def test_config_number_exit_1_naming_it(self, tmp_path, capsys, subcommand, assignment, key):
@@ -407,6 +508,33 @@ class TestCli:
         assert err.startswith("error: config key ") and key in err, err
         out = tmp_path / subcommand.replace("-", "_")
         assert [p.name for p in out.iterdir() if p.name != "manifest.json"] == []
+
+    @pytest.mark.parametrize("path,k,test", BAD_VALUES, ids=[f"{path}-{test}" for path, _, test in BAD_VALUES])
+    @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_table_key_rejects_a_bad_value_at_load(self, tmp_path, monkeypatch, path, k, test, data):
+        import contextlib
+        import io
+
+        import fieldkde.clt as clt
+        import fieldkde.innovations as innovations
+
+        def no_draw(*args, **kw):
+            raise AssertionError("a field was drawn before the config was checked")
+
+        monkeypatch.setattr(innovations, "_draw", no_draw)
+        monkeypatch.setattr(clt, "_draw", no_draw)
+        value = data.draw(_bad_values(path, k)[test == "bounds"], label="value")
+        subcommand = data.draw(st.sampled_from(SUBCOMMANDS), label="subcommand")
+        out = tmp_path / subcommand.replace("-", "_")
+        (out / "manifest.json").unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert _run(tmp_path, subcommand, "--set", f"{path}={json.dumps(value)}") == 1
+        assert err.getvalue().startswith(f"error: config key {path} "), err.getvalue()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error" and path in manifest["error"] and manifest["config"] is None
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     @pytest.mark.parametrize(
         "assignment",
@@ -428,6 +556,19 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: config key {key} must be ")
         manifest = json.loads((tmp_path / "moment_check" / "manifest.json").read_text())
         assert manifest["status"] == "error" and key in manifest["error"]
+
+    def test_a_fault_in_a_handler_leaves_the_manifest_at_error(self, tmp_path, monkeypatch):
+        import fieldkde.cli as cli
+
+        def broken(cfg):
+            raise RuntimeError("broken on purpose")
+
+        monkeypatch.setattr(cli, "cmd_kde", broken)
+        with pytest.raises(RuntimeError, match="broken on purpose"):
+            _run(tmp_path, "kde")
+        manifest = json.loads((tmp_path / "kde" / "manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["error"] == "RuntimeError: broken on purpose"
+        assert manifest["config"]["kde"]["n"] == 1024 and manifest["master_seed"] == DEFAULT_CONFIG["seed"]
 
     def test_moment_check_rectangle_above_n_exit_1_before_the_sample(self, tmp_path, capsys, monkeypatch):
         import fieldkde.clt as clt
