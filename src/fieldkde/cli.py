@@ -75,21 +75,24 @@ class Key:
     ``optional`` admits null.  A ``family`` key is a parameter of one
     coefficient family or innovation law: it may be null or absent, and the
     model checks the rest.  The bounds hold for each number of the value;
-    ``lt`` may name the key "section.key" that holds the bound.  ``fits``
-    names the key of the section whose least entry bounds every side, and
-    ``only_if`` = (key, value) admits null alone unless that key of the
-    section holds that value.
+    ``gt`` and ``lt`` may name the key "section.key" that holds the bound,
+    which a null there lifts.  ``fits`` names the key of the section whose
+    least entry bounds every side, ``increasing`` asks a list for at least
+    that many entries, each above the one before, and ``only_if`` = (key,
+    value) admits null exactly when that key of the section does not hold
+    that value.
     """
 
     kind: str
     default: object = None
     ge: float | None = None
-    gt: float | None = None
+    gt: float | str | None = None
     lt: float | str | None = None
     choices: tuple = ()
     optional: bool = False
     family: bool = False
     fits: str | None = None
+    increasing: int | None = None
     only_if: tuple | None = None
 
 
@@ -98,7 +101,8 @@ class Key:
 CONFIG_KEYS = {
     "coefficient": {
         "family": Key("name", "geometric", choices=FAMILIES),
-        "d": Key("int", 1, ge=1),
+        # a batch of fields has d + 1 axes, and a numpy array at most 64
+        "d": Key("int", 1, ge=1, lt=64),
         "ratio": Key("num", 0.5, family=True),
         "q": Key("num", family=True),
         "scale": Key("num", family=True),
@@ -119,7 +123,8 @@ CONFIG_KEYS = {
     "threads": Key("int", 1, ge=1),
     "limits": {"max_field_bytes": Key("int", 1 << 30, ge=1)},
     "conditions": {
-        "n_grid": Key("ints", [16, 32, 64, 128], ge=1),
+        # the trend verdicts read the last half of the grid
+        "n_grid": Key("ints", [16, 32, 64, 128], ge=1, increasing=3),
         "hallin_q": Key("num", optional=True, gt=0),
         "qsum_q": Key("num", optional=True, ge=0),
     },
@@ -136,9 +141,10 @@ CONFIG_KEYS = {
         "x_points": Key("nums", optional=True),
         # var_delta is a sample variance, which one replicate cannot give
         "replicates": Key("int", 400, ge=2),
+        # a fixed gap m or a schedule m_n = round(n^delta), and blocks wider than the gap
         "m": Key("int", 4, optional=True, ge=1),
-        "delta": Key("num", optional=True, gt=0),
-        "l": Key("int", optional=True, ge=1),
+        "delta": Key("num", optional=True, gt=0, only_if=("m", None)),
+        "l": Key("int", optional=True, ge=1, gt="blocks.m"),
         "eps": Key("nums", [0.5, 1.0, 2.0], gt=0),
     },
     "moment_check": {
@@ -292,13 +298,19 @@ def _read(k: Key, value, path: str, section: dict, cfg: dict):
 
     ``section`` and ``cfg`` hold what was read before it, of its section and of the whole config.
     """
-    if value is None and (k.optional or k.family):
-        return None
+    null = value is None and (k.optional or k.family)
     d = cfg["coefficient"].get("d")  # the first section read
-    got = _parse(k, value, d)
-    kind = ("null or " if k.optional else "") + _KINDS[k.kind].format(choices=", ".join(map(str, k.choices)), d=d)
-    if got is None:
+    bare = _KINDS[k.kind].format(choices=", ".join(map(str, k.choices)), d=d)
+    kind = ("null or " if k.optional else "") + bare
+    got = None if null else _parse(k, value, d)
+    if got is None and not null:
         raise ToolError(f"config key {path} must be {kind}, got {json.dumps(value)}")
+    if k.only_if and null == (section[k.only_if[0]] == k.only_if[1]):
+        other = f"{path.rsplit('.', 1)[0]}.{k.only_if[0]}"
+        rule = f"{bare} when" if null else "null unless"
+        raise ToolError(f"config key {path} must be {rule} {other} is {json.dumps(k.only_if[1])}, got {json.dumps(value)}")
+    if null:
+        return None
     listed = k.kind in ("ints", "nums")
     for name, words, holds in _BOUNDS:
         limit = getattr(k, name)
@@ -308,14 +320,14 @@ def _read(k: Key, value, path: str, section: dict, cfg: dict):
         if limit is not None and not all(holds(v, limit) for v in (got if listed else [got])):
             bound = f"{kind} {words} {limit}, got {json.dumps(value)}" if listed else f"{words} {limit}, got {got}"
             raise ToolError(f"config key {path} must be {bound}")
+    if k.increasing and (len(got) < k.increasing or any(b <= a for a, b in zip(got, got[1:]))):
+        raise ToolError(f"config key {path} must be {kind}, strictly increasing with at least "
+                        f"{k.increasing} entries, got {json.dumps(value)}")
     if k.fits:
         n = min(section[k.fits])
         too_big = [r for r in value if max(r if isinstance(r, list) else [r]) > n]
         if too_big:
             raise ToolError(f"config key {path} must fit inside every grid point: {json.dumps(too_big)} exceed n = {n}")
-    if k.only_if and section[k.only_if[0]] != k.only_if[1]:
-        other = f"{path.rsplit('.', 1)[0]}.{k.only_if[0]}"
-        raise ToolError(f"config key {path} must be null unless {other} is {json.dumps(k.only_if[1])}, got {value}")
     return got
 
 

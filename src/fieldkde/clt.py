@@ -30,6 +30,7 @@ from .coefficients import (
     delta_n,
     m_schedule,
     residual_sqrt_mass,
+    total_fourth_mass,
     total_sq_mass,
 )
 from .field import (
@@ -810,6 +811,48 @@ def _wu_block_sums(innovations, a, master_seed, sample, rows, orders, start, sto
     return out
 
 
+def _wu_side(model: CoefficientModel, sample: int, max_bytes: int) -> int:
+    """Side of the moment-inequality sample's coefficient box.
+
+    The least s >= 1 whose p=1 truncation bias B_s^2 / sum a^2 is at most a
+    tenth of the Gaussian p=1 standard error sqrt(2/sample), so the box moves
+    C_hat by far less than its noise; a finite table's support side has no
+    bias.  The bias falls with s, so doubling and then bisection find s in
+    O(log s) evaluations of the closed-form B_s.  The doubling stops at the
+    largest side whose box alone, 8 s^d bytes, fits in ``max_bytes``: if that
+    side misses the bias too, ``FieldSizeError`` is raised, so a tail too
+    slow for the cap ends there.
+    """
+    tol = 0.1 * math.sqrt(2.0 / sample)
+    total = total_sq_mass(model)
+    support = model.support_side()
+
+    def settled(s):
+        return (support is not None and s >= support) or residual_sqrt_mass(model, s) ** 2 / total <= tol
+
+    def fits(s):  # the logarithm keeps s^d a small integer
+        return max_bytes >= 8 and model.d * math.log2(s) <= math.log2(max_bytes) and 8 * s**model.d <= max_bytes
+
+    def least(holds, lo, hi):  # the least s in (lo, hi] that holds, given that hi holds and lo does not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+        return hi
+
+    lo, hi = 0, 1  # side lo misses the bias (side 0: no box)
+    while fits(hi) and not settled(hi):
+        lo, hi = hi, 2 * hi
+    if not fits(hi):
+        top = least(lambda s: not fits(s), lo, hi) - 1  # the largest side that fits
+        if top == lo or not settled(top):
+            raise FieldSizeError(
+                f"the moment-inequality sample's coefficient box needs a side above {top} to bring its p=1 "
+                f"bias within {tol:.3g}, and 8 side^{model.d} bytes exceed the cap {max_bytes}"
+            )
+        hi = top
+    return least(settled, lo, hi)
+
+
 def wu_inequality_check(
     model: CoefficientModel,
     innovations: InnovationModel,
@@ -821,16 +864,18 @@ def wu_inequality_check(
 ):
     """Monte Carlo constant in E|sum_k a_k eps_k|^(2p) <= C (sum_k a_k^2)^p.
 
-    Independent truncated draws of X_0 give C_hat = mean|X|^(2p)/(mass)^p with
-    its standard error; for p=1 the identity C=1 is exact, and when the
-    innovation kurtosis is known the exact fourth-moment reference is
-    attached.  Requires E|eps|^(2 v 2p) < infinity.  ``p`` is a sequence of
-    orders; the list of their reports comes from one sample of X_0, with the
-    same numbers as one call per order.  The sample is drawn in keyed blocks
-    of ``WU_BLOCK_BYTES`` of draws (``_wu_block_sums``), split over workers
-    by ``_map_chunks``; the blocks' sums are added in block order here, so
-    the reports do not depend on ``threads``.  The coefficient box, one
-    block (twice, for the laws whose draws are copied in), a block's |X|
+    Independent draws of X_0 truncated to the box of ``_wu_side`` give
+    C_hat = mean|X|^(2p)/(mass)^p with its standard error.  Each report
+    carries the exact constant of the full field, ``reference_c`` (1 at p=1;
+    at p=2 it needs the innovation kurtosis), the exact constant of the
+    sampled box, ``box_c``, which C_hat estimates, and their difference,
+    ``truncation_bias``.  Requires E|eps|^(2 v 2p) < infinity.  ``p`` is a
+    sequence of orders; the list of their reports comes from one sample of
+    X_0, with the same numbers as one call per order.  The sample is drawn in
+    keyed blocks of ``WU_BLOCK_BYTES`` of draws (``_wu_block_sums``), split
+    over workers by ``_map_chunks``; the blocks' sums are added in block order
+    here, so the reports do not depend on ``threads``.  The coefficient box,
+    one block (twice, for the laws whose draws are copied in), a block's |X|
     with its two power temporaries and the sums of every block must fit in
     ``max_bytes``, checked before any is allocated.
     """
@@ -851,13 +896,7 @@ def wu_inequality_check(
     if not orders:
         return []
     total = total_sq_mass(model)
-    side = model.support_side()
-    if side is None:
-        side = 1
-        while residual_sqrt_mass(model, side) > 1e-7 * math.sqrt(total):
-            side *= 2
-            if side > 1 << 12:
-                raise ValueError("coefficient tail too slow to truncate for sampling")
+    side = _wu_side(model, sample, max_bytes)
     size = side**model.d
     rows = min(max(1, WU_BLOCK_BYTES // (8 * size)), sample)  # samples per keyed block
     blocks = -(-sample // rows)
@@ -872,7 +911,8 @@ def wu_inequality_check(
     sums = np.zeros((len(orders), 2))  # per order: sum |X|^(2p), sum |X|^(4p)
     for part in _map_chunks(task, blocks, threads):
         sums += part
-    sum_a4 = float(np.sum(a**4))
+    a2 = a * a
+    box_a2, box_a4 = float(np.sum(a2)), float(np.sum(a2 * a2))
     kurt = innovations.kurtosis
     reports = []
     for q, (sum_y, sum_y2) in zip(orders, sums.tolist()):
@@ -880,11 +920,12 @@ def wu_inequality_check(
         var_y = max(sum_y2 / sample - mean_y**2, 0.0)
         c_hat = mean_y / total**q
         se = math.sqrt(var_y / sample) / total**q
-        ref = None
+        ref = box_c = None
         if q == 1:
-            ref = 1.0
+            ref, box_c = 1.0, box_a2 / total
         elif kurt is not None:
-            ref = (kurt - 3.0) * sum_a4 / total**2 + 3.0
+            ref = (kurt - 3.0) * total_fourth_mass(model) / total**2 + 3.0
+            box_c = (3.0 * box_a2**2 + (kurt - 3.0) * box_a4) / total**2
         reports.append({
             "name": "wu_moment",
             "p": q,
@@ -894,6 +935,8 @@ def wu_inequality_check(
             "weight_mass": float(total),
             "truncation_side": side,
             "reference_c": ref,
+            "box_c": box_c,
+            "truncation_bias": None if ref is None else ref - box_c,
             "seeds": {"master": master_seed, "stream": STREAM_OFFSETS["wu"]},
         })
     return reports

@@ -22,7 +22,7 @@ series is truncated: the functionals are exact up to floating-point rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 
@@ -38,6 +38,7 @@ __all__ = [
     "coeff_at",
     "box_mass",
     "total_sq_mass",
+    "total_fourth_mass",
     "residual_sqrt_mass",
     "check_decay_window",
     "check_hallin",
@@ -91,6 +92,13 @@ class CoefficientModel:
         elif self.family == "geometric":
             if self.ratio is None or not (0.0 < self.ratio < 1.0):
                 raise ValueError("geometric ratio must lie in (0, 1)")
+            try:
+                total_sq_mass(self)
+            except OverflowError:
+                raise ValueError(
+                    f"coefficient.ratio = {self.ratio} in d = {self.d} dimensions gives the weights "
+                    "a square sum (1 - r^2)^(-d) beyond the float range"
+                ) from None
         else:
             if self.table is None:
                 raise ValueError("finite_support model needs a value table")
@@ -266,6 +274,15 @@ def total_sq_mass(model: CoefficientModel) -> float:
     if model.family == "geometric":
         return (1.0 - model.ratio**2) ** (-model.d)
     return float(np.sum(model.table**2))
+
+
+def total_fourth_mass(model: CoefficientModel) -> float:
+    """sum_{k >= 0} a_k^4: the square sum of the weights a_k^2, which belong to the same family."""
+    if model.family == "power_decay":
+        return total_sq_mass(replace(model, q=2.0 * model.q, scale=model.scale**2))
+    if model.family == "geometric":
+        return total_sq_mass(replace(model, ratio=model.ratio**2))
+    return total_sq_mass(replace(model, table=model.table**2))
 
 
 def box_mass(model: CoefficientModel, m: int) -> float:

@@ -28,6 +28,7 @@ from fieldkde import (
     wu_inequality_check,
 )
 from fieldkde.clt import _block_samples, _skew_kurtosis
+from fieldkde.coefficients import coeff_box, residual_sqrt_mass
 from fieldkde.field import coupled_spectra
 from fieldkde.reporting import canonical_json
 
@@ -446,9 +447,101 @@ class TestWuInequality:
         monkeypatch.setattr(clt, "coeff_box", no_box)
         with pytest.raises(FieldSizeError, match="cap"):
             wu_inequality_check(geometric_half, innov, [1], 1000, max_bytes=need - 1)
-        # power decay at d = 3 truncates at side 1024: 8 GiB for the box alone
+        # power decay near q = d/2 at d = 3 needs a side far beyond 512, where the box alone takes 1 GiB
         with pytest.raises(FieldSizeError):
-            wu_inequality_check(CoefficientModel(d=3, family="power_decay", q=4.0), innov, [1, 2], 200_000)
+            wu_inequality_check(CoefficientModel(d=3, family="power_decay", q=1.6), innov, [1, 2], 200_000)
+
+    def test_slow_tail_hits_the_cap_after_log_many_residuals(self, monkeypatch):
+        import fieldkde.clt as clt
+
+        calls = []
+
+        def counting(model, m):
+            calls.append(m)
+            return residual_sqrt_mass(model, m)
+
+        def no_box(*args, **kw):
+            raise AssertionError("the coefficient box was built before the cap was checked")
+
+        monkeypatch.setattr(clt, "residual_sqrt_mass", counting)
+        monkeypatch.setattr(clt, "coeff_box", no_box)
+        slow = CoefficientModel(d=3, family="power_decay", q=1.6)
+        with pytest.raises(FieldSizeError, match="cap 1073741824"):
+            wu_inequality_check(slow, InnovationModel("gaussian"), [1], 200_000, max_bytes=1 << 30)
+        # side 512 is the largest whose box fits in 1 GiB: sides 1, 2, 4, ..., 512 are tried once each
+        assert calls == [1 << k for k in range(10)]
+
+    @pytest.mark.parametrize(
+        "model,sample",
+        [
+            (CoefficientModel(d=1, family="geometric", ratio=0.5), 200_000),
+            (CoefficientModel(d=1, family="geometric", ratio=0.5), 20_000),
+            (CoefficientModel(d=2, family="geometric", ratio=0.7), 50_000),
+            (CoefficientModel(d=1, family="power_decay", q=1.8), 200_000),
+            (CoefficientModel(d=2, family="power_decay", q=4.0), 200_000),
+            (CoefficientModel(d=3, family="power_decay", q=4.0), 10_000),
+            (CoefficientModel(d=1, family="finite_support", table=np.ones(40)), 200_000),
+            (CoefficientModel(d=2, family="finite_support", table=np.ones((3, 2))), 200_000),
+        ],
+    )
+    def test_side_is_the_least_within_a_tenth_of_the_standard_error(self, model, sample):
+        import fieldkde.clt as clt
+
+        side = clt._wu_side(model, sample, 1 << 30)
+        tol = 0.1 * math.sqrt(2.0 / sample)
+        total = float(np.sum(coeff_box(model, {1: 4000, 2: 200, 3: 60}[model.d]) ** 2))
+
+        def bias(s):  # brute force: the share of the mass off [0, s)^d
+            return 1.0 - float(np.sum(coeff_box(model, s) ** 2)) / total
+
+        support = model.support_side()
+        assert bias(side) <= tol + 1e-12 and (support is None or side <= support)
+        assert side == 1 or bias(side - 1) > tol + 1e-12
+
+    def test_expected_sides(self):
+        import fieldkde.clt as clt
+
+        cases = [
+            (CoefficientModel(d=1, family="geometric", ratio=0.5), 6),  # configs/blocks_d1.json
+            (CoefficientModel(d=1, family="power_decay", q=1.8), 15),
+            (CoefficientModel(d=2, family="power_decay", q=4.0), 3),  # configs/power_decay_d2.json
+        ]
+        assert [clt._wu_side(model, 200_000, 1 << 30) for model, _ in cases] == [side for _, side in cases]
+
+    def test_side_search_where_the_normaliser_is_subnormal(self):
+        # (1 - r^2)^d underflows below the least normal float: the search ends at the cap, not in a division
+        model = CoefficientModel(d=2465, family="geometric", ratio=0.5)
+        with pytest.raises(FieldSizeError, match="cap"):
+            wu_inequality_check(model, InnovationModel("gaussian"), [1, 2], 1000)
+
+    @pytest.mark.parametrize(
+        "model,innov",
+        [
+            (CoefficientModel(d=1, family="geometric", ratio=0.5), InnovationModel("gaussian")),
+            (CoefficientModel(d=2, family="geometric", ratio=0.6), InnovationModel("uniform")),
+            (CoefficientModel(d=1, family="power_decay", q=1.8), InnovationModel("student_t", nu=5.0)),
+            (CoefficientModel(d=2, family="power_decay", q=4.0, scale=2.0), InnovationModel("uniform")),
+        ],
+    )
+    def test_box_constants_against_box_sums(self, model, innov):
+        w1, w2 = wu_inequality_check(model, innov, [1, 2], 5_000)
+        side = w1["truncation_side"]
+        a = coeff_box(model, side)
+        box2, box4 = float(np.sum(a**2)), float(np.sum(a**4))
+        full = coeff_box(model, 4000 if model.d == 1 else 600)
+        total2, total4 = float(np.sum(full**2)), float(np.sum(full**4))
+        kurt = innov.kurtosis
+        assert w1["weight_mass"] == pytest.approx(total2, rel=1e-9)
+        assert w1["box_c"] == pytest.approx(box2 / total2, rel=1e-9)
+        assert w2["box_c"] == pytest.approx((3 * box2**2 + (kurt - 3) * box4) / total2**2, rel=1e-9)
+        assert w2["reference_c"] == pytest.approx(3 + (kurt - 3) * total4 / total2**2, rel=1e-9)
+        for w in (w1, w2):
+            assert w["truncation_bias"] == w["reference_c"] - w["box_c"]
+        # the p=1 bias is the share eps of the mass off the box, within a tenth of the p=1 standard
+        # error; off the box sum a^4 <= (sum a^2)^2 eps, so the p=2 bias is at most (6 + |kappa - 3|) eps
+        eps = w1["truncation_bias"]
+        assert 0 <= eps <= 0.1 * math.sqrt(2.0 / 5_000)
+        assert abs(w2["truncation_bias"]) <= (6 + abs(kurt - 3)) * eps
 
     @pytest.mark.parametrize(
         "innov", [InnovationModel("gaussian"), InnovationModel("uniform"), InnovationModel("student_t", nu=5.0)]
@@ -457,8 +550,9 @@ class TestWuInequality:
         import fieldkde.clt as clt
         from fieldkde.coefficients import coeff_box
 
-        side, rows = 32, 1000  # geometric_half's sampling box, and the forced block length
+        rows = 1000  # the forced block length
         sample = 2 * rows + 500  # a partial last block
+        side = wu_inequality_check(geometric_half, innov, [1], sample)[0]["truncation_side"]
         monkeypatch.setattr(clt, "WU_BLOCK_BYTES", 8 * side * rows)
         keyed = wu_inequality_check(geometric_half, innov, [1, 2], sample)
         assert keyed[0]["truncation_side"] == side
@@ -485,8 +579,8 @@ class TestWuInequality:
     def test_reports_equal_at_one_and_two_threads(self, geometric_half, innov):
         import fieldkde.clt as clt
 
-        # 30,000 samples of side 32 make 15 blocks, so two workers split them 7 and 8
-        assert 30_000 > 2 * clt.WU_BLOCK_BYTES // (8 * 32)
+        # 30,000 samples of side 6 make 3 blocks, so two workers split them 1 and 2
+        assert 30_000 > 2 * clt.WU_BLOCK_BYTES // (8 * 6)
         with clt.worker_pool():
             alone = wu_inequality_check(geometric_half, innov, [1, 2], 30_000, threads=1)
             split = wu_inequality_check(geometric_half, innov, [1, 2], 30_000, threads=2)

@@ -22,6 +22,7 @@ from fieldkde.coefficients import (
     coeff_box,
     model_from_config,
     residual_sqrt_mass,
+    total_fourth_mass,
     total_sq_mass,
 )
 
@@ -130,6 +131,61 @@ class TestPowerDecay:
 def _direct_shell_tail_bound(d, q, side):
     """Bound on the mass of {|i|_inf >= side} for c = 1: shells hold at most d(1+s)^(d-1) points."""
     return d * float(side) ** (d - 2.0 * q) / (2.0 * q - d)
+
+
+class TestFourthMass:
+    """sum a^4 in closed form: the square sum of the weights a^2, which are of the same family."""
+
+    @pytest.mark.parametrize("d,ratio", [(1, 0.5), (2, 0.6), (3, 0.3)])
+    def test_geometric_against_box_sum(self, d, ratio):
+        model = CoefficientModel(d=d, family="geometric", ratio=ratio)
+        assert total_fourth_mass(model) == pytest.approx((1.0 - ratio**4) ** -d, rel=1e-15)
+        # ratio^(4*80) < 1e-28 bounds what the box leaves out
+        assert total_fourth_mass(model) == pytest.approx(float(np.sum(coeff_box(model, 80) ** 4)), rel=1e-13)
+
+    @pytest.mark.parametrize("d,q,scale,side", [(1, 1.8, 1.0, 4000), (2, 1.1, 1.0, 1200), (2, 4.0, 1.5, 100),
+                                                (3, 4.0, 0.5, 40)])
+    def test_power_decay_against_box_sum(self, d, q, scale, side):
+        model = CoefficientModel(d=d, family="power_decay", q=q, scale=scale)
+        box = float(np.sum(coeff_box(model, side) ** 4))
+        # a^4 = scale^4 (1+|i|_inf)^(-4q): the shell bound at exponent 2q bounds what the box leaves out
+        tail = scale**4 * _direct_shell_tail_bound(d, 2.0 * q, side)
+        assert -1e-14 * box <= total_fourth_mass(model) - box <= tail + 1e-14 * box
+
+    @pytest.mark.parametrize("d,q,scale", [(1, 1.8, 1.0), (2, 1.1, 2.0), (2, 4.0, 1.5), (3, 1.6, 0.5), (3, 4.0, 1.0)])
+    def test_power_decay_against_mpmath(self, d, q, scale):
+        mpmath = pytest.importorskip("mpmath")
+        model = CoefficientModel(d=d, family="power_decay", q=q, scale=scale)
+        with mpmath.workdps(40):
+            # the shell |i|_inf = t - 1 holds t^d - (t-1)^d = sum_k C(d,k) (-1)^(d-1-k) t^k weights
+            q4 = 4 * mpmath.mpf(q)
+            exact = mpmath.mpf(scale) ** 4 * sum(
+                mpmath.binomial(d, k) * (-1) ** (d - 1 - k) * mpmath.zeta(q4 - k) for k in range(d)
+            )
+            assert float(abs(mpmath.mpf(total_fourth_mass(model)) / exact - 1)) < 1e-13
+
+    def test_table_sums_directly(self):
+        table = np.array([[1.0, -0.5, 0.0], [0.25, 2.0, 0.0]])
+        model = CoefficientModel(d=2, family="finite_support", table=table)
+        assert total_fourth_mass(model) == float(np.sum(table**4))
+
+
+class TestGeometricRange:
+    def test_square_sum_beyond_the_float_range_is_rejected(self):
+        for d, ratio in ((10**9, 0.5), (63, 0.999999)):
+            with pytest.raises(ValueError, match="coefficient.ratio"):
+                CoefficientModel(d=d, family="geometric", ratio=ratio)
+
+    def test_tails_where_the_normaliser_is_subnormal(self):
+        # (1 - r^2)^d = 0.75^2465 is about 1.1e-308, below the least normal float; the tail divides by it
+        model = CoefficientModel(d=2465, family="geometric", ratio=0.5)
+        assert 0.0 < 0.75**2465 < 2.3e-308
+        total = total_sq_mass(model)
+        assert math.isfinite(total)
+        for m in (1, 10, 40, 80):
+            share = residual_sqrt_mass(model, m) ** 2 / total
+            # 1 - (1 - r^(2m))^d, the share of the mass off [0, m)^d
+            assert share == pytest.approx(-math.expm1(2465 * math.log1p(-(0.25**m))), rel=1e-9, abs=1e-15)
 
 
 class TestPowerMomentsClosedForm:

@@ -64,7 +64,7 @@ def _bad_values(path, k):
     if k.ge is not None:
         outside.append(beyond(k.ge - 1 if integer else math.nextafter(k.ge, -math.inf), below=True))
     if k.gt is not None:
-        outside.append(beyond(k.gt, below=True))
+        outside.append(beyond(_default(k.gt) if isinstance(k.gt, str) else k.gt, below=True))
     if k.lt is not None:
         outside.append(beyond(_default(k.lt) if isinstance(k.lt, str) else k.lt, below=False))
     if k.kind in ("ints", "nums"):
@@ -74,6 +74,11 @@ def _bad_values(path, k):
     if k.kind == "sides":
         grid = min(_default(f"{path.rsplit('.', 1)[0]}.{k.fits}"))
         outside.append(st.lists(beyond(0, below=True) | beyond(grid + 1, below=False), min_size=1, max_size=2))
+    if k.increasing:
+        short = st.lists(st.integers(1, 99), min_size=1, max_size=k.increasing - 1)
+        unordered = st.lists(st.integers(1, 99), min_size=k.increasing, max_size=k.increasing + 2).filter(
+            lambda v: any(b <= a for a, b in zip(v, v[1:])))
+        outside += [short, unordered]
     if k.only_if is not None:
         assert _default(f"{path.rsplit('.', 1)[0]}.{k.only_if[0]}") != k.only_if[1]
         outside.append(st.integers(1, 99))
@@ -176,6 +181,8 @@ class TestConfigResolution:
                 for (s, k), listed in names.items():
                     value = choice if (s, k) == (section, key) else listed[0]
                     doc[s] = value if k is None else {**doc[s], k: value}
+                if doc["truncation"]["policy"] == "fixed":  # which needs its radius
+                    doc["truncation"]["M"] = 8
                 cfgfile.write_text(json.dumps(doc))
                 load_config(str(cfgfile), [])
         for section, default in DEFAULT_CONFIG.items():
@@ -305,12 +312,12 @@ class TestCli:
     def test_moment_check_wu_blocks_split_over_workers_keep_the_bytes(self, tmp_path, innovations):
         import fieldkde.clt as clt
 
-        # the default weights truncate at side 32: 20,000 samples make 10 keyed blocks
-        assert 20_000 > 2 * clt.WU_BLOCK_BYTES // (8 * 32)
+        # the default weights truncate at side 6 for 50,000 samples, which make 5 keyed blocks
+        assert 50_000 > 4 * clt.WU_BLOCK_BYTES // (8 * 6)
         outputs = []
         for t in (1, 2):
             code = main(["moment-check", "--threads", str(t), "--out", str(tmp_path / str(t)),
-                         "--set", f"innovations={innovations}", "--set", "moment_check.wu_sample=20000",
+                         "--set", f"innovations={innovations}", "--set", "moment_check.wu_sample=50000",
                          "--set", "moment_check.n_grid=[64]", "--set", "moment_check.replicates=5",
                          "--set", "moment_check.rectangles=[4,16]"])
             assert code in (0, 2)
@@ -318,7 +325,40 @@ class TestCli:
             outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "manifest.json"})
         assert outputs[0] == outputs[1] and "report.json" in outputs[0]
         wu = json.loads(outputs[0]["report.json"])["wu"]
-        assert [w["truncation_side"] for w in wu] == [32, 32]
+        assert [w["truncation_side"] for w in wu] == [6, 6]
+
+    def test_moment_check_truncates_power_decay_at_q_1_8(self, tmp_path):
+        # inside the decay window at d = 1; the box of a fixed relative cut needed a side near 1e5
+        assert _run(tmp_path, "moment-check", "--set", 'coefficient={"family":"power_decay","d":1,"q":1.8}') == 0
+        wu = json.loads((tmp_path / "moment_check" / "report.json").read_text())["wu"]
+        sides = {w["truncation_side"] for w in wu}
+        assert len(wu) == 2 and len(sides) == 1 and 1 <= sides.pop() < 1 << 12
+
+    def test_moment_check_power_decay_d2_takes_a_small_box(self, tmp_path):
+        code = _run(tmp_path, "moment-check", "--config", str(REPO / "configs" / "power_decay_d2.json"),
+                    "--set", "moment_check.n_grid=[64]", "--set", "moment_check.rectangles=[4,16]")
+        assert code == 0
+        wu = json.loads((tmp_path / "moment_check" / "report.json").read_text())["wu"]
+        assert all(w["truncation_side"] <= 8 for w in wu) and len(wu) == 2
+
+    @pytest.mark.parametrize(
+        "subcommand,sets,key",
+        [
+            ("kde", ["coefficient.d=1000000000"], "config key coefficient.d"),
+            # (1 - r^2)^(-d) beyond the float range
+            ("kde", ["coefficient.d=63", "coefficient.ratio=0.999999"], "coefficient.ratio"),
+            ("kde", ["coefficient.d=63"], "cap"),
+            ("moment-check", ["coefficient.d=63"], "limits.max_field_bytes"),
+        ],
+    )
+    def test_geometric_weights_in_many_dimensions_exit_1_without_a_traceback(self, tmp_path, capsys, subcommand,
+                                                                              sets, key):
+        argv = [subcommand] + [part for assignment in sets for part in ("--set", assignment)]
+        assert _run(tmp_path, *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
+        manifest = json.loads((tmp_path / subcommand.replace("-", "_") / "manifest.json").read_text())
+        assert manifest["status"] == "error" and key in manifest["error"]
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_1(self, tmp_path, threads):
@@ -500,6 +540,16 @@ class TestCli:
             ("clt-run", "clt.variance_band=0", "clt.variance_band"),
             # the radius of the fixed policy alone; bandwidth_relative chooses its own
             ("kde", "truncation.M=7", "truncation.M"),
+            # rules across keys, which a library check rejected without the key
+            ("kde", 'truncation.policy="fixed"', "truncation.M"),
+            ("blocks", "blocks.delta=0.2", "blocks.delta"),
+            ("blocks", "blocks.m=null", "blocks.delta"),
+            ("blocks", "blocks.l=2", "blocks.l"),
+            ("blocks", "blocks.l=4", "blocks.l"),
+            ("check-conditions", "conditions.n_grid=[16]", "conditions.n_grid"),
+            ("check-conditions", "conditions.n_grid=[16,64,32]", "conditions.n_grid"),
+            # no numpy array holds a batch of fields in 64 dimensions
+            ("kde", "coefficient.d=64", "coefficient.d"),
         ],
     )
     def test_config_number_exit_1_naming_it(self, tmp_path, capsys, subcommand, assignment, key):
