@@ -49,6 +49,7 @@ from .coefficients import (
 from .field import (
     FieldSizeError,
     LatticeField,
+    TruncationError,
     coupled_spectra,
     generate_coupled_fields,
     lattice_convolve,
@@ -369,7 +370,7 @@ def _coupled_draw(cfg: dict, sec: dict):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (verdict_ok, report_dict, tables)
+# subcommands: each returns (verdict_ok, report, tables); write_report serialises the report
 # tables: name -> (rows, columns)
 
 CONDITION_GRID_COLUMNS = [
@@ -398,16 +399,16 @@ def cmd_check_conditions(cfg: dict):
     delta = cfg["schedule"]["delta"]
     if delta is None:
         delta = window.delta_star
-    reports = {"decay_window": window.to_dict()}
+    reports = {"decay_window": window}
     ok = window.passed
     if sec["hallin_q"] is not None:
-        reports["hallin"] = check_hallin(model.d, sec["hallin_q"], bw.gamma).to_dict()
+        reports["hallin"] = check_hallin(model.d, sec["hallin_q"], bw.gamma)
     if sec["qsum_q"] is not None:
-        reports["qsum"] = check_machkouri_qsum(model, sec["qsum_q"]).to_dict()
+        reports["qsum"] = check_machkouri_qsum(model, sec["qsum_q"])
     rows = []
     if delta is not None:
         cond = check_condition_c(model, bw, delta, sec["n_grid"])
-        reports["schedule_limits"] = cond.to_dict()
+        reports["schedule_limits"] = cond
         rows = cond.grid_rows
         ok = ok and cond.passed
     report = {
@@ -454,7 +455,7 @@ def cmd_gen_field(cfg: dict, out_dir: Path):
         "subcommand": "gen-field",
         "n": n,
         "m": m,
-        "plan": plan.to_config(),
+        "plan": plan,
         "coupling_max_abs_gap": coupling,
         "files": names,
         "passed": True,
@@ -478,7 +479,7 @@ def cmd_kde(cfg: dict):
         "subcommand": "kde",
         "n": n,
         "m": m,
-        "plan": plan.to_config(),
+        "plan": plan,
         "b": b,
         "kernel": kern.name,
         "curve": rows,
@@ -502,21 +503,10 @@ def cmd_clt_run(cfg: dict):
                 {"n": point["n"], "x": point["x"], "replicate": r, "T": t, "T_zeta": tz,
                  "T_remainder": tr}
             )
-        ks = point.get("ks", {})
-        summary.append(
-            {
-                "n": point["n"], "x": point["x"], "b": point["b"], "m": point["m"],
-                "M": point["M"], "replicates": point["replicates"], "mean": point["mean"],
-                "variance": point["variance"], "skewness": point["skewness"],
-                "excess_kurtosis": point["excess_kurtosis"],
-                "ks_distance": ks.get("distance"), "ks_crit_05": ks.get("crit_05"),
-                "ks_crit_01": ks.get("crit_01"), "sigma2_target": point["sigma2_target"],
-                "remainder_second_moment": point["remainder_second_moment"],
-                "verdict": point["verdicts"]["overall"],
-            }
-        )
+        ks = {f"ks_{k}": v for k, v in point.get("ks", {}).items()}
+        summary.append({**point, **ks, "verdict": point["verdicts"]["overall"]})
     ok = report.overall != "fail"
-    return ok, report.to_dict(), {
+    return ok, report, {
         "clt_replicates": (rows, CLT_REPLICATE_COLUMNS),
         "clt_summary": (summary, CLT_SUMMARY_COLUMNS),
     }
@@ -525,7 +515,13 @@ def cmd_clt_run(cfg: dict):
 def cmd_blocks(cfg: dict):
     sec = cfg["blocks"]
     config = _experiment(cfg, "blocks")
-    samples = _block_samples(config, BlockPlan(m=sec["m"], delta=sec["delta"], l=sec["l"]))
+    plan = BlockPlan(m=sec["m"], delta=sec["delta"], l=sec["l"])
+    for n in config.n_grid:  # every grid point, before the first draw
+        try:
+            plan.resolve(n)
+        except ValueError as exc:
+            raise ToolError(f"config key blocks.l: {exc}") from None
+    samples = _block_samples(config, plan)
     decomposition = block_decomposition_check(config, samples)
     lf = lindeberg_estimate(config, samples, sec["eps"])
     ok = decomposition["passed"] and lf["passed"]
@@ -536,13 +532,7 @@ def cmd_blocks(cfg: dict):
         "lindeberg": lf,
         "passed": bool(ok),
     }
-    lf_rows = []
-    for row in lf["rows"]:
-        for e, v in row["lf2"].items():
-            lf_rows.append(
-                {"n": row["n"], "m": row["m"], "l": row["l"],
-                 "block_samples": row["block_samples"], "lf1": row["lf1"], "eps": e, "lf2": v}
-            )
+    lf_rows = [{**row, "eps": e, "lf2": v} for row in lf["rows"] for e, v in row["lf2"].items()]
     return ok, report, {
         "block_gap": (decomposition["rows"], BLOCK_COLUMNS),
         "lindeberg": (lf_rows, LF_COLUMNS),
@@ -598,11 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    names = [
-        "check-conditions", "gen-field", "kde", "clt-run", "blocks", "moment-check",
-        "fixed-m-gap",
-    ]
-    for name in names:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config document")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -616,12 +602,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 _HANDLERS = {
     "check-conditions": lambda cfg, out: cmd_check_conditions(cfg),
+    "gen-field": cmd_gen_field,
     "kde": lambda cfg, out: cmd_kde(cfg),
     "clt-run": lambda cfg, out: cmd_clt_run(cfg),
     "blocks": lambda cfg, out: cmd_blocks(cfg),
     "moment-check": lambda cfg, out: cmd_moment_check(cfg),
     "fixed-m-gap": lambda cfg, out: cmd_fixed_m_gap(cfg),
-    "gen-field": cmd_gen_field,
 }
 
 
@@ -642,7 +628,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.set, seed=args.seed, threads=args.threads)
         manifest.config, manifest.master_seed = cfg, cfg["seed"]
         with worker_pool():
-            ok, report, tables = _HANDLERS[args.subcommand](cfg, out_dir)
+            try:
+                ok, report, tables = _HANDLERS[args.subcommand](cfg, out_dir)
+            except TruncationError as exc:
+                raise ToolError(f"config key truncation.{exc.key}: {exc}") from None
         if isinstance(report, dict) and report.get("files"):
             manifest.outputs.extend(str(out_dir / name) for name in report["files"])
         if args.format in ("json", "both"):

@@ -18,7 +18,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -140,13 +140,11 @@ class ExperimentConfig:
         window = check_decay_window(
             self.model.d, self.model.decay_exponent(), self.bandwidth.gamma
         )
-        if self.delta is not None:
-            return self.delta, window.to_dict()
-        if not window.passed:
+        if self.delta is None and not window.passed:
             raise ValueError(
                 "no truncation exponent supplied and the decay/bandwidth window is empty"
             )
-        return window.delta_star, window.to_dict()
+        return window.delta_star if self.delta is None else self.delta, asdict(window)
 
     def resolve_x(self) -> tuple:
         if self.x_points is not None:
@@ -339,14 +337,6 @@ class KsResult:
     crit_01: float
     n_samples: int
 
-    def to_dict(self) -> dict:
-        return {
-            "distance": self.distance,
-            "crit_05": self.crit_05,
-            "crit_01": self.crit_01,
-            "n_samples": self.n_samples,
-        }
-
 
 def ks_normality_test(samples, sigma2: float) -> KsResult:
     """One-sample KS distance to N(0, sigma2) with asymptotic critical values."""
@@ -417,12 +407,7 @@ class CltReport:
     nonfinite: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "points": self.points,
-            "overall": self.overall,
-            "nonfinite": self.nonfinite,
-        }
+        return asdict(self)
 
 
 def run_clt_experiment(config: ExperimentConfig) -> CltReport:
@@ -481,7 +466,7 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
                 mean_ok = abs(entry["mean"]) <= 3.0 * math.sqrt(sigma2 / R)
                 var_ok = abs(entry["variance"] - sigma2) <= config.variance_band * sigma2
                 ks_ok = ks.distance < ks.crit_01
-                entry["ks"] = ks.to_dict()
+                entry["ks"] = asdict(ks)
                 entry["verdicts"] = {
                     "mean_ok": bool(mean_ok),
                     "variance_ok": bool(var_ok),
@@ -519,7 +504,7 @@ class BlockPlan:
         m_n = self.m if self.m is not None else m_schedule(n, self.delta)
         l_n = self.l if self.l is not None else m_n * math.ceil(math.log(n))
         if l_n <= m_n:
-            raise ValueError(f"need l_n > m_n (got l={l_n}, m={m_n})")
+            raise ValueError(f"need l_n > m_n at n = {n} (got l={l_n}, m={m_n})")
         if l_n > n:
             raise ValueError(f"block side {l_n} exceeds the lattice side {n}")
         q = n // (l_n + m_n)

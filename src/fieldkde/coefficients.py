@@ -386,18 +386,6 @@ class ConditionReport:
     thresholds: dict = field(default_factory=dict)
     grid_rows: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "verdict": self.verdict,
-            "details": self.details,
-            "delta_interval": list(self.delta_interval) if self.delta_interval else None,
-            "delta_star": self.delta_star,
-            "thresholds": self.thresholds,
-            "grid_rows": self.grid_rows,
-        }
-
 
 def _exact(x) -> Fraction:
     # Fraction(float) is exact (floats are binary rationals), so strict
@@ -581,30 +569,24 @@ def check_condition_c(
     d = model.d
     gamma = bandwidth.gamma
     rows = []
-    seqs = {k: [] for k in ("sqrt_b_delta", "residual_over_b", "m_vol_times_b", "m_logs_over_nb")}
     for n in n_grid:
         m_n = m_schedule(n, delta)
         b = bandwidth.b(n)
-        c1v = math.sqrt(b) * delta_n(model, n)
-        c2v = residual_sqrt_mass(model, m_n) / b
-        c3v = (m_n**d) * b
-        c4v = (m_n**d) * math.log(n) ** d / ((float(n) ** d) * b)
-        seqs["sqrt_b_delta"].append(c1v)
-        seqs["residual_over_b"].append(c2v)
-        seqs["m_vol_times_b"].append(c3v)
-        seqs["m_logs_over_nb"].append(c4v)
         rows.append(
             {
                 "n": n,
                 "m_n": m_n,
                 "b_n": b,
-                "sqrt_b_delta": c1v,
-                "residual_over_b": c2v,
-                "m_vol_times_b": c3v,
-                "m_logs_over_nb": c4v,
+                "sqrt_b_delta": math.sqrt(b) * delta_n(model, n),
+                "residual_over_b": residual_sqrt_mass(model, m_n) / b,
+                "m_vol_times_b": (m_n**d) * b,
+                "m_logs_over_nb": (m_n**d) * math.log(n) ** d / ((float(n) ** d) * b),
             }
         )
-    per_seq = {k: _seq_verdict(v, strict_ratio, trend_ratio) for k, v in seqs.items()}
+    per_seq = {
+        k: _seq_verdict([row[k] for row in rows], strict_ratio, trend_ratio)
+        for k in ("sqrt_b_delta", "residual_over_b", "m_vol_times_b", "m_logs_over_nb")
+    }
     trend_pass = all(v["verdict"] != "fail" for v in per_seq.values())
 
     beta_eff = model.decay_exponent()

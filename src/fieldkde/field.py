@@ -28,6 +28,7 @@ __all__ = [
     "CoupledWorkspace",
     "TruncationPlan",
     "FieldSizeError",
+    "TruncationError",
     "plan_truncation",
     "estimate_field_bytes",
     "coupled_spectra",
@@ -51,6 +52,14 @@ class FieldSizeError(RuntimeError):
     """Requested lattice exceeds the configured memory cap."""
 
 
+class TruncationError(ValueError):
+    """No truncation plan meets the request; ``key`` is the argument of ``plan_truncation`` that decides it."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
+
+
 @dataclass(frozen=True)
 class TruncationPlan:
     """Global truncation radius M with its residual mass B_M."""
@@ -63,9 +72,6 @@ class TruncationPlan:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("truncation radius must be >= 1")
-
-    def to_config(self) -> dict:
-        return {"M": self.M, "B_M": self.B_M, "policy": self.policy, "eta": self.eta}
 
 
 def plan_truncation(
@@ -87,9 +93,9 @@ def plan_truncation(
         raise ValueError("m must be >= 1")
     if policy == "fixed":
         if M is None:
-            raise ValueError("fixed policy needs an explicit M")
+            raise TruncationError("M", "fixed policy needs an explicit M")
         if M < m:
-            raise ValueError("need m <= M")
+            raise TruncationError("M", f"need m <= M (got m={m}, M={M})")
         return TruncationPlan(M=M, B_M=residual_sqrt_mass(model, M), policy="fixed")
     if policy != "bandwidth_relative":
         raise ValueError(f"unknown truncation policy {policy!r}")
@@ -104,8 +110,8 @@ def plan_truncation(
         while residual_sqrt_mass(model, M_star) > target:
             M_star += max(1, M_star // 4)
             if M_star > max_radius:
-                raise FieldSizeError(
-                    f"no truncation radius below {max_radius} reaches B_M <= {target:g}"
+                raise TruncationError(
+                    "eta", f"no truncation radius below {max_radius} reaches B_M <= eta * b = {target:g}"
                 )
         # walk back to the minimal radius
         while M_star > 1 and residual_sqrt_mass(model, M_star - 1) <= target:

@@ -106,9 +106,6 @@ class KernelModel:
     def __call__(self, u, out=None):
         return _KERNELS[self.name](u, out)
 
-    def to_config(self) -> str:
-        return self.name
-
 
 _KERNEL_MODELS = {
     "epanechnikov": KernelModel(

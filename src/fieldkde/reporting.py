@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -35,8 +35,11 @@ def float_repr(x: float) -> str:
 
 
 def _normalise(obj):
-    if hasattr(obj, "to_dict"):
-        return _normalise(obj.to_dict())
+    """``obj`` as plain JSON values; a dataclass instance is the dict of its fields."""
+    if type(obj) in (float, int, str, bool) or obj is None:  # most of a report, so tried first
+        return obj
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _normalise(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _normalise(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -139,23 +142,8 @@ class RunManifest:
     verdicts: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
-    def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "config": self.config,
-            "master_seed": self.master_seed,
-            "tool_version": self.tool_version,
-            "started": self.started,
-            "finished": self.finished,
-            "status": self.status,
-            "error": self.error,
-            "outputs": self.outputs,
-            "verdicts": self.verdicts,
-            "schema_version": self.schema_version,
-        }
-
     def write(self, path) -> str:
         # timestamps live only here, never in reports, so reports stay
         # byte-identical across reruns
         self.finished = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-        return write_report(self.to_dict(), path)
+        return write_report(self, path)

@@ -1,4 +1,4 @@
-"""The normal CDF and the Hurwitz zeta function, bit for bit as scipy.special gives them.
+"""The normal CDF and the Hurwitz zeta function (for q <= 1e8), bit for bit as scipy.special gives them.
 
 scipy.special computes ``ndtr``, ``erfc`` and ``zeta`` with the cephes
 algorithms; importing scipy costs every process about a third of a second,
@@ -81,7 +81,7 @@ def ndtr(a):
 
 
 def _hurwitz(x: float, q: float) -> float:
-    """zeta(x, q) by Euler-Maclaurin summation, cephes ``zeta`` for x > 1 and 0 < q <= 1e8."""
+    """zeta(x, q) by Euler-Maclaurin summation, cephes ``zeta`` for x > 1 and 0 < q <= 1e8, the same sum beyond."""
     s, a, i, b = math.pow(q, -x), q, 0, 0.0
     while i < 9 or a <= 9.0:
         i += 1
@@ -109,8 +109,8 @@ def _hurwitz(x: float, q: float) -> float:
 
 
 def zeta(x, q: float) -> np.ndarray:
-    """Hurwitz zeta sum_{k>=0} (k + q)^(-x) at each x > 1 of the sequence ``x``, for 0 < q <= 1e8.
+    """Hurwitz zeta sum_{k>=0} (k + q)^(-x) at each x > 1 of the sequence ``x``, for q > 0.
 
-    Beyond q = 1e8 cephes switches to an asymptotic form, which no caller reaches.
+    Beyond q = 1e8, where cephes switches to an asymptotic form, scipy's last bit may differ.
     """
     return np.array([_hurwitz(float(v), float(q)) for v in x])

@@ -193,10 +193,11 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_a_run_that_fails_partway(self, tmp_path, pools, capsys):
-        # n = 8 is too short for a block of side m * ceil(log n) = 12, after two grid points ran
+        # a worker finds the lattice at n = 8192 over the memory cap, after two grid points ran
         code, files = _cli(tmp_path, "blocks", "blocks_d1.json",
-                           ["blocks.n_grid=[64,128,8]", f"blocks.replicates={REPLICATES}"], threads=2)
-        assert code == 1 and "block side 12" in capsys.readouterr().err
+                           ["blocks.n_grid=[64,128,8192]", f"blocks.replicates={REPLICATES}",
+                            "limits.max_field_bytes=100000"], threads=2)
+        assert code == 1 and str(estimate_field_bytes(1, 8192, 4)) in capsys.readouterr().err
         assert len(pools) == 1 and multiprocessing.active_children() == []
         manifest = json.loads((tmp_path / "blocks" / "manifest.json").read_text())
         assert manifest["status"] == "error" and "report.json" not in files

@@ -240,6 +240,19 @@ class TestPowerMomentsClosedForm:
                             worst = max(worst, float(abs(mpmath.mpf(closed[r]) / exact - 1)))
         assert worst <= 1e-13
 
+    @pytest.mark.parametrize("d, q, side", [(1, 0.6, 1 << 27), (1, 1.8, 1 << 27), (2, 4.0, 11585), (3, 4.0, 512)])
+    def test_residual_mass_at_the_largest_box_sides_against_mpmath(self, d, q, side):
+        # the moment-inequality box search reaches these sides within the 1 GiB cap; at d = 1 the
+        # Hurwitz zeta argument 2^27 + 1 lies past the 1e8 where cephes changes method
+        mpmath = pytest.importorskip("mpmath")
+        model = CoefficientModel(d=d, family="power_decay", q=q)
+        with mpmath.workdps(40):
+            q2 = 2 * mpmath.mpf(q)
+            exact = mpmath.sqrt(sum(
+                mpmath.binomial(d, k) * (-1) ** (d - 1 - k) * mpmath.zeta(q2 - k, side + 1) for k in range(d)
+            ))
+            assert float(abs(mpmath.mpf(residual_sqrt_mass(model, side)) / exact - 1)) < 4e-16
+
     @pytest.mark.parametrize("d, q", [(1, 1.8), (1, 2.0), (2, 2.5), (2, 1.05)])
     def test_exponents_near_square_summability(self, d, q):
         # shell sums do not reach a 1e-24 remainder within 2^26 shells here;

@@ -11,7 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fieldkde.cli import CONFIG_KEYS, DEFAULT_CONFIG, load_config, main
-from fieldkde.reporting import SCHEMA_VERSION, canonical_json, float_repr, write_csv
+from fieldkde.clt import KsResult
+from fieldkde.coefficients import ConditionReport
+from fieldkde.field import TruncationPlan
+from fieldkde.reporting import SCHEMA_VERSION, RunManifest, canonical_json, float_repr, write_csv
 
 from conftest import MASTER_SEED
 
@@ -124,6 +127,48 @@ class TestCanonicalJson:
         assert back == {"arr": [1.0, 2.0], "i": 3, "f": 0.5}
 
 
+class TestDataclassSerialisation:
+    """A dataclass serialises as the dict of its fields: the bytes its hand-written dict gave."""
+
+    def test_condition_report_with_a_delta_interval(self):
+        rep = ConditionReport(name="schedule_limits", passed=True, verdict="pass (window)",
+                              details={"delta": 0.4, "beta": "inf"}, delta_interval=(0.25, 0.5),
+                              delta_star=0.375, thresholds={"strict_ratio": 0.1},
+                              grid_rows=[{"n": 16, "m_n": 3, "b_n": 0.5}])
+        assert canonical_json(rep) == canonical_json({
+            "name": "schedule_limits", "passed": True, "verdict": "pass (window)",
+            "details": {"delta": 0.4, "beta": "inf"}, "delta_interval": [0.25, 0.5], "delta_star": 0.375,
+            "thresholds": {"strict_ratio": 0.1}, "grid_rows": [{"n": 16, "m_n": 3, "b_n": 0.5}],
+        })
+
+    def test_condition_report_without_a_delta_interval(self):
+        rep = ConditionReport(name="hallin", passed=False, verdict="fail", details={"hallin_q_ok": False})
+        assert canonical_json(rep) == canonical_json({
+            "name": "hallin", "passed": False, "verdict": "fail", "details": {"hallin_q_ok": False},
+            "delta_interval": None, "delta_star": None, "thresholds": {}, "grid_rows": [],
+        })
+
+    def test_ks_result(self):
+        assert canonical_json(KsResult(0.0625, 0.1358, 0.1628, 100)) == canonical_json(
+            {"distance": 0.0625, "crit_05": 0.1358, "crit_01": 0.1628, "n_samples": 100})
+
+    def test_truncation_plan(self):
+        assert canonical_json(TruncationPlan(M=12, B_M=3.5e-4, policy="bandwidth_relative", eta=0.01)) == (
+            canonical_json({"M": 12, "B_M": 3.5e-4, "policy": "bandwidth_relative", "eta": 0.01}))
+        assert canonical_json(TruncationPlan(M=4, B_M=0.125, policy="fixed")) == canonical_json(
+            {"M": 4, "B_M": 0.125, "policy": "fixed", "eta": None})
+
+    def test_run_manifest(self):
+        manifest = RunManifest(subcommand="kde", config={"seed": 7}, master_seed=7, tool_version="0.1.0",
+                               started="2026-01-02T03:04:05+0000")
+        manifest.outputs.append("runs/kde/report.json")
+        assert canonical_json(manifest) == canonical_json({
+            "subcommand": "kde", "config": {"seed": 7}, "master_seed": 7, "tool_version": "0.1.0",
+            "started": "2026-01-02T03:04:05+0000", "finished": "", "status": "running", "error": None,
+            "outputs": ["runs/kde/report.json"], "verdicts": {}, "schema_version": SCHEMA_VERSION,
+        })
+
+
 class TestCsv:
     def test_header_and_formatting(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -213,6 +258,11 @@ def _run(tmp_path, *argv):
 
 
 class TestCli:
+    def test_help_lists_the_subcommands_in_order(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in capsys.readouterr().out
+
     def test_check_conditions_pass(self, tmp_path):
         code = _run(
             tmp_path,
@@ -690,6 +740,60 @@ class TestCli:
         assert capsys.readouterr().err == "error: config key blocks.replicates must be at least 2, got 1\n"
         manifest = json.loads((tmp_path / "blocks" / "manifest.json").read_text())
         assert manifest["status"] == "error" and "blocks.replicates" in manifest["error"]
+
+    @pytest.mark.parametrize(
+        "sets,message",
+        [
+            # a scheduled gap m_n = round(n^0.5) is 16 at n = 256 and 32 at n = 1024
+            (["blocks.m=null", "blocks.delta=0.5", "blocks.l=20", "blocks.n_grid=[256,1024]"],
+             "need l_n > m_n at n = 1024 (got l=20, m=32)"),
+            (["blocks.l=300", "blocks.n_grid=[1024,256]"], "block side 300 exceeds the lattice side 256"),
+        ],
+    )
+    def test_block_plan_exit_1_naming_blocks_l_before_any_draw(self, tmp_path, capsys, monkeypatch, sets, message):
+        import fieldkde.clt as clt
+        import fieldkde.innovations as innovations
+
+        def no_draw(*args, **kw):
+            raise AssertionError("a field was drawn before the block plan was resolved at every grid point")
+
+        monkeypatch.setattr(innovations, "_draw", no_draw)
+        monkeypatch.setattr(clt, "_draw", no_draw)
+        argv = [arg for assignment in sets for arg in ("--set", assignment)]
+        assert _run(tmp_path, "blocks", *argv) == 1
+        assert capsys.readouterr().err == f"error: config key blocks.l: {message}\n"
+        manifest = json.loads((tmp_path / "blocks" / "manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["error"] == f"config key blocks.l: {message}"
+        assert [p.name for p in (tmp_path / "blocks").iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            # m_n = 4 at the config's first grid point, above the fixed radius
+            (["clt-run", "--config", str(REPO / "configs" / "power_decay_d2.json"),
+              "--set", 'truncation.policy="fixed"', "--set", "truncation.M=2"], "truncation.M"),
+            (["kde", "--set", 'truncation.policy="fixed"', "--set", "truncation.M=2", "--set", "kde.m=3"],
+             "truncation.M"),
+            # tails too heavy for any radius below 2^20 to bring B_M under eta * b
+            (["kde", "--set", "coefficient.d=40", "--set", "coefficient.ratio=0.9999999"], "truncation.eta"),
+            (["kde", "--set", 'coefficient={"family":"power_decay","d":1,"q":0.6}'], "truncation.eta"),
+        ],
+    )
+    def test_truncation_plan_exit_1_naming_its_key(self, tmp_path, capsys, monkeypatch, argv, key):
+        import fieldkde.clt as clt
+        import fieldkde.innovations as innovations
+
+        def no_draw(*args, **kw):
+            raise AssertionError("a field was drawn before the truncation was planned")
+
+        monkeypatch.setattr(innovations, "_draw", no_draw)
+        monkeypatch.setattr(clt, "_draw", no_draw)
+        assert _run(tmp_path, *argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key {key}: ")
+        out = tmp_path / argv[0].replace("-", "_")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["error"].startswith(f"config key {key}: ")
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     @pytest.mark.parametrize(
         "subcommand,assignment,key",
