@@ -356,16 +356,21 @@ def _experiment(cfg: dict, section: str) -> ExperimentConfig:
     )
 
 
-def _coupled_draw(cfg: dict, sec: dict):
-    """(model, innovations, plan, b, X, X_m) of one seed at the section's n and m, drawn as the engine draws."""
+def _coupled_draw(cfg: dict, sec: dict, truncated: bool = True):
+    """(model, innovations, plan, b, X, X_m) of one seed at the section's n and m, drawn as the engine draws.
+
+    Without ``truncated`` the fields are built with m = M, so X_m is X and
+    costs no second convolution.
+    """
     model = model_from_config(cfg["coefficient"])
     innov = InnovationModel.from_config(cfg["innovations"])
     n, m = sec["n"], sec["m"]
     b = _bandwidth(cfg).b(n)
     plan = plan_truncation(model, m=m, b=b, **cfg["truncation"])
-    spectra = coupled_spectra(model, n, m, plan, max_bytes=cfg["limits"]["max_field_bytes"])
+    cut = m if truncated else plan.M
+    spectra = coupled_spectra(model, n, cut, plan, max_bytes=cfg["limits"]["max_field_bytes"])
     seeds = Seeds.of(SeedSpec(cfg["seed"]))
-    x, x_m = generate_coupled_fields(model, innov, n, m, plan, seeds, spectra)
+    x, x_m = generate_coupled_fields(model, innov, n, cut, plan, seeds, spectra)
     return model, innov, plan, b, x[0], x_m[0]
 
 
@@ -467,14 +472,12 @@ def cmd_kde(cfg: dict):
     sec = cfg["kde"]
     kern = kernel_by_name(cfg["kernel"])
     n, m, xs = sec["n"], sec["m"], sec["x_grid"]
-    model, innov, plan, b, values, _ = _coupled_draw(cfg, sec)
+    model, innov, plan, b, values, _ = _coupled_draw(cfg, sec, truncated=False)
     est = kde_estimate(values, np.array(xs), b, kern)
-    rows = []
     oracle = density_oracle(model, innov, m)
-    for x, e, ex in zip(xs, np.atleast_1d(est), expected_kde(oracle, kern, b, xs)):
-        px = float(oracle.p(x))
-        rows.append({"x": x, "estimate": float(e), "b": b, "oracle_density": px,
-                     "expected_estimate": float(ex), "sigma2_x": asymptotic_variance(px, kern)})
+    rows = [{"x": x, "estimate": float(e), "b": b, "oracle_density": float(px), "expected_estimate": float(ex),
+             "sigma2_x": asymptotic_variance(float(px), kern)}
+            for x, e, px, ex in zip(xs, est, oracle.p(np.array(xs)), expected_kde(oracle, kern, b, xs))]
     report = {
         "subcommand": "kde",
         "n": n,
@@ -542,6 +545,7 @@ def cmd_blocks(cfg: dict):
 def cmd_moment_check(cfg: dict):
     sec = cfg["moment_check"]
     config = _experiment(cfg, "moment_check")
+    plans = config.plans()  # the rectangles' truncation at every grid point, before the sample is drawn
     try:
         wu_reports = wu_inequality_check(
             config.model, config.innovations, sec["wu_p"],
@@ -551,7 +555,7 @@ def cmd_moment_check(cfg: dict):
     except FieldSizeError as exc:
         raise ToolError(f"limits.max_field_bytes: {exc}") from None
     try:
-        rect = rectangle_moment_check(config, sec["rectangles"], ratio_cap=sec["ratio_cap"])
+        rect = rectangle_moment_check(config, sec["rectangles"], ratio_cap=sec["ratio_cap"], plans=plans)
     except MomentError as exc:
         raise ToolError(f"config key moment_check.x_points: {exc}") from None
     ok = rect["passed"]
@@ -587,16 +591,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulation lab for kernel density estimation on causal linear random fields",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config document")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a config entry (repeatable, dotted keys)")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--threads", type=int, default=None, help="replicate worker count")
-        p.add_argument("--out", default=None, help=f"output directory (default ${OUT_ENV} or ./runs)")
-        p.add_argument("--format", choices=["json", "csv", "both"], default="both")
+    # every subcommand takes the same options, before or after its name
+    parser.add_argument("subcommand", choices=tuple(_HANDLERS))
+    parser.add_argument("--config", default=None, help="JSON config document")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="override a config entry (repeatable, dotted keys)")
+    parser.add_argument("--seed", type=int, default=None, help="master seed override")
+    parser.add_argument("--threads", type=int, default=None, help="replicate worker count")
+    parser.add_argument("--out", default=None, help=f"output directory (default ${OUT_ENV} or ./runs)")
+    parser.add_argument("--format", choices=["json", "csv", "both"], default="both")
     return parser
 
 

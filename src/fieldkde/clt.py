@@ -37,6 +37,7 @@ from .field import (
     DEFAULT_MAX_FIELD_BYTES,
     CoupledWorkspace,
     FieldSizeError,
+    TruncationError,
     TruncationPlan,
     coupled_spectra,
     estimate_field_bytes,
@@ -152,6 +153,24 @@ class ExperimentConfig:
         sd = math.sqrt(total_sq_mass(self.model))
         return (0.0, 0.5 * sd, 1.0 * sd)
 
+    def plans(self, m_of=None) -> list[tuple[int, int, float, TruncationPlan]]:
+        """(n, m, b, plan) at each point of the n-grid, every one planned before any is drawn.
+
+        m = m_of(n), by default the schedule m_n = round(n^delta).  A point
+        no plan meets raises ``TruncationError`` naming its n.
+        """
+        m_of = m_of or partial(m_schedule, delta=self.resolve_delta()[0])
+        out = []
+        for n in self.n_grid:
+            m, b = m_of(n), self.bandwidth.b(n)
+            try:
+                plan = plan_truncation(self.model, m=m, policy=self.truncation_policy, b=b,
+                                       eta=self.truncation_eta, M=self.truncation_M)
+            except TruncationError as exc:
+                raise TruncationError(exc.key, f"{exc} at n = {n}") from None
+            out.append((n, m, b, plan))
+        return out
+
     def resolved(self) -> dict:
         delta, window = self.resolve_delta()
         return {
@@ -174,17 +193,6 @@ class ExperimentConfig:
             # worker count changes wall time only, never numbers, so it is
             # recorded in the manifest rather than the report
         }
-
-
-def _plan_for(config: ExperimentConfig, m: int, b: float) -> TruncationPlan:
-    return plan_truncation(
-        config.model,
-        m=m,
-        policy=config.truncation_policy,
-        b=b,
-        eta=config.truncation_eta,
-        M=config.truncation_M,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +429,12 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     and the point's moments are reported as null, and ``nonfinite`` counts
     the (n, x, replicate) rows that hold them.
     """
-    model, innov, kern, bw = config.model, config.innovations, config.kernel, config.bandwidth
-    delta, _ = config.resolve_delta()
+    model, innov, kern = config.model, config.innovations, config.kernel
     xs = config.resolve_x()
     R = config.replicates
     report = CltReport(config=config.resolved())
     verdicts = []
-    for ni, n in enumerate(config.n_grid):
-        m = m_schedule(n, delta)
-        b = bw.b(n)
-        plan = _plan_for(config, m, b)
+    for ni, (n, m, b, plan) in enumerate(config.plans()):
         oracle = density_oracle(model, innov, m)
         stream = STREAM_OFFSETS["clt"] + ni
         sums = _run_replicates(config, n, m, plan, stream, partial(_kernel_sums, xs=xs, kernel=kern, b=b))
@@ -689,7 +693,7 @@ def _rectangle_sums(x, x_m, scratch, kernel, b, point, rects):
     return zsums, dsums, np.sum(diff, axis=axes), np.sum(np.square(diff, out=zeta), axis=axes)
 
 
-def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: float = 3.0) -> dict:
+def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: float = 3.0, plans=None) -> dict:
     """Normalised L2 norms of corner-rectangle sums of the truncated kernel field.
 
     For each rectangle j the quantity ||sum_{1<=i<=j} zeta_bar||_2 /
@@ -697,10 +701,10 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
     exactly ||zeta_bar||_2); the max/min ratio across rectangles and n is the
     boundedness proxy.  The remainder field is normalised instead by
     sqrt(j_1...j_d) * (||Zbar - zetabar||_2 + sqrt(b) Delta_n) and the
-    smallest constant covering the grid is reported.
+    smallest constant covering the grid is reported.  ``plans`` is
+    ``config.plans()``, made here when not given.
     """
-    model, innov, kern, bw = config.model, config.innovations, config.kernel, config.bandwidth
-    delta, _ = config.resolve_delta()
+    model, innov, kern = config.model, config.innovations, config.kernel
     x = config.resolve_x()[0]
     R = config.replicates
     n_min = min(config.n_grid)
@@ -717,10 +721,7 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
     rows = []
     norm_values = []
     fitted = []
-    for ni, n in enumerate(config.n_grid):
-        m = m_schedule(n, delta)
-        b = bw.b(n)
-        plan = _plan_for(config, m, b)
+    for ni, (n, m, b, plan) in enumerate(plans or config.plans()):
         oracle = density_oracle(model, innov, m)
         ez = math.sqrt(b) * expected_kde(oracle, kern, b, x, truncated=True)
         ed = math.sqrt(b) * expected_kde(oracle, kern, b, x) - ez
@@ -959,12 +960,8 @@ def fixed_m_gap(
         raise ValueError("fixed mode needs m >= 1")
     config = replace(config, n_grid=n_grid or config.n_grid)
     x = config.resolve_x()[0]
-    delta = config.resolve_delta()[0] if mode == "growing" else None
     rows = []
-    for ni, n in enumerate(config.n_grid):
-        m_n = m if mode == "fixed" else m_schedule(n, delta)
-        b = config.bandwidth.b(n)
-        plan = _plan_for(config, m_n, b)
+    for ni, (n, m_n, b, plan) in enumerate(config.plans((lambda n: m) if mode == "fixed" else None)):
         reduce = partial(_squared_gap, kernel=config.kernel, b=b, point=x)
         (gaps,) = _run_replicates(config, n, m_n, plan, STREAM_OFFSETS["gap"] + ni, reduce)
         rows.append(

@@ -9,6 +9,7 @@ phi_X(t) = prod_k phi_eps(a_k t) with a certified error bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,26 +45,32 @@ def _epanechnikov(u, out=None):
     return np.multiply(w, 0.75, out=w)
 
 
-# exp(w) is exactly 0.0 for w below this: it is under half the smallest
-# subnormal, 2**-1075 = exp(-745.13...)
-EXP_ZERO_FLOOR = -746.0
+# the least w at which exp(w) / sqrt(2 pi) is a normal double: the Gaussian
+# kernel is exactly 0.0 where -u^2/2 falls below it, so each of its nonzero
+# values is at least DBL_MIN = 2**-1022 and its exp never returns a subnormal.
+# The rounded log(DBL_MIN sqrt(2 pi)) = -707.4774799990595 gives a kernel
+# value just under DBL_MIN; one ulp of w above it, just over.  Only values
+# below DBL_MIN = 2.2e-308 differ from exp(-u^2/2) / sqrt(2 pi).
+EXP_ZERO_FLOOR = math.nextafter(math.log(sys.float_info.min * SQRT2PI), 0.0)
 # every kernel here is exactly 0.0 for |u| beyond this: the compact ones past
 # their support radius, the Gaussian where -u^2/2 falls below the floor
 KERNEL_REACH = math.sqrt(-2.0 * EXP_ZERO_FLOOR)
 
 
 def _gaussian_kernel(u, out=None):
+    """exp(-u^2/2) / sqrt(2 pi), and exactly 0.0 where -u^2/2 < ``EXP_ZERO_FLOOR``."""
     u = np.asarray(u, dtype=float)
     if u.ndim == 0:
-        return np.exp(-0.5 * u * u) / SQRT2PI
-    # same operations in the same order as the scalar branch, in one buffer
+        return _gaussian_kernel(u.reshape(1))[0]
     w = np.multiply(-0.5, u, out=out)
     w *= u
     live = w >= EXP_ZERO_FLOOR
     if not live.all():
         # numpy's exp is ~20x slower on an argument whose result is 0, and
-        # with b -> 0 most are; send it 0 there and zero the result instead.
-        # Clipping first keeps -inf * 0 from becoming NaN; NaN stays NaN.
+        # ~180x on one whose result is subnormal; with b -> 0 most arguments
+        # are below the floor, so send it 0 there and zero the result
+        # instead.  Clipping first keeps -inf * 0 from becoming NaN; NaN
+        # stays NaN.
         np.maximum(w, EXP_ZERO_FLOOR, out=w)
         w *= live
         np.exp(w, out=w)

@@ -87,6 +87,13 @@ def _oracle(v):
     )
 
 
+def _plain_gaussian(u):
+    """exp(-u^2/2) / sqrt(2 pi), set to 0.0 exactly where -u^2/2 falls below ``EXP_ZERO_FLOOR``."""
+    with np.errstate(over="ignore"):
+        w = -0.5 * u * u
+        return np.where(w < EXP_ZERO_FLOOR, 0.0, np.exp(w) / math.sqrt(2.0 * math.pi))
+
+
 class TestKernels:
     @pytest.mark.parametrize("name", ["epanechnikov", "gaussian", "triangular"])
     def test_constants_against_quadrature(self, name):
@@ -117,7 +124,7 @@ class TestKernels:
             rng.standard_normal((64, 48)) * 3.0,  # nothing underflows
             rng.standard_normal(4096) * 256.0,  # b = 1/256 scale: most results are 0
             rng.standard_normal((64, 64)) * 64.0,  # 2-D, b = 1/64 scale
-            rng.uniform(37.6, 38.6, 512) * rng.choice([-1.0, 1.0], 512),  # subnormal results
+            rng.uniform(37.6, 38.6, 512) * rng.choice([-1.0, 1.0], 512),  # across the floor
             np.array([edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf), -edge]),
             np.array([np.nan, np.inf, -np.inf, 1e200, -1e200, 0.0, 1.5, np.nan]),
             np.array([[np.nan, 50.0], [-np.inf, 0.3]]),
@@ -126,15 +133,16 @@ class TestKernels:
             before = u.copy()
             with np.errstate(over="ignore"):
                 got = k(u)
-                want = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-            assert np.array_equal(got, want, equal_nan=True)
+                want = _plain_gaussian(u)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
             assert np.array_equal(u, before, equal_nan=True)
         assert k(0.7) == np.exp(-0.5 * 0.7 * 0.7) / math.sqrt(2.0 * math.pi)
+        assert k(37.9) == 0.0 and k(-edge) > 0.0 and np.isnan(k(np.nan))
 
     # the plain numpy expression of each kernel
     PLAIN = {
         "epanechnikov": lambda u: np.where(np.abs(u) > 1.0, 0.0, 0.75 * (1.0 - u * u)),
-        "gaussian": lambda u: np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi),
+        "gaussian": lambda u: _plain_gaussian(u),
         "triangular": lambda u: np.maximum(1.0 - np.abs(u), 0.0),
     }
 
@@ -165,8 +173,15 @@ class TestKernels:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_exp_is_zero_below_the_floor(self):
-        # the Gaussian kernel skips exp below the floor on this fact
-        assert np.exp(np.nextafter(EXP_ZERO_FLOOR, -np.inf)) == 0.0
+        # the floor is the least w whose kernel value is a normal double: the
+        # Gaussian kernel gives 0.0 below it and never a subnormal
+        tiny = np.finfo(float).tiny
+        below = np.nextafter(EXP_ZERO_FLOOR, -np.inf)
+        assert np.exp(EXP_ZERO_FLOOR) / math.sqrt(2.0 * math.pi) >= tiny
+        assert 0.0 < np.exp(below) / math.sqrt(2.0 * math.pi) < tiny
+        u = np.sqrt(-2.0 * np.array([EXP_ZERO_FLOOR, below]))
+        assert -0.5 * u[0] * u[0] >= EXP_ZERO_FLOOR
+        assert list(kernel_by_name("gaussian")(u) >= tiny) == [True, False]
 
 
 class TestEstimator:
@@ -347,6 +362,29 @@ class TestLiveSites:
                 with np.errstate(over="ignore", invalid="ignore"):
                     _kernel_values(k, x, values, b)
                 assert counted == [expected]
+
+
+class TestGaussianSumsOnFields:
+    """On power-decay fields at b = 1/n, every Gaussian kernel sum is the sum of the plain expression."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_bits_equal_the_plain_sums(self, monkeypatch, power_d2, n):
+        k = kernel_by_name("gaussian")
+        b = 1.0 / n
+        plan = plan_truncation(power_d2, m=4, b=b)
+        field, _ = coupled_pair(power_d2, n, 4, plan, SeedSpec(MASTER_SEED, 41))
+        xs = np.linspace(-2.5, 2.5, 11)
+        w = -0.5 * ((xs[:, np.newaxis] - field.ravel()) / b) ** 2
+        # some terms lie where the floor turns a subnormal kernel value into 0.0
+        assert np.any((w < EXP_ZERO_FLOOR) & (w >= -746.0))
+        want = np.array([_plain_gaussian((x - field) / b).sum() for x in xs])
+        got = [_windowed_sums(k, xs, field.ravel(), b)]
+        for forced in (0.0, 2.0):  # every site, then the sites in reach alone
+            monkeypatch.setitem(LIVE_SITE_SHARE, "gaussian", forced)
+            got.append(np.array([_kernel_sum(k, x, field, b) for x in xs]))
+            got.append(np.concatenate([_kernel_sum(k, x, field[np.newaxis], b, (1, 2)) for x in xs]))
+        for sums in got:
+            assert np.array_equal(sums.view(np.int64), want.view(np.int64))
 
 
 class TestAsymptoticVariance:

@@ -263,6 +263,30 @@ class TestCli:
             main(["--help"])
         assert "{" + ",".join(SUBCOMMANDS) + "}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_subcommand_help_exits_0(self, capsys, sub):
+        with pytest.raises(SystemExit) as done:
+            main([sub, "--help"])
+        assert done.value.code == 0
+        assert "--config" in capsys.readouterr().out
+
+    def test_options_before_the_subcommand_parse_as_after_it(self):
+        from fieldkde.cli import build_parser
+
+        options = ["--config", "c.json", "--set", "a=1", "--seed", "3", "--threads", "2", "--out", "o",
+                   "--format", "csv", "--set", "b=2"]
+        after = build_parser().parse_args(["kde", *options])
+        assert build_parser().parse_args([*options, "kde"]) == after
+        assert build_parser().parse_args([*options[:6], "kde", *options[6:]]) == after
+        assert after.subcommand == "kde" and after.set == ["a=1", "b=2"] and after.seed == 3
+
+    def test_unknown_subcommand_exits_2_listing_the_choices(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["kde-run"])
+        assert done.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'kde-run'" in err and all(f"'{sub}'" in err for sub in SUBCOMMANDS)
+
     def test_check_conditions_pass(self, tmp_path):
         code = _run(
             tmp_path,
@@ -796,6 +820,35 @@ class TestCli:
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     @pytest.mark.parametrize(
+        "sub,section,sets",
+        [
+            ("clt-run", "clt", []),
+            ("moment-check", "moment_check", ["moment_check.rectangles=[4,16]"]),
+            ("fixed-m-gap", "gap", ['gap.mode="growing"']),
+        ],
+    )
+    def test_truncation_planned_at_every_grid_point_before_any_draw(self, tmp_path, capsys, monkeypatch, sub,
+                                                                     section, sets):
+        import fieldkde.clt as clt
+        import fieldkde.innovations as innovations
+
+        def no_draw(*args, **kw):
+            raise AssertionError("a field was drawn before the truncation was planned at every grid point")
+
+        monkeypatch.setattr(innovations, "_draw", no_draw)
+        monkeypatch.setattr(clt, "_draw", no_draw)
+        # m_n = round(n^(5/12)) is 4 at n = 32, within the fixed radius, and 6 at n = 64
+        sets = ['truncation.policy="fixed"', "truncation.M=4", f"{section}.n_grid=[32,64,1024]", *sets]
+        argv = [arg for assignment in sets for arg in ("--set", assignment)]
+        assert _run(tmp_path, sub, "--config", str(REPO / "configs" / "power_decay_d2.json"), *argv) == 1
+        message = "config key truncation.M: need m <= M (got m=6, M=4) at n = 64"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        out = tmp_path / sub.replace("-", "_")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["error"] == message
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize(
         "subcommand,assignment,key",
         [
             ("kde", "kde.x_grid=[NaN]", "kde.x_grid"),
@@ -959,6 +1012,30 @@ class TestCli:
         assert code == 0
         lines = (tmp_path / "kde" / "kde_curve.csv").read_text().splitlines()
         assert lines[0] == "x,estimate,b,oracle_density,expected_estimate,sigma2_x"
+
+    def test_kde_runs_one_inverse_transform_on_the_gen_field_field(self, tmp_path, monkeypatch):
+        import fieldkde.field as field
+        from fieldkde.kde import kde_estimate, kernel_by_name
+
+        inverse, calls = field.irfftn, []
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return inverse(*args, **kw)
+
+        monkeypatch.setattr(field, "irfftn", counting)
+        config = ["--config", str(REPO / "configs" / "power_decay_d2.json")]
+        sets = ["kde.n=64", "kde.m=3", "gen_field.n=64", "gen_field.m=3"]
+        argv = [*config, *(arg for assignment in sets for arg in ("--set", assignment))]
+        assert _run(tmp_path, "gen-field", *argv) == 0
+        calls.clear()
+        assert _run(tmp_path, "kde", *argv) == 0
+        assert len(calls) == 1
+        report = json.loads((tmp_path / "kde" / "report.json").read_text())
+        values = field.read_field_binary(tmp_path / "gen_field" / "field_full.bin").values
+        xs = [row["x"] for row in report["curve"]]
+        want = kde_estimate(values, np.array(xs), report["b"], kernel_by_name(report["kernel"]))
+        assert [row["estimate"] for row in report["curve"]] == want.tolist()
 
     def test_kde_honours_fixed_truncation(self, tmp_path):
         code = _run(tmp_path, "kde", "--set", "kde.n=64", "--set", "truncation.policy=fixed",
