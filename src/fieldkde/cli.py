@@ -27,13 +27,22 @@ from . import __version__
 from .clt import (
     BlockPlan,
     ExperimentConfig,
+    GridPoint,
     MomentError,
+    WuPlan,
     block_decomposition_check,
     _block_samples,
+    check_cap,
+    clt_points,
     fixed_m_gap,
+    gap_points,
+    grid_points,
     lindeberg_estimate,
+    plan_point,
+    plan_wu,
     rectangle_moment_check,
     run_clt_experiment,
+    truncation_at,
     worker_pool,
     wu_inequality_check,
 )
@@ -53,7 +62,7 @@ from .field import (
     coupled_spectra,
     generate_coupled_fields,
     lattice_convolve,
-    plan_truncation,
+    plan_truncation,  # unused here; perfbench's planning span binds it by this name
     write_field_binary,
     write_field_csv,
 )
@@ -63,7 +72,7 @@ from .kde import BandwidthSchedule, asymptotic_variance, density_oracle, expecte
 from .kde import _KERNEL_MODELS
 from .reporting import RunManifest, write_csv, write_report
 
-__all__ = ["main", "run_script", "CONFIG_KEYS", "DEFAULT_CONFIG"]
+__all__ = ["main", "run_script", "plan_run", "RunPlan", "CONFIG_KEYS", "DEFAULT_CONFIG"]
 
 OUT_ENV = "FIELDKDE_OUT"
 
@@ -356,22 +365,72 @@ def _experiment(cfg: dict, section: str) -> ExperimentConfig:
     )
 
 
-def _coupled_draw(cfg: dict, sec: dict, truncated: bool = True):
-    """(model, innovations, plan, b, X, X_m) of one seed at the section's n and m, drawn as the engine draws.
+@dataclass(frozen=True)
+class RunPlan:
+    """What a run draws, holds and writes, planned before its first draw.
 
-    Without ``truncated`` the fields are built with m = M, so X_m is X and
-    costs no second convolution.
+    One ``GridPoint`` per grid point (one for ``gen-field`` and ``kde``),
+    ``moment-check``'s ``WuPlan``, and every innovation value the run draws.
     """
+
+    subcommand: str
+    points: tuple = ()
+    wu: WuPlan | None = None
+    draws: int = 0
+
+
+def plan_run(cfg: dict, subcommand: str) -> RunPlan:
+    """The plan of ``subcommand`` at every grid point, with every check that needs no draw but the cap.
+
+    A truncation no radius meets, a block plan that does not fit, an x where
+    the density is 0 and a moment-inequality sample over the cap raise,
+    naming their key; the grid points' cap is ``check_cap``'s, so a plan
+    exists to record when a point exceeds it.
+    """
+    section = {"gen-field": "gen_field", "kde": "kde", "clt-run": "clt", "blocks": "blocks",
+               "moment-check": "moment_check", "fixed-m-gap": "gap"}.get(subcommand)
+    points, wu = (), None
+    if subcommand in ("gen-field", "kde"):
+        sec, model = cfg[section], model_from_config(cfg["coefficient"])
+        n, m = sec["n"], sec["m"]
+        b = _bandwidth(cfg).b(n)
+        plan = truncation_at(n, model, m=m, b=b, **cfg["truncation"])
+        # kde reports X alone, so it generates with m = M; gen-field writes three fields
+        # and draws its lattice once more for the coupling check
+        kde = subcommand == "kde"
+        point = plan_point(model, n, plan.M if kde else m, b, plan, 0, 1, cfg["limits"]["max_field_bytes"],
+                           len(sec["x_grid"]) if kde else 3 * n**model.d)
+        points = (point if kde else replace(point, draws=2 * point.draws),)
+    elif section is not None:
+        config, sec = _experiment(cfg, section), cfg[section]
+        if subcommand == "clt-run":
+            try:
+                # the replicate rows and one summary row per x
+                points = clt_points(config, rows=(config.replicates + 1) * len(config.resolve_x()))
+            except MomentError as exc:
+                raise ToolError(f"config key clt.x_points: {exc}") from None
+        elif subcommand == "blocks":
+            try:
+                blocks = BlockPlan(m=sec["m"], delta=sec["delta"], l=sec["l"])
+                points = grid_points(config, "blocks", blocks=blocks, rows=1 + len(sec["eps"]))
+            except ValueError as exc:
+                raise ToolError(f"config key blocks.l: {exc}") from None
+        elif subcommand == "moment-check":
+            points = grid_points(config, "rectangles", rows=len(sec["rectangles"]))
+            wu = plan_wu(config.model, config.innovations, sec["wu_p"], sec["wu_sample"], config.max_field_bytes)
+        else:
+            points = gap_points(config, sec["m"], sec["mode"], rows=1)
+    return RunPlan(subcommand, points, wu, sum(p.draws for p in points) + (wu.draws if wu else 0))
+
+
+def _coupled_draw(cfg: dict, point: GridPoint):
+    """(model, innovations, X, X_m) of one seed at ``point``, drawn as the engine draws."""
     model = model_from_config(cfg["coefficient"])
     innov = InnovationModel.from_config(cfg["innovations"])
-    n, m = sec["n"], sec["m"]
-    b = _bandwidth(cfg).b(n)
-    plan = plan_truncation(model, m=m, b=b, **cfg["truncation"])
-    cut = m if truncated else plan.M
-    spectra = coupled_spectra(model, n, cut, plan, max_bytes=cfg["limits"]["max_field_bytes"])
-    seeds = Seeds.of(SeedSpec(cfg["seed"]))
-    x, x_m = generate_coupled_fields(model, innov, n, cut, plan, seeds, spectra)
-    return model, innov, plan, b, x[0], x_m[0]
+    n, m, plan = point.n, point.m, point.truncation
+    spectra = coupled_spectra(model, n, m, plan, method=point.method, max_bytes=None)
+    x, x_m = generate_coupled_fields(model, innov, n, m, plan, Seeds.of(SeedSpec(cfg["seed"])), spectra)
+    return model, innov, x[0], x_m[0]
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +486,10 @@ def cmd_check_conditions(cfg: dict):
     return ok, report, {"condition_grid": (rows, CONDITION_GRID_COLUMNS)}
 
 
-def cmd_gen_field(cfg: dict, out_dir: Path):
-    sec = cfg["gen_field"]
-    model, innov, plan, _, x, x_m = _coupled_draw(cfg, sec)
-    n, m = sec["n"], sec["m"]
+def cmd_gen_field(cfg: dict, run: RunPlan, out_dir: Path):
+    sec, (point,) = cfg["gen_field"], run.points
+    model, innov, x, x_m = _coupled_draw(cfg, point)
+    n, m, plan = sec["n"], sec["m"], point.truncation
     seed = SeedSpec(cfg["seed"])
     provenance = {"coefficients": model.label(), "innovations": innov.label(), "truncation_radius": plan.M,
                   "seed": seed.to_config()}
@@ -468,11 +527,11 @@ def cmd_gen_field(cfg: dict, out_dir: Path):
     return True, report, {}
 
 
-def cmd_kde(cfg: dict):
-    sec = cfg["kde"]
+def cmd_kde(cfg: dict, run: RunPlan):
+    sec, (point,) = cfg["kde"], run.points
     kern = kernel_by_name(cfg["kernel"])
-    n, m, xs = sec["n"], sec["m"], sec["x_grid"]
-    model, innov, plan, b, values, _ = _coupled_draw(cfg, sec, truncated=False)
+    n, m, xs, b, plan = sec["n"], sec["m"], sec["x_grid"], point.b, point.truncation
+    model, innov, values, _ = _coupled_draw(cfg, point)
     est = kde_estimate(values, np.array(xs), b, kern)
     oracle = density_oracle(model, innov, m)
     rows = [{"x": x, "estimate": float(e), "b": b, "oracle_density": float(px), "expected_estimate": float(ex),
@@ -492,10 +551,10 @@ def cmd_kde(cfg: dict):
     return True, report, {"kde_curve": (rows, cols)}
 
 
-def cmd_clt_run(cfg: dict):
+def cmd_clt_run(cfg: dict, run: RunPlan):
     # only clt-run has a variance verdict
     config = replace(_experiment(cfg, "clt"), variance_band=cfg["clt"]["variance_band"])
-    report = run_clt_experiment(config)
+    report = run_clt_experiment(config, run.points)
     rows = []
     summary = []
     for point in report.points:
@@ -515,16 +574,10 @@ def cmd_clt_run(cfg: dict):
     }
 
 
-def cmd_blocks(cfg: dict):
+def cmd_blocks(cfg: dict, run: RunPlan):
     sec = cfg["blocks"]
     config = _experiment(cfg, "blocks")
-    plan = BlockPlan(m=sec["m"], delta=sec["delta"], l=sec["l"])
-    for n in config.n_grid:  # every grid point, before the first draw
-        try:
-            plan.resolve(n)
-        except ValueError as exc:
-            raise ToolError(f"config key blocks.l: {exc}") from None
-    samples = _block_samples(config, plan)
+    samples = _block_samples(config, None, run.points)
     decomposition = block_decomposition_check(config, samples)
     lf = lindeberg_estimate(config, samples, sec["eps"])
     ok = decomposition["passed"] and lf["passed"]
@@ -542,20 +595,13 @@ def cmd_blocks(cfg: dict):
     }
 
 
-def cmd_moment_check(cfg: dict):
+def cmd_moment_check(cfg: dict, run: RunPlan):
     sec = cfg["moment_check"]
     config = _experiment(cfg, "moment_check")
-    plans = config.plans()  # the rectangles' truncation at every grid point, before the sample is drawn
+    wu_reports = wu_inequality_check(config.model, config.innovations, sec["wu_p"], sec["wu_sample"],
+                                     master_seed=config.master_seed, threads=config.threads, plan=run.wu)
     try:
-        wu_reports = wu_inequality_check(
-            config.model, config.innovations, sec["wu_p"],
-            sec["wu_sample"], master_seed=config.master_seed,
-            max_bytes=config.max_field_bytes, threads=config.threads,
-        )
-    except FieldSizeError as exc:
-        raise ToolError(f"limits.max_field_bytes: {exc}") from None
-    try:
-        rect = rectangle_moment_check(config, sec["rectangles"], ratio_cap=sec["ratio_cap"], plans=plans)
+        rect = rectangle_moment_check(config, sec["rectangles"], ratio_cap=sec["ratio_cap"], points=run.points)
     except MomentError as exc:
         raise ToolError(f"config key moment_check.x_points: {exc}") from None
     ok = rect["passed"]
@@ -569,10 +615,10 @@ def cmd_moment_check(cfg: dict):
     return ok, report, {"rectangle_moments": (rect["rows"], RECT_COLUMNS)}
 
 
-def cmd_fixed_m_gap(cfg: dict):
+def cmd_fixed_m_gap(cfg: dict, run: RunPlan):
     sec = cfg["gap"]
     config = _experiment(cfg, "gap")
-    rep = fixed_m_gap(config, m=sec["m"], mode=sec["mode"])
+    rep = fixed_m_gap(config, m=sec["m"], mode=sec["mode"], points=run.points)
     report = {
         "subcommand": "fixed-m-gap",
         "config": config.resolved(),
@@ -604,14 +650,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS = {
-    "check-conditions": lambda cfg, out: cmd_check_conditions(cfg),
+    "check-conditions": lambda cfg, run, out: cmd_check_conditions(cfg),
     "gen-field": cmd_gen_field,
-    "kde": lambda cfg, out: cmd_kde(cfg),
-    "clt-run": lambda cfg, out: cmd_clt_run(cfg),
-    "blocks": lambda cfg, out: cmd_blocks(cfg),
-    "moment-check": lambda cfg, out: cmd_moment_check(cfg),
-    "fixed-m-gap": lambda cfg, out: cmd_fixed_m_gap(cfg),
+    "kde": lambda cfg, run, out: cmd_kde(cfg, run),
+    "clt-run": lambda cfg, run, out: cmd_clt_run(cfg, run),
+    "blocks": lambda cfg, run, out: cmd_blocks(cfg, run),
+    "moment-check": lambda cfg, run, out: cmd_moment_check(cfg, run),
+    "fixed-m-gap": lambda cfg, run, out: cmd_fixed_m_gap(cfg, run),
 }
+
+
+def _message(exc: Exception) -> str:
+    """The message of a tool error, naming the config key that decides a truncation or the memory cap."""
+    if isinstance(exc, TruncationError):
+        return f"config key truncation.{exc.key}: {exc}"
+    if isinstance(exc, FieldSizeError):
+        return f"config key limits.max_field_bytes: {exc}"
+    return str(exc)
 
 
 def main(argv=None) -> int:
@@ -630,11 +685,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.set, seed=args.seed, threads=args.threads)
         manifest.config, manifest.master_seed = cfg, cfg["seed"]
+        manifest.plan = run = plan_run(cfg, args.subcommand)
+        check_cap(run.points, cfg["limits"]["max_field_bytes"])
+        manifest.write(out_dir / "manifest.json")
         with worker_pool():
-            try:
-                ok, report, tables = _HANDLERS[args.subcommand](cfg, out_dir)
-            except TruncationError as exc:
-                raise ToolError(f"config key truncation.{exc.key}: {exc}") from None
+            ok, report, tables = _HANDLERS[args.subcommand](cfg, run, out_dir)
         if isinstance(report, dict) and report.get("files"):
             manifest.outputs.extend(str(out_dir / name) for name in report["files"])
         if args.format in ("json", "both"):
@@ -647,8 +702,9 @@ def main(argv=None) -> int:
         manifest.status = "complete"
         code = 0 if ok else 2
     except (ToolError, FieldSizeError, ValueError) as exc:
-        manifest.status, manifest.error = "error", str(exc)
-        print(f"error: {exc}", file=sys.stderr)
+        message = _message(exc)
+        manifest.status, manifest.error = "error", message
+        print(f"error: {message}", file=sys.stderr)
     except BaseException as exc:
         # a fault of the lab, not of the config: recorded, then raised with its traceback
         manifest.status, manifest.error = "error", f"{type(exc).__name__}: {exc}"

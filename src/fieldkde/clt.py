@@ -39,11 +39,13 @@ from .field import (
     FieldSizeError,
     TruncationError,
     TruncationPlan,
+    convolution_method,
     coupled_spectra,
     estimate_field_bytes,
     generate_coupled_fields,
     plan_truncation,
 )
+from .fourier import next_fast_len
 from .innovations import InnovationModel, Seeds, _draw
 from .kde import (
     BandwidthSchedule,
@@ -58,6 +60,8 @@ from .special import ndtr
 
 __all__ = [
     "ExperimentConfig",
+    "GridPoint",
+    "WuPlan",
     "CltReport",
     "BlockPlan",
     "KsResult",
@@ -97,7 +101,7 @@ WU_BLOCK_BYTES = 1 << 19
 
 
 class MomentError(ValueError):
-    """A moment precondition is violated: on the innovations, or a rectangle norm that is 0."""
+    """A moment precondition is violated: on the innovations, or a limit variance or rectangle norm that is 0."""
 
 
 @dataclass(frozen=True)
@@ -153,24 +157,6 @@ class ExperimentConfig:
         sd = math.sqrt(total_sq_mass(self.model))
         return (0.0, 0.5 * sd, 1.0 * sd)
 
-    def plans(self, m_of=None) -> list[tuple[int, int, float, TruncationPlan]]:
-        """(n, m, b, plan) at each point of the n-grid, every one planned before any is drawn.
-
-        m = m_of(n), by default the schedule m_n = round(n^delta).  A point
-        no plan meets raises ``TruncationError`` naming its n.
-        """
-        m_of = m_of or partial(m_schedule, delta=self.resolve_delta()[0])
-        out = []
-        for n in self.n_grid:
-            m, b = m_of(n), self.bandwidth.b(n)
-            try:
-                plan = plan_truncation(self.model, m=m, policy=self.truncation_policy, b=b,
-                                       eta=self.truncation_eta, M=self.truncation_M)
-            except TruncationError as exc:
-                raise TruncationError(exc.key, f"{exc} at n = {n}") from None
-            out.append((n, m, b, plan))
-        return out
-
     def resolved(self) -> dict:
         delta, window = self.resolve_delta()
         return {
@@ -196,26 +182,117 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# replicate scheduling
+# the plan of a grid point, and replicate scheduling
 
 
-def _batch_size(d: int, n: int, M: int, max_bytes: int) -> int:
-    """Replicates per batch: lattices within BATCH_BYTES, estimated peaks within ``max_bytes``."""
-    by_budget = BATCH_BYTES // (8 * (n + M - 1) ** d)
-    return max(1, min(by_budget, max_bytes // estimate_field_bytes(d, n, M)))
+@dataclass(frozen=True)
+class GridPoint:
+    """One point of an experiment's n-grid, planned before any replicate is drawn.
+
+    The fields are generated at truncation ``m`` under ``truncation``, and
+    replicate r draws from (master, ``stream``, r); ``P`` is the FFT side
+    (None on the direct path), and ``bytes`` what one worker holds for a
+    batch.  ``rows`` counts the CLI's table rows (0 outside it).  Blocks
+    carry their side ``l`` and ``q`` per axis; clt-run points what their
+    density oracle gives: per x, p(x) int K^2 and the centerings E f_n(x) of
+    X and of X_m, and the oracle's summary.
+    """
+
+    n: int
+    m: int
+    b: float
+    truncation: TruncationPlan
+    stream: int
+    method: str
+    P: int | None
+    batch: int
+    bytes: int
+    draws: int
+    rows: int = 0
+    l: int | None = None
+    q: int | None = None
+    sigma2_target: tuple | None = None
+    centering: tuple | None = None
+    oracle: dict | None = None
 
 
-def _replicate_chunk(config: ExperimentConfig, n, m, plan, stream, reduce, start, stop) -> list:
-    """reduce(X, X_m, scratch) of each batch of replicates start..stop-1, in replicate order.
+def _batch_size(d: int, n: int, M: int, spectra: int, per: int, max_bytes: int) -> int:
+    """Replicates per batch: lattices within BATCH_BYTES, the spectra and ``per`` a replicate within ``max_bytes``."""
+    return max(1, min(BATCH_BYTES // (8 * (n + M - 1) ** d), (max_bytes - spectra) // per))
 
-    One workspace, allocated at the chunk's batch size, serves every batch:
+
+def plan_point(model: CoefficientModel, n, m, b, truncation, stream, replicates, max_bytes, rows=0,
+               **extra) -> GridPoint:
+    """The GridPoint of ``replicates`` at (n, m) under ``truncation``, its figures from ``estimate_field_bytes``.
+
+    Its bytes may exceed ``max_bytes``, at one replicate per batch; ``check_cap`` rejects such a point.
+    """
+    d, M = model.d, truncation.M
+    method = convolution_method(model, n, M, max_bytes)
+    spectra = estimate_field_bytes(d, n, M, m, method, 0)
+    per = estimate_field_bytes(d, n, M, m, method, 1) - spectra
+    batch = min(_batch_size(d, n, M, spectra, per, max_bytes), replicates)
+    P = next_fast_len(n + M - 1) if method == "fourier" else None
+    return GridPoint(n, m, b, truncation, stream, method, P, batch, estimate_field_bytes(d, n, M, m, method, batch),
+                     replicates * (n + M - 1) ** d, rows, **extra)
+
+
+def check_cap(points, max_bytes: int) -> tuple:
+    """``points``, or FieldSizeError at the first whose batch holds more than ``max_bytes`` in one worker."""
+    for p in points:
+        if p.bytes > max_bytes:
+            raise FieldSizeError(f"coupled generation with M = {p.truncation.M} holds {p.bytes} bytes for a batch "
+                                 f"of {p.batch} (> cap {max_bytes}) at n = {p.n}")
+    return points
+
+
+def truncation_at(n: int, model: CoefficientModel, **request) -> TruncationPlan:
+    """``plan_truncation(model, **request)`` for grid point n, its ``TruncationError`` naming n."""
+    try:
+        return plan_truncation(model, **request)
+    except TruncationError as exc:
+        raise TruncationError(exc.key, f"{exc} at n = {n}") from None
+
+
+def grid_points(config: ExperimentConfig, experiment: str, m_of=None, blocks=None, rows: int = 0) -> tuple:
+    """The GridPoint of each n of the grid, every one planned before any is drawn.
+
+    m = m_of(n), by default the schedule m_n = round(n^delta), under the
+    config's truncation policy; with a ``BlockPlan`` as ``blocks``, its gap
+    m_n, side l_n and q_n under the plan M = m_n.  A point no truncation
+    meets raises ``TruncationError``, and one no block plan meets
+    ``ValueError``, naming its n.  The memory cap is left to ``check_cap``.
+    """
+    model = config.model
+    if blocks is None:
+        m_of = m_of or partial(m_schedule, delta=config.resolve_delta()[0])
+    points = []
+    for ni, n in enumerate(config.n_grid):
+        b, extra = config.bandwidth.b(n), {}
+        if blocks is not None:
+            m, extra["l"], extra["q"] = blocks.resolve(n)
+            plan = TruncationPlan(M=m, B_M=residual_sqrt_mass(model, m), policy="fixed")
+        else:
+            m = m_of(n)
+            plan = truncation_at(n, model, m=m, b=b, policy=config.truncation_policy, eta=config.truncation_eta,
+                                 M=config.truncation_M)
+        points.append(plan_point(model, n, m, b, plan, STREAM_OFFSETS[experiment] + ni, config.replicates,
+                                 config.max_field_bytes, rows, **extra))
+    return tuple(points)
+
+
+def _replicate_chunk(config: ExperimentConfig, point: GridPoint, reduce, start, stop) -> list:
+    """reduce(X, X_m, scratch) of each batch of replicates start..stop-1 at ``point``, in replicate order.
+
+    One workspace, allocated at the point's batch size, serves every batch:
     its generation buffers, and as ``scratch`` two of them the fields no
     longer need.  The chunk's seeds are hashed in one pass.
     """
-    spectra = coupled_spectra(config.model, n, m, plan, max_bytes=config.max_field_bytes)
-    size = min(_batch_size(config.model.d, n, plan.M, config.max_field_bytes), max(stop - start, 1))
+    n, m, plan = point.n, point.m, point.truncation
+    spectra = coupled_spectra(config.model, n, m, plan, method=point.method, max_bytes=None)
+    size = min(point.batch, max(stop - start, 1))
     work = CoupledWorkspace(spectra, size)
-    seeds = Seeds(config.master_seed, stream, range(start, stop))
+    seeds = Seeds(config.master_seed, point.stream, range(start, stop))
     batches = []
     for lo in range(0, stop - start, size):
         batch = seeds[lo:lo + size]
@@ -280,21 +357,21 @@ def _map_chunks(task, count: int, threads: int) -> list:
         return [out for part in parts for out in part]
 
 
-def _run_replicates(config: ExperimentConfig, n, m, plan, stream, reduce) -> tuple:
-    """reduce(X, X_m, scratch) over replicates 0..R-1: a tuple of arrays with R rows in replicate order.
+def _run_replicates(config: ExperimentConfig, point: GridPoint, reduce) -> tuple:
+    """reduce(X, X_m, scratch) over replicates 0..R-1 at ``point``: a tuple of arrays with R rows in replicate order.
 
     ``reduce`` takes the two fields of a batch, each with a leading
     replicate axis, and two scratch arrays of the fields' shape; the fields
     are views that stay valid for the call only, and it may overwrite
     them.  It returns a tuple of arrays with one row per replicate.  The
     replicates split into chunks by ``_map_chunks``.  A chunk runs in
-    batches of ``_batch_size`` and builds the coefficient spectra once;
+    batches of the point's size and builds the coefficient spectra once;
     replicate r always draws from (master, stream, r), and a batch gives
     the same bits as one replicate at a time, so the result depends on
     neither the worker count nor the batch size.  Each output is joined
     once from C-ordered parts.
     """
-    chunk = partial(_replicate_chunk, config, n, m, plan, stream, reduce)
+    chunk = partial(_replicate_chunk, config, point, reduce)
     batches = _map_chunks(chunk, config.replicates, config.threads)
     return tuple(np.concatenate(parts) for parts in zip(*batches))
 
@@ -390,8 +467,9 @@ def _skew_kurtosis(T: np.ndarray) -> tuple[float, float]:
 
 
 def _moments(T: np.ndarray, t_rem: np.ndarray) -> dict:
+    """The moments of ``T``, with null for the skewness and kurtosis of a ``T`` without variance."""
     R = T.size
-    skew, kurt = _skew_kurtosis(T)
+    skew, kurt = (v if math.isfinite(v) else None for v in _skew_kurtosis(T))
     return {
         "mean": float(T.mean()),
         "variance": float(T.var(ddof=1)) if R > 1 else 0.0,
@@ -405,6 +483,24 @@ def _finite_or_null(values: np.ndarray) -> list:
     return [v if math.isfinite(v) else None for v in values.tolist()]
 
 
+def clt_points(config: ExperimentConfig, rows: int = 0) -> tuple:
+    """``grid_points`` of ``run_clt_experiment``, each with its density oracle's figures at every x.
+
+    An x where the field's density is 0 has no limit law to test: ``MomentError``.
+    """
+    kern, xs = config.kernel, config.resolve_x()
+    points = []
+    for point in grid_points(config, "clt", rows=rows):
+        oracle = density_oracle(config.model, config.innovations, point.m)
+        sigma2 = tuple(asymptotic_variance(float(oracle.p(x)), kern) for x in xs)
+        if 0.0 in sigma2:
+            raise MomentError(f"the field's density is 0 at x = {xs[sigma2.index(0.0)]}, so T_n has no limit "
+                              f"variance there, at n = {point.n}")
+        centering = tuple(tuple(expected_kde(oracle, kern, point.b, xs, truncated=t).tolist()) for t in (False, True))
+        points.append(replace(point, sigma2_target=sigma2, centering=centering, oracle=oracle.summary()))
+    return tuple(points)
+
+
 @dataclass
 class CltReport:
     """Replicate statistics of T_n and its decomposition, per (n, x)."""
@@ -414,11 +510,8 @@ class CltReport:
     overall: str = "inconclusive"
     nonfinite: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-
-def run_clt_experiment(config: ExperimentConfig) -> CltReport:
+def run_clt_experiment(config: ExperimentConfig, points=None) -> CltReport:
     """Estimate the law of T_n over independent replicates on the (n, x) grid.
 
     Verdict per point: "consistent" when |mean| <= 3*sqrt(sigma_x^2/R), the
@@ -427,36 +520,37 @@ def run_clt_experiment(config: ExperimentConfig) -> CltReport:
     asymptotic critical value; "inconclusive" for R < 100.  A point with a
     non-finite T, T_zeta or T_remainder fails whatever R is: those values
     and the point's moments are reported as null, and ``nonfinite`` counts
-    the (n, x, replicate) rows that hold them.
+    the (n, x, replicate) rows that hold them.  ``points`` are
+    ``clt_points(config)``, made and checked against the cap here when not
+    given.
     """
-    model, innov, kern = config.model, config.innovations, config.kernel
+    model, kern = config.model, config.kernel
     xs = config.resolve_x()
     R = config.replicates
     report = CltReport(config=config.resolved())
     verdicts = []
-    for ni, (n, m, b, plan) in enumerate(config.plans()):
-        oracle = density_oracle(model, innov, m)
-        stream = STREAM_OFFSETS["clt"] + ni
-        sums = _run_replicates(config, n, m, plan, stream, partial(_kernel_sums, xs=xs, kernel=kern, b=b))
+    for point in points or check_cap(clt_points(config), config.max_field_bytes):
+        n, m, b = point.n, point.m, point.b
+        sums = _run_replicates(config, point, partial(_kernel_sums, xs=xs, kernel=kern, b=b))
         N = n**model.d
         raw_f, raw_t = (s / (N * b) for s in sums)
-        ef, efm = (expected_kde(oracle, kern, b, xs, truncated=t) for t in (False, True))
+        ef, efm = (np.array(c) for c in point.centering)
         t_full, t_zeta, t_rem = _decompose(raw_f, raw_t, ef, efm, math.sqrt(N * b))
         bad_rows = ~(np.isfinite(t_full) & np.isfinite(t_zeta) & np.isfinite(t_rem))
         report.nonfinite += int(np.sum(bad_rows))
         for xi, x in enumerate(xs):
             T = t_full[:, xi]
-            sigma2 = asymptotic_variance(float(oracle.p(x)), kern)
+            sigma2 = point.sigma2_target[xi]
             entry = {
                 "n": n,
                 "x": x,
                 "b": b,
                 "m": m,
-                "M": plan.M,
+                "M": point.truncation.M,
                 "replicates": R,
-                "seeds": {"master": config.master_seed, "stream": stream},
+                "seeds": {"master": config.master_seed, "stream": point.stream},
                 "sigma2_target": sigma2,
-                "oracle": oracle.summary(),
+                "oracle": point.oracle,
                 "T": _finite_or_null(T),
                 "T_zeta": _finite_or_null(t_zeta[:, xi]),
                 "T_remainder": _finite_or_null(t_rem[:, xi]),
@@ -529,17 +623,19 @@ def _block_windows(x, x_m, scratch, kernel, b, point, m, l, q):
     return prefix[(slice(None),) + (-1,) * d], windows
 
 
-def _block_samples(config: ExperimentConfig, plan: BlockPlan) -> list[dict]:
-    """Per-n raw block sums of the truncated kernel field (shared by checks)."""
-    model, innov, kern, bw = config.model, config.innovations, config.kernel, config.bandwidth
+def _block_samples(config: ExperimentConfig, plan: BlockPlan | None, points=None) -> list[dict]:
+    """Per-n raw block sums of the truncated kernel field (shared by checks).
+
+    ``points`` are ``grid_points(config, "blocks", blocks=plan)``, made and
+    checked against the cap here when not given.
+    """
+    model, innov, kern = config.model, config.innovations, config.kernel
     x = config.resolve_x()[0]
     out = []
-    for ni, n in enumerate(config.n_grid):
-        m, l, q = plan.resolve(n)
-        b = bw.b(n)
-        tplan = TruncationPlan(M=m, B_M=residual_sqrt_mass(model, m), policy="fixed")
+    for point in points or check_cap(grid_points(config, "blocks", blocks=plan), config.max_field_bytes):
+        n, m, l, q, b = point.n, point.m, point.l, point.q, point.b
         reduce = partial(_block_windows, kernel=kern, b=b, point=x, m=m, l=l, q=q)
-        totals, etas = _run_replicates(config, n, m, tplan, STREAM_OFFSETS["blocks"] + ni, reduce)
+        totals, etas = _run_replicates(config, point, reduce)
         e_site = math.sqrt(b) * expected_kde(density_oracle(model, innov, m), kern, b, x, truncated=True)
         out.append(
             {
@@ -693,7 +789,7 @@ def _rectangle_sums(x, x_m, scratch, kernel, b, point, rects):
     return zsums, dsums, np.sum(diff, axis=axes), np.sum(np.square(diff, out=zeta), axis=axes)
 
 
-def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: float = 3.0, plans=None) -> dict:
+def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: float = 3.0, points=None) -> dict:
     """Normalised L2 norms of corner-rectangle sums of the truncated kernel field.
 
     For each rectangle j the quantity ||sum_{1<=i<=j} zeta_bar||_2 /
@@ -701,8 +797,9 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
     exactly ||zeta_bar||_2); the max/min ratio across rectangles and n is the
     boundedness proxy.  The remainder field is normalised instead by
     sqrt(j_1...j_d) * (||Zbar - zetabar||_2 + sqrt(b) Delta_n) and the
-    smallest constant covering the grid is reported.  ``plans`` is
-    ``config.plans()``, made here when not given.
+    smallest constant covering the grid is reported.  ``points`` are
+    ``grid_points(config, "rectangles")``, made and checked against the cap
+    here when not given.
     """
     model, innov, kern = config.model, config.innovations, config.kernel
     x = config.resolve_x()[0]
@@ -721,12 +818,13 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
     rows = []
     norm_values = []
     fitted = []
-    for ni, (n, m, b, plan) in enumerate(plans or config.plans()):
+    for point in points or check_cap(grid_points(config, "rectangles"), config.max_field_bytes):
+        n, m, b = point.n, point.m, point.b
         oracle = density_oracle(model, innov, m)
         ez = math.sqrt(b) * expected_kde(oracle, kern, b, x, truncated=True)
         ed = math.sqrt(b) * expected_kde(oracle, kern, b, x) - ez
         reduce = partial(_rectangle_sums, kernel=kern, b=b, point=x, rects=rect_list)
-        zs, ds, dsum, dsq = _run_replicates(config, n, m, plan, STREAM_OFFSETS["rectangles"] + ni, reduce)
+        zs, ds, dsum, dsq = _run_replicates(config, point, reduce)
         N = n**model.d
         site_mean = float(dsum.sum()) / (R * N)
         site_m2 = float(dsq.sum()) / (R * N)
@@ -839,6 +937,50 @@ def _wu_side(model: CoefficientModel, sample: int, max_bytes: int) -> int:
     return least(settled, lo, hi)
 
 
+@dataclass(frozen=True)
+class WuPlan:
+    """The moment-inequality sample's box side, samples per keyed block, block count, bytes per worker and draws."""
+
+    side: int
+    rows: int
+    blocks: int
+    bytes: int
+    draws: int
+
+
+def plan_wu(model: CoefficientModel, innovations: InnovationModel, orders, sample: int, max_bytes: int):
+    """The WuPlan of ``wu_inequality_check``'s sample, None for no orders, or the error that check raises.
+
+    The coefficient box, one block (twice, for the laws whose draws are
+    copied in), a block's |X| with its two power temporaries and the sums of
+    every block must fit in ``max_bytes``: ``FieldSizeError`` otherwise.
+    """
+    if sample < 2:
+        raise ValueError("sample must be >= 2")
+    for q in orders:
+        if q not in (1, 2):
+            raise ValueError("p must be 1 or 2")
+        order = max(2, 2 * q)
+        if innovations.max_moment_order <= order:
+            raise MomentError(
+                f"innovations need E|eps|^{order} < inf "
+                f"(max finite order {innovations.max_moment_order})"
+            )
+    if not orders:
+        return None
+    side = _wu_side(model, sample, max_bytes)
+    size = side**model.d
+    rows = min(max(1, WU_BLOCK_BYTES // (8 * size)), sample)
+    blocks = -(-sample // rows)
+    need = 8 * (size + 2 * rows * size + 3 * rows) + 16 * len(orders) * blocks
+    if need > max_bytes:
+        raise FieldSizeError(
+            f"the moment-inequality sample's coefficient box of side {side}, its draw block, "
+            f"|X| and the block sums need about {need} bytes (> cap {max_bytes})"
+        )
+    return WuPlan(side, rows, blocks, need, sample * size)
+
+
 def wu_inequality_check(
     model: CoefficientModel,
     innovations: InnovationModel,
@@ -847,6 +989,7 @@ def wu_inequality_check(
     master_seed: int = 20260810,
     max_bytes: int = DEFAULT_MAX_FIELD_BYTES,
     threads: int = 1,
+    plan: WuPlan | None = None,
 ):
     """Monte Carlo constant in E|sum_k a_k eps_k|^(2p) <= C (sum_k a_k^2)^p.
 
@@ -860,42 +1003,22 @@ def wu_inequality_check(
     X_0, with the same numbers as one call per order.  The sample is drawn in
     keyed blocks of ``WU_BLOCK_BYTES`` of draws (``_wu_block_sums``), split
     over workers by ``_map_chunks``; the blocks' sums are added in block order
-    here, so the reports do not depend on ``threads``.  The coefficient box,
-    one block (twice, for the laws whose draws are copied in), a block's |X|
-    with its two power temporaries and the sums of every block must fit in
-    ``max_bytes``, checked before any is allocated.
+    here, so the reports do not depend on ``threads``.  ``plan`` is
+    ``plan_wu``'s, made here when not given, which checks the memory cap
+    before anything is allocated.
     """
     orders = list(p)
-    if sample < 2:
-        raise ValueError("sample must be >= 2")
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    for q in orders:
-        if q not in (1, 2):
-            raise ValueError("p must be 1 or 2")
-        order = max(2, 2 * q)
-        if innovations.max_moment_order <= order:
-            raise MomentError(
-                f"innovations need E|eps|^{order} < inf "
-                f"(max finite order {innovations.max_moment_order})"
-            )
-    if not orders:
+    plan = plan or plan_wu(model, innovations, orders, sample, max_bytes)
+    if plan is None:
         return []
     total = total_sq_mass(model)
-    side = _wu_side(model, sample, max_bytes)
-    size = side**model.d
-    rows = min(max(1, WU_BLOCK_BYTES // (8 * size)), sample)  # samples per keyed block
-    blocks = -(-sample // rows)
-    need = 8 * (size + 2 * rows * size + 3 * rows) + 16 * len(orders) * blocks
-    if need > max_bytes:
-        raise FieldSizeError(
-            f"the moment-inequality sample's coefficient box of side {side}, its draw block, "
-            f"|X| and the block sums need about {need} bytes (> cap {max_bytes})"
-        )
+    side = plan.side
     a = coeff_box(model, side).ravel()
-    task = partial(_wu_block_sums, innovations, a, master_seed, sample, rows, orders)
+    task = partial(_wu_block_sums, innovations, a, master_seed, sample, plan.rows, orders)
     sums = np.zeros((len(orders), 2))  # per order: sum |X|^(2p), sum |X|^(4p)
-    for part in _map_chunks(task, blocks, threads):
+    for part in _map_chunks(task, plan.blocks, threads):
         sums += part
     a2 = a * a
     box_a2, box_a4 = float(np.sum(a2)), float(np.sum(a2 * a2))
@@ -939,12 +1062,22 @@ def _squared_gap(x, x_m, scratch, kernel, b, point):
     return (np.mean((kt - kf) ** 2, axis=tuple(range(1, kf.ndim))) / b,)
 
 
+def gap_points(config: ExperimentConfig, m: int | None, mode: str, rows: int = 0) -> tuple:
+    """``grid_points`` of ``fixed_m_gap``: at the fixed ``m`` in ``fixed`` mode, on the schedule in ``growing`` mode."""
+    if mode not in ("fixed", "growing"):
+        raise ValueError("mode must be 'fixed' or 'growing'")
+    if mode == "fixed" and (m is None or m < 1):
+        raise ValueError("fixed mode needs m >= 1")
+    return grid_points(config, "gap", (lambda n: m) if mode == "fixed" else None, rows=rows)
+
+
 def fixed_m_gap(
     config: ExperimentConfig,
     m: int | None = None,
     n_grid=None,
     mode: str = "fixed",
     band: float = 0.15,
+    points=None,
 ) -> dict:
     """Second moment of the site-level gap zeta - Z along the n-grid.
 
@@ -952,18 +1085,17 @@ def fixed_m_gap(
     positive limit (p_m(x) + p(x)) * int K^2 because the cross moment
     E(Z zeta) ~ b * p_joint(x, x) vanishes with the bandwidth.  ``growing``
     mode follows m_n = round(n^delta) and must trend to zero, bounded by a
-    fitted multiple of B_{m_n}/b_n + b_n.
+    fitted multiple of B_{m_n}/b_n + b_n.  ``points`` are ``gap_points``
+    of the config with ``n_grid``, made and checked against the cap here
+    when not given.
     """
-    if mode not in ("fixed", "growing"):
-        raise ValueError("mode must be 'fixed' or 'growing'")
-    if mode == "fixed" and (m is None or m < 1):
-        raise ValueError("fixed mode needs m >= 1")
     config = replace(config, n_grid=n_grid or config.n_grid)
     x = config.resolve_x()[0]
     rows = []
-    for ni, (n, m_n, b, plan) in enumerate(config.plans((lambda n: m) if mode == "fixed" else None)):
+    for point in points or check_cap(gap_points(config, m, mode), config.max_field_bytes):
+        n, m_n, b = point.n, point.m, point.b
         reduce = partial(_squared_gap, kernel=config.kernel, b=b, point=x)
-        (gaps,) = _run_replicates(config, n, m_n, plan, STREAM_OFFSETS["gap"] + ni, reduce)
+        (gaps,) = _run_replicates(config, point, reduce)
         rows.append(
             {
                 "n": n,

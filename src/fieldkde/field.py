@@ -31,6 +31,7 @@ __all__ = [
     "TruncationError",
     "plan_truncation",
     "estimate_field_bytes",
+    "convolution_method",
     "coupled_spectra",
     "lattice_convolve",
     "generate_coupled_fields",
@@ -122,24 +123,41 @@ def plan_truncation(
     )
 
 
-def estimate_field_bytes(d: int, n: int, M: int) -> int:
-    """Peak footprint of one coupled generation on the FFT path, per replicate.
+def estimate_field_bytes(d: int, n: int, M: int, m: int = 1, method: str = "fourier", size: int = 1) -> int:
+    """Bytes that coupled generation of ``size`` replicates at (n, m, M) holds, with the reduction's headroom.
 
-    Counts what a ``CoupledWorkspace`` and its spectra hold: the innovation
-    lattice of side n + M - 1, four half spectra of P^(d-1) * (P//2 + 1)
-    complex values with P = next_fast_len(n + M - 1) (the two coefficient
-    spectra, the lattice's and one product, which the inverse transform
-    overwrites) and three real buffers of side P, two of them the inverse
-    transforms the fields are views into.  The third is headroom for the
-    reduction that reads the fields.  The padded copy of the lattice that
-    the forward transform reads lives in the product, idle until the spectra
-    are multiplied, and the reduction's two scratch arrays are the lattice's
-    spectrum and the product, idle once the fields are transformed back;
-    none of them adds to the count.  The direct path allocates less.
+    Exactly the ``nbytes`` of what ``coupled_spectra`` and a ``CoupledWorkspace``
+    of ``size`` allocate, plus one more field buffer per replicate as headroom
+    for the reduction that reads the fields.  The spectra: on the FFT path one
+    half spectrum of P^(d-1) * (P//2 + 1) complex values per coefficient box,
+    P = next_fast_len(n + M - 1), two when m < M and one when m = M; on the
+    direct path the box of side M, of which the [0, m)^d box is a view.  Per
+    replicate: the innovation lattice of side n + M - 1; on the FFT path the
+    lattice's half spectrum, one product and one inverse transform of side P
+    per field (one field when m = M, where X_m is X); on the direct path one
+    tap product and one array of side n per field.  The padded lattice that
+    the forward transform reads lives in the product, and the reduction's two
+    scratch arrays are buffers the fields no longer need, so none of them adds
+    to the count.  ``size`` 0 gives the spectra alone.
     """
+    fields = 1 if m == M else 2
+    if method == "direct":
+        return 8 * M**d + 8 * size * ((n + M - 1) ** d + (fields + 2) * n**d)
     P = next_fast_len(n + M - 1)
     half = P ** (d - 1) * (P // 2 + 1)
-    return 8 * ((n + M - 1) ** d + 3 * P**d) + 16 * 4 * half
+    return 16 * fields * half + size * (8 * (n + M - 1) ** d + 32 * half + 8 * (fields + 1) * P**d)
+
+
+def convolution_method(model: CoefficientModel, n: int, M: int, max_bytes: int | None = None) -> str:
+    """The path of coupled generation at (n, M), as ``lattice_convolve`` picks it for the full field.
+
+    A lattice whose 8 (n + M - 1)^d bytes exceed ``max_bytes`` fails the cap
+    on either path, since ``estimate_field_bytes`` counts it on both: it is
+    given the FFT path unweighed, and its coefficient box is not built.
+    """
+    if max_bytes is not None and 8 * (n + M - 1) ** model.d > max_bytes:
+        return "fourier"
+    return _auto_method((n + M - 1,) * model.d, coeff_box(model, M))
 
 
 def _auto_method(lattice_shape, coeffs: np.ndarray) -> str:
@@ -232,8 +250,9 @@ class CoupledSpectra:
     """What every replicate at one (n, m, M) shares: the method and its coefficient data.
 
     ``fourier`` holds the real FFTs of a on [0, M)^d and of a on [0, m)^d
-    (the same box masked), zero-padded to ``shape`` = (P,)^d; ``direct`` holds
-    the two coefficient boxes.
+    (the same box masked), zero-padded to ``shape`` = (P,)^d, one array when
+    m = M; ``direct`` holds the two coefficient boxes, the second a view of
+    the first.
     """
 
     n: int
@@ -319,33 +338,36 @@ def coupled_spectra(
     m: int,
     plan: TruncationPlan,
     method: str = "auto",
-    max_bytes: int = DEFAULT_MAX_FIELD_BYTES,
+    max_bytes: int | None = DEFAULT_MAX_FIELD_BYTES,
 ) -> CoupledSpectra:
-    """Check the memory cap, pick the method and transform the coefficients once.
+    """Check the memory cap of one replicate, pick the method and transform the coefficients once.
 
-    ``auto`` decides as ``lattice_convolve`` does for the full field.
+    ``auto`` takes ``convolution_method``.  The cap is skipped for
+    ``max_bytes`` None, where the caller checked a plan of the same figures.
+    When m = M the one spectrum serves both fields.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if m < 1 or m > plan.M:
         raise ValueError(f"need 1 <= m <= M (got m={m}, M={plan.M})")
     d, M = model.d, plan.M
-    need = estimate_field_bytes(d, n, M)
-    if need > max_bytes:
+    if method == "auto":
+        method = convolution_method(model, n, M, max_bytes)
+    if method not in ("direct", "fourier"):
+        raise ValueError(f"unknown convolution method {method!r}")
+    need = estimate_field_bytes(d, n, M, m, method)
+    if max_bytes is not None and need > max_bytes:
         raise FieldSizeError(
             f"coupled generation for d={d}, n={n}, M={M} needs about "
             f"{need} bytes (> cap {max_bytes}); shrink n or relax the plan"
         )
     a_full = coeff_box(model, M)
     a_trunc = a_full[(slice(0, m),) * d]
-    if method == "auto":
-        method = _auto_method((n + M - 1,) * d, a_full)
     if method == "direct":
         return CoupledSpectra(n, m, M, method, a_full, a_trunc)
-    if method != "fourier":
-        raise ValueError(f"unknown convolution method {method!r}")
     shape = (next_fast_len(n + M - 1),) * d
-    return CoupledSpectra(n, m, M, method, rfftn(a_full, shape), rfftn(a_trunc, shape), shape)
+    full = rfftn(a_full, shape)
+    return CoupledSpectra(n, m, M, method, full, full if m == M else rfftn(a_trunc, shape), shape)
 
 
 def generate_coupled_fields(

@@ -135,6 +135,7 @@ class RunManifest:
     master_seed: int | None
     tool_version: str
     started: str
+    plan: object = None  # the run plan, once made
     finished: str = ""
     status: str = "running"
     error: str | None = None

@@ -301,7 +301,7 @@ def test_criterion_8_engineering_invariants():
             master_seed=MASTER_SEED,
             threads=threads,
         )
-        blobs.append(canonical_json(run_clt_experiment(cfg).to_dict()))
+        blobs.append(canonical_json(run_clt_experiment(cfg)))
     threads_ok = blobs[0] == blobs[1] == blobs[2]
     ok = conv_ok and coupling_ok and threads_ok
     _line(

@@ -36,7 +36,7 @@ from fieldkde import (
 )
 from fieldkde.cli import main, run_script
 from fieldkde.coefficients import coeff_box
-from fieldkde.field import coupled_spectra, estimate_field_bytes
+from fieldkde.field import convolution_method, coupled_spectra, estimate_field_bytes
 from fieldkde.fourier import irfftn, next_fast_len, rfftn
 from fieldkde.innovations import draw_lattice
 
@@ -101,23 +101,37 @@ def reference(tmp_path_factory):
     return {sub: _outputs(tmp, sub, 1, sub) for sub in RUNS}
 
 
+def _point(model, n, m, M, max_bytes=1 << 30, replicates=10**6):
+    plan = plan_truncation(model, m=m, policy="fixed", M=M)
+    return clt.plan_point(model, n, m, 0.5, plan, 0, replicates, max_bytes)
+
+
 class TestBatchSize:
-    def test_byte_budget(self):
+    def test_byte_budget(self, geometric_half):
         # blocks_d1 (M = m = 4), and power_decay_d2 at n = 256 with M = 24
-        assert [clt._batch_size(1, n, 4, 1 << 30) for n in (256, 1024, 4096)] == [506, 127, 31]
-        assert clt._batch_size(2, 256, 24, 1 << 30) == 1
+        assert [_point(geometric_half, n, 4, 4).batch for n in (256, 1024, 4096)] == [506, 127, 31]
+        assert _point(CoefficientModel(d=2, family="power_decay", q=4.0), 256, 10, 24).batch == 1
+        assert _point(geometric_half, 256, 4, 4, replicates=17).batch == 17
 
-    def test_field_byte_cap(self):
-        need = estimate_field_bytes(1, 256, 4)
-        assert clt._batch_size(1, 256, 4, 3 * need) == 3
-        assert clt._batch_size(1, 256, 4, need) == 1
+    def test_field_byte_cap(self, geometric_half):
+        # the spectra are held once per worker, and each replicate of a batch adds the same bytes
+        method = convolution_method(geometric_half, 256, 4)
+        spectra = estimate_field_bytes(1, 256, 4, 4, method, 0)
+        per = estimate_field_bytes(1, 256, 4, 4, method, 1) - spectra
+        assert _point(geometric_half, 256, 4, 4, spectra + 3 * per).batch == 3
+        assert _point(geometric_half, 256, 4, 4, spectra + 4 * per - 1).batch == 3
+        one = _point(geometric_half, 256, 4, 4, spectra + per - 1)
+        assert one.batch == 1 and one.bytes == spectra + per
+        with pytest.raises(clt.FieldSizeError, match="at n = 256"):
+            clt.check_cap([one], spectra + per - 1)
 
-    # fixed-m-gap on one grid point, so one estimate decides the batch size
+    # fixed-m-gap on one grid point, so one figure decides the batch size
     GAP_ONE = ["gap.n_grid=[128]", f"gap.replicates={REPLICATES}"]
 
     def _gap_need(self):
-        plan = plan_truncation(CoefficientModel(d=1, family="geometric", ratio=0.5), m=2, b=128**-0.5)
-        return estimate_field_bytes(1, 128, plan.M)
+        model = CoefficientModel(d=1, family="geometric", ratio=0.5)
+        plan = plan_truncation(model, m=2, b=128**-0.5)
+        return estimate_field_bytes(1, 128, plan.M, 2, convolution_method(model, 128, plan.M), 1)
 
     def test_cap_above_one_replicate_gives_batches_of_one(self, tmp_path, monkeypatch):
         config = RUNS["fixed-m-gap"][0]
@@ -142,10 +156,10 @@ class TestBatchInvariance:
         self, tmp_path, monkeypatch, reference, subcommand, size
     ):
         forced = size or 10**9
-        monkeypatch.setattr(clt, "_batch_size", lambda d, n, M, max_bytes: forced)
+        monkeypatch.setattr(clt, "_batch_size", lambda *args: forced)
         seen = _record_batches(monkeypatch)
         one = _outputs(tmp_path, subcommand, 1, "t1")
-        # forked pool workers inherit the forced size; spawned ones would use the engine's own
+        # the run plan carries the forced size to the pool workers
         two = _outputs(tmp_path, subcommand, 2, "t2")
         assert one[1] and one == reference[subcommand] and two == reference[subcommand]
         assert max(seen["sizes"]) == min(forced, REPLICATES)
@@ -192,12 +206,19 @@ class TestWorkerPool:
         assert sorted(p.parent.name for p in tmp_path.glob("shared/*/report.json")) == ["blocks", "moment_check"]
         assert multiprocessing.active_children() == []
 
-    def test_no_worker_outlives_a_run_that_fails_partway(self, tmp_path, pools, capsys):
-        # a worker finds the lattice at n = 8192 over the memory cap, after two grid points ran
+    def test_no_worker_outlives_a_run_that_fails_partway(self, tmp_path, monkeypatch, pools, capsys):
+        # a worker fails at the third grid point, after two grid points ran
+        generate = clt.generate_coupled_fields
+
+        def failing_at_the_third(model, innovations, n, *args, **kw):
+            if n == 256:
+                raise ValueError("generation failed at n = 256")
+            return generate(model, innovations, n, *args, **kw)
+
+        monkeypatch.setattr(clt, "generate_coupled_fields", failing_at_the_third)
         code, files = _cli(tmp_path, "blocks", "blocks_d1.json",
-                           ["blocks.n_grid=[64,128,8192]", f"blocks.replicates={REPLICATES}",
-                            "limits.max_field_bytes=100000"], threads=2)
-        assert code == 1 and str(estimate_field_bytes(1, 8192, 4)) in capsys.readouterr().err
+                           ["blocks.n_grid=[64,128,256]", f"blocks.replicates={REPLICATES}"], threads=2)
+        assert code == 1 and "generation failed at n = 256" in capsys.readouterr().err
         assert len(pools) == 1 and multiprocessing.active_children() == []
         manifest = json.loads((tmp_path / "blocks" / "manifest.json").read_text())
         assert manifest["status"] == "error" and "report.json" not in files
@@ -211,9 +232,10 @@ class TestWorkerPool:
         )
 
         reduce = partial(clt._squared_gap, kernel=config.kernel, b=0.5, point=0.0)
+        point = clt.plan_point(geometric_half, 16, 2, 0.5, plan, 0, 7, 1 << 30)
 
         def run(threads):
-            return clt._run_replicates(replace(config, threads=threads), 16, 2, plan, 0, reduce)
+            return clt._run_replicates(replace(config, threads=threads), point, reduce)
 
         (alone,) = run(1)
         with clt.worker_pool():
@@ -299,15 +321,15 @@ class TestChunkWorkspace:
     @pytest.mark.parametrize("method", ["fourier", "direct"])
     @pytest.mark.parametrize("d,n", [(1, 30), (2, 9), (3, 4)])
     @pytest.mark.parametrize("m,M", [(2, 3), (3, 3)], ids=["m<M", "m=M"])
-    def test_chunk_equals_one_generation_per_seed(self, monkeypatch, innov, method, d, n, m, M):
+    def test_chunk_equals_one_generation_per_seed(self, innov, method, d, n, m, M):
         model = CoefficientModel(d=d, family="power_decay", q=4.0)
         plan = plan_truncation(model, m=m, policy="fixed", M=M)
         config = ExperimentConfig(
             model=model, innovations=innov, kernel=kernel_by_name("gaussian"),
             bandwidth=BandwidthSchedule(d=d, gamma=0.5), n_grid=(n,), replicates=5, master_seed=11,
         )
-        monkeypatch.setattr(clt, "_batch_size", lambda d, n, M, max_bytes: 2)  # batches of 2, 2 and 1
-        monkeypatch.setattr(clt, "coupled_spectra", lambda *a, **kw: coupled_spectra(*a, method=method, **kw))
+        start, stop, stream = 3, 8, 4
+        point = replace(clt.plan_point(model, n, m, 0.5, plan, stream, 5, 1 << 30), method=method, batch=2)
         seen = []
 
         def fields(x, x_m, scratch):
@@ -316,9 +338,8 @@ class TestChunkWorkspace:
                 buf.fill(np.nan)
             return x, x_m
 
-        start, stop, stream = 3, 8, 4
-        batches = clt._replicate_chunk(config, n, m, plan, stream, fields, start, stop)
-        assert [len(x) for x, _ in batches] == [2, 2, 1]
+        batches = clt._replicate_chunk(config, point, fields, start, stop)
+        assert [len(x) for x, _ in batches] == [2, 2, 1]  # batches of 2, 2 and 1
         # the next batch overwrites the fields of the last, so only the copies outlive it
         assert not np.array_equal(seen[0][0], seen[0][2])
         spectra = coupled_spectra(model, n, m, plan, method)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -67,6 +68,14 @@ class TestExperimentConfig:
             _config(geometric_half, x_points=points)
 
 
+def _point(config, n, m, plan, stream, batch=None):
+    """The engine's plan of (n, m) under ``plan``, with a forced batch size when given."""
+    import fieldkde.clt as clt
+
+    point = clt.plan_point(config.model, n, m, 0.5, plan, stream, config.replicates, config.max_field_bytes)
+    return point if batch is None else replace(point, batch=batch)
+
+
 def _fortran_head(x, x_m, scratch):
     """A reduction whose first output is a Fortran-ordered slice, as fancy-indexed block sums are."""
     return np.asfortranarray(x)[:, :4], x_m[:, 0]
@@ -75,30 +84,27 @@ def _fortran_head(x, x_m, scratch):
 class TestReplicateEngine:
     @pytest.mark.parametrize("size", [1, 3, None], ids=["B1", "B3", "whole_chunk"])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_outputs_are_c_ordered_rows_in_replicate_order(self, geometric_half, monkeypatch, threads, size):
+    def test_outputs_are_c_ordered_rows_in_replicate_order(self, geometric_half, threads, size):
         import fieldkde.clt as clt
 
-        if size is not None:
-            # forked pool workers inherit the forced size
-            monkeypatch.setattr(clt, "_batch_size", lambda d, n, M, max_bytes: size)
         R, stream = 7, 5
         config = _config(geometric_half, replicates=R, threads=threads)
         plan = plan_truncation(geometric_half, m=2, policy="fixed", M=4)
-        head, first = clt._run_replicates(config, 32, 2, plan, stream, _fortran_head)
+        # the point carries a forced size to the pool workers
+        head, first = clt._run_replicates(config, _point(config, 32, 2, plan, stream, size), _fortran_head)
         alone = [coupled_pair(geometric_half, 32, 2, plan, SeedSpec(MASTER_SEED, stream, r)) for r in range(R)]
         assert head.flags.c_contiguous and first.flags.c_contiguous
         assert np.array_equal(head, np.array([x[:4] for x, _ in alone]))
         assert np.array_equal(first, np.array([x_m[0] for _, x_m in alone]))
 
     @pytest.mark.parametrize("size", [1, 3], ids=["B1", "B3"])
-    def test_batch_intermediates_freed_before_the_join(self, geometric_half, monkeypatch, size):
+    def test_batch_intermediates_freed_before_the_join(self, geometric_half, size):
         import weakref
 
         import fieldkde.clt as clt
 
-        monkeypatch.setattr(clt, "_batch_size", lambda d, n, M, max_bytes: size)
         config = _config(geometric_half, replicates=7)
-        plan = plan_truncation(geometric_half, m=2, policy="fixed", M=4)
+        point = _point(config, 32, 2, plan_truncation(geometric_half, m=2, policy="fixed", M=4), 0, size)
         alive = []
 
         def prefix_views(x, x_m, scratch):
@@ -107,11 +113,11 @@ class TestReplicateEngine:
             alive.append(weakref.ref(prefix))
             return prefix[:, -1], prefix[:, ::8]
 
-        batches = clt._replicate_chunk(config, 32, 2, plan, 0, prefix_views, 0, 7)
+        batches = clt._replicate_chunk(config, point, prefix_views, 0, 7)
         assert len(alive) == len(batches) == -(-7 // size)
         assert all(ref() is None for ref in alive)
         blocks = partial(clt._block_windows, kernel=config.kernel, b=0.5, point=0.0, m=2, l=6, q=4)
-        for outs in clt._replicate_chunk(config, 32, 2, plan, 0, blocks, 0, 7):
+        for outs in clt._replicate_chunk(config, point, blocks, 0, 7):
             assert all(out.base is None and out.flags.c_contiguous for out in outs)
 
     def test_spectra_built_once_per_chunk(self, power_d2, monkeypatch):
@@ -131,10 +137,11 @@ class TestReplicateEngine:
         def reduce(x, x_m, scratch):
             return (x.sum(axis=(1, 2)),)
 
-        (rows,) = clt._run_replicates(config, 16, 2, plan, 0, reduce)
+        point = _point(config, 16, 2, plan, 0)
+        (rows,) = clt._run_replicates(config, point, reduce)
         assert len(rows) == 7 and len(calls) == 1
         # a second chunk builds its own spectra and reproduces the same replicates
-        tail = np.concatenate([out for out, in clt._replicate_chunk(config, 16, 2, plan, 0, reduce, 3, 7)])
+        tail = np.concatenate([out for out, in clt._replicate_chunk(config, point, reduce, 3, 7)])
         assert len(calls) == 2 and np.array_equal(tail, rows[3:])
 
 
@@ -190,9 +197,9 @@ class TestRunCltExperiment:
     def test_bit_identical_reports_and_thread_independence(self, geometric_half):
         cfg1 = _config(geometric_half, replicates=32, n_grid=(128,))
         cfg4 = _config(geometric_half, replicates=32, n_grid=(128,), threads=4)
-        a = canonical_json(run_clt_experiment(cfg1).to_dict())
-        b = canonical_json(run_clt_experiment(cfg1).to_dict())
-        c = canonical_json(run_clt_experiment(cfg4).to_dict())
+        a = canonical_json(run_clt_experiment(cfg1))
+        b = canonical_json(run_clt_experiment(cfg1))
+        c = canonical_json(run_clt_experiment(cfg4))
         assert a == b == c
 
     def test_fail_regime_runs_but_is_labelled(self, power_d2):

@@ -1,0 +1,199 @@
+"""The run plan: made from the config, checked and written to the manifest before the first draw."""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import fieldkde.cli as cli
+import fieldkde.clt as clt
+import fieldkde.field as field
+from fieldkde import CoefficientModel, plan_truncation
+from fieldkde.cli import load_config, main, plan_run
+from fieldkde.field import CoupledWorkspace, coupled_spectra, estimate_field_bytes
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("a value was drawn before the run plan was checked")
+
+    monkeypatch.setattr(field, "draw_lattice", refuse)
+    monkeypatch.setattr(clt, "_draw", refuse)
+
+
+def _run(tmp_path, sub, config, *sets):
+    argv = [sub, "--config", str(CONFIGS / config), "--out", str(tmp_path)]
+    for assignment in sets:
+        argv += ["--set", assignment]
+    return main(argv)
+
+
+def _manifest(tmp_path, sub):
+    return json.loads((tmp_path / sub.replace("-", "_") / "manifest.json").read_text())
+
+
+class TestLateCap:
+    """A memory cap that only the last grid point exceeds fails before any point is drawn."""
+
+    @pytest.mark.parametrize(
+        "sub,config,sets,n",
+        [
+            ("clt-run", "power_decay_d2.json", ["clt.n_grid=[64,256,2048]", "limits.max_field_bytes=20000000"], 2048),
+            ("blocks", "blocks_d1.json", ["blocks.n_grid=[64,128,65536]", "limits.max_field_bytes=1000000"], 65536),
+            # the moment-inequality sample fits in 2 MB, the rectangles' last lattice does not
+            ("moment-check", "blocks_d1.json",
+             ["moment_check.n_grid=[64,65536]", "moment_check.rectangles=[4,16]", "limits.max_field_bytes=2000000"],
+             65536),
+            ("fixed-m-gap", "geometric_truncation_gap.json",
+             ["gap.n_grid=[128,65536]", "limits.max_field_bytes=2000000"], 65536),
+            ("kde", "power_decay_d2.json", ["kde.n=256", "limits.max_field_bytes=1000000"], 256),
+            ("gen-field", "power_decay_d2.json", ["gen_field.n=64", "limits.max_field_bytes=100000"], 64),
+        ],
+    )
+    def test_exit_1_naming_the_key_and_n_with_the_plan_in_the_manifest(self, tmp_path, capsys, no_draw, sub,
+                                                                       config, sets, n):
+        assert _run(tmp_path, sub, config, *sets) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key limits.max_field_bytes: ") and err.endswith(f" at n = {n}\n")
+        manifest = _manifest(tmp_path, sub)
+        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
+        cap = manifest["config"]["limits"]["max_field_bytes"]
+        plan = manifest["plan"]
+        assert plan["subcommand"] == sub and plan["points"][-1]["n"] == n
+        assert [p["bytes"] > cap for p in plan["points"]] == [False] * (len(plan["points"]) - 1) + [True]
+        assert [p.name for p in (tmp_path / sub.replace("-", "_")).iterdir()] == ["manifest.json"]
+
+    def test_the_plan_is_in_the_manifest_before_the_handler_runs(self, tmp_path, monkeypatch):
+        seen = []
+        kde = cli.cmd_kde
+
+        def reading(cfg, run):
+            seen.append(_manifest(tmp_path, "kde"))
+            return kde(cfg, run)
+
+        monkeypatch.setattr(cli, "cmd_kde", reading)
+        assert _run(tmp_path, "kde", "power_decay_d2.json", "kde.n=64") == 0
+        (early,) = seen
+        assert early["status"] == "running" and early["plan"] == _manifest(tmp_path, "kde")["plan"]
+        (point,) = early["plan"]["points"]
+        # kde reports X alone, so it generates with m = M: one spectrum and one field buffer
+        assert point["n"] == 64 and point["m"] == point["truncation"]["M"] and point["rows"] == 5
+
+
+class TestClt:
+    def test_an_x_where_the_density_is_0_exit_1_before_any_draw(self, tmp_path, capsys, no_draw):
+        code = _run(tmp_path, "clt-run", "power_decay_d2.json", "clt.n_grid=[16]", "clt.x_points=[60.0]",
+                    "clt.replicates=120")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key clt.x_points: ") and err.endswith(" at n = 16\n")
+        assert _manifest(tmp_path, "clt-run")["status"] == "error"
+        assert [p.name for p in (tmp_path / "clt_run").iterdir()] == ["manifest.json"]
+
+    def test_a_point_whose_replicates_all_agree_is_reported_and_fails(self, tmp_path):
+        # no site reaches x = 8, so T is the same in every replicate and has no skewness or kurtosis
+        code = _run(tmp_path, "clt-run", "power_decay_d2.json", "clt.n_grid=[16]", "clt.x_points=[8.0]",
+                    "clt.replicates=120")
+        assert code == 2
+        (point,) = json.loads((tmp_path / "clt_run" / "report.json").read_text())["points"]
+        assert point["skewness"] is None and point["excess_kurtosis"] is None
+        assert point["verdicts"]["variance_ok"] is False and point["verdicts"]["overall"] == "fail"
+        summary = (tmp_path / "clt_run" / "clt_summary.csv").read_text().splitlines()
+        header, row = summary[0].split(","), summary[1].split(",")
+        assert row[header.index("skewness")] == row[header.index("excess_kurtosis")] == ""
+
+
+def _owned_bytes(*objects) -> int:
+    """The bytes of the distinct arrays that the objects' attributes hold or view."""
+    owners = {}
+    for obj in objects:
+        for value in vars(obj).values():
+            if isinstance(value, np.ndarray):
+                while value.base is not None:
+                    value = value.base
+                owners[id(value)] = value.nbytes
+    return sum(owners.values())
+
+
+class TestByteFigure:
+    @pytest.mark.parametrize("method", ["fourier", "direct"])
+    @pytest.mark.parametrize("d,n", [(1, 40), (2, 12)])
+    @pytest.mark.parametrize("m,M", [(2, 5), (5, 5)], ids=["m<M", "m=M"])
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_equals_what_the_generation_allocates_plus_the_headroom(self, method, d, n, m, M, size):
+        model = CoefficientModel(d=d, family="power_decay", q=4.0)
+        plan = plan_truncation(model, m=m, policy="fixed", M=M)
+        spectra = coupled_spectra(model, n, m, plan, method)
+        work = CoupledWorkspace(spectra, size)
+        # one field buffer per replicate, of the inverse transform's side on the FFT path
+        side = spectra.shape[0] if method == "fourier" else n
+        headroom = 8 * size * side**d
+        figure = estimate_field_bytes(d, n, M, m, method, size)
+        assert figure == _owned_bytes(spectra, work) + headroom
+        # with m = M one coefficient spectrum and one field buffer
+        assert (spectra.truncated is spectra.full) == (m == M and method == "fourier")
+        assert len(work.fields) == (1 if m == M else 2)
+
+    @pytest.mark.parametrize("n,M", [(64, 15), (256, 24), (16, 3)])
+    def test_the_plan_holds_the_figure_of_its_batch(self, n, M):
+        model = CoefficientModel(d=2, family="power_decay", q=4.0)
+        plan = plan_truncation(model, m=3, policy="fixed", M=M)
+        point = clt.plan_point(model, n, 3, 0.5, plan, 0, 200, 1 << 30)
+        spectra = coupled_spectra(model, n, 3, plan, point.method)
+        assert point.P == (spectra.shape[0] if point.method == "fourier" else None)
+        side = point.P or n
+        assert point.bytes == _owned_bytes(spectra, CoupledWorkspace(spectra, point.batch)) + 8 * point.batch * side**2
+        assert point.draws == 200 * (n + M - 1) ** 2
+
+
+class TestDrawCount:
+    """The plan counts the innovation values a benchmark workload draws, as a trace of the draws counts them."""
+
+    KDE_X_GRID = json.dumps([round(-2.5 + 0.05 * i, 10) for i in range(101)])
+
+    @pytest.mark.parametrize(
+        "config,steps,draws",
+        [
+            ("power_decay_d2.json",
+             [("check-conditions", []), ("kde", ["kde.n=256", "kde.m=10", f"kde.x_grid={KDE_X_GRID}"])], 77_841),
+            ("power_decay_d2.json",
+             [("clt-run", ["clt.n_grid=[64,256]", "clt.replicates=200", "clt.x_points=[0.0]"])], 16_785_000),
+            ("blocks_d1.json", [("blocks", []), ("moment-check", [])], 9_691_500),
+        ],
+        ids=["kde_curve", "clt_d2", "blocks_d1"],
+    )
+    def test_equals_the_traced_draws(self, config, steps, draws):
+        plans = [plan_run(load_config(str(CONFIGS / config), sets, seed=1), sub) for sub, sets in steps]
+        assert sum(plan.draws for plan in plans) == draws
+
+    @pytest.mark.parametrize(
+        "sub,config,sets",
+        [
+            ("gen-field", "power_decay_d2.json", ["gen_field.n=16"]),
+            ("kde", "power_decay_d2.json", ["kde.n=32"]),
+            ("clt-run", "power_decay_d2.json", ["clt.n_grid=[16,24]", "clt.replicates=7"]),
+            ("blocks", "blocks_d1.json", ["blocks.n_grid=[64,128]", "blocks.replicates=7"]),
+            ("moment-check", "blocks_d1.json",
+             ["moment_check.n_grid=[128]", "moment_check.replicates=7", "moment_check.rectangles=[4,16]",
+              "moment_check.wu_sample=1000"]),
+            ("fixed-m-gap", "geometric_truncation_gap.json", ["gap.n_grid=[128,256]", "gap.replicates=7"]),
+        ],
+    )
+    def test_equals_the_values_a_run_draws(self, tmp_path, monkeypatch, sub, config, sets):
+        drawn = []
+
+        def counting(draw):
+            def wrapped(model, rng, shape, out=None):
+                drawn.append(math.prod(shape))
+                return draw(model, rng, shape, out)
+            return wrapped
+
+        for module, name in ((field, "draw_lattice"), (cli, "draw_lattice"), (clt, "_draw")):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+        assert _run(tmp_path, sub, config, *sets) in (0, 2)
+        assert sum(drawn) == _manifest(tmp_path, sub)["plan"]["draws"] > 0

@@ -165,7 +165,7 @@ class TestDataclassSerialisation:
         assert canonical_json(manifest) == canonical_json({
             "subcommand": "kde", "config": {"seed": 7}, "master_seed": 7, "tool_version": "0.1.0",
             "started": "2026-01-02T03:04:05+0000", "finished": "", "status": "running", "error": None,
-            "outputs": ["runs/kde/report.json"], "verdicts": {}, "schema_version": SCHEMA_VERSION,
+            "plan": None, "outputs": ["runs/kde/report.json"], "verdicts": {}, "schema_version": SCHEMA_VERSION,
         })
 
 
@@ -684,7 +684,7 @@ class TestCli:
     def test_a_fault_in_a_handler_leaves_the_manifest_at_error(self, tmp_path, monkeypatch):
         import fieldkde.cli as cli
 
-        def broken(cfg):
+        def broken(cfg, run):
             raise RuntimeError("broken on purpose")
 
         monkeypatch.setattr(cli, "cmd_kde", broken)
