@@ -33,7 +33,6 @@ from .clt import (
     block_decomposition_check,
     _block_samples,
     check_cap,
-    clt_points,
     fixed_m_gap,
     gap_points,
     grid_points,
@@ -62,7 +61,6 @@ from .field import (
     coupled_spectra,
     generate_coupled_fields,
     lattice_convolve,
-    plan_truncation,  # unused here; perfbench's planning span binds it by this name
     write_field_binary,
     write_field_csv,
 )
@@ -389,7 +387,7 @@ def plan_run(cfg: dict, subcommand: str) -> RunPlan:
     """
     section = {"gen-field": "gen_field", "kde": "kde", "clt-run": "clt", "blocks": "blocks",
                "moment-check": "moment_check", "fixed-m-gap": "gap"}.get(subcommand)
-    points, wu = (), None
+    points, wu, rows = (), None, 0
     if subcommand in ("gen-field", "kde"):
         sec, model = cfg[section], model_from_config(cfg["coefficient"])
         n, m = sec["n"], sec["m"]
@@ -398,28 +396,32 @@ def plan_run(cfg: dict, subcommand: str) -> RunPlan:
         # kde reports X alone, so it generates with m = M; gen-field writes three fields
         # and draws its lattice once more for the coupling check
         kde = subcommand == "kde"
-        point = plan_point(model, n, plan.M if kde else m, b, plan, 0, 1, cfg["limits"]["max_field_bytes"],
-                           len(sec["x_grid"]) if kde else 3 * n**model.d)
+        point = plan_point(model, n, plan.M if kde else m, b, plan, 0, 1, cfg["limits"]["max_field_bytes"])
         points = (point if kde else replace(point, draws=2 * point.draws),)
+        rows = len(sec["x_grid"]) if kde else 3 * n**model.d
     elif section is not None:
         config, sec = _experiment(cfg, section), cfg[section]
-        if subcommand == "clt-run":
-            try:
+        try:
+            if subcommand == "clt-run":
                 # the replicate rows and one summary row per x
-                points = clt_points(config, rows=(config.replicates + 1) * len(config.resolve_x()))
-            except MomentError as exc:
-                raise ToolError(f"config key clt.x_points: {exc}") from None
-        elif subcommand == "blocks":
-            try:
+                points, rows = grid_points(config, "clt"), (config.replicates + 1) * len(config.resolve_x())
+            elif subcommand == "blocks":
                 blocks = BlockPlan(m=sec["m"], delta=sec["delta"], l=sec["l"])
-                points = grid_points(config, "blocks", blocks=blocks, rows=1 + len(sec["eps"]))
-            except ValueError as exc:
-                raise ToolError(f"config key blocks.l: {exc}") from None
-        elif subcommand == "moment-check":
-            points = grid_points(config, "rectangles", rows=len(sec["rectangles"]))
+                try:
+                    for n in config.n_grid:
+                        blocks.resolve(n)
+                except ValueError as exc:
+                    raise ToolError(f"config key blocks.l: {exc}") from None
+                points, rows = grid_points(config, "blocks", blocks=blocks), 1 + len(sec["eps"])
+            elif subcommand == "moment-check":
+                points, rows = grid_points(config, "rectangles"), len(sec["rectangles"])
+            else:
+                points, rows = gap_points(config, sec["m"], sec["mode"]), 1
+        except MomentError as exc:
+            raise ToolError(f"config key {section}.x_points: {exc}") from None
+        if subcommand == "moment-check":
             wu = plan_wu(config.model, config.innovations, sec["wu_p"], sec["wu_sample"], config.max_field_bytes)
-        else:
-            points = gap_points(config, sec["m"], sec["mode"], rows=1)
+    points = tuple(replace(p, rows=rows) for p in points)
     return RunPlan(subcommand, points, wu, sum(p.draws for p in points) + (wu.draws if wu else 0))
 
 
@@ -577,8 +579,11 @@ def cmd_clt_run(cfg: dict, run: RunPlan):
 def cmd_blocks(cfg: dict, run: RunPlan):
     sec = cfg["blocks"]
     config = _experiment(cfg, "blocks")
-    samples = _block_samples(config, None, run.points)
-    decomposition = block_decomposition_check(config, samples)
+    samples = _block_samples(config, run.points)
+    try:
+        decomposition = block_decomposition_check(config, samples)
+    except MomentError as exc:
+        raise ToolError(f"config key blocks.x_points: {exc}") from None
     lf = lindeberg_estimate(config, samples, sec["eps"])
     ok = decomposition["passed"] and lf["passed"]
     report = {

@@ -18,7 +18,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -99,9 +99,12 @@ BATCH_BYTES = 1 << 20
 # Wu reports.
 WU_BLOCK_BYTES = 1 << 19
 
+# fixed-m-gap's last gap must lie within this share of its positive limit
+GAP_BAND = 0.15
+
 
 class MomentError(ValueError):
-    """A moment precondition is violated: on the innovations, or a limit variance or rectangle norm that is 0."""
+    """A moment precondition fails: on the innovations, or a limit variance, rectangle norm or block variance of 0."""
 
 
 @dataclass(frozen=True)
@@ -193,9 +196,9 @@ class GridPoint:
     replicate r draws from (master, ``stream``, r); ``P`` is the FFT side
     (None on the direct path), and ``bytes`` what one worker holds for a
     batch.  ``rows`` counts the CLI's table rows (0 outside it).  Blocks
-    carry their side ``l`` and ``q`` per axis; clt-run points what their
-    density oracle gives: per x, p(x) int K^2 and the centerings E f_n(x) of
-    X and of X_m, and the oracle's summary.
+    carry their side ``l`` and ``q`` per axis.  At each x its experiment
+    tests, a point holds p(x) int K^2, p_m(x) int K^2 and the centerings
+    E f_n(x) of X and of X_m, with its density oracle's summary.
     """
 
     n: int
@@ -212,6 +215,7 @@ class GridPoint:
     l: int | None = None
     q: int | None = None
     sigma2_target: tuple | None = None
+    sigma2_truncated: tuple | None = None
     centering: tuple | None = None
     oracle: dict | None = None
 
@@ -221,8 +225,7 @@ def _batch_size(d: int, n: int, M: int, spectra: int, per: int, max_bytes: int) 
     return max(1, min(BATCH_BYTES // (8 * (n + M - 1) ** d), (max_bytes - spectra) // per))
 
 
-def plan_point(model: CoefficientModel, n, m, b, truncation, stream, replicates, max_bytes, rows=0,
-               **extra) -> GridPoint:
+def plan_point(model: CoefficientModel, n, m, b, truncation, stream, replicates, max_bytes, **extra) -> GridPoint:
     """The GridPoint of ``replicates`` at (n, m) under ``truncation``, its figures from ``estimate_field_bytes``.
 
     Its bytes may exceed ``max_bytes``, at one replicate per batch; ``check_cap`` rejects such a point.
@@ -234,7 +237,7 @@ def plan_point(model: CoefficientModel, n, m, b, truncation, stream, replicates,
     batch = min(_batch_size(d, n, M, spectra, per, max_bytes), replicates)
     P = next_fast_len(n + M - 1) if method == "fourier" else None
     return GridPoint(n, m, b, truncation, stream, method, P, batch, estimate_field_bytes(d, n, M, m, method, batch),
-                     replicates * (n + M - 1) ** d, rows, **extra)
+                     replicates * (n + M - 1) ** d, **extra)
 
 
 def check_cap(points, max_bytes: int) -> tuple:
@@ -254,19 +257,23 @@ def truncation_at(n: int, model: CoefficientModel, **request) -> TruncationPlan:
         raise TruncationError(exc.key, f"{exc} at n = {n}") from None
 
 
-def grid_points(config: ExperimentConfig, experiment: str, m_of=None, blocks=None, rows: int = 0) -> tuple:
+def grid_points(config: ExperimentConfig, experiment: str, m_of=None, blocks=None) -> tuple:
     """The GridPoint of each n of the grid, every one planned before any is drawn.
 
     m = m_of(n), by default the schedule m_n = round(n^delta), under the
     config's truncation policy; with a ``BlockPlan`` as ``blocks``, its gap
-    m_n, side l_n and q_n under the plan M = m_n.  A point no truncation
-    meets raises ``TruncationError``, and one no block plan meets
-    ``ValueError``, naming its n.  The memory cap is left to ``check_cap``.
+    m_n, side l_n and q_n under the plan M = m_n.  The oracle figures are
+    taken at every x for "clt" and at the first for the others, from one
+    density oracle per distinct m.  A point no truncation meets raises
+    ``TruncationError``, one no block plan meets ``ValueError``, naming its
+    n, and an x where the field's density is 0, which has no limit law to
+    test, ``MomentError``.  The memory cap is left to ``check_cap``.
     """
-    model = config.model
+    model, kern = config.model, config.kernel
+    xs = config.resolve_x() if experiment == "clt" else config.resolve_x()[:1]
     if blocks is None:
         m_of = m_of or partial(m_schedule, delta=config.resolve_delta()[0])
-    points = []
+    oracles, points = {}, []
     for ni, n in enumerate(config.n_grid):
         b, extra = config.bandwidth.b(n), {}
         if blocks is not None:
@@ -276,8 +283,19 @@ def grid_points(config: ExperimentConfig, experiment: str, m_of=None, blocks=Non
             m = m_of(n)
             plan = truncation_at(n, model, m=m, b=b, policy=config.truncation_policy, eta=config.truncation_eta,
                                  M=config.truncation_M)
-        points.append(plan_point(model, n, m, b, plan, STREAM_OFFSETS[experiment] + ni, config.replicates,
-                                 config.max_field_bytes, rows, **extra))
+        if m not in oracles:
+            oracles[m] = density_oracle(model, config.innovations, m)
+        oracle = oracles[m]
+        sigma2 = tuple(asymptotic_variance(float(oracle.p(x)), kern) for x in xs)
+        if 0.0 in sigma2:
+            raise MomentError(f"the field's density is 0 at x = {xs[sigma2.index(0.0)]}, so T_n has no limit "
+                              f"variance there, at n = {n}")
+        points.append(plan_point(
+            model, n, m, b, plan, STREAM_OFFSETS[experiment] + ni, config.replicates, config.max_field_bytes,
+            sigma2_target=sigma2, sigma2_truncated=tuple(asymptotic_variance(float(oracle.p_m(x)), kern) for x in xs),
+            centering=tuple(tuple(expected_kde(oracle, kern, b, xs, truncated=t).tolist()) for t in (False, True)),
+            oracle=oracle.summary(), **extra,
+        ))
     return tuple(points)
 
 
@@ -483,24 +501,6 @@ def _finite_or_null(values: np.ndarray) -> list:
     return [v if math.isfinite(v) else None for v in values.tolist()]
 
 
-def clt_points(config: ExperimentConfig, rows: int = 0) -> tuple:
-    """``grid_points`` of ``run_clt_experiment``, each with its density oracle's figures at every x.
-
-    An x where the field's density is 0 has no limit law to test: ``MomentError``.
-    """
-    kern, xs = config.kernel, config.resolve_x()
-    points = []
-    for point in grid_points(config, "clt", rows=rows):
-        oracle = density_oracle(config.model, config.innovations, point.m)
-        sigma2 = tuple(asymptotic_variance(float(oracle.p(x)), kern) for x in xs)
-        if 0.0 in sigma2:
-            raise MomentError(f"the field's density is 0 at x = {xs[sigma2.index(0.0)]}, so T_n has no limit "
-                              f"variance there, at n = {point.n}")
-        centering = tuple(tuple(expected_kde(oracle, kern, point.b, xs, truncated=t).tolist()) for t in (False, True))
-        points.append(replace(point, sigma2_target=sigma2, centering=centering, oracle=oracle.summary()))
-    return tuple(points)
-
-
 @dataclass
 class CltReport:
     """Replicate statistics of T_n and its decomposition, per (n, x)."""
@@ -521,15 +521,15 @@ def run_clt_experiment(config: ExperimentConfig, points=None) -> CltReport:
     non-finite T, T_zeta or T_remainder fails whatever R is: those values
     and the point's moments are reported as null, and ``nonfinite`` counts
     the (n, x, replicate) rows that hold them.  ``points`` are
-    ``clt_points(config)``, made and checked against the cap here when not
-    given.
+    ``grid_points(config, "clt")``, made and checked against the cap here
+    when not given.
     """
     model, kern = config.model, config.kernel
     xs = config.resolve_x()
     R = config.replicates
     report = CltReport(config=config.resolved())
     verdicts = []
-    for point in points or check_cap(clt_points(config), config.max_field_bytes):
+    for point in points or check_cap(grid_points(config, "clt"), config.max_field_bytes):
         n, m, b = point.n, point.m, point.b
         sums = _run_replicates(config, point, partial(_kernel_sums, xs=xs, kernel=kern, b=b))
         N = n**model.d
@@ -623,20 +623,14 @@ def _block_windows(x, x_m, scratch, kernel, b, point, m, l, q):
     return prefix[(slice(None),) + (-1,) * d], windows
 
 
-def _block_samples(config: ExperimentConfig, plan: BlockPlan | None, points=None) -> list[dict]:
-    """Per-n raw block sums of the truncated kernel field (shared by checks).
-
-    ``points`` are ``grid_points(config, "blocks", blocks=plan)``, made and
-    checked against the cap here when not given.
-    """
-    model, innov, kern = config.model, config.innovations, config.kernel
+def _block_samples(config: ExperimentConfig, points) -> list[dict]:
+    """Raw block sums of the truncated kernel field at each of the ``points`` of a ``BlockPlan`` (shared by checks)."""
     x = config.resolve_x()[0]
     out = []
-    for point in points or check_cap(grid_points(config, "blocks", blocks=plan), config.max_field_bytes):
+    for point in points:
         n, m, l, q, b = point.n, point.m, point.l, point.q, point.b
-        reduce = partial(_block_windows, kernel=kern, b=b, point=x, m=m, l=l, q=q)
+        reduce = partial(_block_windows, kernel=config.kernel, b=b, point=x, m=m, l=l, q=q)
         totals, etas = _run_replicates(config, point, reduce)
-        e_site = math.sqrt(b) * expected_kde(density_oracle(model, innov, m), kern, b, x, truncated=True)
         out.append(
             {
                 "n": n,
@@ -645,7 +639,8 @@ def _block_samples(config: ExperimentConfig, plan: BlockPlan | None, points=None
                 "q": q,
                 "b": b,
                 "x": x,
-                "e_site": e_site,
+                "e_site": math.sqrt(b) * point.centering[1][0],
+                "sigma2_target": point.sigma2_target[0],
                 "totals": totals,
                 "etas": etas,
             }
@@ -660,7 +655,9 @@ def block_decomposition_check(config: ExperimentConfig, samples: list[dict]) -> 
     Var(Delta) along the n-grid, the rate proxy m_n/(l_n + m_n), and an
     independence audit of adjacent blocks (their sample correlation must sit
     within +-4/sqrt(#blocks * R)).  Verdict: Var(Delta) strictly decreasing.
-    ``samples`` are the block sums of ``_block_samples``.
+    ``samples`` are the block sums of ``_block_samples``.  Adjacent block
+    sums without variance, as at an x no site reaches, have no correlation:
+    ``MomentError``.
     """
     d = config.model.d
     rows = []
@@ -684,6 +681,12 @@ def block_decomposition_check(config: ExperimentConfig, samples: list[dict]) -> 
                     blocks = etas[(slice(None),) * ax + (cut,)]
                     out = pairs[row, (ax - 1) * part : ax * part].reshape(blocks.shape)
                     np.subtract(blocks, center_block, out=out)
+            if not np.ptp(pairs, axis=1).all():
+                raise MomentError(
+                    f"at x = {s['x']} the adjacent big-block sums of the truncated kernel field take one value "
+                    f"in every replicate at n = {n}, so their correlation is undefined: x lies beyond the "
+                    "kernel's reach of the field's values"
+                )
             pairs -= pairs.mean(axis=1)[:, None]
             c = np.dot(pairs, pairs.T)
             c *= np.true_divide(1, pairs.shape[1] - 1)
@@ -735,9 +738,7 @@ def lindeberg_estimate(config: ExperimentConfig, samples: list[dict], eps) -> di
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps must be positive")
     d = config.model.d
-    oracle = density_oracle(config.model, config.innovations, samples[-1]["m"])
-    x = samples[-1]["x"]
-    target = asymptotic_variance(float(oracle.p(x)), config.kernel)
+    target = samples[-1]["sigma2_target"]
     rows = []
     for s in samples:
         n, l = s["n"], s["l"]
@@ -801,7 +802,7 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
     ``grid_points(config, "rectangles")``, made and checked against the cap
     here when not given.
     """
-    model, innov, kern = config.model, config.innovations, config.kernel
+    model, kern = config.model, config.kernel
     x = config.resolve_x()[0]
     R = config.replicates
     n_min = min(config.n_grid)
@@ -819,10 +820,9 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
     norm_values = []
     fitted = []
     for point in points or check_cap(grid_points(config, "rectangles"), config.max_field_bytes):
-        n, m, b = point.n, point.m, point.b
-        oracle = density_oracle(model, innov, m)
-        ez = math.sqrt(b) * expected_kde(oracle, kern, b, x, truncated=True)
-        ed = math.sqrt(b) * expected_kde(oracle, kern, b, x) - ez
+        n, b = point.n, point.b
+        ez = math.sqrt(b) * point.centering[1][0]
+        ed = math.sqrt(b) * point.centering[0][0] - ez
         reduce = partial(_rectangle_sums, kernel=kern, b=b, point=x, rects=rect_list)
         zs, ds, dsum, dsq = _run_replicates(config, point, reduce)
         N = n**model.d
@@ -1062,37 +1062,30 @@ def _squared_gap(x, x_m, scratch, kernel, b, point):
     return (np.mean((kt - kf) ** 2, axis=tuple(range(1, kf.ndim))) / b,)
 
 
-def gap_points(config: ExperimentConfig, m: int | None, mode: str, rows: int = 0) -> tuple:
+def gap_points(config: ExperimentConfig, m: int | None, mode: str) -> tuple:
     """``grid_points`` of ``fixed_m_gap``: at the fixed ``m`` in ``fixed`` mode, on the schedule in ``growing`` mode."""
     if mode not in ("fixed", "growing"):
         raise ValueError("mode must be 'fixed' or 'growing'")
     if mode == "fixed" and (m is None or m < 1):
         raise ValueError("fixed mode needs m >= 1")
-    return grid_points(config, "gap", (lambda n: m) if mode == "fixed" else None, rows=rows)
+    return grid_points(config, "gap", (lambda n: m) if mode == "fixed" else None)
 
 
-def fixed_m_gap(
-    config: ExperimentConfig,
-    m: int | None = None,
-    n_grid=None,
-    mode: str = "fixed",
-    band: float = 0.15,
-    points=None,
-) -> dict:
+def fixed_m_gap(config: ExperimentConfig, m: int | None = None, mode: str = "fixed", points=None) -> dict:
     """Second moment of the site-level gap zeta - Z along the n-grid.
 
     ``fixed`` mode keeps m constant; the gap then stabilises at the strictly
-    positive limit (p_m(x) + p(x)) * int K^2 because the cross moment
-    E(Z zeta) ~ b * p_joint(x, x) vanishes with the bandwidth.  ``growing``
-    mode follows m_n = round(n^delta) and must trend to zero, bounded by a
-    fitted multiple of B_{m_n}/b_n + b_n.  ``points`` are ``gap_points``
-    of the config with ``n_grid``, made and checked against the cap here
-    when not given.
+    positive limit (p_m(x) + p(x)) * int K^2, within ``GAP_BAND`` of it,
+    because the cross moment E(Z zeta) ~ b * p_joint(x, x) vanishes with the
+    bandwidth.  ``growing`` mode follows m_n = round(n^delta) and must trend
+    to zero, bounded by a fitted multiple of B_{m_n}/b_n + b_n.  ``points``
+    are ``gap_points(config, m, mode)``, made and checked against the cap
+    here when not given.
     """
-    config = replace(config, n_grid=n_grid or config.n_grid)
     x = config.resolve_x()[0]
+    points = points or check_cap(gap_points(config, m, mode), config.max_field_bytes)
     rows = []
-    for point in points or check_cap(gap_points(config, m, mode), config.max_field_bytes):
+    for point in points:
         n, m_n, b = point.n, point.m, point.b
         reduce = partial(_squared_gap, kernel=config.kernel, b=b, point=x)
         (gaps,) = _run_replicates(config, point, reduce)
@@ -1109,11 +1102,8 @@ def fixed_m_gap(
     gaps = [r["gap"] for r in rows]
     report = {"name": "truncation_gap", "mode": mode, "x": x, "rows": rows}
     if mode == "fixed":
-        oracle = density_oracle(config.model, config.innovations, m)
-        limit = asymptotic_variance(float(oracle.p_m(x)), config.kernel) + asymptotic_variance(
-            float(oracle.p(x)), config.kernel
-        )
-        stabilised = abs(gaps[-1] - limit) <= band * limit
+        limit = points[-1].sigma2_truncated[0] + points[-1].sigma2_target[0]
+        stabilised = abs(gaps[-1] - limit) <= GAP_BAND * limit
         not_vanishing = gaps[-1] >= 0.5 * max(gaps)
         report.update(
             oracle_limit=limit,

@@ -519,15 +519,21 @@ def check_machkouri_qsum(model: CoefficientModel, q: float) -> ConditionReport:
     )
 
 
-def _seq_verdict(values, strict_ratio: float, trend_ratio: float) -> dict:
+# a vanishing sequence of check_condition_c "pass"es when it ends below STRICT_RATIO times its first
+# value, and "pass (trend)" when it ends below TREND_RATIO times it
+STRICT_RATIO = 0.1
+TREND_RATIO = 1.0
+
+
+def _seq_verdict(values) -> dict:
     vals = [float(v) for v in values]
     half = len(vals) // 2
     tail = vals[half:] if len(vals) > 1 else vals
     nonincreasing = all(b <= a for a, b in zip(tail, tail[1:]))
     shrinks = vals[-1] < tail[0] or vals[-1] == 0.0
     first = vals[0]
-    below_strict = vals[-1] <= strict_ratio * first if first > 0 else vals[-1] == 0.0
-    below_trend = vals[-1] <= trend_ratio * first if first > 0 else vals[-1] == 0.0
+    below_strict = vals[-1] <= STRICT_RATIO * first if first > 0 else vals[-1] == 0.0
+    below_trend = vals[-1] <= TREND_RATIO * first if first > 0 else vals[-1] == 0.0
     if nonincreasing and shrinks and below_strict:
         verdict = "pass"
     elif nonincreasing and shrinks and below_trend:
@@ -542,14 +548,7 @@ def _seq_verdict(values, strict_ratio: float, trend_ratio: float) -> dict:
     }
 
 
-def check_condition_c(
-    model: CoefficientModel,
-    bandwidth,
-    delta: float,
-    n_grid,
-    strict_ratio: float = 0.1,
-    trend_ratio: float = 1.0,
-) -> ConditionReport:
+def check_condition_c(model: CoefficientModel, bandwidth, delta: float, n_grid) -> ConditionReport:
     """Evaluate the four vanishing-limit sequences for the schedule m_n = round(n^delta).
 
     The sequences are sqrt(b_n)*Delta_n, B_{m_n}/b_n, m_n^d*b_n and
@@ -558,7 +557,7 @@ def check_condition_c(
     the model's decay exponent puts delta strictly inside the feasible
     interval of ``check_decay_window``, and a numeric "pass (trend)" when all
     four sequences decrease over the last half of the grid and end below
-    ``trend_ratio`` times their initial value (``strict_ratio`` marks the
+    ``TREND_RATIO`` times their initial value (``STRICT_RATIO`` marks the
     stricter per-sequence "pass").  Raw sequences are always attached.
     """
     if not (0.0 < delta < 1.0):
@@ -584,7 +583,7 @@ def check_condition_c(
             }
         )
     per_seq = {
-        k: _seq_verdict([row[k] for row in rows], strict_ratio, trend_ratio)
+        k: _seq_verdict([row[k] for row in rows])
         for k in ("sqrt_b_delta", "residual_over_b", "m_vol_times_b", "m_logs_over_nb")
     }
     trend_pass = all(v["verdict"] != "fail" for v in per_seq.values())
@@ -615,6 +614,6 @@ def check_condition_c(
         },
         delta_interval=window.delta_interval,
         delta_star=window.delta_star,
-        thresholds={"strict_ratio": strict_ratio, "trend_ratio": trend_ratio},
+        thresholds={"strict_ratio": STRICT_RATIO, "trend_ratio": TREND_RATIO},
         grid_rows=rows,
     )

@@ -45,6 +45,9 @@ DEFAULT_MAX_FIELD_BYTES = 1 << 30
 # against the sliced direct path on this backend, implied constants 1.1-3.4
 # across d in {1,2,3}, median ~2
 FFT_COST = 2.0
+# the largest generation radius plan_truncation searches, and the largest side a field CSV holds
+MAX_RADIUS = 1 << 20
+MAX_CSV_SIDE = 64
 _MAGIC = b"FKDE"
 _VERSION = 1
 
@@ -82,7 +85,6 @@ def plan_truncation(
     b: float | None = None,
     eta: float = 0.01,
     M: int | None = None,
-    max_radius: int = 1 << 20,
 ) -> TruncationPlan:
     """Choose the generation radius M.
 
@@ -110,9 +112,9 @@ def plan_truncation(
         M_star = 1
         while residual_sqrt_mass(model, M_star) > target:
             M_star += max(1, M_star // 4)
-            if M_star > max_radius:
+            if M_star > MAX_RADIUS:
                 raise TruncationError(
-                    "eta", f"no truncation radius below {max_radius} reaches B_M <= eta * b = {target:g}"
+                    "eta", f"no truncation radius below {MAX_RADIUS} reaches B_M <= eta * b = {target:g}"
                 )
         # walk back to the minimal radius
         while M_star > 1 and residual_sqrt_mass(model, M_star - 1) <= target:
@@ -437,10 +439,10 @@ def read_field_binary(path) -> LatticeField:
     return LatticeField(d=int(d), n=int(n), values=data.copy(), provenance=prov)
 
 
-def write_field_csv(field: LatticeField, path, max_side: int = 64) -> None:
-    """Index + value rows; refused for sides beyond ``max_side``."""
-    if field.n > max_side:
-        raise ValueError(f"CSV export limited to side <= {max_side}")
+def write_field_csv(field: LatticeField, path) -> None:
+    """Index + value rows; refused for sides beyond ``MAX_CSV_SIDE``."""
+    if field.n > MAX_CSV_SIDE:
+        raise ValueError(f"CSV export limited to side <= {MAX_CSV_SIDE}")
     with open(path, "w", encoding="utf-8") as fh:
         cols = [f"i{t + 1}" for t in range(field.d)]
         fh.write(",".join(cols + ["value"]) + "\n")

@@ -34,29 +34,14 @@ def float_repr(x: float) -> str:
     return format(x, ".17g")
 
 
-def _normalise(obj):
-    """``obj`` as plain JSON values; a dataclass instance is the dict of its fields."""
-    if type(obj) in (float, int, str, bool) or obj is None:  # most of a report, so tried first
-        return obj
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _normalise(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _normalise(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_normalise(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_normalise(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    raise TypeError(f"cannot serialise {type(obj)!r}")
-
-
 def _emit(obj, out: list) -> None:
-    if obj is None:
+    """Append the JSON of ``obj`` to ``out``: a dataclass instance as the dict of its fields, numpy values as Python's.
+
+    Dict keys are turned into strings with ``str`` and sorted.
+    """
+    if type(obj) is float:  # most of a report, so tried first
+        out.append(float_repr(obj))
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
@@ -64,34 +49,36 @@ def _emit(obj, out: list) -> None:
         out.append("false")
     elif isinstance(obj, str):
         out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"')
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(float_repr(obj))
-    elif isinstance(obj, list):
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(float_repr(float(obj)))
+    elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
-        for i, v in enumerate(obj):
+        for i, v in enumerate(obj.tolist() if isinstance(obj, np.ndarray) else obj):
             if i:
                 out.append(",")
             _emit(v, out)
         out.append("]")
-    elif isinstance(obj, dict):
+    elif isinstance(obj, dict) or (is_dataclass(obj) and not isinstance(obj, type)):
+        items = obj.items() if isinstance(obj, dict) else ((f.name, getattr(obj, f.name)) for f in fields(obj))
+        named = {str(k): v for k, v in items}
         out.append("{")
-        for i, k in enumerate(sorted(obj)):
+        for i, k in enumerate(sorted(named)):
             if i:
                 out.append(",")
             _emit(k, out)
             out.append(":")
-            _emit(obj[k], out)
+            _emit(named[k], out)
         out.append("}")
-    else:  # pragma: no cover - _normalise rejects everything else
+    else:
         raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
 def canonical_json(obj) -> bytes:
     """Deterministic JSON bytes: sorted keys, '.17g' floats, trailing newline."""
     out: list[str] = []
-    _emit(_normalise(obj), out)
+    _emit(obj, out)
     return ("".join(out) + "\n").encode("utf-8")
 
 

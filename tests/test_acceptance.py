@@ -33,7 +33,7 @@ from fieldkde import (
     run_clt_experiment,
     wu_inequality_check,
 )
-from fieldkde.clt import _block_samples
+from fieldkde.clt import _block_samples, grid_points
 from fieldkde.coefficients import coeff_box
 from fieldkde.innovations import draw_lattice
 from fieldkde.reporting import canonical_json
@@ -205,7 +205,7 @@ def test_criterion_6_block_machinery():
         master_seed=MASTER_SEED,
     )
     plan = BlockPlan(m=4)  # l_n = 4 * ceil(log n)
-    samples = _block_samples(cfg, plan)
+    samples = _block_samples(cfg, grid_points(cfg, "blocks", blocks=plan))
     dec = block_decomposition_check(cfg, samples)
     lf = lindeberg_estimate(cfg, samples, [0.5, 1.0, 2.0])
     vals = [r["var_delta"] for r in dec["rows"]]

@@ -16,6 +16,7 @@ from fieldkde import (
     MomentError,
     SeedSpec,
     Seeds,
+    asymptotic_variance,
     block_decomposition_check,
     density_oracle,
     fixed_m_gap,
@@ -28,7 +29,7 @@ from fieldkde import (
     run_clt_experiment,
     wu_inequality_check,
 )
-from fieldkde.clt import _block_samples, _skew_kurtosis
+from fieldkde.clt import _block_samples, _skew_kurtosis, grid_points
 from fieldkde.coefficients import coeff_box, residual_sqrt_mass
 from fieldkde.field import coupled_spectra
 from fieldkde.reporting import canonical_json
@@ -59,8 +60,6 @@ class TestExperimentConfig:
         assert len(_config(geometric_half, n_grid=grid[:100]).n_grid) == 100
         with pytest.raises(ValueError, match="at most 100"):
             _config(geometric_half, n_grid=grid)
-        with pytest.raises(ValueError, match="at most 100"):
-            fixed_m_gap(_config(geometric_half), m=2, n_grid=grid)
 
     @pytest.mark.parametrize("points", [(), (math.nan,), (0.0, math.inf), (-math.inf,)])
     def test_rejects_empty_or_nonfinite_x_points(self, geometric_half, points):
@@ -622,12 +621,17 @@ class TestWuInequality:
         assert peak < 8 << 20  # 96.5 MiB with 2^22-value chunks of |X|
 
 
+def _samples(config, plan):
+    """``_block_samples`` at the grid points of ``plan``."""
+    return _block_samples(config, grid_points(config, "blocks", blocks=plan))
+
+
 class TestBlocks:
     def test_single_block_no_gap(self, identity_weights):
         # block side l = n: the single block covers everything, so the gap
         # statistic is exactly zero
         cfg1 = _config(identity_weights, n_grid=(128,), replicates=40)
-        samples = _block_samples(cfg1, BlockPlan(m=1, l=128))
+        samples = _samples(cfg1, BlockPlan(m=1, l=128))
         rep = block_decomposition_check(cfg1, samples)
         assert rep["rows"][0]["blocks_per_axis"] == 1
         assert rep["rows"][0]["var_delta"] == 0.0
@@ -674,7 +678,7 @@ class TestBlocks:
             replicates=600,
         )
         plan = BlockPlan(m=4)
-        rep = block_decomposition_check(cfg, _block_samples(cfg, plan))
+        rep = block_decomposition_check(cfg, _samples(cfg, plan))
         vals = [r["var_delta"] for r in rep["rows"]]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         proxies = [r["rate_proxy"] for r in rep["rows"]]
@@ -692,14 +696,14 @@ class TestBlocks:
             replicates=300,
         )
         plan = BlockPlan(m=1, l=512)
-        rep = lindeberg_estimate(cfg, _block_samples(cfg, plan), [1.0])
+        rep = lindeberg_estimate(cfg, _samples(cfg, plan), [1.0])
         target = rep["sigma2_target"]
         assert rep["rows"][0]["lf1"] == pytest.approx(target, rel=0.1)
 
     def test_indicator_exactly_zero_for_large_eps(self, geometric_half, epanechnikov):
         cfg = _config(geometric_half, n_grid=(256,), replicates=100)
         plan = BlockPlan(m=2, l=16)
-        samples = _block_samples(cfg, plan)
+        samples = _samples(cfg, plan)
         s = samples[0]
         b = s["b"]
         # |xi| <= l * 2 sup K / sqrt(b) almost surely, so a threshold above
@@ -717,16 +721,18 @@ class TestBlocks:
             replicates=600,
         )
         plan = BlockPlan(m=4)
-        rep = lindeberg_estimate(cfg, _block_samples(cfg, plan), [0.5, 1.0, 2.0])
+        rep = lindeberg_estimate(cfg, _samples(cfg, plan), [0.5, 1.0, 2.0])
         for e, ok in rep["verdicts"]["lf2_vanishes"].items():
             assert ok
 
 
 def _synthetic_block_sample(replicates, q):
-    """One n-grid point of ``_block_samples``' shape, with normal block sums."""
+    """One n-grid point of ``_block_samples``' shape, with normal block sums, at x = 0 of the geometric field."""
     rng = np.random.default_rng(MASTER_SEED)
+    oracle = density_oracle(CoefficientModel(d=1, family="geometric", ratio=0.5), InnovationModel("gaussian"), 4)
     return {
         "n": 4096, "m": 4, "l": 36, "q": q, "b": 4096**-0.5, "x": 0.0, "e_site": 2.0**-6,
+        "sigma2_target": asymptotic_variance(float(oracle.p(0.0)), kernel_by_name("epanechnikov")),
         "totals": rng.standard_normal(replicates), "etas": rng.standard_normal((replicates, q)),
     }
 
@@ -760,7 +766,7 @@ class TestLeanReductions:
     )
     def test_block_checks_equal_the_reference(self, model, n_grid, plan):
         cfg = _config(model, n_grid=n_grid, replicates=40)
-        samples = _block_samples(cfg, plan)
+        samples = _samples(cfg, plan)
         got = block_decomposition_check(cfg, samples)
         assert got == block_reference.block_decomposition_check(cfg, samples)
         q = samples[0]["q"]

@@ -485,6 +485,19 @@ class TestScheduleLimits:
             assert rep.passed
             assert rep.details["sequences"]["residual_over_b"]["values"] == [0.0] * 4
 
+    def test_a_declared_beta_sets_the_window_and_the_trend_route_passes_outside_it(self, geometric_half):
+        # geometric weights decay faster than any power, but a declared beta = 1.5 sets the window
+        # (gamma/beta, 1/2) = (1/3, 1/2); at delta = 1/4, below it, all four sequences still fall
+        bw = BandwidthSchedule(d=1, gamma=0.5)
+        grid = [16, 64, 256, 1024, 4096]
+        declared = CoefficientModel(d=1, family="geometric", ratio=0.5, beta=1.5)
+        rep = check_condition_c(declared, bw, 0.25, grid)
+        assert rep.details["beta"] == 1.5 and rep.delta_interval == pytest.approx((1.0 / 3.0, 0.5))
+        assert not rep.details["delta_in_window"] and rep.verdict == "pass (trend)" and rep.passed
+        assert rep.thresholds == {"strict_ratio": 0.1, "trend_ratio": 1.0}
+        assert all(seq["verdict"] == "pass (trend)" for seq in rep.details["sequences"].values())
+        assert check_condition_c(geometric_half, bw, 0.25, grid).verdict == "pass (window)"
+
     def test_empty_window_fails(self, power_d2):
         bw = BandwidthSchedule(d=2, gamma=1.3)
         for delta in (0.1, 0.38, 0.45):

@@ -85,16 +85,87 @@ class TestLateCap:
         assert point["n"] == 64 and point["m"] == point["truncation"]["M"] and point["rows"] == 5
 
 
-class TestClt:
-    def test_an_x_where_the_density_is_0_exit_1_before_any_draw(self, tmp_path, capsys, no_draw):
-        code = _run(tmp_path, "clt-run", "power_decay_d2.json", "clt.n_grid=[16]", "clt.x_points=[60.0]",
-                    "clt.replicates=120")
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config key clt.x_points: ") and err.endswith(" at n = 16\n")
-        assert _manifest(tmp_path, "clt-run")["status"] == "error"
-        assert [p.name for p in (tmp_path / "clt_run").iterdir()] == ["manifest.json"]
+class TestZeroDensity:
+    """An x where the field's density is 0 has no limit law to test: every experiment rejects it in its plan."""
 
+    @pytest.mark.parametrize(
+        "sub,config,section,sets",
+        [
+            ("clt-run", "power_decay_d2.json", "clt", ["clt.x_points=[0.0,60.0]", "clt.n_grid=[16]",
+                                                       "clt.replicates=120"]),
+            ("blocks", "blocks_d1.json", "blocks", ["blocks.x_points=[60.0]", "blocks.n_grid=[256,512,1024]",
+                                                    "blocks.replicates=20"]),
+            ("moment-check", "blocks_d1.json", "moment_check",
+             ["moment_check.x_points=[60.0,0.0]", "moment_check.n_grid=[256]", "moment_check.rectangles=[4]"]),
+            # a fixed-m gap whose limit (p_m(x) + p(x)) int K^2 is 0 passed at any gap near 0
+            ("fixed-m-gap", "geometric_truncation_gap.json", "gap", ["gap.x_points=[60.0]",
+                                                                     "gap.n_grid=[256,512,1024]",
+                                                                     "gap.replicates=20"]),
+        ],
+    )
+    def test_exit_1_naming_the_x_points_before_any_draw(self, tmp_path, capsys, no_draw, sub, config, section,
+                                                        sets):
+        assert _run(tmp_path, sub, config, *sets) == 1
+        err = capsys.readouterr().err
+        n = json.loads(sets[1].split("=")[1])[0]  # the first grid point
+        assert err == (f"error: config key {section}.x_points: the field's density is 0 at x = 60.0, "
+                       f"so T_n has no limit variance there, at n = {n}\n")
+        assert _manifest(tmp_path, sub)["status"] == "error"
+        assert [p.name for p in (tmp_path / sub.replace("-", "_")).iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("sub,section", [("blocks", "blocks"), ("moment-check", "moment_check"),
+                                             ("fixed-m-gap", "gap")])
+    def test_only_the_first_x_is_tested_outside_clt_run(self, sub, section):
+        cfg = load_config(None, [f"{section}.x_points=[0.0,60.0]", f"{section}.n_grid=[256]",
+                                 "moment_check.rectangles=[4]"])
+        (point,) = plan_run(cfg, sub).points
+        assert len(point.sigma2_target) == len(point.sigma2_truncated) == 1 and point.sigma2_target[0] > 0
+        assert [len(c) for c in point.centering] == [1, 1]
+
+
+class TestOracleFigures:
+    """Each experiment reads its centering and limit variances from its plan, one density oracle per distinct m."""
+
+    @pytest.fixture
+    def oracles(self, monkeypatch):
+        built = []
+        oracle = clt.density_oracle
+
+        def counting(model, innovations, m):
+            built.append(m)
+            return oracle(model, innovations, m)
+
+        monkeypatch.setattr(clt, "density_oracle", counting)
+        return built
+
+    @pytest.mark.parametrize(
+        "sub,config,sets,built",
+        [
+            ("blocks", "blocks_d1.json", ["blocks.n_grid=[256,512,1024]", "blocks.replicates=20"], [4]),
+            ("fixed-m-gap", "geometric_truncation_gap.json", ["gap.n_grid=[256,512,1024]", "gap.replicates=20"],
+             [2]),
+            # m_n = round(n^(5/12)) is 4 at n = 32 and 5 at n = 48
+            ("clt-run", "power_decay_d2.json", ["clt.n_grid=[32,36,48]", "clt.replicates=5"], [4, 5]),
+        ],
+    )
+    def test_one_oracle_per_distinct_m(self, tmp_path, oracles, sub, config, sets, built):
+        assert _run(tmp_path, sub, config, *sets) in (0, 2)
+        assert oracles == built
+
+    def test_the_plan_holds_what_the_checks_read(self):
+        cfg = load_config(str(CONFIGS / "geometric_truncation_gap.json"), ["gap.n_grid=[256,1024]"])
+        config = cli._experiment(cfg, "gap")
+        oracle = clt.density_oracle(config.model, config.innovations, 2)
+        kern, x = config.kernel, config.resolve_x()[0]
+        for point in plan_run(cfg, "fixed-m-gap").points:
+            assert point.sigma2_target == (clt.asymptotic_variance(float(oracle.p(x)), kern),)
+            assert point.sigma2_truncated == (clt.asymptotic_variance(float(oracle.p_m(x)), kern),)
+            assert point.centering == ((clt.expected_kde(oracle, kern, point.b, x),),
+                                       (clt.expected_kde(oracle, kern, point.b, x, truncated=True),))
+            assert point.oracle == oracle.summary()
+
+
+class TestClt:
     def test_a_point_whose_replicates_all_agree_is_reported_and_fails(self, tmp_path):
         # no site reaches x = 8, so T is the same in every replicate and has no skewness or kurtosis
         code = _run(tmp_path, "clt-run", "power_decay_d2.json", "clt.n_grid=[16]", "clt.x_points=[8.0]",

@@ -126,6 +126,15 @@ class TestCanonicalJson:
         back = json.loads(canonical_json(data).decode())
         assert back == {"arr": [1.0, 2.0], "i": 3, "f": 0.5}
 
+    def test_keys_become_strings_before_sorting_and_tuples_lists(self):
+        assert canonical_json({10: (1, np.float32(0.5)), 9: [], "a": {2.5: None}}) == (
+            b'{"10":[1,0.5],"9":[],"a":{"2.5":null}}\n')
+
+    @pytest.mark.parametrize("value", [np.bool_(True), {1, 2}, object()])
+    def test_rejects_what_json_has_no_form_for(self, value):
+        with pytest.raises(TypeError, match="cannot serialise"):
+            canonical_json({"x": [value]})
+
 
 class TestDataclassSerialisation:
     """A dataclass serialises as the dict of its fields: the bytes its hand-written dict gave."""
@@ -738,17 +747,41 @@ class TestCli:
         manifest = json.loads((tmp_path / "moment_check" / "manifest.json").read_text())
         assert manifest["status"] == "error" and "limits.max_field_bytes" in manifest["error"]
 
-    def test_moment_check_at_a_point_no_site_reaches_exit_1(self, tmp_path, capsys):
-        # every rectangle norm is 0 there, so their max/min ratio has no value
+    @pytest.mark.parametrize(
+        "x,prefix",
+        [
+            # the density is 0 there, which the plan rejects before any draw
+            (60.0, "the field's density is 0 at x = 60.0, "),
+            # the density is positive but subnormal, and the truncated field's is 0: no site reaches x, every
+            # rectangle norm is 0, and their max/min ratio has no value
+            (44.0, "at x = 44.0 the truncated kernel field sums to its mean "),
+        ],
+    )
+    def test_moment_check_at_a_point_no_site_reaches_exit_1(self, tmp_path, capsys, x, prefix):
         code = _run(tmp_path, "moment-check", "--set", "moment_check.wu_p=[]",
-                    "--set", "moment_check.x_points=[60.0]", "--set", "moment_check.n_grid=[64]",
+                    "--set", f"moment_check.x_points=[{x}]", "--set", "moment_check.n_grid=[64]",
                     "--set", "moment_check.replicates=5", "--set", "moment_check.rectangles=[4,16]")
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: config key moment_check.x_points: at x = 60.0 "), err
+        assert err.startswith(f"error: config key moment_check.x_points: {prefix}"), err
         manifest = json.loads((tmp_path / "moment_check" / "manifest.json").read_text())
         assert manifest["status"] == "error" and "moment_check.x_points" in manifest["error"]
         assert not (tmp_path / "moment_check" / "report.json").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_blocks_at_a_point_no_site_reaches_exit_1(self, tmp_path, capsys):
+        # the density is positive at x = 8, but every block sum is 0, so adjacent blocks have no correlation
+        code = _run(tmp_path, "blocks", "--config", str(REPO / "configs" / "blocks_d1.json"),
+                    "--set", "blocks.x_points=[8.0]", "--set", "blocks.n_grid=[256,512,1024]",
+                    "--set", "blocks.replicates=20")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key blocks.x_points: at x = 8.0 the adjacent big-block sums "), err
+        assert err.endswith(" at n = 256, so their correlation is undefined: x lies beyond the kernel's reach "
+                            "of the field's values\n")
+        manifest = json.loads((tmp_path / "blocks" / "manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
+        assert not (tmp_path / "blocks" / "report.json").exists()
 
     @pytest.mark.parametrize("replicates", [1, 1.0])
     def test_blocks_with_one_replicate_exit_1_before_any_draw(self, tmp_path, capsys, monkeypatch, replicates):
