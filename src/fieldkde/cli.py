@@ -55,6 +55,7 @@ from .coefficients import (
     model_from_config,
 )
 from .field import (
+    DEFAULT_MAX_FIELD_BYTES,
     FieldSizeError,
     LatticeField,
     TruncationError,
@@ -129,7 +130,7 @@ CONFIG_KEYS = {
     },
     "seed": Key("int", 20260810, ge=0, lt=1 << 64),
     "threads": Key("int", 1, ge=1),
-    "limits": {"max_field_bytes": Key("int", 1 << 30, ge=1)},
+    "limits": {"max_field_bytes": Key("int", DEFAULT_MAX_FIELD_BYTES, ge=1)},
     "conditions": {
         # the trend verdicts read the last half of the grid
         "n_grid": Key("ints", [16, 32, 64, 128], ge=1, increasing=3),
@@ -429,9 +430,7 @@ def _coupled_draw(cfg: dict, point: GridPoint):
     """(model, innovations, X, X_m) of one seed at ``point``, drawn as the engine draws."""
     model = model_from_config(cfg["coefficient"])
     innov = InnovationModel.from_config(cfg["innovations"])
-    n, m, plan = point.n, point.m, point.truncation
-    spectra = coupled_spectra(model, n, m, plan, method=point.method, max_bytes=None)
-    x, x_m = generate_coupled_fields(model, innov, n, m, plan, Seeds.of(SeedSpec(cfg["seed"])), spectra)
+    x, x_m = generate_coupled_fields(innov, Seeds.of(SeedSpec(cfg["seed"])), coupled_spectra(model, point))
     return model, innov, x[0], x_m[0]
 
 
@@ -603,10 +602,10 @@ def cmd_blocks(cfg: dict, run: RunPlan):
 def cmd_moment_check(cfg: dict, run: RunPlan):
     sec = cfg["moment_check"]
     config = _experiment(cfg, "moment_check")
-    wu_reports = wu_inequality_check(config.model, config.innovations, sec["wu_p"], sec["wu_sample"],
-                                     master_seed=config.master_seed, threads=config.threads, plan=run.wu)
+    wu_reports = [] if run.wu is None else wu_inequality_check(
+        config.model, config.innovations, run.wu, master_seed=config.master_seed, threads=config.threads)
     try:
-        rect = rectangle_moment_check(config, sec["rectangles"], ratio_cap=sec["ratio_cap"], points=run.points)
+        rect = rectangle_moment_check(config, sec["rectangles"], run.points, ratio_cap=sec["ratio_cap"])
     except MomentError as exc:
         raise ToolError(f"config key moment_check.x_points: {exc}") from None
     ok = rect["passed"]
@@ -623,7 +622,7 @@ def cmd_moment_check(cfg: dict, run: RunPlan):
 def cmd_fixed_m_gap(cfg: dict, run: RunPlan):
     sec = cfg["gap"]
     config = _experiment(cfg, "gap")
-    rep = fixed_m_gap(config, m=sec["m"], mode=sec["mode"], points=run.points)
+    rep = fixed_m_gap(config, run.points, sec["mode"])
     report = {
         "subcommand": "fixed-m-gap",
         "config": config.resolved(),

@@ -72,8 +72,11 @@ __all__ = [
     "rectangle_moment_check",
     "wu_inequality_check",
     "fixed_m_gap",
+    "gap_points",
+    "grid_points",
     "ks_normality_test",
     "m_schedule",
+    "plan_wu",
     "worker_pool",
 ]
 
@@ -231,6 +234,8 @@ def plan_point(model: CoefficientModel, n, m, b, truncation, stream, replicates,
     Its bytes may exceed ``max_bytes``, at one replicate per batch; ``check_cap`` rejects such a point.
     """
     d, M = model.d, truncation.M
+    if n < 1 or not 1 <= m <= M:
+        raise ValueError(f"need n >= 1 and 1 <= m <= M (got n={n}, m={m}, M={M})")
     method = convolution_method(model, n, M, max_bytes)
     spectra = estimate_field_bytes(d, n, M, m, method, 0)
     per = estimate_field_bytes(d, n, M, m, method, 1) - spectra
@@ -306,15 +311,14 @@ def _replicate_chunk(config: ExperimentConfig, point: GridPoint, reduce, start, 
     its generation buffers, and as ``scratch`` two of them the fields no
     longer need.  The chunk's seeds are hashed in one pass.
     """
-    n, m, plan = point.n, point.m, point.truncation
-    spectra = coupled_spectra(config.model, n, m, plan, method=point.method, max_bytes=None)
+    spectra = coupled_spectra(config.model, point)
     size = min(point.batch, max(stop - start, 1))
     work = CoupledWorkspace(spectra, size)
     seeds = Seeds(config.master_seed, point.stream, range(start, stop))
     batches = []
     for lo in range(0, stop - start, size):
         batch = seeds[lo:lo + size]
-        fields = generate_coupled_fields(config.model, config.innovations, n, m, plan, batch, spectra, work)
+        fields = generate_coupled_fields(config.innovations, batch, spectra, work)
         # each output is copied into its own C-ordered array: the next batch
         # overwrites the workspace, a view would keep a batch's prefix sums
         # alive until the join, and row sums round by layout
@@ -387,8 +391,10 @@ def _run_replicates(config: ExperimentConfig, point: GridPoint, reduce) -> tuple
     replicate r always draws from (master, stream, r), and a batch gives
     the same bits as one replicate at a time, so the result depends on
     neither the worker count nor the batch size.  Each output is joined
-    once from C-ordered parts.
+    once from C-ordered parts.  The point's batch must fit in the config's
+    ``max_field_bytes``: ``FieldSizeError`` otherwise, before any draw.
     """
+    check_cap((point,), config.max_field_bytes)
     chunk = partial(_replicate_chunk, config, point, reduce)
     batches = _map_chunks(chunk, config.replicates, config.threads)
     return tuple(np.concatenate(parts) for parts in zip(*batches))
@@ -511,7 +517,7 @@ class CltReport:
     nonfinite: int = 0
 
 
-def run_clt_experiment(config: ExperimentConfig, points=None) -> CltReport:
+def run_clt_experiment(config: ExperimentConfig, points) -> CltReport:
     """Estimate the law of T_n over independent replicates on the (n, x) grid.
 
     Verdict per point: "consistent" when |mean| <= 3*sqrt(sigma_x^2/R), the
@@ -521,15 +527,14 @@ def run_clt_experiment(config: ExperimentConfig, points=None) -> CltReport:
     non-finite T, T_zeta or T_remainder fails whatever R is: those values
     and the point's moments are reported as null, and ``nonfinite`` counts
     the (n, x, replicate) rows that hold them.  ``points`` are
-    ``grid_points(config, "clt")``, made and checked against the cap here
-    when not given.
+    ``grid_points(config, "clt")``.
     """
     model, kern = config.model, config.kernel
     xs = config.resolve_x()
     R = config.replicates
     report = CltReport(config=config.resolved())
     verdicts = []
-    for point in points or check_cap(grid_points(config, "clt"), config.max_field_bytes):
+    for point in points:
         n, m, b = point.n, point.m, point.b
         sums = _run_replicates(config, point, partial(_kernel_sums, xs=xs, kernel=kern, b=b))
         N = n**model.d
@@ -790,7 +795,7 @@ def _rectangle_sums(x, x_m, scratch, kernel, b, point, rects):
     return zsums, dsums, np.sum(diff, axis=axes), np.sum(np.square(diff, out=zeta), axis=axes)
 
 
-def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: float = 3.0, points=None) -> dict:
+def rectangle_moment_check(config: ExperimentConfig, rectangles, points, ratio_cap: float = 3.0) -> dict:
     """Normalised L2 norms of corner-rectangle sums of the truncated kernel field.
 
     For each rectangle j the quantity ||sum_{1<=i<=j} zeta_bar||_2 /
@@ -799,8 +804,9 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
     boundedness proxy.  The remainder field is normalised instead by
     sqrt(j_1...j_d) * (||Zbar - zetabar||_2 + sqrt(b) Delta_n) and the
     smallest constant covering the grid is reported.  ``points`` are
-    ``grid_points(config, "rectangles")``, made and checked against the cap
-    here when not given.
+    ``grid_points(config, "rectangles")``.  A point where every rectangle
+    sum is 0 in every replicate, as at an x no site reaches, has norms of
+    its centering alone: ``MomentError``.
     """
     model, kern = config.model, config.kernel
     x = config.resolve_x()[0]
@@ -819,12 +825,18 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
     rows = []
     norm_values = []
     fitted = []
-    for point in points or check_cap(grid_points(config, "rectangles"), config.max_field_bytes):
+    for point in points:
         n, b = point.n, point.b
         ez = math.sqrt(b) * point.centering[1][0]
         ed = math.sqrt(b) * point.centering[0][0] - ez
         reduce = partial(_rectangle_sums, kernel=kern, b=b, point=x, rects=rect_list)
         zs, ds, dsum, dsq = _run_replicates(config, point, reduce)
+        if not zs.any():
+            raise MomentError(
+                f"at x = {x} the truncated kernel field sums to 0 over every rectangle in every replicate "
+                f"at n = {n}, so the rectangle norms measure its centering alone: "
+                "x lies beyond the kernel's reach of the field's values"
+            )
         N = n**model.d
         site_mean = float(dsum.sum()) / (R * N)
         site_m2 = float(dsq.sum()) / (R * N)
@@ -836,12 +848,6 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, ratio_cap: floa
             dc = ds[:, ri] - vol * ed
             znorm = math.sqrt(float(np.mean(zc**2))) / math.sqrt(vol)
             dnorm = math.sqrt(float(np.mean(dc**2)))
-            if znorm == 0.0:
-                raise MomentError(
-                    f"at x = {x} the truncated kernel field sums to its mean over rectangle {list(rect)} "
-                    f"in every replicate at n = {n}, so the max/min ratio of the norms is undefined: "
-                    "x lies beyond the kernel's reach of the field's values"
-                )
             c_fit = dnorm / (math.sqrt(vol) * bound_unit) if bound_unit > 0 else 0.0
             norm_values.append(znorm)
             fitted.append(c_fit)
@@ -939,8 +945,10 @@ def _wu_side(model: CoefficientModel, sample: int, max_bytes: int) -> int:
 
 @dataclass(frozen=True)
 class WuPlan:
-    """The moment-inequality sample's box side, samples per keyed block, block count, bytes per worker and draws."""
+    """The moment-inequality sample's orders and size, box side, samples per block, blocks, bytes per worker, draws."""
 
+    orders: tuple
+    sample: int
     side: int
     rows: int
     blocks: int
@@ -978,18 +986,11 @@ def plan_wu(model: CoefficientModel, innovations: InnovationModel, orders, sampl
             f"the moment-inequality sample's coefficient box of side {side}, its draw block, "
             f"|X| and the block sums need about {need} bytes (> cap {max_bytes})"
         )
-    return WuPlan(side, rows, blocks, need, sample * size)
+    return WuPlan(tuple(orders), sample, side, rows, blocks, need, sample * size)
 
 
 def wu_inequality_check(
-    model: CoefficientModel,
-    innovations: InnovationModel,
-    p,
-    sample: int,
-    master_seed: int = 20260810,
-    max_bytes: int = DEFAULT_MAX_FIELD_BYTES,
-    threads: int = 1,
-    plan: WuPlan | None = None,
+    model: CoefficientModel, innovations: InnovationModel, plan: WuPlan, master_seed: int = 20260810, threads: int = 1
 ):
     """Monte Carlo constant in E|sum_k a_k eps_k|^(2p) <= C (sum_k a_k^2)^p.
 
@@ -998,21 +999,17 @@ def wu_inequality_check(
     carries the exact constant of the full field, ``reference_c`` (1 at p=1;
     at p=2 it needs the innovation kurtosis), the exact constant of the
     sampled box, ``box_c``, which C_hat estimates, and their difference,
-    ``truncation_bias``.  Requires E|eps|^(2 v 2p) < infinity.  ``p`` is a
-    sequence of orders; the list of their reports comes from one sample of
-    X_0, with the same numbers as one call per order.  The sample is drawn in
+    ``truncation_bias``.  ``plan`` is ``plan_wu``'s, which checked
+    E|eps|^(2 v 2p) < infinity and the memory cap for its orders and sample
+    size; the list of the orders' reports comes from one sample of X_0, with
+    the same numbers as one plan per order.  The sample is drawn in
     keyed blocks of ``WU_BLOCK_BYTES`` of draws (``_wu_block_sums``), split
     over workers by ``_map_chunks``; the blocks' sums are added in block order
-    here, so the reports do not depend on ``threads``.  ``plan`` is
-    ``plan_wu``'s, made here when not given, which checks the memory cap
-    before anything is allocated.
+    here, so the reports do not depend on ``threads``.
     """
-    orders = list(p)
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    plan = plan or plan_wu(model, innovations, orders, sample, max_bytes)
-    if plan is None:
-        return []
+    orders, sample = plan.orders, plan.sample
     total = total_sq_mass(model)
     side = plan.side
     a = coeff_box(model, side).ravel()
@@ -1071,7 +1068,7 @@ def gap_points(config: ExperimentConfig, m: int | None, mode: str) -> tuple:
     return grid_points(config, "gap", (lambda n: m) if mode == "fixed" else None)
 
 
-def fixed_m_gap(config: ExperimentConfig, m: int | None = None, mode: str = "fixed", points=None) -> dict:
+def fixed_m_gap(config: ExperimentConfig, points, mode: str) -> dict:
     """Second moment of the site-level gap zeta - Z along the n-grid.
 
     ``fixed`` mode keeps m constant; the gap then stabilises at the strictly
@@ -1079,11 +1076,9 @@ def fixed_m_gap(config: ExperimentConfig, m: int | None = None, mode: str = "fix
     because the cross moment E(Z zeta) ~ b * p_joint(x, x) vanishes with the
     bandwidth.  ``growing`` mode follows m_n = round(n^delta) and must trend
     to zero, bounded by a fitted multiple of B_{m_n}/b_n + b_n.  ``points``
-    are ``gap_points(config, m, mode)``, made and checked against the cap
-    here when not given.
+    are ``gap_points(config, m, mode)``.
     """
     x = config.resolve_x()[0]
-    points = points or check_cap(gap_points(config, m, mode), config.max_field_bytes)
     rows = []
     for point in points:
         n, m_n, b = point.n, point.m, point.b

@@ -334,50 +334,25 @@ class CoupledWorkspace:
         )
 
 
-def coupled_spectra(
-    model: CoefficientModel,
-    n: int,
-    m: int,
-    plan: TruncationPlan,
-    method: str = "auto",
-    max_bytes: int | None = DEFAULT_MAX_FIELD_BYTES,
-) -> CoupledSpectra:
-    """Check the memory cap of one replicate, pick the method and transform the coefficients once.
+def coupled_spectra(model: CoefficientModel, point) -> CoupledSpectra:
+    """Transform the coefficients of a planned grid point once, by the method and FFT side P it was planned with.
 
-    ``auto`` takes ``convolution_method``.  The cap is skipped for
-    ``max_bytes`` None, where the caller checked a plan of the same figures.
-    When m = M the one spectrum serves both fields.
+    ``point`` is a ``clt.GridPoint``: its planner fixed n, m, M, the method
+    and P, and checked 1 <= m <= M.  When m = M the one spectrum serves both
+    fields.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if m < 1 or m > plan.M:
-        raise ValueError(f"need 1 <= m <= M (got m={m}, M={plan.M})")
-    d, M = model.d, plan.M
-    if method == "auto":
-        method = convolution_method(model, n, M, max_bytes)
-    if method not in ("direct", "fourier"):
-        raise ValueError(f"unknown convolution method {method!r}")
-    need = estimate_field_bytes(d, n, M, m, method)
-    if max_bytes is not None and need > max_bytes:
-        raise FieldSizeError(
-            f"coupled generation for d={d}, n={n}, M={M} needs about "
-            f"{need} bytes (> cap {max_bytes}); shrink n or relax the plan"
-        )
+    n, m, M, d = point.n, point.m, point.truncation.M, model.d
     a_full = coeff_box(model, M)
     a_trunc = a_full[(slice(0, m),) * d]
-    if method == "direct":
-        return CoupledSpectra(n, m, M, method, a_full, a_trunc)
-    shape = (next_fast_len(n + M - 1),) * d
+    if point.method == "direct":
+        return CoupledSpectra(n, m, M, "direct", a_full, a_trunc)
+    shape = (point.P,) * d
     full = rfftn(a_full, shape)
-    return CoupledSpectra(n, m, M, method, full, full if m == M else rfftn(a_trunc, shape), shape)
+    return CoupledSpectra(n, m, M, "fourier", full, full if m == M else rfftn(a_trunc, shape), shape)
 
 
 def generate_coupled_fields(
-    model: CoefficientModel,
     innovations: InnovationModel,
-    n: int,
-    m: int,
-    plan: TruncationPlan,
     seeds: Seeds,
     spectra: CoupledSpectra,
     workspace: CoupledWorkspace | None = None,
@@ -388,17 +363,15 @@ def generate_coupled_fields(
     side n + M - 1; the truncation keeps only the weights on [0, m)^d of the
     same sum, so X = X_m + (X - X_m) holds exactly.  The lattices of the
     replicates of ``seeds`` are drawn into one stack and convolved together,
-    with the same bits as one call per replicate.  ``spectra`` from ``coupled_spectra``
-    for the same (n, m, plan) fixes the method; on the FFT path each lattice
-    is transformed once and both fields come from one inverse FFT each.  X_m
-    is X when m == M.
+    with the same bits as one call per replicate.  ``spectra`` from
+    ``coupled_spectra`` fixes (n, m, M) and the method; on the FFT path each
+    lattice is transformed once and both fields come from one inverse FFT
+    each.  X_m is X when m == M.
 
     Everything happens in ``workspace``, a fresh one sized for ``seeds``
     when none is given; the fields returned are views into it, which the
     next call with the same workspace overwrites.
     """
-    if (spectra.n, spectra.m, spectra.M) != (n, m, plan.M):
-        raise ValueError("spectra were built for another (n, m, M)")
     work = CoupledWorkspace(spectra, len(seeds)) if workspace is None else workspace
     if work.spectra is not spectra or len(seeds) > len(work.lattices):
         raise ValueError("workspace was built for other spectra or fewer replicates")

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fieldkde import CoefficientModel, InnovationModel, Seeds, kernel_by_name
+from fieldkde.field import DEFAULT_MAX_FIELD_BYTES
 
 MASTER_SEED = 20260810
 
@@ -36,10 +39,20 @@ def generator(master, stream=0, replicate=0):
     return Seeds(master, stream, [replicate])[0]
 
 
+def planned(model, n, m, plan, method=None, replicates=1, stream=0, max_bytes=DEFAULT_MAX_FIELD_BYTES):
+    """``plan_point``'s GridPoint of ``replicates`` at (n, m) under ``plan``, moved to ``method`` when given."""
+    from fieldkde.clt import plan_point
+    from fieldkde.fourier import next_fast_len
+
+    point = plan_point(model, n, m, 0.5, plan, stream, replicates, max_bytes)
+    if method is None:
+        return point
+    return replace(point, method=method, P=next_fast_len(n + plan.M - 1) if method == "fourier" else None)
+
+
 def coupled_pair(model, n, m, plan, seed, innovations=InnovationModel("gaussian")):
     """(X, X_m) of one seed, generated as a batch of one with its own spectra."""
     from fieldkde import coupled_spectra, generate_coupled_fields
 
-    spectra = coupled_spectra(model, n, m, plan)
-    x, x_m = generate_coupled_fields(model, innovations, n, m, plan, Seeds.of(seed), spectra)
+    x, x_m = generate_coupled_fields(innovations, Seeds.of(seed), coupled_spectra(model, planned(model, n, m, plan)))
     return x[0], x_m[0]

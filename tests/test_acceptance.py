@@ -26,14 +26,17 @@ from fieldkde import (
     check_decay_window,
     check_hallin,
     fixed_m_gap,
+    gap_points,
+    grid_points,
     kernel_by_name,
     lattice_convolve,
     lindeberg_estimate,
+    plan_wu,
     rectangle_moment_check,
     run_clt_experiment,
     wu_inequality_check,
 )
-from fieldkde.clt import _block_samples, grid_points
+from fieldkde.clt import _block_samples
 from fieldkde.coefficients import coeff_box
 from fieldkde.innovations import draw_lattice
 from fieldkde.reporting import canonical_json
@@ -65,7 +68,7 @@ def d2_experiment():
         variance_band=0.15,
     )
     start = time.time()
-    report = run_clt_experiment(cfg)
+    report = run_clt_experiment(cfg, grid_points(cfg, "clt"))
     return report, time.time() - start
 
 
@@ -84,7 +87,7 @@ def test_criterion_1_iid_baseline():
         master_seed=MASTER_SEED,
     )
     start = time.time()
-    report = run_clt_experiment(cfg)
+    report = run_clt_experiment(cfg, grid_points(cfg, "clt"))
     elapsed = time.time() - start
     pt = report.points[0]
     var_ok = abs(pt["variance"] - SIGMA0_EPAN) <= 0.10 * SIGMA0_EPAN
@@ -173,11 +176,13 @@ def test_criterion_5_truncation_gap():
         replicates=150,
         master_seed=MASTER_SEED,
     )
-    fixed = fixed_m_gap(ExperimentConfig(**base), m=2, mode="fixed")
+    fixed_cfg = ExperimentConfig(**base)
+    fixed = fixed_m_gap(fixed_cfg, gap_points(fixed_cfg, 2, "fixed"), "fixed")
     gaps = [r["gap"] for r in fixed["rows"]]
     limit_ok = abs(gaps[-1] - GAP_LIMIT) <= 0.15 * GAP_LIMIT
     not_vanishing = gaps[-1] >= 0.5 * max(gaps)
-    growing = fixed_m_gap(ExperimentConfig(**{**base, "delta": 0.25}), mode="growing")
+    growing_cfg = ExperimentConfig(**{**base, "delta": 0.25})
+    growing = fixed_m_gap(growing_cfg, gap_points(growing_cfg, None, "growing"), "growing")
     ggaps = [r["gap"] for r in growing["rows"]]
     halved = ggaps[-1] <= 0.5 * ggaps[0]
     ok = limit_ok and not_vanishing and halved
@@ -226,7 +231,8 @@ def test_criterion_7_moment_inequalities():
     """Wu constants at p=1,2 and bounded rectangle normalisation."""
     model = CoefficientModel(d=1, family="geometric", ratio=0.5)
     gauss = InnovationModel("gaussian")
-    w1, w2 = wu_inequality_check(model, gauss, [1, 2], 200_000, master_seed=MASTER_SEED)
+    plan = plan_wu(model, gauss, [1, 2], 200_000, 1 << 30)
+    w1, w2 = wu_inequality_check(model, gauss, plan, master_seed=MASTER_SEED)
     p1_ok = abs(w1["c_hat"] - 1.0) <= 3.0 * w1["se"]
     p2_ok = abs(w2["c_hat"] - 3.0) <= 0.10 * 3.0
     cfg = ExperimentConfig(
@@ -240,7 +246,7 @@ def test_criterion_7_moment_inequalities():
         replicates=400,
         master_seed=MASTER_SEED,
     )
-    rect = rectangle_moment_check(cfg, [2**r for r in range(2, 11)])
+    rect = rectangle_moment_check(cfg, [2**r for r in range(2, 11)], grid_points(cfg, "rectangles"))
     rect_ok = rect["max_min_ratio"] < 3.0
     ok = p1_ok and p2_ok and rect_ok
     _line(
@@ -268,6 +274,7 @@ def test_criterion_8_engineering_invariants():
     conv_ok = worst <= 1e-8
 
     from fieldkde import Seeds, coupled_spectra, generate_coupled_fields, plan_truncation
+    from fieldkde.clt import plan_point
 
     coupling_ok = True
     for model in (
@@ -275,10 +282,8 @@ def test_criterion_8_engineering_invariants():
         CoefficientModel(d=2, family="power_decay", q=4.0),
     ):
         plan = plan_truncation(model, m=2, policy="fixed", M=12)
-        spectra = coupled_spectra(model, 48, 2, plan)
-        x, x_m = generate_coupled_fields(
-            model, InnovationModel("gaussian"), 48, 2, plan, Seeds(MASTER_SEED, 9, [0]), spectra
-        )
+        spectra = coupled_spectra(model, plan_point(model, 48, 2, 0.5, plan, 9, 1, 1 << 30))
+        x, x_m = generate_coupled_fields(InnovationModel("gaussian"), Seeds(MASTER_SEED, 9, [0]), spectra)
         # X - X_m is the residual: the same innovations convolved with the weights off [0, 2)^d
         tail = coeff_box(model, 12)
         tail[(slice(0, 2),) * model.d] = 0.0
@@ -301,7 +306,7 @@ def test_criterion_8_engineering_invariants():
             master_seed=MASTER_SEED,
             threads=threads,
         )
-        blobs.append(canonical_json(run_clt_experiment(cfg)))
+        blobs.append(canonical_json(run_clt_experiment(cfg, grid_points(cfg, "clt"))))
     threads_ok = blobs[0] == blobs[1] == blobs[2]
     ok = conv_ok and coupling_ok and threads_ok
     _line(

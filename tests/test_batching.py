@@ -40,6 +40,8 @@ from fieldkde.field import convolution_method, coupled_spectra, estimate_field_b
 from fieldkde.fourier import irfftn, next_fast_len, rfftn
 from fieldkde.innovations import draw_lattice
 
+from conftest import planned
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 REPLICATES = 17  # a multiple of neither forced batch size, and split unevenly by 2 workers
 
@@ -78,10 +80,10 @@ def _record_batches(monkeypatch):
     seen = {"methods": set(), "mM": set(), "sizes": []}
     spectra, generate = clt.coupled_spectra, clt.generate_coupled_fields
 
-    def recording_spectra(model, n, m, plan, **kw):
-        out = spectra(model, n, m, plan, **kw)
+    def recording_spectra(model, point):
+        out = spectra(model, point)
         seen["methods"].add(out.method)
-        seen["mM"].add((m, plan.M))
+        seen["mM"].add((point.m, point.truncation.M))
         return out
 
     def recording_generate(*args, **kw):
@@ -210,10 +212,10 @@ class TestWorkerPool:
         # a worker fails at the third grid point, after two grid points ran
         generate = clt.generate_coupled_fields
 
-        def failing_at_the_third(model, innovations, n, *args, **kw):
-            if n == 256:
+        def failing_at_the_third(innovations, seeds, spectra, *args, **kw):
+            if spectra.n == 256:
                 raise ValueError("generation failed at n = 256")
-            return generate(model, innovations, n, *args, **kw)
+            return generate(innovations, seeds, spectra, *args, **kw)
 
         monkeypatch.setattr(clt, "generate_coupled_fields", failing_at_the_third)
         code, files = _cli(tmp_path, "blocks", "blocks_d1.json",
@@ -284,15 +286,15 @@ class TestBatchedGeneration:
     def test_batch_equals_one_at_a_time_and_coupling_holds(self, case):
         model, innov, n, m, M, method, replicates = case
         plan = plan_truncation(model, m=m, policy="fixed", M=M)
-        spectra = coupled_spectra(model, n, m, plan, method)
+        spectra = coupled_spectra(model, planned(model, n, m, plan, method))
         seeds = [SeedSpec(11, 3, r) for r in replicates]
-        x, x_m = generate_coupled_fields(model, innov, n, m, plan, Seeds(11, 3, replicates), spectra)
+        x, x_m = generate_coupled_fields(innov, Seeds(11, 3, replicates), spectra)
         assert x.shape == x_m.shape == (len(seeds),) + (n,) * model.d
         a = coeff_box(model, M)
         tail = a.copy()
         tail[(slice(0, m),) * model.d] = 0.0
         for i, seed in enumerate(seeds):
-            one_x, one_x_m = generate_coupled_fields(model, innov, n, m, plan, Seeds.of(seed), spectra)
+            one_x, one_x_m = generate_coupled_fields(innov, Seeds.of(seed), spectra)
             assert np.array_equal(x[i], one_x[0]) and np.array_equal(x_m[i], one_x_m[0])
             # X - X_m is the residual, which is the lattice convolved with the weights off [0, m)^d
             eps = draw_lattice(innov, Seeds.of(seed)[0], (n + M - 1,) * model.d)
@@ -303,11 +305,8 @@ class TestBatchedGeneration:
     def test_m_equal_M_shares_the_field(self, geometric_half):
         plan = plan_truncation(geometric_half, m=4, policy="fixed", M=4)
         for method in ("direct", "fourier"):
-            spectra = coupled_spectra(geometric_half, 32, 4, plan, method)
-            x, x_m = generate_coupled_fields(
-                geometric_half, InnovationModel("gaussian"), 32, 4, plan,
-                Seeds(5, 0, range(3)), spectra,
-            )
+            spectra = coupled_spectra(geometric_half, planned(geometric_half, 32, 4, plan, method))
+            x, x_m = generate_coupled_fields(InnovationModel("gaussian"), Seeds(5, 0, range(3)), spectra)
             assert x_m is x
 
 
@@ -329,7 +328,7 @@ class TestChunkWorkspace:
             bandwidth=BandwidthSchedule(d=d, gamma=0.5), n_grid=(n,), replicates=5, master_seed=11,
         )
         start, stop, stream = 3, 8, 4
-        point = replace(clt.plan_point(model, n, m, 0.5, plan, stream, 5, 1 << 30), method=method, batch=2)
+        point = replace(planned(model, n, m, plan, method, replicates=5, stream=stream), batch=2)
         seen = []
 
         def fields(x, x_m, scratch):
@@ -342,10 +341,10 @@ class TestChunkWorkspace:
         assert [len(x) for x, _ in batches] == [2, 2, 1]  # batches of 2, 2 and 1
         # the next batch overwrites the fields of the last, so only the copies outlive it
         assert not np.array_equal(seen[0][0], seen[0][2])
-        spectra = coupled_spectra(model, n, m, plan, method)
+        spectra = coupled_spectra(model, point)
         got_x, got_x_m = (np.concatenate(parts) for parts in zip(*batches))
         for i, r in enumerate(range(start, stop)):
-            want_x, want_x_m = generate_coupled_fields(model, innov, n, m, plan, Seeds(11, stream, [r]), spectra)
+            want_x, want_x_m = generate_coupled_fields(innov, Seeds(11, stream, [r]), spectra)
             assert np.array_equal(got_x[i].view(np.int64), want_x[0].view(np.int64))
             assert np.array_equal(got_x_m[i].view(np.int64), want_x_m[0].view(np.int64))
         assert all((x_m is x) == (m == M) for x, x_m, _, _ in seen)

@@ -24,18 +24,21 @@ from fieldkde import (
     ks_normality_test,
     lindeberg_estimate,
     m_schedule,
+    gap_points,
+    grid_points,
     plan_truncation,
+    plan_wu,
     rectangle_moment_check,
     run_clt_experiment,
     wu_inequality_check,
 )
-from fieldkde.clt import _block_samples, _skew_kurtosis, grid_points
+from fieldkde.clt import _block_samples, _skew_kurtosis
 from fieldkde.coefficients import coeff_box, residual_sqrt_mass
-from fieldkde.field import coupled_spectra
+from fieldkde.field import DEFAULT_MAX_FIELD_BYTES, coupled_spectra
 from fieldkde.reporting import canonical_json
 
 import block_reference
-from conftest import MASTER_SEED, coupled_pair
+from conftest import MASTER_SEED, coupled_pair, planned
 
 
 def _config(model, **kw):
@@ -124,9 +127,9 @@ class TestReplicateEngine:
 
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[1:4])
-            return coupled_spectra(*args, **kwargs)
+        def counting(model, point):
+            calls.append(point)
+            return coupled_spectra(model, point)
 
         monkeypatch.setattr(clt, "coupled_spectra", counting)
         config = _config(power_d2, bandwidth=BandwidthSchedule(d=2, gamma=1.0), replicates=7)
@@ -147,16 +150,14 @@ class TestReplicateEngine:
 class TestNormalizedStatistic:
     def test_identity_truncation_kills_remainder(self, identity_weights):
         # one weight: the truncated field is the field itself at every m
-        pt = run_clt_experiment(
-            _config(identity_weights, n_grid=(256,), x_points=(0.0,), replicates=20)
-        ).points[0]
+        cfg = _config(identity_weights, n_grid=(256,), x_points=(0.0,), replicates=20)
+        pt = run_clt_experiment(cfg, grid_points(cfg, "clt")).points[0]
         assert pt["T_remainder"] == [0.0] * 20
         assert pt["T"] == pt["T_zeta"]
 
     def test_decomposition_identity(self, geometric_half):
-        pt = run_clt_experiment(
-            _config(geometric_half, n_grid=(512,), x_points=(0.2,), replicates=20)
-        ).points[0]
+        cfg = _config(geometric_half, n_grid=(512,), x_points=(0.2,), replicates=20)
+        pt = run_clt_experiment(cfg, grid_points(cfg, "clt")).points[0]
         t, tz, tr = (np.array(pt[k]) for k in ("T", "T_zeta", "T_remainder"))
         assert np.max(np.abs(t - (tz + tr))) <= 1e-12 * max(np.max(np.abs(t)), 1.0)
 
@@ -173,7 +174,7 @@ class TestRunCltExperiment:
             delta=0.199,
             replicates=500,
         )
-        rep = run_clt_experiment(cfg)
+        rep = run_clt_experiment(cfg, grid_points(cfg, "clt"))
         p1, p2 = rep.points
         v1 = np.var(p1["T_remainder"], ddof=1)
         v2 = np.var(p2["T_remainder"], ddof=1)
@@ -181,12 +182,14 @@ class TestRunCltExperiment:
         assert v2 <= 0.05 * p2["variance"]
 
     def test_single_replicate_inconclusive(self, geometric_half):
-        rep = run_clt_experiment(_config(geometric_half, replicates=1, n_grid=(128,)))
+        cfg = _config(geometric_half, replicates=1, n_grid=(128,))
+        rep = run_clt_experiment(cfg, grid_points(cfg, "clt"))
         assert rep.overall == "inconclusive"
         assert rep.points[0]["verdicts"]["overall"] == "inconclusive"
 
     def test_decomposition_identity_per_replicate(self, geometric_half):
-        rep = run_clt_experiment(_config(geometric_half, replicates=50, n_grid=(256,)))
+        cfg = _config(geometric_half, replicates=50, n_grid=(256,))
+        rep = run_clt_experiment(cfg, grid_points(cfg, "clt"))
         pt = rep.points[0]
         t = np.array(pt["T"])
         back = np.array(pt["T_zeta"]) + np.array(pt["T_remainder"])
@@ -196,9 +199,9 @@ class TestRunCltExperiment:
     def test_bit_identical_reports_and_thread_independence(self, geometric_half):
         cfg1 = _config(geometric_half, replicates=32, n_grid=(128,))
         cfg4 = _config(geometric_half, replicates=32, n_grid=(128,), threads=4)
-        a = canonical_json(run_clt_experiment(cfg1))
-        b = canonical_json(run_clt_experiment(cfg1))
-        c = canonical_json(run_clt_experiment(cfg4))
+        a = canonical_json(run_clt_experiment(cfg1, grid_points(cfg1, "clt")))
+        b = canonical_json(run_clt_experiment(cfg1, grid_points(cfg1, "clt")))
+        c = canonical_json(run_clt_experiment(cfg4, grid_points(cfg4, "clt")))
         assert a == b == c
 
     def test_fail_regime_runs_but_is_labelled(self, power_d2):
@@ -215,7 +218,7 @@ class TestRunCltExperiment:
             replicates=20,
             master_seed=MASTER_SEED,
         )
-        rep = run_clt_experiment(cfg)
+        rep = run_clt_experiment(cfg, grid_points(cfg, "clt"))
         assert rep.config["decay_window"]["passed"] is False
         assert rep.config["delta"] == 0.4
         # without an explicit schedule the empty window is an error
@@ -252,7 +255,7 @@ class TestAgainstNaiveReimplementation:
             truncation_M=M,
             replicates=1,
         )
-        pt = run_clt_experiment(cfg).points[0]
+        pt = run_clt_experiment(cfg, grid_points(cfg, "clt")).points[0]
         assert (pt["m"], pt["M"], pt["seeds"]["stream"]) == (m, M, 0)
         b = pt["b"]
         seed = SeedSpec(MASTER_SEED, 0, 0)
@@ -394,35 +397,40 @@ class TestKs:
             ks_normality_test(np.zeros(200), 0.0)
 
 
+def _wu(model, innovations, orders, sample, max_bytes=DEFAULT_MAX_FIELD_BYTES, **kw):
+    """``wu_inequality_check`` on the ``plan_wu`` of ``orders`` and ``sample``."""
+    return wu_inequality_check(model, innovations, plan_wu(model, innovations, orders, sample, max_bytes), **kw)
+
+
 class TestWuInequality:
     def test_second_moment_identity(self, geometric_half):
-        (rep,) = wu_inequality_check(geometric_half, InnovationModel("gaussian"), [1], 200_000)
+        (rep,) = _wu(geometric_half, InnovationModel("gaussian"), [1], 200_000)
         assert abs(rep["c_hat"] - 1.0) <= 3 * rep["se"]
 
     def test_gaussian_fourth_moment(self, geometric_half):
-        (rep,) = wu_inequality_check(geometric_half, InnovationModel("gaussian"), [2], 200_000)
+        (rep,) = _wu(geometric_half, InnovationModel("gaussian"), [2], 200_000)
         assert rep["reference_c"] == pytest.approx(3.0, abs=1e-12)
         assert rep["c_hat"] == pytest.approx(3.0, rel=0.1)
 
     def test_uniform_kurtosis(self, identity_weights):
-        (rep,) = wu_inequality_check(identity_weights, InnovationModel("uniform"), [2], 200_000)
+        (rep,) = _wu(identity_weights, InnovationModel("uniform"), [2], 200_000)
         assert rep["reference_c"] == pytest.approx(9.0 / 5.0, abs=1e-12)
         assert rep["c_hat"] == pytest.approx(9.0 / 5.0, rel=0.05)
 
     def test_moment_precondition(self, geometric_half):
         with pytest.raises(MomentError):
-            wu_inequality_check(geometric_half, InnovationModel("student_t", nu=4.0), [2], 100)
+            _wu(geometric_half, InnovationModel("student_t", nu=4.0), [2], 100)
 
     def test_rejects_sample_below_two(self, geometric_half):
         for orders in ([1], []):
             with pytest.raises(ValueError, match="sample must be >= 2"):
-                wu_inequality_check(geometric_half, InnovationModel("gaussian"), orders, 1)
+                _wu(geometric_half, InnovationModel("gaussian"), orders, 1)
 
     def test_orders_share_one_sample(self, geometric_half, monkeypatch):
         import fieldkde.clt as clt
 
         innov = InnovationModel("uniform")
-        apart = [wu_inequality_check(geometric_half, innov, [p], 30_000)[0] for p in (1, 2)]
+        apart = [_wu(geometric_half, innov, [p], 30_000)[0] for p in (1, 2)]
         draw, drawn = clt._draw, []
 
         def counting(model, rng, shape, out=None):
@@ -431,31 +439,31 @@ class TestWuInequality:
             return out
 
         monkeypatch.setattr(clt, "_draw", counting)
-        together = wu_inequality_check(geometric_half, innov, [1, 2], 30_000)
+        together = _wu(geometric_half, innov, [1, 2], 30_000)
         assert together == apart
         assert sum(drawn) == 30_000 * apart[0]["truncation_side"]
-        assert wu_inequality_check(geometric_half, innov, [], 30_000) == []
+        assert plan_wu(geometric_half, innov, [], 30_000, DEFAULT_MAX_FIELD_BYTES) is None
 
 
     def test_memory_cap_checked_before_the_box_is_built(self, geometric_half, monkeypatch):
         import fieldkde.clt as clt
 
         innov = InnovationModel("gaussian")
-        (rep,) = wu_inequality_check(geometric_half, innov, [1], 1000)
+        (rep,) = _wu(geometric_half, innov, [1], 1000)
         # the box, one block of 1000 draws counted twice, |X| with its two powers,
         # and the one block's two sums for the one order
         need = 8 * (rep["truncation_side"] * (1 + 2 * 1000) + 3 * 1000) + 16 * 1 * 1
-        assert wu_inequality_check(geometric_half, innov, [1], 1000, max_bytes=need) == [rep]
+        assert _wu(geometric_half, innov, [1], 1000, max_bytes=need) == [rep]
 
         def no_box(*args, **kw):
             raise AssertionError("the coefficient box was built before the cap was checked")
 
         monkeypatch.setattr(clt, "coeff_box", no_box)
         with pytest.raises(FieldSizeError, match="cap"):
-            wu_inequality_check(geometric_half, innov, [1], 1000, max_bytes=need - 1)
+            _wu(geometric_half, innov, [1], 1000, max_bytes=need - 1)
         # power decay near q = d/2 at d = 3 needs a side far beyond 512, where the box alone takes 1 GiB
         with pytest.raises(FieldSizeError):
-            wu_inequality_check(CoefficientModel(d=3, family="power_decay", q=1.6), innov, [1, 2], 200_000)
+            _wu(CoefficientModel(d=3, family="power_decay", q=1.6), innov, [1, 2], 200_000)
 
     def test_slow_tail_hits_the_cap_after_log_many_residuals(self, monkeypatch):
         import fieldkde.clt as clt
@@ -473,7 +481,7 @@ class TestWuInequality:
         monkeypatch.setattr(clt, "coeff_box", no_box)
         slow = CoefficientModel(d=3, family="power_decay", q=1.6)
         with pytest.raises(FieldSizeError, match="cap 1073741824"):
-            wu_inequality_check(slow, InnovationModel("gaussian"), [1], 200_000, max_bytes=1 << 30)
+            _wu(slow, InnovationModel("gaussian"), [1], 200_000, max_bytes=1 << 30)
         # side 512 is the largest whose box fits in 1 GiB: sides 1, 2, 4, ..., 512 are tried once each
         assert calls == [1 << k for k in range(10)]
 
@@ -518,7 +526,7 @@ class TestWuInequality:
         # (1 - r^2)^d underflows below the least normal float: the search ends at the cap, not in a division
         model = CoefficientModel(d=2465, family="geometric", ratio=0.5)
         with pytest.raises(FieldSizeError, match="cap"):
-            wu_inequality_check(model, InnovationModel("gaussian"), [1, 2], 1000)
+            _wu(model, InnovationModel("gaussian"), [1, 2], 1000)
 
     @pytest.mark.parametrize(
         "model,innov",
@@ -530,7 +538,7 @@ class TestWuInequality:
         ],
     )
     def test_box_constants_against_box_sums(self, model, innov):
-        w1, w2 = wu_inequality_check(model, innov, [1, 2], 5_000)
+        w1, w2 = _wu(model, innov, [1, 2], 5_000)
         side = w1["truncation_side"]
         a = coeff_box(model, side)
         box2, box4 = float(np.sum(a**2)), float(np.sum(a**4))
@@ -558,9 +566,9 @@ class TestWuInequality:
 
         rows = 1000  # the forced block length
         sample = 2 * rows + 500  # a partial last block
-        side = wu_inequality_check(geometric_half, innov, [1], sample)[0]["truncation_side"]
+        side = _wu(geometric_half, innov, [1], sample)[0]["truncation_side"]
         monkeypatch.setattr(clt, "WU_BLOCK_BYTES", 8 * side * rows)
-        keyed = wu_inequality_check(geometric_half, innov, [1, 2], sample)
+        keyed = _wu(geometric_half, innov, [1, 2], sample)
         assert keyed[0]["truncation_side"] == side
 
         # block b: a fresh (rows, side) draw from key (master, wu stream, b), summed alone;
@@ -588,21 +596,21 @@ class TestWuInequality:
         # 30,000 samples of side 6 make 3 blocks, so two workers split them 1 and 2
         assert 30_000 > 2 * clt.WU_BLOCK_BYTES // (8 * 6)
         with clt.worker_pool():
-            alone = wu_inequality_check(geometric_half, innov, [1, 2], 30_000, threads=1)
-            split = wu_inequality_check(geometric_half, innov, [1, 2], 30_000, threads=2)
+            alone = _wu(geometric_half, innov, [1, 2], 30_000, threads=1)
+            split = _wu(geometric_half, innov, [1, 2], 30_000, threads=2)
         assert split == alone
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_rejects_threads_below_one(self, geometric_half, threads):
         with pytest.raises(ValueError, match="threads must be at least 1"):
-            wu_inequality_check(geometric_half, InnovationModel("gaussian"), [1], 100, threads=threads)
+            _wu(geometric_half, InnovationModel("gaussian"), [1], 100, threads=threads)
 
     def test_sample_memory_does_not_grow_with_its_size(self, geometric_half):
         import tracemalloc
 
         tracemalloc.start()
         try:
-            wu_inequality_check(geometric_half, InnovationModel("gaussian"), [1, 2], 200_000)
+            _wu(geometric_half, InnovationModel("gaussian"), [1, 2], 200_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -614,7 +622,7 @@ class TestWuInequality:
         # a box of side 1 makes 65,536-sample blocks
         tracemalloc.start()
         try:
-            wu_inequality_check(identity_weights, InnovationModel("gaussian"), [1, 2], 5_000_000)
+            _wu(identity_weights, InnovationModel("gaussian"), [1, 2], 5_000_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -807,12 +815,10 @@ class TestLeanReductions:
         from fieldkde.field import CoupledWorkspace, generate_coupled_fields
 
         plan = plan_truncation(model, m=m, policy="fixed", M=M)
-        spectra = coupled_spectra(model, n, m, plan)
+        spectra = coupled_spectra(model, planned(model, n, m, plan))
         assert spectra.method == method
         work = CoupledWorkspace(spectra, 3)
-        x, x_m = generate_coupled_fields(
-            model, InnovationModel("gaussian"), n, m, plan, Seeds(MASTER_SEED, 0, range(3)), spectra, work
-        )
+        x, x_m = generate_coupled_fields(InnovationModel("gaussian"), Seeds(MASTER_SEED, 0, range(3)), spectra, work)
         assert (x_m is x) == (m == M)
         rects = [(4,) * model.d, (n,) * model.d, tuple(range(5, 5 + model.d)), (1,) * model.d]
         args = dict(kernel=kernel_by_name(kernel), b=0.25, point=point, rects=rects)
@@ -831,22 +837,22 @@ class TestRectangles:
         # independence: ||sum over rect||_2 / sqrt(vol) equals ||zeta_bar||_2
         # for every rectangle, up to Monte Carlo noise
         cfg = _config(identity_weights, n_grid=(1024,), replicates=500)
-        rep = rectangle_moment_check(cfg, [4, 16, 64, 256, 1024])
+        rep = rectangle_moment_check(cfg, [4, 16, 64, 256, 1024], grid_points(cfg, "rectangles"))
         vals = [r["zeta_normalized_l2"] for r in rep["rows"]]
         assert max(vals) / min(vals) < 1.2
 
     def test_geometric_bounded(self, geometric_half):
         cfg = _config(geometric_half, n_grid=(1024,), replicates=400, delta=0.25)
-        rep = rectangle_moment_check(cfg, [2**r for r in range(2, 11)])
+        rep = rectangle_moment_check(cfg, [2**r for r in range(2, 11)], grid_points(cfg, "rectangles"))
         assert rep["max_min_ratio"] < 3.0
         assert rep["passed"]
 
     def test_rectangle_larger_than_the_grid_is_rejected(self, identity_weights):
         cfg = _config(identity_weights, n_grid=(64, 128), replicates=5)
         with pytest.raises(ValueError, match=r"rectangle \[128\] does not fit inside n=64"):
-            rectangle_moment_check(cfg, [4, 128])
+            rectangle_moment_check(cfg, [4, 128], grid_points(cfg, "rectangles"))
         with pytest.raises(ValueError, match="need at least one rectangle"):
-            rectangle_moment_check(cfg, [])
+            rectangle_moment_check(cfg, [], grid_points(cfg, "rectangles"))
 
     def test_scaling_leaves_verdict_unchanged(self):
         base = CoefficientModel(d=1, family="power_decay", q=2.5)
@@ -855,7 +861,7 @@ class TestRectangles:
         reps = []
         for model in (base, doubled):
             cfg = _config(model, n_grid=(256,), replicates=200, delta=0.25)
-            reps.append(rectangle_moment_check(cfg, rects))
+            reps.append(rectangle_moment_check(cfg, rects, grid_points(cfg, "rectangles")))
         assert reps[0]["passed"] == reps[1]["passed"]
         # normalised levels scale with the field, ratios do not
         assert reps[0]["max_min_ratio"] == pytest.approx(reps[1]["max_min_ratio"], rel=0.2)
@@ -890,7 +896,7 @@ def _gap_quadrature_oracle(v, v_m, b, rough_grid=801):
 class TestTruncationGap:
     def test_identity_truncation_zero_gap(self, identity_weights):
         cfg = _config(identity_weights, n_grid=(256, 1024), replicates=20)
-        rep = fixed_m_gap(cfg, m=1, mode="fixed")
+        rep = fixed_m_gap(cfg, gap_points(cfg, 1, "fixed"), "fixed")
         assert all(r["gap"] == 0.0 for r in rep["rows"])
 
     def test_fixed_gap_matches_quadrature(self, geometric_half):
@@ -900,7 +906,7 @@ class TestTruncationGap:
             n_grid=(4096,),
             replicates=60,
         )
-        rep = fixed_m_gap(cfg, m=2, mode="fixed")
+        rep = fixed_m_gap(cfg, gap_points(cfg, 2, "fixed"), "fixed")
         row = rep["rows"][0]
         oracle = _gap_quadrature_oracle(4.0 / 3.0, 1.25, row["b"])
         assert row["gap"] == pytest.approx(oracle, abs=4 * row["se"])
@@ -912,7 +918,7 @@ class TestTruncationGap:
             n_grid=(1024, 4096, 16384),
             replicates=100,
         )
-        rep = fixed_m_gap(cfg, m=2, mode="fixed")
+        rep = fixed_m_gap(cfg, gap_points(cfg, 2, "fixed"), "fixed")
         assert rep["oracle_limit"] == pytest.approx(0.42139138362113, abs=1e-10)
         assert rep["passed"]
 
@@ -924,7 +930,7 @@ class TestTruncationGap:
             delta=0.25,
             replicates=60,
         )
-        rep = fixed_m_gap(cfg, mode="growing")
+        rep = fixed_m_gap(cfg, gap_points(cfg, None, "growing"), "growing")
         gaps = [r["gap"] for r in rep["rows"]]
         assert gaps[-1] <= 0.5 * gaps[0]
         assert rep["fitted_c"] > 0

@@ -17,7 +17,9 @@ from fieldkde import (
     lattice_convolve,
     plan_truncation,
 )
+from fieldkde.clt import check_cap
 from fieldkde.field import (
+    DEFAULT_MAX_FIELD_BYTES,
     coupled_spectra,
     estimate_field_bytes,
     read_field_binary,
@@ -27,7 +29,7 @@ from fieldkde.field import (
 from fieldkde.coefficients import coeff_box
 from fieldkde.innovations import draw_lattice
 
-from conftest import MASTER_SEED, coupled_pair, generator
+from conftest import MASTER_SEED, coupled_pair, generator, planned
 
 
 def _coupled(model, n, m, M, seed=MASTER_SEED, stream=0):
@@ -119,20 +121,20 @@ class TestCoupledGeneration:
     def test_rejects_m_above_M(self, geometric_half):
         plan = plan_truncation(geometric_half, m=2, policy="fixed", M=8)
         with pytest.raises(ValueError):
-            coupled_spectra(geometric_half, 16, 9, plan)
+            planned(geometric_half, 16, 9, plan)
 
     def test_memory_cap_message_carries_estimate(self, power_d2):
         plan = plan_truncation(power_d2, m=2, policy="fixed", M=64)
         with pytest.raises(FieldSizeError) as err:
-            coupled_spectra(power_d2, 40_000, 2, plan)
+            check_cap([planned(power_d2, 40_000, 2, plan)], DEFAULT_MAX_FIELD_BYTES)
         assert str(estimate_field_bytes(2, 40_000, 64)) in str(err.value)
 
     def test_cap_just_below_estimate_raises(self, power_d2):
         plan = plan_truncation(power_d2, m=2, policy="fixed", M=9)
         need = estimate_field_bytes(2, 30, 9)
         with pytest.raises(FieldSizeError):
-            coupled_spectra(power_d2, 30, 2, plan, max_bytes=need - 1)
-        coupled_spectra(power_d2, 30, 2, plan, max_bytes=need)
+            check_cap([planned(power_d2, 30, 2, plan, max_bytes=need - 1)], need - 1)
+        check_cap([planned(power_d2, 30, 2, plan, max_bytes=need)], need)
 
     def test_estimate_bounds_traced_peak(self, power_d2):
         import tracemalloc
@@ -153,14 +155,14 @@ class TestCoupledGeneration:
         from fieldkde.field import CoupledWorkspace
 
         plan = plan_truncation(power_d2, m=6, policy="fixed", M=15)
-        spectra = coupled_spectra(power_d2, n, 6, plan)
+        spectra = coupled_spectra(power_d2, planned(power_d2, n, 6, plan))
         assert spectra.method == "fourier"
         work = CoupledWorkspace(spectra, batch)
         seeds = Seeds(MASTER_SEED, 0, range(batch))
-        generate_coupled_fields(power_d2, InnovationModel("gaussian"), n, 6, plan, seeds, spectra, work)
+        generate_coupled_fields(InnovationModel("gaussian"), seeds, spectra, work)
         tracemalloc.start()
         try:
-            generate_coupled_fields(power_d2, InnovationModel("gaussian"), n, 6, plan, seeds, spectra, work)
+            generate_coupled_fields(InnovationModel("gaussian"), seeds, spectra, work)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -290,10 +292,10 @@ class TestSharedSpectrum:
         model = CoefficientModel(d=d, family="power_decay", q=4.0)
         m = M if full_m else 1
         plan = plan_truncation(model, m=m, policy="fixed", M=M)
-        spectra = coupled_spectra(model, n, m, plan, method="fourier")
+        spectra = coupled_spectra(model, planned(model, n, m, plan, "fourier"))
         assert spectra.shape[0] > n + M - 1
         seed = SeedSpec(MASTER_SEED, 11)
-        x_got, x_m_got = generate_coupled_fields(model, InnovationModel("gaussian"), n, m, plan, Seeds.of(seed), spectra)
+        x_got, x_m_got = generate_coupled_fields(InnovationModel("gaussian"), Seeds.of(seed), spectra)
         eps = draw_lattice(InnovationModel("gaussian"), Seeds.of(seed)[0], (n + M - 1,) * d)
         a = coeff_box(model, M)
         x = lattice_convolve(eps, a, "direct")
@@ -303,22 +305,12 @@ class TestSharedSpectrum:
 
     def test_direct_path_is_lattice_convolve(self, geometric_half):
         plan = plan_truncation(geometric_half, m=2, policy="fixed", M=5)
-        spectra = coupled_spectra(geometric_half, 40, 2, plan, method="direct")
+        spectra = coupled_spectra(geometric_half, planned(geometric_half, 40, 2, plan, "direct"))
         seed = SeedSpec(MASTER_SEED, 12)
-        x, _ = generate_coupled_fields(
-            geometric_half, InnovationModel("gaussian"), 40, 2, plan, Seeds.of(seed), spectra
-        )
+        x, _ = generate_coupled_fields(InnovationModel("gaussian"), Seeds.of(seed), spectra)
         eps = draw_lattice(InnovationModel("gaussian"), Seeds.of(seed)[0], (44,))
         assert np.array_equal(x[0], lattice_convolve(eps, coeff_box(geometric_half, 5), "direct"))
 
     def test_auto_keeps_direct_for_short_d1_kernels(self, geometric_half):
         plan = plan_truncation(geometric_half, m=4, policy="fixed", M=4)
-        assert coupled_spectra(geometric_half, 4096, 4, plan).method == "direct"
-
-    def test_spectra_must_match_the_request(self, geometric_half):
-        plan = plan_truncation(geometric_half, m=2, policy="fixed", M=8)
-        spectra = coupled_spectra(geometric_half, 32, 2, plan)
-        with pytest.raises(ValueError, match="another"):
-            generate_coupled_fields(
-                geometric_half, InnovationModel("gaussian"), 33, 2, plan, Seeds.of(SeedSpec(1)), spectra
-            )
+        assert planned(geometric_half, 4096, 4, plan).method == "direct"

@@ -14,6 +14,8 @@ from fieldkde import CoefficientModel, plan_truncation
 from fieldkde.cli import load_config, main, plan_run
 from fieldkde.field import CoupledWorkspace, coupled_spectra, estimate_field_bytes
 
+from conftest import planned
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -165,6 +167,52 @@ class TestOracleFigures:
             assert point.oracle == oracle.summary()
 
 
+class TestHandlersPlanNothing:
+    """Once ``plan_run`` returns, no handler plans a grid point, picks a path or sizes a generation again."""
+
+    PLANNERS = ("grid_points", "plan_point", "plan_wu", "convolution_method", "estimate_field_bytes")
+
+    @pytest.mark.parametrize(
+        "sub,config,sets",
+        [
+            ("gen-field", "power_decay_d2.json", ["gen_field.n=16"]),
+            ("kde", "power_decay_d2.json", ["kde.n=32"]),
+            ("clt-run", "power_decay_d2.json", ["clt.n_grid=[16,24]", "clt.replicates=5"]),
+            ("blocks", "blocks_d1.json", ["blocks.n_grid=[64,128]", "blocks.replicates=5"]),
+            ("moment-check", "blocks_d1.json", ["moment_check.n_grid=[64]", "moment_check.replicates=5",
+                                                "moment_check.rectangles=[4,16]", "moment_check.wu_sample=1000"]),
+            ("fixed-m-gap", "geometric_truncation_gap.json", ["gap.n_grid=[128,256]", "gap.replicates=5"]),
+        ],
+    )
+    def test_same_exit_code_and_bytes_with_every_planner_refused_after_the_plan(
+        self, tmp_path, monkeypatch, sub, config, sets
+    ):
+        def outputs(out):
+            code = _run(out, sub, config, *sets)
+            files = sorted((out / sub.replace("-", "_")).iterdir())
+            return code, {f.name: f.read_bytes() for f in files if f.name != "manifest.json"}
+
+        def refused(name):
+            def refuse(*args, **kw):
+                raise AssertionError(f"{name} was called after the run plan was made")
+            return refuse
+
+        plan_run = cli.plan_run
+
+        def plan_once(*args, **kw):
+            run = plan_run(*args, **kw)
+            # every module that holds a planner by name, so an import of it is refused too
+            for module in (cli, clt, field):
+                for name in self.PLANNERS:
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, refused(name))
+            return run
+
+        free = outputs(tmp_path / "free")
+        monkeypatch.setattr(cli, "plan_run", plan_once)
+        assert "report.json" in free[1] and outputs(tmp_path / "refused") == free
+
+
 class TestClt:
     def test_a_point_whose_replicates_all_agree_is_reported_and_fails(self, tmp_path):
         # no site reaches x = 8, so T is the same in every replicate and has no skewness or kurtosis
@@ -199,7 +247,7 @@ class TestByteFigure:
     def test_equals_what_the_generation_allocates_plus_the_headroom(self, method, d, n, m, M, size):
         model = CoefficientModel(d=d, family="power_decay", q=4.0)
         plan = plan_truncation(model, m=m, policy="fixed", M=M)
-        spectra = coupled_spectra(model, n, m, plan, method)
+        spectra = coupled_spectra(model, planned(model, n, m, plan, method))
         work = CoupledWorkspace(spectra, size)
         # one field buffer per replicate, of the inverse transform's side on the FFT path
         side = spectra.shape[0] if method == "fourier" else n
@@ -215,7 +263,7 @@ class TestByteFigure:
         model = CoefficientModel(d=2, family="power_decay", q=4.0)
         plan = plan_truncation(model, m=3, policy="fixed", M=M)
         point = clt.plan_point(model, n, 3, 0.5, plan, 0, 200, 1 << 30)
-        spectra = coupled_spectra(model, n, 3, plan, point.method)
+        spectra = coupled_spectra(model, point)
         assert point.P == (spectra.shape[0] if point.method == "fourier" else None)
         side = point.P or n
         assert point.bytes == _owned_bytes(spectra, CoupledWorkspace(spectra, point.batch)) + 8 * point.batch * side**2

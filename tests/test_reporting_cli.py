@@ -753,8 +753,11 @@ class TestCli:
             # the density is 0 there, which the plan rejects before any draw
             (60.0, "the field's density is 0 at x = 60.0, "),
             # the density is positive but subnormal, and the truncated field's is 0: no site reaches x, every
-            # rectangle norm is 0, and their max/min ratio has no value
-            (44.0, "at x = 44.0 the truncated kernel field sums to its mean "),
+            # rectangle sum is 0, and so is every norm
+            (44.0, "at x = 44.0 the truncated kernel field sums to 0 over every rectangle in every replicate "),
+            # the density is positive, but no site reaches x: every rectangle sum is 0, the norms are
+            # sqrt(vol) times the centering, and their max/min ratio is that of the volumes alone
+            (8.0, "at x = 8.0 the truncated kernel field sums to 0 over every rectangle in every replicate "),
         ],
     )
     def test_moment_check_at_a_point_no_site_reaches_exit_1(self, tmp_path, capsys, x, prefix):
