@@ -69,7 +69,7 @@ from .innovations import InnovationModel, Seeds, SeedSpec, draw_lattice
 from .innovations import _NAMES as INNOVATION_NAMES
 from .kde import BandwidthSchedule, asymptotic_variance, density_oracle, expected_kde, kde_estimate, kernel_by_name
 from .kde import _KERNEL_MODELS
-from .reporting import RunManifest, write_csv, write_report
+from .reporting import RunManifest, table_columns, write_csv, write_report
 
 __all__ = ["main", "run_script", "plan_run", "RunPlan", "CONFIG_KEYS", "DEFAULT_CONFIG"]
 
@@ -436,12 +436,11 @@ def _coupled_draw(cfg: dict, point: GridPoint):
 
 # ---------------------------------------------------------------------------
 # subcommands: each returns (verdict_ok, report, tables); write_report serialises the report
-# tables: name -> (rows, columns)
+# tables: name -> dict of columns, in CSV order, for each table with rows
 
 CONDITION_GRID_COLUMNS = [
     "n", "m_n", "b_n", "sqrt_b_delta", "residual_over_b", "m_vol_times_b", "m_logs_over_nb",
 ]
-CLT_REPLICATE_COLUMNS = ["n", "x", "replicate", "T", "T_zeta", "T_remainder"]
 CLT_SUMMARY_COLUMNS = [
     "n", "x", "b", "m", "M", "replicates", "mean", "variance", "skewness",
     "excess_kurtosis", "ks_distance", "ks_crit_05", "ks_crit_01", "sigma2_target",
@@ -470,11 +469,11 @@ def cmd_check_conditions(cfg: dict):
         reports["hallin"] = check_hallin(model.d, sec["hallin_q"], bw.gamma)
     if sec["qsum_q"] is not None:
         reports["qsum"] = check_machkouri_qsum(model, sec["qsum_q"])
-    rows = []
+    tables = {}
     if delta is not None:
         cond = check_condition_c(model, bw, delta, sec["n_grid"])
         reports["schedule_limits"] = cond
-        rows = cond.grid_rows
+        tables["condition_grid"] = table_columns(cond.grid_rows, CONDITION_GRID_COLUMNS)
         ok = ok and cond.passed
     report = {
         "subcommand": "check-conditions",
@@ -484,7 +483,7 @@ def cmd_check_conditions(cfg: dict):
         "checks": reports,
         "passed": bool(ok),
     }
-    return ok, report, {"condition_grid": (rows, CONDITION_GRID_COLUMNS)}
+    return ok, report, tables
 
 
 def cmd_gen_field(cfg: dict, run: RunPlan, out_dir: Path):
@@ -549,30 +548,17 @@ def cmd_kde(cfg: dict, run: RunPlan):
         "passed": True,
     }
     cols = ["x", "estimate", "b", "oracle_density", "expected_estimate", "sigma2_x"]
-    return True, report, {"kde_curve": (rows, cols)}
+    return True, report, {"kde_curve": table_columns(rows, cols)}
 
 
 def cmd_clt_run(cfg: dict, run: RunPlan):
     # only clt-run has a variance verdict
     config = replace(_experiment(cfg, "clt"), variance_band=cfg["clt"]["variance_band"])
-    report = run_clt_experiment(config, run.points)
-    rows = []
-    summary = []
-    for point in report.points:
-        for r, (t, tz, tr) in enumerate(
-            zip(point["T"], point["T_zeta"], point["T_remainder"])
-        ):
-            rows.append(
-                {"n": point["n"], "x": point["x"], "replicate": r, "T": t, "T_zeta": tz,
-                 "T_remainder": tr}
-            )
-        ks = {f"ks_{k}": v for k, v in point.get("ks", {}).items()}
-        summary.append({**point, **ks, "verdict": point["verdicts"]["overall"]})
-    ok = report.overall != "fail"
-    return ok, report, {
-        "clt_replicates": (rows, CLT_REPLICATE_COLUMNS),
-        "clt_summary": (summary, CLT_SUMMARY_COLUMNS),
-    }
+    report, replicates = run_clt_experiment(config, run.points)
+    summary = [{**point, **{f"ks_{k}": v for k, v in point.get("ks", {}).items()},
+                "verdict": point["verdicts"]["overall"]} for point in report.points]
+    tables = {"clt_replicates": replicates, "clt_summary": table_columns(summary, CLT_SUMMARY_COLUMNS)}
+    return report.overall != "fail", report, tables
 
 
 def cmd_blocks(cfg: dict, run: RunPlan):
@@ -594,8 +580,8 @@ def cmd_blocks(cfg: dict, run: RunPlan):
     }
     lf_rows = [{**row, "eps": e, "lf2": v} for row in lf["rows"] for e, v in row["lf2"].items()]
     return ok, report, {
-        "block_gap": (decomposition["rows"], BLOCK_COLUMNS),
-        "lindeberg": (lf_rows, LF_COLUMNS),
+        "block_gap": table_columns(decomposition["rows"], BLOCK_COLUMNS),
+        "lindeberg": table_columns(lf_rows, LF_COLUMNS),
     }
 
 
@@ -616,7 +602,7 @@ def cmd_moment_check(cfg: dict, run: RunPlan):
         "rectangles": rect,
         "passed": bool(ok),
     }
-    return ok, report, {"rectangle_moments": (rect["rows"], RECT_COLUMNS)}
+    return ok, report, {"rectangle_moments": table_columns(rect["rows"], RECT_COLUMNS)}
 
 
 def cmd_fixed_m_gap(cfg: dict, run: RunPlan):
@@ -629,7 +615,7 @@ def cmd_fixed_m_gap(cfg: dict, run: RunPlan):
         "gap": rep,
         "passed": bool(rep["passed"]),
     }
-    return rep["passed"], report, {"gap": (rep["rows"], GAP_COLUMNS)}
+    return rep["passed"], report, {"gap": table_columns(rep["rows"], GAP_COLUMNS)}
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--threads", type=int, default=None, help="replicate worker count")
     parser.add_argument("--out", default=None, help=f"output directory (default ${OUT_ENV} or ./runs)")
-    parser.add_argument("--format", choices=["json", "csv", "both"], default="both")
     return parser
 
 
@@ -696,12 +681,10 @@ def main(argv=None) -> int:
             ok, report, tables = _HANDLERS[args.subcommand](cfg, run, out_dir)
         if isinstance(report, dict) and report.get("files"):
             manifest.outputs.extend(str(out_dir / name) for name in report["files"])
-        if args.format in ("json", "both"):
-            manifest.outputs.append(write_report(report, out_dir / "report.json"))
-        if args.format in ("csv", "both"):
-            for name, (rows, columns) in tables.items():
-                if rows:
-                    manifest.outputs.append(write_csv(rows, out_dir / f"{name}.csv", columns))
+        # the report first: it refuses a non-finite value, so no table of its values is written with one
+        manifest.outputs.append(write_report(report, out_dir / "report.json"))
+        for name, columns in tables.items():
+            manifest.outputs.append(write_csv(columns, out_dir / f"{name}.csv"))
         manifest.verdicts = {"passed": bool(ok)}
         manifest.status = "complete"
         code = 0 if ok else 2

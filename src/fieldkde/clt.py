@@ -503,13 +503,9 @@ def _moments(T: np.ndarray, t_rem: np.ndarray) -> dict:
     }
 
 
-def _finite_or_null(values: np.ndarray) -> list:
-    return [v if math.isfinite(v) else None for v in values.tolist()]
-
-
 @dataclass
 class CltReport:
-    """Replicate statistics of T_n and its decomposition, per (n, x)."""
+    """Replicate statistics of T_n and its decomposition, per (n, x); the replicate values are not part of it."""
 
     config: dict
     points: list = field(default_factory=list)
@@ -517,24 +513,32 @@ class CltReport:
     nonfinite: int = 0
 
 
-def run_clt_experiment(config: ExperimentConfig, points) -> CltReport:
-    """Estimate the law of T_n over independent replicates on the (n, x) grid.
+def run_clt_experiment(config: ExperimentConfig, points) -> tuple[CltReport, dict]:
+    """Estimate the law of T_n over independent replicates on the (n, x) grid: the report and the replicate table.
 
     Verdict per point: "consistent" when |mean| <= 3*sqrt(sigma_x^2/R), the
     empirical variance sits within ``variance_band`` of sigma_x^2 =
     p(x) int K^2, and the KS distance to N(0, sigma_x^2) clears the 1%
     asymptotic critical value; "inconclusive" for R < 100.  A point with a
-    non-finite T, T_zeta or T_remainder fails whatever R is: those values
-    and the point's moments are reported as null, and ``nonfinite`` counts
-    the (n, x, replicate) rows that hold them.  ``points`` are
-    ``grid_points(config, "clt")``.
+    non-finite T, T_zeta or T_remainder fails whatever R is: its moments
+    are null, and ``nonfinite`` counts the (n, x, replicate) rows that hold
+    one.  The table holds the arrays n, x, replicate, T, T_zeta and
+    T_remainder, a row per (n, x, replicate) in that order, with NaN for a
+    non-finite value.  ``points`` are ``grid_points(config, "clt")``.
     """
     model, kern = config.model, config.kernel
     xs = config.resolve_x()
     R = config.replicates
     report = CltReport(config=config.resolved())
     verdicts = []
-    for point in points:
+    rows = R * len(xs)  # table rows per grid point
+    table = {
+        "n": np.repeat([point.n for point in points], rows),
+        "x": np.tile(np.repeat(np.asarray(xs, dtype=float), R), len(points)),
+        "replicate": np.tile(np.arange(R), len(points) * len(xs)),
+        **{name: np.empty(len(points) * rows) for name in ("T", "T_zeta", "T_remainder")},
+    }
+    for i, point in enumerate(points):
         n, m, b = point.n, point.m, point.b
         sums = _run_replicates(config, point, partial(_kernel_sums, xs=xs, kernel=kern, b=b))
         N = n**model.d
@@ -543,6 +547,8 @@ def run_clt_experiment(config: ExperimentConfig, points) -> CltReport:
         t_full, t_zeta, t_rem = _decompose(raw_f, raw_t, ef, efm, math.sqrt(N * b))
         bad_rows = ~(np.isfinite(t_full) & np.isfinite(t_zeta) & np.isfinite(t_rem))
         report.nonfinite += int(np.sum(bad_rows))
+        for name, values in zip(("T", "T_zeta", "T_remainder"), (t_full, t_zeta, t_rem)):
+            table[name][i * rows:(i + 1) * rows] = np.where(np.isfinite(values), values, math.nan).T.ravel()
         for xi, x in enumerate(xs):
             T = t_full[:, xi]
             sigma2 = point.sigma2_target[xi]
@@ -556,9 +562,6 @@ def run_clt_experiment(config: ExperimentConfig, points) -> CltReport:
                 "seeds": {"master": config.master_seed, "stream": point.stream},
                 "sigma2_target": sigma2,
                 "oracle": point.oracle,
-                "T": _finite_or_null(T),
-                "T_zeta": _finite_or_null(t_zeta[:, xi]),
-                "T_remainder": _finite_or_null(t_rem[:, xi]),
             }
             nonfinite = int(np.sum(bad_rows[:, xi]))
             entry.update(dict.fromkeys(_MOMENT_KEYS) if nonfinite else _moments(T, t_rem[:, xi]))
@@ -586,7 +589,7 @@ def run_clt_experiment(config: ExperimentConfig, points) -> CltReport:
         report.overall = "consistent"
     else:
         report.overall = "inconclusive"
-    return report
+    return report, table
 
 
 # ---------------------------------------------------------------------------

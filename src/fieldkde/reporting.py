@@ -2,8 +2,9 @@
 
 JSON output uses sorted keys and 17-significant-digit floats, so a report
 serialises to identical bytes on every run and every float round-trips to
-the same value.  CSV cells use the same float formatting; schemas are
-versioned via ``SCHEMA_VERSION`` and documented in the README.
+the same value.  A CSV table is a dict of columns, written in chunks with
+the same float format and an empty cell for None or a non-finite float;
+schemas are versioned via ``SCHEMA_VERSION`` and documented in the README.
 """
 
 from __future__ import annotations
@@ -20,18 +21,19 @@ __all__ = [
     "canonical_json",
     "write_report",
     "write_csv",
+    "table_columns",
     "RunManifest",
 ]
 
 SCHEMA_VERSION = 1
+# rows formatted and written at a time, so the text a table holds in memory stays bounded
+CSV_CHUNK_ROWS = 1024
 
 
 def float_repr(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError("reports must contain finite numbers only")
-    if x == int(x) and abs(x) < 1e16:
-        return format(x, ".1f")
-    return format(x, ".17g")
+    return _cell(float(x))
 
 
 def _emit(obj, out: list) -> None:
@@ -39,9 +41,7 @@ def _emit(obj, out: list) -> None:
 
     Dict keys are turned into strings with ``str`` and sorted.
     """
-    if type(obj) is float:  # most of a report, so tried first
-        out.append(float_repr(obj))
-    elif obj is None:
+    if obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
@@ -90,10 +90,15 @@ def write_report(obj, path) -> str:
 
 
 def _cell(v) -> str:
+    """``v`` as a CSV cell, empty for None and a non-finite float; a finite float is also its JSON."""
+    if type(v) is float:  # most cells, so tried first
+        return format(v, ".1f" if v.is_integer() and abs(v) < 1e16 else ".17g") if math.isfinite(v) else ""
+    if type(v) is int:
+        return str(v)
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (float, np.floating)):
-        return float_repr(float(v))
+        return _cell(float(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if v is None:
@@ -104,12 +109,20 @@ def _cell(v) -> str:
     return s
 
 
-def write_csv(rows, path, columns) -> str:
-    """Rows of dicts to CSV with an explicit, documented column order."""
+def table_columns(rows, names) -> dict:
+    """A table held as row dicts as the dict of its columns ``names``, in that order; a missing value is None."""
+    return {name: [row.get(name) for row in rows] for name in names}
+
+
+def write_csv(columns, path) -> str:
+    """A dict of equally long columns to CSV: a header of its keys in order, then one line per row."""
+    count = len(next(iter(columns.values())))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(row.get(c)) for c in columns) + "\n")
+        for start in range(0, count, CSV_CHUNK_ROWS):
+            chunks = (col[start:start + CSV_CHUNK_ROWS] for col in columns.values())
+            cells = [map(_cell, c.tolist() if isinstance(c, np.ndarray) else c) for c in chunks]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
     return str(path)
 
 

@@ -68,8 +68,8 @@ def d2_experiment():
         variance_band=0.15,
     )
     start = time.time()
-    report = run_clt_experiment(cfg, grid_points(cfg, "clt"))
-    return report, time.time() - start
+    report, table = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+    return report, table, time.time() - start
 
 
 def test_criterion_1_iid_baseline():
@@ -87,7 +87,7 @@ def test_criterion_1_iid_baseline():
         master_seed=MASTER_SEED,
     )
     start = time.time()
-    report = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+    report, _ = run_clt_experiment(cfg, grid_points(cfg, "clt"))
     elapsed = time.time() - start
     pt = report.points[0]
     var_ok = abs(pt["variance"] - SIGMA0_EPAN) <= 0.10 * SIGMA0_EPAN
@@ -108,7 +108,7 @@ def test_criterion_1_iid_baseline():
 
 def test_criterion_2_dependent_d2(d2_experiment):
     """Power-decay d=2 regime at n=64: moments and KS against the exact oracle."""
-    report, elapsed = d2_experiment
+    report, _, elapsed = d2_experiment
     pt = [p for p in report.points if p["n"] == 64][0]
     sigma2 = pt["sigma2_target"]
     var_ok = abs(pt["variance"] - sigma2) <= 0.15 * sigma2
@@ -128,11 +128,10 @@ def test_criterion_2_dependent_d2(d2_experiment):
 
 def test_criterion_3_remainder_contraction(d2_experiment):
     """Var(T_remainder) should drop from n=32 to n=64 and sit below 0.1 Var(T_n)."""
-    report, _ = d2_experiment
-    p32 = [p for p in report.points if p["n"] == 32][0]
+    report, table, _ = d2_experiment
     p64 = [p for p in report.points if p["n"] == 64][0]
-    v32 = float(np.var(p32["T_remainder"], ddof=1))
-    v64 = float(np.var(p64["T_remainder"], ddof=1))
+    v32 = float(np.var(table["T_remainder"][table["n"] == 32], ddof=1))
+    v64 = float(np.var(table["T_remainder"][table["n"] == 64], ddof=1))
     contraction_ok = v64 < v32
     share_ok = v64 <= 0.1 * p64["variance"]
     ok = contraction_ok and share_ok

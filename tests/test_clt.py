@@ -151,14 +151,14 @@ class TestNormalizedStatistic:
     def test_identity_truncation_kills_remainder(self, identity_weights):
         # one weight: the truncated field is the field itself at every m
         cfg = _config(identity_weights, n_grid=(256,), x_points=(0.0,), replicates=20)
-        pt = run_clt_experiment(cfg, grid_points(cfg, "clt")).points[0]
-        assert pt["T_remainder"] == [0.0] * 20
-        assert pt["T"] == pt["T_zeta"]
+        _, table = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+        assert table["T_remainder"].tolist() == [0.0] * 20
+        assert table["T"].tolist() == table["T_zeta"].tolist()
 
     def test_decomposition_identity(self, geometric_half):
         cfg = _config(geometric_half, n_grid=(512,), x_points=(0.2,), replicates=20)
-        pt = run_clt_experiment(cfg, grid_points(cfg, "clt")).points[0]
-        t, tz, tr = (np.array(pt[k]) for k in ("T", "T_zeta", "T_remainder"))
+        _, table = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+        t, tz, tr = (table[k] for k in ("T", "T_zeta", "T_remainder"))
         assert np.max(np.abs(t - (tz + tr))) <= 1e-12 * max(np.max(np.abs(t)), 1.0)
 
 
@@ -174,25 +174,24 @@ class TestRunCltExperiment:
             delta=0.199,
             replicates=500,
         )
-        rep = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+        rep, table = run_clt_experiment(cfg, grid_points(cfg, "clt"))
         p1, p2 = rep.points
-        v1 = np.var(p1["T_remainder"], ddof=1)
-        v2 = np.var(p2["T_remainder"], ddof=1)
+        v1 = np.var(table["T_remainder"][table["n"] == 1024], ddof=1)
+        v2 = np.var(table["T_remainder"][table["n"] == 4096], ddof=1)
         assert v2 < v1
         assert v2 <= 0.05 * p2["variance"]
 
     def test_single_replicate_inconclusive(self, geometric_half):
         cfg = _config(geometric_half, replicates=1, n_grid=(128,))
-        rep = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+        rep, _ = run_clt_experiment(cfg, grid_points(cfg, "clt"))
         assert rep.overall == "inconclusive"
         assert rep.points[0]["verdicts"]["overall"] == "inconclusive"
 
     def test_decomposition_identity_per_replicate(self, geometric_half):
         cfg = _config(geometric_half, replicates=50, n_grid=(256,))
-        rep = run_clt_experiment(cfg, grid_points(cfg, "clt"))
-        pt = rep.points[0]
-        t = np.array(pt["T"])
-        back = np.array(pt["T_zeta"]) + np.array(pt["T_remainder"])
+        rep, table = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+        t = table["T"]
+        back = table["T_zeta"] + table["T_remainder"]
         assert np.max(np.abs(t - back)) <= 1e-12 * max(np.max(np.abs(t)), 1.0)
         assert rep.nonfinite == 0
 
@@ -218,7 +217,7 @@ class TestRunCltExperiment:
             replicates=20,
             master_seed=MASTER_SEED,
         )
-        rep = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+        rep, _ = run_clt_experiment(cfg, grid_points(cfg, "clt"))
         assert rep.config["decay_window"]["passed"] is False
         assert rep.config["delta"] == 0.4
         # without an explicit schedule the empty window is an error
@@ -255,7 +254,8 @@ class TestAgainstNaiveReimplementation:
             truncation_M=M,
             replicates=1,
         )
-        pt = run_clt_experiment(cfg, grid_points(cfg, "clt")).points[0]
+        report, table = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+        pt = report.points[0]
         assert (pt["m"], pt["M"], pt["seeds"]["stream"]) == (m, M, 0)
         b = pt["b"]
         seed = SeedSpec(MASTER_SEED, 0, 0)
@@ -299,7 +299,7 @@ class TestAgainstNaiveReimplementation:
         fnm = float(np.sum(epanechnikov((x - xm_naive) / b))) / (N * b)
         t_ref = scale * (fn - ef(v))
         tz_ref = scale * (fnm - ef(v_m))
-        (t,), (tz,), (tr,) = pt["T"], pt["T_zeta"], pt["T_remainder"]
+        (t,), (tz,), (tr,) = table["T"], table["T_zeta"], table["T_remainder"]
         assert t == pytest.approx(t_ref, abs=1e-8)
         assert tz == pytest.approx(tz_ref, abs=1e-8)
         assert tr == pytest.approx(t_ref - tz_ref, abs=1e-8)

@@ -1,9 +1,11 @@
+import csv
 import json
 import math
 import os
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from fieldkde.cli import CONFIG_KEYS, DEFAULT_CONFIG, load_config, main
 from fieldkde.clt import KsResult
 from fieldkde.coefficients import ConditionReport
 from fieldkde.field import TruncationPlan
-from fieldkde.reporting import SCHEMA_VERSION, RunManifest, canonical_json, float_repr, write_csv
+from fieldkde.reporting import CSV_CHUNK_ROWS, SCHEMA_VERSION, RunManifest, canonical_json, float_repr, write_csv
 
 from conftest import MASTER_SEED
 
@@ -178,18 +180,76 @@ class TestDataclassSerialisation:
         })
 
 
+def _row_cell(v) -> str:
+    """A cell as the row-at-a-time writer of schema version 1 formatted it; it refused a non-finite float."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        x = float(v)
+        if math.isnan(x) or math.isinf(x):
+            raise ValueError("reports must contain finite numbers only")
+        return format(x, ".1f") if x == int(x) and abs(x) < 1e16 else format(x, ".17g")
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if v is None:
+        return ""
+    s = str(v)
+    if any(c in s for c in ",\"\n"):
+        s = '"' + s.replace('"', '""') + '"'
+    return s
+
+
+def _row_csv(columns) -> bytes:
+    """The bytes of ``columns`` written one row at a time with ``_row_cell``."""
+    lines = [",".join(columns)]
+    lines += [",".join(map(_row_cell, row)) for row in zip(*columns.values())]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 class TestCsv:
     def test_header_and_formatting(self, tmp_path):
         p = tmp_path / "t.csv"
-        write_csv(
-            [{"n": 4, "value": 1.0 / 3.0, "tag": "a,b"}],
-            p,
-            ["n", "value", "tag"],
-        )
+        write_csv({"n": [4], "value": [1.0 / 3.0], "tag": ["a,b"]}, p)
         lines = p.read_text().splitlines()
         assert lines[0] == "n,value,tag"
         assert lines[1].startswith("4,0.33333333333333331,")
         assert '"a,b"' in lines[1]
+
+    FLOATS = [-0.0, 1e16, 9999999999999998.0, 5e-324, 1.0 / 3.0]
+    FLOAT_CELLS = ["-0.0", "10000000000000000", "9999999999999998.0", "4.9406564584124654e-324", "0.33333333333333331"]
+
+    @pytest.mark.parametrize("column", [FLOATS, np.array(FLOATS), [np.float64(v) for v in FLOATS]],
+                             ids=["list", "array", "numpy scalars"])
+    def test_float_cells(self, tmp_path, column):
+        p = tmp_path / "t.csv"
+        write_csv({"v": column}, p)
+        assert p.read_bytes() == ("v\n" + "".join(c + "\n" for c in self.FLOAT_CELLS)).encode()
+        assert p.read_bytes() == _row_csv({"v": self.FLOATS})
+
+    def test_cells_of_other_types(self, tmp_path):
+        values = [2**53 + 1, -(2**70), np.int64(-7), True, np.bool_(False), None, np.float32(0.5),
+                  "a,b", 'say "hi"', "plain"]
+        cells = ["9007199254740993", "-1180591620717411303424", "-7", "true", "false", "", "0.5",
+                 '"a,b"', '"say ""hi"""', "plain"]
+        p = tmp_path / "t.csv"
+        write_csv({"v": values}, p)
+        assert p.read_bytes() == ("v\n" + "".join(c + "\n" for c in cells)).encode()
+        assert p.read_bytes() == _row_csv({"v": values})
+
+    def test_non_finite_floats_give_empty_cells(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_csv({"i": np.arange(4), "v": np.array([math.nan, math.inf, -math.inf, 2.0])}, p)
+        assert p.read_text() == "i,v\n0,\n1,\n2,\n3,2.0\n"
+
+    @pytest.mark.parametrize("rows", [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+    def test_tables_around_the_chunk_size(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        columns = {"n": np.full(rows, 64), "replicate": np.arange(rows), "T": rng.normal(size=rows),
+                   "whole": np.round(rng.normal(size=rows) * 1e3), "tag": [f"r{i},{i % 3}" for i in range(rows)]}
+        p = tmp_path / "t.csv"
+        write_csv(columns, p)
+        assert p.read_bytes() == _row_csv(columns)
+        assert len(p.read_text().splitlines()) == rows + 1
 
     def test_schema_version_exported(self):
         assert SCHEMA_VERSION == 1
@@ -266,6 +326,12 @@ def _run(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
 
 
+def _replicates(tmp_path):
+    """The rows of clt-run's replicate table under ``tmp_path``, as dicts of their cells."""
+    with open(tmp_path / "clt_run" / "clt_replicates.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestCli:
     def test_help_lists_the_subcommands_in_order(self, capsys):
         with pytest.raises(SystemExit):
@@ -283,7 +349,7 @@ class TestCli:
         from fieldkde.cli import build_parser
 
         options = ["--config", "c.json", "--set", "a=1", "--seed", "3", "--threads", "2", "--out", "o",
-                   "--format", "csv", "--set", "b=2"]
+                   "--set", "b=2"]
         after = build_parser().parse_args(["kde", *options])
         assert build_parser().parse_args([*options, "kde"]) == after
         assert build_parser().parse_args([*options[:6], "kde", *options[6:]]) == after
@@ -737,7 +803,7 @@ class TestCli:
     def test_integral_float_counts_as_an_integer(self, tmp_path):
         assert _run(tmp_path, "clt-run", "--set", "clt.n_grid=[16.0]", "--set", "clt.replicates=3.0") == 0
         point = json.loads((tmp_path / "clt_run" / "report.json").read_text())["points"][0]
-        assert point["n"] == 16 and point["replicates"] == 3 and len(point["T"]) == 3
+        assert point["n"] == 16 and point["replicates"] == 3 and len(_replicates(tmp_path)) == 3
 
     def test_moment_check_sample_over_the_memory_cap_exit_1(self, tmp_path, capsys):
         # the sample's box and draws are checked before anything is allocated
@@ -988,9 +1054,8 @@ class TestCli:
         code = _run(tmp_path, "clt-run", *model, "--set", "clt.n_grid=[64]",
                     "--set", "clt.replicates=20")
         assert code in (0, 2)
-        report = json.loads((tmp_path / "clt_run" / "report.json").read_text())
-        T = report["points"][0]["T"]
-        assert len(T) == 20 and all(t is not None and math.isfinite(t) for t in T)
+        T = [row["T"] for row in _replicates(tmp_path)]
+        assert len(T) == 20 and all(t != "" and math.isfinite(float(t)) for t in T)
 
     def test_power_decay_d2_below_the_beta_boundary_exit_2(self, tmp_path):
         # d=2, q=2.5: beta = 1.5 < d fails the window, yet every sequence is computed
@@ -1102,14 +1167,14 @@ class TestCli:
         monkeypatch.setattr(clt, "_kernel_sums", first_nan)
         code = _run(tmp_path, "clt-run", "--set", "clt.replicates=3", "--set", "clt.n_grid=[64]")
         assert code == 2
-        out = tmp_path / "clt_run"
-        report = json.loads((out / "report.json").read_text())
+        report = json.loads((tmp_path / "clt_run" / "report.json").read_text())
         point = report["points"][0]
         assert report["nonfinite"] == 1 and report["overall"] == "fail"
-        assert point["T"][0] is None and point["T_remainder"][0] is None
-        assert point["T_zeta"][0] is not None and point["T"][1] is not None
+        first, second = _replicates(tmp_path)[:2]
+        assert first["T"] == "" and first["T_remainder"] == ""
+        assert first["T_zeta"] != "" and second["T"] != ""
         assert point["mean"] is None and point["verdicts"] == {"overall": "fail", "nonfinite": 1}
-        assert (out / "clt_replicates.csv").read_text().splitlines()[1].split(",")[3] == ""
+        assert "T" not in point
 
     @pytest.mark.parametrize("kernel", ["epanechnikov", "gaussian", "triangular"])
     def test_nan_in_field_reported_as_null_exit_2(self, tmp_path, monkeypatch, kernel):
@@ -1132,8 +1197,40 @@ class TestCli:
         report = json.loads((tmp_path / "clt_run" / "report.json").read_text())
         point = report["points"][0]
         assert report["nonfinite"] == 1 and report["overall"] == "fail"
-        assert point["T"][0] is None and point["T_remainder"][0] is None
-        assert point["T_zeta"][0] is not None and point["T"][1] is not None
+        first, second = _replicates(tmp_path)[:2]
+        assert first["T"] == "" and first["T_remainder"] == ""
+        assert first["T_zeta"] != "" and second["T"] != ""
+        assert point["mean"] is None and point["variance"] is None
+
+    def test_nan_outside_the_replicate_table_exit_1_without_csv(self, tmp_path, capsys, monkeypatch):
+        # every other table is in the report, which is written first and refuses a non-finite value
+        import fieldkde.cli as cli
+
+        monkeypatch.setattr(cli, "kde_estimate", lambda values, xs, b, kernel: np.full(len(xs), math.nan))
+        assert _run(tmp_path, "kde", "--set", "kde.n=16") == 1
+        assert "reports must contain finite numbers only" in capsys.readouterr().err
+        assert not list((tmp_path / "kde").glob("*.csv"))
+        manifest = json.loads((tmp_path / "kde" / "manifest.json").read_text())
+        assert manifest["status"] == "error" and "finite numbers only" in manifest["error"]
+
+    def test_replicate_table_memory_per_row(self, tmp_path):
+        # the table travels as float columns and is written in chunks: its peak memory grows by a
+        # few floats per row (about 170 bytes), where a Python value per cell took about 740
+        argv = ["clt-run", "--config", str(REPO / "configs" / "iid_baseline.json"), "--set", "clt.n_grid=[8]",
+                "--set", "clt.x_points=[0.0,0.5]"]
+
+        def peak(replicates):
+            tracemalloc.start()
+            try:
+                assert _run(tmp_path / str(replicates), *argv, "--set", f"clt.replicates={replicates}") in (0, 2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _run(tmp_path / "warm", *argv, "--set", "clt.replicates=500")  # imports and caches, untraced
+        small, large = peak(500), peak(5000)
+        per_row = (large - small) / (2 * (5000 - 500))
+        assert per_row < 300, f"peak memory grows by {per_row:.0f} bytes per replicate row"
 
     def test_moment_check_draws_one_wu_sample_for_every_order(self, tmp_path, monkeypatch):
         import fieldkde.clt as clt
