@@ -40,6 +40,7 @@ from .clt import (
     plan_point,
     plan_wu,
     rectangle_moment_check,
+    result_bytes,
     run_clt_experiment,
     truncation_at,
     worker_pool,
@@ -369,13 +370,15 @@ class RunPlan:
     """What a run draws, holds and writes, planned before its first draw.
 
     One ``GridPoint`` per grid point (one for ``gen-field`` and ``kde``),
-    ``moment-check``'s ``WuPlan``, and every innovation value the run draws.
+    ``moment-check``'s ``WuPlan``, every innovation value the run draws, and
+    the bytes of ``clt-run``'s replicate results (``clt.result_bytes``).
     """
 
     subcommand: str
     points: tuple = ()
     wu: WuPlan | None = None
     draws: int = 0
+    result_bytes: int = 0
 
 
 def plan_run(cfg: dict, subcommand: str) -> RunPlan:
@@ -383,12 +386,13 @@ def plan_run(cfg: dict, subcommand: str) -> RunPlan:
 
     A truncation no radius meets, a block plan that does not fit, an x where
     the density is 0 and a moment-inequality sample over the cap raise,
-    naming their key; the grid points' cap is ``check_cap``'s, so a plan
-    exists to record when a point exceeds it.
+    naming their key; the grid points' cap is ``check_cap``'s and that of
+    the replicate results ``main``'s, so a plan exists to record when either
+    exceeds it.
     """
     section = {"gen-field": "gen_field", "kde": "kde", "clt-run": "clt", "blocks": "blocks",
                "moment-check": "moment_check", "fixed-m-gap": "gap"}.get(subcommand)
-    points, wu, rows = (), None, 0
+    points, wu, rows, results = (), None, 0, 0
     if subcommand in ("gen-field", "kde"):
         sec, model = cfg[section], model_from_config(cfg["coefficient"])
         n, m = sec["n"], sec["m"]
@@ -406,6 +410,7 @@ def plan_run(cfg: dict, subcommand: str) -> RunPlan:
             if subcommand == "clt-run":
                 # the replicate rows and one summary row per x
                 points, rows = grid_points(config, "clt"), (config.replicates + 1) * len(config.resolve_x())
+                results = result_bytes(len(points), len(config.resolve_x()), config.replicates)
             elif subcommand == "blocks":
                 blocks = BlockPlan(m=sec["m"], delta=sec["delta"], l=sec["l"])
                 try:
@@ -423,7 +428,7 @@ def plan_run(cfg: dict, subcommand: str) -> RunPlan:
         if subcommand == "moment-check":
             wu = plan_wu(config.model, config.innovations, sec["wu_p"], sec["wu_sample"], config.max_field_bytes)
     points = tuple(replace(p, rows=rows) for p in points)
-    return RunPlan(subcommand, points, wu, sum(p.draws for p in points) + (wu.draws if wu else 0))
+    return RunPlan(subcommand, points, wu, sum(p.draws for p in points) + (wu.draws if wu else 0), results)
 
 
 def _coupled_draw(cfg: dict, point: GridPoint):
@@ -676,6 +681,9 @@ def main(argv=None) -> int:
         manifest.config, manifest.master_seed = cfg, cfg["seed"]
         manifest.plan = run = plan_run(cfg, args.subcommand)
         check_cap(run.points, cfg["limits"]["max_field_bytes"])
+        if run.result_bytes > cfg["limits"]["max_field_bytes"]:
+            raise ToolError(f"config key clt.replicates: the replicate results hold {run.result_bytes} bytes "
+                            f"(> cap {cfg['limits']['max_field_bytes']} of limits.max_field_bytes)")
         manifest.write(out_dir / "manifest.json")
         with worker_pool():
             ok, report, tables = _HANDLERS[args.subcommand](cfg, run, out_dir)

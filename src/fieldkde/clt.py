@@ -513,6 +513,18 @@ class CltReport:
     nonfinite: int = 0
 
 
+def result_bytes(points: int, xs: int, replicates: int) -> int:
+    """Bytes ``run_clt_experiment`` holds for its replicate results at their peak, beside the fields.
+
+    The table holds six 8-byte columns over every (n, x, replicate) row.  At
+    the grid point being reduced the engine holds nine doubles per (x,
+    replicate): the kernel sums of X and X_m (or their chunk parts), the
+    estimates, T, T_zeta, T_remainder and two temporaries of a table column;
+    the KS test of one x holds 13 per replicate (98 bytes with tracemalloc).
+    """
+    return 8 * replicates * (6 * points * xs + 9 * xs + 13)
+
+
 def run_clt_experiment(config: ExperimentConfig, points) -> tuple[CltReport, dict]:
     """Estimate the law of T_n over independent replicates on the (n, x) grid: the report and the replicate table.
 

@@ -221,29 +221,23 @@ def _kernel_sum(kernel, x, values, b, axis=None, scratch=None):
 
 
 def _windowed_sums(kernel, xs, data, b):
-    """``_kernel_sum`` at each of the points ``xs`` over the 1-D ``data``, bit for bit, from the sites in reach.
+    """sum_i K((x - X_i)/b) at each of the points ``xs`` over the 1-D ``data``, from the sites in reach.
 
     The data are sorted once, and each x evaluates the kernel only on the
-    sites within ``KERNEL_REACH`` bandwidths of it.  Those terms go into a
-    zeroed array of N doubles at their lattice positions, where every other
-    site holds the exact 0.0 the full sum gives it, and the sum runs over the
-    whole array in lattice order; a sum of the window alone would round
-    differently.
+    sorted sites within ``_reach`` of it, with the subtract-then-divide of
+    ``_kernel_values``, and sums that window in sorted order.  Every other
+    site's term is the kernel's exact 0.0, so the sum is within rounding of
+    ``_kernel_sum``'s, and does not depend on the order of ``data``.
     """
-    order = np.argsort(data)
-    ordered = data[order]
+    ordered = np.sort(data)
     reach = _reach(kernel, b)
     lo = np.searchsorted(ordered, xs - reach, side="left")
     hi = np.searchsorted(ordered, xs + reach, side="right")
-    terms = np.zeros(data.size)
     sums = np.empty(xs.size)
     for j, xi in enumerate(xs):
         u = xi - ordered[lo[j]:hi[j]]
         u /= b
-        sites = order[lo[j]:hi[j]]
-        terms[sites] = kernel(u)
-        sums[j] = terms.sum()
-        terms[sites] = 0.0
+        sums[j] = kernel(u).sum()
     # a NaN datum sorts last and lies in no window, and a NaN x has an empty
     # one, but either makes the full sum NaN
     sums[np.isnan(xs) | np.isnan(ordered[-1])] = np.nan
@@ -255,10 +249,10 @@ def kde_estimate(values, x, b: float, kernel: KernelModel):
 
     ``values`` is any array of field values; ``x`` may be scalar or array.
     The kernel sums are ``_windowed_sums``: one sort, then at each x the
-    kernel on the sites within its reach only, with the bits of the full sum
-    over all N sites.  Memory stays at three arrays of N doubles however many
-    points are asked for.  The estimate is invariant under any permutation
-    of the values.
+    kernel on the sites within its reach only, summed in sorted order.
+    Memory stays at one sorted copy of the N values and one window's terms
+    however many points are asked for.  The estimate has the same bits under
+    any permutation of the values.
     """
     if b <= 0:
         raise ValueError("bandwidth must be positive")

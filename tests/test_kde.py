@@ -227,7 +227,17 @@ class TestEstimator:
         k = kernel_by_name("triangular")
         a = kde_estimate(vals, 0.3, 0.5, k)
         b = kde_estimate(rng.permutation(vals), 0.3, 0.5, k)
-        assert a == pytest.approx(b, rel=1e-12)
+        assert np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+    def test_a_field_and_its_transpose_give_the_same_bits(self, power_d2):
+        n = 64
+        plan = plan_truncation(power_d2, m=4, b=1.0 / n)
+        field, _ = coupled_pair(power_d2, n, 4, plan, SeedSpec(MASTER_SEED, 33))
+        xs = np.linspace(-2.5, 2.5, 41)
+        for name in KERNEL_NAMES:
+            k = kernel_by_name(name)
+            a, b = kde_estimate(field, xs, 4.0 / n, k), kde_estimate(field.T, xs, 4.0 / n, k)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_vector_x_matches_scalar_calls(self, epanechnikov):
         rng = np.random.default_rng(11)
@@ -265,14 +275,27 @@ class TestWindowedSums:
     @given(_windowed_cases())
     @settings(max_examples=300, deadline=None)
     def test_bits_equal_the_full_sums(self, case):
+        # the bits are those of the window's terms summed in sorted order, and the full sum's to rounding
         name, data, xs, b = case
         k = kernel_by_name(name)
+        ordered = np.sort(data)
+        reach = _reach(k, b)
+        lo = np.searchsorted(ordered, xs - reach, side="left")
+        hi = np.searchsorted(ordered, xs + reach, side="right")
         with np.errstate(invalid="ignore", over="ignore"):
             got = _windowed_sums(k, xs, data, b)
-            want = np.array([_kernel_sum(k, x, data, b) for x in xs])
+            full = np.array([_kernel_sum(k, x, data, b) for x in xs])
             estimate = kde_estimate(data, xs, b, k)
-        same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
-        assert same.all(), (got[~same], want[~same], xs[~same])
+            # the kernel at every sorted site: the window holds every nonzero term
+            terms = [_kernel_values(k, x, ordered, b) for x in xs]
+        want = np.array([t[i:j].sum() for t, i, j in zip(terms, lo, hi)])
+        nan = np.isnan(full)
+        for t, i, j, bad in zip(terms, lo, hi, nan):
+            assert bad or not (t[:i].any() or t[j:].any())
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)), (got, want, xs)
+        assert np.array_equal(got[full == 0.0].view(np.int64), full[full == 0.0].view(np.int64))
+        assert np.allclose(got[~nan], full[~nan], rtol=1e-13, atol=0.0)
         assert np.array_equal(estimate, got / data.size / b, equal_nan=True)
         if np.isnan(data).any():
             assert np.isnan(got).all()
@@ -365,7 +388,10 @@ class TestLiveSites:
 
 
 class TestGaussianSumsOnFields:
-    """On power-decay fields at b = 1/n, every Gaussian kernel sum is the sum of the plain expression."""
+    """On power-decay fields at b = 1/n, every Gaussian kernel sum is the sum of the plain expression.
+
+    ``_kernel_sum`` sums it over the whole field, ``_windowed_sums`` over the sorted window in reach.
+    """
 
     @pytest.mark.parametrize("n", [64, 256])
     def test_bits_equal_the_plain_sums(self, monkeypatch, power_d2, n):
@@ -377,8 +403,13 @@ class TestGaussianSumsOnFields:
         w = -0.5 * ((xs[:, np.newaxis] - field.ravel()) / b) ** 2
         # some terms lie where the floor turns a subnormal kernel value into 0.0
         assert np.any((w < EXP_ZERO_FLOOR) & (w >= -746.0))
+        ordered = np.sort(field.ravel())
+        lo = np.searchsorted(ordered, xs - _reach(k, b), side="left")
+        hi = np.searchsorted(ordered, xs + _reach(k, b), side="right")
+        windowed = np.array([_plain_gaussian((x - ordered[i:j]) / b).sum() for x, i, j in zip(xs, lo, hi)])
+        assert np.array_equal(_windowed_sums(k, xs, field.ravel(), b).view(np.int64), windowed.view(np.int64))
         want = np.array([_plain_gaussian((x - field) / b).sum() for x in xs])
-        got = [_windowed_sums(k, xs, field.ravel(), b)]
+        got = []
         for forced in (0.0, 2.0):  # every site, then the sites in reach alone
             monkeypatch.setitem(LIVE_SITE_SHARE, "gaussian", forced)
             got.append(np.array([_kernel_sum(k, x, field, b) for x in xs]))

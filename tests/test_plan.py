@@ -87,6 +87,22 @@ class TestLateCap:
         assert point["n"] == 64 and point["m"] == point["truncation"]["M"] and point["rows"] == 5
 
 
+class TestResultCap:
+    """clt-run's replicate results count against the memory cap, before any draw."""
+
+    def test_exit_1_naming_clt_replicates_with_the_plan_in_the_manifest(self, tmp_path, capsys, no_draw):
+        assert _run(tmp_path, "clt-run", "iid_baseline.json", "clt.n_grid=[8]", "clt.x_points=[0.0,0.5]",
+                    "clt.replicates=10000000") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key clt.replicates: the replicate results hold ")
+        manifest = _manifest(tmp_path, "clt-run")
+        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
+        cap = manifest["config"]["limits"]["max_field_bytes"]
+        (point,) = manifest["plan"]["points"]
+        assert point["rows"] == 20_000_002 and point["bytes"] <= cap < manifest["plan"]["result_bytes"]
+        assert [p.name for p in (tmp_path / "clt_run").iterdir()] == ["manifest.json"]
+
+
 class TestZeroDensity:
     """An x where the field's density is 0 has no limit law to test: every experiment rejects it in its plan."""
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fieldkde.cli import CONFIG_KEYS, DEFAULT_CONFIG, load_config, main
+from fieldkde.cli import CONFIG_KEYS, DEFAULT_CONFIG, load_config, main, plan_run
 from fieldkde.clt import KsResult
 from fieldkde.coefficients import ConditionReport
 from fieldkde.field import TruncationPlan
@@ -1227,10 +1227,16 @@ class TestCli:
             finally:
                 tracemalloc.stop()
 
+        def planned(replicates):
+            run = plan_run(load_config(argv[2], argv[4::2] + [f"clt.replicates={replicates}"]), "clt-run")
+            return run.points[0].bytes + run.result_bytes
+
         _run(tmp_path / "warm", *argv, "--set", "clt.replicates=500")  # imports and caches, untraced
         small, large = peak(500), peak(5000)
         per_row = (large - small) / (2 * (5000 - 500))
         assert per_row < 300, f"peak memory grows by {per_row:.0f} bytes per replicate row"
+        # the run plan counts at least that growth against the cap: the fields' batch and the results
+        assert per_row <= (planned(5000) - planned(500)) / (2 * (5000 - 500))
 
     def test_moment_check_draws_one_wu_sample_for_every_order(self, tmp_path, monkeypatch):
         import fieldkde.clt as clt
