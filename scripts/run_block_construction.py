@@ -3,8 +3,8 @@
 
 Checks that dropping the between-block gaps costs a vanishing share of the
 normalised sum, that block sums are uncorrelated, that the truncated block
-second moments behave, and that the Monte Carlo moment-inequality constants
-stay bounded.  Outputs go to OUT/block_construction/<subcommand>/.
+second moments behave, and that the rectangle moment-inequality constants
+stay bounded, next to the exact Wu constants of the linear process.  Outputs go to OUT/block_construction/<subcommand>/.
 """
 
 import pathlib

@@ -29,7 +29,6 @@ from .clt import (
     ExperimentConfig,
     GridPoint,
     MomentError,
-    WuPlan,
     block_decomposition_check,
     _block_samples,
     check_cap,
@@ -38,7 +37,6 @@ from .clt import (
     grid_points,
     lindeberg_estimate,
     plan_point,
-    plan_wu,
     rectangle_moment_check,
     result_bytes,
     run_clt_experiment,
@@ -75,6 +73,10 @@ from .reporting import RunManifest, table_columns, write_csv, write_report
 __all__ = ["main", "run_script", "plan_run", "RunPlan", "CONFIG_KEYS", "DEFAULT_CONFIG"]
 
 OUT_ENV = "FIELDKDE_OUT"
+
+# the config section of each subcommand that has one
+SECTIONS = {"gen-field": "gen_field", "kde": "kde", "clt-run": "clt", "blocks": "blocks",
+            "moment-check": "moment_check", "fixed-m-gap": "gap"}
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,6 @@ CONFIG_KEYS = {
         "replicates": Key("int", 400, ge=1),
         "wu_p": Key("orders", [1, 2], choices=(1, 2)),
         "rectangles": Key("sides", [4, 16, 64, 256, 1024], fits="n_grid"),
-        "wu_sample": Key("int", 200000, ge=2),
         # the max/min ratio of the rectangle norms is at least 1
         "ratio_cap": Key("num", 3.0, gt=1),
     },
@@ -370,13 +371,12 @@ class RunPlan:
     """What a run draws, holds and writes, planned before its first draw.
 
     One ``GridPoint`` per grid point (one for ``gen-field`` and ``kde``),
-    ``moment-check``'s ``WuPlan``, every innovation value the run draws, and
-    the bytes of ``clt-run``'s replicate results (``clt.result_bytes``).
+    every innovation value the run draws, and the bytes of ``clt-run``'s
+    replicate results (``clt.result_bytes``).
     """
 
     subcommand: str
     points: tuple = ()
-    wu: WuPlan | None = None
     draws: int = 0
     result_bytes: int = 0
 
@@ -384,15 +384,13 @@ class RunPlan:
 def plan_run(cfg: dict, subcommand: str) -> RunPlan:
     """The plan of ``subcommand`` at every grid point, with every check that needs no draw but the cap.
 
-    A truncation no radius meets, a block plan that does not fit, an x where
-    the density is 0 and a moment-inequality sample over the cap raise,
-    naming their key; the grid points' cap is ``check_cap``'s and that of
-    the replicate results ``main``'s, so a plan exists to record when either
-    exceeds it.
+    A truncation no radius meets and a block plan that does not fit raise,
+    naming their key, and an x where the density is 0 raises ``MomentError``;
+    the grid points' cap is ``check_cap``'s and that of the replicate results
+    ``main``'s, so a plan exists to record when either exceeds it.
     """
-    section = {"gen-field": "gen_field", "kde": "kde", "clt-run": "clt", "blocks": "blocks",
-               "moment-check": "moment_check", "fixed-m-gap": "gap"}.get(subcommand)
-    points, wu, rows, results = (), None, 0, 0
+    section = SECTIONS.get(subcommand)
+    points, rows, results = (), 0, 0
     if subcommand in ("gen-field", "kde"):
         sec, model = cfg[section], model_from_config(cfg["coefficient"])
         n, m = sec["n"], sec["m"]
@@ -406,29 +404,24 @@ def plan_run(cfg: dict, subcommand: str) -> RunPlan:
         rows = len(sec["x_grid"]) if kde else 3 * n**model.d
     elif section is not None:
         config, sec = _experiment(cfg, section), cfg[section]
-        try:
-            if subcommand == "clt-run":
-                # the replicate rows and one summary row per x
-                points, rows = grid_points(config, "clt"), (config.replicates + 1) * len(config.resolve_x())
-                results = result_bytes(len(points), len(config.resolve_x()), config.replicates)
-            elif subcommand == "blocks":
-                blocks = BlockPlan(m=sec["m"], delta=sec["delta"], l=sec["l"])
-                try:
-                    for n in config.n_grid:
-                        blocks.resolve(n)
-                except ValueError as exc:
-                    raise ToolError(f"config key blocks.l: {exc}") from None
-                points, rows = grid_points(config, "blocks", blocks=blocks), 1 + len(sec["eps"])
-            elif subcommand == "moment-check":
-                points, rows = grid_points(config, "rectangles"), len(sec["rectangles"])
-            else:
-                points, rows = gap_points(config, sec["m"], sec["mode"]), 1
-        except MomentError as exc:
-            raise ToolError(f"config key {section}.x_points: {exc}") from None
-        if subcommand == "moment-check":
-            wu = plan_wu(config.model, config.innovations, sec["wu_p"], sec["wu_sample"], config.max_field_bytes)
+        if subcommand == "clt-run":
+            # the replicate rows and one summary row per x
+            points, rows = grid_points(config, "clt"), (config.replicates + 1) * len(config.resolve_x())
+            results = result_bytes(len(points), len(config.resolve_x()), config.replicates)
+        elif subcommand == "blocks":
+            blocks = BlockPlan(m=sec["m"], delta=sec["delta"], l=sec["l"])
+            try:
+                for n in config.n_grid:
+                    blocks.resolve(n)
+            except ValueError as exc:
+                raise ToolError(f"config key blocks.l: {exc}") from None
+            points, rows = grid_points(config, "blocks", blocks=blocks), 1 + len(sec["eps"])
+        elif subcommand == "moment-check":
+            points, rows = grid_points(config, "rectangles"), len(sec["rectangles"])
+        else:
+            points, rows = gap_points(config, sec["m"], sec["mode"]), 1
     points = tuple(replace(p, rows=rows) for p in points)
-    return RunPlan(subcommand, points, wu, sum(p.draws for p in points) + (wu.draws if wu else 0), results)
+    return RunPlan(subcommand, points, sum(p.draws for p in points), results)
 
 
 def _coupled_draw(cfg: dict, point: GridPoint):
@@ -570,10 +563,7 @@ def cmd_blocks(cfg: dict, run: RunPlan):
     sec = cfg["blocks"]
     config = _experiment(cfg, "blocks")
     samples = _block_samples(config, run.points)
-    try:
-        decomposition = block_decomposition_check(config, samples)
-    except MomentError as exc:
-        raise ToolError(f"config key blocks.x_points: {exc}") from None
+    decomposition = block_decomposition_check(config, samples)
     lf = lindeberg_estimate(config, samples, sec["eps"])
     ok = decomposition["passed"] and lf["passed"]
     report = {
@@ -593,12 +583,9 @@ def cmd_blocks(cfg: dict, run: RunPlan):
 def cmd_moment_check(cfg: dict, run: RunPlan):
     sec = cfg["moment_check"]
     config = _experiment(cfg, "moment_check")
-    wu_reports = [] if run.wu is None else wu_inequality_check(
-        config.model, config.innovations, run.wu, master_seed=config.master_seed, threads=config.threads)
-    try:
-        rect = rectangle_moment_check(config, sec["rectangles"], run.points, ratio_cap=sec["ratio_cap"])
-    except MomentError as exc:
-        raise ToolError(f"config key moment_check.x_points: {exc}") from None
+    # before the rectangles' draws, so innovations without the moments fail first
+    wu_reports = wu_inequality_check(config.model, config.innovations, sec["wu_p"])
+    rect = rectangle_moment_check(config, sec["rectangles"], run.points, ratio_cap=sec["ratio_cap"])
     ok = rect["passed"]
     report = {
         "subcommand": "moment-check",
@@ -654,8 +641,13 @@ _HANDLERS = {
 }
 
 
-def _message(exc: Exception) -> str:
-    """The message of a tool error, naming the config key that decides a truncation or the memory cap."""
+def _message(exc: Exception, section: str | None) -> str:
+    """The message of a tool error, naming the config key that decides a truncation, a moment or the memory cap.
+
+    ``section`` is the config section of the subcommand, which holds the key of a ``MomentError``.
+    """
+    if isinstance(exc, MomentError):
+        return f"config key {section}.{exc.key}: {exc}"
     if isinstance(exc, TruncationError):
         return f"config key truncation.{exc.key}: {exc}"
     if isinstance(exc, FieldSizeError):
@@ -697,7 +689,7 @@ def main(argv=None) -> int:
         manifest.status = "complete"
         code = 0 if ok else 2
     except (ToolError, FieldSizeError, ValueError) as exc:
-        message = _message(exc)
+        message = _message(exc, SECTIONS.get(args.subcommand))
         manifest.status, manifest.error = "error", message
         print(f"error: {message}", file=sys.stderr)
     except BaseException as exc:

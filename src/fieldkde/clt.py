@@ -26,7 +26,6 @@ import numpy as np
 from .coefficients import (
     CoefficientModel,
     check_decay_window,
-    coeff_box,
     delta_n,
     m_schedule,
     residual_sqrt_mass,
@@ -46,7 +45,7 @@ from .field import (
     plan_truncation,
 )
 from .fourier import next_fast_len
-from .innovations import InnovationModel, Seeds, _draw
+from .innovations import InnovationModel, Seeds
 from .kde import (
     BandwidthSchedule,
     KernelModel,
@@ -61,7 +60,6 @@ from .special import ndtr
 __all__ = [
     "ExperimentConfig",
     "GridPoint",
-    "WuPlan",
     "CltReport",
     "BlockPlan",
     "KsResult",
@@ -76,17 +74,18 @@ __all__ = [
     "grid_points",
     "ks_normality_test",
     "m_schedule",
-    "plan_wu",
     "worker_pool",
 ]
 
 KS_CRIT_05 = 1.358
 KS_CRIT_01 = 1.628
 MIN_REPLICATES_FOR_VERDICT = 100
+# the KS test takes the normal CDF of its sorted sample this many values at a time
+KS_CHUNK = 1 << 10
 
 # Seed streams: grid point ni of an experiment draws from stream offset + ni,
 # so a grid longer than MAX_GRID_POINTS would reuse the next experiment's draws.
-STREAM_OFFSETS = {"clt": 0, "blocks": 100, "rectangles": 200, "gap": 300, "wu": 400}
+STREAM_OFFSETS = {"clt": 0, "blocks": 100, "rectangles": 200, "gap": 300}
 MAX_GRID_POINTS = 100
 
 # A batch holds as many replicates as keep their innovation lattices within
@@ -94,20 +93,19 @@ MAX_GRID_POINTS = 100
 # at n = 256, measured slower when batched, runs one replicate at a time.
 BATCH_BYTES = 1 << 20
 
-# The moment-inequality sample is drawn, scaled and summed one block of this
-# many bytes of draws at a time, so each block is reused while it sits in L2
-# cache and the sample's memory does not grow with its size.  Block b draws
-# from its own key (master, STREAM_OFFSETS["wu"], b), so like STREAM_OFFSETS
-# this constant fixes which key draws which samples: changing it changes the
-# Wu reports.
-WU_BLOCK_BYTES = 1 << 19
-
 # fixed-m-gap's last gap must lie within this share of its positive limit
 GAP_BAND = 0.15
 
 
 class MomentError(ValueError):
-    """A moment precondition fails: on the innovations, or a limit variance, rectangle norm or block variance of 0."""
+    """A moment precondition fails: on the innovations, or a limit variance, rectangle norm or block variance of 0.
+
+    ``key`` is the key of the experiment's config section that decides it.
+    """
+
+    def __init__(self, message: str, key: str = "x_points"):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -458,10 +456,13 @@ def ks_normality_test(samples, sigma2: float) -> KsResult:
         raise ValueError("sigma2 must be positive")
     xs = np.sort(samples)
     n = xs.size
-    cdf = ndtr(xs / math.sqrt(sigma2))
-    up = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    dist = float(max(np.max(up - cdf), np.max(cdf - lo)))
+    # beside the sorted copy, one chunk's CDF and its gaps to the ranks (i + 1)/n and i/n
+    gaps = []
+    for start in range(0, n, KS_CHUNK):
+        cdf = ndtr(xs[start : start + KS_CHUNK] / math.sqrt(sigma2))
+        ranks = np.arange(start, start + cdf.size)
+        gaps += [np.max((ranks + 1) / n - cdf), np.max(cdf - ranks / n)]
+    dist = float(np.max(gaps))
     root = math.sqrt(n)
     return KsResult(dist, KS_CRIT_05 / root, KS_CRIT_01 / root, n)
 
@@ -520,9 +521,10 @@ def result_bytes(points: int, xs: int, replicates: int) -> int:
     the grid point being reduced the engine holds nine doubles per (x,
     replicate): the kernel sums of X and X_m (or their chunk parts), the
     estimates, T, T_zeta, T_remainder and two temporaries of a table column;
-    the KS test of one x holds 13 per replicate (98 bytes with tracemalloc).
+    the KS test of one x holds its sorted copy, one per replicate (8 bytes
+    with tracemalloc), beside one chunk of ``KS_CHUNK`` values.
     """
-    return 8 * replicates * (6 * points * xs + 9 * xs + 13)
+    return 8 * replicates * (6 * points * xs + 9 * xs + 1)
 
 
 def run_clt_experiment(config: ExperimentConfig, points) -> tuple[CltReport, dict]:
@@ -891,176 +893,30 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, points, ratio_c
 # moment inequality
 
 
-def _wu_block_sums(innovations, a, master_seed, sample, rows, orders, start, stop) -> list:
-    """Per block start..stop-1 of the moment-inequality sample, a (len(orders), 2) array of
-    the sums of |X|^(2p) and |X|^(4p) over that block, one row per order.
+def wu_inequality_check(model: CoefficientModel, innovations: InnovationModel, orders) -> list:
+    """The constant C_p = E|X_0|^(2p) / (sum_k a_k^2)^p of E|sum_k a_k eps_k|^(2p) <= C_p (sum_k a_k^2)^p.
 
-    Block b holds samples [b*rows, (b+1)*rows) and draws them from the key
-    (master, STREAM_OFFSETS["wu"], b) into one reused buffer, so its sums do
-    not depend on which range holds it.
+    One report per order p of ``orders``, each with the weight mass sum a^2
+    and the exact constant ``reference_c``: 1 at p=1, and
+    3 + (kappa - 3) sum a^4 / (sum a^2)^2 at p=2, with kappa the innovation
+    kurtosis.  Innovations without a finite E|eps|^(2 v 2p) raise
+    ``MomentError`` on the ``wu_p`` key, before any report is made.
     """
-    seeds = Seeds(master_seed, STREAM_OFFSETS["wu"], range(start, stop))
-    buffer, x = np.empty((rows, a.size)), np.empty(rows)
-    out = []
-    for i, block in enumerate(range(start, stop)):
-        take = min(rows, sample - block * rows)
-        eps, abs_x = buffer[:take], x[:take]
-        _draw(innovations, seeds[i], eps.shape, out=eps)
-        np.multiply(eps, a, out=eps)
-        np.abs(np.sum(eps, axis=1, out=abs_x), out=abs_x)
-        sums = np.empty((len(orders), 2))
-        for j, q in enumerate(orders):
-            y = abs_x ** (2 * q)
-            sums[j] = y.sum(), (y**2).sum()
-        out.append(sums)
-    return out
-
-
-def _wu_side(model: CoefficientModel, sample: int, max_bytes: int) -> int:
-    """Side of the moment-inequality sample's coefficient box.
-
-    The least s >= 1 whose p=1 truncation bias B_s^2 / sum a^2 is at most a
-    tenth of the Gaussian p=1 standard error sqrt(2/sample), so the box moves
-    C_hat by far less than its noise; a finite table's support side has no
-    bias.  The bias falls with s, so doubling and then bisection find s in
-    O(log s) evaluations of the closed-form B_s.  The doubling stops at the
-    largest side whose box alone, 8 s^d bytes, fits in ``max_bytes``: if that
-    side misses the bias too, ``FieldSizeError`` is raised, so a tail too
-    slow for the cap ends there.
-    """
-    tol = 0.1 * math.sqrt(2.0 / sample)
-    total = total_sq_mass(model)
-    support = model.support_side()
-
-    def settled(s):
-        return (support is not None and s >= support) or residual_sqrt_mass(model, s) ** 2 / total <= tol
-
-    def fits(s):  # the logarithm keeps s^d a small integer
-        return max_bytes >= 8 and model.d * math.log2(s) <= math.log2(max_bytes) and 8 * s**model.d <= max_bytes
-
-    def least(holds, lo, hi):  # the least s in (lo, hi] that holds, given that hi holds and lo does not
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
-        return hi
-
-    lo, hi = 0, 1  # side lo misses the bias (side 0: no box)
-    while fits(hi) and not settled(hi):
-        lo, hi = hi, 2 * hi
-    if not fits(hi):
-        top = least(lambda s: not fits(s), lo, hi) - 1  # the largest side that fits
-        if top == lo or not settled(top):
-            raise FieldSizeError(
-                f"the moment-inequality sample's coefficient box needs a side above {top} to bring its p=1 "
-                f"bias within {tol:.3g}, and 8 side^{model.d} bytes exceed the cap {max_bytes}"
-            )
-        hi = top
-    return least(settled, lo, hi)
-
-
-@dataclass(frozen=True)
-class WuPlan:
-    """The moment-inequality sample's orders and size, box side, samples per block, blocks, bytes per worker, draws."""
-
-    orders: tuple
-    sample: int
-    side: int
-    rows: int
-    blocks: int
-    bytes: int
-    draws: int
-
-
-def plan_wu(model: CoefficientModel, innovations: InnovationModel, orders, sample: int, max_bytes: int):
-    """The WuPlan of ``wu_inequality_check``'s sample, None for no orders, or the error that check raises.
-
-    The coefficient box, one block (twice, for the laws whose draws are
-    copied in), a block's |X| with its two power temporaries and the sums of
-    every block must fit in ``max_bytes``: ``FieldSizeError`` otherwise.
-    """
-    if sample < 2:
-        raise ValueError("sample must be >= 2")
     for q in orders:
         if q not in (1, 2):
             raise ValueError("p must be 1 or 2")
         order = max(2, 2 * q)
         if innovations.max_moment_order <= order:
             raise MomentError(
-                f"innovations need E|eps|^{order} < inf "
-                f"(max finite order {innovations.max_moment_order})"
+                f"innovations need E|eps|^{order} < inf (max finite order {innovations.max_moment_order})", "wu_p"
             )
-    if not orders:
-        return None
-    side = _wu_side(model, sample, max_bytes)
-    size = side**model.d
-    rows = min(max(1, WU_BLOCK_BYTES // (8 * size)), sample)
-    blocks = -(-sample // rows)
-    need = 8 * (size + 2 * rows * size + 3 * rows) + 16 * len(orders) * blocks
-    if need > max_bytes:
-        raise FieldSizeError(
-            f"the moment-inequality sample's coefficient box of side {side}, its draw block, "
-            f"|X| and the block sums need about {need} bytes (> cap {max_bytes})"
-        )
-    return WuPlan(tuple(orders), sample, side, rows, blocks, need, sample * size)
-
-
-def wu_inequality_check(
-    model: CoefficientModel, innovations: InnovationModel, plan: WuPlan, master_seed: int = 20260810, threads: int = 1
-):
-    """Monte Carlo constant in E|sum_k a_k eps_k|^(2p) <= C (sum_k a_k^2)^p.
-
-    Independent draws of X_0 truncated to the box of ``_wu_side`` give
-    C_hat = mean|X|^(2p)/(mass)^p with its standard error.  Each report
-    carries the exact constant of the full field, ``reference_c`` (1 at p=1;
-    at p=2 it needs the innovation kurtosis), the exact constant of the
-    sampled box, ``box_c``, which C_hat estimates, and their difference,
-    ``truncation_bias``.  ``plan`` is ``plan_wu``'s, which checked
-    E|eps|^(2 v 2p) < infinity and the memory cap for its orders and sample
-    size; the list of the orders' reports comes from one sample of X_0, with
-    the same numbers as one plan per order.  The sample is drawn in
-    keyed blocks of ``WU_BLOCK_BYTES`` of draws (``_wu_block_sums``), split
-    over workers by ``_map_chunks``; the blocks' sums are added in block order
-    here, so the reports do not depend on ``threads``.
-    """
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-    orders, sample = plan.orders, plan.sample
     total = total_sq_mass(model)
-    side = plan.side
-    a = coeff_box(model, side).ravel()
-    task = partial(_wu_block_sums, innovations, a, master_seed, sample, plan.rows, orders)
-    sums = np.zeros((len(orders), 2))  # per order: sum |X|^(2p), sum |X|^(4p)
-    for part in _map_chunks(task, plan.blocks, threads):
-        sums += part
-    a2 = a * a
-    box_a2, box_a4 = float(np.sum(a2)), float(np.sum(a2 * a2))
-    kurt = innovations.kurtosis
-    reports = []
-    for q, (sum_y, sum_y2) in zip(orders, sums.tolist()):
-        mean_y = sum_y / sample
-        var_y = max(sum_y2 / sample - mean_y**2, 0.0)
-        c_hat = mean_y / total**q
-        se = math.sqrt(var_y / sample) / total**q
-        ref = box_c = None
-        if q == 1:
-            ref, box_c = 1.0, box_a2 / total
-        elif kurt is not None:
-            ref = (kurt - 3.0) * total_fourth_mass(model) / total**2 + 3.0
-            box_c = (3.0 * box_a2**2 + (kurt - 3.0) * box_a4) / total**2
-        reports.append({
-            "name": "wu_moment",
-            "p": q,
-            "sample": sample,
-            "c_hat": float(c_hat),
-            "se": float(se),
-            "weight_mass": float(total),
-            "truncation_side": side,
-            "reference_c": ref,
-            "box_c": box_c,
-            "truncation_bias": None if ref is None else ref - box_c,
-            "seeds": {"master": master_seed, "stream": STREAM_OFFSETS["wu"]},
-        })
-    return reports
+    return [{
+        "name": "wu_moment",
+        "p": q,
+        "weight_mass": float(total),
+        "reference_c": 1.0 if q == 1 else (innovations.kurtosis - 3.0) * total_fourth_mass(model) / total**2 + 3.0,
+    } for q in orders]
 
 
 # ---------------------------------------------------------------------------

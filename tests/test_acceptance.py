@@ -31,10 +31,8 @@ from fieldkde import (
     kernel_by_name,
     lattice_convolve,
     lindeberg_estimate,
-    plan_wu,
     rectangle_moment_check,
     run_clt_experiment,
-    wu_inequality_check,
 )
 from fieldkde.clt import _block_samples
 from fieldkde.coefficients import coeff_box
@@ -42,6 +40,7 @@ from fieldkde.innovations import draw_lattice
 from fieldkde.reporting import canonical_json
 
 from conftest import MASTER_SEED, generator
+from wu_reference import wu_reference
 
 SIGMA0_EPAN = 0.2393653682408596  # phi(0) * 3/5
 GAP_LIMIT = 0.42139138362113384  # (p_2(0) + p(0)) * 3/5 for the geometric model
@@ -230,8 +229,7 @@ def test_criterion_7_moment_inequalities():
     """Wu constants at p=1,2 and bounded rectangle normalisation."""
     model = CoefficientModel(d=1, family="geometric", ratio=0.5)
     gauss = InnovationModel("gaussian")
-    plan = plan_wu(model, gauss, [1, 2], 200_000, 1 << 30)
-    w1, w2 = wu_inequality_check(model, gauss, plan, master_seed=MASTER_SEED)
+    w1, w2 = wu_reference(model, gauss, [1, 2], 200_000, MASTER_SEED)
     p1_ok = abs(w1["c_hat"] - 1.0) <= 3.0 * w1["se"]
     p2_ok = abs(w2["c_hat"] - 3.0) <= 0.10 * 3.0
     cfg = ExperimentConfig(

@@ -53,7 +53,7 @@ RUNS = {
     "moment-check": (
         "blocks_d1.json",
         ["moment_check.n_grid=[128]", f"moment_check.replicates={REPLICATES}",
-         "moment_check.rectangles=[4,16,64]", "moment_check.wu_sample=1000"],
+         "moment_check.rectangles=[4,16,64]"],
     ),
     "fixed-m-gap": (
         "geometric_truncation_gap.json", ["gap.n_grid=[128,256]", f"gap.replicates={REPLICATES}"]

@@ -11,7 +11,6 @@ from fieldkde import (
     BlockPlan,
     CoefficientModel,
     ExperimentConfig,
-    FieldSizeError,
     InnovationModel,
     MomentError,
     SeedSpec,
@@ -27,17 +26,17 @@ from fieldkde import (
     gap_points,
     grid_points,
     plan_truncation,
-    plan_wu,
     rectangle_moment_check,
     run_clt_experiment,
     wu_inequality_check,
 )
 from fieldkde.clt import _block_samples, _skew_kurtosis
-from fieldkde.coefficients import coeff_box, residual_sqrt_mass
-from fieldkde.field import DEFAULT_MAX_FIELD_BYTES, coupled_spectra
+from fieldkde.coefficients import coeff_box
+from fieldkde.field import coupled_spectra
 from fieldkde.reporting import canonical_json
 
 import block_reference
+from wu_reference import wu_reference
 from conftest import MASTER_SEED, coupled_pair, planned
 
 
@@ -388,6 +387,17 @@ class TestKs:
         res = ks_normality_test(rng.normal(0, 2.0, 1000), 1.0)
         assert res.distance > res.crit_01
 
+    @pytest.mark.parametrize("size", [100, 1024, 2500])
+    def test_distance_keeps_the_bits_of_the_whole_sample_expression(self, size):
+        # heavy tails reach every branch of ndtr; the chunked distance is the one-pass expression's
+        from fieldkde.special import ndtr
+
+        sample = np.random.default_rng(MASTER_SEED).standard_t(3, size) * 1.5
+        xs = np.sort(sample)
+        cdf = ndtr(xs / math.sqrt(0.7))
+        want = float(max(np.max(np.arange(1, size + 1) / size - cdf), np.max(cdf - np.arange(0, size) / size)))
+        assert ks_normality_test(sample, 0.7).distance == want
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ks_normality_test(np.array([]), 1.0)
@@ -397,136 +407,27 @@ class TestKs:
             ks_normality_test(np.zeros(200), 0.0)
 
 
-def _wu(model, innovations, orders, sample, max_bytes=DEFAULT_MAX_FIELD_BYTES, **kw):
-    """``wu_inequality_check`` on the ``plan_wu`` of ``orders`` and ``sample``."""
-    return wu_inequality_check(model, innovations, plan_wu(model, innovations, orders, sample, max_bytes), **kw)
-
-
 class TestWuInequality:
     def test_second_moment_identity(self, geometric_half):
-        (rep,) = _wu(geometric_half, InnovationModel("gaussian"), [1], 200_000)
+        (rep,) = wu_reference(geometric_half, InnovationModel("gaussian"), [1], 200_000, MASTER_SEED)
         assert abs(rep["c_hat"] - 1.0) <= 3 * rep["se"]
 
     def test_gaussian_fourth_moment(self, geometric_half):
-        (rep,) = _wu(geometric_half, InnovationModel("gaussian"), [2], 200_000)
+        (rep,) = wu_inequality_check(geometric_half, InnovationModel("gaussian"), [2])
+        (mc,) = wu_reference(geometric_half, InnovationModel("gaussian"), [2], 200_000, MASTER_SEED)
         assert rep["reference_c"] == pytest.approx(3.0, abs=1e-12)
-        assert rep["c_hat"] == pytest.approx(3.0, rel=0.1)
+        assert mc["c_hat"] == pytest.approx(3.0, rel=0.1)
 
     def test_uniform_kurtosis(self, identity_weights):
-        (rep,) = _wu(identity_weights, InnovationModel("uniform"), [2], 200_000)
+        (rep,) = wu_inequality_check(identity_weights, InnovationModel("uniform"), [2])
+        (mc,) = wu_reference(identity_weights, InnovationModel("uniform"), [2], 200_000, MASTER_SEED)
         assert rep["reference_c"] == pytest.approx(9.0 / 5.0, abs=1e-12)
-        assert rep["c_hat"] == pytest.approx(9.0 / 5.0, rel=0.05)
+        assert mc["c_hat"] == pytest.approx(9.0 / 5.0, rel=0.05)
 
     def test_moment_precondition(self, geometric_half):
-        with pytest.raises(MomentError):
-            _wu(geometric_half, InnovationModel("student_t", nu=4.0), [2], 100)
-
-    def test_rejects_sample_below_two(self, geometric_half):
-        for orders in ([1], []):
-            with pytest.raises(ValueError, match="sample must be >= 2"):
-                _wu(geometric_half, InnovationModel("gaussian"), orders, 1)
-
-    def test_orders_share_one_sample(self, geometric_half, monkeypatch):
-        import fieldkde.clt as clt
-
-        innov = InnovationModel("uniform")
-        apart = [_wu(geometric_half, innov, [p], 30_000)[0] for p in (1, 2)]
-        draw, drawn = clt._draw, []
-
-        def counting(model, rng, shape, out=None):
-            out = draw(model, rng, shape, out)
-            drawn.append(out.size)
-            return out
-
-        monkeypatch.setattr(clt, "_draw", counting)
-        together = _wu(geometric_half, innov, [1, 2], 30_000)
-        assert together == apart
-        assert sum(drawn) == 30_000 * apart[0]["truncation_side"]
-        assert plan_wu(geometric_half, innov, [], 30_000, DEFAULT_MAX_FIELD_BYTES) is None
-
-
-    def test_memory_cap_checked_before_the_box_is_built(self, geometric_half, monkeypatch):
-        import fieldkde.clt as clt
-
-        innov = InnovationModel("gaussian")
-        (rep,) = _wu(geometric_half, innov, [1], 1000)
-        # the box, one block of 1000 draws counted twice, |X| with its two powers,
-        # and the one block's two sums for the one order
-        need = 8 * (rep["truncation_side"] * (1 + 2 * 1000) + 3 * 1000) + 16 * 1 * 1
-        assert _wu(geometric_half, innov, [1], 1000, max_bytes=need) == [rep]
-
-        def no_box(*args, **kw):
-            raise AssertionError("the coefficient box was built before the cap was checked")
-
-        monkeypatch.setattr(clt, "coeff_box", no_box)
-        with pytest.raises(FieldSizeError, match="cap"):
-            _wu(geometric_half, innov, [1], 1000, max_bytes=need - 1)
-        # power decay near q = d/2 at d = 3 needs a side far beyond 512, where the box alone takes 1 GiB
-        with pytest.raises(FieldSizeError):
-            _wu(CoefficientModel(d=3, family="power_decay", q=1.6), innov, [1, 2], 200_000)
-
-    def test_slow_tail_hits_the_cap_after_log_many_residuals(self, monkeypatch):
-        import fieldkde.clt as clt
-
-        calls = []
-
-        def counting(model, m):
-            calls.append(m)
-            return residual_sqrt_mass(model, m)
-
-        def no_box(*args, **kw):
-            raise AssertionError("the coefficient box was built before the cap was checked")
-
-        monkeypatch.setattr(clt, "residual_sqrt_mass", counting)
-        monkeypatch.setattr(clt, "coeff_box", no_box)
-        slow = CoefficientModel(d=3, family="power_decay", q=1.6)
-        with pytest.raises(FieldSizeError, match="cap 1073741824"):
-            _wu(slow, InnovationModel("gaussian"), [1], 200_000, max_bytes=1 << 30)
-        # side 512 is the largest whose box fits in 1 GiB: sides 1, 2, 4, ..., 512 are tried once each
-        assert calls == [1 << k for k in range(10)]
-
-    @pytest.mark.parametrize(
-        "model,sample",
-        [
-            (CoefficientModel(d=1, family="geometric", ratio=0.5), 200_000),
-            (CoefficientModel(d=1, family="geometric", ratio=0.5), 20_000),
-            (CoefficientModel(d=2, family="geometric", ratio=0.7), 50_000),
-            (CoefficientModel(d=1, family="power_decay", q=1.8), 200_000),
-            (CoefficientModel(d=2, family="power_decay", q=4.0), 200_000),
-            (CoefficientModel(d=3, family="power_decay", q=4.0), 10_000),
-            (CoefficientModel(d=1, family="finite_support", table=np.ones(40)), 200_000),
-            (CoefficientModel(d=2, family="finite_support", table=np.ones((3, 2))), 200_000),
-        ],
-    )
-    def test_side_is_the_least_within_a_tenth_of_the_standard_error(self, model, sample):
-        import fieldkde.clt as clt
-
-        side = clt._wu_side(model, sample, 1 << 30)
-        tol = 0.1 * math.sqrt(2.0 / sample)
-        total = float(np.sum(coeff_box(model, {1: 4000, 2: 200, 3: 60}[model.d]) ** 2))
-
-        def bias(s):  # brute force: the share of the mass off [0, s)^d
-            return 1.0 - float(np.sum(coeff_box(model, s) ** 2)) / total
-
-        support = model.support_side()
-        assert bias(side) <= tol + 1e-12 and (support is None or side <= support)
-        assert side == 1 or bias(side - 1) > tol + 1e-12
-
-    def test_expected_sides(self):
-        import fieldkde.clt as clt
-
-        cases = [
-            (CoefficientModel(d=1, family="geometric", ratio=0.5), 6),  # configs/blocks_d1.json
-            (CoefficientModel(d=1, family="power_decay", q=1.8), 15),
-            (CoefficientModel(d=2, family="power_decay", q=4.0), 3),  # configs/power_decay_d2.json
-        ]
-        assert [clt._wu_side(model, 200_000, 1 << 30) for model, _ in cases] == [side for _, side in cases]
-
-    def test_side_search_where_the_normaliser_is_subnormal(self):
-        # (1 - r^2)^d underflows below the least normal float: the search ends at the cap, not in a division
-        model = CoefficientModel(d=2465, family="geometric", ratio=0.5)
-        with pytest.raises(FieldSizeError, match="cap"):
-            _wu(model, InnovationModel("gaussian"), [1, 2], 1000)
+        with pytest.raises(MomentError) as exc:
+            wu_inequality_check(geometric_half, InnovationModel("student_t", nu=4.0), [2])
+        assert exc.value.key == "wu_p"
 
     @pytest.mark.parametrize(
         "model,innov",
@@ -537,96 +438,19 @@ class TestWuInequality:
             (CoefficientModel(d=2, family="power_decay", q=4.0, scale=2.0), InnovationModel("uniform")),
         ],
     )
-    def test_box_constants_against_box_sums(self, model, innov):
-        w1, w2 = _wu(model, innov, [1, 2], 5_000)
-        side = w1["truncation_side"]
-        a = coeff_box(model, side)
-        box2, box4 = float(np.sum(a**2)), float(np.sum(a**4))
+    def test_constants_against_box_sums(self, model, innov):
+        w1, w2 = wu_inequality_check(model, innov, [1, 2])
         full = coeff_box(model, 4000 if model.d == 1 else 600)
         total2, total4 = float(np.sum(full**2)), float(np.sum(full**4))
-        kurt = innov.kurtosis
-        assert w1["weight_mass"] == pytest.approx(total2, rel=1e-9)
-        assert w1["box_c"] == pytest.approx(box2 / total2, rel=1e-9)
-        assert w2["box_c"] == pytest.approx((3 * box2**2 + (kurt - 3) * box4) / total2**2, rel=1e-9)
-        assert w2["reference_c"] == pytest.approx(3 + (kurt - 3) * total4 / total2**2, rel=1e-9)
-        for w in (w1, w2):
-            assert w["truncation_bias"] == w["reference_c"] - w["box_c"]
-        # the p=1 bias is the share eps of the mass off the box, within a tenth of the p=1 standard
-        # error; off the box sum a^4 <= (sum a^2)^2 eps, so the p=2 bias is at most (6 + |kappa - 3|) eps
-        eps = w1["truncation_bias"]
-        assert 0 <= eps <= 0.1 * math.sqrt(2.0 / 5_000)
-        assert abs(w2["truncation_bias"]) <= (6 + abs(kurt - 3)) * eps
+        assert w1["weight_mass"] == w2["weight_mass"] == pytest.approx(total2, rel=1e-9)
+        assert w1["reference_c"] == 1.0
+        assert w2["reference_c"] == pytest.approx(3 + (innov.kurtosis - 3) * total4 / total2**2, rel=1e-9)
 
-    @pytest.mark.parametrize(
-        "innov", [InnovationModel("gaussian"), InnovationModel("uniform"), InnovationModel("student_t", nu=5.0)]
-    )
-    def test_keyed_blocks_equal_one_shot_reference(self, geometric_half, innov, monkeypatch):
-        import fieldkde.clt as clt
-        from fieldkde.coefficients import coeff_box
-
-        rows = 1000  # the forced block length
-        sample = 2 * rows + 500  # a partial last block
-        side = _wu(geometric_half, innov, [1], sample)[0]["truncation_side"]
-        monkeypatch.setattr(clt, "WU_BLOCK_BYTES", 8 * side * rows)
-        keyed = _wu(geometric_half, innov, [1, 2], sample)
-        assert keyed[0]["truncation_side"] == side
-
-        # block b: a fresh (rows, side) draw from key (master, wu stream, b), summed alone;
-        # the blocks' sums are added in block order
-        a = coeff_box(geometric_half, side).ravel()
-        sums = {q: [0.0, 0.0] for q in (1, 2)}
-        for block, done in enumerate(range(0, sample, rows)):
-            rng = Seeds(MASTER_SEED, clt.STREAM_OFFSETS["wu"], [block])[0]
-            eps = clt._draw(innov, rng, (min(rows, sample - done), side))
-            abs_x = np.abs((eps * a).sum(axis=1))
-            for q, acc in sums.items():
-                y = abs_x ** (2 * q)
-                acc[0] += float(y.sum())
-                acc[1] += float((y**2).sum())
-        for rep, (q, (sum_y, sum_y2)) in zip(keyed, sums.items()):
-            mass = rep["weight_mass"] ** q
-            mean_y = sum_y / sample
-            assert rep["c_hat"] == mean_y / mass
-            assert rep["se"] == math.sqrt(max(sum_y2 / sample - mean_y**2, 0.0) / sample) / mass
-
-    @pytest.mark.parametrize("innov", [InnovationModel("gaussian"), InnovationModel("student_t", nu=5.0)])
-    def test_reports_equal_at_one_and_two_threads(self, geometric_half, innov):
-        import fieldkde.clt as clt
-
-        # 30,000 samples of side 6 make 3 blocks, so two workers split them 1 and 2
-        assert 30_000 > 2 * clt.WU_BLOCK_BYTES // (8 * 6)
-        with clt.worker_pool():
-            alone = _wu(geometric_half, innov, [1, 2], 30_000, threads=1)
-            split = _wu(geometric_half, innov, [1, 2], 30_000, threads=2)
-        assert split == alone
-
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_rejects_threads_below_one(self, geometric_half, threads):
-        with pytest.raises(ValueError, match="threads must be at least 1"):
-            _wu(geometric_half, InnovationModel("gaussian"), [1], 100, threads=threads)
-
-    def test_sample_memory_does_not_grow_with_its_size(self, geometric_half):
-        import tracemalloc
-
-        tracemalloc.start()
-        try:
-            _wu(geometric_half, InnovationModel("gaussian"), [1, 2], 200_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 << 20  # 65 MiB when each chunk was drawn whole
-
-    def test_small_box_memory_does_not_grow_with_the_sample(self, identity_weights):
-        import tracemalloc
-
-        # a box of side 1 makes 65,536-sample blocks
-        tracemalloc.start()
-        try:
-            _wu(identity_weights, InnovationModel("gaussian"), [1, 2], 5_000_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 << 20  # 96.5 MiB with 2^22-value chunks of |X|
+    def test_reference_keeps_the_sampler_bits(self, geometric_half):
+        # criterion 7's sample, as the run-time sampler drew it
+        w1, w2 = wu_reference(geometric_half, InnovationModel("gaussian"), [1, 2], 200_000, MASTER_SEED)
+        assert [w1["c_hat"].hex(), w1["se"].hex(), w2["c_hat"].hex(), w2["se"].hex()] == [
+            "0x1.00082b936d0e4p+0", "0x1.9eb5577e92fa1p-9", "0x1.804e7d63f8690p+1", "0x1.665518e085d5ep-6"]
 
 
 def _samples(config, plan):

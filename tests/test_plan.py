@@ -25,7 +25,6 @@ def no_draw(monkeypatch):
         raise AssertionError("a value was drawn before the run plan was checked")
 
     monkeypatch.setattr(field, "draw_lattice", refuse)
-    monkeypatch.setattr(clt, "_draw", refuse)
 
 
 def _run(tmp_path, sub, config, *sets):
@@ -47,7 +46,6 @@ class TestLateCap:
         [
             ("clt-run", "power_decay_d2.json", ["clt.n_grid=[64,256,2048]", "limits.max_field_bytes=20000000"], 2048),
             ("blocks", "blocks_d1.json", ["blocks.n_grid=[64,128,65536]", "limits.max_field_bytes=1000000"], 65536),
-            # the moment-inequality sample fits in 2 MB, the rectangles' last lattice does not
             ("moment-check", "blocks_d1.json",
              ["moment_check.n_grid=[64,65536]", "moment_check.rectangles=[4,16]", "limits.max_field_bytes=2000000"],
              65536),
@@ -141,6 +139,15 @@ class TestZeroDensity:
         assert [len(c) for c in point.centering] == [1, 1]
 
 
+class TestWuOrders:
+    def test_innovations_without_the_moment_exit_1_naming_wu_p_before_any_draw(self, tmp_path, capsys, no_draw):
+        assert _run(tmp_path, "moment-check", "blocks_d1.json", 'innovations={"name":"student_t","nu":4}') == 1
+        err = capsys.readouterr().err
+        assert err == "error: config key moment_check.wu_p: innovations need E|eps|^4 < inf (max finite order 4.0)\n"
+        assert _manifest(tmp_path, "moment-check")["status"] == "error"
+        assert [p.name for p in (tmp_path / "moment_check").iterdir()] == ["manifest.json"]
+
+
 class TestOracleFigures:
     """Each experiment reads its centering and limit variances from its plan, one density oracle per distinct m."""
 
@@ -186,7 +193,7 @@ class TestOracleFigures:
 class TestHandlersPlanNothing:
     """Once ``plan_run`` returns, no handler plans a grid point, picks a path or sizes a generation again."""
 
-    PLANNERS = ("grid_points", "plan_point", "plan_wu", "convolution_method", "estimate_field_bytes")
+    PLANNERS = ("grid_points", "plan_point", "convolution_method", "estimate_field_bytes")
 
     @pytest.mark.parametrize(
         "sub,config,sets",
@@ -196,7 +203,7 @@ class TestHandlersPlanNothing:
             ("clt-run", "power_decay_d2.json", ["clt.n_grid=[16,24]", "clt.replicates=5"]),
             ("blocks", "blocks_d1.json", ["blocks.n_grid=[64,128]", "blocks.replicates=5"]),
             ("moment-check", "blocks_d1.json", ["moment_check.n_grid=[64]", "moment_check.replicates=5",
-                                                "moment_check.rectangles=[4,16]", "moment_check.wu_sample=1000"]),
+                                                "moment_check.rectangles=[4,16]"]),
             ("fixed-m-gap", "geometric_truncation_gap.json", ["gap.n_grid=[128,256]", "gap.replicates=5"]),
         ],
     )
@@ -298,7 +305,7 @@ class TestDrawCount:
              [("check-conditions", []), ("kde", ["kde.n=256", "kde.m=10", f"kde.x_grid={KDE_X_GRID}"])], 77_841),
             ("power_decay_d2.json",
              [("clt-run", ["clt.n_grid=[64,256]", "clt.replicates=200", "clt.x_points=[0.0]"])], 16_785_000),
-            ("blocks_d1.json", [("blocks", []), ("moment-check", [])], 9_691_500),
+            ("blocks_d1.json", [("blocks", []), ("moment-check", [])], 8_491_500),
         ],
         ids=["kde_curve", "clt_d2", "blocks_d1"],
     )
@@ -314,8 +321,7 @@ class TestDrawCount:
             ("clt-run", "power_decay_d2.json", ["clt.n_grid=[16,24]", "clt.replicates=7"]),
             ("blocks", "blocks_d1.json", ["blocks.n_grid=[64,128]", "blocks.replicates=7"]),
             ("moment-check", "blocks_d1.json",
-             ["moment_check.n_grid=[128]", "moment_check.replicates=7", "moment_check.rectangles=[4,16]",
-              "moment_check.wu_sample=1000"]),
+             ["moment_check.n_grid=[128]", "moment_check.replicates=7", "moment_check.rectangles=[4,16]"]),
             ("fixed-m-gap", "geometric_truncation_gap.json", ["gap.n_grid=[128,256]", "gap.replicates=7"]),
         ],
     )
@@ -328,7 +334,7 @@ class TestDrawCount:
                 return draw(model, rng, shape, out)
             return wrapped
 
-        for module, name in ((field, "draw_lattice"), (cli, "draw_lattice"), (clt, "_draw")):
+        for module, name in ((field, "draw_lattice"), (cli, "draw_lattice")):
             monkeypatch.setattr(module, name, counting(getattr(module, name)))
         assert _run(tmp_path, sub, config, *sets) in (0, 2)
         assert sum(drawn) == _manifest(tmp_path, sub)["plan"]["draws"] > 0

@@ -316,7 +316,7 @@ THREAD_INVARIANCE_SETS = {
     "blocks": ["blocks.replicates=25", "blocks.n_grid=[256,1024]"],
     "moment-check": [
         "moment_check.replicates=25", "moment_check.n_grid=[256]",
-        "moment_check.rectangles=[4,16,64]", "moment_check.wu_sample=2000",
+        "moment_check.rectangles=[4,16,64]",
     ],
     "fixed-m-gap": ["gap.replicates=25", "gap.n_grid=[512,2048]", "bandwidth.gamma=0.5"],
 }
@@ -456,40 +456,6 @@ class TestCli:
             blobs.append((tmp_path / str(t) / sub.replace("-", "_") / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("innovations", ['{"name":"gaussian"}', '{"name":"uniform"}',
-                                             '{"name":"student_t","nu":5.0}'])
-    def test_moment_check_wu_blocks_split_over_workers_keep_the_bytes(self, tmp_path, innovations):
-        import fieldkde.clt as clt
-
-        # the default weights truncate at side 6 for 50,000 samples, which make 5 keyed blocks
-        assert 50_000 > 4 * clt.WU_BLOCK_BYTES // (8 * 6)
-        outputs = []
-        for t in (1, 2):
-            code = main(["moment-check", "--threads", str(t), "--out", str(tmp_path / str(t)),
-                         "--set", f"innovations={innovations}", "--set", "moment_check.wu_sample=50000",
-                         "--set", "moment_check.n_grid=[64]", "--set", "moment_check.replicates=5",
-                         "--set", "moment_check.rectangles=[4,16]"])
-            assert code in (0, 2)
-            out = tmp_path / str(t) / "moment_check"
-            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "manifest.json"})
-        assert outputs[0] == outputs[1] and "report.json" in outputs[0]
-        wu = json.loads(outputs[0]["report.json"])["wu"]
-        assert [w["truncation_side"] for w in wu] == [6, 6]
-
-    def test_moment_check_truncates_power_decay_at_q_1_8(self, tmp_path):
-        # inside the decay window at d = 1; the box of a fixed relative cut needed a side near 1e5
-        assert _run(tmp_path, "moment-check", "--set", 'coefficient={"family":"power_decay","d":1,"q":1.8}') == 0
-        wu = json.loads((tmp_path / "moment_check" / "report.json").read_text())["wu"]
-        sides = {w["truncation_side"] for w in wu}
-        assert len(wu) == 2 and len(sides) == 1 and 1 <= sides.pop() < 1 << 12
-
-    def test_moment_check_power_decay_d2_takes_a_small_box(self, tmp_path):
-        code = _run(tmp_path, "moment-check", "--config", str(REPO / "configs" / "power_decay_d2.json"),
-                    "--set", "moment_check.n_grid=[64]", "--set", "moment_check.rectangles=[4,16]")
-        assert code == 0
-        wu = json.loads((tmp_path / "moment_check" / "report.json").read_text())["wu"]
-        assert all(w["truncation_side"] <= 8 for w in wu) and len(wu) == 2
-
     @pytest.mark.parametrize(
         "subcommand,sets,key",
         [
@@ -545,6 +511,8 @@ class TestCli:
             ('gap.centering="oracle"', "gap.centering"),
             # centering is always the density oracle's
             ('clt.centering="oracle"', "clt.centering"),
+            # the Wu constants come from their closed forms, with no sample to size
+            ("moment_check.wu_sample=1000", "moment_check.wu_sample"),
         ],
     )
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, assignment, key):
@@ -574,8 +542,8 @@ class TestCli:
             ("clt-run", 'clt={"replicates":5}', "clt.n_grid"),
             ("blocks", 'blocks={"replicates":5}', "blocks.n_grid"),
             ("moment-check", 'moment_check={"n_grid":[64]}', "moment_check.x_points"),
-            ("moment-check", 'moment_check={"n_grid":[64],"x_points":null,"replicates":5,"wu_p":[1],'
-             '"wu_sample":100}', "moment_check.rectangles"),
+            ("moment-check", 'moment_check={"n_grid":[64],"x_points":null,"replicates":5,"wu_p":[1]}',
+             "moment_check.rectangles"),
             ("fixed-m-gap", 'gap={"replicates":5}', "gap.n_grid"),
             ("kde", 'kde={"m":2}', "kde.n"),
             ("gen-field", 'gen_field={"n":16}', "gen_field.m"),
@@ -663,7 +631,6 @@ class TestCli:
             ("gen-field", 'gen_field.n="16"', "gen_field.n"),
             ("blocks", "blocks.eps=[0.5,null]", "blocks.eps"),
             ("blocks", "blocks.l=7.5", "blocks.l"),
-            ("moment-check", "moment_check.wu_sample=1000.5", "moment_check.wu_sample"),
             ("fixed-m-gap", "gap.m=2.5", "gap.m"),
             # below their least value, which a library check rejected without the key; eta = 0
             # ran at the radius where B_M rounds to 0
@@ -671,7 +638,6 @@ class TestCli:
             ("clt-run", "clt.replicates=0", "clt.replicates"),
             ("fixed-m-gap", "gap.replicates=0", "gap.replicates"),
             ("moment-check", "moment_check.replicates=0", "moment_check.replicates"),
-            ("moment-check", "moment_check.wu_sample=1", "moment_check.wu_sample"),
             ("kde", "truncation.eta=0", "truncation.eta"),
             ("kde", "truncation.eta=-0.5", "truncation.eta"),
             # sizes below 1: n = 0 ended in a ZeroDivisionError and n = -4 in a TypeError
@@ -715,14 +681,12 @@ class TestCli:
         import contextlib
         import io
 
-        import fieldkde.clt as clt
         import fieldkde.innovations as innovations
 
         def no_draw(*args, **kw):
             raise AssertionError("a field was drawn before the config was checked")
 
         monkeypatch.setattr(innovations, "_draw", no_draw)
-        monkeypatch.setattr(clt, "_draw", no_draw)
         value = data.draw(_bad_values(path, k)[test == "bounds"], label="value")
         subcommand = data.draw(st.sampled_from(SUBCOMMANDS), label="subcommand")
         out = tmp_path / subcommand.replace("-", "_")
@@ -769,13 +733,13 @@ class TestCli:
         assert manifest["status"] == "error" and manifest["error"] == "RuntimeError: broken on purpose"
         assert manifest["config"]["kde"]["n"] == 1024 and manifest["master_seed"] == DEFAULT_CONFIG["seed"]
 
-    def test_moment_check_rectangle_above_n_exit_1_before_the_sample(self, tmp_path, capsys, monkeypatch):
-        import fieldkde.clt as clt
+    def test_moment_check_rectangle_above_n_exit_1_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        import fieldkde.innovations as innovations
 
         def no_draw(*args, **kw):
-            raise AssertionError("the moment-inequality sample was drawn before the rectangles were checked")
+            raise AssertionError("a value was drawn before the rectangles were checked")
 
-        monkeypatch.setattr(clt, "_draw", no_draw)
+        monkeypatch.setattr(innovations, "_draw", no_draw)
         # the default rectangles [4, 16, 64, 256, 1024] at n = 64
         assert _run(tmp_path, "moment-check", "--set", "moment_check.n_grid=[64,128]") == 1
         err = capsys.readouterr().err
@@ -804,14 +768,6 @@ class TestCli:
         assert _run(tmp_path, "clt-run", "--set", "clt.n_grid=[16.0]", "--set", "clt.replicates=3.0") == 0
         point = json.loads((tmp_path / "clt_run" / "report.json").read_text())["points"][0]
         assert point["n"] == 16 and point["replicates"] == 3 and len(_replicates(tmp_path)) == 3
-
-    def test_moment_check_sample_over_the_memory_cap_exit_1(self, tmp_path, capsys):
-        # the sample's box and draws are checked before anything is allocated
-        code = _run(tmp_path, "moment-check", "--set", "limits.max_field_bytes=100000")
-        assert code == 1
-        assert "limits.max_field_bytes" in capsys.readouterr().err
-        manifest = json.loads((tmp_path / "moment_check" / "manifest.json").read_text())
-        assert manifest["status"] == "error" and "limits.max_field_bytes" in manifest["error"]
 
     @pytest.mark.parametrize(
         "x,prefix",
@@ -854,14 +810,12 @@ class TestCli:
 
     @pytest.mark.parametrize("replicates", [1, 1.0])
     def test_blocks_with_one_replicate_exit_1_before_any_draw(self, tmp_path, capsys, monkeypatch, replicates):
-        import fieldkde.clt as clt
         import fieldkde.innovations as innovations
 
         def no_draw(*args, **kw):
             raise AssertionError("a field was drawn before blocks.replicates was checked")
 
         monkeypatch.setattr(innovations, "_draw", no_draw)
-        monkeypatch.setattr(clt, "_draw", no_draw)
         assert _run(tmp_path, "blocks", "--set", f"blocks.replicates={replicates}") == 1
         assert capsys.readouterr().err == "error: config key blocks.replicates must be at least 2, got 1\n"
         manifest = json.loads((tmp_path / "blocks" / "manifest.json").read_text())
@@ -877,14 +831,12 @@ class TestCli:
         ],
     )
     def test_block_plan_exit_1_naming_blocks_l_before_any_draw(self, tmp_path, capsys, monkeypatch, sets, message):
-        import fieldkde.clt as clt
         import fieldkde.innovations as innovations
 
         def no_draw(*args, **kw):
             raise AssertionError("a field was drawn before the block plan was resolved at every grid point")
 
         monkeypatch.setattr(innovations, "_draw", no_draw)
-        monkeypatch.setattr(clt, "_draw", no_draw)
         argv = [arg for assignment in sets for arg in ("--set", assignment)]
         assert _run(tmp_path, "blocks", *argv) == 1
         assert capsys.readouterr().err == f"error: config key blocks.l: {message}\n"
@@ -906,14 +858,12 @@ class TestCli:
         ],
     )
     def test_truncation_plan_exit_1_naming_its_key(self, tmp_path, capsys, monkeypatch, argv, key):
-        import fieldkde.clt as clt
         import fieldkde.innovations as innovations
 
         def no_draw(*args, **kw):
             raise AssertionError("a field was drawn before the truncation was planned")
 
         monkeypatch.setattr(innovations, "_draw", no_draw)
-        monkeypatch.setattr(clt, "_draw", no_draw)
         assert _run(tmp_path, *argv) == 1
         assert capsys.readouterr().err.startswith(f"error: config key {key}: ")
         out = tmp_path / argv[0].replace("-", "_")
@@ -931,14 +881,12 @@ class TestCli:
     )
     def test_truncation_planned_at_every_grid_point_before_any_draw(self, tmp_path, capsys, monkeypatch, sub,
                                                                      section, sets):
-        import fieldkde.clt as clt
         import fieldkde.innovations as innovations
 
         def no_draw(*args, **kw):
             raise AssertionError("a field was drawn before the truncation was planned at every grid point")
 
         monkeypatch.setattr(innovations, "_draw", no_draw)
-        monkeypatch.setattr(clt, "_draw", no_draw)
         # m_n = round(n^(5/12)) is 4 at n = 32, within the fixed radius, and 6 at n = 64
         sets = ['truncation.policy="fixed"', "truncation.M=4", f"{section}.n_grid=[32,64,1024]", *sets]
         argv = [arg for assignment in sets for arg in ("--set", assignment)]
@@ -978,14 +926,12 @@ class TestCli:
     )
     def test_empty_or_nonfinite_evaluation_points_exit_1(self, tmp_path, capsys, monkeypatch, subcommand,
                                                          assignment, key):
-        import fieldkde.clt as clt
         import fieldkde.innovations as innovations
 
         def no_draw(*args, **kw):
             raise AssertionError("a field was drawn before the evaluation points were checked")
 
         monkeypatch.setattr(innovations, "_draw", no_draw)
-        monkeypatch.setattr(clt, "_draw", no_draw)
         assert _run(tmp_path, subcommand, "--set", assignment) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err, err
@@ -1095,7 +1041,7 @@ class TestCli:
         "blocks": ["blocks.n_grid=[64,128]", "blocks.replicates=20"],
         "moment-check": [
             "moment_check.n_grid=[128]", "moment_check.replicates=20",
-            "moment_check.rectangles=[4,16]", "moment_check.wu_sample=2000",
+            "moment_check.rectangles=[4,16]",
         ],
         "fixed-m-gap": ["gap.n_grid=[256,1024]", "gap.replicates=20"],
         "fixed-m-gap growing": ["gap.n_grid=[256,1024]", "gap.replicates=20", "gap.mode=growing"],
@@ -1215,8 +1161,9 @@ class TestCli:
 
     def test_replicate_table_memory_per_row(self, tmp_path):
         # the table travels as float columns and is written in chunks: its peak memory grows by a
-        # few floats per row (about 170 bytes), where a Python value per cell took about 740
-        argv = ["clt-run", "--config", str(REPO / "configs" / "iid_baseline.json"), "--set", "clt.n_grid=[8]",
+        # few floats per row, where a Python value per cell took about 740 bytes; at n = 512 the
+        # batch holds 256 replicates at either R, so the growth is the results' alone
+        argv = ["clt-run", "--config", str(REPO / "configs" / "iid_baseline.json"), "--set", "clt.n_grid=[512]",
                 "--set", "clt.x_points=[0.0,0.5]"]
 
         def peak(replicates):
@@ -1231,31 +1178,16 @@ class TestCli:
             run = plan_run(load_config(argv[2], argv[4::2] + [f"clt.replicates={replicates}"]), "clt-run")
             return run.points[0].bytes + run.result_bytes
 
+        def batch(replicates):
+            return plan_run(load_config(argv[2], argv[4::2] + [f"clt.replicates={replicates}"]), "clt-run").points[0].batch
+
+        assert batch(500) == batch(5000) < 500
         _run(tmp_path / "warm", *argv, "--set", "clt.replicates=500")  # imports and caches, untraced
         small, large = peak(500), peak(5000)
         per_row = (large - small) / (2 * (5000 - 500))
         assert per_row < 300, f"peak memory grows by {per_row:.0f} bytes per replicate row"
         # the run plan counts at least that growth against the cap: the fields' batch and the results
         assert per_row <= (planned(5000) - planned(500)) / (2 * (5000 - 500))
-
-    def test_moment_check_draws_one_wu_sample_for_every_order(self, tmp_path, monkeypatch):
-        import fieldkde.clt as clt
-
-        draw, drawn = clt._draw, []
-
-        def counting(model, rng, shape, out=None):
-            out = draw(model, rng, shape, out)
-            drawn.append(out.size)
-            return out
-
-        monkeypatch.setattr(clt, "_draw", counting)
-        code = _run(tmp_path, "moment-check", "--set", "moment_check.n_grid=[64]",
-                    "--set", "moment_check.replicates=5", "--set", "moment_check.rectangles=[4,16]",
-                    "--set", "moment_check.wu_sample=1000")
-        assert code in (0, 2)
-        wu = json.loads((tmp_path / "moment_check" / "report.json").read_text())["wu"]
-        assert [w["p"] for w in wu] == [1, 2]
-        assert sum(drawn) == 1000 * wu[0]["truncation_side"]
 
     def test_gaussian_runs_leave_out_scipy(self, tmp_path):
         # importing scipy costs a process about a third of a second; only the
