@@ -31,12 +31,13 @@ from fieldkde import (
     wu_inequality_check,
 )
 from fieldkde.clt import _block_samples, _skew_kurtosis
-from fieldkde.coefficients import coeff_box
+from fieldkde.coefficients import coeff_box, total_sq_mass
 from fieldkde.field import coupled_spectra
+from fieldkde.innovations import draw_lattice
 from fieldkde.reporting import canonical_json
 
 import block_reference
-from wu_reference import wu_reference
+from wu_reference import STREAM, wu_reference, wu_side
 from conftest import MASTER_SEED, coupled_pair, planned
 
 
@@ -407,6 +408,14 @@ class TestKs:
             ks_normality_test(np.zeros(200), 0.0)
 
 
+WU_CASES = [
+    (CoefficientModel(d=1, family="geometric", ratio=0.5), InnovationModel("gaussian")),
+    (CoefficientModel(d=2, family="geometric", ratio=0.6), InnovationModel("uniform")),
+    (CoefficientModel(d=1, family="power_decay", q=1.8), InnovationModel("student_t", nu=5.0)),
+    (CoefficientModel(d=2, family="power_decay", q=4.0, scale=2.0), InnovationModel("uniform")),
+]
+
+
 class TestWuInequality:
     def test_second_moment_identity(self, geometric_half):
         (rep,) = wu_reference(geometric_half, InnovationModel("gaussian"), [1], 200_000, MASTER_SEED)
@@ -429,15 +438,7 @@ class TestWuInequality:
             wu_inequality_check(geometric_half, InnovationModel("student_t", nu=4.0), [2])
         assert exc.value.key == "wu_p"
 
-    @pytest.mark.parametrize(
-        "model,innov",
-        [
-            (CoefficientModel(d=1, family="geometric", ratio=0.5), InnovationModel("gaussian")),
-            (CoefficientModel(d=2, family="geometric", ratio=0.6), InnovationModel("uniform")),
-            (CoefficientModel(d=1, family="power_decay", q=1.8), InnovationModel("student_t", nu=5.0)),
-            (CoefficientModel(d=2, family="power_decay", q=4.0, scale=2.0), InnovationModel("uniform")),
-        ],
-    )
+    @pytest.mark.parametrize("model,innov", WU_CASES)
     def test_constants_against_box_sums(self, model, innov):
         w1, w2 = wu_inequality_check(model, innov, [1, 2])
         full = coeff_box(model, 4000 if model.d == 1 else 600)
@@ -451,6 +452,127 @@ class TestWuInequality:
         w1, w2 = wu_reference(geometric_half, InnovationModel("gaussian"), [1, 2], 200_000, MASTER_SEED)
         assert [w1["c_hat"].hex(), w1["se"].hex(), w2["c_hat"].hex(), w2["se"].hex()] == [
             "0x1.00082b936d0e4p+0", "0x1.9eb5577e92fa1p-9", "0x1.804e7d63f8690p+1", "0x1.665518e085d5ep-6"]
+
+    @pytest.mark.parametrize("model,innov", WU_CASES)
+    def test_box_constants_against_box_sums(self, model, innov):
+        # the mean of the reference's estimate on its box: sum_box a^2 / total at p=1, and
+        # (3 (sum_box a^2)^2 + (kappa - 3) sum_box a^4) / total^2 at p=2
+        w1, w2 = wu_inequality_check(model, innov, [1, 2])
+        a = coeff_box(model, wu_side(model, 5_000))
+        box2, box4, total, kurt = float(np.sum(a**2)), float(np.sum(a**4)), w1["weight_mass"], innov.kurtosis
+        bias1 = w1["reference_c"] - box2 / total
+        bias2 = w2["reference_c"] - (3 * box2**2 + (kurt - 3) * box4) / total**2
+        # the p=1 bias is the share eps of the mass off the box, within a tenth of the p=1 standard
+        # error; off the box sum a^4 <= (sum a^2)^2 eps, so the p=2 bias is at most (6 + |kappa - 3|) eps
+        assert 0 <= bias1 <= 0.1 * math.sqrt(2.0 / 5_000)
+        assert abs(bias2) <= (6 + abs(kurt - 3)) * bias1
+
+    @pytest.mark.parametrize("model,innov", WU_CASES)
+    def test_closed_forms_within_the_reference_error(self, model, innov):
+        # each order whose estimate has a finite variance, E|eps|^(4p) < inf; the bias bound is the one above
+        sample = 50_000
+        bias = 0.1 * math.sqrt(2.0 / sample)
+        for rep, mc in zip(wu_inequality_check(model, innov, [1, 2]), wu_reference(model, innov, [1, 2], sample,
+                                                                                     MASTER_SEED)):
+            if innov.max_moment_order > 4 * rep["p"]:
+                slack = bias * (1 if rep["p"] == 1 else 6 + abs(innov.kurtosis - 3))
+                assert abs(mc["c_hat"] - rep["reference_c"]) <= 4 * mc["se"] + slack
+
+    @pytest.mark.parametrize(
+        "model,sample",
+        [
+            (CoefficientModel(d=1, family="geometric", ratio=0.5), 200_000),
+            (CoefficientModel(d=1, family="geometric", ratio=0.5), 20_000),
+            (CoefficientModel(d=2, family="geometric", ratio=0.7), 50_000),
+            (CoefficientModel(d=1, family="power_decay", q=1.8), 200_000),
+            (CoefficientModel(d=2, family="power_decay", q=4.0), 200_000),
+            (CoefficientModel(d=3, family="power_decay", q=4.0), 10_000),
+            (CoefficientModel(d=1, family="finite_support", table=np.ones(40)), 200_000),
+            (CoefficientModel(d=2, family="finite_support", table=np.ones((3, 2))), 200_000),
+        ],
+    )
+    def test_side_is_the_least_within_a_tenth_of_the_standard_error(self, model, sample):
+        side = wu_side(model, sample)
+        tol = 0.1 * math.sqrt(2.0 / sample)
+        total = float(np.sum(coeff_box(model, {1: 4000, 2: 200, 3: 60}[model.d]) ** 2))
+
+        def bias(s):  # brute force: the share of the mass off [0, s)^d
+            return 1.0 - float(np.sum(coeff_box(model, s) ** 2)) / total
+
+        support = model.support_side()
+        assert bias(side) <= tol + 1e-12 and (support is None or side <= support)
+        assert side == 1 or bias(side - 1) > tol + 1e-12
+
+    def test_expected_sides(self):
+        cases = [
+            (CoefficientModel(d=1, family="geometric", ratio=0.5), 6),  # configs/blocks_d1.json
+            (CoefficientModel(d=1, family="power_decay", q=1.8), 15),
+            (CoefficientModel(d=2, family="power_decay", q=4.0), 3),  # configs/power_decay_d2.json
+        ]
+        assert [wu_side(model, 200_000) for model, _ in cases] == [side for _, side in cases]
+
+    def test_rejects_sample_below_two(self, geometric_half):
+        for orders in ([1], []):
+            with pytest.raises(ValueError, match="sample must be >= 2"):
+                wu_reference(geometric_half, InnovationModel("gaussian"), orders, 1, MASTER_SEED)
+
+    def test_orders_share_one_sample(self, geometric_half, monkeypatch):
+        innov = InnovationModel("uniform")
+        apart = [wu_reference(geometric_half, innov, [p], 30_000, MASTER_SEED)[0] for p in (1, 2)]
+        drawn = []
+
+        def counting(model, rng, shape, out=None):
+            out = draw_lattice(model, rng, shape, out)
+            drawn.append(out.size)
+            return out
+
+        monkeypatch.setattr("wu_reference.draw_lattice", counting)
+        together = wu_reference(geometric_half, innov, [1, 2], 30_000, MASTER_SEED)
+        assert together == apart
+        assert sum(drawn) == 30_000 * apart[0]["side"]
+
+    @pytest.mark.parametrize(
+        "innov", [InnovationModel("gaussian"), InnovationModel("uniform"), InnovationModel("student_t", nu=5.0)]
+    )
+    def test_keyed_blocks_equal_one_shot_reference(self, geometric_half, innov):
+        # block b: rows (b * rows, (b + 1) * rows) of the sample, drawn from key (master, 400, b); the last
+        # block is partial. Summed in one shot, with a two-pass variance, they give the blocks' statistics
+        sample, side = 25_000, wu_side(geometric_half, 25_000)
+        rows = (1 << 19) // (8 * side)
+        assert 2 * rows < sample < 3 * rows
+        eps = np.concatenate([
+            draw_lattice(innov, Seeds(MASTER_SEED, STREAM, [b])[0], (min(rows, sample - b * rows), side))
+            for b in range(3)
+        ])
+        abs_x = np.abs((eps * coeff_box(geometric_half, side).ravel()).sum(axis=1))
+        total = total_sq_mass(geometric_half)
+        for rep in wu_reference(geometric_half, innov, [1, 2], sample, MASTER_SEED):
+            y = abs_x ** (2 * rep["p"])
+            assert rep["c_hat"] == pytest.approx(np.mean(y) / total ** rep["p"], rel=1e-12)
+            assert rep["se"] == pytest.approx(np.std(y) / math.sqrt(sample) / total ** rep["p"], rel=1e-9)
+
+    def test_sample_memory_does_not_grow_with_its_size(self, geometric_half):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            wu_reference(geometric_half, InnovationModel("gaussian"), [1, 2], 200_000, MASTER_SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20  # 65 MiB when each chunk was drawn whole
+
+    def test_small_box_memory_does_not_grow_with_the_sample(self, identity_weights):
+        import tracemalloc
+
+        # a box of side 1 makes 65,536-sample blocks
+        tracemalloc.start()
+        try:
+            wu_reference(identity_weights, InnovationModel("gaussian"), [1, 2], 5_000_000, MASTER_SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20  # 96.5 MiB with 2^22-value chunks of |X|
 
 
 def _samples(config, plan):

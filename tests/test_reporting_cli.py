@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from fieldkde import CoefficientModel, InnovationModel, wu_inequality_check
 from fieldkde.cli import CONFIG_KEYS, DEFAULT_CONFIG, load_config, main, plan_run
 from fieldkde.clt import KsResult
 from fieldkde.coefficients import ConditionReport
@@ -455,6 +456,66 @@ class TestCli:
             assert main(argv) == 0
             blobs.append((tmp_path / str(t) / sub.replace("-", "_") / "report.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("innovations", ['{"name":"gaussian"}', '{"name":"uniform"}',
+                                             '{"name":"student_t","nu":5.0}'])
+    def test_moment_check_keeps_the_bytes_over_workers(self, tmp_path, innovations):
+        outputs = []
+        for t in (1, 2):
+            code = main(["moment-check", "--threads", str(t), "--out", str(tmp_path / str(t)),
+                         "--set", f"innovations={innovations}", "--set", "moment_check.n_grid=[64]",
+                         "--set", "moment_check.replicates=5", "--set", "moment_check.rectangles=[4,16]"])
+            assert code in (0, 2)
+            out = tmp_path / str(t) / "moment_check"
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "manifest.json"})
+        assert outputs[0] == outputs[1] and "report.json" in outputs[0]
+        wu = json.loads(outputs[0]["report.json"])["wu"]
+        expected = wu_inequality_check(CoefficientModel(d=1, family="geometric", ratio=0.5),
+                                       InnovationModel(**json.loads(innovations)), [1, 2])
+        assert wu == expected
+
+    @pytest.mark.parametrize(
+        "argv,model",
+        [
+            # inside the decay window at d = 1, where a box of a fixed relative cut needed a side near 1e5
+            (["--set", 'coefficient={"family":"power_decay","d":1,"q":1.8}'],
+             CoefficientModel(d=1, family="power_decay", q=1.8)),
+            (["--config", str(REPO / "configs" / "power_decay_d2.json")],
+             CoefficientModel(d=2, family="power_decay", q=4.0)),
+        ],
+        ids=["power_decay_d1_q_1_8", "power_decay_d2"],
+    )
+    def test_moment_check_reports_the_closed_forms(self, tmp_path, argv, model):
+        code = _run(tmp_path, "moment-check", *argv, "--set", "moment_check.n_grid=[64]",
+                    "--set", "moment_check.rectangles=[4,16]")
+        assert code == 0
+        wu = json.loads((tmp_path / "moment_check" / "report.json").read_text())["wu"]
+        assert [sorted(w) for w in wu] == [["name", "p", "reference_c", "weight_mass"]] * 2
+        assert wu == wu_inequality_check(model, InnovationModel("gaussian"), [1, 2])
+
+    def test_moment_check_draws_nothing_for_the_wu_constants(self, tmp_path, monkeypatch):
+        import fieldkde.innovations as innovations
+
+        draw, drawn = innovations._draw, []
+
+        def counting(model, rng, shape, out=None):
+            out = draw(model, rng, shape, out)
+            drawn.append(out.size)
+            return out
+
+        monkeypatch.setattr(innovations, "_draw", counting)
+        small = ["--set", "moment_check.n_grid=[64]", "--set", "moment_check.replicates=5",
+                 "--set", "moment_check.rectangles=[4,16]"]
+        counts, reports = [], []
+        for orders in ("[1,2]", "[]"):
+            out = tmp_path / str(len(counts))
+            assert _run(out, "moment-check", *small, "--set", f"moment_check.wu_p={orders}") in (0, 2)
+            counts.append(sum(drawn))
+            drawn.clear()
+            reports.append(json.loads((out / "moment_check" / "report.json").read_text()))
+        assert counts[0] == counts[1] > 0
+        assert [w["p"] for w in reports[0]["wu"]] == [1, 2] and reports[1]["wu"] == []
+        assert reports[0]["rectangles"] == reports[1]["rectangles"]
 
     @pytest.mark.parametrize(
         "subcommand,sets,key",

@@ -19,18 +19,25 @@ from fieldkde import Seeds
 from fieldkde.coefficients import coeff_box, residual_sqrt_mass, total_sq_mass
 from fieldkde.innovations import draw_lattice
 
-__all__ = ["wu_reference"]
+__all__ = ["wu_reference", "wu_side"]
 
 STREAM = 400
 
 
-def wu_reference(model, innovations, orders, sample: int, master_seed: int) -> list:
-    """Per order p of ``orders``: {"p", "c_hat", "se", "side"} from one sample of ``sample`` draws of X_0."""
-    total, support = total_sq_mass(model), model.support_side()
-    side = 1
+def wu_side(model, sample: int) -> int:
+    """The least box side whose p=1 bias is within a tenth of sqrt(2/sample), or the support side."""
+    total, support, side = total_sq_mass(model), model.support_side(), 1
     while not ((support is not None and side >= support)
                or residual_sqrt_mass(model, side) ** 2 / total <= 0.1 * math.sqrt(2.0 / sample)):
         side += 1
+    return side
+
+
+def wu_reference(model, innovations, orders, sample: int, master_seed: int) -> list:
+    """Per order p of ``orders``: {"p", "c_hat", "se", "side"} from one sample of ``sample`` draws of X_0."""
+    if sample < 2:
+        raise ValueError("sample must be >= 2")
+    total, side = total_sq_mass(model), wu_side(model, sample)
     a = coeff_box(model, side).ravel()
     rows = min(max(1, (1 << 19) // (8 * a.size)), sample)
     sums = {q: [0.0, 0.0] for q in orders}  # per order: sum |X|^(2p), sum |X|^(4p)
