@@ -18,6 +18,7 @@ import operator
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -55,6 +56,7 @@ from .coefficients import (
 )
 from .field import (
     DEFAULT_MAX_FIELD_BYTES,
+    MAX_CSV_SIDE,
     FieldSizeError,
     LatticeField,
     TruncationError,
@@ -70,13 +72,9 @@ from .kde import BandwidthSchedule, asymptotic_variance, density_oracle, expecte
 from .kde import _KERNEL_MODELS
 from .reporting import RunManifest, table_columns, write_csv, write_report
 
-__all__ = ["main", "run_script", "plan_run", "RunPlan", "CONFIG_KEYS", "DEFAULT_CONFIG"]
+__all__ = ["main", "run_script", "plan_run", "RunPlan", "EXPERIMENTS", "CONFIG_KEYS", "DEFAULT_CONFIG"]
 
 OUT_ENV = "FIELDKDE_OUT"
-
-# the config section of each subcommand that has one
-SECTIONS = {"gen-field": "gen_field", "kde": "kde", "clt-run": "clt", "blocks": "blocks",
-            "moment-check": "moment_check", "fixed-m-gap": "gap"}
 
 
 @dataclass(frozen=True)
@@ -384,44 +382,58 @@ class RunPlan:
 def plan_run(cfg: dict, subcommand: str) -> RunPlan:
     """The plan of ``subcommand`` at every grid point, with every check that needs no draw but the cap.
 
-    A truncation no radius meets and a block plan that does not fit raise,
-    naming their key, and an x where the density is 0 raises ``MomentError``;
-    the grid points' cap is ``check_cap``'s and that of the replicate results
-    ``main``'s, so a plan exists to record when either exceeds it.
+    A truncation no radius meets, a block plan that does not fit and a field
+    too large for CSV raise, naming their key, and an x where the density is
+    0 raises ``MomentError``; the grid points' cap is ``check_cap``'s and
+    that of the replicate results ``main``'s, so a plan exists to record
+    when either exceeds it.
     """
-    section = SECTIONS.get(subcommand)
-    points, rows, results = (), 0, 0
-    if subcommand in ("gen-field", "kde"):
-        sec, model = cfg[section], model_from_config(cfg["coefficient"])
-        n, m = sec["n"], sec["m"]
-        b = _bandwidth(cfg).b(n)
-        plan = truncation_at(n, model, m=m, b=b, **cfg["truncation"])
-        # kde reports X alone, so it generates with m = M; gen-field writes three fields
-        # and draws its lattice once more for the coupling check
-        kde = subcommand == "kde"
-        point = plan_point(model, n, plan.M if kde else m, b, plan, 0, 1, cfg["limits"]["max_field_bytes"])
-        points = (point if kde else replace(point, draws=2 * point.draws),)
-        rows = len(sec["x_grid"]) if kde else 3 * n**model.d
-    elif section is not None:
-        config, sec = _experiment(cfg, section), cfg[section]
-        if subcommand == "clt-run":
-            # the replicate rows and one summary row per x
-            points, rows = grid_points(config, "clt"), (config.replicates + 1) * len(config.resolve_x())
-            results = result_bytes(len(points), len(config.resolve_x()), config.replicates)
-        elif subcommand == "blocks":
-            blocks = BlockPlan(m=sec["m"], delta=sec["delta"], l=sec["l"])
-            try:
-                for n in config.n_grid:
-                    blocks.resolve(n)
-            except ValueError as exc:
-                raise ToolError(f"config key blocks.l: {exc}") from None
-            points, rows = grid_points(config, "blocks", blocks=blocks), 1 + len(sec["eps"])
-        elif subcommand == "moment-check":
-            points, rows = grid_points(config, "rectangles"), len(sec["rectangles"])
-        else:
-            points, rows = gap_points(config, sec["m"], sec["mode"]), 1
+    experiment = EXPERIMENTS[subcommand]
+    points, rows, results = experiment.plan(cfg, experiment.section) if experiment.plan else ((), 0, 0)
     points = tuple(replace(p, rows=rows) for p in points)
     return RunPlan(subcommand, points, sum(p.draws for p in points), results)
+
+
+def _plan_field(cfg: dict, section: str):
+    """The one point of ``gen-field`` or ``kde``: kde reports X alone, so it generates with m = M;
+    gen-field writes three fields and draws its lattice once more for the coupling check."""
+    sec, model, kde = cfg[section], model_from_config(cfg["coefficient"]), section == "kde"
+    n, m = sec["n"], sec["m"]
+    if not kde and sec["write_csv"] and n > MAX_CSV_SIDE:
+        raise ToolError(f"config key gen_field.write_csv: CSV export limited to side <= {MAX_CSV_SIDE}, at n = {n}")
+    b = _bandwidth(cfg).b(n)
+    plan = truncation_at(n, model, m=m, b=b, **cfg["truncation"])
+    point = plan_point(model, n, plan.M if kde else m, b, plan, 0, 1, cfg["limits"]["max_field_bytes"])
+    if kde:
+        return (point,), len(sec["x_grid"]), 0
+    return (replace(point, draws=2 * point.draws),), 3 * n**model.d, 0
+
+
+def _plan_clt(cfg: dict, section: str):
+    # the replicate rows and one summary row per x
+    config = _experiment(cfg, section)
+    points, xs = grid_points(config, "clt"), len(config.resolve_x())
+    return points, (config.replicates + 1) * xs, result_bytes(len(points), xs, config.replicates)
+
+
+def _plan_blocks(cfg: dict, section: str):
+    config, sec = _experiment(cfg, section), cfg[section]
+    blocks = BlockPlan(m=sec["m"], delta=sec["delta"], l=sec["l"])
+    try:
+        for n in config.n_grid:
+            blocks.resolve(n)
+    except ValueError as exc:
+        raise ToolError(f"config key blocks.l: {exc}") from None
+    return grid_points(config, "blocks", blocks=blocks), 1 + len(sec["eps"]), 0
+
+
+def _plan_moment_check(cfg: dict, section: str):
+    return grid_points(_experiment(cfg, section), "rectangles"), len(cfg[section]["rectangles"]), 0
+
+
+def _plan_gap(cfg: dict, section: str):
+    sec = cfg[section]
+    return gap_points(_experiment(cfg, section), sec["m"], sec["mode"]), 1, 0
 
 
 def _coupled_draw(cfg: dict, point: GridPoint):
@@ -433,28 +445,18 @@ def _coupled_draw(cfg: dict, point: GridPoint):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (verdict_ok, report, tables); write_report serialises the report
+# subcommands: each takes (cfg, section, run plan, out_dir) and returns (verdict_ok, report, tables);
 # tables: name -> dict of columns, in CSV order, for each table with rows
 
-CONDITION_GRID_COLUMNS = [
-    "n", "m_n", "b_n", "sqrt_b_delta", "residual_over_b", "m_vol_times_b", "m_logs_over_nb",
-]
 CLT_SUMMARY_COLUMNS = [
     "n", "x", "b", "m", "M", "replicates", "mean", "variance", "skewness",
     "excess_kurtosis", "ks_distance", "ks_crit_05", "ks_crit_01", "sigma2_target",
     "remainder_second_moment", "verdict",
 ]
-BLOCK_COLUMNS = [
-    "n", "m", "l", "blocks_per_axis", "var_delta", "rate_proxy", "adjacent_corr",
-    "corr_threshold",
-]
-LF_COLUMNS = ["n", "m", "l", "block_samples", "lf1", "eps", "lf2"]
-RECT_COLUMNS = ["n", "rectangle", "zeta_normalized_l2", "remainder_normalized_l2", "remainder_fitted_c"]
-GAP_COLUMNS = ["n", "m", "b", "gap", "se", "residual_ratio"]
 
 
-def cmd_check_conditions(cfg: dict):
-    sec = cfg["conditions"]
+def cmd_check_conditions(cfg: dict, section: str, run: RunPlan, out_dir: Path):
+    sec = cfg[section]
     model = model_from_config(cfg["coefficient"])
     bw = _bandwidth(cfg)
     window = check_decay_window(model.d, model.decay_exponent(), bw.gamma)
@@ -471,21 +473,14 @@ def cmd_check_conditions(cfg: dict):
     if delta is not None:
         cond = check_condition_c(model, bw, delta, sec["n_grid"])
         reports["schedule_limits"] = cond
-        tables["condition_grid"] = table_columns(cond.grid_rows, CONDITION_GRID_COLUMNS)
+        tables["condition_grid"] = table_columns(cond.grid_rows)
         ok = ok and cond.passed
-    report = {
-        "subcommand": "check-conditions",
-        "model": model.to_config(),
-        "bandwidth": bw.to_config(),
-        "delta": delta,
-        "checks": reports,
-        "passed": bool(ok),
-    }
+    report = {"model": model.to_config(), "bandwidth": bw.to_config(), "delta": delta, "checks": reports}
     return ok, report, tables
 
 
-def cmd_gen_field(cfg: dict, run: RunPlan, out_dir: Path):
-    sec, (point,) = cfg["gen_field"], run.points
+def cmd_gen_field(cfg: dict, section: str, run: RunPlan, out_dir: Path):
+    sec, (point,) = cfg[section], run.points
     model, innov, x, x_m = _coupled_draw(cfg, point)
     n, m, plan = sec["n"], sec["m"], point.truncation
     seed = SeedSpec(cfg["seed"])
@@ -495,17 +490,12 @@ def cmd_gen_field(cfg: dict, run: RunPlan, out_dir: Path):
         tag: LatticeField(model.d, n, values, {**provenance, "component": tag})
         for tag, values in (("full", x), ("truncated", x_m), ("residual", x - x_m))
     }
-    if sec["write_csv"]:
-        # first, so a side beyond write_field_csv's limit fails before any file is written
-        try:
-            for tag, f in fields.items():
-                write_field_csv(f, out_dir / f"field_{tag}.csv")
-        except ValueError as exc:
-            raise ToolError(f"gen_field.write_csv: {exc}") from None
-    for tag, f in fields.items():
-        write_field_binary(f, out_dir / f"field_{tag}.bin")
     exts = ("bin", "csv") if sec["write_csv"] else ("bin",)
     names = [f"field_{tag}.{ext}" for tag in fields for ext in exts]
+    for tag, f in fields.items():
+        write_field_binary(f, out_dir / f"field_{tag}.bin")
+        if sec["write_csv"]:
+            write_field_csv(f, out_dir / f"field_{tag}.csv")
     # the same seed's lattice convolved with the weights off [0, m)^d, computed apart from the generator
     tail = coeff_box(model, plan.M)
     tail[(slice(0, m),) * model.d] = 0.0
@@ -513,20 +503,11 @@ def cmd_gen_field(cfg: dict, run: RunPlan, out_dir: Path):
     coupling = float(np.max(np.abs(x - x_m - lattice_convolve(eps, tail))))
     # report carries names only so it regenerates byte-identically into any
     # output directory; the manifest records absolute paths
-    report = {
-        "subcommand": "gen-field",
-        "n": n,
-        "m": m,
-        "plan": plan,
-        "coupling_max_abs_gap": coupling,
-        "files": names,
-        "passed": True,
-    }
-    return True, report, {}
+    return True, {"n": n, "m": m, "plan": plan, "coupling_max_abs_gap": coupling, "files": names}, {}
 
 
-def cmd_kde(cfg: dict, run: RunPlan):
-    sec, (point,) = cfg["kde"], run.points
+def cmd_kde(cfg: dict, section: str, run: RunPlan, out_dir: Path):
+    sec, (point,) = cfg[section], run.points
     kern = kernel_by_name(cfg["kernel"])
     n, m, xs, b, plan = sec["n"], sec["m"], sec["x_grid"], point.b, point.truncation
     model, innov, values, _ = _coupled_draw(cfg, point)
@@ -535,23 +516,13 @@ def cmd_kde(cfg: dict, run: RunPlan):
     rows = [{"x": x, "estimate": float(e), "b": b, "oracle_density": float(px), "expected_estimate": float(ex),
              "sigma2_x": asymptotic_variance(float(px), kern)}
             for x, e, px, ex in zip(xs, est, oracle.p(np.array(xs)), expected_kde(oracle, kern, b, xs))]
-    report = {
-        "subcommand": "kde",
-        "n": n,
-        "m": m,
-        "plan": plan,
-        "b": b,
-        "kernel": kern.name,
-        "curve": rows,
-        "passed": True,
-    }
-    cols = ["x", "estimate", "b", "oracle_density", "expected_estimate", "sigma2_x"]
-    return True, report, {"kde_curve": table_columns(rows, cols)}
+    report = {"n": n, "m": m, "plan": plan, "b": b, "kernel": kern.name, "curve": rows}
+    return True, report, {"kde_curve": table_columns(rows)}
 
 
-def cmd_clt_run(cfg: dict, run: RunPlan):
+def cmd_clt_run(cfg: dict, section: str, run: RunPlan, out_dir: Path):
     # only clt-run has a variance verdict
-    config = replace(_experiment(cfg, "clt"), variance_band=cfg["clt"]["variance_band"])
+    config = replace(_experiment(cfg, section), variance_band=cfg[section]["variance_band"])
     report, replicates = run_clt_experiment(config, run.points)
     summary = [{**point, **{f"ks_{k}": v for k, v in point.get("ks", {}).items()},
                 "verdict": point["verdicts"]["overall"]} for point in report.points]
@@ -559,55 +530,59 @@ def cmd_clt_run(cfg: dict, run: RunPlan):
     return report.overall != "fail", report, tables
 
 
-def cmd_blocks(cfg: dict, run: RunPlan):
-    sec = cfg["blocks"]
-    config = _experiment(cfg, "blocks")
+def cmd_blocks(cfg: dict, section: str, run: RunPlan, out_dir: Path):
+    config = _experiment(cfg, section)
     samples = _block_samples(config, run.points)
     decomposition = block_decomposition_check(config, samples)
-    lf = lindeberg_estimate(config, samples, sec["eps"])
-    ok = decomposition["passed"] and lf["passed"]
-    report = {
-        "subcommand": "blocks",
-        "config": config.resolved(),
-        "decomposition": decomposition,
-        "lindeberg": lf,
-        "passed": bool(ok),
-    }
-    lf_rows = [{**row, "eps": e, "lf2": v} for row in lf["rows"] for e, v in row["lf2"].items()]
-    return ok, report, {
-        "block_gap": table_columns(decomposition["rows"], BLOCK_COLUMNS),
-        "lindeberg": table_columns(lf_rows, LF_COLUMNS),
-    }
+    lf = lindeberg_estimate(config, samples, cfg[section]["eps"])
+    report = {"config": config.resolved(), "decomposition": decomposition, "lindeberg": lf}
+    # one row per eps, its lf2 after it
+    lf_rows = [{**{k: v for k, v in row.items() if k != "lf2"}, "eps": e, "lf2": lf2}
+               for row in lf["rows"] for e, lf2 in row["lf2"].items()]
+    tables = {"block_gap": table_columns(decomposition["rows"]), "lindeberg": table_columns(lf_rows)}
+    return decomposition["passed"] and lf["passed"], report, tables
 
 
-def cmd_moment_check(cfg: dict, run: RunPlan):
-    sec = cfg["moment_check"]
-    config = _experiment(cfg, "moment_check")
+def cmd_moment_check(cfg: dict, section: str, run: RunPlan, out_dir: Path):
+    sec = cfg[section]
+    config = _experiment(cfg, section)
     # before the rectangles' draws, so innovations without the moments fail first
     wu_reports = wu_inequality_check(config.model, config.innovations, sec["wu_p"])
     rect = rectangle_moment_check(config, sec["rectangles"], run.points, ratio_cap=sec["ratio_cap"])
-    ok = rect["passed"]
-    report = {
-        "subcommand": "moment-check",
-        "config": config.resolved(),
-        "wu": wu_reports,
-        "rectangles": rect,
-        "passed": bool(ok),
-    }
-    return ok, report, {"rectangle_moments": table_columns(rect["rows"], RECT_COLUMNS)}
+    report = {"config": config.resolved(), "wu": wu_reports, "rectangles": rect}
+    return rect["passed"], report, {"rectangle_moments": table_columns(rect["rows"])}
 
 
-def cmd_fixed_m_gap(cfg: dict, run: RunPlan):
-    sec = cfg["gap"]
-    config = _experiment(cfg, "gap")
-    rep = fixed_m_gap(config, run.points, sec["mode"])
-    report = {
-        "subcommand": "fixed-m-gap",
-        "config": config.resolved(),
-        "gap": rep,
-        "passed": bool(rep["passed"]),
-    }
-    return rep["passed"], report, {"gap": table_columns(rep["rows"], GAP_COLUMNS)}
+def cmd_fixed_m_gap(cfg: dict, section: str, run: RunPlan, out_dir: Path):
+    config = _experiment(cfg, section)
+    rep = fixed_m_gap(config, run.points, cfg[section]["mode"])
+    return rep["passed"], {"config": config.resolved(), "gap": rep}, {"gap": table_columns(rep["rows"])}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """A subcommand: its config section, its handler and its planner.
+
+    ``run(cfg, section, run plan, out_dir)`` returns (verdict passed,
+    report, tables); ``main`` adds the ``subcommand`` and ``passed`` keys to
+    a dict report.  ``plan(cfg, section)`` returns (grid points, table rows
+    per point, replicate result bytes), and is None where nothing is drawn.
+    """
+
+    section: str
+    run: Callable
+    plan: Callable | None = None
+
+
+EXPERIMENTS = {
+    "check-conditions": Experiment("conditions", cmd_check_conditions),
+    "gen-field": Experiment("gen_field", cmd_gen_field, _plan_field),
+    "kde": Experiment("kde", cmd_kde, _plan_field),
+    "clt-run": Experiment("clt", cmd_clt_run, _plan_clt),
+    "blocks": Experiment("blocks", cmd_blocks, _plan_blocks),
+    "moment-check": Experiment("moment_check", cmd_moment_check, _plan_moment_check),
+    "fixed-m-gap": Experiment("gap", cmd_fixed_m_gap, _plan_gap),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     # every subcommand takes the same options, before or after its name
-    parser.add_argument("subcommand", choices=tuple(_HANDLERS))
+    parser.add_argument("subcommand", choices=tuple(EXPERIMENTS))
     parser.add_argument("--config", default=None, help="JSON config document")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config entry (repeatable, dotted keys)")
@@ -630,18 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "check-conditions": lambda cfg, run, out: cmd_check_conditions(cfg),
-    "gen-field": cmd_gen_field,
-    "kde": lambda cfg, run, out: cmd_kde(cfg, run),
-    "clt-run": lambda cfg, run, out: cmd_clt_run(cfg, run),
-    "blocks": lambda cfg, run, out: cmd_blocks(cfg, run),
-    "moment-check": lambda cfg, run, out: cmd_moment_check(cfg, run),
-    "fixed-m-gap": lambda cfg, run, out: cmd_fixed_m_gap(cfg, run),
-}
-
-
-def _message(exc: Exception, section: str | None) -> str:
+def _message(exc: Exception, section: str) -> str:
     """The message of a tool error, naming the config key that decides a truncation, a moment or the memory cap.
 
     ``section`` is the config section of the subcommand, which holds the key of a ``MomentError``.
@@ -667,7 +631,7 @@ def main(argv=None) -> int:
         tool_version=__version__,
         started=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     )
-    code = 1
+    code, experiment = 1, EXPERIMENTS[args.subcommand]
     try:
         cfg = load_config(args.config, args.set, seed=args.seed, threads=args.threads)
         manifest.config, manifest.master_seed = cfg, cfg["seed"]
@@ -678,9 +642,10 @@ def main(argv=None) -> int:
                             f"(> cap {cfg['limits']['max_field_bytes']} of limits.max_field_bytes)")
         manifest.write(out_dir / "manifest.json")
         with worker_pool():
-            ok, report, tables = _HANDLERS[args.subcommand](cfg, run, out_dir)
-        if isinstance(report, dict) and report.get("files"):
-            manifest.outputs.extend(str(out_dir / name) for name in report["files"])
+            ok, report, tables = experiment.run(cfg, experiment.section, run, out_dir)
+        if isinstance(report, dict):
+            report.update(subcommand=args.subcommand, passed=bool(ok))
+            manifest.outputs.extend(str(out_dir / name) for name in report.get("files", ()))
         # the report first: it refuses a non-finite value, so no table of its values is written with one
         manifest.outputs.append(write_report(report, out_dir / "report.json"))
         for name, columns in tables.items():
@@ -689,7 +654,7 @@ def main(argv=None) -> int:
         manifest.status = "complete"
         code = 0 if ok else 2
     except (ToolError, FieldSizeError, ValueError) as exc:
-        message = _message(exc, SECTIONS.get(args.subcommand))
+        message = _message(exc, experiment.section)
         manifest.status, manifest.error = "error", message
         print(f"error: {message}", file=sys.stderr)
     except BaseException as exc:

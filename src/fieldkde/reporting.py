@@ -109,9 +109,12 @@ def _cell(v) -> str:
     return s
 
 
-def table_columns(rows, names) -> dict:
-    """A table held as row dicts as the dict of its columns ``names``, in that order; a missing value is None."""
-    return {name: [row.get(name) for row in rows] for name in names}
+def table_columns(rows, names=None) -> dict:
+    """A table held as row dicts as the dict of its columns ``names``, in that order; a missing value is None.
+
+    ``names`` defaults to the first row's keys, so rows built in CSV order state their columns once.
+    """
+    return {name: [row.get(name) for row in rows] for name in (rows[0] if names is None else names)}
 
 
 def write_csv(columns, path) -> str:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,19 +71,28 @@ class TestLateCap:
 
     def test_the_plan_is_in_the_manifest_before_the_handler_runs(self, tmp_path, monkeypatch):
         seen = []
-        kde = cli.cmd_kde
+        kde = cli.EXPERIMENTS["kde"]
 
-        def reading(cfg, run):
+        def reading(cfg, section, run, out_dir):
             seen.append(_manifest(tmp_path, "kde"))
-            return kde(cfg, run)
+            return kde.run(cfg, section, run, out_dir)
 
-        monkeypatch.setattr(cli, "cmd_kde", reading)
+        monkeypatch.setitem(cli.EXPERIMENTS, "kde", replace(kde, run=reading))
         assert _run(tmp_path, "kde", "power_decay_d2.json", "kde.n=64") == 0
         (early,) = seen
         assert early["status"] == "running" and early["plan"] == _manifest(tmp_path, "kde")["plan"]
         (point,) = early["plan"]["points"]
         # kde reports X alone, so it generates with m = M: one spectrum and one field buffer
         assert point["n"] == 64 and point["m"] == point["truncation"]["M"] and point["rows"] == 5
+
+
+class TestFieldCsv:
+    def test_a_side_beyond_the_csv_limit_exits_1_naming_write_csv_before_any_draw(self, tmp_path, capsys, no_draw):
+        assert _run(tmp_path, "gen-field", "power_decay_d2.json", "gen_field.write_csv=true", "gen_field.n=1024") == 1
+        err = capsys.readouterr().err
+        assert err == "error: config key gen_field.write_csv: CSV export limited to side <= 64, at n = 1024\n"
+        assert _manifest(tmp_path, "gen-field")["status"] == "error"
+        assert [p.name for p in (tmp_path / "gen_field").iterdir()] == ["manifest.json"]
 
 
 class TestResultCap:
@@ -193,7 +203,8 @@ class TestOracleFigures:
 class TestHandlersPlanNothing:
     """Once ``plan_run`` returns, no handler plans a grid point, picks a path or sizes a generation again."""
 
-    PLANNERS = ("grid_points", "plan_point", "convolution_method", "estimate_field_bytes")
+    PLANNERS = ("grid_points", "plan_point", "convolution_method", "estimate_field_bytes", "truncation_at",
+                "plan_truncation")
 
     @pytest.mark.parametrize(
         "sub,config,sets",

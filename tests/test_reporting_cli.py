@@ -6,6 +6,7 @@ import runpy
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +255,34 @@ class TestCsv:
 
     def test_schema_version_exported(self):
         assert SCHEMA_VERSION == 1
+
+    # small runs of every subcommand; gen-field writes field files, not tables
+    SMALL_RUNS = {
+        "check-conditions": [],
+        "gen-field": ["gen_field.n=8"],
+        "kde": ["kde.n=16"],
+        "clt-run": ["clt.n_grid=[16]", "clt.replicates=5"],
+        "blocks": ["blocks.n_grid=[64,128]", "blocks.replicates=5"],
+        "moment-check": ["moment_check.n_grid=[64]", "moment_check.replicates=5", "moment_check.rectangles=[4,16]"],
+        "fixed-m-gap": ["gap.n_grid=[128,256]", "gap.replicates=5"],
+    }
+
+    def test_every_table_header_is_the_readme_schema(self, tmp_path):
+        readme = (REPO / "README.md").read_text(encoding="utf-8").split("## CSV schemas (version 1)\n", 1)[1]
+        schema = {}
+        for line in readme.strip().split("\n\n", 1)[0].splitlines()[2:]:
+            name, columns = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+            schema[name] = columns.replace(" ", "")
+        assert len(schema) == 8
+        headers = {}
+        for sub in SUBCOMMANDS:
+            argv = [sub]
+            for assignment in self.SMALL_RUNS[sub]:
+                argv += ["--set", assignment]
+            assert _run(tmp_path, *argv) in (0, 2)
+            for path in (tmp_path / sub.replace("-", "_")).glob("*.csv"):
+                headers[path.stem] = path.read_text(encoding="utf-8").split("\n", 1)[0]
+        assert headers == schema
 
 
 class TestConfigResolution:
@@ -784,10 +813,10 @@ class TestCli:
     def test_a_fault_in_a_handler_leaves_the_manifest_at_error(self, tmp_path, monkeypatch):
         import fieldkde.cli as cli
 
-        def broken(cfg, run):
+        def broken(cfg, section, run, out_dir):
             raise RuntimeError("broken on purpose")
 
-        monkeypatch.setattr(cli, "cmd_kde", broken)
+        monkeypatch.setitem(cli.EXPERIMENTS, "kde", replace(cli.EXPERIMENTS["kde"], run=broken))
         with pytest.raises(RuntimeError, match="broken on purpose"):
             _run(tmp_path, "kde")
         manifest = json.loads((tmp_path / "kde" / "manifest.json").read_text())
