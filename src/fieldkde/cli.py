@@ -42,7 +42,6 @@ from .clt import (
     result_bytes,
     run_clt_experiment,
     truncation_at,
-    worker_pool,
     wu_inequality_check,
 )
 from .coefficients import (
@@ -600,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a config entry (repeatable, dotted keys)")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--threads", type=int, default=None, help="replicate worker count")
+    parser.add_argument("--threads", type=int, default=None, help="replicate thread count")
     parser.add_argument("--out", default=None, help=f"output directory (default ${OUT_ENV} or ./runs)")
     return parser
 
@@ -641,8 +640,7 @@ def main(argv=None) -> int:
             raise ToolError(f"config key clt.replicates: the replicate results hold {run.result_bytes} bytes "
                             f"(> cap {cfg['limits']['max_field_bytes']} of limits.max_field_bytes)")
         manifest.write(out_dir / "manifest.json")
-        with worker_pool():
-            ok, report, tables = experiment.run(cfg, experiment.section, run, out_dir)
+        ok, report, tables = experiment.run(cfg, experiment.section, run, out_dir)
         if isinstance(report, dict):
             report.update(subcommand=args.subcommand, passed=bool(ok))
             manifest.outputs.extend(str(out_dir / name) for name in report.get("files", ()))
@@ -671,18 +669,16 @@ def run_script(name: str, config, subcommands, argv) -> int:
 
     Outputs go to OUT/<name>/<subcommand_name>/, so experiments that share a
     subcommand do not overwrite each other.  Stops at the first tool error
-    (exit 1); otherwise returns the largest exit code.  The subcommands
-    share one worker pool.
+    (exit 1); otherwise returns the largest exit code.
     """
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None)
     base = out.parse_known_args(argv)[0].out or os.environ.get(OUT_ENV) or "runs"
     code = 0
-    with worker_pool():
-        for sub in subcommands:
-            code = max(code, main([sub, "--config", str(config), *argv, "--out", str(Path(base) / name)]))
-            if code == 1:
-                break
+    for sub in subcommands:
+        code = max(code, main([sub, "--config", str(config), *argv, "--out", str(Path(base) / name)]))
+        if code == 1:
+            break
     return code
 
 

@@ -9,15 +9,14 @@ moment-inequality constants on rectangles, and measures the truncation gap
 under fixed and growing m.
 
 All replicate work is deterministic in (master seed, stream, replicate), so
-reports are bit-identical for any worker count.
+reports are bit-identical for any thread count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -74,7 +73,6 @@ __all__ = [
     "grid_points",
     "ks_normality_test",
     "m_schedule",
-    "worker_pool",
 ]
 
 KS_CRIT_05 = 1.358
@@ -180,7 +178,7 @@ class ExperimentConfig:
             "replicates": self.replicates,
             "master_seed": self.master_seed,
             "variance_band": self.variance_band,
-            # worker count changes wall time only, never numbers, so it is
+            # thread count changes wall time only, never numbers, so it is
             # recorded in the manifest rather than the report
         }
 
@@ -195,7 +193,7 @@ class GridPoint:
 
     The fields are generated at truncation ``m`` under ``truncation``, and
     replicate r draws from (master, ``stream``, r); ``P`` is the FFT side
-    (None on the direct path), and ``bytes`` what one worker holds for a
+    (None on the direct path), and ``bytes`` what one thread holds for a
     batch.  ``rows`` counts the CLI's table rows (0 outside it).  Blocks
     carry their side ``l`` and ``q`` per axis.  At each x its experiment
     tests, a point holds p(x) int K^2, p_m(x) int K^2 and the centerings
@@ -244,7 +242,7 @@ def plan_point(model: CoefficientModel, n, m, b, truncation, stream, replicates,
 
 
 def check_cap(points, max_bytes: int) -> tuple:
-    """``points``, or FieldSizeError at the first whose batch holds more than ``max_bytes`` in one worker."""
+    """``points``, or FieldSizeError at the first whose batch holds more than ``max_bytes`` in one thread."""
     for p in points:
         if p.bytes > max_bytes:
             raise FieldSizeError(f"coupled generation with M = {p.truncation.M} holds {p.bytes} bytes for a batch "
@@ -302,79 +300,24 @@ def grid_points(config: ExperimentConfig, experiment: str, m_of=None, blocks=Non
     return tuple(points)
 
 
-def _replicate_chunk(config: ExperimentConfig, point: GridPoint, reduce, start, stop) -> list:
+def _replicate_chunk(config: ExperimentConfig, point: GridPoint, reduce, work: CoupledWorkspace, start, stop) -> list:
     """reduce(X, X_m, scratch) of each batch of replicates start..stop-1 at ``point``, in replicate order.
 
-    One workspace, allocated at the point's batch size, serves every batch:
-    its generation buffers, and as ``scratch`` two of them the fields no
+    ``work``, a workspace of the point's spectra, serves every batch: its
+    generation buffers, and as ``scratch`` two of them the fields no
     longer need.  The chunk's seeds are hashed in one pass.
     """
-    spectra = coupled_spectra(config.model, point)
-    size = min(point.batch, max(stop - start, 1))
-    work = CoupledWorkspace(spectra, size)
+    size = len(work.lattices)
     seeds = Seeds(config.master_seed, point.stream, range(start, stop))
     batches = []
     for lo in range(0, stop - start, size):
         batch = seeds[lo:lo + size]
-        fields = generate_coupled_fields(config.innovations, batch, spectra, work)
+        fields = generate_coupled_fields(config.innovations, batch, work.spectra, work)
         # each output is copied into its own C-ordered array: the next batch
         # overwrites the workspace, a view would keep a batch's prefix sums
         # alive until the join, and row sums round by layout
         batches.append(tuple(np.array(out, order="C") for out in reduce(*fields, work.scratch(len(batch)))))
     return batches
-
-
-# the process pool of the open worker_pool() scope, and its worker count; None outside any scope
-_scope: dict | None = None
-
-
-@contextmanager
-def worker_pool():
-    """Scope in which every parallel ``_run_replicates`` shares one process pool.
-
-    The pool starts with the first call that needs one and is shut down
-    when the outermost scope exits, by error too; an inner scope uses the
-    outer one's.  Workers fork from the process as it is when the pool
-    starts, so they see what was patched before that.
-    """
-    global _scope
-    if _scope is not None:
-        yield
-        return
-    _scope = {"pool": None, "workers": 0}
-    try:
-        yield
-    finally:
-        pool, _scope = _scope["pool"], None
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-
-
-def _pool(workers: int) -> ProcessPoolExecutor:
-    """The open scope's pool, restarted when a run asks for another worker count."""
-    if _scope["workers"] != workers:
-        if _scope["pool"] is not None:
-            _scope["pool"].shutdown()
-        _scope.update(pool=ProcessPoolExecutor(max_workers=workers), workers=workers)
-    return _scope["pool"]
-
-
-def _map_chunks(task, count: int, threads: int) -> list:
-    """The lists task(start, stop) over min(threads, cpu count, count) contiguous ranges of 0..count-1, joined.
-
-    Each range is one task of the ``worker_pool`` of min(threads, cpu
-    count) processes, or a single range runs in this process.  ``task``
-    gives each index the same output whatever range holds it, so the result
-    does not depend on the worker count.
-    """
-    workers = min(threads, os.cpu_count() or 1)
-    chunks = min(workers, count)
-    if chunks == 1:
-        return task(0, count)
-    bounds = [count * w // chunks for w in range(chunks + 1)]
-    with worker_pool():
-        parts = _pool(workers).map(task, bounds[:-1], bounds[1:])
-        return [out for part in parts for out in part]
 
 
 def _run_replicates(config: ExperimentConfig, point: GridPoint, reduce) -> tuple:
@@ -384,17 +327,31 @@ def _run_replicates(config: ExperimentConfig, point: GridPoint, reduce) -> tuple
     replicate axis, and two scratch arrays of the fields' shape; the fields
     are views that stay valid for the call only, and it may overwrite
     them.  It returns a tuple of arrays with one row per replicate.  The
-    replicates split into chunks by ``_map_chunks``.  A chunk runs in
-    batches of the point's size and builds the coefficient spectra once;
-    replicate r always draws from (master, stream, r), and a batch gives
-    the same bits as one replicate at a time, so the result depends on
-    neither the worker count nor the batch size.  Each output is joined
-    once from C-ordered parts.  The point's batch must fit in the config's
+    coefficient spectra are built once, and the replicates split into
+    min(threads, cpu count, R) contiguous chunks, each with a workspace of
+    its own: the first runs on the calling thread, every other on a pool
+    thread of its own.  Replicate r always draws
+    from (master, stream, r), and a batch gives the same bits as one
+    replicate at a time, so the result depends on neither the thread count
+    nor the batch size.  Each output is joined once, in replicate order,
+    from C-ordered parts.  The point's batch must fit in the config's
     ``max_field_bytes``: ``FieldSizeError`` otherwise, before any draw.
     """
     check_cap((point,), config.max_field_bytes)
-    chunk = partial(_replicate_chunk, config, point, reduce)
-    batches = _map_chunks(chunk, config.replicates, config.threads)
+    count = config.replicates
+    chunks = min(config.threads, os.cpu_count() or 1, count)
+    bounds = [count * c // chunks for c in range(chunks + 1)]
+    spectra = coupled_spectra(config.model, point)
+    # every workspace is allocated here: glibc gives each thread its own malloc
+    # arena, which would keep a pool thread's freed workspace after the call
+    tasks = [partial(_replicate_chunk, config, point, reduce, CoupledWorkspace(spectra, min(point.batch, hi - lo)),
+                     lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # threads start only on submit, so a single chunk starts none; leaving the
+    # block joins them, by error too
+    with ThreadPoolExecutor(max(chunks - 1, 1)) as pool:
+        rest = [pool.submit(task) for task in tasks[1:]]
+        batches = tasks[0]() + [out for part in rest for out in part.result()]
+    del tasks  # the workspaces are freed before the join
     return tuple(np.concatenate(parts) for parts in zip(*batches))
 
 

@@ -7,12 +7,12 @@ the `oldest` CI job makes the oldest numpy supported.
 """
 
 import json
-import multiprocessing
 import os
 import platform
 import resource
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -34,7 +34,7 @@ from fieldkde import (
     lattice_convolve,
     plan_truncation,
 )
-from fieldkde.cli import main, run_script
+from fieldkde.cli import main
 from fieldkde.coefficients import coeff_box
 from fieldkde.field import convolution_method, coupled_spectra, estimate_field_bytes
 from fieldkde.fourier import irfftn, next_fast_len, rfftn
@@ -161,7 +161,6 @@ class TestBatchInvariance:
         monkeypatch.setattr(clt, "_batch_size", lambda *args: forced)
         seen = _record_batches(monkeypatch)
         one = _outputs(tmp_path, subcommand, 1, "t1")
-        # the run plan carries the forced size to the pool workers
         two = _outputs(tmp_path, subcommand, 2, "t2")
         assert one[1] and one == reference[subcommand] and two == reference[subcommand]
         assert max(seen["sizes"]) == min(forced, REPLICATES)
@@ -177,55 +176,34 @@ class TestBatchInvariance:
 
 
 class TestWorkerPool:
-    """A run starts one process pool at most and leaves no worker behind."""
+    """A run's chunks run on threads of its process, and no thread outlives it."""
 
     @pytest.fixture
-    def pools(self, monkeypatch):
-        """The pools started in this process; two CPUs, so that two threads run two workers."""
-        started = []
-
-        class CountingPool(clt.ProcessPoolExecutor):
-            def __init__(self, *args, **kw):
-                super().__init__(*args, **kw)
-                started.append(self)
-
-        monkeypatch.setattr(clt, "ProcessPoolExecutor", CountingPool)
+    def two_cpus(self, monkeypatch):
+        """Two CPUs, so that two threads run two chunks."""
         monkeypatch.setattr(clt.os, "cpu_count", lambda: 2)
-        return started
 
-    def test_one_pool_for_a_whole_grid(self, tmp_path, pools):
-        code, files = _cli(tmp_path, "blocks", "blocks_d1.json",
-                           ["blocks.n_grid=[64,128,256]", f"blocks.replicates={REPLICATES}"], threads=2)
-        assert code in (0, 2) and "report.json" in files
-        assert len(pools) == 1 and pools[0]._max_workers == 2
-        assert multiprocessing.active_children() == []
+    @pytest.mark.parametrize("failing", ["every_chunk", "pool_thread_chunk"])
+    def test_no_thread_outlives_a_run_that_fails_partway(self, tmp_path, monkeypatch, two_cpus, capsys, failing):
+        # a chunk fails at the third grid point, after two grid points ran: every chunk, or only
+        # the one holding the replicates from R/2 on, which runs on the pool's thread
+        chunk, threads = clt._replicate_chunk, threading.active_count()
+        last_ok = 0 if failing == "every_chunk" else REPLICATES / 2
 
-    def test_subcommands_of_a_script_share_one_pool(self, tmp_path, pools):
-        sets = [*RUNS["blocks"][1], *RUNS["moment-check"][1]]
-        argv = ["--threads", "2", "--out", str(tmp_path)] + [arg for s in sets for arg in ("--set", s)]
-        code = run_script("shared", CONFIGS / "blocks_d1.json", ["blocks", "moment-check"], argv)
-        assert code in (0, 2) and len(pools) == 1
-        assert sorted(p.parent.name for p in tmp_path.glob("shared/*/report.json")) == ["blocks", "moment_check"]
-        assert multiprocessing.active_children() == []
-
-    def test_no_worker_outlives_a_run_that_fails_partway(self, tmp_path, monkeypatch, pools, capsys):
-        # a worker fails at the third grid point, after two grid points ran
-        generate = clt.generate_coupled_fields
-
-        def failing_at_the_third(innovations, seeds, spectra, *args, **kw):
-            if spectra.n == 256:
+        def failing_at_the_third(config, point, reduce, work, start, stop):
+            if point.n == 256 and stop > last_ok:
                 raise ValueError("generation failed at n = 256")
-            return generate(innovations, seeds, spectra, *args, **kw)
+            return chunk(config, point, reduce, work, start, stop)
 
-        monkeypatch.setattr(clt, "generate_coupled_fields", failing_at_the_third)
+        monkeypatch.setattr(clt, "_replicate_chunk", failing_at_the_third)
         code, files = _cli(tmp_path, "blocks", "blocks_d1.json",
                            ["blocks.n_grid=[64,128,256]", f"blocks.replicates={REPLICATES}"], threads=2)
         assert code == 1 and "generation failed at n = 256" in capsys.readouterr().err
-        assert len(pools) == 1 and multiprocessing.active_children() == []
+        assert threading.active_count() == threads
         manifest = json.loads((tmp_path / "blocks" / "manifest.json").read_text())
         assert manifest["status"] == "error" and "report.json" not in files
 
-    def test_a_scope_restarts_its_pool_for_another_worker_count(self, monkeypatch, pools, geometric_half):
+    def test_results_equal_at_any_thread_count(self, monkeypatch, geometric_half):
         monkeypatch.setattr(clt.os, "cpu_count", lambda: 3)
         plan = plan_truncation(geometric_half, m=2, policy="fixed", M=4)
         config = ExperimentConfig(
@@ -240,15 +218,13 @@ class TestWorkerPool:
             return clt._run_replicates(replace(config, threads=threads), point, reduce)
 
         (alone,) = run(1)
-        with clt.worker_pool():
-            assert all(np.array_equal(run(t)[0], alone) for t in (2, 2, 3))
-            assert [p._max_workers for p in pools] == [2, 3]
-        assert multiprocessing.active_children() == []
+        assert all(np.array_equal(run(t)[0], alone) for t in (2, 2, 3))
 
-    def test_workers_see_a_patch_made_before_main(self, tmp_path, monkeypatch, pools):
-        generate = clt.generate_coupled_fields
+    def test_threads_see_a_patch_made_before_main(self, tmp_path, monkeypatch, two_cpus):
+        generate, threads = clt.generate_coupled_fields, set()
 
         def nan_fields(*args, **kw):
+            threads.add(threading.get_ident())
             x, x_m = generate(*args, **kw)
             x.fill(np.nan)
             return x, x_m
@@ -256,9 +232,40 @@ class TestWorkerPool:
         monkeypatch.setattr(clt, "generate_coupled_fields", nan_fields)
         code, files = _outputs(tmp_path, "clt-run", 2, "t2")
         report = json.loads(files["report.json"])
-        assert code == 2 and len(pools) == 1
-        # every (n, x, replicate) row, all of them computed in the workers
+        assert code == 2 and len(threads - {threading.get_ident()}) > 0
+        # every (n, x, replicate) row, those of the pool's thread too
         assert report["nonfinite"] == len(report["points"]) * REPLICATES
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_workspaces_allocated_on_the_calling_thread(self, tmp_path, monkeypatch, two_cpus, threads):
+        # a pool thread's freed workspace would stay in that thread's malloc arena
+        caller, built, chunks, started = threading.get_ident(), [], [], []
+        chunk, start = clt._replicate_chunk, threading.Thread.start
+
+        class RecordingWorkspace(clt.CoupledWorkspace):
+            def __init__(self, *args):
+                built.append(threading.get_ident())
+                super().__init__(*args)
+
+        def recording_chunk(*args):
+            chunks.append(threading.get_ident())
+            return chunk(*args)
+
+        def recording_start(thread):
+            started.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(clt, "CoupledWorkspace", RecordingWorkspace)
+        monkeypatch.setattr(clt, "_replicate_chunk", recording_chunk)
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        code, files = _outputs(tmp_path, "blocks", threads, f"t{threads}")
+        assert code in (0, 2) and "report.json" in files
+        points = len(json.loads((tmp_path / f"t{threads}" / "blocks" / "manifest.json").read_text())["plan"]["points"])
+        # one workspace per chunk, every one made on the calling thread
+        assert built == [caller] * threads * points
+        # one chunk per grid point on the calling thread, and at two threads one on another
+        assert chunks.count(caller) == points and len(chunks) == threads * points
+        assert len(started) == (threads - 1) * points
 
 
 @st.composite
@@ -337,11 +344,11 @@ class TestChunkWorkspace:
                 buf.fill(np.nan)
             return x, x_m
 
-        batches = clt._replicate_chunk(config, point, fields, start, stop)
+        spectra = coupled_spectra(model, point)
+        batches = clt._replicate_chunk(config, point, fields, clt.CoupledWorkspace(spectra, 2), start, stop)
         assert [len(x) for x, _ in batches] == [2, 2, 1]  # batches of 2, 2 and 1
         # the next batch overwrites the fields of the last, so only the copies outlive it
         assert not np.array_equal(seen[0][0], seen[0][2])
-        spectra = coupled_spectra(model, point)
         got_x, got_x_m = (np.concatenate(parts) for parts in zip(*batches))
         for i, r in enumerate(range(start, stop)):
             want_x, want_x_m = generate_coupled_fields(innov, Seeds(11, stream, [r]), spectra)

@@ -92,7 +92,7 @@ class TestReplicateEngine:
         R, stream = 7, 5
         config = _config(geometric_half, replicates=R, threads=threads)
         plan = plan_truncation(geometric_half, m=2, policy="fixed", M=4)
-        # the point carries a forced size to the pool workers
+        # the point carries a forced size to every chunk
         head, first = clt._run_replicates(config, _point(config, 32, 2, plan, stream, size), _fortran_head)
         alone = [coupled_pair(geometric_half, 32, 2, plan, SeedSpec(MASTER_SEED, stream, r)) for r in range(R)]
         assert head.flags.c_contiguous and first.flags.c_contiguous
@@ -115,14 +115,15 @@ class TestReplicateEngine:
             alive.append(weakref.ref(prefix))
             return prefix[:, -1], prefix[:, ::8]
 
-        batches = clt._replicate_chunk(config, point, prefix_views, 0, 7)
+        work = clt.CoupledWorkspace(coupled_spectra(config.model, point), size)
+        batches = clt._replicate_chunk(config, point, prefix_views, work, 0, 7)
         assert len(alive) == len(batches) == -(-7 // size)
         assert all(ref() is None for ref in alive)
         blocks = partial(clt._block_windows, kernel=config.kernel, b=0.5, point=0.0, m=2, l=6, q=4)
-        for outs in clt._replicate_chunk(config, point, blocks, 0, 7):
+        for outs in clt._replicate_chunk(config, point, blocks, work, 0, 7):
             assert all(out.base is None and out.flags.c_contiguous for out in outs)
 
-    def test_spectra_built_once_per_chunk(self, power_d2, monkeypatch):
+    def test_spectra_built_once_per_grid_point(self, power_d2, monkeypatch):
         import fieldkde.clt as clt
 
         calls = []
@@ -132,7 +133,8 @@ class TestReplicateEngine:
             return coupled_spectra(model, point)
 
         monkeypatch.setattr(clt, "coupled_spectra", counting)
-        config = _config(power_d2, bandwidth=BandwidthSchedule(d=2, gamma=1.0), replicates=7)
+        monkeypatch.setattr(clt.os, "cpu_count", lambda: 2)
+        config = _config(power_d2, bandwidth=BandwidthSchedule(d=2, gamma=1.0), replicates=7, threads=2)
         plan = plan_truncation(power_d2, m=2, policy="fixed", M=6)
         # a reduction takes the two fields of a batch and two scratch arrays shaped like them,
         # and returns arrays with one row per replicate
@@ -141,10 +143,12 @@ class TestReplicateEngine:
 
         point = _point(config, 16, 2, plan, 0)
         (rows,) = clt._run_replicates(config, point, reduce)
+        # the two chunks share one build of the spectra
         assert len(rows) == 7 and len(calls) == 1
-        # a second chunk builds its own spectra and reproduces the same replicates
-        tail = np.concatenate([out for out, in clt._replicate_chunk(config, point, reduce, 3, 7)])
-        assert len(calls) == 2 and np.array_equal(tail, rows[3:])
+        # a chunk in a workspace of its own reproduces the same replicates
+        work = clt.CoupledWorkspace(coupled_spectra(power_d2, point), point.batch)
+        tail = np.concatenate([out for out, in clt._replicate_chunk(config, point, reduce, work, 3, 7)])
+        assert np.array_equal(tail, rows[3:])
 
 
 class TestNormalizedStatistic:
