@@ -3,7 +3,7 @@
 
 With m fixed the site-level second moment of (zeta - Z) stabilises at the
 strictly positive value (p_2(x) + p(x)) * int K^2 = 0.42139 at x=0 for the
-geometric model; re-run with --set gap.mode=growing to watch it collapse.
+geometric model; re-run with --set gap.m=null to watch it collapse.
 Outputs go to OUT/truncation_gap/fixed_m_gap/.
 """
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .clt import (
-    BlockPlan,
     ExperimentConfig,
     GridPoint,
     MomentError,
@@ -34,7 +33,6 @@ from .clt import (
     _block_samples,
     check_cap,
     fixed_m_gap,
-    gap_points,
     grid_points,
     lindeberg_estimate,
     plan_point,
@@ -150,9 +148,8 @@ CONFIG_KEYS = {
         "x_points": Key("nums", optional=True),
         # var_delta is a sample variance, which one replicate cannot give
         "replicates": Key("int", 400, ge=2),
-        # a fixed gap m or a schedule m_n = round(n^delta), and blocks wider than the gap
+        # a fixed gap m, or the schedule's m_n where null, and blocks wider than the gap
         "m": Key("int", 4, optional=True, ge=1),
-        "delta": Key("num", optional=True, gt=0, only_if=("m", None)),
         "l": Key("int", optional=True, ge=1, gt="blocks.m"),
         "eps": Key("nums", [0.5, 1.0, 2.0], gt=0),
     },
@@ -169,8 +166,8 @@ CONFIG_KEYS = {
         "n_grid": Key("ints", [1024, 4096], ge=1),
         "x_points": Key("nums", optional=True),
         "replicates": Key("int", 100, ge=1),
+        # a fixed m, or the schedule's growing m_n where null
         "m": Key("int", 2, optional=True, ge=1),
-        "mode": Key("name", "fixed", choices=("fixed", "growing")),
     },
 }
 
@@ -416,14 +413,8 @@ def _plan_clt(cfg: dict, section: str):
 
 
 def _plan_blocks(cfg: dict, section: str):
-    config, sec = _experiment(cfg, section), cfg[section]
-    blocks = BlockPlan(m=sec["m"], delta=sec["delta"], l=sec["l"])
-    try:
-        for n in config.n_grid:
-            blocks.resolve(n)
-    except ValueError as exc:
-        raise ToolError(f"config key blocks.l: {exc}") from None
-    return grid_points(config, "blocks", blocks=blocks), 1 + len(sec["eps"]), 0
+    sec = cfg[section]
+    return grid_points(_experiment(cfg, section), "blocks", sec["m"], sec["l"]), 1 + len(sec["eps"]), 0
 
 
 def _plan_moment_check(cfg: dict, section: str):
@@ -431,8 +422,7 @@ def _plan_moment_check(cfg: dict, section: str):
 
 
 def _plan_gap(cfg: dict, section: str):
-    sec = cfg[section]
-    return gap_points(_experiment(cfg, section), sec["m"], sec["mode"]), 1, 0
+    return grid_points(_experiment(cfg, section), "gap", cfg[section]["m"]), 1, 0
 
 
 def _coupled_draw(cfg: dict, point: GridPoint):
@@ -554,7 +544,7 @@ def cmd_moment_check(cfg: dict, section: str, run: RunPlan, out_dir: Path):
 
 def cmd_fixed_m_gap(cfg: dict, section: str, run: RunPlan, out_dir: Path):
     config = _experiment(cfg, section)
-    rep = fixed_m_gap(config, run.points, cfg[section]["mode"])
+    rep = fixed_m_gap(config, run.points, "growing" if cfg[section]["m"] is None else "fixed")
     return rep["passed"], {"config": config.resolved(), "gap": rep}, {"gap": table_columns(rep["rows"])}
 
 

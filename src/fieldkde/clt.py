@@ -24,6 +24,7 @@ import numpy as np
 
 from .coefficients import (
     CoefficientModel,
+    ConditionReport,
     check_decay_window,
     delta_n,
     m_schedule,
@@ -60,16 +61,15 @@ __all__ = [
     "ExperimentConfig",
     "GridPoint",
     "CltReport",
-    "BlockPlan",
     "KsResult",
     "MomentError",
     "run_clt_experiment",
     "block_decomposition_check",
+    "block_sides",
     "lindeberg_estimate",
     "rectangle_moment_check",
     "wu_inequality_check",
     "fixed_m_gap",
-    "gap_points",
     "grid_points",
     "ks_normality_test",
     "m_schedule",
@@ -96,7 +96,8 @@ GAP_BAND = 0.15
 
 
 class MomentError(ValueError):
-    """A moment precondition fails: on the innovations, or a limit variance, rectangle norm or block variance of 0.
+    """A precondition of an experiment's moments fails: on the innovations, a limit variance, rectangle norm or
+    block variance of 0, or block sides that do not fit the lattice.
 
     ``key`` is the key of the experiment's config section that decides it.
     """
@@ -143,15 +144,16 @@ class ExperimentConfig:
             if not self.x_points or not all(map(math.isfinite, self.x_points)):
                 raise ValueError("x_points must be nonempty and finite")
 
-    def resolve_delta(self) -> tuple[float, dict]:
-        window = check_decay_window(
-            self.model.d, self.model.decay_exponent(), self.bandwidth.gamma
-        )
-        if self.delta is None and not window.passed:
-            raise ValueError(
-                "no truncation exponent supplied and the decay/bandwidth window is empty"
-            )
-        return window.delta_star if self.delta is None else self.delta, asdict(window)
+    def decay_window(self) -> ConditionReport:
+        return check_decay_window(self.model.d, self.model.decay_exponent(), self.bandwidth.gamma)
+
+    def resolve_delta(self) -> float:
+        """The exponent of the schedule m_n = round(n^delta): ``delta``, else the midpoint of the decay window."""
+        delta = self.decay_window().delta_star if self.delta is None else self.delta
+        if delta is None:
+            raise ValueError("config key schedule.delta must be a number where m_n follows the schedule and "
+                             "the decay/bandwidth window is empty, got null")
+        return delta
 
     def resolve_x(self) -> tuple:
         if self.x_points is not None:
@@ -160,7 +162,8 @@ class ExperimentConfig:
         return (0.0, 0.5 * sd, 1.0 * sd)
 
     def resolved(self) -> dict:
-        delta, window = self.resolve_delta()
+        """The config as reports state it; ``delta`` is null where none is given and the decay window is empty."""
+        window = self.decay_window()
         return {
             "model": self.model.to_config(),
             "innovations": self.innovations.to_config(),
@@ -168,8 +171,8 @@ class ExperimentConfig:
             "bandwidth": self.bandwidth.to_config(),
             "n_grid": list(self.n_grid),
             "x_points": list(self.resolve_x()),
-            "delta": delta,
-            "decay_window": window,
+            "delta": window.delta_star if self.delta is None else self.delta,
+            "decay_window": asdict(window),
             "truncation": {
                 "policy": self.truncation_policy,
                 "eta": self.truncation_eta,
@@ -258,41 +261,42 @@ def truncation_at(n: int, model: CoefficientModel, **request) -> TruncationPlan:
         raise TruncationError(exc.key, f"{exc} at n = {n}") from None
 
 
-def grid_points(config: ExperimentConfig, experiment: str, m_of=None, blocks=None) -> tuple:
+def grid_points(config: ExperimentConfig, experiment: str, m: int | None = None, l: int | None = None) -> tuple:
     """The GridPoint of each n of the grid, every one planned before any is drawn.
 
-    m = m_of(n), by default the schedule m_n = round(n^delta), under the
-    config's truncation policy; with a ``BlockPlan`` as ``blocks``, its gap
-    m_n, side l_n and q_n under the plan M = m_n.  The oracle figures are
-    taken at every x for "clt" and at the first for the others, from one
-    density oracle per distinct m.  A point no truncation meets raises
-    ``TruncationError``, one no block plan meets ``ValueError``, naming its
-    n, and an x where the field's density is 0, which has no limit law to
-    test, ``MomentError``.  The memory cap is left to ``check_cap``.
+    m_n is ``m``, or the schedule round(n^delta) where ``m`` is None, with
+    delta from ``config.resolve_delta``.  The fields are generated under the
+    config's truncation policy, but for "blocks", whose points carry the
+    sides l_n and q_n of ``block_sides(n, m_n, l)`` and are generated at
+    M = m_n.  The oracle figures are taken at every x for "clt" and at the
+    first for the others, from one density oracle per distinct m.  A point
+    no truncation meets raises ``TruncationError``, and one whose blocks do
+    not fit, or an x where the field's density is 0, which has no limit law
+    to test, ``MomentError``, each naming its n.  The memory cap is left to
+    ``check_cap``.
     """
     model, kern = config.model, config.kernel
     xs = config.resolve_x() if experiment == "clt" else config.resolve_x()[:1]
-    if blocks is None:
-        m_of = m_of or partial(m_schedule, delta=config.resolve_delta()[0])
+    delta = config.resolve_delta() if m is None else None
     oracles, points = {}, []
     for ni, n in enumerate(config.n_grid):
         b, extra = config.bandwidth.b(n), {}
-        if blocks is not None:
-            m, extra["l"], extra["q"] = blocks.resolve(n)
-            plan = TruncationPlan(M=m, B_M=residual_sqrt_mass(model, m), policy="fixed")
+        m_n = m_schedule(n, delta) if m is None else m
+        if experiment == "blocks":
+            extra["l"], extra["q"] = block_sides(n, m_n, l)
+            plan = TruncationPlan(M=m_n, B_M=residual_sqrt_mass(model, m_n), policy="fixed")
         else:
-            m = m_of(n)
-            plan = truncation_at(n, model, m=m, b=b, policy=config.truncation_policy, eta=config.truncation_eta,
+            plan = truncation_at(n, model, m=m_n, b=b, policy=config.truncation_policy, eta=config.truncation_eta,
                                  M=config.truncation_M)
-        if m not in oracles:
-            oracles[m] = density_oracle(model, config.innovations, m)
-        oracle = oracles[m]
+        if m_n not in oracles:
+            oracles[m_n] = density_oracle(model, config.innovations, m_n)
+        oracle = oracles[m_n]
         sigma2 = tuple(asymptotic_variance(float(oracle.p(x)), kern) for x in xs)
         if 0.0 in sigma2:
             raise MomentError(f"the field's density is 0 at x = {xs[sigma2.index(0.0)]}, so T_n has no limit "
                               f"variance there, at n = {n}")
         points.append(plan_point(
-            model, n, m, b, plan, STREAM_OFFSETS[experiment] + ni, config.replicates, config.max_field_bytes,
+            model, n, m_n, b, plan, STREAM_OFFSETS[experiment] + ni, config.replicates, config.max_field_bytes,
             sigma2_target=sigma2, sigma2_truncated=tuple(asymptotic_variance(float(oracle.p_m(x)), kern) for x in xs),
             centering=tuple(tuple(expected_kde(oracle, kern, b, xs, truncated=t).tolist()) for t in (False, True)),
             oracle=oracle.summary(), **extra,
@@ -567,25 +571,17 @@ def run_clt_experiment(config: ExperimentConfig, points) -> tuple[CltReport, dic
 # big-block construction
 
 
-@dataclass(frozen=True)
-class BlockPlan:
-    """Block side l_n and gap m_n; default l_n = m_n * ceil(log n)."""
+def block_sides(n: int, m: int, l: int | None = None) -> tuple[int, int]:
+    """Block side l_n, by default m * ceil(log n), and blocks per axis q_n at n, with gap ``m`` between blocks.
 
-    m: int | None = None
-    delta: float | None = None
-    l: int | None = None
-
-    def resolve(self, n: int) -> tuple[int, int, int]:
-        if (self.m is None) == (self.delta is None):
-            raise ValueError("specify exactly one of fixed m or schedule delta")
-        m_n = self.m if self.m is not None else m_schedule(n, self.delta)
-        l_n = self.l if self.l is not None else m_n * math.ceil(math.log(n))
-        if l_n <= m_n:
-            raise ValueError(f"need l_n > m_n at n = {n} (got l={l_n}, m={m_n})")
-        if l_n > n:
-            raise ValueError(f"block side {l_n} exceeds the lattice side {n}")
-        q = n // (l_n + m_n)
-        return m_n, l_n, max(q, 1)
+    Sides not above the gap or beyond the lattice raise ``MomentError`` on the ``l`` key.
+    """
+    l_n = m * math.ceil(math.log(n)) if l is None else l
+    if l_n <= m:
+        raise MomentError(f"need l_n > m_n at n = {n} (got l={l_n}, m={m})", "l")
+    if l_n > n:
+        raise MomentError(f"block side {l_n} exceeds the lattice side {n}", "l")
+    return l_n, max(n // (l_n + m), 1)
 
 
 def _block_windows(x, x_m, scratch, kernel, b, point, m, l, q):
@@ -603,7 +599,7 @@ def _block_windows(x, x_m, scratch, kernel, b, point, m, l, q):
 
 
 def _block_samples(config: ExperimentConfig, points) -> list[dict]:
-    """Raw block sums of the truncated kernel field at each of the ``points`` of a ``BlockPlan`` (shared by checks)."""
+    """Raw block sums of the truncated kernel field at each of the "blocks" grid ``points`` (shared by checks)."""
     x = config.resolve_x()[0]
     out = []
     for point in points:
@@ -887,15 +883,6 @@ def _squared_gap(x, x_m, scratch, kernel, b, point):
     return (np.mean((kt - kf) ** 2, axis=tuple(range(1, kf.ndim))) / b,)
 
 
-def gap_points(config: ExperimentConfig, m: int | None, mode: str) -> tuple:
-    """``grid_points`` of ``fixed_m_gap``: at the fixed ``m`` in ``fixed`` mode, on the schedule in ``growing`` mode."""
-    if mode not in ("fixed", "growing"):
-        raise ValueError("mode must be 'fixed' or 'growing'")
-    if mode == "fixed" and (m is None or m < 1):
-        raise ValueError("fixed mode needs m >= 1")
-    return grid_points(config, "gap", (lambda n: m) if mode == "fixed" else None)
-
-
 def fixed_m_gap(config: ExperimentConfig, points, mode: str) -> dict:
     """Second moment of the site-level gap zeta - Z along the n-grid.
 
@@ -904,7 +891,7 @@ def fixed_m_gap(config: ExperimentConfig, points, mode: str) -> dict:
     because the cross moment E(Z zeta) ~ b * p_joint(x, x) vanishes with the
     bandwidth.  ``growing`` mode follows m_n = round(n^delta) and must trend
     to zero, bounded by a fitted multiple of B_{m_n}/b_n + b_n.  ``points``
-    are ``gap_points(config, m, mode)``.
+    are ``grid_points(config, "gap", m)``, with m None in ``growing`` mode.
     """
     x = config.resolve_x()[0]
     rows = []

@@ -18,7 +18,6 @@ import pytest
 
 from fieldkde import (
     BandwidthSchedule,
-    BlockPlan,
     CoefficientModel,
     ExperimentConfig,
     InnovationModel,
@@ -26,7 +25,6 @@ from fieldkde import (
     check_decay_window,
     check_hallin,
     fixed_m_gap,
-    gap_points,
     grid_points,
     kernel_by_name,
     lattice_convolve,
@@ -175,12 +173,12 @@ def test_criterion_5_truncation_gap():
         master_seed=MASTER_SEED,
     )
     fixed_cfg = ExperimentConfig(**base)
-    fixed = fixed_m_gap(fixed_cfg, gap_points(fixed_cfg, 2, "fixed"), "fixed")
+    fixed = fixed_m_gap(fixed_cfg, grid_points(fixed_cfg, "gap", 2), "fixed")
     gaps = [r["gap"] for r in fixed["rows"]]
     limit_ok = abs(gaps[-1] - GAP_LIMIT) <= 0.15 * GAP_LIMIT
     not_vanishing = gaps[-1] >= 0.5 * max(gaps)
     growing_cfg = ExperimentConfig(**{**base, "delta": 0.25})
-    growing = fixed_m_gap(growing_cfg, gap_points(growing_cfg, None, "growing"), "growing")
+    growing = fixed_m_gap(growing_cfg, grid_points(growing_cfg, "gap"), "growing")
     ggaps = [r["gap"] for r in growing["rows"]]
     halved = ggaps[-1] <= 0.5 * ggaps[0]
     ok = limit_ok and not_vanishing and halved
@@ -207,8 +205,7 @@ def test_criterion_6_block_machinery():
         replicates=1500,
         master_seed=MASTER_SEED,
     )
-    plan = BlockPlan(m=4)  # l_n = 4 * ceil(log n)
-    samples = _block_samples(cfg, grid_points(cfg, "blocks", blocks=plan))
+    samples = _block_samples(cfg, grid_points(cfg, "blocks", 4))  # l_n = 4 * ceil(log n)
     dec = block_decomposition_check(cfg, samples)
     lf = lindeberg_estimate(cfg, samples, [0.5, 1.0, 2.0])
     vals = [r["var_delta"] for r in dec["rows"]]

@@ -8,7 +8,6 @@ import pytest
 
 from fieldkde import (
     BandwidthSchedule,
-    BlockPlan,
     CoefficientModel,
     ExperimentConfig,
     InnovationModel,
@@ -17,13 +16,13 @@ from fieldkde import (
     Seeds,
     asymptotic_variance,
     block_decomposition_check,
+    block_sides,
     density_oracle,
     fixed_m_gap,
     kernel_by_name,
     ks_normality_test,
     lindeberg_estimate,
     m_schedule,
-    gap_points,
     grid_points,
     plan_truncation,
     rectangle_moment_check,
@@ -579,9 +578,9 @@ class TestWuInequality:
         assert peak < 8 << 20  # 96.5 MiB with 2^22-value chunks of |X|
 
 
-def _samples(config, plan):
-    """``_block_samples`` at the grid points of ``plan``."""
-    return _block_samples(config, grid_points(config, "blocks", blocks=plan))
+def _samples(config, m, l=None):
+    """``_block_samples`` at the grid points of gap ``m`` and block side ``l``."""
+    return _block_samples(config, grid_points(config, "blocks", m, l))
 
 
 class TestBlocks:
@@ -589,7 +588,7 @@ class TestBlocks:
         # block side l = n: the single block covers everything, so the gap
         # statistic is exactly zero
         cfg1 = _config(identity_weights, n_grid=(128,), replicates=40)
-        samples = _samples(cfg1, BlockPlan(m=1, l=128))
+        samples = _samples(cfg1, 1, 128)
         rep = block_decomposition_check(cfg1, samples)
         assert rep["rows"][0]["blocks_per_axis"] == 1
         assert rep["rows"][0]["var_delta"] == 0.0
@@ -622,11 +621,9 @@ class TestBlocks:
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
-            BlockPlan(m=4, l=4).resolve(64)
+            block_sides(64, 4, 4)
         with pytest.raises(ValueError):
-            BlockPlan(m=4, l=128).resolve(64)
-        with pytest.raises(ValueError):
-            BlockPlan().resolve(64)
+            block_sides(64, 4, 128)
 
     def test_gap_variance_decreases(self, geometric_half):
         cfg = _config(
@@ -635,8 +632,7 @@ class TestBlocks:
             n_grid=(256, 1024, 4096),
             replicates=600,
         )
-        plan = BlockPlan(m=4)
-        rep = block_decomposition_check(cfg, _samples(cfg, plan))
+        rep = block_decomposition_check(cfg, _samples(cfg, 4))
         vals = [r["var_delta"] for r in rep["rows"]]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         proxies = [r["rate_proxy"] for r in rep["rows"]]
@@ -653,15 +649,13 @@ class TestBlocks:
             n_grid=(4096,),
             replicates=300,
         )
-        plan = BlockPlan(m=1, l=512)
-        rep = lindeberg_estimate(cfg, _samples(cfg, plan), [1.0])
+        rep = lindeberg_estimate(cfg, _samples(cfg, 1, 512), [1.0])
         target = rep["sigma2_target"]
         assert rep["rows"][0]["lf1"] == pytest.approx(target, rel=0.1)
 
     def test_indicator_exactly_zero_for_large_eps(self, geometric_half, epanechnikov):
         cfg = _config(geometric_half, n_grid=(256,), replicates=100)
-        plan = BlockPlan(m=2, l=16)
-        samples = _samples(cfg, plan)
+        samples = _samples(cfg, 2, 16)
         s = samples[0]
         b = s["b"]
         # |xi| <= l * 2 sup K / sqrt(b) almost surely, so a threshold above
@@ -678,8 +672,7 @@ class TestBlocks:
             n_grid=(256, 1024, 4096),
             replicates=600,
         )
-        plan = BlockPlan(m=4)
-        rep = lindeberg_estimate(cfg, _samples(cfg, plan), [0.5, 1.0, 2.0])
+        rep = lindeberg_estimate(cfg, _samples(cfg, 4), [0.5, 1.0, 2.0])
         for e, ok in rep["verdicts"]["lf2_vanishes"].items():
             assert ok
 
@@ -714,17 +707,17 @@ class TestLeanReductions:
     @pytest.mark.parametrize(
         "model,n_grid,plan",
         [
-            (CoefficientModel(d=1, family="geometric", ratio=0.5), (256, 512), BlockPlan(m=2)),
+            (CoefficientModel(d=1, family="geometric", ratio=0.5), (256, 512), (2, None)),
             # lead and lag pairs along both axes
-            (CoefficientModel(d=2, family="power_decay", q=4.0), (32, 48), BlockPlan(m=1, l=4)),
+            (CoefficientModel(d=2, family="power_decay", q=4.0), (32, 48), (1, 4)),
             # one block per axis: no pairs, and adjacent_corr is null
-            (CoefficientModel(d=1, family="geometric", ratio=0.5), (128,), BlockPlan(m=1, l=128)),
-            (CoefficientModel(d=2, family="power_decay", q=4.0), (16,), BlockPlan(m=1, l=16)),
+            (CoefficientModel(d=1, family="geometric", ratio=0.5), (128,), (1, 128)),
+            (CoefficientModel(d=2, family="power_decay", q=4.0), (16,), (1, 16)),
         ],
     )
     def test_block_checks_equal_the_reference(self, model, n_grid, plan):
         cfg = _config(model, n_grid=n_grid, replicates=40)
-        samples = _samples(cfg, plan)
+        samples = _samples(cfg, *plan)
         got = block_decomposition_check(cfg, samples)
         assert got == block_reference.block_decomposition_check(cfg, samples)
         q = samples[0]["q"]
@@ -846,7 +839,7 @@ def _gap_quadrature_oracle(v, v_m, b, rough_grid=801):
 class TestTruncationGap:
     def test_identity_truncation_zero_gap(self, identity_weights):
         cfg = _config(identity_weights, n_grid=(256, 1024), replicates=20)
-        rep = fixed_m_gap(cfg, gap_points(cfg, 1, "fixed"), "fixed")
+        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", 1), "fixed")
         assert all(r["gap"] == 0.0 for r in rep["rows"])
 
     def test_fixed_gap_matches_quadrature(self, geometric_half):
@@ -856,7 +849,7 @@ class TestTruncationGap:
             n_grid=(4096,),
             replicates=60,
         )
-        rep = fixed_m_gap(cfg, gap_points(cfg, 2, "fixed"), "fixed")
+        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", 2), "fixed")
         row = rep["rows"][0]
         oracle = _gap_quadrature_oracle(4.0 / 3.0, 1.25, row["b"])
         assert row["gap"] == pytest.approx(oracle, abs=4 * row["se"])
@@ -868,7 +861,7 @@ class TestTruncationGap:
             n_grid=(1024, 4096, 16384),
             replicates=100,
         )
-        rep = fixed_m_gap(cfg, gap_points(cfg, 2, "fixed"), "fixed")
+        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", 2), "fixed")
         assert rep["oracle_limit"] == pytest.approx(0.42139138362113, abs=1e-10)
         assert rep["passed"]
 
@@ -880,7 +873,7 @@ class TestTruncationGap:
             delta=0.25,
             replicates=60,
         )
-        rep = fixed_m_gap(cfg, gap_points(cfg, None, "growing"), "growing")
+        rep = fixed_m_gap(cfg, grid_points(cfg, "gap"), "growing")
         gaps = [r["gap"] for r in rep["rows"]]
         assert gaps[-1] <= 0.5 * gaps[0]
         assert rep["fitted_c"] > 0

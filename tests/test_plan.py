@@ -158,6 +158,41 @@ class TestWuOrders:
         assert [p.name for p in (tmp_path / "moment_check").iterdir()] == ["manifest.json"]
 
 
+class TestOneSchedule:
+    """Each grid point takes the section's m, or m_n = round(n^delta) where it is null, resolving delta only then."""
+
+    # beta = 0.7 < d: the decay/bandwidth window is empty, so a null schedule.delta has no midpoint to default to
+    HEAVY = 'coefficient={"family":"power_decay","d":1,"q":1.2}'
+
+    @staticmethod
+    def _main(tmp_path, sub, *sets):
+        return main([sub, "--out", str(tmp_path), *(arg for s in sets for arg in ("--set", s))])
+
+    @pytest.mark.parametrize("sub,section", [("fixed-m-gap", "gap"), ("blocks", "blocks")])
+    def test_a_fixed_m_needs_no_delta(self, tmp_path, sub, section):
+        assert self._main(tmp_path, sub, self.HEAVY, f"{section}.n_grid=[64,128]", f"{section}.replicates=20") in (0, 2)
+        report = json.loads((tmp_path / sub.replace("-", "_") / "report.json").read_text())
+        assert report["config"]["delta"] is None and report["config"]["decay_window"]["passed"] is False
+
+    @pytest.mark.parametrize("sub,sets", [("clt-run", []), ("moment-check", []), ("fixed-m-gap", ["gap.m=null"])])
+    def test_the_schedule_without_a_delta_exits_1_naming_schedule_delta_before_any_draw(self, tmp_path, capsys,
+                                                                                        no_draw, sub, sets):
+        assert self._main(tmp_path, sub, self.HEAVY, *sets) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key schedule.delta ")
+        manifest = _manifest(tmp_path, sub)
+        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
+        assert [p.name for p in (tmp_path / sub.replace("-", "_")).iterdir()] == ["manifest.json"]
+
+    def test_blocks_on_the_schedule_report_the_delta_they_ran(self, tmp_path):
+        sets = ["blocks.m=null", "schedule.delta=0.3", "blocks.n_grid=[256,1024]"]
+        assert self._main(tmp_path, "blocks", *sets) in (0, 2)
+        report = json.loads((tmp_path / "blocks" / "report.json").read_text())
+        assert report["config"]["delta"] == 0.3
+        # round(256^0.3) = 5 and round(1024^0.3) = 8
+        assert [row["m"] for row in report["decomposition"]["rows"]] == [5, 8]
+
+
 class TestOracleFigures:
     """Each experiment reads its centering and limit variances from its plan, one density oracle per distinct m."""
 

@@ -603,6 +603,10 @@ class TestCli:
             ('clt.centering="oracle"', "clt.centering"),
             # the Wu constants come from their closed forms, with no sample to size
             ("moment_check.wu_sample=1000", "moment_check.wu_sample"),
+            # one truncation schedule: blocks follow schedule.delta where blocks.m is null, and the gap
+            # grows on it where gap.m is null
+            ("blocks.delta=0.2", "blocks.delta"),
+            ('gap.mode="growing"', "gap.mode"),
         ],
     )
     def test_unknown_config_key_exit_1(self, tmp_path, capsys, assignment, key):
@@ -747,8 +751,6 @@ class TestCli:
             ("kde", "truncation.M=7", "truncation.M"),
             # rules across keys, which a library check rejected without the key
             ("kde", 'truncation.policy="fixed"', "truncation.M"),
-            ("blocks", "blocks.delta=0.2", "blocks.delta"),
-            ("blocks", "blocks.m=null", "blocks.delta"),
             ("blocks", "blocks.l=2", "blocks.l"),
             ("blocks", "blocks.l=4", "blocks.l"),
             ("check-conditions", "conditions.n_grid=[16]", "conditions.n_grid"),
@@ -915,7 +917,7 @@ class TestCli:
         "sets,message",
         [
             # a scheduled gap m_n = round(n^0.5) is 16 at n = 256 and 32 at n = 1024
-            (["blocks.m=null", "blocks.delta=0.5", "blocks.l=20", "blocks.n_grid=[256,1024]"],
+            (["blocks.m=null", "schedule.delta=0.5", "blocks.l=20", "blocks.n_grid=[256,1024]"],
              "need l_n > m_n at n = 1024 (got l=20, m=32)"),
             (["blocks.l=300", "blocks.n_grid=[1024,256]"], "block side 300 exceeds the lattice side 256"),
         ],
@@ -966,7 +968,7 @@ class TestCli:
         [
             ("clt-run", "clt", []),
             ("moment-check", "moment_check", ["moment_check.rectangles=[4,16]"]),
-            ("fixed-m-gap", "gap", ['gap.mode="growing"']),
+            ("fixed-m-gap", "gap", ["gap.m=null"]),
         ],
     )
     def test_truncation_planned_at_every_grid_point_before_any_draw(self, tmp_path, capsys, monkeypatch, sub,
@@ -1134,7 +1136,7 @@ class TestCli:
             "moment_check.rectangles=[4,16]",
         ],
         "fixed-m-gap": ["gap.n_grid=[256,1024]", "gap.replicates=20"],
-        "fixed-m-gap growing": ["gap.n_grid=[256,1024]", "gap.replicates=20", "gap.mode=growing"],
+        "fixed-m-gap growing": ["gap.n_grid=[256,1024]", "gap.replicates=20", "gap.m=null"],
     }
 
     @pytest.mark.parametrize("innovations", ['{"name":"uniform"}', '{"name":"student_t","nu":5.0}'])
