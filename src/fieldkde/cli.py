@@ -28,6 +28,7 @@ from . import __version__
 from .clt import (
     ExperimentConfig,
     GridPoint,
+    MAX_GRID_POINTS,
     MomentError,
     block_decomposition_check,
     _block_samples,
@@ -85,9 +86,9 @@ class Key:
     ``gt`` and ``lt`` may name the key "section.key" that holds the bound,
     which a null there lifts.  ``fits`` names the key of the section whose
     least entry bounds every side, ``increasing`` asks a list for at least
-    that many entries, each above the one before, and ``only_if`` = (key,
-    value) admits null exactly when that key of the section does not hold
-    that value.
+    that many entries, each above the one before, ``most`` for at most that
+    many, and ``only_if`` = (key, value) admits null exactly when that key
+    of the section does not hold that value.
     """
 
     kind: str
@@ -100,6 +101,7 @@ class Key:
     family: bool = False
     fits: str | None = None
     increasing: int | None = None
+    most: int | None = None
     only_if: tuple | None = None
 
 
@@ -138,13 +140,13 @@ CONFIG_KEYS = {
     "gen_field": {"n": Key("int", 64, ge=1), "m": Key("int", 2, ge=1), "write_csv": Key("bool", False)},
     "kde": {"n": Key("int", 1024, ge=1), "m": Key("int", 2, ge=1), "x_grid": Key("nums", [-2.0, -1.0, 0.0, 1.0, 2.0])},
     "clt": {
-        "n_grid": Key("ints", [1024], ge=1),
+        "n_grid": Key("ints", [1024], ge=1, most=MAX_GRID_POINTS),
         "x_points": Key("nums", [0.0], optional=True),
         "replicates": Key("int", 200, ge=1),
         "variance_band": Key("num", 0.10, gt=0),
     },
     "blocks": {
-        "n_grid": Key("ints", [256, 1024, 4096], ge=1),
+        "n_grid": Key("ints", [256, 1024, 4096], ge=1, most=MAX_GRID_POINTS),
         "x_points": Key("nums", optional=True),
         # var_delta is a sample variance, which one replicate cannot give
         "replicates": Key("int", 400, ge=2),
@@ -154,7 +156,7 @@ CONFIG_KEYS = {
         "eps": Key("nums", [0.5, 1.0, 2.0], gt=0),
     },
     "moment_check": {
-        "n_grid": Key("ints", [1024], ge=1),
+        "n_grid": Key("ints", [1024], ge=1, most=MAX_GRID_POINTS),
         "x_points": Key("nums", optional=True),
         "replicates": Key("int", 400, ge=1),
         "wu_p": Key("orders", [1, 2], choices=(1, 2)),
@@ -163,7 +165,7 @@ CONFIG_KEYS = {
         "ratio_cap": Key("num", 3.0, gt=1),
     },
     "gap": {
-        "n_grid": Key("ints", [1024, 4096], ge=1),
+        "n_grid": Key("ints", [1024, 4096], ge=1, most=MAX_GRID_POINTS),
         "x_points": Key("nums", optional=True),
         "replicates": Key("int", 100, ge=1),
         # a fixed m, or the schedule's growing m_n where null
@@ -328,6 +330,8 @@ def _read(k: Key, value, path: str, section: dict, cfg: dict):
     if k.increasing and (len(got) < k.increasing or any(b <= a for a, b in zip(got, got[1:]))):
         raise ToolError(f"config key {path} must be {kind}, strictly increasing with at least "
                         f"{k.increasing} entries, got {json.dumps(value)}")
+    if k.most and len(got) > k.most:
+        raise ToolError(f"config key {path} must be {kind} of at most {k.most} entries, got {len(got)}")
     if k.fits:
         n = min(section[k.fits])
         too_big = [r for r in value if max(r if isinstance(r, list) else [r]) > n]
@@ -408,7 +412,8 @@ def _plan_field(cfg: dict, section: str):
 def _plan_clt(cfg: dict, section: str):
     # the replicate rows and one summary row per x
     config = _experiment(cfg, section)
-    points, xs = grid_points(config, "clt"), len(config.resolve_x())
+    points = grid_points(config, "clt")
+    xs = len(points[0].xs)
     return points, (config.replicates + 1) * xs, result_bytes(len(points), xs, config.replicates)
 
 
@@ -514,9 +519,9 @@ def cmd_clt_run(cfg: dict, section: str, run: RunPlan, out_dir: Path):
     config = replace(_experiment(cfg, section), variance_band=cfg[section]["variance_band"])
     report, replicates = run_clt_experiment(config, run.points)
     summary = [{**point, **{f"ks_{k}": v for k, v in point.get("ks", {}).items()},
-                "verdict": point["verdicts"]["overall"]} for point in report.points]
+                "verdict": point["verdicts"]["overall"]} for point in report["points"]]
     tables = {"clt_replicates": replicates, "clt_summary": table_columns(summary, CLT_SUMMARY_COLUMNS)}
-    return report.overall != "fail", report, tables
+    return report["overall"] != "fail", report, tables
 
 
 def cmd_blocks(cfg: dict, section: str, run: RunPlan, out_dir: Path):
@@ -524,7 +529,8 @@ def cmd_blocks(cfg: dict, section: str, run: RunPlan, out_dir: Path):
     samples = _block_samples(config, run.points)
     decomposition = block_decomposition_check(config, samples)
     lf = lindeberg_estimate(config, samples, cfg[section]["eps"])
-    report = {"config": config.resolved(), "decomposition": decomposition, "lindeberg": lf}
+    report = {"config": config.resolved(scheduled=cfg[section]["m"] is None), "decomposition": decomposition,
+              "lindeberg": lf}
     # one row per eps, its lf2 after it
     lf_rows = [{**{k: v for k, v in row.items() if k != "lf2"}, "eps": e, "lf2": lf2}
                for row in lf["rows"] for e, lf2 in row["lf2"].items()]
@@ -544,8 +550,10 @@ def cmd_moment_check(cfg: dict, section: str, run: RunPlan, out_dir: Path):
 
 def cmd_fixed_m_gap(cfg: dict, section: str, run: RunPlan, out_dir: Path):
     config = _experiment(cfg, section)
-    rep = fixed_m_gap(config, run.points, "growing" if cfg[section]["m"] is None else "fixed")
-    return rep["passed"], {"config": config.resolved(), "gap": rep}, {"gap": table_columns(rep["rows"])}
+    growing = cfg[section]["m"] is None
+    rep = fixed_m_gap(config, run.points, "growing" if growing else "fixed")
+    report = {"config": config.resolved(scheduled=growing), "gap": rep}
+    return rep["passed"], report, {"gap": table_columns(rep["rows"])}
 
 
 @dataclass(frozen=True)
@@ -553,9 +561,10 @@ class Experiment:
     """A subcommand: its config section, its handler and its planner.
 
     ``run(cfg, section, run plan, out_dir)`` returns (verdict passed,
-    report, tables); ``main`` adds the ``subcommand`` and ``passed`` keys to
-    a dict report.  ``plan(cfg, section)`` returns (grid points, table rows
-    per point, replicate result bytes), and is None where nothing is drawn.
+    report dict, tables); ``main`` adds the ``subcommand`` and ``passed``
+    keys to the report.  ``plan(cfg, section)`` returns (grid points, table
+    rows per point, replicate result bytes), and is None where nothing is
+    drawn.
     """
 
     section: str
@@ -631,9 +640,8 @@ def main(argv=None) -> int:
                             f"(> cap {cfg['limits']['max_field_bytes']} of limits.max_field_bytes)")
         manifest.write(out_dir / "manifest.json")
         ok, report, tables = experiment.run(cfg, experiment.section, run, out_dir)
-        if isinstance(report, dict):
-            report.update(subcommand=args.subcommand, passed=bool(ok))
-            manifest.outputs.extend(str(out_dir / name) for name in report.get("files", ()))
+        report.update(subcommand=args.subcommand, passed=bool(ok))
+        manifest.outputs.extend(str(out_dir / name) for name in report.get("files", ()))
         # the report first: it refuses a non-finite value, so no table of its values is written with one
         manifest.outputs.append(write_report(report, out_dir / "report.json"))
         for name, columns in tables.items():

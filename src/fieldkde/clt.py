@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -60,7 +60,6 @@ from .special import ndtr
 __all__ = [
     "ExperimentConfig",
     "GridPoint",
-    "CltReport",
     "KsResult",
     "MomentError",
     "run_clt_experiment",
@@ -161,8 +160,9 @@ class ExperimentConfig:
         sd = math.sqrt(total_sq_mass(self.model))
         return (0.0, 0.5 * sd, 1.0 * sd)
 
-    def resolved(self) -> dict:
-        """The config as reports state it; ``delta`` is null where none is given and the decay window is empty."""
+    def resolved(self, scheduled: bool = True) -> dict:
+        """The config as reports state it; ``delta`` is null where the points are not ``scheduled`` on it, and where
+        none is given and the decay window is empty."""
         window = self.decay_window()
         return {
             "model": self.model.to_config(),
@@ -171,7 +171,7 @@ class ExperimentConfig:
             "bandwidth": self.bandwidth.to_config(),
             "n_grid": list(self.n_grid),
             "x_points": list(self.resolve_x()),
-            "delta": window.delta_star if self.delta is None else self.delta,
+            "delta": (window.delta_star if self.delta is None else self.delta) if scheduled else None,
             "decay_window": asdict(window),
             "truncation": {
                 "policy": self.truncation_policy,
@@ -198,9 +198,9 @@ class GridPoint:
     replicate r draws from (master, ``stream``, r); ``P`` is the FFT side
     (None on the direct path), and ``bytes`` what one thread holds for a
     batch.  ``rows`` counts the CLI's table rows (0 outside it).  Blocks
-    carry their side ``l`` and ``q`` per axis.  At each x its experiment
-    tests, a point holds p(x) int K^2, p_m(x) int K^2 and the centerings
-    E f_n(x) of X and of X_m, with its density oracle's summary.
+    carry their side ``l`` and ``q`` per axis.  At each x of ``xs``, the x's
+    its experiment tests, a point holds p(x) int K^2, p_m(x) int K^2 and the
+    centerings E f_n(x) of X and of X_m, with its density oracle's summary.
     """
 
     n: int
@@ -216,6 +216,7 @@ class GridPoint:
     rows: int = 0
     l: int | None = None
     q: int | None = None
+    xs: tuple = ()
     sigma2_target: tuple | None = None
     sigma2_truncated: tuple | None = None
     centering: tuple | None = None
@@ -268,12 +269,12 @@ def grid_points(config: ExperimentConfig, experiment: str, m: int | None = None,
     delta from ``config.resolve_delta``.  The fields are generated under the
     config's truncation policy, but for "blocks", whose points carry the
     sides l_n and q_n of ``block_sides(n, m_n, l)`` and are generated at
-    M = m_n.  The oracle figures are taken at every x for "clt" and at the
-    first for the others, from one density oracle per distinct m.  A point
-    no truncation meets raises ``TruncationError``, and one whose blocks do
-    not fit, or an x where the field's density is 0, which has no limit law
-    to test, ``MomentError``, each naming its n.  The memory cap is left to
-    ``check_cap``.
+    M = m_n.  A point's ``xs`` are every x for "clt" and the first for the
+    others, its oracle figures taken there from one density oracle per
+    distinct m.  A point no truncation meets raises ``TruncationError``,
+    and one whose blocks do not fit, or an x where the field's density is 0,
+    which has no limit law to test, ``MomentError``, each naming its n.  The
+    memory cap is left to ``check_cap``.
     """
     model, kern = config.model, config.kernel
     xs = config.resolve_x() if experiment == "clt" else config.resolve_x()[:1]
@@ -299,7 +300,7 @@ def grid_points(config: ExperimentConfig, experiment: str, m: int | None = None,
             model, n, m_n, b, plan, STREAM_OFFSETS[experiment] + ni, config.replicates, config.max_field_bytes,
             sigma2_target=sigma2, sigma2_truncated=tuple(asymptotic_variance(float(oracle.p_m(x)), kern) for x in xs),
             centering=tuple(tuple(expected_kde(oracle, kern, b, xs, truncated=t).tolist()) for t in (False, True)),
-            oracle=oracle.summary(), **extra,
+            oracle=oracle.summary(), xs=xs, **extra,
         ))
     return tuple(points)
 
@@ -465,16 +466,6 @@ def _moments(T: np.ndarray, t_rem: np.ndarray) -> dict:
     }
 
 
-@dataclass
-class CltReport:
-    """Replicate statistics of T_n and its decomposition, per (n, x); the replicate values are not part of it."""
-
-    config: dict
-    points: list = field(default_factory=list)
-    overall: str = "inconclusive"
-    nonfinite: int = 0
-
-
 def result_bytes(points: int, xs: int, replicates: int) -> int:
     """Bytes ``run_clt_experiment`` holds for its replicate results at their peak, beside the fields.
 
@@ -488,24 +479,27 @@ def result_bytes(points: int, xs: int, replicates: int) -> int:
     return 8 * replicates * (6 * points * xs + 9 * xs + 1)
 
 
-def run_clt_experiment(config: ExperimentConfig, points) -> tuple[CltReport, dict]:
+def run_clt_experiment(config: ExperimentConfig, points) -> tuple[dict, dict]:
     """Estimate the law of T_n over independent replicates on the (n, x) grid: the report and the replicate table.
 
-    Verdict per point: "consistent" when |mean| <= 3*sqrt(sigma_x^2/R), the
-    empirical variance sits within ``variance_band`` of sigma_x^2 =
-    p(x) int K^2, and the KS distance to N(0, sigma_x^2) clears the 1%
-    asymptotic critical value; "inconclusive" for R < 100.  A point with a
+    The report holds the resolved ``config``, the statistics of each (n, x)
+    under ``points``, the ``overall`` verdict and ``nonfinite``; the
+    replicate values are not part of it.  Verdict per point: "consistent"
+    when |mean| <= 3*sqrt(sigma_x^2/R), the empirical variance sits within
+    ``variance_band`` of sigma_x^2 = p(x) int K^2, and the KS distance to
+    N(0, sigma_x^2) clears the 1% asymptotic critical value; "inconclusive"
+    for R < 100.  A point with a
     non-finite T, T_zeta or T_remainder fails whatever R is: its moments
     are null, and ``nonfinite`` counts the (n, x, replicate) rows that hold
     one.  The table holds the arrays n, x, replicate, T, T_zeta and
     T_remainder, a row per (n, x, replicate) in that order, with NaN for a
-    non-finite value.  ``points`` are ``grid_points(config, "clt")``.
+    non-finite value.  ``points`` are ``grid_points(config, "clt")``, each
+    testing the same x's.
     """
     model, kern = config.model, config.kernel
-    xs = config.resolve_x()
+    xs = points[0].xs
     R = config.replicates
-    report = CltReport(config=config.resolved())
-    verdicts = []
+    report = {"config": config.resolved(), "points": [], "nonfinite": 0}
     rows = R * len(xs)  # table rows per grid point
     table = {
         "n": np.repeat([point.n for point in points], rows),
@@ -521,7 +515,7 @@ def run_clt_experiment(config: ExperimentConfig, points) -> tuple[CltReport, dic
         ef, efm = (np.array(c) for c in point.centering)
         t_full, t_zeta, t_rem = _decompose(raw_f, raw_t, ef, efm, math.sqrt(N * b))
         bad_rows = ~(np.isfinite(t_full) & np.isfinite(t_zeta) & np.isfinite(t_rem))
-        report.nonfinite += int(np.sum(bad_rows))
+        report["nonfinite"] += int(np.sum(bad_rows))
         for name, values in zip(("T", "T_zeta", "T_remainder"), (t_full, t_zeta, t_rem)):
             table[name][i * rows:(i + 1) * rows] = np.where(np.isfinite(values), values, math.nan).T.ravel()
         for xi, x in enumerate(xs):
@@ -556,14 +550,9 @@ def run_clt_experiment(config: ExperimentConfig, points) -> tuple[CltReport, dic
                 }
             else:
                 entry["verdicts"] = {"overall": "inconclusive"}
-            verdicts.append(entry["verdicts"]["overall"])
-            report.points.append(entry)
-    if any(v == "fail" for v in verdicts):
-        report.overall = "fail"
-    elif all(v == "consistent" for v in verdicts):
-        report.overall = "consistent"
-    else:
-        report.overall = "inconclusive"
+            report["points"].append(entry)
+    verdicts = {entry["verdicts"]["overall"] for entry in report["points"]}
+    report["overall"] = "fail" if "fail" in verdicts else "consistent" if verdicts == {"consistent"} else "inconclusive"
     return report, table
 
 
@@ -598,50 +587,35 @@ def _block_windows(x, x_m, scratch, kernel, b, point, m, l, q):
     return prefix[(slice(None),) + (-1,) * d], windows
 
 
-def _block_samples(config: ExperimentConfig, points) -> list[dict]:
-    """Raw block sums of the truncated kernel field at each of the "blocks" grid ``points`` (shared by checks)."""
-    x = config.resolve_x()[0]
+def _block_samples(config: ExperimentConfig, points) -> list[tuple]:
+    """(point, totals, big-block sums) of the truncated kernel field at each "blocks" grid point (shared by checks)."""
     out = []
     for point in points:
-        n, m, l, q, b = point.n, point.m, point.l, point.q, point.b
-        reduce = partial(_block_windows, kernel=config.kernel, b=b, point=x, m=m, l=l, q=q)
-        totals, etas = _run_replicates(config, point, reduce)
-        out.append(
-            {
-                "n": n,
-                "m": m,
-                "l": l,
-                "q": q,
-                "b": b,
-                "x": x,
-                "e_site": math.sqrt(b) * point.centering[1][0],
-                "sigma2_target": point.sigma2_target[0],
-                "totals": totals,
-                "etas": etas,
-            }
-        )
+        reduce = partial(_block_windows, kernel=config.kernel, b=point.b, point=point.xs[0], m=point.m, l=point.l,
+                         q=point.q)
+        out.append((point, *_run_replicates(config, point, reduce)))
     return out
 
 
-def block_decomposition_check(config: ExperimentConfig, samples: list[dict]) -> dict:
+def block_decomposition_check(config: ExperimentConfig, samples: list[tuple]) -> dict:
     """Gap between the full sum and the big-block sum of the truncated field.
 
     Per replicate Delta = (S_n(Y) - S_n(eta)) / n^(d/2); the report carries
     Var(Delta) along the n-grid, the rate proxy m_n/(l_n + m_n), and an
     independence audit of adjacent blocks (their sample correlation must sit
     within +-4/sqrt(#blocks * R)).  Verdict: Var(Delta) strictly decreasing.
-    ``samples`` are the block sums of ``_block_samples``.  Adjacent block
-    sums without variance, as at an x no site reaches, have no correlation:
-    ``MomentError``.
+    ``samples`` are the (point, totals, etas) of ``_block_samples``.
+    Adjacent block sums without variance, as at an x no site reaches, have
+    no correlation: ``MomentError``.
     """
     d = config.model.d
     rows = []
-    for s in samples:
-        n, m, l, q = s["n"], s["m"], s["l"], s["q"]
-        etas = s["etas"]
-        center_full = (n**d) * s["e_site"]
-        center_block = (l**d) * s["e_site"]
-        s_full = s["totals"] - center_full
+    for point, totals, etas in samples:
+        n, m, l, q = point.n, point.m, point.l, point.q
+        e_site = math.sqrt(point.b) * point.centering[1][0]
+        center_full = (n**d) * e_site
+        center_block = (l**d) * e_site
+        s_full = totals - center_full
         s_eta = (etas - center_block).reshape(etas.shape[0], -1).sum(axis=1)
         delta = (s_full - s_eta) / float(n) ** (d / 2.0)
         corr = None
@@ -658,7 +632,7 @@ def block_decomposition_check(config: ExperimentConfig, samples: list[dict]) -> 
                     np.subtract(blocks, center_block, out=out)
             if not np.ptp(pairs, axis=1).all():
                 raise MomentError(
-                    f"at x = {s['x']} the adjacent big-block sums of the truncated kernel field take one value "
+                    f"at x = {point.xs[0]} the adjacent big-block sums of the truncated kernel field take one value "
                     f"in every replicate at n = {n}, so their correlation is undefined: x lies beyond the "
                     "kernel's reach of the field's values"
                 )
@@ -699,13 +673,13 @@ def block_decomposition_check(config: ExperimentConfig, samples: list[dict]) -> 
     }
 
 
-def lindeberg_estimate(config: ExperimentConfig, samples: list[dict], eps) -> dict:
+def lindeberg_estimate(config: ExperimentConfig, samples: list[tuple], eps) -> dict:
     """Triangular-array side conditions on big-block sums xi of the truncated field.
 
     Estimates (1/l^d) E[xi^2] (should stabilise near sigma_x^2) and the
     truncated second moment (1/l^d) E[xi^2 1{|xi| > n^(d/2) eps}] (should
     vanish) on the n-grid; independent block copies across the lattice and
-    replicates, the block sums of ``_block_samples``, provide the samples.
+    replicates, the big-block sums of ``_block_samples``, provide the samples.
     A stricter variant that shrinks the threshold by m^(2d) (Heinrich) is
     deliberately not implemented.
     """
@@ -713,18 +687,19 @@ def lindeberg_estimate(config: ExperimentConfig, samples: list[dict], eps) -> di
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps must be positive")
     d = config.model.d
-    target = samples[-1]["sigma2_target"]
+    target = samples[-1][0].sigma2_target[0]
     rows = []
-    for s in samples:
-        n, l = s["n"], s["l"]
+    for point, _, etas in samples:
+        n, l = point.n, point.l
+        e_site = math.sqrt(point.b) * point.centering[1][0]
         # one array takes |xi| and then xi^2, which has the bits of a square of xi
-        xi2 = np.abs((s["etas"] - (l**d) * s["e_site"]).ravel())
+        xi2 = np.abs((etas - (l**d) * e_site).ravel())
         over = [xi2 > float(n) ** (d / 2.0) * e for e in eps_list]
         np.square(xi2, out=xi2)
         lf1 = float(np.mean(xi2)) / l**d
         kept = np.empty_like(xi2)
         lf2 = {e: float(np.mean(np.multiply(xi2, mask, out=kept))) / l**d for e, mask in zip(eps_list, over)}
-        rows.append({"n": n, "m": s["m"], "l": l, "block_samples": xi2.size, "lf1": lf1, "lf2": lf2})
+        rows.append({"n": n, "m": point.m, "l": l, "block_samples": xi2.size, "lf1": lf1, "lf2": lf2})
     lf1_last = rows[-1]["lf1"]
     lf1_ok = abs(lf1_last - target) <= 0.15 * target
     lf2_ok = {}
@@ -779,7 +754,6 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, points, ratio_c
     its centering alone: ``MomentError``.
     """
     model, kern = config.model, config.kernel
-    x = config.resolve_x()[0]
     R = config.replicates
     n_min = min(config.n_grid)
     rect_list = []
@@ -796,7 +770,7 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, points, ratio_c
     norm_values = []
     fitted = []
     for point in points:
-        n, b = point.n, point.b
+        n, b, x = point.n, point.b, point.xs[0]
         ez = math.sqrt(b) * point.centering[1][0]
         ed = math.sqrt(b) * point.centering[0][0] - ez
         reduce = partial(_rectangle_sums, kernel=kern, b=b, point=x, rects=rect_list)
@@ -893,11 +867,10 @@ def fixed_m_gap(config: ExperimentConfig, points, mode: str) -> dict:
     to zero, bounded by a fitted multiple of B_{m_n}/b_n + b_n.  ``points``
     are ``grid_points(config, "gap", m)``, with m None in ``growing`` mode.
     """
-    x = config.resolve_x()[0]
     rows = []
     for point in points:
         n, m_n, b = point.n, point.m, point.b
-        reduce = partial(_squared_gap, kernel=config.kernel, b=b, point=x)
+        reduce = partial(_squared_gap, kernel=config.kernel, b=b, point=point.xs[0])
         (gaps,) = _run_replicates(config, point, reduce)
         rows.append(
             {
@@ -910,7 +883,7 @@ def fixed_m_gap(config: ExperimentConfig, points, mode: str) -> dict:
             }
         )
     gaps = [r["gap"] for r in rows]
-    report = {"name": "truncation_gap", "mode": mode, "x": x, "rows": rows}
+    report = {"name": "truncation_gap", "mode": mode, "x": points[-1].xs[0], "rows": rows}
     if mode == "fixed":
         limit = points[-1].sigma2_truncated[0] + points[-1].sigma2_target[0]
         stabilised = abs(gaps[-1] - limit) <= GAP_BAND * limit

@@ -21,12 +21,13 @@ __all__ = ["block_decomposition_check", "lindeberg_estimate", "rectangle_sums"]
 def block_decomposition_check(config, samples) -> dict:
     d = config.model.d
     rows = []
-    for s in samples:
-        n, m, l, q = s["n"], s["m"], s["l"], s["q"]
-        center_full = (n**d) * s["e_site"]
-        center_block = (l**d) * s["e_site"]
-        eta_c = s["etas"] - center_block
-        s_full = s["totals"] - center_full
+    for point, totals, etas in samples:
+        n, m, l, q = point.n, point.m, point.l, point.q
+        e_site = math.sqrt(point.b) * point.centering[1][0]
+        center_full = (n**d) * e_site
+        center_block = (l**d) * e_site
+        eta_c = etas - center_block
+        s_full = totals - center_full
         s_eta = eta_c.reshape(eta_c.shape[0], -1).sum(axis=1)
         delta = (s_full - s_eta) / float(n) ** (d / 2.0)
         pairs = []
@@ -76,19 +77,20 @@ def lindeberg_estimate(config, samples, eps) -> dict:
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps must be positive")
     d = config.model.d
-    oracle = density_oracle(config.model, config.innovations, samples[-1]["m"])
-    x = samples[-1]["x"]
-    target = asymptotic_variance(float(oracle.p(x)), config.kernel)
+    last = samples[-1][0]
+    oracle = density_oracle(config.model, config.innovations, last.m)
+    target = asymptotic_variance(float(oracle.p(last.xs[0])), config.kernel)
     rows = []
-    for s in samples:
-        n, l = s["n"], s["l"]
-        xi = (s["etas"] - (l**d) * s["e_site"]).ravel()
+    for point, _, etas in samples:
+        n, l = point.n, point.l
+        e_site = math.sqrt(point.b) * point.centering[1][0]
+        xi = (etas - (l**d) * e_site).ravel()
         lf1 = float(np.mean(xi**2)) / l**d
         lf2 = {}
         for e in eps_list:
             thr = float(n) ** (d / 2.0) * e
             lf2[e] = float(np.mean(xi**2 * (np.abs(xi) > thr))) / l**d
-        rows.append({"n": n, "m": s["m"], "l": l, "block_samples": xi.size, "lf1": lf1, "lf2": lf2})
+        rows.append({"n": n, "m": point.m, "l": l, "block_samples": xi.size, "lf1": lf1, "lf2": lf2})
     lf1_last = rows[-1]["lf1"]
     lf1_ok = abs(lf1_last - target) <= 0.15 * target
     lf2_ok = {}

@@ -86,7 +86,7 @@ def test_criterion_1_iid_baseline():
     start = time.time()
     report, _ = run_clt_experiment(cfg, grid_points(cfg, "clt"))
     elapsed = time.time() - start
-    pt = report.points[0]
+    pt = report["points"][0]
     var_ok = abs(pt["variance"] - SIGMA0_EPAN) <= 0.10 * SIGMA0_EPAN
     mean_ok = abs(pt["mean"]) <= 3.0 * math.sqrt(SIGMA0_EPAN / 1000.0)
     ks_ok = pt["ks"]["distance"] < pt["ks"]["crit_01"]
@@ -106,7 +106,7 @@ def test_criterion_1_iid_baseline():
 def test_criterion_2_dependent_d2(d2_experiment):
     """Power-decay d=2 regime at n=64: moments and KS against the exact oracle."""
     report, _, elapsed = d2_experiment
-    pt = [p for p in report.points if p["n"] == 64][0]
+    pt = [p for p in report["points"] if p["n"] == 64][0]
     sigma2 = pt["sigma2_target"]
     var_ok = abs(pt["variance"] - sigma2) <= 0.15 * sigma2
     skew_ok = abs(pt["skewness"]) < 0.2
@@ -126,7 +126,7 @@ def test_criterion_2_dependent_d2(d2_experiment):
 def test_criterion_3_remainder_contraction(d2_experiment):
     """Var(T_remainder) should drop from n=32 to n=64 and sit below 0.1 Var(T_n)."""
     report, table, _ = d2_experiment
-    p64 = [p for p in report.points if p["n"] == 64][0]
+    p64 = [p for p in report["points"] if p["n"] == 64][0]
     v32 = float(np.var(table["T_remainder"][table["n"] == 32], ddof=1))
     v64 = float(np.var(table["T_remainder"][table["n"] == 64], ddof=1))
     contraction_ok = v64 < v32

@@ -178,7 +178,7 @@ class TestRunCltExperiment:
             replicates=500,
         )
         rep, table = run_clt_experiment(cfg, grid_points(cfg, "clt"))
-        p1, p2 = rep.points
+        p1, p2 = rep["points"]
         v1 = np.var(table["T_remainder"][table["n"] == 1024], ddof=1)
         v2 = np.var(table["T_remainder"][table["n"] == 4096], ddof=1)
         assert v2 < v1
@@ -187,8 +187,8 @@ class TestRunCltExperiment:
     def test_single_replicate_inconclusive(self, geometric_half):
         cfg = _config(geometric_half, replicates=1, n_grid=(128,))
         rep, _ = run_clt_experiment(cfg, grid_points(cfg, "clt"))
-        assert rep.overall == "inconclusive"
-        assert rep.points[0]["verdicts"]["overall"] == "inconclusive"
+        assert rep["overall"] == "inconclusive"
+        assert rep["points"][0]["verdicts"]["overall"] == "inconclusive"
 
     def test_decomposition_identity_per_replicate(self, geometric_half):
         cfg = _config(geometric_half, replicates=50, n_grid=(256,))
@@ -196,7 +196,7 @@ class TestRunCltExperiment:
         t = table["T"]
         back = table["T_zeta"] + table["T_remainder"]
         assert np.max(np.abs(t - back)) <= 1e-12 * max(np.max(np.abs(t)), 1.0)
-        assert rep.nonfinite == 0
+        assert rep["nonfinite"] == 0
 
     def test_bit_identical_reports_and_thread_independence(self, geometric_half):
         cfg1 = _config(geometric_half, replicates=32, n_grid=(128,))
@@ -221,8 +221,8 @@ class TestRunCltExperiment:
             master_seed=MASTER_SEED,
         )
         rep, _ = run_clt_experiment(cfg, grid_points(cfg, "clt"))
-        assert rep.config["decay_window"]["passed"] is False
-        assert rep.config["delta"] == 0.4
+        assert rep["config"]["decay_window"]["passed"] is False
+        assert rep["config"]["delta"] == 0.4
         # without an explicit schedule the empty window is an error
         with pytest.raises(ValueError):
             ExperimentConfig(
@@ -258,7 +258,7 @@ class TestAgainstNaiveReimplementation:
             replicates=1,
         )
         report, table = run_clt_experiment(cfg, grid_points(cfg, "clt"))
-        pt = report.points[0]
+        pt = report["points"][0]
         assert (pt["m"], pt["M"], pt["seeds"]["stream"]) == (m, M, 0)
         b = pt["b"]
         seed = SeedSpec(MASTER_SEED, 0, 0)
@@ -592,8 +592,8 @@ class TestBlocks:
         rep = block_decomposition_check(cfg1, samples)
         assert rep["rows"][0]["blocks_per_axis"] == 1
         assert rep["rows"][0]["var_delta"] == 0.0
-        d = samples[0]
-        gap = d["totals"] - d["etas"].reshape(len(d["totals"]), -1).sum(axis=1)
+        _, totals, etas = samples[0]
+        gap = totals - etas.reshape(len(totals), -1).sum(axis=1)
         assert np.max(np.abs(gap)) == 0.0
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -656,11 +656,10 @@ class TestBlocks:
     def test_indicator_exactly_zero_for_large_eps(self, geometric_half, epanechnikov):
         cfg = _config(geometric_half, n_grid=(256,), replicates=100)
         samples = _samples(cfg, 2, 16)
-        s = samples[0]
-        b = s["b"]
+        point = samples[0][0]
         # |xi| <= l * 2 sup K / sqrt(b) almost surely, so a threshold above
         # that kills the indicator for every replicate
-        bound = s["l"] * 2 * epanechnikov.sup_value / math.sqrt(b)
+        bound = point.l * 2 * epanechnikov.sup_value / math.sqrt(point.b)
         eps = 2.0 * bound / math.sqrt(256.0)
         rep = lindeberg_estimate(cfg, samples, [eps])
         assert rep["rows"][0]["lf2"][eps] == 0.0
@@ -680,12 +679,13 @@ class TestBlocks:
 def _synthetic_block_sample(replicates, q):
     """One n-grid point of ``_block_samples``' shape, with normal block sums, at x = 0 of the geometric field."""
     rng = np.random.default_rng(MASTER_SEED)
-    oracle = density_oracle(CoefficientModel(d=1, family="geometric", ratio=0.5), InnovationModel("gaussian"), 4)
-    return {
-        "n": 4096, "m": 4, "l": 36, "q": q, "b": 4096**-0.5, "x": 0.0, "e_site": 2.0**-6,
-        "sigma2_target": asymptotic_variance(float(oracle.p(0.0)), kernel_by_name("epanechnikov")),
-        "totals": rng.standard_normal(replicates), "etas": rng.standard_normal((replicates, q)),
-    }
+    model = CoefficientModel(d=1, family="geometric", ratio=0.5)
+    oracle = density_oracle(model, InnovationModel("gaussian"), 4)
+    # the site centering sqrt(b) * E f_n(0) of X_m is 2^-6
+    point = replace(planned(model, 4096, 4, plan_truncation(model, m=4, policy="fixed", M=4)), b=4096**-0.5, l=36,
+                    q=q, xs=(0.0,), centering=((0.125,), (0.125,)),
+                    sigma2_target=(asymptotic_variance(float(oracle.p(0.0)), kernel_by_name("epanechnikov")),))
+    return point, rng.standard_normal(replicates), rng.standard_normal((replicates, q))
 
 
 def _traced_peak(fn, *args):
@@ -720,7 +720,7 @@ class TestLeanReductions:
         samples = _samples(cfg, *plan)
         got = block_decomposition_check(cfg, samples)
         assert got == block_reference.block_decomposition_check(cfg, samples)
-        q = samples[0]["q"]
+        q = samples[0][0].q
         assert (got["rows"][0]["adjacent_corr"] is None) == (q == 1)
         eps = [0.05, 0.5, 0.5, 2.0, 1e6]
         assert lindeberg_estimate(cfg, samples, eps) == block_reference.lindeberg_estimate(cfg, samples, eps)
@@ -729,7 +729,7 @@ class TestLeanReductions:
         cfg = _config(geometric_half, n_grid=(4096,), replicates=2000)
         samples = [_synthetic_block_sample(2000, 102)]
         # xi = eta - 36 * 2^-6 is exactly +-1, the threshold n^(1/2) eps at eps = 2^-6
-        samples[0]["etas"][0, :2] = (1.5625, -0.4375)
+        samples[0][2][0, :2] = (1.5625, -0.4375)
         assert block_decomposition_check(cfg, samples) == block_reference.block_decomposition_check(cfg, samples)
         eps = [2.0**-6, 0.02, 0.04]
         assert lindeberg_estimate(cfg, samples, eps) == block_reference.lindeberg_estimate(cfg, samples, eps)
@@ -738,7 +738,7 @@ class TestLeanReductions:
         # 7.0 and 3.1 times the sample with a centred copy and stacked pairs
         cfg = _config(geometric_half, n_grid=(4096,), replicates=20_000)
         samples = [_synthetic_block_sample(20_000, 102)]
-        size = samples[0]["etas"].nbytes
+        size = samples[0][2].nbytes
         assert _traced_peak(block_decomposition_check, cfg, samples) <= 4.5 * size
         assert _traced_peak(lindeberg_estimate, cfg, samples, [0.5, 1.0, 2.0]) <= 2.5 * size
 

@@ -184,6 +184,13 @@ class TestOneSchedule:
         assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
         assert [p.name for p in (tmp_path / sub.replace("-", "_")).iterdir()] == ["manifest.json"]
 
+    @pytest.mark.parametrize("sub,section", [("fixed-m-gap", "gap"), ("blocks", "blocks")])
+    def test_a_fixed_m_reports_no_delta_whatever_the_schedule_says(self, tmp_path, sub, section):
+        sets = ["schedule.delta=0.3", f"{section}.m=3", f"{section}.n_grid=[64,128]", f"{section}.replicates=20"]
+        assert self._main(tmp_path, sub, *sets) in (0, 2)
+        report = json.loads((tmp_path / sub.replace("-", "_") / "report.json").read_text())
+        assert report["config"]["delta"] is None
+
     def test_blocks_on_the_schedule_report_the_delta_they_ran(self, tmp_path):
         sets = ["blocks.m=null", "schedule.delta=0.3", "blocks.n_grid=[256,1024]"]
         assert self._main(tmp_path, "blocks", *sets) in (0, 2)
@@ -191,6 +198,53 @@ class TestOneSchedule:
         assert report["config"]["delta"] == 0.3
         # round(256^0.3) = 5 and round(1024^0.3) = 8
         assert [row["m"] for row in report["decomposition"]["rows"]] == [5, 8]
+
+
+class TestGridLength:
+    """An experiment's grid longer than its seed streams allow is rejected as the config loads."""
+
+    @pytest.mark.parametrize("sub,section", [("clt-run", "clt"), ("blocks", "blocks"), ("moment-check", "moment_check"),
+                                             ("fixed-m-gap", "gap")])
+    def test_exit_1_naming_the_n_grid_before_any_draw(self, tmp_path, capsys, no_draw, sub, section):
+        grid = list(range(16, 16 + clt.MAX_GRID_POINTS + 1))
+        assert _run(tmp_path, sub, "blocks_d1.json", f"{section}.n_grid={json.dumps(grid)}") == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: config key {section}.n_grid must be a nonempty list of integers of at most "
+                       f"{clt.MAX_GRID_POINTS} entries, got {len(grid)}\n")
+        manifest = _manifest(tmp_path, sub)
+        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
+        assert manifest["config"] is None and manifest["plan"] is None
+        assert [p.name for p in (tmp_path / sub.replace("-", "_")).iterdir()] == ["manifest.json"]
+
+
+class TestPointXs:
+    """Each grid point carries the x's its experiment tests, and the manifest's plan lists them."""
+
+    @pytest.mark.parametrize(
+        "sub,config,sets,count",
+        [
+            # null x_points: 0, 0.5 and 1 standard deviation of the field
+            ("clt-run", "power_decay_d2.json", ["clt.x_points=null", "clt.n_grid=[16,24]", "clt.replicates=5"], 3),
+            ("blocks", "blocks_d1.json", ["blocks.x_points=[0.0,0.5]", "blocks.n_grid=[64,128]",
+                                          "blocks.replicates=5"], 1),
+            ("moment-check", "blocks_d1.json", ["moment_check.n_grid=[64]", "moment_check.replicates=5",
+                                                "moment_check.rectangles=[4,16]"], 1),
+            ("fixed-m-gap", "geometric_truncation_gap.json", ["gap.n_grid=[128,256]", "gap.replicates=5"], 1),
+            ("gen-field", "power_decay_d2.json", ["gen_field.n=16"], 0),
+            ("kde", "power_decay_d2.json", ["kde.n=32"], 0),
+        ],
+    )
+    def test_the_manifest_plan_lists_each_points_xs(self, tmp_path, sub, config, sets, count):
+        assert _run(tmp_path, sub, config, *sets) in (0, 2)
+        points = _manifest(tmp_path, sub)["plan"]["points"]
+        assert points and all(len(p["xs"]) == count and p["xs"] == points[0]["xs"] for p in points)
+        assert all(len(p["sigma2_target"]) == count for p in points if count)
+
+    def test_clt_run_reports_its_subcommand_and_verdict(self, tmp_path):
+        code = _run(tmp_path, "clt-run", "power_decay_d2.json", "clt.n_grid=[16]", "clt.replicates=120")
+        report = json.loads((tmp_path / "clt_run" / "report.json").read_text())
+        assert code in (0, 2) and report["subcommand"] == "clt-run" and report["passed"] is (code == 0)
+        assert report["passed"] is (report["overall"] != "fail") is _manifest(tmp_path, "clt-run")["verdicts"]["passed"]
 
 
 class TestOracleFigures:

@@ -86,6 +86,8 @@ def _bad_values(path, k):
         unordered = st.lists(st.integers(1, 99), min_size=k.increasing, max_size=k.increasing + 2).filter(
             lambda v: any(b <= a for a, b in zip(v, v[1:])))
         outside += [short, unordered]
+    if k.most:
+        outside.append(st.lists(st.integers(1, 99), min_size=k.most + 1, max_size=k.most + 3))
     if k.only_if is not None:
         assert _default(f"{path.rsplit('.', 1)[0]}.{k.only_if[0]}") != k.only_if[1]
         outside.append(st.integers(1, 99))
