@@ -221,15 +221,17 @@ def _kernel_sum(kernel, x, values, b, axis=None, scratch=None):
 
 
 def _windowed_sums(kernel, xs, data, b):
-    """sum_i K((x - X_i)/b) at each of the points ``xs`` over the 1-D ``data``, from the sites in reach.
+    """sum_i K((x - X_i)/b) at each of the points ``xs`` over the values of ``data``, from the sites in reach.
 
-    The data are sorted once, and each x evaluates the kernel only on the
-    sorted sites within ``_reach`` of it, with the subtract-then-divide of
-    ``_kernel_values``, and sums that window in sorted order.  Every other
-    site's term is the kernel's exact 0.0, so the sum is within rounding of
-    ``_kernel_sum``'s, and does not depend on the order of ``data``.
+    The values are copied once, in C order, and the copy is sorted in place;
+    each x evaluates the kernel only on the sorted sites within ``_reach``
+    of it, with the subtract-then-divide of ``_kernel_values``, and sums
+    that window in sorted order.  Every other site's term is the kernel's
+    exact 0.0, so the sum is within rounding of ``_kernel_sum``'s, and does
+    not depend on the order of ``data``.
     """
-    ordered = np.sort(data)
+    ordered = np.array(data, dtype=float, order="C").ravel()
+    ordered.sort()
     reach = _reach(kernel, b)
     lo = np.searchsorted(ordered, xs - reach, side="left")
     hi = np.searchsorted(ordered, xs + reach, side="right")
@@ -256,11 +258,11 @@ def kde_estimate(values, x, b: float, kernel: KernelModel):
     """
     if b <= 0:
         raise ValueError("bandwidth must be positive")
-    data = np.asarray(values, dtype=float).ravel()
-    if data.size == 0:
+    count = np.size(values)
+    if count == 0:
         raise ValueError("field must be nonempty")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = _windowed_sums(kernel, xs, data, b) / data.size / b
+    out = _windowed_sums(kernel, xs, values, b) / count / b
     return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 

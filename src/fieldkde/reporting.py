@@ -1,8 +1,9 @@
 """Byte-stable report serialisation and run manifests.
 
-JSON output uses sorted keys and 17-significant-digit floats, so a report
-serialises to identical bytes on every run and every float round-trips to
-the same value.  A CSV table is a dict of columns, written in chunks with
+JSON output uses sorted keys, 17-significant-digit floats and strings
+escaped as JSON requires, so a report serialises to identical bytes on
+every run, loads with a strict parser, and every float round-trips to the
+same value.  A CSV table is a dict of columns, written in chunks with
 the same float format and an empty cell for None or a non-finite float;
 schemas are versioned via ``SCHEMA_VERSION`` and documented in the README.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, fields, is_dataclass
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -31,55 +33,76 @@ CSV_CHUNK_ROWS = 1024
 
 
 def float_repr(x: float) -> str:
+    """A finite float as reports write it, by ``_cell``'s rule; a NaN or an infinity raises ``ValueError``."""
+    x = float(x)
     if not math.isfinite(x):
         raise ValueError("reports must contain finite numbers only")
-    return _cell(float(x))
+    return format(x, ".1f" if x.is_integer() and abs(x) < 1e16 else ".17g")
 
 
-def _emit(obj, out: list) -> None:
-    """Append the JSON of ``obj`` to ``out``: a dataclass instance as the dict of its fields, numpy values as Python's.
+# a str dict key -> its escaped '"key":' prefix; reports reuse a few hundred keys, and the bound keeps the
+# cache small whatever a caller serialises
+_KEY_PREFIX: dict = {}
+_KEY_PREFIX_MAX = 4096
 
-    Dict keys are turned into strings with ``str`` and sorted.
-    """
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"')
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(float_repr(float(obj)))
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        out.append("[")
-        for i, v in enumerate(obj.tolist() if isinstance(obj, np.ndarray) else obj):
-            if i:
-                out.append(",")
-            _emit(v, out)
-        out.append("]")
-    elif isinstance(obj, dict) or (is_dataclass(obj) and not isinstance(obj, type)):
-        items = obj.items() if isinstance(obj, dict) else ((f.name, getattr(obj, f.name)) for f in fields(obj))
-        named = {str(k): v for k, v in items}
-        out.append("{")
-        for i, k in enumerate(sorted(named)):
-            if i:
-                out.append(",")
-            _emit(k, out)
-            out.append(":")
-            _emit(named[k], out)
-        out.append("}")
-    else:
-        raise TypeError(f"cannot serialise {type(obj)!r}")
+
+def _key(k: str) -> str:
+    prefix = encode_basestring(k) + ":"
+    if len(_KEY_PREFIX) < _KEY_PREFIX_MAX:
+        _KEY_PREFIX[k] = prefix
+    return prefix
+
+
+def _items(items) -> str:
+    return "[" + ",".join(map(_json, items)) + "]"
+
+
+def _dict(d: dict) -> str:
+    """Keys turned into strings with ``str``, then sorted."""
+    if set(map(type, d)) - {str}:
+        d = {str(k): v for k, v in d.items()}
+    return "{" + ",".join([(_KEY_PREFIX.get(k) or _key(k)) + _json(d[k]) for k in sorted(d)]) + "}"
+
+
+def _other(obj) -> str:
+    """The JSON of a value whose type ``_EMIT`` lacks: numpy values as Python's, a dataclass instance as the
+    dict of its fields, and subclasses of the JSON types as their base."""
+    if isinstance(obj, str):
+        return encode_basestring(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return float_repr(obj)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return _items(obj.tolist() if isinstance(obj, np.ndarray) else obj)
+    if isinstance(obj, dict):
+        return _dict(obj)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return _dict({f.name: getattr(obj, f.name) for f in fields(obj)})
+    raise TypeError(f"cannot serialise {type(obj)!r}")
+
+
+# exact type -> its JSON.  Strings go through json's C escaper: quotes, backslashes and every U+0000-U+001F
+# character escaped, the rest as it is
+_EMIT = {
+    float: float_repr,
+    str: encode_basestring,
+    dict: _dict,
+    list: _items,
+    tuple: _items,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _json(obj) -> str:
+    return _EMIT.get(type(obj), _other)(obj)
 
 
 def canonical_json(obj) -> bytes:
     """Deterministic JSON bytes: sorted keys, '.17g' floats, trailing newline."""
-    out: list[str] = []
-    _emit(obj, out)
-    return ("".join(out) + "\n").encode("utf-8")
+    return (_json(obj) + "\n").encode("utf-8")
 
 
 def write_report(obj, path) -> str:

@@ -248,6 +248,57 @@ class TestEstimator:
         assert np.array_equal(batch, single)
 
 
+def _two_copy_estimate(kernel, xs, values, b):
+    """``kde_estimate`` as it was when it flattened ``values`` and then sorted a second copy."""
+    data = np.asarray(values, dtype=float).ravel()
+    ordered = np.sort(data)
+    reach = _reach(kernel, b)
+    lo = np.searchsorted(ordered, xs - reach, side="left")
+    hi = np.searchsorted(ordered, xs + reach, side="right")
+    sums = np.empty(xs.size)
+    for j, xi in enumerate(xs):
+        u = xi - ordered[lo[j]:hi[j]]
+        u /= b
+        sums[j] = kernel(u).sum()
+    sums[np.isnan(xs) | np.isnan(ordered[-1])] = np.nan
+    return sums / data.size / b
+
+
+class TestOneSortedCopy:
+    """``kde_estimate`` sorts one private copy of the values: the old bits, the caller's array untouched."""
+
+    @pytest.fixture(scope="class")
+    def field(self, power_d2):
+        n = 128
+        plan = plan_truncation(power_d2, m=4, b=1.0 / n)
+        return coupled_pair(power_d2, n, 4, plan, SeedSpec(MASTER_SEED, 35))[0]
+
+    @pytest.mark.parametrize("view", ["contiguous", "transposed", "strided"])
+    def test_bits_of_the_two_copy_estimate_and_the_input_unchanged(self, field, view):
+        values = {"contiguous": field, "transposed": field.T, "strided": field[::2, 1::3]}[view]
+        before = values.copy()
+        xs = np.linspace(-2.5, 2.5, 41)
+        for name in KERNEL_NAMES:
+            k = kernel_by_name(name)
+            got = kde_estimate(values, xs, 4.0 / 128, k)
+            assert np.array_equal(got.view(np.int64), _two_copy_estimate(k, xs, values, 4.0 / 128).view(np.int64))
+            assert np.array_equal(values.view(np.int64), before.view(np.int64))
+
+    def test_a_strided_field_is_copied_once(self, field):
+        import tracemalloc
+
+        values = field.T[::2]  # 8,192 values, no flat view of them
+        k = kernel_by_name("epanechnikov")
+        kde_estimate(values, 0.0, 1.0 / 128, k)
+        tracemalloc.start()
+        try:
+            kde_estimate(values, 0.0, 1.0 / 128, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * values.nbytes  # twice its bytes when the flat copy was sorted into a second one
+
+
 @st.composite
 def _windowed_cases(draw):
     """(kernel name, data, xs, b) with sites on and near every window edge and non-finite values."""

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fieldkde import CoefficientModel, InnovationModel, wu_inequality_check
 from fieldkde.cli import CONFIG_KEYS, DEFAULT_CONFIG, load_config, main, plan_run
@@ -21,6 +22,7 @@ from fieldkde.field import TruncationPlan
 from fieldkde.reporting import CSV_CHUNK_ROWS, SCHEMA_VERSION, RunManifest, canonical_json, float_repr, write_csv
 
 from conftest import MASTER_SEED
+import json_reference
 
 REPO = Path(__file__).resolve().parents[1]
 SUBCOMMANDS = ["check-conditions", "gen-field", "kde", "clt-run", "blocks", "moment-check", "fixed-m-gap"]
@@ -99,6 +101,11 @@ BAD_VALUES = [(path, k, test) for path, k in TABLE_KEYS for test, values in zip(
               if values is not None]
 
 
+# what reports refuse, and what JSON has no form for
+_NON_FINITE = [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(math.inf), np.array([1.0, -math.inf])]
+_NO_FORM = [np.bool_(True), {1, 2}, object(), frozenset(), b"x", 1j, np.complex128(1.0)]
+
+
 class TestCanonicalJson:
     def test_serialisation_is_byte_stable(self):
         report = {"b": [1, 2.5, {"x": 0.1}], "a": "text", "z": None, "ok": True}
@@ -136,10 +143,95 @@ class TestCanonicalJson:
         assert canonical_json({10: (1, np.float32(0.5)), 9: [], "a": {2.5: None}}) == (
             b'{"10":[1,0.5],"9":[],"a":{"2.5":null}}\n')
 
-    @pytest.mark.parametrize("value", [np.bool_(True), {1, 2}, object()])
+    @pytest.mark.parametrize("value", _NO_FORM)
     def test_rejects_what_json_has_no_form_for(self, value):
         with pytest.raises(TypeError, match="cannot serialise"):
             canonical_json({"x": [value]})
+
+    def test_control_characters_are_escaped_and_load_strictly(self):
+        text = "".join(map(chr, range(32))) + '"\\\x7f é'
+        data = canonical_json({text: [text]})
+        assert json.loads(data.decode()) == {text: [text]}
+        assert b"\t" not in data and b"\r" not in data
+        assert data.startswith(b'{"\\u0000\\u0001') and b'\\b\\t\\n\\u000b\\f\\r' in data
+
+    def test_a_manifest_under_a_directory_with_a_tab_loads_strictly(self, tmp_path):
+        out = tmp_path / "tab\there\r"
+        assert main(["check-conditions", "--config", str(REPO / "configs/iid_baseline.json"), "--out", str(out)]) == 0
+        manifest = json.loads((out / "check_conditions" / "manifest.json").read_text(encoding="utf-8"))
+        assert str(out / "check_conditions" / "report.json") in manifest["outputs"]
+
+
+_FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+           | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.225073858507201e-308, 1e308,
+                              -1e308, 1.7976931348623157e308, 9999999999999998.0, 1e16, 1.0000000000000002e16,
+                              -9999999999999998.0, -1e16, -1.0000000000000002e16])
+           | st.integers(-2**62, 2**62).map(float))
+# quotes, backslashes, newlines and non-ASCII; no other control character, which the reference writes raw
+_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc")) | st.sampled_from('"\\\n'), max_size=8)
+_ARRAY_SHAPES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), _FINITE, _TEXT,
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8),
+    st.integers(-2**31, 2**31 - 1).map(np.int32), _FINITE.map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    hnp.arrays(np.float64, _ARRAY_SHAPES, elements=_FINITE), hnp.arrays(np.int64, _ARRAY_SHAPES),
+    hnp.arrays(np.bool_, _ARRAY_SHAPES),
+)
+_KEYS = _TEXT | st.integers() | _FINITE
+
+
+def _report_dataclasses(children):
+    """The report dataclasses with ``children`` where a field takes any value."""
+    finite_or_none = st.none() | _FINITE
+    return st.one_of(
+        st.builds(KsResult, _FINITE, _FINITE, _FINITE, st.integers(0, 10**6)),
+        st.builds(TruncationPlan, M=st.integers(1, 99), B_M=_FINITE, policy=_TEXT, eta=finite_or_none),
+        st.builds(ConditionReport, name=_TEXT, passed=st.booleans(), verdict=_TEXT,
+                  details=st.dictionaries(_TEXT, children, max_size=3),
+                  delta_interval=st.none() | st.tuples(_FINITE, _FINITE), delta_star=finite_or_none,
+                  thresholds=st.dictionaries(_TEXT, _FINITE, max_size=2), grid_rows=st.lists(children, max_size=2)),
+        st.builds(RunManifest, subcommand=_TEXT, config=st.none() | st.dictionaries(_TEXT, children, max_size=3),
+                  master_seed=st.none() | st.integers(), tool_version=_TEXT, started=_TEXT, plan=children,
+                  outputs=st.lists(_TEXT, max_size=2), verdicts=st.dictionaries(_TEXT, st.booleans(), max_size=2)),
+    )
+
+
+def _values(leaves):
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=4), _report_dataclasses(children)), max_leaves=16)
+
+
+def _outcome(serialise, value):
+    try:
+        return serialise(value)
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+class TestCanonicalJsonAgainstReference:
+    """``canonical_json`` writes the bytes of the per-token walk of ``json_reference``, and refuses what it refused."""
+
+    @given(_values(_LEAVES))
+    @settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    def test_bytes_equal_the_reference(self, value):
+        assert canonical_json(value) == json_reference.canonical_json(value)
+
+    @given(_values(_LEAVES | st.sampled_from(_NON_FINITE + _NO_FORM)))
+    @settings(max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+    def test_refusals_equal_the_reference(self, value):
+        assert _outcome(canonical_json, value) == _outcome(json_reference.canonical_json, value)
+
+    @pytest.mark.parametrize("value", _NON_FINITE, ids=repr)
+    def test_each_non_finite_value_is_refused_at_depth(self, value):
+        nested = {"a": [1, (2.5, {"b": value})], 3: "c"}
+        assert _outcome(canonical_json, nested) is _outcome(json_reference.canonical_json, nested) is ValueError
+
+    def test_a_run_plan_equals_the_reference(self):
+        cfg = load_config(str(REPO / "configs/power_decay_d2.json"), [])
+        plan = plan_run(cfg, "clt-run")
+        assert canonical_json(plan) == json_reference.canonical_json(plan)
 
 
 class TestDataclassSerialisation:
