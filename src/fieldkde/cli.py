@@ -45,6 +45,7 @@ from .clt import (
 )
 from .coefficients import (
     FAMILIES,
+    ParameterError,
     check_condition_c,
     check_decay_window,
     check_hallin,
@@ -212,7 +213,8 @@ def _apply_set(cfg: dict, assignment: str) -> None:
 
 
 def load_config(path: str | None, sets, seed=None, threads=None) -> dict:
-    """The config document with every key of CONFIG_KEYS checked and read, or a ToolError naming the key."""
+    """The config document with every key of CONFIG_KEYS checked and read, or a ToolError or ParameterError
+    naming the key."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path:
         try:
@@ -255,6 +257,8 @@ def load_config(path: str | None, sets, seed=None, threads=None) -> dict:
                 section[key] = _read(k, cfg[name][key], f"{name}.{key}", section, out)
             elif not k.family:
                 raise ToolError(f"missing config key {name}.{key}")
+        if name in _MODELS:  # the model checks what the table leaves to it, raising ParameterError
+            _MODELS[name](section)
     return out
 
 
@@ -291,6 +295,8 @@ def _parse(k: Key, value, d: int | None):
     return values
 
 
+# the sections whose model is built as they are read, so its refusal comes before a later section's
+_MODELS = {"coefficient": model_from_config, "innovations": InnovationModel.from_config}
 _KINDS = {
     "int": "an integer", "num": "a number", "ints": "a nonempty list of integers",
     "nums": "a nonempty list of numbers", "orders": "a list of orders, each one of {choices}",
@@ -345,18 +351,13 @@ def _bandwidth(cfg: dict) -> BandwidthSchedule:
 
 
 def _experiment(cfg: dict, section: str) -> ExperimentConfig:
-    sec, tr = cfg[section], cfg["truncation"]
+    sec = cfg[section]
     return ExperimentConfig(
         model=model_from_config(cfg["coefficient"]),
         innovations=InnovationModel.from_config(cfg["innovations"]),
         kernel=kernel_by_name(cfg["kernel"]),
         bandwidth=_bandwidth(cfg),
         n_grid=sec["n_grid"],
-        x_points=sec["x_points"],
-        delta=cfg["schedule"]["delta"],
-        truncation_policy=tr["policy"],
-        truncation_eta=tr["eta"],
-        truncation_M=tr["M"],
         replicates=sec["replicates"],
         master_seed=cfg["seed"],
         threads=cfg["threads"],
@@ -409,25 +410,54 @@ def _plan_field(cfg: dict, section: str):
     return (replace(point, draws=2 * point.draws),), 3 * n**model.d, 0
 
 
+def _points(cfg: dict, section: str, experiment: str, **kw) -> tuple:
+    """``grid_points`` of ``experiment`` with the x's of ``section`` and the schedule's delta."""
+    return grid_points(_experiment(cfg, section), experiment, x_points=cfg[section]["x_points"],
+                       delta=cfg["schedule"]["delta"], **kw)
+
+
 def _plan_clt(cfg: dict, section: str):
     # the replicate rows and one summary row per x
-    config = _experiment(cfg, section)
-    points = grid_points(config, "clt")
+    points, R = _points(cfg, section, "clt", **cfg["truncation"]), cfg[section]["replicates"]
     xs = len(points[0].xs)
-    return points, (config.replicates + 1) * xs, result_bytes(len(points), xs, config.replicates)
+    return points, (R + 1) * xs, result_bytes(len(points), xs, R)
 
 
 def _plan_blocks(cfg: dict, section: str):
     sec = cfg[section]
-    return grid_points(_experiment(cfg, section), "blocks", sec["m"], sec["l"]), 1 + len(sec["eps"]), 0
+    return _points(cfg, section, "blocks", m=sec["m"], l=sec["l"]), 1 + len(sec["eps"]), 0
 
 
 def _plan_moment_check(cfg: dict, section: str):
-    return grid_points(_experiment(cfg, section), "rectangles"), len(cfg[section]["rectangles"]), 0
+    return _points(cfg, section, "rectangles", **cfg["truncation"]), len(cfg[section]["rectangles"]), 0
 
 
 def _plan_gap(cfg: dict, section: str):
-    return grid_points(_experiment(cfg, section), "gap", cfg[section]["m"]), 1, 0
+    return _points(cfg, section, "gap", m=cfg[section]["m"], **cfg["truncation"]), 1, 0
+
+
+def _stated(cfg: dict, section: str, run: RunPlan) -> dict:
+    """A report's ``config``: what the run's points ran, and the keys its subcommand read, each once.
+
+    ``delta`` is stated only where the points follow the schedule, ``truncation`` where they run under
+    it (``blocks`` runs at M = m_n) and ``variance_band`` by ``clt-run`` alone; ``threads`` changes wall
+    time only, never numbers, so the manifest records it instead.
+    """
+    sec, model, bw = cfg[section], model_from_config(cfg["coefficient"]), _bandwidth(cfg)
+    window = check_decay_window(model.d, model.decay_exponent(), bw.gamma)
+    stated = {
+        "model": model.to_config(), "innovations": InnovationModel.from_config(cfg["innovations"]).to_config(),
+        "kernel": cfg["kernel"], "bandwidth": bw.to_config(), "n_grid": [p.n for p in run.points],
+        "x_points": list(run.points[0].xs), "decay_window": window, "replicates": sec["replicates"],
+        "master_seed": cfg["seed"],
+    }
+    if sec.get("m") is None:
+        stated["delta"] = window.delta_star if cfg["schedule"]["delta"] is None else cfg["schedule"]["delta"]
+    if section != "blocks":
+        stated["truncation"] = cfg["truncation"]
+    if section == "clt":
+        stated["variance_band"] = sec["variance_band"]
+    return stated
 
 
 def _coupled_draw(cfg: dict, point: GridPoint):
@@ -504,9 +534,13 @@ def cmd_kde(cfg: dict, section: str, run: RunPlan, out_dir: Path):
     sec, (point,) = cfg[section], run.points
     kern = kernel_by_name(cfg["kernel"])
     n, m, xs, b, plan = sec["n"], sec["m"], sec["x_grid"], point.b, point.truncation
-    model, innov, values, _ = _coupled_draw(cfg, point)
+    model, innov = model_from_config(cfg["coefficient"]), InnovationModel.from_config(cfg["innovations"])
+    try:  # before the draw
+        oracle = density_oracle(model, innov, m)
+    except ValueError as exc:
+        raise MomentError(str(exc), "m") from None
+    _, _, values, _ = _coupled_draw(cfg, point)
     est = kde_estimate(values, np.array(xs), b, kern)
-    oracle = density_oracle(model, innov, m)
     rows = [{"x": x, "estimate": float(e), "b": b, "oracle_density": float(px), "expected_estimate": float(ex),
              "sigma2_x": asymptotic_variance(float(px), kern)}
             for x, e, px, ex in zip(xs, est, oracle.p(np.array(xs)), expected_kde(oracle, kern, b, xs))]
@@ -515,9 +549,8 @@ def cmd_kde(cfg: dict, section: str, run: RunPlan, out_dir: Path):
 
 
 def cmd_clt_run(cfg: dict, section: str, run: RunPlan, out_dir: Path):
-    # only clt-run has a variance verdict
-    config = replace(_experiment(cfg, section), variance_band=cfg[section]["variance_band"])
-    report, replicates = run_clt_experiment(config, run.points)
+    report, replicates = run_clt_experiment(_experiment(cfg, section), run.points, cfg[section]["variance_band"])
+    report["config"] = _stated(cfg, section, run)
     summary = [{**point, **{f"ks_{k}": v for k, v in point.get("ks", {}).items()},
                 "verdict": point["verdicts"]["overall"]} for point in report["points"]]
     tables = {"clt_replicates": replicates, "clt_summary": table_columns(summary, CLT_SUMMARY_COLUMNS)}
@@ -529,8 +562,7 @@ def cmd_blocks(cfg: dict, section: str, run: RunPlan, out_dir: Path):
     samples = _block_samples(config, run.points)
     decomposition = block_decomposition_check(config, samples)
     lf = lindeberg_estimate(config, samples, cfg[section]["eps"])
-    report = {"config": config.resolved(scheduled=cfg[section]["m"] is None), "decomposition": decomposition,
-              "lindeberg": lf}
+    report = {"config": _stated(cfg, section, run), "decomposition": decomposition, "lindeberg": lf}
     # one row per eps, its lf2 after it
     lf_rows = [{**{k: v for k, v in row.items() if k != "lf2"}, "eps": e, "lf2": lf2}
                for row in lf["rows"] for e, lf2 in row["lf2"].items()]
@@ -544,15 +576,13 @@ def cmd_moment_check(cfg: dict, section: str, run: RunPlan, out_dir: Path):
     # before the rectangles' draws, so innovations without the moments fail first
     wu_reports = wu_inequality_check(config.model, config.innovations, sec["wu_p"])
     rect = rectangle_moment_check(config, sec["rectangles"], run.points, ratio_cap=sec["ratio_cap"])
-    report = {"config": config.resolved(), "wu": wu_reports, "rectangles": rect}
+    report = {"config": _stated(cfg, section, run), "wu": wu_reports, "rectangles": rect}
     return rect["passed"], report, {"rectangle_moments": table_columns(rect["rows"])}
 
 
 def cmd_fixed_m_gap(cfg: dict, section: str, run: RunPlan, out_dir: Path):
-    config = _experiment(cfg, section)
-    growing = cfg[section]["m"] is None
-    rep = fixed_m_gap(config, run.points, "growing" if growing else "fixed")
-    report = {"config": config.resolved(scheduled=growing), "gap": rep}
+    rep = fixed_m_gap(_experiment(cfg, section), run.points, "growing" if cfg[section]["m"] is None else "fixed")
+    report = {"config": _stated(cfg, section, run), "gap": rep}
     return rep["passed"], report, {"gap": table_columns(rep["rows"])}
 
 
@@ -609,7 +639,9 @@ def _message(exc: Exception, section: str) -> str:
     ``section`` is the config section of the subcommand, which holds the key of a ``MomentError``.
     """
     if isinstance(exc, MomentError):
-        return f"config key {section}.{exc.key}: {exc}"
+        return f"config key {exc.key if '.' in exc.key else f'{section}.{exc.key}'}: {exc}"
+    if isinstance(exc, ParameterError):
+        return f"config key {exc.key}: {exc}"
     if isinstance(exc, TruncationError):
         return f"config key truncation.{exc.key}: {exc}"
     if isinstance(exc, FieldSizeError):

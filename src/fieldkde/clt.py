@@ -24,7 +24,6 @@ import numpy as np
 
 from .coefficients import (
     CoefficientModel,
-    ConditionReport,
     check_decay_window,
     delta_n,
     m_schedule,
@@ -95,10 +94,11 @@ GAP_BAND = 0.15
 
 
 class MomentError(ValueError):
-    """A precondition of an experiment's moments fails: on the innovations, a limit variance, rectangle norm or
-    block variance of 0, or block sides that do not fit the lattice.
+    """A precondition of an experiment's moments fails: on the innovations, a density oracle at m, a limit
+    variance, rectangle norm or block variance of 0, or block sides that do not fit the lattice.
 
-    ``key`` is the key of the experiment's config section that decides it.
+    ``key`` is the key of the experiment's config section that decides it, or the dotted path of a shared
+    section's key.
     """
 
     def __init__(self, message: str, key: str = "x_points"):
@@ -108,21 +108,15 @@ class MomentError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment bit-for-bit."""
+    """What the replicate engine and the experiments read to reproduce one experiment bit-for-bit."""
 
     model: CoefficientModel
     innovations: InnovationModel
     kernel: KernelModel
     bandwidth: BandwidthSchedule
     n_grid: tuple
-    x_points: tuple | None = None  # absolute; None -> (0, 0.5, 1) * sqrt(variance)
-    delta: float | None = None  # None -> midpoint of the feasible window
-    truncation_policy: str = "bandwidth_relative"
-    truncation_eta: float = 0.01
-    truncation_M: int | None = None
     replicates: int = 200
     master_seed: int = 20260810
-    variance_band: float = 0.10
     threads: int = 1
     max_field_bytes: int = DEFAULT_MAX_FIELD_BYTES
 
@@ -138,52 +132,6 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        if self.x_points is not None:
-            object.__setattr__(self, "x_points", tuple(float(x) for x in self.x_points))
-            if not self.x_points or not all(map(math.isfinite, self.x_points)):
-                raise ValueError("x_points must be nonempty and finite")
-
-    def decay_window(self) -> ConditionReport:
-        return check_decay_window(self.model.d, self.model.decay_exponent(), self.bandwidth.gamma)
-
-    def resolve_delta(self) -> float:
-        """The exponent of the schedule m_n = round(n^delta): ``delta``, else the midpoint of the decay window."""
-        delta = self.decay_window().delta_star if self.delta is None else self.delta
-        if delta is None:
-            raise ValueError("config key schedule.delta must be a number where m_n follows the schedule and "
-                             "the decay/bandwidth window is empty, got null")
-        return delta
-
-    def resolve_x(self) -> tuple:
-        if self.x_points is not None:
-            return self.x_points
-        sd = math.sqrt(total_sq_mass(self.model))
-        return (0.0, 0.5 * sd, 1.0 * sd)
-
-    def resolved(self, scheduled: bool = True) -> dict:
-        """The config as reports state it; ``delta`` is null where the points are not ``scheduled`` on it, and where
-        none is given and the decay window is empty."""
-        window = self.decay_window()
-        return {
-            "model": self.model.to_config(),
-            "innovations": self.innovations.to_config(),
-            "kernel": self.kernel.name,
-            "bandwidth": self.bandwidth.to_config(),
-            "n_grid": list(self.n_grid),
-            "x_points": list(self.resolve_x()),
-            "delta": (window.delta_star if self.delta is None else self.delta) if scheduled else None,
-            "decay_window": asdict(window),
-            "truncation": {
-                "policy": self.truncation_policy,
-                "eta": self.truncation_eta,
-                "M": self.truncation_M,
-            },
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "variance_band": self.variance_band,
-            # thread count changes wall time only, never numbers, so it is
-            # recorded in the manifest rather than the report
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -262,23 +210,37 @@ def truncation_at(n: int, model: CoefficientModel, **request) -> TruncationPlan:
         raise TruncationError(exc.key, f"{exc} at n = {n}") from None
 
 
-def grid_points(config: ExperimentConfig, experiment: str, m: int | None = None, l: int | None = None) -> tuple:
+def grid_points(config: ExperimentConfig, experiment: str, m: int | None = None, l: int | None = None,
+                x_points=None, delta: float | None = None, **truncation) -> tuple:
     """The GridPoint of each n of the grid, every one planned before any is drawn.
 
     m_n is ``m``, or the schedule round(n^delta) where ``m`` is None, with
-    delta from ``config.resolve_delta``.  The fields are generated under the
-    config's truncation policy, but for "blocks", whose points carry the
-    sides l_n and q_n of ``block_sides(n, m_n, l)`` and are generated at
-    M = m_n.  A point's ``xs`` are every x for "clt" and the first for the
-    others, its oracle figures taken there from one density oracle per
-    distinct m.  A point no truncation meets raises ``TruncationError``,
-    and one whose blocks do not fit, or an x where the field's density is 0,
-    which has no limit law to test, ``MomentError``, each naming its n.  The
-    memory cap is left to ``check_cap``.
+    ``delta`` else the midpoint of the decay window.  The fields are
+    generated under ``truncation``, the keywords of ``plan_truncation``, but
+    for "blocks", whose points carry the sides l_n and q_n of
+    ``block_sides(n, m_n, l)`` and are generated at M = m_n.  A point's
+    ``xs`` are every x of ``x_points`` for "clt" and the first for the
+    others, where None stands for (0, 0.5, 1) standard deviations of the
+    field; its oracle figures are taken there from one density oracle per
+    distinct m.  A point no truncation meets raises ``TruncationError``, and
+    one whose blocks do not fit, an x where the field's density is 0, which
+    has no limit law to test, or an m where the oracle has no density,
+    ``MomentError``, each naming its n.  The memory cap is left to
+    ``check_cap``.
     """
     model, kern = config.model, config.kernel
-    xs = config.resolve_x() if experiment == "clt" else config.resolve_x()[:1]
-    delta = config.resolve_delta() if m is None else None
+    if x_points is None:
+        sd = math.sqrt(total_sq_mass(model))
+        x_points = (0.0, 0.5 * sd, sd)
+    xs = tuple(float(x) for x in x_points)
+    if not xs or not all(map(math.isfinite, xs)):
+        raise ValueError("x_points must be nonempty and finite")
+    xs = xs if experiment == "clt" else xs[:1]
+    if m is None and delta is None:
+        delta = check_decay_window(model.d, model.decay_exponent(), config.bandwidth.gamma).delta_star
+        if delta is None:
+            raise ValueError("config key schedule.delta must be a number where m_n follows the schedule and "
+                             "the decay/bandwidth window is empty, got null")
     oracles, points = {}, []
     for ni, n in enumerate(config.n_grid):
         b, extra = config.bandwidth.b(n), {}
@@ -287,10 +249,12 @@ def grid_points(config: ExperimentConfig, experiment: str, m: int | None = None,
             extra["l"], extra["q"] = block_sides(n, m_n, l)
             plan = TruncationPlan(M=m_n, B_M=residual_sqrt_mass(model, m_n), policy="fixed")
         else:
-            plan = truncation_at(n, model, m=m_n, b=b, policy=config.truncation_policy, eta=config.truncation_eta,
-                                 M=config.truncation_M)
+            plan = truncation_at(n, model, m=m_n, b=b, **truncation)
         if m_n not in oracles:
-            oracles[m_n] = density_oracle(model, config.innovations, m_n)
+            try:
+                oracles[m_n] = density_oracle(model, config.innovations, m_n)
+            except ValueError as exc:  # named by the key that set m_n
+                raise MomentError(f"{exc}, at m = {m_n} and n = {n}", "schedule.delta" if m is None else "m") from None
         oracle = oracles[m_n]
         sigma2 = tuple(asymptotic_variance(float(oracle.p(x)), kern) for x in xs)
         if 0.0 in sigma2:
@@ -479,11 +443,11 @@ def result_bytes(points: int, xs: int, replicates: int) -> int:
     return 8 * replicates * (6 * points * xs + 9 * xs + 1)
 
 
-def run_clt_experiment(config: ExperimentConfig, points) -> tuple[dict, dict]:
+def run_clt_experiment(config: ExperimentConfig, points, variance_band: float = 0.10) -> tuple[dict, dict]:
     """Estimate the law of T_n over independent replicates on the (n, x) grid: the report and the replicate table.
 
-    The report holds the resolved ``config``, the statistics of each (n, x)
-    under ``points``, the ``overall`` verdict and ``nonfinite``; the
+    The report holds the statistics of each (n, x) under ``points``, the
+    ``overall`` verdict and ``nonfinite``; the
     replicate values are not part of it.  Verdict per point: "consistent"
     when |mean| <= 3*sqrt(sigma_x^2/R), the empirical variance sits within
     ``variance_band`` of sigma_x^2 = p(x) int K^2, and the KS distance to
@@ -499,7 +463,7 @@ def run_clt_experiment(config: ExperimentConfig, points) -> tuple[dict, dict]:
     model, kern = config.model, config.kernel
     xs = points[0].xs
     R = config.replicates
-    report = {"config": config.resolved(), "points": [], "nonfinite": 0}
+    report = {"points": [], "nonfinite": 0}
     rows = R * len(xs)  # table rows per grid point
     table = {
         "n": np.repeat([point.n for point in points], rows),
@@ -539,7 +503,7 @@ def run_clt_experiment(config: ExperimentConfig, points) -> tuple[dict, dict]:
             elif R >= MIN_REPLICATES_FOR_VERDICT:
                 ks = ks_normality_test(T, sigma2)
                 mean_ok = abs(entry["mean"]) <= 3.0 * math.sqrt(sigma2 / R)
-                var_ok = abs(entry["variance"] - sigma2) <= config.variance_band * sigma2
+                var_ok = abs(entry["variance"] - sigma2) <= variance_band * sigma2
                 ks_ok = ks.distance < ks.crit_01
                 entry["ks"] = asdict(ks)
                 entry["verdicts"] = {

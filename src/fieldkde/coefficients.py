@@ -33,6 +33,7 @@ from .special import zeta
 __all__ = [
     "CoefficientModel",
     "ConditionReport",
+    "ParameterError",
     "delta_n",
     "coeff_box",
     "coeff_at",
@@ -51,6 +52,14 @@ __all__ = [
 FAMILIES = ("power_decay", "geometric", "finite_support")
 # parameters that belong to one family; another family rejects them
 _FAMILY_OF = {"q": "power_decay", "scale": "power_decay", "ratio": "geometric", "table": "finite_support"}
+
+
+class ParameterError(ValueError):
+    """A model parameter outside its domain; ``key`` is its config key, as "section.key"."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -73,43 +82,42 @@ class CoefficientModel:
 
     def __post_init__(self):
         if self.d < 1:
-            raise ValueError("dimension must be a positive integer")
+            raise ParameterError("coefficient.d", "dimension must be a positive integer")
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown coefficient family {self.family!r}")
+            raise ParameterError("coefficient.family", f"unknown coefficient family {self.family!r}")
         for key, family in _FAMILY_OF.items():
             if getattr(self, key) is not None and family != self.family:
-                raise ValueError(f"coefficient.{key} belongs to the {family} family, not to {self.family}")
+                raise ParameterError(f"coefficient.{key}", f"belongs to the {family} family, not to {self.family}")
         if self.family == "power_decay":
             if self.scale is None:
                 object.__setattr__(self, "scale", 1.0)
             if self.q is None or self.q <= self.d / 2.0:
-                raise ValueError(
-                    "power-decay requires q > d/2 for square summability "
-                    f"(got q={self.q}, d={self.d})"
+                raise ParameterError(
+                    "coefficient.q", f"power-decay requires q > d/2 for square summability (got q={self.q}, d={self.d})"
                 )
             if self.scale == 0:
-                raise ValueError("power-decay scale must be nonzero")
+                raise ParameterError("coefficient.scale", "power-decay scale must be nonzero")
         elif self.family == "geometric":
             if self.ratio is None or not (0.0 < self.ratio < 1.0):
-                raise ValueError("geometric ratio must lie in (0, 1)")
+                raise ParameterError("coefficient.ratio", f"geometric ratio must lie in (0, 1), got {self.ratio}")
             try:
                 total_sq_mass(self)
             except OverflowError:
-                raise ValueError(
-                    f"coefficient.ratio = {self.ratio} in d = {self.d} dimensions gives the weights "
-                    "a square sum (1 - r^2)^(-d) beyond the float range"
+                raise ParameterError(
+                    "coefficient.ratio", f"coefficient.ratio = {self.ratio} in d = {self.d} dimensions gives the "
+                    "weights a square sum (1 - r^2)^(-d) beyond the float range"
                 ) from None
         else:
-            if self.table is None:
-                raise ValueError("finite_support model needs a value table")
-            tab = np.asarray(self.table, dtype=float)
-            if tab.ndim != self.d:
-                raise ValueError("table dimensionality must match d")
-            if not np.all(np.isfinite(tab)):
-                raise ValueError("table values must be finite")
+            try:
+                tab = np.asarray(self.table, dtype=float)
+            except ValueError:  # a ragged table
+                tab = None
+            if self.table is None or tab is None or tab.ndim != self.d or not np.all(np.isfinite(tab)):
+                raise ParameterError("coefficient.table", f"finite_support needs a {self.d}-dimensional table of "
+                                     "finite values, one list of equal length per axis")
             object.__setattr__(self, "table", tab)
         if self.beta is not None and self.beta <= 0:
-            raise ValueError("declared decay exponent must be positive")
+            raise ParameterError("coefficient.beta", f"declared decay exponent must be positive, got {self.beta}")
 
     def decay_exponent(self) -> float:
         if self.beta is not None:
@@ -150,13 +158,7 @@ class CoefficientModel:
 
 
 def model_from_config(cfg: dict) -> CoefficientModel:
-    cfg = dict(cfg)
-    family = cfg.pop("family")
-    d = int(cfg.pop("d"))
-    table = cfg.pop("table", None)
-    if table is not None:
-        table = np.asarray(table, dtype=float)
-    return CoefficientModel(d=d, family=family, table=table, **cfg)
+    return CoefficientModel(**cfg)
 
 
 # ---------------------------------------------------------------------------

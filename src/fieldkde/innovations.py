@@ -17,6 +17,8 @@ import numpy as np
 # loaded at import, not inside the first draw: numpy imports np.random lazily
 from numpy.random import Generator, Philox
 
+from .coefficients import ParameterError
+
 __all__ = [
     "InnovationModel",
     "SeedSpec",
@@ -47,15 +49,11 @@ class InnovationModel:
 
     def __post_init__(self):
         if self.name not in _NAMES:
-            raise ValueError(f"unknown innovation model {self.name!r}")
+            raise ParameterError("innovations.name", f"unknown innovation model {self.name!r}")
         if self.nu is not None and self.name != "student_t":
-            raise ValueError(f"innovations.nu belongs to student_t, not to {self.name}")
-        if self.name == "student_t":
-            if self.nu is None or self.nu <= 2.0:
-                raise ValueError(
-                    "student_t needs nu > 2 (finite variance); got nu="
-                    f"{self.nu}"
-                )
+            raise ParameterError("innovations.nu", f"belongs to student_t, not to {self.name}")
+        if self.name == "student_t" and (self.nu is None or self.nu <= 2.0):
+            raise ParameterError("innovations.nu", f"student_t needs nu > 2 (finite variance), got {self.nu}")
 
     @property
     def lipschitz_density(self) -> bool:

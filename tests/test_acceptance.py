@@ -58,14 +58,12 @@ def d2_experiment():
         kernel=kernel_by_name("gaussian"),
         bandwidth=BandwidthSchedule(d=2, gamma=1.0),
         n_grid=(32, 64),
-        x_points=(0.0,),
-        delta=5.0 / 12.0,
         replicates=500,
         master_seed=MASTER_SEED,
-        variance_band=0.15,
     )
     start = time.time()
-    report, table = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+    points = grid_points(cfg, "clt", x_points=(0.0,), delta=5.0 / 12.0)
+    report, table = run_clt_experiment(cfg, points, variance_band=0.15)
     return report, table, time.time() - start
 
 
@@ -78,13 +76,11 @@ def test_criterion_1_iid_baseline():
         kernel=kernel_by_name("epanechnikov"),
         bandwidth=BandwidthSchedule(d=1, gamma=0.2),
         n_grid=(4096,),
-        x_points=(0.0,),
-        delta=0.05,
         replicates=1000,
         master_seed=MASTER_SEED,
     )
     start = time.time()
-    report, _ = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+    report, _ = run_clt_experiment(cfg, grid_points(cfg, "clt", x_points=(0.0,), delta=0.05))
     elapsed = time.time() - start
     pt = report["points"][0]
     var_ok = abs(pt["variance"] - SIGMA0_EPAN) <= 0.10 * SIGMA0_EPAN
@@ -168,17 +164,15 @@ def test_criterion_5_truncation_gap():
         kernel=kernel_by_name("epanechnikov"),
         bandwidth=BandwidthSchedule(d=1, gamma=0.5),
         n_grid=(1024, 4096, 16384),
-        x_points=(0.0,),
         replicates=150,
         master_seed=MASTER_SEED,
     )
-    fixed_cfg = ExperimentConfig(**base)
-    fixed = fixed_m_gap(fixed_cfg, grid_points(fixed_cfg, "gap", 2), "fixed")
+    cfg = ExperimentConfig(**base)
+    fixed = fixed_m_gap(cfg, grid_points(cfg, "gap", 2, x_points=(0.0,)), "fixed")
     gaps = [r["gap"] for r in fixed["rows"]]
     limit_ok = abs(gaps[-1] - GAP_LIMIT) <= 0.15 * GAP_LIMIT
     not_vanishing = gaps[-1] >= 0.5 * max(gaps)
-    growing_cfg = ExperimentConfig(**{**base, "delta": 0.25})
-    growing = fixed_m_gap(growing_cfg, grid_points(growing_cfg, "gap"), "growing")
+    growing = fixed_m_gap(cfg, grid_points(cfg, "gap", x_points=(0.0,), delta=0.25), "growing")
     ggaps = [r["gap"] for r in growing["rows"]]
     halved = ggaps[-1] <= 0.5 * ggaps[0]
     ok = limit_ok and not_vanishing and halved
@@ -200,12 +194,10 @@ def test_criterion_6_block_machinery():
         kernel=kernel_by_name("epanechnikov"),
         bandwidth=BandwidthSchedule(d=1, gamma=0.5),
         n_grid=(256, 1024, 4096),
-        x_points=(0.0,),
-        delta=0.15,
         replicates=1500,
         master_seed=MASTER_SEED,
     )
-    samples = _block_samples(cfg, grid_points(cfg, "blocks", 4))  # l_n = 4 * ceil(log n)
+    samples = _block_samples(cfg, grid_points(cfg, "blocks", 4, x_points=(0.0,)))  # l_n = 4 * ceil(log n)
     dec = block_decomposition_check(cfg, samples)
     lf = lindeberg_estimate(cfg, samples, [0.5, 1.0, 2.0])
     vals = [r["var_delta"] for r in dec["rows"]]
@@ -235,12 +227,11 @@ def test_criterion_7_moment_inequalities():
         kernel=kernel_by_name("epanechnikov"),
         bandwidth=BandwidthSchedule(d=1, gamma=0.2),
         n_grid=(1024,),
-        x_points=(0.0,),
-        delta=0.25,
         replicates=400,
         master_seed=MASTER_SEED,
     )
-    rect = rectangle_moment_check(cfg, [2**r for r in range(2, 11)], grid_points(cfg, "rectangles"))
+    points = grid_points(cfg, "rectangles", x_points=(0.0,), delta=0.25)
+    rect = rectangle_moment_check(cfg, [2**r for r in range(2, 11)], points)
     rect_ok = rect["max_min_ratio"] < 3.0
     ok = p1_ok and p2_ok and rect_ok
     _line(
@@ -294,13 +285,11 @@ def test_criterion_8_engineering_invariants():
             kernel=kernel_by_name("epanechnikov"),
             bandwidth=BandwidthSchedule(d=1, gamma=0.2),
             n_grid=(256,),
-            x_points=(0.0,),
-            delta=0.15,
             replicates=40,
             master_seed=MASTER_SEED,
             threads=threads,
         )
-        blobs.append(canonical_json(run_clt_experiment(cfg, grid_points(cfg, "clt"))))
+        blobs.append(canonical_json(run_clt_experiment(cfg, grid_points(cfg, "clt", x_points=(0.0,), delta=0.15))))
     threads_ok = blobs[0] == blobs[1] == blobs[2]
     ok = conv_ok and coupling_ok and threads_ok
     _line(

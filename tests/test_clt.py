@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -46,13 +47,15 @@ def _config(model, **kw):
         kernel=kernel_by_name("epanechnikov"),
         bandwidth=BandwidthSchedule(d=model.d, gamma=0.2),
         n_grid=(512,),
-        x_points=(0.0,),
-        delta=0.15,
         replicates=200,
         master_seed=MASTER_SEED,
     )
     defaults.update(kw)
     return ExperimentConfig(model=model, **defaults)
+
+
+# the x's and the schedule of the grid points, unless a test says otherwise
+PLAN = {"x_points": (0.0,), "delta": 0.15}
 
 
 class TestExperimentConfig:
@@ -66,7 +69,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("points", [(), (math.nan,), (0.0, math.inf), (-math.inf,)])
     def test_rejects_empty_or_nonfinite_x_points(self, geometric_half, points):
         with pytest.raises(ValueError, match="x_points must be nonempty and finite"):
-            _config(geometric_half, x_points=points)
+            grid_points(_config(geometric_half), "clt", x_points=points, delta=0.15)
 
 
 def _point(config, n, m, plan, stream, batch=None):
@@ -153,14 +156,14 @@ class TestReplicateEngine:
 class TestNormalizedStatistic:
     def test_identity_truncation_kills_remainder(self, identity_weights):
         # one weight: the truncated field is the field itself at every m
-        cfg = _config(identity_weights, n_grid=(256,), x_points=(0.0,), replicates=20)
-        _, table = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+        cfg = _config(identity_weights, n_grid=(256,), replicates=20)
+        _, table = run_clt_experiment(cfg, grid_points(cfg, "clt", **PLAN))
         assert table["T_remainder"].tolist() == [0.0] * 20
         assert table["T"].tolist() == table["T_zeta"].tolist()
 
     def test_decomposition_identity(self, geometric_half):
-        cfg = _config(geometric_half, n_grid=(512,), x_points=(0.2,), replicates=20)
-        _, table = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+        cfg = _config(geometric_half, n_grid=(512,), replicates=20)
+        _, table = run_clt_experiment(cfg, grid_points(cfg, "clt", x_points=(0.2,), delta=0.15))
         t, tz, tr = (table[k] for k in ("T", "T_zeta", "T_remainder"))
         assert np.max(np.abs(t - (tz + tr))) <= 1e-12 * max(np.max(np.abs(t)), 1.0)
 
@@ -174,10 +177,9 @@ class TestRunCltExperiment:
             geometric_half,
             kernel=kernel_by_name("gaussian"),
             n_grid=(1024, 4096),
-            delta=0.199,
             replicates=500,
         )
-        rep, table = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+        rep, table = run_clt_experiment(cfg, grid_points(cfg, "clt", x_points=(0.0,), delta=0.199))
         p1, p2 = rep["points"]
         v1 = np.var(table["T_remainder"][table["n"] == 1024], ddof=1)
         v2 = np.var(table["T_remainder"][table["n"] == 4096], ddof=1)
@@ -186,13 +188,13 @@ class TestRunCltExperiment:
 
     def test_single_replicate_inconclusive(self, geometric_half):
         cfg = _config(geometric_half, replicates=1, n_grid=(128,))
-        rep, _ = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+        rep, _ = run_clt_experiment(cfg, grid_points(cfg, "clt", **PLAN))
         assert rep["overall"] == "inconclusive"
         assert rep["points"][0]["verdicts"]["overall"] == "inconclusive"
 
     def test_decomposition_identity_per_replicate(self, geometric_half):
         cfg = _config(geometric_half, replicates=50, n_grid=(256,))
-        rep, table = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+        rep, table = run_clt_experiment(cfg, grid_points(cfg, "clt", **PLAN))
         t = table["T"]
         back = table["T_zeta"] + table["T_remainder"]
         assert np.max(np.abs(t - back)) <= 1e-12 * max(np.max(np.abs(t)), 1.0)
@@ -201,40 +203,26 @@ class TestRunCltExperiment:
     def test_bit_identical_reports_and_thread_independence(self, geometric_half):
         cfg1 = _config(geometric_half, replicates=32, n_grid=(128,))
         cfg4 = _config(geometric_half, replicates=32, n_grid=(128,), threads=4)
-        a = canonical_json(run_clt_experiment(cfg1, grid_points(cfg1, "clt")))
-        b = canonical_json(run_clt_experiment(cfg1, grid_points(cfg1, "clt")))
-        c = canonical_json(run_clt_experiment(cfg4, grid_points(cfg4, "clt")))
+        a = canonical_json(run_clt_experiment(cfg1, grid_points(cfg1, "clt", **PLAN)))
+        b = canonical_json(run_clt_experiment(cfg1, grid_points(cfg1, "clt", **PLAN)))
+        c = canonical_json(run_clt_experiment(cfg4, grid_points(cfg4, "clt", **PLAN)))
         assert a == b == c
 
-    def test_fail_regime_runs_but_is_labelled(self, power_d2):
+    def test_fail_regime_runs_but_is_labelled(self, tmp_path, power_d2):
         # experiments outside the feasible window are allowed with an
         # explicit schedule and carry the window verdict in the report
-        cfg = ExperimentConfig(
-            model=power_d2,
-            innovations=InnovationModel("gaussian"),
-            kernel=kernel_by_name("epanechnikov"),
-            bandwidth=BandwidthSchedule(d=2, gamma=1.3),
-            n_grid=(16,),
-            x_points=(0.0,),
-            delta=0.4,
-            replicates=20,
-            master_seed=MASTER_SEED,
-        )
-        rep, _ = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+        from fieldkde.cli import main
+
+        sets = ['coefficient={"family":"power_decay","d":2,"q":4.0}', "bandwidth.gamma=1.3", "clt.n_grid=[16]",
+                "schedule.delta=0.4", "clt.replicates=20"]
+        assert main(["clt-run", "--out", str(tmp_path), *(a for s in sets for a in ("--set", s))]) in (0, 2)
+        rep = json.loads((tmp_path / "clt_run" / "report.json").read_text())
         assert rep["config"]["decay_window"]["passed"] is False
         assert rep["config"]["delta"] == 0.4
         # without an explicit schedule the empty window is an error
-        with pytest.raises(ValueError):
-            ExperimentConfig(
-                model=power_d2,
-                innovations=InnovationModel("gaussian"),
-                kernel=kernel_by_name("epanechnikov"),
-                bandwidth=BandwidthSchedule(d=2, gamma=1.3),
-                n_grid=(16,),
-                x_points=(0.0,),
-                replicates=20,
-                master_seed=MASTER_SEED,
-            ).resolve_delta()
+        cfg = _config(power_d2, bandwidth=BandwidthSchedule(d=2, gamma=1.3), n_grid=(16,), replicates=20)
+        with pytest.raises(ValueError, match="config key schedule.delta"):
+            grid_points(cfg, "clt", x_points=(0.0,))
 
 
 class TestAgainstNaiveReimplementation:
@@ -251,13 +239,10 @@ class TestAgainstNaiveReimplementation:
             power_d2,
             bandwidth=BandwidthSchedule(d=2, gamma=0.4),
             n_grid=(n,),
-            x_points=(x,),
-            delta=0.25,  # round(12^0.25) = 2
-            truncation_policy="fixed",
-            truncation_M=M,
             replicates=1,
         )
-        report, table = run_clt_experiment(cfg, grid_points(cfg, "clt"))
+        # round(12^0.25) = 2
+        report, table = run_clt_experiment(cfg, grid_points(cfg, "clt", x_points=(x,), delta=0.25, policy="fixed", M=M))
         pt = report["points"][0]
         assert (pt["m"], pt["M"], pt["seeds"]["stream"]) == (m, M, 0)
         b = pt["b"]
@@ -580,7 +565,7 @@ class TestWuInequality:
 
 def _samples(config, m, l=None):
     """``_block_samples`` at the grid points of gap ``m`` and block side ``l``."""
-    return _block_samples(config, grid_points(config, "blocks", m, l))
+    return _block_samples(config, grid_points(config, "blocks", m, l, **PLAN))
 
 
 class TestBlocks:
@@ -780,22 +765,22 @@ class TestRectangles:
         # independence: ||sum over rect||_2 / sqrt(vol) equals ||zeta_bar||_2
         # for every rectangle, up to Monte Carlo noise
         cfg = _config(identity_weights, n_grid=(1024,), replicates=500)
-        rep = rectangle_moment_check(cfg, [4, 16, 64, 256, 1024], grid_points(cfg, "rectangles"))
+        rep = rectangle_moment_check(cfg, [4, 16, 64, 256, 1024], grid_points(cfg, "rectangles", **PLAN))
         vals = [r["zeta_normalized_l2"] for r in rep["rows"]]
         assert max(vals) / min(vals) < 1.2
 
     def test_geometric_bounded(self, geometric_half):
-        cfg = _config(geometric_half, n_grid=(1024,), replicates=400, delta=0.25)
-        rep = rectangle_moment_check(cfg, [2**r for r in range(2, 11)], grid_points(cfg, "rectangles"))
+        cfg = _config(geometric_half, n_grid=(1024,), replicates=400)
+        rep = rectangle_moment_check(cfg, [2**r for r in range(2, 11)], grid_points(cfg, "rectangles", delta=0.25))
         assert rep["max_min_ratio"] < 3.0
         assert rep["passed"]
 
     def test_rectangle_larger_than_the_grid_is_rejected(self, identity_weights):
         cfg = _config(identity_weights, n_grid=(64, 128), replicates=5)
         with pytest.raises(ValueError, match=r"rectangle \[128\] does not fit inside n=64"):
-            rectangle_moment_check(cfg, [4, 128], grid_points(cfg, "rectangles"))
+            rectangle_moment_check(cfg, [4, 128], grid_points(cfg, "rectangles", **PLAN))
         with pytest.raises(ValueError, match="need at least one rectangle"):
-            rectangle_moment_check(cfg, [], grid_points(cfg, "rectangles"))
+            rectangle_moment_check(cfg, [], grid_points(cfg, "rectangles", **PLAN))
 
     def test_scaling_leaves_verdict_unchanged(self):
         base = CoefficientModel(d=1, family="power_decay", q=2.5)
@@ -803,8 +788,8 @@ class TestRectangles:
         rects = [4, 16, 64, 256]
         reps = []
         for model in (base, doubled):
-            cfg = _config(model, n_grid=(256,), replicates=200, delta=0.25)
-            reps.append(rectangle_moment_check(cfg, rects, grid_points(cfg, "rectangles")))
+            cfg = _config(model, n_grid=(256,), replicates=200)
+            reps.append(rectangle_moment_check(cfg, rects, grid_points(cfg, "rectangles", delta=0.25)))
         assert reps[0]["passed"] == reps[1]["passed"]
         # normalised levels scale with the field, ratios do not
         assert reps[0]["max_min_ratio"] == pytest.approx(reps[1]["max_min_ratio"], rel=0.2)
@@ -839,7 +824,7 @@ def _gap_quadrature_oracle(v, v_m, b, rough_grid=801):
 class TestTruncationGap:
     def test_identity_truncation_zero_gap(self, identity_weights):
         cfg = _config(identity_weights, n_grid=(256, 1024), replicates=20)
-        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", 1), "fixed")
+        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", 1, **PLAN), "fixed")
         assert all(r["gap"] == 0.0 for r in rep["rows"])
 
     def test_fixed_gap_matches_quadrature(self, geometric_half):
@@ -849,7 +834,7 @@ class TestTruncationGap:
             n_grid=(4096,),
             replicates=60,
         )
-        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", 2), "fixed")
+        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", 2, **PLAN), "fixed")
         row = rep["rows"][0]
         oracle = _gap_quadrature_oracle(4.0 / 3.0, 1.25, row["b"])
         assert row["gap"] == pytest.approx(oracle, abs=4 * row["se"])
@@ -861,7 +846,7 @@ class TestTruncationGap:
             n_grid=(1024, 4096, 16384),
             replicates=100,
         )
-        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", 2), "fixed")
+        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", 2, **PLAN), "fixed")
         assert rep["oracle_limit"] == pytest.approx(0.42139138362113, abs=1e-10)
         assert rep["passed"]
 
@@ -870,10 +855,9 @@ class TestTruncationGap:
             geometric_half,
             bandwidth=BandwidthSchedule(d=1, gamma=0.5),
             n_grid=(1024, 4096, 16384),
-            delta=0.25,
             replicates=60,
         )
-        rep = fixed_m_gap(cfg, grid_points(cfg, "gap"), "growing")
+        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", x_points=(0.0,), delta=0.25), "growing")
         gaps = [r["gap"] for r in rep["rows"]]
         assert gaps[-1] <= 0.5 * gaps[0]
         assert rep["fitted_c"] > 0

@@ -172,7 +172,7 @@ class TestOneSchedule:
     def test_a_fixed_m_needs_no_delta(self, tmp_path, sub, section):
         assert self._main(tmp_path, sub, self.HEAVY, f"{section}.n_grid=[64,128]", f"{section}.replicates=20") in (0, 2)
         report = json.loads((tmp_path / sub.replace("-", "_") / "report.json").read_text())
-        assert report["config"]["delta"] is None and report["config"]["decay_window"]["passed"] is False
+        assert "delta" not in report["config"] and report["config"]["decay_window"]["passed"] is False
 
     @pytest.mark.parametrize("sub,sets", [("clt-run", []), ("moment-check", []), ("fixed-m-gap", ["gap.m=null"])])
     def test_the_schedule_without_a_delta_exits_1_naming_schedule_delta_before_any_draw(self, tmp_path, capsys,
@@ -189,7 +189,7 @@ class TestOneSchedule:
         sets = ["schedule.delta=0.3", f"{section}.m=3", f"{section}.n_grid=[64,128]", f"{section}.replicates=20"]
         assert self._main(tmp_path, sub, *sets) in (0, 2)
         report = json.loads((tmp_path / sub.replace("-", "_") / "report.json").read_text())
-        assert report["config"]["delta"] is None
+        assert "delta" not in report["config"]
 
     def test_blocks_on_the_schedule_report_the_delta_they_ran(self, tmp_path):
         sets = ["blocks.m=null", "schedule.delta=0.3", "blocks.n_grid=[256,1024]"]
@@ -280,7 +280,7 @@ class TestOracleFigures:
         cfg = load_config(str(CONFIGS / "geometric_truncation_gap.json"), ["gap.n_grid=[256,1024]"])
         config = cli._experiment(cfg, "gap")
         oracle = clt.density_oracle(config.model, config.innovations, 2)
-        kern, x = config.kernel, config.resolve_x()[0]
+        kern, x = config.kernel, 0.0  # the first of the x's at 0, 0.5 and 1 standard deviations
         for point in plan_run(cfg, "fixed-m-gap").points:
             assert point.sigma2_target == (clt.asymptotic_variance(float(oracle.p(x)), kern),)
             assert point.sigma2_truncated == (clt.asymptotic_variance(float(oracle.p_m(x)), kern),)
@@ -438,3 +438,68 @@ class TestDrawCount:
             monkeypatch.setattr(module, name, counting(getattr(module, name)))
         assert _run(tmp_path, sub, config, *sets) in (0, 2)
         assert sum(drawn) == _manifest(tmp_path, sub)["plan"]["draws"] > 0
+
+
+class TestModelKeys:
+    """The coefficient and innovation models check their parameters as the config loads, each error naming its key."""
+
+    @pytest.mark.parametrize("sub", ["check-conditions", "clt-run"])
+    @pytest.mark.parametrize(
+        "assignment,key,message",
+        [
+            ('coefficient={"family":"power_decay","d":2,"q":0.5}', "coefficient.q", "power-decay requires q > d/2"),
+            ('coefficient={"family":"power_decay","d":1,"q":4.0,"scale":0}', "coefficient.scale",
+             "power-decay scale must be nonzero"),
+            ('coefficient={"family":"geometric","d":1,"ratio":1.5}', "coefficient.ratio",
+             "geometric ratio must lie in (0, 1), got 1.5"),
+            ('coefficient={"family":"finite_support","d":2,"table":[1.0,0.5]}', "coefficient.table",
+             "finite_support needs a 2-dimensional table"),
+            ('coefficient={"family":"finite_support","d":2,"table":[[1.0],[0.5,0.2]]}', "coefficient.table",
+             "finite_support needs a 2-dimensional table"),
+            ('coefficient={"family":"finite_support","d":1}', "coefficient.table", "finite_support needs a 1-dim"),
+            ('coefficient={"family":"geometric","d":1,"ratio":0.5,"beta":-1.0}', "coefficient.beta",
+             "declared decay exponent must be positive, got -1.0"),
+            ('coefficient={"family":"geometric","d":1,"ratio":0.5,"q":4.0}', "coefficient.q",
+             "belongs to the power_decay family, not to geometric"),
+            ('coefficient={"family":"power_decay","d":1,"q":4.0,"ratio":0.5}', "coefficient.ratio",
+             "belongs to the geometric family, not to power_decay"),
+            ('coefficient={"family":"finite_support","d":1,"table":[1.0],"scale":2.0}', "coefficient.scale",
+             "belongs to the power_decay family, not to finite_support"),
+            ('coefficient={"family":"power_decay","d":1,"q":4.0,"table":[1.0]}', "coefficient.table",
+             "belongs to the finite_support family, not to power_decay"),
+            ('innovations={"name":"student_t","nu":2}', "innovations.nu", "student_t needs nu > 2 (finite variance)"),
+            ('innovations={"name":"student_t"}', "innovations.nu", "student_t needs nu > 2 (finite variance)"),
+            ('innovations={"name":"gaussian","nu":5}', "innovations.nu", "belongs to student_t, not to gaussian"),
+        ],
+    )
+    def test_exit_1_naming_the_key_before_any_plan(self, tmp_path, capsys, no_draw, sub, assignment, key, message):
+        assert _run(tmp_path, sub, "power_decay_d2.json", assignment) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key}: {message}"), err
+        manifest = _manifest(tmp_path, sub)
+        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
+        assert manifest["config"] is None and manifest["plan"] is None
+        assert [p.name for p in (tmp_path / sub.replace("-", "_")).iterdir()] == ["manifest.json"]
+
+
+class TestUniformRefusal:
+    """Uniform innovations with one nonzero weight in [0, m)^d are refused before any draw, naming the key of m."""
+
+    GEOMETRIC = ['coefficient={"family":"geometric","d":1,"ratio":0.5}', 'innovations={"name":"uniform"}']
+
+    @pytest.mark.parametrize(
+        "sub,sets,key",
+        [
+            ("fixed-m-gap", ["gap.m=1", "gap.n_grid=[64,128]"], "gap.m"),
+            # round(n^0.01) = 1 at every n of the grid
+            ("clt-run", ["schedule.delta=0.01", "clt.n_grid=[64]"], "schedule.delta"),
+            ("kde", ["kde.m=1", "kde.n=64"], "kde.m"),
+        ],
+    )
+    def test_exit_1_naming_the_key_that_set_m(self, tmp_path, capsys, no_draw, sub, sets, key):
+        assert _run(tmp_path, sub, "blocks_d1.json", *self.GEOMETRIC, *sets) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key}: uniform innovations need two nonzero weights in [0, m)^d"), err
+        manifest = _manifest(tmp_path, sub)
+        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
+        assert [p.name for p in (tmp_path / sub.replace("-", "_")).iterdir()] == ["manifest.json"]

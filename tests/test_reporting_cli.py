@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 from fieldkde import CoefficientModel, InnovationModel, wu_inequality_check
 from fieldkde.cli import CONFIG_KEYS, DEFAULT_CONFIG, load_config, main, plan_run
 from fieldkde.clt import KsResult
-from fieldkde.coefficients import ConditionReport
+from fieldkde.coefficients import _FAMILY_OF, ConditionReport
 from fieldkde.field import TruncationPlan
 from fieldkde.reporting import CSV_CHUNK_ROWS, SCHEMA_VERSION, RunManifest, canonical_json, float_repr, write_csv
 
@@ -421,6 +421,12 @@ class TestConfigResolution:
                     doc[s] = value if k is None else {**doc[s], k: value}
                 if doc["truncation"]["policy"] == "fixed":  # which needs its radius
                     doc["truncation"]["M"] = 8
+                # the models check their parameters as the config loads, so each keeps its family's alone
+                family = doc["coefficient"]["family"]
+                doc["coefficient"] = {k: v for k, v in doc["coefficient"].items()
+                                      if _FAMILY_OF.get(k, family) == family}
+                if doc["innovations"]["name"] != "student_t":
+                    del doc["innovations"]["nu"]
                 cfgfile.write_text(json.dumps(doc))
                 load_config(str(cfgfile), [])
         for section, default in DEFAULT_CONFIG.items():
