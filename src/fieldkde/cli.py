@@ -370,8 +370,8 @@ class RunPlan:
     """What a run draws, holds and writes, planned before its first draw.
 
     One ``GridPoint`` per grid point (one for ``gen-field`` and ``kde``),
-    every innovation value the run draws, and the bytes of ``clt-run``'s
-    replicate results (``clt.result_bytes``).
+    every innovation value the run draws, and the bytes of the replicate
+    results of ``clt-run`` (``clt.result_bytes``) and of ``blocks``.
     """
 
     subcommand: str
@@ -424,8 +424,10 @@ def _plan_clt(cfg: dict, section: str):
 
 
 def _plan_blocks(cfg: dict, section: str):
-    sec = cfg[section]
-    return _points(cfg, section, "blocks", m=sec["m"], l=sec["l"]), 1 + len(sec["eps"]), 0
+    sec, d = cfg[section], cfg["coefficient"]["d"]
+    points = _points(cfg, section, "blocks", m=sec["m"], l=sec["l"])
+    # the total and q^d big-block sums of each replicate at every point, held twice at the join
+    return points, 1 + len(sec["eps"]), 16 * sec["replicates"] * sum(1 + p.q**d for p in points)
 
 
 def _plan_moment_check(cfg: dict, section: str):
@@ -668,8 +670,8 @@ def main(argv=None) -> int:
         manifest.plan = run = plan_run(cfg, args.subcommand)
         check_cap(run.points, cfg["limits"]["max_field_bytes"])
         if run.result_bytes > cfg["limits"]["max_field_bytes"]:
-            raise ToolError(f"config key clt.replicates: the replicate results hold {run.result_bytes} bytes "
-                            f"(> cap {cfg['limits']['max_field_bytes']} of limits.max_field_bytes)")
+            raise ToolError(f"config key {experiment.section}.replicates: the replicate results hold {run.result_bytes} "
+                            f"bytes (> cap {cfg['limits']['max_field_bytes']} of limits.max_field_bytes)")
         manifest.write(out_dir / "manifest.json")
         ok, report, tables = experiment.run(cfg, experiment.section, run, out_dir)
         report.update(subcommand=args.subcommand, passed=bool(ok))

@@ -272,20 +272,20 @@ def grid_points(config: ExperimentConfig, experiment: str, m: int | None = None,
 def _replicate_chunk(config: ExperimentConfig, point: GridPoint, reduce, work: CoupledWorkspace, start, stop) -> list:
     """reduce(X, X_m, scratch) of each batch of replicates start..stop-1 at ``point``, in replicate order.
 
-    ``work``, a workspace of the point's spectra, serves every batch: its
-    generation buffers, and as ``scratch`` two of them the fields no
+    The fewest batches that fit ``work``, their sizes within one, share it:
+    its generation buffers, and as ``scratch`` two of them the fields no
     longer need.  The chunk's seeds are hashed in one pass.
     """
-    size = len(work.lattices)
+    count = stop - start
+    k = -(-count // len(work.lattices))
+    edges = [-(-count * i // k) for i in range(k + 1)]
     seeds = Seeds(config.master_seed, point.stream, range(start, stop))
     batches = []
-    for lo in range(0, stop - start, size):
-        batch = seeds[lo:lo + size]
-        fields = generate_coupled_fields(config.innovations, batch, work.spectra, work)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        fields = generate_coupled_fields(config.innovations, seeds[lo:hi], work.spectra, work)
         # each output is copied into its own C-ordered array: the next batch
-        # overwrites the workspace, a view would keep a batch's prefix sums
-        # alive until the join, and row sums round by layout
-        batches.append(tuple(np.array(out, order="C") for out in reduce(*fields, work.scratch(len(batch)))))
+        # overwrites the workspace, and row sums round by layout
+        batches.append(tuple(np.array(out, order="C") for out in reduce(*fields, work.scratch(hi - lo))))
     return batches
 
 
@@ -299,7 +299,8 @@ def _run_replicates(config: ExperimentConfig, point: GridPoint, reduce) -> tuple
     coefficient spectra are built once, and the replicates split into
     min(threads, cpu count, R) contiguous chunks, each with a workspace of
     its own: the first runs on the calling thread, every other on a pool
-    thread of its own.  Replicate r always draws
+    thread of its own.  A chunk of c replicates runs k = ceil(c / batch)
+    batches, and its workspace holds ceil(c / k).  Replicate r always draws
     from (master, stream, r), and a batch gives the same bits as one
     replicate at a time, so the result depends on neither the thread count
     nor the batch size.  Each output is joined once, in replicate order,
@@ -313,8 +314,9 @@ def _run_replicates(config: ExperimentConfig, point: GridPoint, reduce) -> tuple
     spectra = coupled_spectra(config.model, point)
     # every workspace is allocated here: glibc gives each thread its own malloc
     # arena, which would keep a pool thread's freed workspace after the call
-    tasks = [partial(_replicate_chunk, config, point, reduce, CoupledWorkspace(spectra, min(point.batch, hi - lo)),
-                     lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    tasks = [partial(_replicate_chunk, config, point, reduce,
+                     CoupledWorkspace(spectra, _even_batch(hi - lo, point.batch)), lo, hi)
+             for lo, hi in zip(bounds[:-1], bounds[1:])]
     # threads start only on submit, so a single chunk starts none; leaving the
     # block joins them, by error too
     with ThreadPoolExecutor(max(chunks - 1, 1)) as pool:
@@ -324,19 +326,16 @@ def _run_replicates(config: ExperimentConfig, point: GridPoint, reduce) -> tuple
     return tuple(np.concatenate(parts) for parts in zip(*batches))
 
 
-def _padded_prefix(arr: np.ndarray) -> np.ndarray:
-    """Prefix sums with a zero layer in front of every axis but the first (replicate) axis.
+def _even_batch(count: int, batch: int) -> int:
+    """The largest of k = ceil(count / batch) batches that split ``count`` evenly: ceil(count / k)."""
+    return -(-count // -(-count // batch))
 
-    Each axis is summed in place into the interior of one zero-fronted
-    array; a cumulative sum runs in order, so the bits are those of a
-    fresh array per axis.
-    """
-    out = np.zeros(arr.shape[:1] + tuple(s + 1 for s in arr.shape[1:]))
-    interior = out[(slice(None),) + (slice(1, None),) * (arr.ndim - 1)]
-    np.cumsum(arr, axis=1, out=interior)
-    for ax in range(2, arr.ndim):
-        np.cumsum(interior, axis=ax, out=interior)
-    return out
+
+def _prefix_sums(a: np.ndarray) -> np.ndarray:
+    """``a``, overwritten in place by its prefix sums along every axis but the first (replicate) axis."""
+    for ax in range(1, a.ndim):
+        np.cumsum(a, axis=ax, out=a)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -539,16 +538,17 @@ def block_sides(n: int, m: int, l: int | None = None) -> tuple[int, int]:
 
 def _block_windows(x, x_m, scratch, kernel, b, point, m, l, q):
     """Per replicate, total and big-block sums of the truncated kernel field K((point - X_m)/b)/sqrt(b)."""
-    raw = _kernel_values(kernel, point, x_m, b, scratch)
-    raw /= math.sqrt(b)
-    d = raw.ndim - 1
-    prefix = _padded_prefix(raw)
-    # the q^d windows [t, t+l)^d at offsets t = idx, one prefix difference per axis at those indices
+    prefix = _kernel_values(kernel, point, x_m, b, scratch)
+    prefix /= math.sqrt(b)
+    _prefix_sums(prefix)
+    # the q^d windows [t, t+l)^d at offsets t = idx: per axis, the sum to t + l - 1 less that to t - 1, 0 at t = 0
     idx = np.arange(q) * (l + m)
     windows = prefix
-    for ax in range(1, d + 1):
-        windows = np.take(windows, idx + l, axis=ax) - np.take(windows, idx, axis=ax)
-    return prefix[(slice(None),) + (-1,) * d], windows
+    for ax in range(1, prefix.ndim):
+        upper = np.take(windows, idx + l - 1, axis=ax)
+        upper[(slice(None),) * ax + (slice(1, None),)] -= np.take(windows, idx[1:] - 1, axis=ax)
+        windows = upper
+    return prefix.reshape(len(prefix), -1)[:, -1], windows
 
 
 def _block_samples(config: ExperimentConfig, points) -> list[tuple]:
@@ -688,8 +688,9 @@ def _rectangle_sums(x, x_m, scratch, kernel, b, point, rects):
     """Corner-rectangle sums of the truncated and remainder kernel fields, and remainder moments.
 
     The truncated field's values go into the second scratch array, and the
-    full field's into the first, with x - X_i taken in ``x`` itself, which
-    is read no more; the square of the remainder then takes the second.
+    full field's into the first, with x - X_i taken in ``x`` itself; the
+    remainder's sum and square, into the second, are taken before its
+    prefix sums overwrite it.
     """
     root_b = math.sqrt(b)
     zeta = _kernel_values(kernel, point, x_m, b, scratch)
@@ -697,11 +698,11 @@ def _rectangle_sums(x, x_m, scratch, kernel, b, point, rects):
     diff = _kernel_values(kernel, point, x, b, (x, scratch[0]))
     diff /= root_b
     diff -= zeta
-    corners = (slice(None),) + tuple(np.array(rects).T)  # one sum per replicate and rectangle
-    zsums = _padded_prefix(zeta)[corners]
-    dsums = _padded_prefix(diff)[corners]
+    corners = (slice(None),) + tuple(np.array(rects).T - 1)  # one sum per replicate and rectangle
+    zsums = _prefix_sums(zeta)[corners]
     axes = tuple(range(1, diff.ndim))
-    return zsums, dsums, np.sum(diff, axis=axes), np.sum(np.square(diff, out=zeta), axis=axes)
+    dsum, dsq = np.sum(diff, axis=axes), np.sum(np.square(diff, out=zeta), axis=axes)
+    return zsums, _prefix_sums(diff)[corners], dsum, dsq
 
 
 def rectangle_moment_check(config: ExperimentConfig, rectangles, points, ratio_cap: float = 3.0) -> dict:
@@ -815,10 +816,10 @@ def wu_inequality_check(model: CoefficientModel, innovations: InnovationModel, o
 
 
 def _squared_gap(x, x_m, scratch, kernel, b, point):
-    """Per replicate, site mean of (K((point - X_m)/b) - K((point - X)/b))^2 / b."""
-    kt = _kernel_values(kernel, point, x_m, b, scratch)
-    kf = _kernel_values(kernel, point, x, b)
-    return (np.mean((kt - kf) ** 2, axis=tuple(range(1, kf.ndim))) / b,)
+    """Per replicate, site mean of (K((point - X_m)/b) - K((point - X)/b))^2 / b, in the scratch arrays and ``x``."""
+    gap = _kernel_values(kernel, point, x_m, b, scratch)
+    gap -= _kernel_values(kernel, point, x, b, (x, scratch[0]))
+    return (np.mean(np.square(gap, out=gap), axis=tuple(range(1, gap.ndim))) / b,)
 
 
 def fixed_m_gap(config: ExperimentConfig, points, mode: str) -> dict:

@@ -1,9 +1,10 @@
 """The block and rectangle reductions as they were before they reused their buffers.
 
 The tests' reference for ``clt.block_decomposition_check``,
-``clt.lindeberg_estimate`` and ``clt._rectangle_sums``: each builds its
-centred copies, pair stacks and kernel arrays afresh, and the correlation
-is ``np.corrcoef``'s.  The package's versions must give the same bits.
+``clt.lindeberg_estimate``, ``clt._block_windows`` and
+``clt._rectangle_sums``: each builds its centred copies, pair stacks,
+kernel arrays and zero-fronted prefix sums afresh, and the correlation is
+``np.corrcoef``'s.  The package's versions must give the same bits.
 """
 
 from __future__ import annotations
@@ -12,10 +13,19 @@ import math
 
 import numpy as np
 
-from fieldkde.clt import _padded_prefix
 from fieldkde.kde import _kernel_values, asymptotic_variance, density_oracle
 
-__all__ = ["block_decomposition_check", "lindeberg_estimate", "rectangle_sums"]
+__all__ = ["block_decomposition_check", "lindeberg_estimate", "padded_prefix", "rectangle_sums"]
+
+
+def padded_prefix(arr: np.ndarray) -> np.ndarray:
+    """Prefix sums with a zero layer in front of every axis but the first (replicate) axis, in a fresh array."""
+    out = np.zeros(arr.shape[:1] + tuple(s + 1 for s in arr.shape[1:]))
+    interior = out[(slice(None),) + (slice(1, None),) * (arr.ndim - 1)]
+    np.cumsum(arr, axis=1, out=interior)
+    for ax in range(2, arr.ndim):
+        np.cumsum(interior, axis=ax, out=interior)
+    return out
 
 
 def block_decomposition_check(config, samples) -> dict:
@@ -111,8 +121,8 @@ def rectangle_sums(x, x_m, scratch, kernel, b, point, rects):
     zeta_raw = _kernel_values(kernel, point, x_m, b, scratch)
     zeta_raw /= math.sqrt(b)
     diff_raw = _kernel_values(kernel, point, x, b) / math.sqrt(b) - zeta_raw
-    pz = _padded_prefix(zeta_raw)
-    pd_ = _padded_prefix(diff_raw)
+    pz = padded_prefix(zeta_raw)
+    pd_ = padded_prefix(diff_raw)
     zsums = np.stack([pz[(slice(None),) + j] for j in rects], axis=1)
     dsums = np.stack([pd_[(slice(None),) + j] for j in rects], axis=1)
     axes = tuple(range(1, diff_raw.ndim))

@@ -112,7 +112,7 @@ class TestReplicateEngine:
         alive = []
 
         def prefix_views(x, x_m, scratch):
-            # like _block_windows: both outputs are views into one batch-sized prefix array
+            # both outputs are views into one batch-sized prefix array, as _block_windows' total is
             prefix = np.cumsum(x_m, axis=1)
             alive.append(weakref.ref(prefix))
             return prefix[:, -1], prefix[:, ::8]
@@ -592,7 +592,7 @@ class TestBlocks:
             x_m, x_m, np.empty((2,) + x_m.shape), kernel=epanechnikov, b=0.5, point=0.2, m=m, l=l, q=q
         )
         # every window [t, t+l)^d from the padded prefix, then the kept offsets t = idx
-        prefix = clt._padded_prefix(clt._kernel_values(epanechnikov, 0.2, x_m, 0.5) / math.sqrt(0.5))
+        prefix = block_reference.padded_prefix(clt._kernel_values(epanechnikov, 0.2, x_m, 0.5) / math.sqrt(0.5))
         full = prefix
         for ax in range(1, d + 1):
             lead = [slice(None)] * (d + 1)
@@ -758,6 +758,68 @@ class TestLeanReductions:
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert a.shape == b.shape and np.array_equal(a, b)
+
+
+def _reduction(name, point, kernel, d):
+    """The engine's reduction ``name`` at ``point``, as its experiment builds it."""
+    import fieldkde.clt as clt
+
+    x, b = point.xs[0], point.b
+    return {
+        "kernel_sums": partial(clt._kernel_sums, xs=point.xs, kernel=kernel, b=b),
+        "block_windows": partial(clt._block_windows, kernel=kernel, b=b, point=x, m=point.m, l=point.l, q=point.q),
+        "rectangle_sums": partial(clt._rectangle_sums, kernel=kernel, b=b, point=x,
+                                  rects=[(4,) * d, (point.l,) * d, (point.n,) * d]),
+        "squared_gap": partial(clt._squared_gap, kernel=kernel, b=b, point=x),
+    }[name]
+
+
+class TestReductionMemory:
+    """The engine holds no more than a point's planned bytes beside its results, and splits each chunk evenly."""
+
+    @pytest.mark.parametrize("reduction", ["kernel_sums", "block_windows", "rectangle_sums", "squared_gap"])
+    @pytest.mark.parametrize("method", ["direct", "fourier"])
+    @pytest.mark.parametrize("d,n", [(1, 8192), (2, 96)])
+    def test_peak_within_the_planned_bytes_and_the_results(self, reduction, method, d, n):
+        import fieldkde.clt as clt
+        from fieldkde.field import estimate_field_bytes
+
+        model, m, M, l = CoefficientModel(d=d, family="power_decay", q=4.0), 2, 4, 8
+        cfg = _config(model, n_grid=(n,), replicates=16)
+        # two full batches of 8, so the workspace is the one planned, with the bytes of the method it is moved to
+        point = replace(planned(model, n, m, plan_truncation(model, m=m, policy="fixed", M=M), method, 8),
+                        xs=(0.1, 0.4), l=l, q=block_sides(n, m, l)[1], bytes=estimate_field_bytes(d, n, M, m, method, 8))
+        assert point.batch == 8
+        reduce = _reduction(reduction, point, cfg.kernel, d)
+        # the outputs: their batches' parts, and at the join, the workspace freed, the joined arrays beside them
+        results = sum(a.nbytes for a in clt._run_replicates(cfg, point, reduce))
+        assert _traced_peak(clt._run_replicates, cfg, point, reduce) <= point.bytes + results
+
+    @pytest.mark.parametrize("replicates,batch", [(17, 7), (200, 126), (23, 10), (24, 8), (9, 1), (5, 5)])
+    def test_a_chunk_runs_ceil_c_over_batch_batches_differing_by_at_most_one(self, monkeypatch, geometric_half,
+                                                                             replicates, batch):
+        import fieldkde.clt as clt
+
+        seen, workspaces = [], []
+        generate, workspace = clt.generate_coupled_fields, clt.CoupledWorkspace
+
+        def recording_generate(innovations, seeds, *args):
+            seen.append(len(seeds))
+            return generate(innovations, seeds, *args)
+
+        def recording_workspace(spectra, size):
+            workspaces.append(size)
+            return workspace(spectra, size)
+
+        monkeypatch.setattr(clt, "generate_coupled_fields", recording_generate)
+        monkeypatch.setattr(clt, "CoupledWorkspace", recording_workspace)
+        cfg = _config(geometric_half, n_grid=(64,), replicates=replicates)
+        point = replace(planned(geometric_half, 64, 2, plan_truncation(geometric_half, m=2, policy="fixed", M=4),
+                                replicates=replicates), batch=batch)
+        (rows,) = clt._run_replicates(cfg, point, lambda x, x_m, scratch: (x[:, 0],))
+        assert len(rows) == sum(seen) == replicates
+        assert len(seen) == -(-replicates // batch) and max(seen) - min(seen) <= 1
+        assert workspaces == [max(seen)] and max(seen) <= batch
 
 
 class TestRectangles:

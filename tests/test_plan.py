@@ -96,7 +96,7 @@ class TestFieldCsv:
 
 
 class TestResultCap:
-    """clt-run's replicate results count against the memory cap, before any draw."""
+    """The replicate results of clt-run and blocks count against the memory cap, before any draw."""
 
     def test_exit_1_naming_clt_replicates_with_the_plan_in_the_manifest(self, tmp_path, capsys, no_draw):
         assert _run(tmp_path, "clt-run", "iid_baseline.json", "clt.n_grid=[8]", "clt.x_points=[0.0,0.5]",
@@ -109,6 +109,18 @@ class TestResultCap:
         (point,) = manifest["plan"]["points"]
         assert point["rows"] == 20_000_002 and point["bytes"] <= cap < manifest["plan"]["result_bytes"]
         assert [p.name for p in (tmp_path / "clt_run").iterdir()] == ["manifest.json"]
+
+    def test_blocks_sample_exits_1_naming_blocks_replicates(self, tmp_path, capsys, no_draw):
+        # R (1 + q) doubles of totals and big-block sums at n = 256 and 1024 (q = 9 and 32), held twice: 68.8 MB
+        assert _run(tmp_path, "blocks", "blocks_d1.json", "blocks.n_grid=[256,1024]", "blocks.replicates=100000",
+                    "limits.max_field_bytes=8000000") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key blocks.replicates: the replicate results hold 68800000 bytes ")
+        manifest = _manifest(tmp_path, "blocks")
+        assert [p["q"] for p in manifest["plan"]["points"]] == [9, 32]
+        assert all(p["bytes"] <= 8_000_000 for p in manifest["plan"]["points"])
+        assert manifest["plan"]["result_bytes"] == 16 * 100_000 * (1 + 9 + 1 + 32)
+        assert [p.name for p in (tmp_path / "blocks").iterdir()] == ["manifest.json"]
 
 
 class TestZeroDensity:
