@@ -424,10 +424,12 @@ def _plan_clt(cfg: dict, section: str):
 
 
 def _plan_blocks(cfg: dict, section: str):
-    sec, d = cfg[section], cfg["coefficient"]["d"]
+    sec, d, eps = cfg[section], cfg["coefficient"]["d"], len(cfg[section]["eps"])
     points = _points(cfg, section, "blocks", m=sec["m"], l=sec["l"])
-    # the total and q^d big-block sums of each replicate at every point, held twice at the join
-    return points, 1 + len(sec["eps"]), 16 * sec["replicates"] * sum(1 + p.q**d for p in points)
+    # the total and q^d big-block sums of each replicate at every point, held twice at the join, or once beside the
+    # checks' copies of the largest point's sums: 2d for the decomposition's pairs, 2 + len(eps)/8 for Lindeberg's
+    sums, largest = sum(1 + p.q**d for p in points), max(p.q**d for p in points)
+    return points, 1 + eps, sec["replicates"] * max(16 * sums, 8 * sums + largest * max(16 * d, 16 + eps))
 
 
 def _plan_moment_check(cfg: dict, section: str):
@@ -441,9 +443,9 @@ def _plan_gap(cfg: dict, section: str):
 def _stated(cfg: dict, section: str, run: RunPlan) -> dict:
     """A report's ``config``: what the run's points ran, and the keys its subcommand read, each once.
 
-    ``delta`` is stated only where the points follow the schedule, ``truncation`` where they run under
-    it (``blocks`` runs at M = m_n) and ``variance_band`` by ``clt-run`` alone; ``threads`` changes wall
-    time only, never numbers, so the manifest records it instead.
+    ``delta`` is stated only where the points follow the schedule, ``truncation`` (the keys ``plan_truncation``
+    reads) where they run under it (``blocks`` runs at M = m_n) and ``variance_band`` by ``clt-run`` alone;
+    ``threads`` changes wall time only, never numbers, so the manifest records it instead.
     """
     sec, model, bw = cfg[section], model_from_config(cfg["coefficient"]), _bandwidth(cfg)
     window = check_decay_window(model.d, model.decay_exponent(), bw.gamma)
@@ -456,7 +458,8 @@ def _stated(cfg: dict, section: str, run: RunPlan) -> dict:
     if sec.get("m") is None:
         stated["delta"] = window.delta_star if cfg["schedule"]["delta"] is None else cfg["schedule"]["delta"]
     if section != "blocks":
-        stated["truncation"] = cfg["truncation"]
+        radius = "M" if cfg["truncation"]["policy"] == "fixed" else "eta"
+        stated["truncation"] = {key: cfg["truncation"][key] for key in ("policy", radius)}
     if section == "clt":
         stated["variance_band"] = sec["variance_band"]
     return stated

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .coefficients import (
     CoefficientModel,
@@ -331,13 +332,6 @@ def _even_batch(count: int, batch: int) -> int:
     return -(-count // -(-count // batch))
 
 
-def _prefix_sums(a: np.ndarray) -> np.ndarray:
-    """``a``, overwritten in place by its prefix sums along every axis but the first (replicate) axis."""
-    for ax in range(1, a.ndim):
-        np.cumsum(a, axis=ax, out=a)
-    return a
-
-
 # ---------------------------------------------------------------------------
 # normalised statistic
 
@@ -537,18 +531,19 @@ def block_sides(n: int, m: int, l: int | None = None) -> tuple[int, int]:
 
 
 def _block_windows(x, x_m, scratch, kernel, b, point, m, l, q):
-    """Per replicate, total and big-block sums of the truncated kernel field K((point - X_m)/b)/sqrt(b)."""
-    prefix = _kernel_values(kernel, point, x_m, b, scratch)
-    prefix /= math.sqrt(b)
-    _prefix_sums(prefix)
-    # the q^d windows [t, t+l)^d at offsets t = idx: per axis, the sum to t + l - 1 less that to t - 1, 0 at t = 0
-    idx = np.arange(q) * (l + m)
-    windows = prefix
-    for ax in range(1, prefix.ndim):
-        upper = np.take(windows, idx + l - 1, axis=ax)
-        upper[(slice(None),) * ax + (slice(1, None),)] -= np.take(windows, idx[1:] - 1, axis=ax)
-        windows = upper
-    return prefix.reshape(len(prefix), -1)[:, -1], windows
+    """Per replicate, total and big-block sums of the truncated kernel field K((point - X_m)/b)/sqrt(b).
+
+    The q^d windows [t, t+l)^d, t = k(l + m), are summed from one read-only
+    view of the kernel values with axes (replicate, q, l, ..., q, l); a
+    reshape would not do, as q(l + m) may exceed n.
+    """
+    values = _kernel_values(kernel, point, x_m, b, scratch)
+    root_b = math.sqrt(b)
+    steps = values.strides[1:]
+    strides = values.strides[:1] + tuple(s for step in steps for s in ((l + m) * step, step))
+    blocks = as_strided(values, values.shape[:1] + (q, l) * len(steps), strides, writeable=False)
+    windows = blocks.sum(axis=tuple(range(2, blocks.ndim, 2))) / root_b
+    return values.sum(axis=tuple(range(1, values.ndim))) / root_b, windows
 
 
 def _block_samples(config: ExperimentConfig, points) -> list[tuple]:
@@ -688,21 +683,21 @@ def _rectangle_sums(x, x_m, scratch, kernel, b, point, rects):
     """Corner-rectangle sums of the truncated and remainder kernel fields, and remainder moments.
 
     The truncated field's values go into the second scratch array, and the
-    full field's into the first, with x - X_i taken in ``x`` itself; the
-    remainder's sum and square, into the second, are taken before its
-    prefix sums overwrite it.
+    full field's into the first, with x - X_i taken in ``x`` itself; each
+    rectangle [0, j)^d is summed as a box slice, and the remainder's square
+    goes into the second array once the truncated field's sums are taken.
     """
     root_b = math.sqrt(b)
     zeta = _kernel_values(kernel, point, x_m, b, scratch)
-    zeta /= root_b
     diff = _kernel_values(kernel, point, x, b, (x, scratch[0]))
-    diff /= root_b
     diff -= zeta
-    corners = (slice(None),) + tuple(np.array(rects).T - 1)  # one sum per replicate and rectangle
-    zsums = _prefix_sums(zeta)[corners]
     axes = tuple(range(1, diff.ndim))
-    dsum, dsq = np.sum(diff, axis=axes), np.sum(np.square(diff, out=zeta), axis=axes)
-    return zsums, _prefix_sums(diff)[corners], dsum, dsq
+
+    def boxes(a):  # one sum per replicate and rectangle
+        return np.stack([a[(slice(None),) + tuple(map(slice, rect))].sum(axis=axes) for rect in rects], 1) / root_b
+
+    zsums, dsums = boxes(zeta), boxes(diff)
+    return zsums, dsums, np.sum(diff, axis=axes) / root_b, np.sum(np.square(diff, out=zeta), axis=axes) / b
 
 
 def rectangle_moment_check(config: ExperimentConfig, rectangles, points, ratio_cap: float = 3.0) -> dict:

@@ -4,7 +4,9 @@ The tests' reference for ``clt.block_decomposition_check``,
 ``clt.lindeberg_estimate``, ``clt._block_windows`` and
 ``clt._rectangle_sums``: each builds its centred copies, pair stacks,
 kernel arrays and zero-fronted prefix sums afresh, and the correlation is
-``np.corrcoef``'s.  The package's versions must give the same bits.
+``np.corrcoef``'s.  The package's checks must give the same bits; its
+window and rectangle sums, taken directly rather than as differences of
+prefix sums, must lie within a few ulps of the replicate's total.
 """
 
 from __future__ import annotations

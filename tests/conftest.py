@@ -40,14 +40,17 @@ def generator(master, stream=0, replicate=0):
 
 
 def planned(model, n, m, plan, method=None, replicates=1, stream=0, max_bytes=DEFAULT_MAX_FIELD_BYTES):
-    """``plan_point``'s GridPoint of ``replicates`` at (n, m) under ``plan``, moved to ``method`` when given."""
+    """``plan_point``'s GridPoint of ``replicates`` at (n, m) under ``plan``, moved to ``method`` when given,
+    with the bytes of its batch under that method."""
     from fieldkde.clt import plan_point
+    from fieldkde.field import estimate_field_bytes
     from fieldkde.fourier import next_fast_len
 
     point = plan_point(model, n, m, 0.5, plan, stream, replicates, max_bytes)
     if method is None:
         return point
-    return replace(point, method=method, P=next_fast_len(n + plan.M - 1) if method == "fourier" else None)
+    return replace(point, method=method, P=next_fast_len(n + plan.M - 1) if method == "fourier" else None,
+                   bytes=estimate_field_bytes(model.d, n, plan.M, m, method, point.batch))
 
 
 def coupled_pair(model, n, m, plan, seed, innovations=InnovationModel("gaussian")):

@@ -402,6 +402,30 @@ class TestNumpyBatchPins:
             for i in range(batch):
                 assert sums[i] == arr[i].sum() and means[i] == np.mean(arr[i])
 
+    # (d, side, gap m, block side l): a strip past the last block, or one block that with its gap overruns the side
+    BLOCK_CASES = [(1, 4099, 4, 36), (1, 10, 4, 8), (2, 79, 2, 6), (2, 10, 4, 8), (3, 14, 1, 3), (3, 10, 4, 8)]
+
+    @pytest.mark.parametrize("d,side,m,l", BLOCK_CASES)
+    def test_strided_window_and_box_sums(self, d, side, m, l):
+        q = max(side // (l + m), 1)
+        assert side % (l + m) if q > 1 else l + m > side
+        kernel = kernel_by_name("gaussian")  # no site out of reach
+        fields = np.random.default_rng(side + 5).standard_normal((2, 7) + (side,) * d)
+        rects = [(side,) * d, (1,) * d, (side // 2 + 1,) * d, (3, 5, 2)[:d]]
+
+        def sums(lo, hi):
+            x, x_m = fields[:, lo:hi]
+            scratch = np.empty((2, hi - lo) + (side,) * d)
+            blocks = clt._block_windows(x, x_m, scratch, kernel, 0.5, 0.2, m, l, q)
+            return blocks + clt._rectangle_sums(x.copy(), x_m, scratch, kernel, 0.5, 0.2, rects)
+
+        whole = sums(0, 7)
+        for batch in (1, 3, 7):
+            for lo in range(0, 7, batch):
+                hi = min(lo + batch, 7)
+                for part, rows in zip(sums(lo, hi), whole):
+                    assert np.array_equal(part, rows[lo:hi])
+
     @pytest.mark.parametrize("d,side,batch", CASES)
     def test_batched_rfftn_and_irfftn(self, d, side, batch):
         rng = np.random.default_rng(side + 1)

@@ -112,7 +112,7 @@ class TestReplicateEngine:
         alive = []
 
         def prefix_views(x, x_m, scratch):
-            # both outputs are views into one batch-sized prefix array, as _block_windows' total is
+            # both outputs are views into one batch-sized array, which a reduction may return
             prefix = np.cumsum(x_m, axis=1)
             alive.append(weakref.ref(prefix))
             return prefix[:, -1], prefix[:, ::8]
@@ -581,18 +581,21 @@ class TestBlocks:
         gap = totals - etas.reshape(len(totals), -1).sum(axis=1)
         assert np.max(np.abs(gap)) == 0.0
 
-    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_block_windows_equal_the_full_window_sums(self, epanechnikov, d):
         import fieldkde.clt as clt
 
-        n, m, l, q = 40, 2, 6, 5
+        # at d = 3 a strip of side 1 lies past the last block
+        n, m, l = (17 if d == 3 else 40), 2, 6
+        q = n // (l + m)
         rng = np.random.default_rng(MASTER_SEED)
         x_m = rng.standard_normal((3,) + (n,) * d)
         total, windows = clt._block_windows(
             x_m, x_m, np.empty((2,) + x_m.shape), kernel=epanechnikov, b=0.5, point=0.2, m=m, l=l, q=q
         )
+        values, root_b = clt._kernel_values(epanechnikov, 0.2, x_m, 0.5), math.sqrt(0.5)
         # every window [t, t+l)^d from the padded prefix, then the kept offsets t = idx
-        prefix = block_reference.padded_prefix(clt._kernel_values(epanechnikov, 0.2, x_m, 0.5) / math.sqrt(0.5))
+        prefix = block_reference.padded_prefix(values / root_b)
         full = prefix
         for ax in range(1, d + 1):
             lead = [slice(None)] * (d + 1)
@@ -600,9 +603,29 @@ class TestBlocks:
             lead[ax], lag[ax] = slice(l, None), slice(0, -l)
             full = full[tuple(lead)] - full[tuple(lag)]
         idx = np.arange(q) * (l + m)
+        reference_total = prefix[(slice(None),) + (-1,) * d]
+        ulp = np.spacing(reference_total).reshape((-1,) + (1,) * d)
         assert windows.shape == (3,) + (q,) * d
-        assert np.array_equal(windows, full[(slice(None),) + np.ix_(*[idx] * d)])
-        assert np.array_equal(total, prefix[(slice(None),) + (-1,) * d])
+        # the sums are taken directly, so they round apart from the prefix differences, by at most 8 ulps
+        # of each replicate's total
+        assert np.all(np.abs(windows - full[(slice(None),) + np.ix_(*[idx] * d)]) <= 8 * ulp)
+        assert np.all(np.abs(total - reference_total) <= 8 * ulp.ravel())
+        if d == 1:
+            windows_one_by_one = np.stack([values[:, t : t + l].sum(axis=1) for t in idx], axis=1) / root_b
+            assert np.array_equal(windows, windows_one_by_one)
+            assert np.array_equal(total, values.sum(axis=1) / root_b)
+
+    def test_block_windows_where_the_blocks_overrun_the_lattice(self, epanechnikov):
+        import fieldkde.clt as clt
+
+        # one block of side 8 and gap 4 on a side of 10: q (l + m) > n, which no reshape of the lattice gives
+        x_m = np.random.default_rng(MASTER_SEED).standard_normal((3, 10, 10))
+        total, windows = clt._block_windows(
+            x_m, x_m, np.empty((2,) + x_m.shape), kernel=epanechnikov, b=0.5, point=0.2, m=4, l=8, q=1
+        )
+        values = clt._kernel_values(epanechnikov, 0.2, x_m, 0.5)
+        assert windows.shape == (3, 1, 1)
+        assert np.array_equal(windows[:, 0, 0], values[:, :8, :8].sum(axis=(1, 2)) / math.sqrt(0.5))
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -687,7 +710,8 @@ def _traced_peak(fn, *args):
 
 
 class TestLeanReductions:
-    """The block and rectangle reductions give the bits of their copying versions in ``block_reference``."""
+    """The block checks give the bits of their copying versions in ``block_reference``, and the rectangle sums,
+    taken directly, are within rounding of its prefix sums."""
 
     @pytest.mark.parametrize(
         "model,n_grid,plan",
@@ -727,6 +751,18 @@ class TestLeanReductions:
         assert _traced_peak(block_decomposition_check, cfg, samples) <= 4.5 * size
         assert _traced_peak(lindeberg_estimate, cfg, samples, [0.5, 1.0, 2.0]) <= 2.5 * size
 
+    def test_block_and_rectangle_sums_call_no_cumsum(self, monkeypatch, epanechnikov):
+        import fieldkde.clt as clt
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.cumsum called by a reduction")
+
+        x = np.random.default_rng(MASTER_SEED).standard_normal((3, 24, 24))
+        monkeypatch.setattr(np, "cumsum", refuse)
+        clt._block_windows(x, x, np.empty((2,) + x.shape), kernel=epanechnikov, b=0.5, point=0.2, m=2, l=6, q=3)
+        clt._rectangle_sums(x, x.copy(), np.empty((2,) + x.shape), kernel=epanechnikov, b=0.5, point=0.2,
+                            rects=[(4, 4), (24, 24), (5, 6)])
+
     @pytest.mark.parametrize(
         "model,n,m,M,method",
         [
@@ -748,16 +784,33 @@ class TestLeanReductions:
         work = CoupledWorkspace(spectra, 3)
         x, x_m = generate_coupled_fields(InnovationModel("gaussian"), Seeds(MASTER_SEED, 0, range(3)), spectra, work)
         assert (x_m is x) == (m == M)
-        rects = [(4,) * model.d, (n,) * model.d, tuple(range(5, 5 + model.d)), (1,) * model.d]
-        args = dict(kernel=kernel_by_name(kernel), b=0.25, point=point, rects=rects)
+        d, kern = model.d, kernel_by_name(kernel)
+        rects = [(4,) * d, (n,) * d, tuple(range(5, 5 + d)), (1,) * d]
+        args = dict(kernel=kern, b=0.25, point=point, rects=rects)
         copy = x.copy()
         expected = block_reference.rectangle_sums(
             copy, copy if x_m is x else x_m.copy(), np.empty((2,) + x.shape), **args
         )
+        zeta = clt._kernel_values(kern, point, x_m, 0.25)
+        diff = clt._kernel_values(kern, point, x, 0.25) - zeta
         got = clt._rectangle_sums(x, x_m, work.scratch(3), **args)
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
-            assert a.shape == b.shape and np.array_equal(a, b)
+            assert a.shape == b.shape
+        # each field's sums are taken directly, within 8 ulps of its replicate total in the prefix reference;
+        # the total of the field's absolute values, as the remainder's terms cancel
+        axes = tuple(range(1, d + 1))
+        for field, sums, reference in zip((zeta, diff, diff), got, expected):
+            total = block_reference.padded_prefix(np.abs(field) / 0.5)[(slice(None),) + (-1,) * d]
+            ulp = np.spacing(total).reshape((-1,) + (1,) * (sums.ndim - 1))
+            assert np.all(np.abs(sums - reference) <= 8 * ulp)
+        assert np.array_equal(got[2], np.sum(diff, axis=axes) / 0.5)
+        assert np.array_equal(got[3], np.sum(diff**2, axis=axes) / 0.25)
+        assert np.all(np.abs(got[3] - expected[3]) <= 8 * np.spacing(expected[3]))
+        if d == 1:
+            for field, sums in ((zeta, got[0]), (diff, got[1])):
+                one_by_one = np.stack([field[:, :j].sum(axis=1) for (j,) in rects], axis=1) / 0.5
+                assert np.array_equal(sums, one_by_one)
 
 
 def _reduction(name, point, kernel, d):
@@ -782,13 +835,12 @@ class TestReductionMemory:
     @pytest.mark.parametrize("d,n", [(1, 8192), (2, 96)])
     def test_peak_within_the_planned_bytes_and_the_results(self, reduction, method, d, n):
         import fieldkde.clt as clt
-        from fieldkde.field import estimate_field_bytes
 
         model, m, M, l = CoefficientModel(d=d, family="power_decay", q=4.0), 2, 4, 8
         cfg = _config(model, n_grid=(n,), replicates=16)
-        # two full batches of 8, so the workspace is the one planned, with the bytes of the method it is moved to
+        # two full batches of 8, so the workspace is the one planned
         point = replace(planned(model, n, m, plan_truncation(model, m=m, policy="fixed", M=M), method, 8),
-                        xs=(0.1, 0.4), l=l, q=block_sides(n, m, l)[1], bytes=estimate_field_bytes(d, n, M, m, method, 8))
+                        xs=(0.1, 0.4), l=l, q=block_sides(n, m, l)[1])
         assert point.batch == 8
         reduce = _reduction(reduction, point, cfg.kernel, d)
         # the outputs: their batches' parts, and at the join, the workspace freed, the joined arrays beside them

@@ -111,15 +111,16 @@ class TestResultCap:
         assert [p.name for p in (tmp_path / "clt_run").iterdir()] == ["manifest.json"]
 
     def test_blocks_sample_exits_1_naming_blocks_replicates(self, tmp_path, capsys, no_draw):
-        # R (1 + q) doubles of totals and big-block sums at n = 256 and 1024 (q = 9 and 32), held twice: 68.8 MB
+        # R (1 + q) doubles of totals and big-block sums at n = 256 and 1024 (q = 9 and 32), 34.4 MB, and beside
+        # them Lindeberg's copies of the R q sums at n = 1024, 2 + 3/8 of them for the three eps: 95.2 MB
         assert _run(tmp_path, "blocks", "blocks_d1.json", "blocks.n_grid=[256,1024]", "blocks.replicates=100000",
                     "limits.max_field_bytes=8000000") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: config key blocks.replicates: the replicate results hold 68800000 bytes ")
+        assert err.startswith("error: config key blocks.replicates: the replicate results hold 95200000 bytes ")
         manifest = _manifest(tmp_path, "blocks")
         assert [p["q"] for p in manifest["plan"]["points"]] == [9, 32]
         assert all(p["bytes"] <= 8_000_000 for p in manifest["plan"]["points"])
-        assert manifest["plan"]["result_bytes"] == 16 * 100_000 * (1 + 9 + 1 + 32)
+        assert manifest["plan"]["result_bytes"] == 8 * 100_000 * (1 + 9 + 1 + 32) + 100_000 * 32 * (16 + 3)
         assert [p.name for p in (tmp_path / "blocks").iterdir()] == ["manifest.json"]
 
 

@@ -26,6 +26,9 @@ RUNS = {
     "fixed-m-gap": ["gap.n_grid=[64,128]", "gap.x_points=[0.0,0.5]", "gap.replicates=5", "gap.m=2"],
     "fixed-m-gap on the schedule": ["gap.n_grid=[64,128]", "gap.x_points=[0.0,0.5]", "gap.replicates=5",
                                     "gap.m=null"],
+    "moment-check at a fixed radius": ["moment_check.n_grid=[64]", "moment_check.x_points=[0.0,0.5]",
+                                       "moment_check.replicates=5", "moment_check.rectangles=[4,16]",
+                                       'truncation.policy="fixed"', "truncation.M=20"],
 }
 # the config key of each report entry named otherwise; an entry of a subcommand's section takes its name
 NAMES = {"model": "coefficient", "master_seed": "seed", "delta": "schedule.delta"}
@@ -40,16 +43,13 @@ OTHER = {
     "bandwidth.gamma": ["bandwidth.gamma=0.4"],
     "bandwidth.c2": ["bandwidth.c2=1.5"],
     "schedule.delta": ["schedule.delta=0.4"],
-    # the fixed policy needs its radius
-    "truncation.policy": ['truncation.policy="fixed"', "truncation.M=20"],
     "truncation.eta": ["truncation.eta=0.3"],
+    "truncation.M": ["truncation.M=24"],
     "seed": ["seed=7"],
 }
-# entries no one key sets, and keys the base runs cannot vary, with the reason
+# entries no one key sets, with the reason
 NOT_VARIED = {
     "decay_window": "derived from the model's decay exponent and bandwidth.gamma, which are varied",
-    "truncation.M": "null, its one valid value under the bandwidth_relative policy of the base runs; "
-                    "truncation.policy is varied with a radius",
 }
 
 
@@ -80,6 +80,11 @@ def _run(out, sub, sets):
 
 def _other(sets, key, index):
     """``sets`` with config key ``key``, or entry ``index`` of its list, set to another valid value."""
+    if key == "truncation.policy":
+        # the other policy, with the radius M it needs or without the one it refuses
+        fixed = load_config(None, sets)["truncation"]["policy"] == "fixed"
+        return sets + (['truncation.policy="bandwidth_relative"', "truncation.M=null"] if fixed
+                       else ['truncation.policy="fixed"', "truncation.M=20"])
     if key in OTHER:
         return sets + OTHER[key]
     section, name = key.split(".")

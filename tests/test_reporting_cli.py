@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fieldkde import CoefficientModel, InnovationModel, wu_inequality_check
-from fieldkde.cli import CONFIG_KEYS, DEFAULT_CONFIG, load_config, main, plan_run
+from fieldkde.cli import CONFIG_KEYS, DEFAULT_CONFIG, cmd_blocks, load_config, main, plan_run
 from fieldkde.clt import KsResult
 from fieldkde.coefficients import _FAMILY_OF, ConditionReport
 from fieldkde.field import TruncationPlan
@@ -1380,6 +1380,23 @@ class TestCli:
         assert per_row < 300, f"peak memory grows by {per_row:.0f} bytes per replicate row"
         # the run plan counts at least that growth against the cap: the fields' batch and the results
         assert per_row <= (planned(5000) - planned(500)) / (2 * (5000 - 500))
+
+    @pytest.mark.parametrize("d,n,l", [(1, 4096, 8), (2, 128, 4)])
+    def test_blocks_peak_within_the_planned_bytes(self, tmp_path, d, n, l):
+        # one grid point with many small blocks, so the big-block sums and the checks' copies of them dominate
+        cfg = load_config(None, [f'coefficient={{"family":"geometric","d":{d},"ratio":0.5}}', "bandwidth.gamma=0.5",
+                                 f"blocks.n_grid=[{n}]", "blocks.replicates=2000", "blocks.m=2", f"blocks.l={l}"])
+        run = plan_run(cfg, "blocks")
+        cmd_blocks(cfg, "blocks", run, tmp_path)  # imports and caches, untraced
+        tracemalloc.start()
+        try:
+            cmd_blocks(cfg, "blocks", run, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        samples = 8 * 2000 * run.points[0].q ** d
+        assert peak > 3 * samples  # the checks' copies, beside the sums, outweigh the sums held twice at the join
+        assert peak <= run.points[0].bytes + run.result_bytes
 
     def test_gaussian_runs_leave_out_scipy(self, tmp_path):
         # importing scipy costs a process about a third of a second; only the
