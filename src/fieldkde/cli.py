@@ -540,10 +540,10 @@ def cmd_kde(cfg: dict, section: str, run: RunPlan, out_dir: Path):
     kern = kernel_by_name(cfg["kernel"])
     n, m, xs, b, plan = sec["n"], sec["m"], sec["x_grid"], point.b, point.truncation
     model, innov = model_from_config(cfg["coefficient"]), InnovationModel.from_config(cfg["innovations"])
-    try:  # before the draw
-        oracle = density_oracle(model, innov, m)
+    try:  # before the draw; the curve reads the density of X alone
+        oracle = density_oracle(model, innov, None)
     except ValueError as exc:
-        raise MomentError(str(exc), "m") from None
+        raise MomentError(str(exc), "innovations.name") from None
     _, _, values, _ = _coupled_draw(cfg, point)
     est = kde_estimate(values, np.array(xs), b, kern)
     rows = [{"x": x, "estimate": float(e), "b": b, "oracle_density": float(px), "expected_estimate": float(ex),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -49,6 +50,7 @@ from .innovations import InnovationModel, Seeds
 from .kde import (
     BandwidthSchedule,
     KernelModel,
+    _out_of_reach,
     _kernel_sum,
     _kernel_values,
     asymptotic_variance,
@@ -270,26 +272,6 @@ def grid_points(config: ExperimentConfig, experiment: str, m: int | None = None,
     return tuple(points)
 
 
-def _replicate_chunk(config: ExperimentConfig, point: GridPoint, reduce, work: CoupledWorkspace, start, stop) -> list:
-    """reduce(X, X_m, scratch) of each batch of replicates start..stop-1 at ``point``, in replicate order.
-
-    The fewest batches that fit ``work``, their sizes within one, share it:
-    its generation buffers, and as ``scratch`` two of them the fields no
-    longer need.  The chunk's seeds are hashed in one pass.
-    """
-    count = stop - start
-    k = -(-count // len(work.lattices))
-    edges = [-(-count * i // k) for i in range(k + 1)]
-    seeds = Seeds(config.master_seed, point.stream, range(start, stop))
-    batches = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        fields = generate_coupled_fields(config.innovations, seeds[lo:hi], work.spectra, work)
-        # each output is copied into its own C-ordered array: the next batch
-        # overwrites the workspace, and row sums round by layout
-        batches.append(tuple(np.array(out, order="C") for out in reduce(*fields, work.scratch(hi - lo))))
-    return batches
-
-
 def _run_replicates(config: ExperimentConfig, point: GridPoint, reduce) -> tuple:
     """reduce(X, X_m, scratch) over replicates 0..R-1 at ``point``: a tuple of arrays with R rows in replicate order.
 
@@ -297,39 +279,54 @@ def _run_replicates(config: ExperimentConfig, point: GridPoint, reduce) -> tuple
     replicate axis, and two scratch arrays of the fields' shape; the fields
     are views that stay valid for the call only, and it may overwrite
     them.  It returns a tuple of arrays with one row per replicate.  The
-    coefficient spectra are built once, and the replicates split into
-    min(threads, cpu count, R) contiguous chunks, each with a workspace of
-    its own: the first runs on the calling thread, every other on a pool
-    thread of its own.  A chunk of c replicates runs k = ceil(c / batch)
-    batches, and its workspace holds ceil(c / k).  Replicate r always draws
-    from (master, stream, r), and a batch gives the same bits as one
-    replicate at a time, so the result depends on neither the thread count
-    nor the batch size.  Each output is joined once, in replicate order,
-    from C-ordered parts.  The point's batch must fit in the config's
-    ``max_field_bytes``: ``FieldSizeError`` otherwise, before any draw.
+    coefficient spectra are built once and the replicates' keys hashed
+    once.  R splits into k = min(T ceil(R / (T batch)), R) batches
+    whose sizes differ by at most one, T = min(threads, cpu count, R), and T
+    workers take them from one queue, each with a workspace of the largest
+    batch and a generator of its own: the calling thread and T - 1 pool
+    threads.  A batch that fails empties the queue, so no batch starts
+    after it, and the call raises its error once every worker has stopped.
+    Replicate r always draws from (master, stream, r), and a batch gives
+    the same bits as one replicate at a time, so the result depends on
+    neither the thread count nor the batch size.  Each output is joined
+    once, in replicate order, from C-ordered parts.  The point's batch must
+    fit in the config's ``max_field_bytes``: ``FieldSizeError`` otherwise,
+    before any draw.
     """
     check_cap((point,), config.max_field_bytes)
     count = config.replicates
-    chunks = min(config.threads, os.cpu_count() or 1, count)
-    bounds = [count * c // chunks for c in range(chunks + 1)]
+    workers = min(config.threads, os.cpu_count() or 1, count)
+    k = min(workers * -(-count // (workers * point.batch)), count)
+    edges = [count * i // k for i in range(k + 1)]
     spectra = coupled_spectra(config.model, point)
+    seeds = Seeds(config.master_seed, point.stream, range(count))
     # every workspace is allocated here: glibc gives each thread its own malloc
     # arena, which would keep a pool thread's freed workspace after the call
-    tasks = [partial(_replicate_chunk, config, point, reduce,
-                     CoupledWorkspace(spectra, _even_batch(hi - lo, point.batch)), lo, hi)
-             for lo, hi in zip(bounds[:-1], bounds[1:])]
-    # threads start only on submit, so a single chunk starts none; leaving the
+    works = [CoupledWorkspace(spectra, -(-count // k)) for _ in range(workers)]
+    # the queue: one iterator of batch indices, whose next() is atomic under the GIL
+    todo, batches = iter(range(k)), [None] * k
+
+    def worker(work, seeds):
+        try:
+            for i in todo:
+                lo, hi = edges[i], edges[i + 1]
+                fields = generate_coupled_fields(config.innovations, seeds[lo:hi], spectra, work)
+                # each output is copied into its own C-ordered array: the next batch
+                # overwrites the workspace, and row sums round by layout
+                batches[i] = tuple(np.array(out, order="C") for out in reduce(*fields, work.scratch(hi - lo)))
+        except BaseException:
+            deque(todo, maxlen=0)  # empty the queue
+            raise
+
+    # threads start only on submit, so a single worker starts none; leaving the
     # block joins them, by error too
-    with ThreadPoolExecutor(max(chunks - 1, 1)) as pool:
-        rest = [pool.submit(task) for task in tasks[1:]]
-        batches = tasks[0]() + [out for part in rest for out in part.result()]
-    del tasks  # the workspaces are freed before the join
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+        rest = [pool.submit(worker, work, seeds.copy()) for work in works[1:]]
+        worker(works[0], seeds)
+        for part in rest:
+            part.result()
+    del works  # the workspaces are freed before the join
     return tuple(np.concatenate(parts) for parts in zip(*batches))
-
-
-def _even_batch(count: int, batch: int) -> int:
-    """The largest of k = ceil(count / batch) batches that split ``count`` evenly: ceil(count / k)."""
-    return -(-count // -(-count // batch))
 
 
 # ---------------------------------------------------------------------------
@@ -530,20 +527,66 @@ def block_sides(n: int, m: int, l: int | None = None) -> tuple[int, int]:
     return l_n, max(n // (l_n + m), 1)
 
 
+# below this share of a replicate's sites in reach of the point, _block_windows
+# sums its windows from those sites alone.  The dense path pays a window sum
+# and a total on top of the kernel, so this is not _kernel_values' rule.  Live
+# over dense time per batch on a 2-vCPU host (numpy 2.4), at d = 1, n = 256,
+# 1024 and 4096 (batches of 375, 125 and 30) and d = 2, n = 64 and 128
+# (29 and 7): Epanechnikov 0.37-0.85 at shares 0.1-4.3%, 0.94-0.97 at 5% and
+# 1.18-1.41 at 8.7-10%; triangular 0.51-0.77 at 1-4.3% and 1.03-1.22 at
+# 6.5-8.7%; Gaussian 0.57-0.73 at 5-10% (d = 1), 0.93-0.94 at 11.6% (d = 2),
+# 1.06 at 20% and 1.44-1.46 at 23%
+BLOCK_LIVE_SHARE = {"epanechnikov": 0.05, "gaussian": 0.10, "triangular": 0.05}
+
+
 def _block_windows(x, x_m, scratch, kernel, b, point, m, l, q):
     """Per replicate, total and big-block sums of the truncated kernel field K((point - X_m)/b)/sqrt(b).
 
-    The q^d windows [t, t+l)^d, t = k(l + m), are summed from one read-only
-    view of the kernel values with axes (replicate, q, l, ..., q, l); a
-    reshape would not do, as q(l + m) may exceed n.
+    The windows are [t, t+l)^d, t = k(l + m), q per axis.  A replicate with
+    fewer than ``BLOCK_LIVE_SHARE`` of its sites within reach of ``point``
+    sums those sites alone, in site order, by ``np.bincount`` over its index
+    and their windows.  The others, gathered into the second scratch array
+    when the batch holds such a replicate, sum the kernel values of every
+    site, each window from one read-only view with axes (replicate, q, l,
+    ..., q, l), as a reshape would not do where q(l + m) exceeds n.  Either
+    sum is within rounding of the other, and the rule looks at each
+    replicate alone, so its sums do not depend on the rest of its batch.
     """
-    values = _kernel_values(kernel, point, x_m, b, scratch)
+    u, out = scratch
+    count, d, per = len(u), u.ndim - 1, u[0].size
+    axes = tuple(range(1, d + 1))
+    np.subtract(point, x_m, out=u)
+    dead = _out_of_reach(kernel, u, b)
+    sparse = per - dead.sum(axis=axes, dtype=np.int32) < BLOCK_LIVE_SHARE[kernel.name] * per
+    totals, windows = np.empty(count), np.empty((count,) + (q,) * d)
+    rows = np.flatnonzero(sparse)
+    if rows.size:
+        # the sparse replicates' sites in reach, in site order, and their kernel values
+        index, offsets = np.divmod(np.flatnonzero(np.logical_not(dead[rows])), per)
+        terms = u.reshape(count, per)[rows[index], offsets]
+        terms /= b
+        kernel(terms, out=terms)
+        window, inside = index, np.ones(index.size, dtype=bool)
+        for t in np.unravel_index(offsets, u.shape[1:]):
+            k, r = np.divmod(t, l + m)
+            inside &= (r < l) & (k < q)
+            window = window * q + k
+        totals[rows] = np.bincount(index, terms, rows.size)
+        windows[rows] = np.bincount(window[inside], terms[inside], rows.size * q**d).reshape((-1,) + (q,) * d)
+    if rows.size < count:
+        full = np.flatnonzero(np.logical_not(sparse))
+        v = np.take(u, full, axis=0, out=out[: full.size], mode="clip") if rows.size else u
+        v /= b
+        values = kernel(v, out=(u if rows.size else out)[: full.size])
+        steps = values.strides[1:]
+        strides = values.strides[:1] + tuple(s for step in steps for s in ((l + m) * step, step))
+        blocks = as_strided(values, values.shape[:1] + (q, l) * d, strides, writeable=False)
+        totals[full] = values.sum(axis=axes)
+        windows[full] = blocks.sum(axis=tuple(range(2, blocks.ndim, 2)))
     root_b = math.sqrt(b)
-    steps = values.strides[1:]
-    strides = values.strides[:1] + tuple(s for step in steps for s in ((l + m) * step, step))
-    blocks = as_strided(values, values.shape[:1] + (q, l) * len(steps), strides, writeable=False)
-    windows = blocks.sum(axis=tuple(range(2, blocks.ndim, 2))) / root_b
-    return values.sum(axis=tuple(range(1, values.ndim))) / root_b, windows
+    totals /= root_b
+    windows /= root_b
+    return totals, windows
 
 
 def _block_samples(config: ExperimentConfig, points) -> list[tuple]:
@@ -683,13 +726,15 @@ def _rectangle_sums(x, x_m, scratch, kernel, b, point, rects):
     """Corner-rectangle sums of the truncated and remainder kernel fields, and remainder moments.
 
     The truncated field's values go into the second scratch array, and the
-    full field's into the first, with x - X_i taken in ``x`` itself; each
-    rectangle [0, j)^d is summed as a box slice, and the remainder's square
-    goes into the second array once the truncated field's sums are taken.
+    full field's into the first, which takes x - X_i too: the fields are
+    only read, as on the FFT path they are strided views, for which numpy
+    would allocate buffers.  Each rectangle [0, j)^d is summed as a box
+    slice, and the remainder's square goes into the second array once the
+    truncated field's sums are taken.
     """
     root_b = math.sqrt(b)
     zeta = _kernel_values(kernel, point, x_m, b, scratch)
-    diff = _kernel_values(kernel, point, x, b, (x, scratch[0]))
+    diff = _kernel_values(kernel, point, x, b, (scratch[0], scratch[0]))
     diff -= zeta
     axes = tuple(range(1, diff.ndim))
 
@@ -811,9 +856,9 @@ def wu_inequality_check(model: CoefficientModel, innovations: InnovationModel, o
 
 
 def _squared_gap(x, x_m, scratch, kernel, b, point):
-    """Per replicate, site mean of (K((point - X_m)/b) - K((point - X)/b))^2 / b, in the scratch arrays and ``x``."""
+    """Per replicate, site mean of (K((point - X_m)/b) - K((point - X)/b))^2 / b, in the two scratch arrays."""
     gap = _kernel_values(kernel, point, x_m, b, scratch)
-    gap -= _kernel_values(kernel, point, x, b, (x, scratch[0]))
+    gap -= _kernel_values(kernel, point, x, b, (scratch[0], scratch[0]))
     return (np.mean(np.square(gap, out=gap), axis=tuple(range(1, gap.ndim))) / b,)
 
 

@@ -193,17 +193,25 @@ def _fourier_valid(
 
 
 def _direct_valid(lattice, coeffs, out, tap) -> np.ndarray:
-    """Valid region of the convolution summed tap by tap into ``out``, each tap's product in ``tap``."""
-    out.fill(0.0)
-    for k in np.ndindex(coeffs.shape):
-        c = coeffs[k]
-        if c == 0.0:
-            continue
+    """Valid region of the convolution summed tap by tap into ``out``.
+
+    The first nonzero tap's product goes into ``out`` itself and each later
+    one's into ``tap`` before it is added, which gives the bits of a sum
+    from 0.0 up to the sign of an exact zero; with no nonzero tap ``out`` is
+    filled with 0.0.
+    """
+    taps = [k for k in np.ndindex(coeffs.shape) if coeffs[k] != 0.0]
+    if not taps:
+        out.fill(0.0)
+    for i, k in enumerate(taps):
         sl = tuple(
             slice(cs - 1 - kt, cs - 1 - kt + os)
             for kt, cs, os in zip(k, coeffs.shape, out.shape)
         )
-        out += np.multiply(lattice[sl], c, out=tap)
+        if i:
+            out += np.multiply(lattice[sl], coeffs[k], out=tap)
+        else:
+            np.multiply(lattice[sl], coeffs[k], out=out)
     return out
 
 

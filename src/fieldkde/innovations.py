@@ -176,15 +176,21 @@ class Seeds:
     fresh ``Generator(Philox(SeedSequence((master, stream, r))))`` starts
     from, so its draws have the same bits.  It stays replicate i's until the
     next index; iterating gives each replicate's in turn.  A slice shares
-    the generator.
+    the generator, and ``copy`` gives the same keys a generator of its own,
+    for another thread.  The key is set from Python ints in a state dict of
+    lists, which numpy reads faster than array elements.
     """
 
     def __init__(self, master: int, stream: int, replicates):
         SeedSpec(master, stream)  # both must fit in 64 bits
         self.keys = philox_keys(master, stream, replicates)
+        self._own_generator()
+
+    def _own_generator(self):
         self._bits = Philox(key=0)
         self._generator = Generator(self._bits)
-        self._state = self._bits.state  # counter 0, an empty buffer; only the key changes
+        # counter 0 and an empty buffer; only the key changes
+        self._state = {**self._bits.state, "state": {"counter": [0] * 4, "key": [0, 0]}, "buffer": [0] * 4}
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -194,9 +200,15 @@ class Seeds:
             part = copy.copy(self)
             part.keys = self.keys[index]
             return part
-        self._state["state"]["key"] = self.keys[index]
+        self._state["state"]["key"] = self.keys[index].tolist()
         self._bits.state = self._state
         return self._generator
+
+    def copy(self) -> "Seeds":
+        """The same keys with a generator of their own."""
+        twin = copy.copy(self)
+        twin._own_generator()
+        return twin
 
     @classmethod
     def of(cls, seed: SeedSpec) -> "Seeds":

@@ -33,7 +33,7 @@ __all__ = [
 SQRT2PI = math.sqrt(2.0 * math.pi)
 
 
-# Each kernel writes into ``out`` when it is given and returns it.
+# Each kernel writes into ``out`` when it is given and returns it; ``out`` may be ``u`` itself.
 
 
 def _epanechnikov(u, out=None):
@@ -62,8 +62,8 @@ def _gaussian_kernel(u, out=None):
     u = np.asarray(u, dtype=float)
     if u.ndim == 0:
         return _gaussian_kernel(u.reshape(1))[0]
-    w = np.multiply(-0.5, u, out=out)
-    w *= u
+    w = np.multiply(u, u, out=out)
+    w *= -0.5
     live = w >= EXP_ZERO_FLOOR
     if not live.all():
         # numpy's exp is ~20x slower on an argument whose result is 0, and
@@ -178,6 +178,14 @@ def _reach(kernel, b):
     return min(kernel.support_radius, KERNEL_REACH) * (1.0 + 1e-9) * b
 
 
+def _out_of_reach(kernel, u, b):
+    """Where the differences ``u`` = x - X_i lie beyond ``_reach``, as a fresh boolean array; NaN lies in reach."""
+    reach = _reach(kernel, b)
+    dead = u > reach
+    dead |= u < -reach
+    return dead
+
+
 # below this share of the sites in reach of x, _kernel_values evaluates the
 # kernel at those sites alone.  Finding them costs two comparisons, a count
 # and an index per site, about what a compact kernel costs everywhere; the
@@ -194,16 +202,14 @@ def _kernel_values(kernel, x, values, b, scratch=None):
 
     ``scratch``, two C-ordered arrays shaped like ``values``, takes x - X_i
     and the kernel values in place of fresh arrays; the result is its second
-    array.  When fewer than ``LIVE_SITE_SHARE`` of the sites lie within
+    array, which may be the first.  When fewer than ``LIVE_SITE_SHARE`` of the sites lie within
     ``_reach`` of x, the kernel runs at those sites alone and every other
     site gets the exact 0.0 the kernel gives it, so the bits are those of
     the evaluation at every site.  A NaN difference counts as in reach.
     """
     u, out = np.empty((2,) + np.shape(values)) if scratch is None else scratch
     np.subtract(x, values, out=u)
-    reach = _reach(kernel, b)
-    dead = u > reach
-    dead |= u < -reach
+    dead = _out_of_reach(kernel, u, b)
     if dead.size - np.count_nonzero(dead) >= LIVE_SITE_SHARE[kernel.name] * dead.size:
         u /= b
         return kernel(u, out=out)
@@ -416,18 +422,25 @@ def _inverted(oracle: DensityOracle, model: CoefficientModel, innovations: Innov
     replacement, on the integral beyond the last node and on the aliasing;
     README, "Density oracles", gives L, R, the nodes and each bound.
 
+    An oracle whose m is None has X as its truncation, and L grows from 1.
     Raises ``ValueError`` for uniform innovations with fewer than two nonzero
-    weights in [0, m)^d: that density has jumps and its phi is not integrable.
+    weights in [0, m)^d, or in [0, L)^d when m is None: that density has
+    jumps and its phi is not integrable.
     """
     v, sd = oracle.variance, math.sqrt(oracle.variance)
-    L = oracle.m
+    L = oracle.m or 1
     while residual_sqrt_mass(model, L) ** 2 > 1e-13 * v and (2 * L) ** model.d <= 1 << 16:
         L *= 2
-    # the nonzero |a_k| of each box, in descending order
-    box_m, box = (np.sort(np.abs(a[a != 0.0]))[::-1] for a in (coeff_box(model, oracle.m), coeff_box(model, L)))
+
+    def nonzero(a):  # the nonzero |a_k| of a box, in descending order
+        return np.sort(np.abs(a[a != 0.0]))[::-1]
+
+    box = nonzero(coeff_box(model, L))
+    box_m = box if oracle.m is None else nonzero(coeff_box(model, oracle.m))
     if innovations.name == "uniform" and box_m.size < 2:
-        raise ValueError("uniform innovations need two nonzero weights in [0, m)^d: with one, the truncated "
-                         "density has jumps and its characteristic function is not integrable")
+        where = "" if oracle.m is None else " in [0, m)^d"
+        raise ValueError(f"uniform innovations need two nonzero weights{where}: with one, that density has jumps "
+                         "and its characteristic function is not integrable")
     tail = residual_sqrt_mass(model, L) ** 2
     radius = 128.0 * sd
     if innovations.name == "uniform" and UNIFORM_HALF_WIDTH * box.sum() + 8.0 * sd < radius:
@@ -444,15 +457,17 @@ def _inverted(oracle: DensityOracle, model: CoefficientModel, innovations: Innov
         k = min(int(np.sum(envelope > 1e-15)), grid.size - 1)  # the envelope falls with T
         return math.ceil(grid[k] / h - 1e-9) + 1, float(envelope[k]) / math.pi
 
-    (size, truncation_m), (size_box, truncation) = cutoff(box_m), cutoff(box)
+    size_box, truncation = cutoff(box)
+    size, truncation_m = (size_box, truncation) if oracle.m is None else cutoff(box_m)
     t = h * np.arange(size)
     w = np.full(size, h / math.pi)
     w[0] *= 0.5
     phi_box = np.zeros(size)
     phi_box[:size_box] = _box_cf(innovations, box, t[:size_box])
     replacement = tail * float(np.dot(w, t * t * np.abs(phi_box)))
+    phi = phi_box * np.exp(-0.5 * tail * t * t)
     out = replace(
-        oracle, t=t, w=w, phi=phi_box * np.exp(-0.5 * tail * t * t), phi_m=_box_cf(innovations, box_m, t),
+        oracle, t=t, w=w, phi=phi, phi_m=phi if oracle.m is None else _box_cf(innovations, box_m, t),
         half_period=2.0 * radius, error_bound=max(replacement + truncation, truncation_m) + aliasing,
     )
     out.sup_marginal, out.sup_truncated = out.p(0.0), out.p_m(0.0)
@@ -460,17 +475,17 @@ def _inverted(oracle: DensityOracle, model: CoefficientModel, innovations: Innov
     return out
 
 
-def density_oracle(model: CoefficientModel, innovations: InnovationModel, m: int) -> DensityOracle:
-    """Density of X_0 and of its m-truncation, for any innovation law.
+def density_oracle(model: CoefficientModel, innovations: InnovationModel, m: int | None) -> DensityOracle:
+    """Density of X_0 and of its m-truncation, for any innovation law; m None builds X_0's alone, as its own truncation.
 
     Gaussian innovations: N(0, v) with v = sum a_k^2 and N(0, v_m) with v_m
     the mass of [0, m)^d, in closed form with ``error_bound`` 0.  Other laws:
     Fourier inversion (``_inverted``), whose sups are the values at 0.
     """
-    if m < 1:
+    if m is not None and m < 1:
         raise ValueError("m must be >= 1")
     v = total_sq_mass(model)
-    v_m = box_mass(model, m)
+    v_m = v if m is None else box_mass(model, m)
     if v_m <= 0:
         raise ValueError("truncated field is degenerate (no mass in [0, m)^d)")
     regularity = "lipschitz-certified" if innovations.lipschitz_density else "not certified"

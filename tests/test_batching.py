@@ -13,6 +13,7 @@ import resource
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -163,7 +164,7 @@ class TestBatchInvariance:
         one = _outputs(tmp_path, subcommand, 1, "t1")
         two = _outputs(tmp_path, subcommand, 2, "t2")
         assert one[1] and one == reference[subcommand] and two == reference[subcommand]
-        # a chunk splits into even batches: at B7 the one-thread chunk of 17 runs 6, 6 and 5
+        # R splits into even batches: at B7 one thread runs 5, 6 and 6, and two threads 4, 4, 4 and 5
         k = -(-REPLICATES // min(forced, REPLICATES))
         assert max(seen["sizes"]) == -(-REPLICATES // k)
         if size == 7:
@@ -180,32 +181,107 @@ class TestBatchInvariance:
 
 
 class TestWorkerPool:
-    """A run's chunks run on threads of its process, and no thread outlives it."""
+    """A run's batches run on threads of its process, taken from one queue, and no thread outlives it."""
 
     @pytest.fixture
     def two_cpus(self, monkeypatch):
-        """Two CPUs, so that two threads run two chunks."""
+        """Two CPUs, so that two threads take batches."""
         monkeypatch.setattr(clt.os, "cpu_count", lambda: 2)
 
-    @pytest.mark.parametrize("failing", ["every_chunk", "pool_thread_chunk"])
+    @pytest.mark.parametrize("failing", ["every_batch", "pool_thread_batch"])
     def test_no_thread_outlives_a_run_that_fails_partway(self, tmp_path, monkeypatch, two_cpus, capsys, failing):
-        # a chunk fails at the third grid point, after two grid points ran: every chunk, or only
-        # the one holding the replicates from R/2 on, which runs on the pool's thread
-        chunk, threads = clt._replicate_chunk, threading.active_count()
-        last_ok = 0 if failing == "every_chunk" else REPLICATES / 2
+        # a batch fails at the third grid point, after two grid points ran: every batch, or only
+        # those a pool thread takes, while the calling thread holds its first batch until then
+        generate, threads, caller = clt.generate_coupled_fields, threading.active_count(), threading.get_ident()
+        failed = threading.Event()
+        monkeypatch.setattr(clt, "_batch_size", lambda *args: 3)
 
-        def failing_at_the_third(config, point, reduce, work, start, stop):
-            if point.n == 256 and stop > last_ok:
-                raise ValueError("generation failed at n = 256")
-            return chunk(config, point, reduce, work, start, stop)
+        def failing_at_the_third(innovations, seeds, spectra, work):
+            if spectra.n == 256:
+                if failing == "every_batch" or threading.get_ident() != caller:
+                    failed.set()
+                    raise ValueError("generation failed at n = 256")
+                failed.wait(10)
+            return generate(innovations, seeds, spectra, work)
 
-        monkeypatch.setattr(clt, "_replicate_chunk", failing_at_the_third)
+        monkeypatch.setattr(clt, "generate_coupled_fields", failing_at_the_third)
         code, files = _cli(tmp_path, "blocks", "blocks_d1.json",
                            ["blocks.n_grid=[64,128,256]", f"blocks.replicates={REPLICATES}"], threads=2)
         assert code == 1 and "generation failed at n = 256" in capsys.readouterr().err
         assert threading.active_count() == threads
         manifest = json.loads((tmp_path / "blocks" / "manifest.json").read_text())
         assert manifest["status"] == "error" and "report.json" not in files
+
+    @pytest.mark.parametrize("failing", ["calling", "pool"])
+    def test_a_failed_batch_raises_and_no_later_batch_starts(self, monkeypatch, two_cpus, geometric_half, failing):
+        # each thread takes one batch of one; the failing thread's fails once the other's has started,
+        # and the other's outlasts the failure, so the queue is empty when it is done
+        generate, threads, caller = clt.generate_coupled_fields, threading.active_count(), threading.get_ident()
+        started, other = [], threading.Event()
+
+        def failing_first(innovations, seeds, spectra, work):
+            on_caller = threading.get_ident() == caller
+            started.append(on_caller)
+            if on_caller == (failing == "calling"):
+                other.wait(10)
+                raise ValueError("batch failed")
+            other.set()
+            time.sleep(0.2)
+            return generate(innovations, seeds, spectra, work)
+
+        monkeypatch.setattr(clt, "generate_coupled_fields", failing_first)
+        config = ExperimentConfig(
+            model=geometric_half, innovations=InnovationModel("gaussian"), kernel=kernel_by_name("gaussian"),
+            bandwidth=BandwidthSchedule(d=1, gamma=0.5), n_grid=(16,), replicates=8, threads=2,
+        )
+        point = replace(_point(geometric_half, 16, 2, 4, replicates=8), batch=1)
+        with pytest.raises(ValueError, match="batch failed"):
+            clt._run_replicates(config, point, lambda x, x_m, scratch: (x[:, 0],))
+        assert sorted(started) == [False, True]
+        assert threading.active_count() == threads
+
+    def test_a_slow_calling_thread_leaves_its_batches_to_the_pool(self, tmp_path, monkeypatch, reference, two_cpus):
+        # batches of one, and every batch on the calling thread sleeps: the pool thread takes most of
+        # them, and the reports keep the bits of one thread
+        windows, ran, caller = clt._block_windows, [], threading.get_ident()
+
+        def slow_on_the_caller(*args, **kw):
+            ran.append(threading.get_ident() == caller)
+            if ran[-1]:
+                time.sleep(0.02)
+            return windows(*args, **kw)
+
+        monkeypatch.setattr(clt, "_batch_size", lambda *args: 1)
+        monkeypatch.setattr(clt, "_block_windows", slow_on_the_caller)
+        assert _outputs(tmp_path, "blocks", 2, "t2") == reference["blocks"]
+        assert len(ran) == 2 * REPLICATES and ran.count(False) > REPLICATES
+
+    def test_every_batch_runs_once_with_more_workers_than_cores(self, monkeypatch, geometric_half):
+        # eight workers on fewer cores, switching threads as often as the interpreter can, share one
+        # queue of 120 batches of one: each replicate is drawn once and the rows keep their bits
+        monkeypatch.setattr(clt.os, "cpu_count", lambda: 8)
+        generate, drawn = clt.generate_coupled_fields, []
+
+        def recording(innovations, seeds, *args):
+            drawn.extend(seeds.keys[:, 0].tolist())
+            return generate(innovations, seeds, *args)
+
+        config = ExperimentConfig(
+            model=geometric_half, innovations=InnovationModel("gaussian"), kernel=kernel_by_name("gaussian"),
+            bandwidth=BandwidthSchedule(d=1, gamma=0.5), n_grid=(16,), replicates=120,
+        )
+        point = replace(_point(geometric_half, 16, 2, 4, replicates=120), batch=1)
+        reduce = partial(clt._squared_gap, kernel=config.kernel, b=0.5, point=0.0)
+        (alone,) = clt._run_replicates(config, point, reduce)
+        monkeypatch.setattr(clt, "generate_coupled_fields", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            (shared,) = clt._run_replicates(replace(config, threads=8), point, reduce)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(drawn) == sorted(Seeds(config.master_seed, point.stream, range(120)).keys[:, 0].tolist())
+        assert np.array_equal(shared, alone)
 
     def test_results_equal_at_any_thread_count(self, monkeypatch, geometric_half):
         monkeypatch.setattr(clt.os, "cpu_count", lambda: 3)
@@ -234,6 +310,8 @@ class TestWorkerPool:
             return x, x_m
 
         monkeypatch.setattr(clt, "generate_coupled_fields", nan_fields)
+        # batches of one, so that the pool's thread takes some whatever the calling thread's pace
+        monkeypatch.setattr(clt, "_batch_size", lambda *args: 1)
         code, files = _outputs(tmp_path, "clt-run", 2, "t2")
         report = json.loads(files["report.json"])
         assert code == 2 and len(threads - {threading.get_ident()}) > 0
@@ -243,33 +321,28 @@ class TestWorkerPool:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_workspaces_allocated_on_the_calling_thread(self, tmp_path, monkeypatch, two_cpus, threads):
         # a pool thread's freed workspace would stay in that thread's malloc arena
-        caller, built, chunks, started = threading.get_ident(), [], [], []
-        chunk, start = clt._replicate_chunk, threading.Thread.start
+        caller, built, started = threading.get_ident(), [], []
+        start = threading.Thread.start
 
         class RecordingWorkspace(clt.CoupledWorkspace):
-            def __init__(self, *args):
-                built.append(threading.get_ident())
-                super().__init__(*args)
-
-        def recording_chunk(*args):
-            chunks.append(threading.get_ident())
-            return chunk(*args)
+            def __init__(self, spectra, size):
+                built.append((threading.get_ident(), spectra.n, size))
+                super().__init__(spectra, size)
 
         def recording_start(thread):
             started.append(thread)
             return start(thread)
 
         monkeypatch.setattr(clt, "CoupledWorkspace", RecordingWorkspace)
-        monkeypatch.setattr(clt, "_replicate_chunk", recording_chunk)
         monkeypatch.setattr(threading.Thread, "start", recording_start)
         code, files = _outputs(tmp_path, "blocks", threads, f"t{threads}")
         assert code in (0, 2) and "report.json" in files
-        points = len(json.loads((tmp_path / f"t{threads}" / "blocks" / "manifest.json").read_text())["plan"]["points"])
-        # one workspace per chunk, every one made on the calling thread
-        assert built == [caller] * threads * points
-        # one chunk per grid point on the calling thread, and at two threads one on another
-        assert chunks.count(caller) == points and len(chunks) == threads * points
-        assert len(started) == (threads - 1) * points
+        points = json.loads((tmp_path / f"t{threads}" / "blocks" / "manifest.json").read_text())["plan"]["points"]
+        # one workspace per worker and grid point, every one made on the calling thread, none above the batch
+        assert [(ident, n) for ident, n, _ in built] == [(caller, p["n"]) for p in points for _ in range(threads)]
+        batches = [p["batch"] for p in points for _ in range(threads)]
+        assert all(size <= batch for (_, _, size), batch in zip(built, batches))
+        assert len(started) == (threads - 1) * len(points)
 
 
 @st.composite
@@ -324,22 +397,24 @@ class TestBatchedGeneration:
 INNOVATIONS = [InnovationModel("gaussian"), InnovationModel("uniform"), InnovationModel("student_t", nu=5.0)]
 
 
-class TestChunkWorkspace:
-    """One workspace per chunk gives the bits of a fresh generation per seed."""
+class TestWorkerWorkspace:
+    """A workspace per worker, reused by every batch it takes, gives the bits of a fresh generation per seed."""
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("innov", INNOVATIONS, ids=lambda i: i.name)
     @pytest.mark.parametrize("method", ["fourier", "direct"])
     @pytest.mark.parametrize("d,n", [(1, 30), (2, 9), (3, 4)])
     @pytest.mark.parametrize("m,M", [(2, 3), (3, 3)], ids=["m<M", "m=M"])
-    def test_chunk_equals_one_generation_per_seed(self, innov, method, d, n, m, M):
+    def test_outputs_equal_one_generation_per_seed(self, monkeypatch, innov, method, d, n, m, M, threads):
+        monkeypatch.setattr(clt.os, "cpu_count", lambda: 2)
         model = CoefficientModel(d=d, family="power_decay", q=4.0)
         plan = plan_truncation(model, m=m, policy="fixed", M=M)
+        R, stream = 5, 4
         config = ExperimentConfig(
             model=model, innovations=innov, kernel=kernel_by_name("gaussian"),
-            bandwidth=BandwidthSchedule(d=d, gamma=0.5), n_grid=(n,), replicates=5, master_seed=11,
+            bandwidth=BandwidthSchedule(d=d, gamma=0.5), n_grid=(n,), replicates=R, master_seed=11, threads=threads,
         )
-        start, stop, stream = 3, 8, 4
-        point = replace(planned(model, n, m, plan, method, replicates=5, stream=stream), batch=2)
+        point = replace(planned(model, n, m, plan, method, replicates=R, stream=stream), batch=2)
         seen = []
 
         def fields(x, x_m, scratch):
@@ -348,20 +423,18 @@ class TestChunkWorkspace:
                 buf.fill(np.nan)
             return x, x_m
 
+        got_x, got_x_m = clt._run_replicates(config, point, fields)
+        # R = 5 in batches of at most 2: 1, 2 and 2 on one worker, and 1, 1, 1 and 2 shared by two
+        assert sorted(len(x) for x, _, _, _ in seen) == ([1, 2, 2] if threads == 1 else [1, 1, 1, 2])
+        if threads == 1:  # the next batch overwrites the fields of the last, so only the copies outlive it
+            assert not np.array_equal(seen[0][0], seen[0][2])
         spectra = coupled_spectra(model, point)
-        batches = clt._replicate_chunk(config, point, fields, clt.CoupledWorkspace(spectra, 2), start, stop)
-        assert [len(x) for x, _ in batches] == [2, 2, 1]  # batches of 2, 2 and 1
-        # the next batch overwrites the fields of the last, so only the copies outlive it
-        assert not np.array_equal(seen[0][0], seen[0][2])
-        got_x, got_x_m = (np.concatenate(parts) for parts in zip(*batches))
-        for i, r in enumerate(range(start, stop)):
+        for r in range(R):
             want_x, want_x_m = generate_coupled_fields(innov, Seeds(11, stream, [r]), spectra)
-            assert np.array_equal(got_x[i].view(np.int64), want_x[0].view(np.int64))
-            assert np.array_equal(got_x_m[i].view(np.int64), want_x_m[0].view(np.int64))
+            assert np.array_equal(got_x[r].view(np.int64), want_x[0].view(np.int64))
+            assert np.array_equal(got_x_m[r].view(np.int64), want_x_m[0].view(np.int64))
         assert all((x_m is x) == (m == M) for x, x_m, _, _ in seen)
-        for (x, x_m), (_, _, x_copy, x_m_copy) in zip(batches, seen):
-            assert x.base is None and np.array_equal(x.view(np.int64), x_copy.view(np.int64))
-            assert np.array_equal(x_m.view(np.int64), x_m_copy.view(np.int64))
+        assert got_x.base is None and got_x.flags.c_contiguous
 
 
 @pytest.mark.skipif(

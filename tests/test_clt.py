@@ -94,7 +94,7 @@ class TestReplicateEngine:
         R, stream = 7, 5
         config = _config(geometric_half, replicates=R, threads=threads)
         plan = plan_truncation(geometric_half, m=2, policy="fixed", M=4)
-        # the point carries a forced size to every chunk
+        # the point carries a forced size to every batch
         head, first = clt._run_replicates(config, _point(config, 32, 2, plan, stream, size), _fortran_head)
         alone = [coupled_pair(geometric_half, 32, 2, plan, SeedSpec(MASTER_SEED, stream, r)) for r in range(R)]
         assert head.flags.c_contiguous and first.flags.c_contiguous
@@ -102,14 +102,16 @@ class TestReplicateEngine:
         assert np.array_equal(first, np.array([x_m[0] for _, x_m in alone]))
 
     @pytest.mark.parametrize("size", [1, 3], ids=["B1", "B3"])
-    def test_batch_intermediates_freed_before_the_join(self, geometric_half, size):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_batch_intermediates_freed_before_the_join(self, geometric_half, monkeypatch, threads, size):
         import weakref
 
         import fieldkde.clt as clt
 
-        config = _config(geometric_half, replicates=7)
+        monkeypatch.setattr(clt.os, "cpu_count", lambda: 2)
+        config = _config(geometric_half, replicates=7, threads=threads)
         point = _point(config, 32, 2, plan_truncation(geometric_half, m=2, policy="fixed", M=4), 0, size)
-        alive = []
+        alive, joined, concatenate = [], [], np.concatenate
 
         def prefix_views(x, x_m, scratch):
             # both outputs are views into one batch-sized array, which a reduction may return
@@ -117,24 +119,37 @@ class TestReplicateEngine:
             alive.append(weakref.ref(prefix))
             return prefix[:, -1], prefix[:, ::8]
 
-        work = clt.CoupledWorkspace(coupled_spectra(config.model, point), size)
-        batches = clt._replicate_chunk(config, point, prefix_views, work, 0, 7)
-        assert len(alive) == len(batches) == -(-7 // size)
-        assert all(ref() is None for ref in alive)
-        blocks = partial(clt._block_windows, kernel=config.kernel, b=0.5, point=0.0, m=2, l=6, q=4)
-        for outs in clt._replicate_chunk(config, point, blocks, work, 0, 7):
-            assert all(out.base is None and out.flags.c_contiguous for out in outs)
+        def checking_join(parts):
+            # each batch's outputs are C-ordered copies, and what they were copied from is freed
+            parts = list(parts)
+            joined.append(all(ref() is None for ref in alive)
+                          and all(out.base is None and out.flags.c_contiguous for out in parts))
+            return concatenate(parts)
 
-    def test_spectra_built_once_per_grid_point(self, power_d2, monkeypatch):
+        monkeypatch.setattr(np, "concatenate", checking_join)
+        clt._run_replicates(config, point, prefix_views)
+        blocks = partial(clt._block_windows, kernel=config.kernel, b=0.5, point=0.0, m=2, l=6, q=4)
+        clt._run_replicates(config, point, blocks)
+        assert len(alive) == min(threads * -(-7 // (threads * size)), 7)
+        # the two outputs of each run, and numpy's own calls, as in making a Philox generator
+        assert len(joined) >= 4 and all(joined)
+
+    def test_spectra_built_and_keys_hashed_once_per_grid_point(self, power_d2, monkeypatch):
         import fieldkde.clt as clt
 
-        calls = []
+        spectra, keys = [], []
 
         def counting(model, point):
-            calls.append(point)
+            spectra.append(point)
             return coupled_spectra(model, point)
 
+        class CountingSeeds(Seeds):
+            def __init__(self, *args):
+                keys.append(args)
+                super().__init__(*args)
+
         monkeypatch.setattr(clt, "coupled_spectra", counting)
+        monkeypatch.setattr(clt, "Seeds", CountingSeeds)
         monkeypatch.setattr(clt.os, "cpu_count", lambda: 2)
         config = _config(power_d2, bandwidth=BandwidthSchedule(d=2, gamma=1.0), replicates=7, threads=2)
         plan = plan_truncation(power_d2, m=2, policy="fixed", M=6)
@@ -143,14 +158,13 @@ class TestReplicateEngine:
         def reduce(x, x_m, scratch):
             return (x.sum(axis=(1, 2)),)
 
-        point = _point(config, 16, 2, plan, 0)
+        point = replace(_point(config, 16, 2, plan, 0), batch=2)
         (rows,) = clt._run_replicates(config, point, reduce)
-        # the two chunks share one build of the spectra
-        assert len(rows) == 7 and len(calls) == 1
-        # a chunk in a workspace of its own reproduces the same replicates
-        work = clt.CoupledWorkspace(coupled_spectra(power_d2, point), point.batch)
-        tail = np.concatenate([out for out, in clt._replicate_chunk(config, point, reduce, work, 3, 7)])
-        assert np.array_equal(tail, rows[3:])
+        # the two workers share one build of the spectra and one pass over the keys, of every replicate
+        assert len(rows) == 7 and len(spectra) == 1
+        assert len(keys) == 1 and list(keys[0][2]) == list(range(7))
+        (alone,) = clt._run_replicates(replace(config, threads=1), point, reduce)
+        assert np.array_equal(rows, alone)
 
 
 class TestNormalizedStatistic:
@@ -615,6 +629,67 @@ class TestBlocks:
             assert np.array_equal(windows, windows_one_by_one)
             assert np.array_equal(total, values.sum(axis=1) / root_b)
 
+    @pytest.mark.parametrize("d,n,l", [(1, 403, 30), (2, 41, 6), (3, 13, 3)])
+    def test_live_block_windows_equal_fsum_and_the_dense_sums(self, monkeypatch, epanechnikov, d, n, l):
+        import fieldkde.clt as clt
+
+        # four replicates, a strip past the last block on every axis: in the first three about 1% of the
+        # sites lie within reach of x = 0.2 at b = 0.5, and one in the strip and one in a gap of the first,
+        # a NaN in a window of the second, and the third's last window reached by no site; the fourth is
+        # dense, with about half its sites in reach
+        m, b, x = 2, 0.5, 0.2
+        q = n // (l + m)
+        assert q * (l + m) < n
+        rng = np.random.default_rng(MASTER_SEED)
+        x_m = 5.0 + rng.random((4,) + (n,) * d)
+        live = rng.random(x_m.shape) < 0.01
+        x_m[live] = x + rng.uniform(-0.45, 0.45, live.sum())
+        x_m[3] = x + rng.uniform(-1.0, 1.0, x_m[3].shape)
+        x_m[(0,) + (n - 1,) * d] = x  # in the strip: in the total, in no window
+        x_m[(0,) + (l,) * d] = x  # in the gap after the first block: the same
+        x_m[(1,) + (l // 2,) * d] = math.nan
+        last = tuple(slice((q - 1) * (l + m), (q - 1) * (l + m) + l) for _ in range(d))
+        x_m[(2,) + last] = 5.0
+        calls = []
+        bincount = np.bincount
+
+        def counting(*args, **kw):
+            calls.append(1)
+            return bincount(*args, **kw)
+
+        monkeypatch.setattr(np, "bincount", counting)
+
+        def windows_of(fields):
+            return clt._block_windows(fields, fields, np.empty((2,) + fields.shape), kernel=epanechnikov, b=b,
+                                      point=x, m=m, l=l, q=q)
+
+        total, windows = windows_of(x_m)
+        assert calls and windows.shape == (4,) + (q,) * d
+        values, root_b = clt._kernel_values(epanechnikov, x, x_m, b), math.sqrt(b)
+        fsum_total = np.array([math.fsum(v.ravel()) for v in values]) / root_b
+        fsum_windows = np.empty(windows.shape)
+        for r in range(4):
+            for k in np.ndindex((q,) * d):
+                box = tuple(slice(t * (l + m), t * (l + m) + l) for t in k)
+                fsum_windows[(r,) + k] = math.fsum(values[(r,) + box].ravel()) / root_b
+        monkeypatch.setattr(clt, "BLOCK_LIVE_SHARE", {"epanechnikov": 0.0})
+        calls.clear()
+        dense_total, dense_windows = windows_of(x_m)
+        assert not calls
+        ulp = np.spacing(np.nan_to_num(fsum_total))
+        for got, references in ((total, (fsum_total, dense_total)), (windows, (fsum_windows, dense_windows))):
+            tolerance = 8 * ulp.reshape((-1,) + (1,) * (got.ndim - 1))
+            for reference in references:
+                assert np.array_equal(np.isnan(got), np.isnan(reference))
+                assert np.all(np.abs(np.nan_to_num(got - reference)) <= tolerance)
+        assert np.isnan(total[1]) and np.isnan(windows[(1,) + (0,) * d])
+        assert windows[(2,) + (q - 1,) * d] == 0.0 and total[0] > windows[0].sum()
+        # a replicate's sums do not depend on the rest of its batch
+        monkeypatch.undo()
+        for r in range(4):
+            alone = windows_of(x_m[r : r + 1])
+            assert all(np.array_equal(a[0], w[r], equal_nan=True) for a, w in zip(alone, (total, windows)))
+
     def test_block_windows_where_the_blocks_overrun_the_lattice(self, epanechnikov):
         import fieldkde.clt as clt
 
@@ -828,11 +903,13 @@ def _reduction(name, point, kernel, d):
 
 
 class TestReductionMemory:
-    """The engine holds no more than a point's planned bytes beside its results, and splits each chunk evenly."""
+    """The engine holds no more than a point's planned bytes beside its results, and splits R evenly."""
 
     @pytest.mark.parametrize("reduction", ["kernel_sums", "block_windows", "rectangle_sums", "squared_gap"])
     @pytest.mark.parametrize("method", ["direct", "fourier"])
-    @pytest.mark.parametrize("d,n", [(1, 8192), (2, 96)])
+    # at n = 2048 on the FFT path the fields are strided views that numpy's ufuncs buffer, 1.02 times the
+    # plan when a reduction wrote into them
+    @pytest.mark.parametrize("d,n", [(1, 2048), (1, 8192), (2, 96)])
     def test_peak_within_the_planned_bytes_and_the_results(self, reduction, method, d, n):
         import fieldkde.clt as clt
 
@@ -847,9 +924,10 @@ class TestReductionMemory:
         results = sum(a.nbytes for a in clt._run_replicates(cfg, point, reduce))
         assert _traced_peak(clt._run_replicates, cfg, point, reduce) <= point.bytes + results
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("replicates,batch", [(17, 7), (200, 126), (23, 10), (24, 8), (9, 1), (5, 5)])
-    def test_a_chunk_runs_ceil_c_over_batch_batches_differing_by_at_most_one(self, monkeypatch, geometric_half,
-                                                                             replicates, batch):
+    def test_batches_differ_by_at_most_one_in_a_multiple_of_the_workers(self, monkeypatch, geometric_half,
+                                                                        replicates, batch, threads):
         import fieldkde.clt as clt
 
         seen, workspaces = [], []
@@ -865,13 +943,16 @@ class TestReductionMemory:
 
         monkeypatch.setattr(clt, "generate_coupled_fields", recording_generate)
         monkeypatch.setattr(clt, "CoupledWorkspace", recording_workspace)
-        cfg = _config(geometric_half, n_grid=(64,), replicates=replicates)
+        monkeypatch.setattr(clt.os, "cpu_count", lambda: 2)
+        cfg = _config(geometric_half, n_grid=(64,), replicates=replicates, threads=threads)
         point = replace(planned(geometric_half, 64, 2, plan_truncation(geometric_half, m=2, policy="fixed", M=4),
                                 replicates=replicates), batch=batch)
         (rows,) = clt._run_replicates(cfg, point, lambda x, x_m, scratch: (x[:, 0],))
         assert len(rows) == sum(seen) == replicates
-        assert len(seen) == -(-replicates // batch) and max(seen) - min(seen) <= 1
-        assert workspaces == [max(seen)] and max(seen) <= batch
+        # T ceil(R / (T batch)) batches, or R of one where that is more
+        assert len(seen) == min(threads * -(-replicates // (threads * batch)), replicates)
+        assert max(seen) - min(seen) <= 1
+        assert workspaces == [max(seen)] * threads and max(seen) <= batch
 
 
 class TestRectangles:

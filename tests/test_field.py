@@ -20,6 +20,7 @@ from fieldkde import (
 from fieldkde.clt import check_cap
 from fieldkde.field import (
     DEFAULT_MAX_FIELD_BYTES,
+    _direct_valid,
     coupled_spectra,
     estimate_field_bytes,
     read_field_binary,
@@ -74,6 +75,32 @@ class TestConvolution:
         a = lattice_convolve(lat, coeffs, "direct")
         b = lattice_convolve(lat, coeffs, "fourier")
         assert np.max(np.abs(a - b)) <= 1e-8 * max(np.max(np.abs(a)), 1e-12)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [np.array([0.5, 0.0, -2.0, 1.0]), np.array([[0.0, 3.0], [0.0, 0.25]]), np.array([1.0]),
+         np.zeros((2, 3)), np.zeros(1)],
+        ids=["d1", "d2_leading_zero", "one_tap", "all_zero_d2", "all_zero_one_tap"],
+    )
+    def test_direct_taps_equal_a_sum_from_zero(self, coeffs):
+        # the first nonzero tap is written into the output, not added to a 0.0 fill; only the sign of an
+        # exact zero may differ, which adding 0.0 undoes
+        rng = np.random.default_rng(MASTER_SEED)
+        lattice = rng.standard_normal((9,) * coeffs.ndim)
+        lattice.flat[::3] = 0.0
+        lattice.flat[1::7] = -0.0
+        out_shape = tuple(s - c + 1 for s, c in zip(lattice.shape, coeffs.shape))
+        reference = np.zeros(out_shape)
+        for k in np.ndindex(coeffs.shape):
+            if coeffs[k] != 0.0:
+                sl = tuple(slice(c - 1 - t, c - 1 - t + o) for t, c, o in zip(k, coeffs.shape, out_shape))
+                reference += lattice[sl] * coeffs[k]
+        out = np.full(out_shape, np.nan)
+        got = _direct_valid(lattice, coeffs, out, np.empty(out_shape))
+        assert got is out
+        assert np.array_equal((got + 0.0).view(np.int64), reference.view(np.int64))
+        if not coeffs.any():
+            assert np.array_equal(got.view(np.int64), np.zeros(out_shape).view(np.int64))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -139,3 +139,15 @@ class TestRekeyedGenerator:
         for r, rng in zip(range(3, 6), part):
             want = Generator(Philox(SeedSequence((MASTER_SEED, 2, r)))).standard_normal(4)
             assert np.array_equal(rng.standard_normal(4), want)
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.name)
+    def test_a_copy_keys_the_same_replicates_with_a_generator_of_its_own(self, law):
+        seeds = Seeds(MASTER_SEED, 9, range(6))
+        twin = seeds.copy()
+        assert twin.keys is seeds.keys and twin[0] is not seeds[0]
+        # interleaved on one thread as two threads would use them: neither disturbs the other
+        for r in (5, 1, 3):
+            mine, theirs = seeds[r - 1 : r + 1][1], twin[r]
+            got = draw_lattice(law, mine, (4, 5)), draw_lattice(law, theirs, (4, 5))
+            want = draw_lattice(law, Generator(Philox(SeedSequence((MASTER_SEED, 9, r)))), (4, 5))
+            assert all(np.array_equal(g.view(np.int64), want.view(np.int64)) for g in got)

@@ -690,6 +690,24 @@ class TestInversionOracle:
         assert code == 1
         assert "uniform innovations need two nonzero weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("innov", [InnovationModel("gaussian"), InnovationModel("uniform"),
+                                       InnovationModel("student_t", nu=5.0)], ids=lambda i: i.name)
+    def test_oracle_of_x_alone(self, geometric_half, innov):
+        # m None: X is its own truncation, and one weight in [0, 1) refuses nothing
+        alone = density_oracle(geometric_half, innov, None)
+        xs = np.linspace(-2.0, 2.0, 9)
+        assert np.array_equal(alone.p(xs), alone.p_m(xs)) and alone.sup_gap == 0.0
+        for m in (1, 2, 3) if innov.name != "uniform" else (2, 3):
+            at_m = density_oracle(geometric_half, innov, m)
+            if innov.name == "gaussian":
+                assert np.array_equal(alone.p(xs), at_m.p(xs))
+            else:
+                assert np.all(np.abs(alone.p(xs) - at_m.p(xs)) <= alone.error_bound + at_m.error_bound)
+        model = CoefficientModel(d=1, family="finite_support", table=np.array([1.0]))
+        if innov.name == "uniform":
+            with pytest.raises(ValueError, match="two nonzero weights: "):
+                density_oracle(model, innov, None)
+
     def test_summary_carries_the_bound(self, geometric_half, gaussian_innov):
         assert density_oracle(geometric_half, gaussian_innov, 2).summary()["error_bound"] == 0.0
         o = density_oracle(geometric_half, InnovationModel("student_t", nu=5.0), 2)

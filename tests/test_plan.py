@@ -496,7 +496,8 @@ class TestModelKeys:
 
 
 class TestUniformRefusal:
-    """Uniform innovations with one nonzero weight in [0, m)^d are refused before any draw, naming the key of m."""
+    """Uniform innovations with one nonzero weight in [0, m)^d are refused before any draw, naming the key of m,
+    where the run reads the density of X_m."""
 
     GEOMETRIC = ['coefficient={"family":"geometric","d":1,"ratio":0.5}', 'innovations={"name":"uniform"}']
 
@@ -506,7 +507,6 @@ class TestUniformRefusal:
             ("fixed-m-gap", ["gap.m=1", "gap.n_grid=[64,128]"], "gap.m"),
             # round(n^0.01) = 1 at every n of the grid
             ("clt-run", ["schedule.delta=0.01", "clt.n_grid=[64]"], "schedule.delta"),
-            ("kde", ["kde.m=1", "kde.n=64"], "kde.m"),
         ],
     )
     def test_exit_1_naming_the_key_that_set_m(self, tmp_path, capsys, no_draw, sub, sets, key):
@@ -516,3 +516,10 @@ class TestUniformRefusal:
         manifest = _manifest(tmp_path, sub)
         assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
         assert [p.name for p in (tmp_path / sub.replace("-", "_")).iterdir()] == ["manifest.json"]
+
+    def test_kde_reads_the_density_of_x_alone(self, tmp_path):
+        # the curve holds p(x) and E f_n(x) of X, so one weight in [0, kde.m)^d refuses nothing
+        assert _run(tmp_path, "kde", "blocks_d1.json", *self.GEOMETRIC, "kde.m=1", "kde.n=64") == 0
+        rows = (tmp_path / "kde" / "kde_curve.csv").read_text().splitlines()
+        assert rows[0].split(",")[3] == "oracle_density" and len(rows) > 1
+        assert all(float(row.split(",")[3]) > 0.0 for row in rows[1:])

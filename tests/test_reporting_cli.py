@@ -576,7 +576,7 @@ class TestCli:
 
     @pytest.mark.parametrize("sub", list(THREAD_INVARIANCE_SETS))
     def test_reports_identical_across_thread_counts(self, tmp_path, sub):
-        # an odd replicate count splits into uneven per-worker chunks
+        # an odd replicate count splits into batches of unequal sizes
         blobs = []
         for t in (1, 2):
             argv = [sub, "--threads", str(t), "--out", str(tmp_path / str(t))]
