@@ -65,7 +65,7 @@ from .field import (
     write_field_binary,
     write_field_csv,
 )
-from .innovations import InnovationModel, Seeds, SeedSpec, draw_lattice
+from .innovations import InnovationModel, Seeds, draw_lattice
 from .innovations import _NAMES as INNOVATION_NAMES
 from .kde import BandwidthSchedule, asymptotic_variance, density_oracle, expected_kde, kde_estimate, kernel_by_name
 from .kde import _KERNEL_MODELS
@@ -371,7 +371,7 @@ class RunPlan:
 
     One ``GridPoint`` per grid point (one for ``gen-field`` and ``kde``),
     every innovation value the run draws, and the bytes of the replicate
-    results of ``clt-run`` (``clt.result_bytes``) and of ``blocks``.
+    results and keys of the four replicate experiments (``clt.result_bytes``).
     """
 
     subcommand: str
@@ -417,10 +417,13 @@ def _points(cfg: dict, section: str, experiment: str, **kw) -> tuple:
 
 
 def _plan_clt(cfg: dict, section: str):
-    # the replicate rows and one summary row per x
+    # the replicate rows and one summary row per x; the table's six columns over every (n, x, replicate) row, and
+    # at the point being reduced nine doubles per (x, replicate): the kernel sums of X and X_m (or their chunk parts),
+    # the estimates, T, T_zeta, T_remainder and two temporaries of a table column, and one per replicate for the
+    # sorted copy of one x's KS test, beside one chunk of KS_CHUNK values
     points, R = _points(cfg, section, "clt", **cfg["truncation"]), cfg[section]["replicates"]
     xs = len(points[0].xs)
-    return points, (R + 1) * xs, result_bytes(len(points), xs, R)
+    return points, (R + 1) * xs, result_bytes(R, 8 * (6 * len(points) * xs + 9 * xs + 1))
 
 
 def _plan_blocks(cfg: dict, section: str):
@@ -429,15 +432,21 @@ def _plan_blocks(cfg: dict, section: str):
     # the total and q^d big-block sums of each replicate at every point, held twice at the join, or once beside the
     # checks' copies of the largest point's sums: 2d for the decomposition's pairs, 2 + len(eps)/8 for Lindeberg's
     sums, largest = sum(1 + p.q**d for p in points), max(p.q**d for p in points)
-    return points, 1 + eps, sec["replicates"] * max(16 * sums, 8 * sums + largest * max(16 * d, 16 + eps))
+    return points, 1 + eps, result_bytes(sec["replicates"], max(16 * sums, 8 * sums + largest * max(16 * d, 16 + eps)))
 
 
 def _plan_moment_check(cfg: dict, section: str):
-    return _points(cfg, section, "rectangles", **cfg["truncation"]), len(cfg[section]["rectangles"]), 0
+    # each replicate's sums over every rectangle of both fields, the remainder's total and its square sum: held twice
+    # at the join, beside the last point's, which are replaced only after it, and its last two centred sums
+    rects = len(cfg[section]["rectangles"])
+    points = _points(cfg, section, "rectangles", **cfg["truncation"])
+    return points, rects, result_bytes(cfg[section]["replicates"], 8 * (3 * (2 * rects + 2) + 2))
 
 
 def _plan_gap(cfg: dict, section: str):
-    return _points(cfg, section, "gap", m=cfg[section]["m"], **cfg["truncation"]), 1, 0
+    # each replicate's squared gap, held twice at the join beside the last point's
+    points = _points(cfg, section, "gap", m=cfg[section]["m"], **cfg["truncation"])
+    return points, 1, result_bytes(cfg[section]["replicates"], 3 * 8)
 
 
 def _stated(cfg: dict, section: str, run: RunPlan) -> dict:
@@ -469,7 +478,7 @@ def _coupled_draw(cfg: dict, point: GridPoint):
     """(model, innovations, X, X_m) of one seed at ``point``, drawn as the engine draws."""
     model = model_from_config(cfg["coefficient"])
     innov = InnovationModel.from_config(cfg["innovations"])
-    x, x_m = generate_coupled_fields(innov, Seeds.of(SeedSpec(cfg["seed"])), coupled_spectra(model, point))
+    x, x_m = generate_coupled_fields(innov, Seeds(cfg["seed"], 0, [0]), coupled_spectra(model, point))
     return model, innov, x[0], x_m[0]
 
 
@@ -512,9 +521,8 @@ def cmd_gen_field(cfg: dict, section: str, run: RunPlan, out_dir: Path):
     sec, (point,) = cfg[section], run.points
     model, innov, x, x_m = _coupled_draw(cfg, point)
     n, m, plan = sec["n"], sec["m"], point.truncation
-    seed = SeedSpec(cfg["seed"])
-    provenance = {"coefficients": model.label(), "innovations": innov.label(), "truncation_radius": plan.M,
-                  "seed": seed.to_config()}
+    provenance = {"coefficients": model.to_config(), "innovations": innov.to_config(), "truncation_radius": plan.M,
+                  "seed": {"master": cfg["seed"], "stream": 0, "replicate": 0}}
     fields = {
         tag: LatticeField(model.d, n, values, {**provenance, "component": tag})
         for tag, values in (("full", x), ("truncated", x_m), ("residual", x - x_m))
@@ -528,7 +536,7 @@ def cmd_gen_field(cfg: dict, section: str, run: RunPlan, out_dir: Path):
     # the same seed's lattice convolved with the weights off [0, m)^d, computed apart from the generator
     tail = coeff_box(model, plan.M)
     tail[(slice(0, m),) * model.d] = 0.0
-    eps = draw_lattice(innov, Seeds.of(seed)[0], (n + plan.M - 1,) * model.d)
+    eps = draw_lattice(innov, Seeds(cfg["seed"], 0, [0])[0], (n + plan.M - 1,) * model.d)
     coupling = float(np.max(np.abs(x - x_m - lattice_convolve(eps, tail))))
     # report carries names only so it regenerates byte-identically into any
     # output directory; the manifest records absolute paths

@@ -420,17 +420,13 @@ def _moments(T: np.ndarray, t_rem: np.ndarray) -> dict:
     }
 
 
-def result_bytes(points: int, xs: int, replicates: int) -> int:
-    """Bytes ``run_clt_experiment`` holds for its replicate results at their peak, beside the fields.
+def result_bytes(replicates: int, per: int) -> int:
+    """Bytes an experiment holds beside the fields: ``per`` bytes of results a replicate, and the replicates' keys.
 
-    The table holds six 8-byte columns over every (n, x, replicate) row.  At
-    the grid point being reduced the engine holds nine doubles per (x,
-    replicate): the kernel sums of X and X_m (or their chunk parts), the
-    estimates, T, T_zeta, T_remainder and two temporaries of a table column;
-    the KS test of one x holds its sorted copy, one per replicate (8 bytes
-    with tracemalloc), beside one chunk of ``KS_CHUNK`` values.
+    ``Seeds`` hashes a grid point's keys at a peak of 116 bytes a replicate
+    (traced with tracemalloc), 16 of which it holds through the point's run.
     """
-    return 8 * replicates * (6 * points * xs + 9 * xs + 1)
+    return replicates * (per + 116)
 
 
 def run_clt_experiment(config: ExperimentConfig, points, variance_band: float = 0.10) -> tuple[dict, dict]:

@@ -36,7 +36,6 @@ __all__ = [
     "ParameterError",
     "delta_n",
     "coeff_box",
-    "coeff_at",
     "box_mass",
     "total_sq_mass",
     "total_fourth_mass",
@@ -148,14 +147,6 @@ class CoefficientModel:
             cfg["beta"] = self.beta
         return cfg
 
-    def label(self) -> str:
-        if self.family == "power_decay":
-            return f"power_decay(d={self.d},q={self.q},scale={self.scale})"
-        if self.family == "geometric":
-            return f"geometric(d={self.d},ratio={self.ratio})"
-        side = self.support_side()
-        return f"{self.family}(d={self.d},side={side})"
-
 
 def model_from_config(cfg: dict) -> CoefficientModel:
     return CoefficientModel(**cfg)
@@ -163,23 +154,6 @@ def model_from_config(cfg: dict) -> CoefficientModel:
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-def coeff_at(model: CoefficientModel, k) -> float:
-    """a_k for a single multi-index (zero outside the positive orthant)."""
-    k = tuple(int(t) for t in np.atleast_1d(k))
-    if len(k) != model.d:
-        raise ValueError("index length must match dimension")
-    if any(t < 0 for t in k):
-        return 0.0
-    if model.family == "power_decay":
-        return model.scale * float(1 + max(k)) ** (-model.q)
-    if model.family == "geometric":
-        return model.ratio ** sum(k)
-    tab = model.table
-    if any(t >= s for t, s in zip(k, tab.shape)):
-        return 0.0
-    return float(tab[k])
 
 
 def coeff_box(model: CoefficientModel, side: int) -> np.ndarray:

@@ -21,7 +21,6 @@ from .coefficients import ParameterError
 
 __all__ = [
     "InnovationModel",
-    "SeedSpec",
     "Seeds",
     "philox_keys",
     "draw_lattice",
@@ -80,27 +79,6 @@ class InnovationModel:
     @classmethod
     def from_config(cls, cfg: dict) -> "InnovationModel":
         return cls(name=cfg["name"], nu=cfg.get("nu"))
-
-    def label(self) -> str:
-        return self.name if self.nu is None else f"{self.name}(nu={self.nu})"
-
-
-@dataclass(frozen=True)
-class SeedSpec:
-    """(master, stream, replicate) key; equal triples give bit-equal draws."""
-
-    master: int
-    stream: int = 0
-    replicate: int = 0
-
-    def __post_init__(self):
-        if not (0 <= self.master < 1 << 64):
-            raise ValueError("master seed must fit in 64 bits")
-        if not (0 <= self.stream < 1 << 64 and 0 <= self.replicate < 1 << 64):
-            raise ValueError("stream and replicate indices must be >= 0 and fit in 64 bits")
-
-    def to_config(self) -> dict:
-        return {"master": self.master, "stream": self.stream, "replicate": self.replicate}
 
 
 # numpy's SeedSequence: its hash constants and the size of its entropy pool in 32-bit words
@@ -182,7 +160,8 @@ class Seeds:
     """
 
     def __init__(self, master: int, stream: int, replicates):
-        SeedSpec(master, stream)  # both must fit in 64 bits
+        if not (0 <= master < 1 << 64 and 0 <= stream < 1 << 64):
+            raise ValueError("master seed and stream must be >= 0 and fit in 64 bits")
         self.keys = philox_keys(master, stream, replicates)
         self._own_generator()
 
@@ -210,23 +189,18 @@ class Seeds:
         twin._own_generator()
         return twin
 
-    @classmethod
-    def of(cls, seed: SeedSpec) -> "Seeds":
-        """The one-replicate sequence of ``seed``."""
-        return cls(seed.master, seed.stream, [seed.replicate])
-
 
 def _draw(model: InnovationModel, rng: Generator, shape, out=None) -> np.ndarray:
     """Draws of ``model`` of the given shape, into ``out`` when given, with the bits of a fresh array."""
     if model.name == "gaussian":
         return rng.standard_normal(shape, out=out)
-    if model.name == "uniform":
-        draw = rng.uniform(-UNIFORM_HALF_WIDTH, UNIFORM_HALF_WIDTH, shape)
-        if out is None:
-            return draw
-        out[...] = draw
+    if model.name == "uniform":  # in place, with the bits of Generator.uniform(-w, w): -w + 2w u
+        out = rng.random(shape, out=out)
+        out *= 2.0 * UNIFORM_HALF_WIDTH
+        out -= UNIFORM_HALF_WIDTH
         return out
     scale = math.sqrt((model.nu - 2.0) / model.nu)
+    # through one fresh array: standard_t takes no out
     return np.multiply(scale, rng.standard_t(model.nu, shape), out=out)
 
 

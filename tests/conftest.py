@@ -53,9 +53,9 @@ def planned(model, n, m, plan, method=None, replicates=1, stream=0, max_bytes=DE
                    bytes=estimate_field_bytes(model.d, n, plan.M, m, method, point.batch))
 
 
-def coupled_pair(model, n, m, plan, seed, innovations=InnovationModel("gaussian")):
-    """(X, X_m) of one seed, generated as a batch of one with its own spectra."""
+def coupled_pair(model, n, m, plan, seeds, innovations=InnovationModel("gaussian")):
+    """(X, X_m) of the one replicate of ``seeds``, generated as a batch of one with its own spectra."""
     from fieldkde import coupled_spectra, generate_coupled_fields
 
-    x, x_m = generate_coupled_fields(innovations, Seeds.of(seed), coupled_spectra(model, planned(model, n, m, plan)))
+    x, x_m = generate_coupled_fields(innovations, seeds, coupled_spectra(model, planned(model, n, m, plan)))
     return x[0], x_m[0]

@@ -28,7 +28,6 @@ from fieldkde import (
     CoefficientModel,
     ExperimentConfig,
     InnovationModel,
-    SeedSpec,
     Seeds,
     generate_coupled_fields,
     kernel_by_name,
@@ -371,17 +370,17 @@ class TestBatchedGeneration:
         model, innov, n, m, M, method, replicates = case
         plan = plan_truncation(model, m=m, policy="fixed", M=M)
         spectra = coupled_spectra(model, planned(model, n, m, plan, method))
-        seeds = [SeedSpec(11, 3, r) for r in replicates]
+        seeds = [Seeds(11, 3, [r]) for r in replicates]
         x, x_m = generate_coupled_fields(innov, Seeds(11, 3, replicates), spectra)
         assert x.shape == x_m.shape == (len(seeds),) + (n,) * model.d
         a = coeff_box(model, M)
         tail = a.copy()
         tail[(slice(0, m),) * model.d] = 0.0
         for i, seed in enumerate(seeds):
-            one_x, one_x_m = generate_coupled_fields(innov, Seeds.of(seed), spectra)
+            one_x, one_x_m = generate_coupled_fields(innov, seed, spectra)
             assert np.array_equal(x[i], one_x[0]) and np.array_equal(x_m[i], one_x_m[0])
             # X - X_m is the residual, which is the lattice convolved with the weights off [0, m)^d
-            eps = draw_lattice(innov, Seeds.of(seed)[0], (n + M - 1,) * model.d)
+            eps = draw_lattice(innov, seed[0], (n + M - 1,) * model.d)
             residual = lattice_convolve(eps, tail, "direct")
             scale = max(float(np.max(np.abs(one_x))), 1.0)
             assert np.max(np.abs(one_x[0] - one_x_m[0] - residual)) <= 1e-12 * scale

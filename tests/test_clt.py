@@ -13,7 +13,6 @@ from fieldkde import (
     ExperimentConfig,
     InnovationModel,
     MomentError,
-    SeedSpec,
     Seeds,
     asymptotic_variance,
     block_decomposition_check,
@@ -96,7 +95,7 @@ class TestReplicateEngine:
         plan = plan_truncation(geometric_half, m=2, policy="fixed", M=4)
         # the point carries a forced size to every batch
         head, first = clt._run_replicates(config, _point(config, 32, 2, plan, stream, size), _fortran_head)
-        alone = [coupled_pair(geometric_half, 32, 2, plan, SeedSpec(MASTER_SEED, stream, r)) for r in range(R)]
+        alone = [coupled_pair(geometric_half, 32, 2, plan, Seeds(MASTER_SEED, stream, [r])) for r in range(R)]
         assert head.flags.c_contiguous and first.flags.c_contiguous
         assert np.array_equal(head, np.array([x[:4] for x, _ in alone]))
         assert np.array_equal(first, np.array([x_m[0] for _, x_m in alone]))
@@ -260,9 +259,9 @@ class TestAgainstNaiveReimplementation:
         pt = report["points"][0]
         assert (pt["m"], pt["M"], pt["seeds"]["stream"]) == (m, M, 0)
         b = pt["b"]
-        seed = SeedSpec(MASTER_SEED, 0, 0)
 
-        eps = draw_lattice(innov, Seeds.of(seed)[0], (n + M - 1, n + M - 1))
+        seeds = Seeds(MASTER_SEED, 0, [0])
+        eps = draw_lattice(innov, seeds[0], (n + M - 1, n + M - 1))
         a = np.array(
             [[(1.0 + max(k1, k2)) ** -4.0 for k2 in range(M)] for k1 in range(M)]
         )
@@ -278,7 +277,7 @@ class TestAgainstNaiveReimplementation:
                             xm_naive[i1, i2] += v
 
         plan = plan_truncation(power_d2, m=m, policy="fixed", M=M)
-        x_full, x_m = coupled_pair(power_d2, n, m, plan, seed, innov)
+        x_full, x_m = coupled_pair(power_d2, n, m, plan, seeds, innov)
         assert np.max(np.abs(x_full - x_naive)) < 1e-12
         assert np.max(np.abs(x_m - xm_naive)) < 1e-12
 
@@ -312,7 +311,7 @@ class TestMDependence:
         # zeta values at sup-distance >= m are independent; below m they are not
         m, n, b = 3, 400_000, 0.5
         plan = plan_truncation(geometric_half, m=m, policy="fixed", M=m)
-        _, x_m = coupled_pair(geometric_half, n, m, plan, SeedSpec(MASTER_SEED, 41))
+        _, x_m = coupled_pair(geometric_half, n, m, plan, Seeds(MASTER_SEED, 41, [0]))
         z = epanechnikov((0.0 - x_m) / b) / math.sqrt(b)
         z = z - z.mean()
         def corr(h):
@@ -337,7 +336,7 @@ class TestMDependence:
         for stream, n in ((42, 200_000), (43, 50_000)):
             b = float(n) ** -0.2
             plan = plan_truncation(geometric_half, m=m, policy="fixed", M=m)
-            _, x_m = coupled_pair(geometric_half, n, m, plan, SeedSpec(MASTER_SEED, stream))
+            _, x_m = coupled_pair(geometric_half, n, m, plan, Seeds(MASTER_SEED, stream, [0]))
             z = epanechnikov((0.0 - x_m) / b) / math.sqrt(b)
             z = z - z.mean()
             worst = 0.0

@@ -18,7 +18,6 @@ from fieldkde.coefficients import (
     _a_table,
     _power_moments,
     box_mass,
-    coeff_at,
     coeff_box,
     model_from_config,
     residual_sqrt_mass,
@@ -27,6 +26,23 @@ from fieldkde.coefficients import (
 )
 
 from shell_reference import shell_power_moments
+
+
+def coeff_at(model, k) -> float:
+    """a_k for a single multi-index (zero outside the positive orthant), term by term."""
+    k = tuple(int(t) for t in np.atleast_1d(k))
+    if len(k) != model.d:
+        raise ValueError("index length must match dimension")
+    if any(t < 0 for t in k):
+        return 0.0
+    if model.family == "power_decay":
+        return model.scale * float(1 + max(k)) ** (-model.q)
+    if model.family == "geometric":
+        return model.ratio ** sum(k)
+    tab = model.table
+    if any(t >= s for t, s in zip(k, tab.shape)):
+        return 0.0
+    return float(tab[k])
 
 
 def brute_orthant_tail(model, k, radius=4000):

@@ -11,7 +11,6 @@ from fieldkde import (
     FieldSizeError,
     InnovationModel,
     LatticeField,
-    SeedSpec,
     Seeds,
     generate_coupled_fields,
     lattice_convolve,
@@ -36,7 +35,7 @@ from conftest import MASTER_SEED, coupled_pair, generator, planned
 def _coupled(model, n, m, M, seed=MASTER_SEED, stream=0):
     """(X, X_m) of one seed under a fixed plan of radius M."""
     plan = plan_truncation(model, m=m, policy="fixed", M=M)
-    return coupled_pair(model, n, m, plan, SeedSpec(seed, stream))
+    return coupled_pair(model, n, m, plan, Seeds(seed, stream, [0]))
 
 
 def _field(values):
@@ -169,7 +168,7 @@ class TestCoupledGeneration:
         plan = plan_truncation(power_d2, m=6, policy="fixed", M=15)
         tracemalloc.start()
         try:
-            coupled_pair(power_d2, 64, 6, plan, SeedSpec(1))
+            coupled_pair(power_d2, 64, 6, plan, Seeds(1, 0, [0]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -321,9 +320,9 @@ class TestSharedSpectrum:
         plan = plan_truncation(model, m=m, policy="fixed", M=M)
         spectra = coupled_spectra(model, planned(model, n, m, plan, "fourier"))
         assert spectra.shape[0] > n + M - 1
-        seed = SeedSpec(MASTER_SEED, 11)
-        x_got, x_m_got = generate_coupled_fields(InnovationModel("gaussian"), Seeds.of(seed), spectra)
-        eps = draw_lattice(InnovationModel("gaussian"), Seeds.of(seed)[0], (n + M - 1,) * d)
+        seeds = Seeds(MASTER_SEED, 11, [0])
+        x_got, x_m_got = generate_coupled_fields(InnovationModel("gaussian"), seeds, spectra)
+        eps = draw_lattice(InnovationModel("gaussian"), seeds[0], (n + M - 1,) * d)
         a = coeff_box(model, M)
         x = lattice_convolve(eps, a, "direct")
         x_m = lattice_convolve(eps[(slice(M - m, None),) * d], a[(slice(0, m),) * d], "direct")
@@ -333,9 +332,9 @@ class TestSharedSpectrum:
     def test_direct_path_is_lattice_convolve(self, geometric_half):
         plan = plan_truncation(geometric_half, m=2, policy="fixed", M=5)
         spectra = coupled_spectra(geometric_half, planned(geometric_half, 40, 2, plan, "direct"))
-        seed = SeedSpec(MASTER_SEED, 12)
-        x, _ = generate_coupled_fields(InnovationModel("gaussian"), Seeds.of(seed), spectra)
-        eps = draw_lattice(InnovationModel("gaussian"), Seeds.of(seed)[0], (44,))
+        seeds = Seeds(MASTER_SEED, 12, [0])
+        x, _ = generate_coupled_fields(InnovationModel("gaussian"), seeds, spectra)
+        eps = draw_lattice(InnovationModel("gaussian"), seeds[0], (44,))
         assert np.array_equal(x[0], lattice_convolve(eps, coeff_box(geometric_half, 5), "direct"))
 
     def test_auto_keeps_direct_for_short_d1_kernels(self, geometric_half):

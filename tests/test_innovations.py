@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox, SeedSequence
 from scipy import stats
 
-from fieldkde import InnovationModel, Seeds, SeedSpec
-from fieldkde.innovations import draw_lattice, philox_keys
+from fieldkde import InnovationModel, Seeds
+from fieldkde.innovations import UNIFORM_HALF_WIDTH, draw_lattice, philox_keys
 
 from conftest import MASTER_SEED, generator
 
@@ -27,6 +28,26 @@ def test_draw_into_a_slot_keeps_the_bits(name, nu):
     assert draw_lattice(m, generator(MASTER_SEED, 2, 7), (6, 5), slot) is slot
     assert np.array_equal(slot.view(np.int64), fresh.view(np.int64))
     assert np.isnan(stack[[0, 2]]).all()
+
+
+@pytest.mark.parametrize("replicate", range(5))
+def test_uniform_draws_in_place_with_the_bits_of_generator_uniform(replicate):
+    m, shape = InnovationModel("uniform"), (64, 128)
+    w = UNIFORM_HALF_WIDTH
+    expected = generator(MASTER_SEED, 4, replicate).uniform(-w, w, shape)
+    fresh = draw_lattice(m, generator(MASTER_SEED, 4, replicate), shape)
+    assert np.array_equal(fresh.view(np.int64), expected.view(np.int64))
+    out = np.empty(shape)
+    rng = generator(MASTER_SEED, 4, replicate)
+    tracemalloc.start()
+    try:
+        assert draw_lattice(m, rng, shape, out) is out
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+    # no lattice beside the slot, where a draw copied into it held one more
+    assert peak < out.nbytes
 
 
 def test_distinct_streams_uncorrelated():
@@ -106,7 +127,7 @@ class TestPhiloxKeys:
 
     def test_out_of_range_seeds_rejected(self):
         with pytest.raises(ValueError):
-            SeedSpec(1, 2**64)
+            Seeds(1, 2**64, [0])
         with pytest.raises(ValueError):
             Seeds(2**64, 0, [0])
         with pytest.raises(OverflowError):

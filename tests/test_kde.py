@@ -12,7 +12,7 @@ from fieldkde import (
     CoefficientModel,
     DensityOracle,
     InnovationModel,
-    SeedSpec,
+    Seeds,
     asymptotic_variance,
     density_oracle,
     expected_kde,
@@ -232,7 +232,7 @@ class TestEstimator:
     def test_a_field_and_its_transpose_give_the_same_bits(self, power_d2):
         n = 64
         plan = plan_truncation(power_d2, m=4, b=1.0 / n)
-        field, _ = coupled_pair(power_d2, n, 4, plan, SeedSpec(MASTER_SEED, 33))
+        field, _ = coupled_pair(power_d2, n, 4, plan, Seeds(MASTER_SEED, 33, [0]))
         xs = np.linspace(-2.5, 2.5, 41)
         for name in KERNEL_NAMES:
             k = kernel_by_name(name)
@@ -271,7 +271,7 @@ class TestOneSortedCopy:
     def field(self, power_d2):
         n = 128
         plan = plan_truncation(power_d2, m=4, b=1.0 / n)
-        return coupled_pair(power_d2, n, 4, plan, SeedSpec(MASTER_SEED, 35))[0]
+        return coupled_pair(power_d2, n, 4, plan, Seeds(MASTER_SEED, 35, [0]))[0]
 
     @pytest.mark.parametrize("view", ["contiguous", "transposed", "strided"])
     def test_bits_of_the_two_copy_estimate_and_the_input_unchanged(self, field, view):
@@ -355,7 +355,7 @@ class TestWindowedSums:
         n = 128
         b = 1.0 / n
         plan = plan_truncation(power_d2, m=4, b=b)
-        field, _ = coupled_pair(power_d2, n, 4, plan, SeedSpec(MASTER_SEED, 31))
+        field, _ = coupled_pair(power_d2, n, 4, plan, Seeds(MASTER_SEED, 31, [0]))
         xs = np.linspace(-2.5, 2.5, 101)
         k = kernel_by_name("gaussian")
         counted = []
@@ -449,7 +449,7 @@ class TestGaussianSumsOnFields:
         k = kernel_by_name("gaussian")
         b = 1.0 / n
         plan = plan_truncation(power_d2, m=4, b=b)
-        field, _ = coupled_pair(power_d2, n, 4, plan, SeedSpec(MASTER_SEED, 41))
+        field, _ = coupled_pair(power_d2, n, 4, plan, Seeds(MASTER_SEED, 41, [0]))
         xs = np.linspace(-2.5, 2.5, 11)
         w = -0.5 * ((xs[:, np.newaxis] - field.ravel()) / b) ** 2
         # some terms lie where the floor turns a subnormal kernel value into 0.0

@@ -96,7 +96,8 @@ class TestFieldCsv:
 
 
 class TestResultCap:
-    """The replicate results of clt-run and blocks count against the memory cap, before any draw."""
+    """The replicate results and keys of the four replicate experiments count against the memory cap, before any
+    draw."""
 
     def test_exit_1_naming_clt_replicates_with_the_plan_in_the_manifest(self, tmp_path, capsys, no_draw):
         assert _run(tmp_path, "clt-run", "iid_baseline.json", "clt.n_grid=[8]", "clt.x_points=[0.0,0.5]",
@@ -112,16 +113,33 @@ class TestResultCap:
 
     def test_blocks_sample_exits_1_naming_blocks_replicates(self, tmp_path, capsys, no_draw):
         # R (1 + q) doubles of totals and big-block sums at n = 256 and 1024 (q = 9 and 32), 34.4 MB, and beside
-        # them Lindeberg's copies of the R q sums at n = 1024, 2 + 3/8 of them for the three eps: 95.2 MB
+        # them Lindeberg's copies of the R q sums at n = 1024, 2 + 3/8 of them for the three eps: 95.2 MB, and the
+        # keys' peak of 116 bytes a replicate: 106.8 MB
         assert _run(tmp_path, "blocks", "blocks_d1.json", "blocks.n_grid=[256,1024]", "blocks.replicates=100000",
                     "limits.max_field_bytes=8000000") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: config key blocks.replicates: the replicate results hold 95200000 bytes ")
+        assert err.startswith("error: config key blocks.replicates: the replicate results hold 106800000 bytes ")
         manifest = _manifest(tmp_path, "blocks")
         assert [p["q"] for p in manifest["plan"]["points"]] == [9, 32]
         assert all(p["bytes"] <= 8_000_000 for p in manifest["plan"]["points"])
-        assert manifest["plan"]["result_bytes"] == 8 * 100_000 * (1 + 9 + 1 + 32) + 100_000 * 32 * (16 + 3)
+        assert manifest["plan"]["result_bytes"] == 100_000 * (8 * (1 + 9 + 1 + 32) + 32 * (16 + 3) + 116)
         assert [p.name for p in (tmp_path / "blocks").iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("sub,config,section", [("moment-check", "blocks_d1.json", "moment_check"),
+                                                    ("fixed-m-gap", "geometric_truncation_gap.json", "gap")])
+    def test_rectangle_and_gap_results_exit_1_naming_their_replicates(self, tmp_path, capsys, no_draw, sub, config,
+                                                                      section):
+        # every point's batch fits the cap at 10^8 replicates, but not their results and keys
+        assert _run(tmp_path, sub, config, f"{section}.replicates=100000000") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {section}.replicates: the replicate results hold ")
+        manifest = _manifest(tmp_path, sub)
+        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
+        cap = manifest["config"]["limits"]["max_field_bytes"]
+        assert all(p["bytes"] <= cap for p in manifest["plan"]["points"])
+        # the keys' peak alone is 116 bytes a replicate
+        assert manifest["plan"]["result_bytes"] > 116 * 100_000_000
+        assert [p.name for p in (tmp_path / sub.replace("-", "_")).iterdir()] == ["manifest.json"]
 
 
 class TestZeroDensity:

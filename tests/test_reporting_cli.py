@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fieldkde import CoefficientModel, InnovationModel, wu_inequality_check
-from fieldkde.cli import CONFIG_KEYS, DEFAULT_CONFIG, cmd_blocks, load_config, main, plan_run
+from fieldkde.cli import CONFIG_KEYS, DEFAULT_CONFIG, EXPERIMENTS, cmd_blocks, load_config, main, plan_run
 from fieldkde.clt import KsResult
 from fieldkde.coefficients import _FAMILY_OF, ConditionReport
 from fieldkde.field import TruncationPlan
@@ -1135,12 +1135,34 @@ class TestCli:
         for component in ("full", "truncated", "residual"):
             prov = read_field_binary(tmp_path / "gen_field" / f"field_{component}.bin").provenance
             assert prov == {
-                "coefficients": "geometric(d=1,ratio=0.5)",
-                "innovations": "gaussian",
+                "coefficients": {"family": "geometric", "d": 1, "ratio": 0.5},
+                "innovations": {"name": "gaussian"},
                 "truncation_radius": prov["truncation_radius"],
                 "seed": {"master": 7, "stream": 0, "replicate": 0},
                 "component": component,
             }
+
+    @pytest.mark.parametrize("coefficient,innovations", [
+        ('{"family":"geometric","d":1,"ratio":0.5}', '{"name":"gaussian"}'),
+        # the default scale, which the model sets to 1
+        ('{"family":"power_decay","d":2,"q":4.0}', '{"name":"student_t","nu":5.0}'),
+        ('{"family":"finite_support","d":2,"table":[[1.0,0.5,0.1],[0.25,0.125,0.0]]}', '{"name":"uniform"}'),
+    ])
+    def test_gen_field_provenance_rebuilds_the_models(self, tmp_path, coefficient, innovations):
+        from fieldkde.coefficients import model_from_config
+        from fieldkde.field import read_field_binary
+
+        sets = [f"coefficient={coefficient}", f"innovations={innovations}", "gen_field.n=8", "gen_field.m=2"]
+        assert _run(tmp_path, "gen-field", *(a for s in sets for a in ("--set", s))) == 0
+        cfg = load_config(None, sets)
+        model, innov = model_from_config(cfg["coefficient"]), InnovationModel.from_config(cfg["innovations"])
+        for component in ("full", "truncated", "residual"):
+            prov = read_field_binary(tmp_path / "gen_field" / f"field_{component}.bin").provenance
+            rebuilt = model_from_config(prov["coefficients"])
+            for name in model.__dataclass_fields__:
+                got, want = getattr(rebuilt, name), getattr(model, name)
+                assert np.array_equal(got, want) if name == "table" and want is not None else got == want, name
+            assert InnovationModel.from_config(prov["innovations"]) == innov
 
     @pytest.mark.parametrize("qsum_q", ["null", "5.0"])
     def test_conditions_section_replaced_whole_runs(self, tmp_path, qsum_q):
@@ -1397,6 +1419,26 @@ class TestCli:
         samples = 8 * 2000 * run.points[0].q ** d
         assert peak > 3 * samples  # the checks' copies, beside the sums, outweigh the sums held twice at the join
         assert peak <= run.points[0].bytes + run.result_bytes
+
+    @pytest.mark.parametrize("sub,section,sets", [
+        ("moment-check", "moment_check", ["moment_check.n_grid=[8,16,32]", "moment_check.rectangles=[1,2,4,8]"]),
+        ("fixed-m-gap", "gap", ["gap.n_grid=[8,16,32]"]),
+    ])
+    def test_rectangle_and_gap_peaks_within_the_planned_bytes(self, tmp_path, sub, section, sets):
+        # small batches under a small cap, so the replicate results and keys dominate: each point's results are
+        # held twice at its join, beside the last point's, and its keys peak at 116 bytes a replicate as they hash
+        cfg = load_config(None, ['coefficient={"family":"geometric","d":1,"ratio":0.5}', "bandwidth.gamma=0.5",
+                                 "limits.max_field_bytes=300000", f"{section}.replicates=20000", *sets])
+        run = plan_run(cfg, sub)
+        handler = EXPERIMENTS[sub].run
+        handler(cfg, section, run, tmp_path)  # imports and caches, untraced
+        tracemalloc.start()
+        try:
+            handler(cfg, section, run, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 * run.result_bytes < peak <= max(p.bytes for p in run.points) + run.result_bytes
 
     def test_gaussian_runs_leave_out_scipy(self, tmp_path):
         # importing scipy costs a process about a third of a second; only the
