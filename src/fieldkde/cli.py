@@ -346,19 +346,13 @@ def _read(k: Key, value, path: str, section: dict, cfg: dict):
     return got
 
 
-def _bandwidth(cfg: dict) -> BandwidthSchedule:
-    return BandwidthSchedule(d=cfg["coefficient"]["d"], **cfg["bandwidth"])
-
-
-def _experiment(cfg: dict, section: str) -> ExperimentConfig:
-    sec = cfg[section]
+def _experiment(cfg: dict) -> ExperimentConfig:
+    """The settings every subcommand shares, built once from the loaded config."""
     return ExperimentConfig(
         model=model_from_config(cfg["coefficient"]),
         innovations=InnovationModel.from_config(cfg["innovations"]),
         kernel=kernel_by_name(cfg["kernel"]),
-        bandwidth=_bandwidth(cfg),
-        n_grid=sec["n_grid"],
-        replicates=sec["replicates"],
+        bandwidth=BandwidthSchedule(d=cfg["coefficient"]["d"], **cfg["bandwidth"]),
         master_seed=cfg["seed"],
         threads=cfg["threads"],
         max_field_bytes=cfg["limits"]["max_field_bytes"],
@@ -380,7 +374,7 @@ class RunPlan:
     result_bytes: int = 0
 
 
-def plan_run(cfg: dict, subcommand: str) -> RunPlan:
+def plan_run(cfg: dict, config: ExperimentConfig, subcommand: str) -> RunPlan:
     """The plan of ``subcommand`` at every grid point, with every check that needs no draw but the cap.
 
     A truncation no radius meets, a block plan that does not fit and a field
@@ -390,79 +384,78 @@ def plan_run(cfg: dict, subcommand: str) -> RunPlan:
     when either exceeds it.
     """
     experiment = EXPERIMENTS[subcommand]
-    points, rows, results = experiment.plan(cfg, experiment.section) if experiment.plan else ((), 0, 0)
+    points, rows, results = experiment.plan(cfg, config, experiment.section) if experiment.plan else ((), 0, 0)
     points = tuple(replace(p, rows=rows) for p in points)
     return RunPlan(subcommand, points, sum(p.draws for p in points), results)
 
 
-def _plan_field(cfg: dict, section: str):
+def _plan_field(cfg: dict, config: ExperimentConfig, section: str):
     """The one point of ``gen-field`` or ``kde``: kde reports X alone, so it generates with m = M;
     gen-field writes three fields and draws its lattice once more for the coupling check."""
-    sec, model, kde = cfg[section], model_from_config(cfg["coefficient"]), section == "kde"
+    sec, model, kde = cfg[section], config.model, section == "kde"
     n, m = sec["n"], sec["m"]
     if not kde and sec["write_csv"] and n > MAX_CSV_SIDE:
         raise ToolError(f"config key gen_field.write_csv: CSV export limited to side <= {MAX_CSV_SIDE}, at n = {n}")
-    b = _bandwidth(cfg).b(n)
+    b = config.bandwidth.b(n)
     plan = truncation_at(n, model, m=m, b=b, **cfg["truncation"])
-    point = plan_point(model, n, plan.M if kde else m, b, plan, 0, 1, cfg["limits"]["max_field_bytes"])
+    point = plan_point(model, n, plan.M if kde else m, b, plan, 0, 1, config.max_field_bytes)
     if kde:
         return (point,), len(sec["x_grid"]), 0
     return (replace(point, draws=2 * point.draws),), 3 * n**model.d, 0
 
 
-def _points(cfg: dict, section: str, experiment: str, **kw) -> tuple:
-    """``grid_points`` of ``experiment`` with the x's of ``section`` and the schedule's delta."""
-    return grid_points(_experiment(cfg, section), experiment, x_points=cfg[section]["x_points"],
-                       delta=cfg["schedule"]["delta"], **kw)
+def _points(cfg: dict, config: ExperimentConfig, section: str, experiment: str, **kw) -> tuple:
+    """``grid_points`` of ``experiment`` with the grid, R and x's of ``section`` and the schedule's delta."""
+    return grid_points(config, experiment, cfg[section]["n_grid"], cfg[section]["replicates"],
+                       x_points=cfg[section]["x_points"], delta=cfg["schedule"]["delta"], **kw)
 
 
-def _plan_clt(cfg: dict, section: str):
+def _plan_clt(cfg: dict, config: ExperimentConfig, section: str):
     # the replicate rows and one summary row per x; the table's six columns over every (n, x, replicate) row, and
     # at the point being reduced nine doubles per (x, replicate): the kernel sums of X and X_m (or their chunk parts),
     # the estimates, T, T_zeta, T_remainder and two temporaries of a table column, and one per replicate for the
     # sorted copy of one x's KS test, beside one chunk of KS_CHUNK values
-    points, R = _points(cfg, section, "clt", **cfg["truncation"]), cfg[section]["replicates"]
+    points, R = _points(cfg, config, section, "clt", **cfg["truncation"]), cfg[section]["replicates"]
     xs = len(points[0].xs)
     return points, (R + 1) * xs, result_bytes(R, 8 * (6 * len(points) * xs + 9 * xs + 1))
 
 
-def _plan_blocks(cfg: dict, section: str):
-    sec, d, eps = cfg[section], cfg["coefficient"]["d"], len(cfg[section]["eps"])
-    points = _points(cfg, section, "blocks", m=sec["m"], l=sec["l"])
+def _plan_blocks(cfg: dict, config: ExperimentConfig, section: str):
+    sec, d, eps = cfg[section], config.model.d, len(cfg[section]["eps"])
+    points = _points(cfg, config, section, "blocks", m=sec["m"], l=sec["l"])
     # the total and q^d big-block sums of each replicate at every point, held twice at the join, or once beside the
     # checks' copies of the largest point's sums: 2d for the decomposition's pairs, 2 + len(eps)/8 for Lindeberg's
     sums, largest = sum(1 + p.q**d for p in points), max(p.q**d for p in points)
     return points, 1 + eps, result_bytes(sec["replicates"], max(16 * sums, 8 * sums + largest * max(16 * d, 16 + eps)))
 
 
-def _plan_moment_check(cfg: dict, section: str):
-    # each replicate's sums over every rectangle of both fields, the remainder's total and its square sum: held twice
-    # at the join, beside the last point's, which are replaced only after it, and its last two centred sums
+def _plan_moment_check(cfg: dict, config: ExperimentConfig, section: str):
+    # each replicate's sums over every rectangle of both fields, the remainder's total and its square sum, held twice
+    # at the join (a point's are freed before the next point runs), and two centred sums
     rects = len(cfg[section]["rectangles"])
-    points = _points(cfg, section, "rectangles", **cfg["truncation"])
-    return points, rects, result_bytes(cfg[section]["replicates"], 8 * (3 * (2 * rects + 2) + 2))
+    points = _points(cfg, config, section, "rectangles", **cfg["truncation"])
+    return points, rects, result_bytes(cfg[section]["replicates"], 8 * (2 * (2 * rects + 2) + 2))
 
 
-def _plan_gap(cfg: dict, section: str):
-    # each replicate's squared gap, held twice at the join beside the last point's
-    points = _points(cfg, section, "gap", m=cfg[section]["m"], **cfg["truncation"])
-    return points, 1, result_bytes(cfg[section]["replicates"], 3 * 8)
+def _plan_gap(cfg: dict, config: ExperimentConfig, section: str):
+    # each replicate's squared gap, held twice at the join (a point's are freed before the next point runs)
+    points = _points(cfg, config, section, "gap", m=cfg[section]["m"], **cfg["truncation"])
+    return points, 1, result_bytes(cfg[section]["replicates"], 2 * 8)
 
 
-def _stated(cfg: dict, section: str, run: RunPlan) -> dict:
+def _stated(cfg: dict, config: ExperimentConfig, section: str, run: RunPlan) -> dict:
     """A report's ``config``: what the run's points ran, and the keys its subcommand read, each once.
 
     ``delta`` is stated only where the points follow the schedule, ``truncation`` (the keys ``plan_truncation``
     reads) where they run under it (``blocks`` runs at M = m_n) and ``variance_band`` by ``clt-run`` alone;
     ``threads`` changes wall time only, never numbers, so the manifest records it instead.
     """
-    sec, model, bw = cfg[section], model_from_config(cfg["coefficient"]), _bandwidth(cfg)
+    sec, model, bw = cfg[section], config.model, config.bandwidth
     window = check_decay_window(model.d, model.decay_exponent(), bw.gamma)
     stated = {
-        "model": model.to_config(), "innovations": InnovationModel.from_config(cfg["innovations"]).to_config(),
-        "kernel": cfg["kernel"], "bandwidth": bw.to_config(), "n_grid": [p.n for p in run.points],
-        "x_points": list(run.points[0].xs), "decay_window": window, "replicates": sec["replicates"],
-        "master_seed": cfg["seed"],
+        "model": model.to_config(), "innovations": config.innovations.to_config(), "kernel": config.kernel.name,
+        "bandwidth": bw.to_config(), "n_grid": [p.n for p in run.points], "x_points": list(run.points[0].xs),
+        "decay_window": window, "replicates": run.points[0].replicates, "master_seed": config.master_seed,
     }
     if sec.get("m") is None:
         stated["delta"] = window.delta_star if cfg["schedule"]["delta"] is None else cfg["schedule"]["delta"]
@@ -474,16 +467,15 @@ def _stated(cfg: dict, section: str, run: RunPlan) -> dict:
     return stated
 
 
-def _coupled_draw(cfg: dict, point: GridPoint):
-    """(model, innovations, X, X_m) of one seed at ``point``, drawn as the engine draws."""
-    model = model_from_config(cfg["coefficient"])
-    innov = InnovationModel.from_config(cfg["innovations"])
-    x, x_m = generate_coupled_fields(innov, Seeds(cfg["seed"], 0, [0]), coupled_spectra(model, point))
-    return model, innov, x[0], x_m[0]
+def _coupled_draw(config: ExperimentConfig, point: GridPoint):
+    """(X, X_m) of one seed at ``point``, drawn as the engine draws."""
+    x, x_m = generate_coupled_fields(config.innovations, Seeds(config.master_seed, 0, [0]),
+                                     coupled_spectra(config.model, point))
+    return x[0], x_m[0]
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each takes (cfg, section, run plan, out_dir) and returns (verdict_ok, report, tables);
+# subcommands: each takes (cfg, config, section, run plan, out_dir) and returns (verdict_ok, report, tables);
 # tables: name -> dict of columns, in CSV order, for each table with rows
 
 CLT_SUMMARY_COLUMNS = [
@@ -493,14 +485,10 @@ CLT_SUMMARY_COLUMNS = [
 ]
 
 
-def cmd_check_conditions(cfg: dict, section: str, run: RunPlan, out_dir: Path):
-    sec = cfg[section]
-    model = model_from_config(cfg["coefficient"])
-    bw = _bandwidth(cfg)
+def cmd_check_conditions(cfg: dict, config: ExperimentConfig, section: str, run: RunPlan, out_dir: Path):
+    sec, model, bw = cfg[section], config.model, config.bandwidth
     window = check_decay_window(model.d, model.decay_exponent(), bw.gamma)
-    delta = cfg["schedule"]["delta"]
-    if delta is None:
-        delta = window.delta_star
+    delta = window.delta_star if cfg["schedule"]["delta"] is None else cfg["schedule"]["delta"]
     reports = {"decay_window": window}
     ok = window.passed
     if sec["hallin_q"] is not None:
@@ -517,12 +505,12 @@ def cmd_check_conditions(cfg: dict, section: str, run: RunPlan, out_dir: Path):
     return ok, report, tables
 
 
-def cmd_gen_field(cfg: dict, section: str, run: RunPlan, out_dir: Path):
-    sec, (point,) = cfg[section], run.points
-    model, innov, x, x_m = _coupled_draw(cfg, point)
+def cmd_gen_field(cfg: dict, config: ExperimentConfig, section: str, run: RunPlan, out_dir: Path):
+    sec, (point,), model, innov = cfg[section], run.points, config.model, config.innovations
+    x, x_m = _coupled_draw(config, point)
     n, m, plan = sec["n"], sec["m"], point.truncation
     provenance = {"coefficients": model.to_config(), "innovations": innov.to_config(), "truncation_radius": plan.M,
-                  "seed": {"master": cfg["seed"], "stream": 0, "replicate": 0}}
+                  "seed": {"master": config.master_seed, "stream": 0, "replicate": 0}}
     fields = {
         tag: LatticeField(model.d, n, values, {**provenance, "component": tag})
         for tag, values in (("full", x), ("truncated", x_m), ("residual", x - x_m))
@@ -536,23 +524,21 @@ def cmd_gen_field(cfg: dict, section: str, run: RunPlan, out_dir: Path):
     # the same seed's lattice convolved with the weights off [0, m)^d, computed apart from the generator
     tail = coeff_box(model, plan.M)
     tail[(slice(0, m),) * model.d] = 0.0
-    eps = draw_lattice(innov, Seeds(cfg["seed"], 0, [0])[0], (n + plan.M - 1,) * model.d)
+    eps = draw_lattice(innov, Seeds(config.master_seed, 0, [0])[0], (n + plan.M - 1,) * model.d)
     coupling = float(np.max(np.abs(x - x_m - lattice_convolve(eps, tail))))
     # report carries names only so it regenerates byte-identically into any
     # output directory; the manifest records absolute paths
     return True, {"n": n, "m": m, "plan": plan, "coupling_max_abs_gap": coupling, "files": names}, {}
 
 
-def cmd_kde(cfg: dict, section: str, run: RunPlan, out_dir: Path):
-    sec, (point,) = cfg[section], run.points
-    kern = kernel_by_name(cfg["kernel"])
+def cmd_kde(cfg: dict, config: ExperimentConfig, section: str, run: RunPlan, out_dir: Path):
+    sec, (point,), kern = cfg[section], run.points, config.kernel
     n, m, xs, b, plan = sec["n"], sec["m"], sec["x_grid"], point.b, point.truncation
-    model, innov = model_from_config(cfg["coefficient"]), InnovationModel.from_config(cfg["innovations"])
     try:  # before the draw; the curve reads the density of X alone
-        oracle = density_oracle(model, innov, None)
+        oracle = density_oracle(config.model, config.innovations, None)
     except ValueError as exc:
         raise MomentError(str(exc), "innovations.name") from None
-    _, _, values, _ = _coupled_draw(cfg, point)
+    values, _ = _coupled_draw(config, point)
     est = kde_estimate(values, np.array(xs), b, kern)
     rows = [{"x": x, "estimate": float(e), "b": b, "oracle_density": float(px), "expected_estimate": float(ex),
              "sigma2_x": asymptotic_variance(float(px), kern)}
@@ -561,21 +547,20 @@ def cmd_kde(cfg: dict, section: str, run: RunPlan, out_dir: Path):
     return True, report, {"kde_curve": table_columns(rows)}
 
 
-def cmd_clt_run(cfg: dict, section: str, run: RunPlan, out_dir: Path):
-    report, replicates = run_clt_experiment(_experiment(cfg, section), run.points, cfg[section]["variance_band"])
-    report["config"] = _stated(cfg, section, run)
+def cmd_clt_run(cfg: dict, config: ExperimentConfig, section: str, run: RunPlan, out_dir: Path):
+    report, replicates = run_clt_experiment(config, run.points, cfg[section]["variance_band"])
+    report["config"] = _stated(cfg, config, section, run)
     summary = [{**point, **{f"ks_{k}": v for k, v in point.get("ks", {}).items()},
                 "verdict": point["verdicts"]["overall"]} for point in report["points"]]
     tables = {"clt_replicates": replicates, "clt_summary": table_columns(summary, CLT_SUMMARY_COLUMNS)}
     return report["overall"] != "fail", report, tables
 
 
-def cmd_blocks(cfg: dict, section: str, run: RunPlan, out_dir: Path):
-    config = _experiment(cfg, section)
+def cmd_blocks(cfg: dict, config: ExperimentConfig, section: str, run: RunPlan, out_dir: Path):
     samples = _block_samples(config, run.points)
     decomposition = block_decomposition_check(config, samples)
     lf = lindeberg_estimate(config, samples, cfg[section]["eps"])
-    report = {"config": _stated(cfg, section, run), "decomposition": decomposition, "lindeberg": lf}
+    report = {"config": _stated(cfg, config, section, run), "decomposition": decomposition, "lindeberg": lf}
     # one row per eps, its lf2 after it
     lf_rows = [{**{k: v for k, v in row.items() if k != "lf2"}, "eps": e, "lf2": lf2}
                for row in lf["rows"] for e, lf2 in row["lf2"].items()]
@@ -583,19 +568,18 @@ def cmd_blocks(cfg: dict, section: str, run: RunPlan, out_dir: Path):
     return decomposition["passed"] and lf["passed"], report, tables
 
 
-def cmd_moment_check(cfg: dict, section: str, run: RunPlan, out_dir: Path):
+def cmd_moment_check(cfg: dict, config: ExperimentConfig, section: str, run: RunPlan, out_dir: Path):
     sec = cfg[section]
-    config = _experiment(cfg, section)
     # before the rectangles' draws, so innovations without the moments fail first
     wu_reports = wu_inequality_check(config.model, config.innovations, sec["wu_p"])
     rect = rectangle_moment_check(config, sec["rectangles"], run.points, ratio_cap=sec["ratio_cap"])
-    report = {"config": _stated(cfg, section, run), "wu": wu_reports, "rectangles": rect}
+    report = {"config": _stated(cfg, config, section, run), "wu": wu_reports, "rectangles": rect}
     return rect["passed"], report, {"rectangle_moments": table_columns(rect["rows"])}
 
 
-def cmd_fixed_m_gap(cfg: dict, section: str, run: RunPlan, out_dir: Path):
-    rep = fixed_m_gap(_experiment(cfg, section), run.points, "growing" if cfg[section]["m"] is None else "fixed")
-    report = {"config": _stated(cfg, section, run), "gap": rep}
+def cmd_fixed_m_gap(cfg: dict, config: ExperimentConfig, section: str, run: RunPlan, out_dir: Path):
+    rep = fixed_m_gap(config, run.points, "growing" if cfg[section]["m"] is None else "fixed")
+    report = {"config": _stated(cfg, config, section, run), "gap": rep}
     return rep["passed"], report, {"gap": table_columns(rep["rows"])}
 
 
@@ -603,11 +587,11 @@ def cmd_fixed_m_gap(cfg: dict, section: str, run: RunPlan, out_dir: Path):
 class Experiment:
     """A subcommand: its config section, its handler and its planner.
 
-    ``run(cfg, section, run plan, out_dir)`` returns (verdict passed,
-    report dict, tables); ``main`` adds the ``subcommand`` and ``passed``
-    keys to the report.  ``plan(cfg, section)`` returns (grid points, table
-    rows per point, replicate result bytes), and is None where nothing is
-    drawn.
+    ``run(cfg, config, section, run plan, out_dir)`` returns (verdict
+    passed, report dict, tables); ``main`` adds the ``subcommand`` and
+    ``passed`` keys to the report.  ``plan(cfg, config, section)`` returns
+    (grid points, table rows per point, replicate result bytes), and is None
+    where nothing is drawn.  ``config`` is the run's one ``ExperimentConfig``.
     """
 
     section: str
@@ -678,13 +662,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.set, seed=args.seed, threads=args.threads)
         manifest.config, manifest.master_seed = cfg, cfg["seed"]
-        manifest.plan = run = plan_run(cfg, args.subcommand)
-        check_cap(run.points, cfg["limits"]["max_field_bytes"])
-        if run.result_bytes > cfg["limits"]["max_field_bytes"]:
+        config = _experiment(cfg)
+        manifest.plan = run = plan_run(cfg, config, args.subcommand)
+        check_cap(run.points, config.max_field_bytes)
+        if run.result_bytes > config.max_field_bytes:
             raise ToolError(f"config key {experiment.section}.replicates: the replicate results hold {run.result_bytes} "
-                            f"bytes (> cap {cfg['limits']['max_field_bytes']} of limits.max_field_bytes)")
+                            f"bytes (> cap {config.max_field_bytes} of limits.max_field_bytes)")
         manifest.write(out_dir / "manifest.json")
-        ok, report, tables = experiment.run(cfg, experiment.section, run, out_dir)
+        ok, report, tables = experiment.run(cfg, config, experiment.section, run, out_dir)
         report.update(subcommand=args.subcommand, passed=bool(ok))
         manifest.outputs.extend(str(out_dir / name) for name in report.get("files", ()))
         # the report first: it refuses a non-finite value, so no table of its values is written with one

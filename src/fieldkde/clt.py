@@ -46,7 +46,7 @@ from .field import (
     plan_truncation,
 )
 from .fourier import next_fast_len
-from .innovations import InnovationModel, Seeds
+from .innovations import KEY_CHUNK, InnovationModel, Seeds
 from .kde import (
     BandwidthSchedule,
     KernelModel,
@@ -111,14 +111,12 @@ class MomentError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """What the replicate engine and the experiments read to reproduce one experiment bit-for-bit."""
+    """The run-wide settings every subcommand shares: the models, the seed, the threads and the memory cap."""
 
     model: CoefficientModel
     innovations: InnovationModel
     kernel: KernelModel
     bandwidth: BandwidthSchedule
-    n_grid: tuple
-    replicates: int = 200
     master_seed: int = 20260810
     threads: int = 1
     max_field_bytes: int = DEFAULT_MAX_FIELD_BYTES
@@ -126,15 +124,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.model.d != self.bandwidth.d:
             raise ValueError("model and bandwidth dimension disagree")
-        if not self.n_grid:
-            raise ValueError("n_grid must be nonempty")
-        if len(self.n_grid) > MAX_GRID_POINTS:
-            raise ValueError(f"n_grid holds at most {MAX_GRID_POINTS} points")
-        if self.replicates < 1:
-            raise ValueError("need at least one replicate")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +137,9 @@ class GridPoint:
     """One point of an experiment's n-grid, planned before any replicate is drawn.
 
     The fields are generated at truncation ``m`` under ``truncation``, and
-    replicate r draws from (master, ``stream``, r); ``P`` is the FFT side
-    (None on the direct path), and ``bytes`` what one thread holds for a
-    batch.  ``rows`` counts the CLI's table rows (0 outside it).  Blocks
+    replicate r of its ``replicates`` draws from (master, ``stream``, r);
+    ``P`` is the FFT side (None on the direct path), and ``bytes`` what one
+    thread holds for a batch.  ``rows`` counts the CLI's table rows (0 outside it).  Blocks
     carry their side ``l`` and ``q`` per axis.  At each x of ``xs``, the x's
     its experiment tests, a point holds p(x) int K^2, p_m(x) int K^2 and the
     centerings E f_n(x) of X and of X_m, with its density oracle's summary.
@@ -159,6 +150,7 @@ class GridPoint:
     b: float
     truncation: TruncationPlan
     stream: int
+    replicates: int
     method: str
     P: int | None
     batch: int
@@ -192,8 +184,8 @@ def plan_point(model: CoefficientModel, n, m, b, truncation, stream, replicates,
     per = estimate_field_bytes(d, n, M, m, method, 1) - spectra
     batch = min(_batch_size(d, n, M, spectra, per, max_bytes), replicates)
     P = next_fast_len(n + M - 1) if method == "fourier" else None
-    return GridPoint(n, m, b, truncation, stream, method, P, batch, estimate_field_bytes(d, n, M, m, method, batch),
-                     replicates * (n + M - 1) ** d, **extra)
+    return GridPoint(n, m, b, truncation, stream, replicates, method, P, batch,
+                     estimate_field_bytes(d, n, M, m, method, batch), replicates * (n + M - 1) ** d, **extra)
 
 
 def check_cap(points, max_bytes: int) -> tuple:
@@ -213,17 +205,18 @@ def truncation_at(n: int, model: CoefficientModel, **request) -> TruncationPlan:
         raise TruncationError(exc.key, f"{exc} at n = {n}") from None
 
 
-def grid_points(config: ExperimentConfig, experiment: str, m: int | None = None, l: int | None = None,
-                x_points=None, delta: float | None = None, **truncation) -> tuple:
-    """The GridPoint of each n of the grid, every one planned before any is drawn.
+def grid_points(config: ExperimentConfig, experiment: str, n_grid, replicates: int, m: int | None = None,
+                l: int | None = None, x_points=None, delta: float | None = None, **truncation) -> tuple:
+    """The GridPoint of each n of ``n_grid``, each of ``replicates``, every one planned before any is drawn.
 
-    m_n is ``m``, or the schedule round(n^delta) where ``m`` is None, with
-    ``delta`` else the midpoint of the decay window.  The fields are
-    generated under ``truncation``, the keywords of ``plan_truncation``, but
-    for "blocks", whose points carry the sides l_n and q_n of
-    ``block_sides(n, m_n, l)`` and are generated at M = m_n.  A point's
-    ``xs`` are every x of ``x_points`` for "clt" and the first for the
-    others, where None stands for (0, 0.5, 1) standard deviations of the
+    The grid holds 1 to ``MAX_GRID_POINTS`` points and R is at least 1, or
+    ``ValueError``.  m_n is ``m``, or the schedule round(n^delta) where
+    ``m`` is None, with ``delta`` else the midpoint of the decay window.
+    The fields are generated under ``truncation``, the keywords of
+    ``plan_truncation``, but for "blocks", whose points carry the sides l_n
+    and q_n of ``block_sides(n, m_n, l)`` and are generated at M = m_n.  A
+    point's ``xs`` are every x of ``x_points`` for "clt" and the first for
+    the others, where None stands for (0, 0.5, 1) standard deviations of the
     field; its oracle figures are taken there from one density oracle per
     distinct m.  A point no truncation meets raises ``TruncationError``, and
     one whose blocks do not fit, an x where the field's density is 0, which
@@ -232,6 +225,8 @@ def grid_points(config: ExperimentConfig, experiment: str, m: int | None = None,
     ``check_cap``.
     """
     model, kern = config.model, config.kernel
+    if not (1 <= len(n_grid) <= MAX_GRID_POINTS and replicates >= 1):
+        raise ValueError(f"need 1 to {MAX_GRID_POINTS} grid points and a replicate, got {len(n_grid)} and {replicates}")
     if x_points is None:
         sd = math.sqrt(total_sq_mass(model))
         x_points = (0.0, 0.5 * sd, sd)
@@ -245,7 +240,7 @@ def grid_points(config: ExperimentConfig, experiment: str, m: int | None = None,
             raise ValueError("config key schedule.delta must be a number where m_n follows the schedule and "
                              "the decay/bandwidth window is empty, got null")
     oracles, points = {}, []
-    for ni, n in enumerate(config.n_grid):
+    for ni, n in enumerate(n_grid):
         b, extra = config.bandwidth.b(n), {}
         m_n = m_schedule(n, delta) if m is None else m
         if experiment == "blocks":
@@ -264,7 +259,7 @@ def grid_points(config: ExperimentConfig, experiment: str, m: int | None = None,
             raise MomentError(f"the field's density is 0 at x = {xs[sigma2.index(0.0)]}, so T_n has no limit "
                               f"variance there, at n = {n}")
         points.append(plan_point(
-            model, n, m_n, b, plan, STREAM_OFFSETS[experiment] + ni, config.replicates, config.max_field_bytes,
+            model, n, m_n, b, plan, STREAM_OFFSETS[experiment] + ni, replicates, config.max_field_bytes,
             sigma2_target=sigma2, sigma2_truncated=tuple(asymptotic_variance(float(oracle.p_m(x)), kern) for x in xs),
             centering=tuple(tuple(expected_kde(oracle, kern, b, xs, truncated=t).tolist()) for t in (False, True)),
             oracle=oracle.summary(), xs=xs, **extra,
@@ -273,7 +268,7 @@ def grid_points(config: ExperimentConfig, experiment: str, m: int | None = None,
 
 
 def _run_replicates(config: ExperimentConfig, point: GridPoint, reduce) -> tuple:
-    """reduce(X, X_m, scratch) over replicates 0..R-1 at ``point``: a tuple of arrays with R rows in replicate order.
+    """reduce(X, X_m, scratch) over the point's replicates 0..R-1: a tuple of arrays with R rows in replicate order.
 
     ``reduce`` takes the two fields of a batch, each with a leading
     replicate axis, and two scratch arrays of the fields' shape; the fields
@@ -294,7 +289,7 @@ def _run_replicates(config: ExperimentConfig, point: GridPoint, reduce) -> tuple
     before any draw.
     """
     check_cap((point,), config.max_field_bytes)
-    count = config.replicates
+    count = point.replicates
     workers = min(config.threads, os.cpu_count() or 1, count)
     k = min(workers * -(-count // (workers * point.batch)), count)
     edges = [count * i // k for i in range(k + 1)]
@@ -423,10 +418,11 @@ def _moments(T: np.ndarray, t_rem: np.ndarray) -> dict:
 def result_bytes(replicates: int, per: int) -> int:
     """Bytes an experiment holds beside the fields: ``per`` bytes of results a replicate, and the replicates' keys.
 
-    ``Seeds`` hashes a grid point's keys at a peak of 116 bytes a replicate
-    (traced with tracemalloc), 16 of which it holds through the point's run.
+    ``Seeds`` holds 16 bytes of keys a replicate through a grid point's run,
+    and hashes them ``KEY_CHUNK`` replicates at a time, at a peak of 117
+    bytes a replicate of the chunk (traced with tracemalloc), counted as 120.
     """
-    return replicates * (per + 116)
+    return replicates * (per + 16) + min(replicates, KEY_CHUNK) * 120
 
 
 def run_clt_experiment(config: ExperimentConfig, points, variance_band: float = 0.10) -> tuple[dict, dict]:
@@ -443,12 +439,12 @@ def run_clt_experiment(config: ExperimentConfig, points, variance_band: float = 
     are null, and ``nonfinite`` counts the (n, x, replicate) rows that hold
     one.  The table holds the arrays n, x, replicate, T, T_zeta and
     T_remainder, a row per (n, x, replicate) in that order, with NaN for a
-    non-finite value.  ``points`` are ``grid_points(config, "clt")``, each
-    testing the same x's.
+    non-finite value.  ``points`` are ``grid_points(config, "clt", n_grid, R)``,
+    each testing the same x's.
     """
     model, kern = config.model, config.kernel
     xs = points[0].xs
-    R = config.replicates
+    R = points[0].replicates
     report = {"points": [], "nonfinite": 0}
     rows = R * len(xs)  # table rows per grid point
     table = {
@@ -651,7 +647,7 @@ def block_decomposition_check(config: ExperimentConfig, samples: list[tuple]) ->
                 "var_delta": float(np.var(delta, ddof=1)),
                 "rate_proxy": m / (l + m),
                 "adjacent_corr": corr,
-                "corr_threshold": 4.0 / math.sqrt(n_blocks * config.replicates),
+                "corr_threshold": 4.0 / math.sqrt(n_blocks * point.replicates),
             }
         )
     vals = [r["var_delta"] for r in rows]
@@ -741,6 +737,41 @@ def _rectangle_sums(x, x_m, scratch, kernel, b, point, rects):
     return zsums, dsums, np.sum(diff, axis=axes) / root_b, np.sum(np.square(diff, out=zeta), axis=axes) / b
 
 
+def _rectangle_rows(config: ExperimentConfig, point: GridPoint, rects) -> list:
+    """The rows of ``rectangle_moment_check`` at one grid point; its replicate sums are freed on return."""
+    model, n, b, x = config.model, point.n, point.b, point.xs[0]
+    ez = math.sqrt(b) * point.centering[1][0]
+    ed = math.sqrt(b) * point.centering[0][0] - ez
+    reduce = partial(_rectangle_sums, kernel=config.kernel, b=b, point=x, rects=rects)
+    zs, ds, dsum, dsq = _run_replicates(config, point, reduce)
+    if not zs.any():
+        raise MomentError(
+            f"at x = {x} the truncated kernel field sums to 0 over every rectangle in every replicate "
+            f"at n = {n}, so the rectangle norms measure its centering alone: "
+            "x lies beyond the kernel's reach of the field's values"
+        )
+    sites = point.replicates * n**model.d
+    site_mean = float(dsum.sum()) / sites
+    site_m2 = float(dsq.sum()) / sites
+    diff_l2 = math.sqrt(max(site_m2 - 2 * ed * site_mean + ed**2, 0.0))
+    bound_unit = diff_l2 + math.sqrt(b) * delta_n(model, n)
+    rows = []
+    for ri, rect in enumerate(rects):
+        vol = float(np.prod(rect))
+        zc = zs[:, ri] - vol * ez
+        dc = ds[:, ri] - vol * ed
+        znorm = math.sqrt(float(np.mean(zc**2))) / math.sqrt(vol)
+        dnorm = math.sqrt(float(np.mean(dc**2)))
+        rows.append({
+            "n": n,
+            "rectangle": list(rect),
+            "zeta_normalized_l2": znorm,
+            "remainder_normalized_l2": dnorm / math.sqrt(vol),
+            "remainder_fitted_c": dnorm / (math.sqrt(vol) * bound_unit) if bound_unit > 0 else 0.0,
+        })
+    return rows
+
+
 def rectangle_moment_check(config: ExperimentConfig, rectangles, points, ratio_cap: float = 3.0) -> dict:
     """Normalised L2 norms of corner-rectangle sums of the truncated kernel field.
 
@@ -750,13 +781,12 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, points, ratio_c
     boundedness proxy.  The remainder field is normalised instead by
     sqrt(j_1...j_d) * (||Zbar - zetabar||_2 + sqrt(b) Delta_n) and the
     smallest constant covering the grid is reported.  ``points`` are
-    ``grid_points(config, "rectangles")``.  A point where every rectangle
-    sum is 0 in every replicate, as at an x no site reaches, has norms of
-    its centering alone: ``MomentError``.
+    ``grid_points(config, "rectangles", n_grid, R)``.  A point where every
+    rectangle sum is 0 in every replicate, as at an x no site reaches, has
+    norms of its centering alone: ``MomentError``.
     """
-    model, kern = config.model, config.kernel
-    R = config.replicates
-    n_min = min(config.n_grid)
+    model = config.model
+    n_min = min(p.n for p in points)
     rect_list = []
     for rect in rectangles:
         tup = (int(rect),) * model.d if np.isscalar(rect) else tuple(int(t) for t in np.atleast_1d(rect))
@@ -767,50 +797,14 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, points, ratio_c
         rect_list.append(tup)
     if not rect_list:
         raise ValueError("need at least one rectangle")
-    rows = []
-    norm_values = []
-    fitted = []
-    for point in points:
-        n, b, x = point.n, point.b, point.xs[0]
-        ez = math.sqrt(b) * point.centering[1][0]
-        ed = math.sqrt(b) * point.centering[0][0] - ez
-        reduce = partial(_rectangle_sums, kernel=kern, b=b, point=x, rects=rect_list)
-        zs, ds, dsum, dsq = _run_replicates(config, point, reduce)
-        if not zs.any():
-            raise MomentError(
-                f"at x = {x} the truncated kernel field sums to 0 over every rectangle in every replicate "
-                f"at n = {n}, so the rectangle norms measure its centering alone: "
-                "x lies beyond the kernel's reach of the field's values"
-            )
-        N = n**model.d
-        site_mean = float(dsum.sum()) / (R * N)
-        site_m2 = float(dsq.sum()) / (R * N)
-        diff_l2 = math.sqrt(max(site_m2 - 2 * ed * site_mean + ed**2, 0.0))
-        bound_unit = diff_l2 + math.sqrt(b) * delta_n(model, n)
-        for ri, rect in enumerate(rect_list):
-            vol = float(np.prod(rect))
-            zc = zs[:, ri] - vol * ez
-            dc = ds[:, ri] - vol * ed
-            znorm = math.sqrt(float(np.mean(zc**2))) / math.sqrt(vol)
-            dnorm = math.sqrt(float(np.mean(dc**2)))
-            c_fit = dnorm / (math.sqrt(vol) * bound_unit) if bound_unit > 0 else 0.0
-            norm_values.append(znorm)
-            fitted.append(c_fit)
-            rows.append(
-                {
-                    "n": n,
-                    "rectangle": list(rect),
-                    "zeta_normalized_l2": znorm,
-                    "remainder_normalized_l2": dnorm / math.sqrt(vol),
-                    "remainder_fitted_c": c_fit,
-                }
-            )
-    ratio = max(norm_values) / min(norm_values)
+    rows = [row for point in points for row in _rectangle_rows(config, point, rect_list)]
+    norms = [row["zeta_normalized_l2"] for row in rows]
+    ratio = max(norms) / min(norms)
     return {
         "name": "rectangle_moments",
         "rows": rows,
         "max_min_ratio": float(ratio),
-        "remainder_max_fitted_c": float(max(fitted)),
+        "remainder_max_fitted_c": float(max(row["remainder_fitted_c"] for row in rows)),
         "ratio_cap": ratio_cap,
         "verdicts": {"bounded": bool(ratio < ratio_cap)},
         "passed": bool(ratio < ratio_cap),
@@ -858,6 +852,20 @@ def _squared_gap(x, x_m, scratch, kernel, b, point):
     return (np.mean(np.square(gap, out=gap), axis=tuple(range(1, gap.ndim))) / b,)
 
 
+def _gap_row(config: ExperimentConfig, point: GridPoint) -> dict:
+    """The row of ``fixed_m_gap`` at one grid point; its replicate gaps are freed on return."""
+    reduce = partial(_squared_gap, kernel=config.kernel, b=point.b, point=point.xs[0])
+    (gaps,) = _run_replicates(config, point, reduce)
+    return {
+        "n": point.n,
+        "m": point.m,
+        "b": point.b,
+        "gap": float(gaps.mean()),
+        "se": float(gaps.std(ddof=1) / math.sqrt(gaps.size)) if gaps.size > 1 else 0.0,
+        "residual_ratio": residual_sqrt_mass(config.model, point.m) / point.b,
+    }
+
+
 def fixed_m_gap(config: ExperimentConfig, points, mode: str) -> dict:
     """Second moment of the site-level gap zeta - Z along the n-grid.
 
@@ -866,23 +874,9 @@ def fixed_m_gap(config: ExperimentConfig, points, mode: str) -> dict:
     because the cross moment E(Z zeta) ~ b * p_joint(x, x) vanishes with the
     bandwidth.  ``growing`` mode follows m_n = round(n^delta) and must trend
     to zero, bounded by a fitted multiple of B_{m_n}/b_n + b_n.  ``points``
-    are ``grid_points(config, "gap", m)``, with m None in ``growing`` mode.
+    are ``grid_points(config, "gap", n_grid, R, m)``, with m None in ``growing`` mode.
     """
-    rows = []
-    for point in points:
-        n, m_n, b = point.n, point.m, point.b
-        reduce = partial(_squared_gap, kernel=config.kernel, b=b, point=point.xs[0])
-        (gaps,) = _run_replicates(config, point, reduce)
-        rows.append(
-            {
-                "n": n,
-                "m": m_n,
-                "b": b,
-                "gap": float(gaps.mean()),
-                "se": float(gaps.std(ddof=1) / math.sqrt(gaps.size)) if gaps.size > 1 else 0.0,
-                "residual_ratio": residual_sqrt_mass(config.model, m_n) / b,
-            }
-        )
+    rows = [_gap_row(config, point) for point in points]
     gaps = [r["gap"] for r in rows]
     report = {"name": "truncation_gap", "mode": mode, "x": points[-1].xs[0], "rows": rows}
     if mode == "fixed":

@@ -65,7 +65,7 @@ def block_decomposition_check(config, samples) -> dict:
                 "var_delta": float(np.var(delta, ddof=1)),
                 "rate_proxy": m / (l + m),
                 "adjacent_corr": corr,
-                "corr_threshold": 4.0 / math.sqrt(n_blocks * config.replicates),
+                "corr_threshold": 4.0 / math.sqrt(n_blocks * point.replicates),
             }
         )
     vals = [r["var_delta"] for r in rows]

@@ -57,12 +57,10 @@ def d2_experiment():
         innovations=InnovationModel("gaussian"),
         kernel=kernel_by_name("gaussian"),
         bandwidth=BandwidthSchedule(d=2, gamma=1.0),
-        n_grid=(32, 64),
-        replicates=500,
         master_seed=MASTER_SEED,
     )
     start = time.time()
-    points = grid_points(cfg, "clt", x_points=(0.0,), delta=5.0 / 12.0)
+    points = grid_points(cfg, "clt", (32, 64), 500, x_points=(0.0,), delta=5.0 / 12.0)
     report, table = run_clt_experiment(cfg, points, variance_band=0.15)
     return report, table, time.time() - start
 
@@ -75,12 +73,10 @@ def test_criterion_1_iid_baseline():
         innovations=InnovationModel("gaussian"),
         kernel=kernel_by_name("epanechnikov"),
         bandwidth=BandwidthSchedule(d=1, gamma=0.2),
-        n_grid=(4096,),
-        replicates=1000,
         master_seed=MASTER_SEED,
     )
     start = time.time()
-    report, _ = run_clt_experiment(cfg, grid_points(cfg, "clt", x_points=(0.0,), delta=0.05))
+    report, _ = run_clt_experiment(cfg, grid_points(cfg, "clt", (4096,), 1000, x_points=(0.0,), delta=0.05))
     elapsed = time.time() - start
     pt = report["points"][0]
     var_ok = abs(pt["variance"] - SIGMA0_EPAN) <= 0.10 * SIGMA0_EPAN
@@ -163,16 +159,14 @@ def test_criterion_5_truncation_gap():
         innovations=InnovationModel("gaussian"),
         kernel=kernel_by_name("epanechnikov"),
         bandwidth=BandwidthSchedule(d=1, gamma=0.5),
-        n_grid=(1024, 4096, 16384),
-        replicates=150,
         master_seed=MASTER_SEED,
     )
-    cfg = ExperimentConfig(**base)
-    fixed = fixed_m_gap(cfg, grid_points(cfg, "gap", 2, x_points=(0.0,)), "fixed")
+    cfg, n_grid = ExperimentConfig(**base), (1024, 4096, 16384)
+    fixed = fixed_m_gap(cfg, grid_points(cfg, "gap", n_grid, 150, 2, x_points=(0.0,)), "fixed")
     gaps = [r["gap"] for r in fixed["rows"]]
     limit_ok = abs(gaps[-1] - GAP_LIMIT) <= 0.15 * GAP_LIMIT
     not_vanishing = gaps[-1] >= 0.5 * max(gaps)
-    growing = fixed_m_gap(cfg, grid_points(cfg, "gap", x_points=(0.0,), delta=0.25), "growing")
+    growing = fixed_m_gap(cfg, grid_points(cfg, "gap", n_grid, 150, x_points=(0.0,), delta=0.25), "growing")
     ggaps = [r["gap"] for r in growing["rows"]]
     halved = ggaps[-1] <= 0.5 * ggaps[0]
     ok = limit_ok and not_vanishing and halved
@@ -193,11 +187,10 @@ def test_criterion_6_block_machinery():
         innovations=InnovationModel("gaussian"),
         kernel=kernel_by_name("epanechnikov"),
         bandwidth=BandwidthSchedule(d=1, gamma=0.5),
-        n_grid=(256, 1024, 4096),
-        replicates=1500,
         master_seed=MASTER_SEED,
     )
-    samples = _block_samples(cfg, grid_points(cfg, "blocks", 4, x_points=(0.0,)))  # l_n = 4 * ceil(log n)
+    # l_n = 4 * ceil(log n)
+    samples = _block_samples(cfg, grid_points(cfg, "blocks", (256, 1024, 4096), 1500, 4, x_points=(0.0,)))
     dec = block_decomposition_check(cfg, samples)
     lf = lindeberg_estimate(cfg, samples, [0.5, 1.0, 2.0])
     vals = [r["var_delta"] for r in dec["rows"]]
@@ -226,11 +219,9 @@ def test_criterion_7_moment_inequalities():
         innovations=gauss,
         kernel=kernel_by_name("epanechnikov"),
         bandwidth=BandwidthSchedule(d=1, gamma=0.2),
-        n_grid=(1024,),
-        replicates=400,
         master_seed=MASTER_SEED,
     )
-    points = grid_points(cfg, "rectangles", x_points=(0.0,), delta=0.25)
+    points = grid_points(cfg, "rectangles", (1024,), 400, x_points=(0.0,), delta=0.25)
     rect = rectangle_moment_check(cfg, [2**r for r in range(2, 11)], points)
     rect_ok = rect["max_min_ratio"] < 3.0
     ok = p1_ok and p2_ok and rect_ok
@@ -284,12 +275,11 @@ def test_criterion_8_engineering_invariants():
             innovations=InnovationModel("gaussian"),
             kernel=kernel_by_name("epanechnikov"),
             bandwidth=BandwidthSchedule(d=1, gamma=0.2),
-            n_grid=(256,),
-            replicates=40,
             master_seed=MASTER_SEED,
             threads=threads,
         )
-        blobs.append(canonical_json(run_clt_experiment(cfg, grid_points(cfg, "clt", x_points=(0.0,), delta=0.15))))
+        points = grid_points(cfg, "clt", (256,), 40, x_points=(0.0,), delta=0.15)
+        blobs.append(canonical_json(run_clt_experiment(cfg, points)))
     threads_ok = blobs[0] == blobs[1] == blobs[2]
     ok = conv_ok and coupling_ok and threads_ok
     _line(

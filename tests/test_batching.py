@@ -231,7 +231,7 @@ class TestWorkerPool:
         monkeypatch.setattr(clt, "generate_coupled_fields", failing_first)
         config = ExperimentConfig(
             model=geometric_half, innovations=InnovationModel("gaussian"), kernel=kernel_by_name("gaussian"),
-            bandwidth=BandwidthSchedule(d=1, gamma=0.5), n_grid=(16,), replicates=8, threads=2,
+            bandwidth=BandwidthSchedule(d=1, gamma=0.5), threads=2,
         )
         point = replace(_point(geometric_half, 16, 2, 4, replicates=8), batch=1)
         with pytest.raises(ValueError, match="batch failed"):
@@ -267,7 +267,7 @@ class TestWorkerPool:
 
         config = ExperimentConfig(
             model=geometric_half, innovations=InnovationModel("gaussian"), kernel=kernel_by_name("gaussian"),
-            bandwidth=BandwidthSchedule(d=1, gamma=0.5), n_grid=(16,), replicates=120,
+            bandwidth=BandwidthSchedule(d=1, gamma=0.5),
         )
         point = replace(_point(geometric_half, 16, 2, 4, replicates=120), batch=1)
         reduce = partial(clt._squared_gap, kernel=config.kernel, b=0.5, point=0.0)
@@ -287,7 +287,7 @@ class TestWorkerPool:
         plan = plan_truncation(geometric_half, m=2, policy="fixed", M=4)
         config = ExperimentConfig(
             model=geometric_half, innovations=InnovationModel("gaussian"), kernel=kernel_by_name("gaussian"),
-            bandwidth=BandwidthSchedule(d=1, gamma=0.5), n_grid=(16,), replicates=7,
+            bandwidth=BandwidthSchedule(d=1, gamma=0.5),
         )
 
         reduce = partial(clt._squared_gap, kernel=config.kernel, b=0.5, point=0.0)
@@ -411,7 +411,7 @@ class TestWorkerWorkspace:
         R, stream = 5, 4
         config = ExperimentConfig(
             model=model, innovations=innov, kernel=kernel_by_name("gaussian"),
-            bandwidth=BandwidthSchedule(d=d, gamma=0.5), n_grid=(n,), replicates=R, master_seed=11, threads=threads,
+            bandwidth=BandwidthSchedule(d=d, gamma=0.5), master_seed=11, threads=threads,
         )
         point = replace(planned(model, n, m, plan, method, replicates=R, stream=stream), batch=2)
         seen = []

@@ -45,8 +45,6 @@ def _config(model, **kw):
         innovations=InnovationModel("gaussian"),
         kernel=kernel_by_name("epanechnikov"),
         bandwidth=BandwidthSchedule(d=model.d, gamma=0.2),
-        n_grid=(512,),
-        replicates=200,
         master_seed=MASTER_SEED,
     )
     defaults.update(kw)
@@ -57,25 +55,36 @@ def _config(model, **kw):
 PLAN = {"x_points": (0.0,), "delta": 0.15}
 
 
-class TestExperimentConfig:
+class TestGridPoints:
     def test_grid_limited_to_stream_spacing(self, geometric_half):
         # grid point ni draws from stream offset + ni; offsets are 100 apart
-        grid = tuple(range(16, 16 + 101))
-        assert len(_config(geometric_half, n_grid=grid[:100]).n_grid) == 100
-        with pytest.raises(ValueError, match="at most 100"):
-            _config(geometric_half, n_grid=grid)
+        grid, config = tuple(range(16, 16 + 101)), _config(geometric_half)
+        points = grid_points(config, "gap", grid[:100], 1, 1, policy="fixed", M=1, **PLAN)
+        assert [p.stream for p in points] == [300 + ni for ni in range(100)]
+        for n_grid in ((), grid):
+            with pytest.raises(ValueError, match=f"need 1 to 100 grid points and a replicate, got {len(n_grid)} and 1"):
+                grid_points(config, "clt", n_grid, 1, **PLAN)
+
+    @pytest.mark.parametrize("replicates", [0, -3])
+    def test_needs_a_replicate(self, geometric_half, replicates):
+        with pytest.raises(ValueError, match=f"need 1 to 100 grid points and a replicate, got 1 and {replicates}"):
+            grid_points(_config(geometric_half), "clt", (64,), replicates, **PLAN)
+
+    def test_points_carry_their_replicates(self, geometric_half):
+        points = grid_points(_config(geometric_half), "gap", (64, 128), 7, 2, policy="fixed", M=4, **PLAN)
+        assert [p.replicates for p in points] == [7, 7] and [p.draws for p in points] == [7 * (64 + 3), 7 * (128 + 3)]
 
     @pytest.mark.parametrize("points", [(), (math.nan,), (0.0, math.inf), (-math.inf,)])
     def test_rejects_empty_or_nonfinite_x_points(self, geometric_half, points):
         with pytest.raises(ValueError, match="x_points must be nonempty and finite"):
-            grid_points(_config(geometric_half), "clt", x_points=points, delta=0.15)
+            grid_points(_config(geometric_half), "clt", (512,), 200, x_points=points, delta=0.15)
 
 
-def _point(config, n, m, plan, stream, batch=None):
+def _point(config, n, m, plan, stream, batch=None, replicates=200):
     """The engine's plan of (n, m) under ``plan``, with a forced batch size when given."""
     import fieldkde.clt as clt
 
-    point = clt.plan_point(config.model, n, m, 0.5, plan, stream, config.replicates, config.max_field_bytes)
+    point = clt.plan_point(config.model, n, m, 0.5, plan, stream, replicates, config.max_field_bytes)
     return point if batch is None else replace(point, batch=batch)
 
 
@@ -91,10 +100,10 @@ class TestReplicateEngine:
         import fieldkde.clt as clt
 
         R, stream = 7, 5
-        config = _config(geometric_half, replicates=R, threads=threads)
+        config = _config(geometric_half, threads=threads)
         plan = plan_truncation(geometric_half, m=2, policy="fixed", M=4)
         # the point carries a forced size to every batch
-        head, first = clt._run_replicates(config, _point(config, 32, 2, plan, stream, size), _fortran_head)
+        head, first = clt._run_replicates(config, _point(config, 32, 2, plan, stream, size, R), _fortran_head)
         alone = [coupled_pair(geometric_half, 32, 2, plan, Seeds(MASTER_SEED, stream, [r])) for r in range(R)]
         assert head.flags.c_contiguous and first.flags.c_contiguous
         assert np.array_equal(head, np.array([x[:4] for x, _ in alone]))
@@ -108,8 +117,8 @@ class TestReplicateEngine:
         import fieldkde.clt as clt
 
         monkeypatch.setattr(clt.os, "cpu_count", lambda: 2)
-        config = _config(geometric_half, replicates=7, threads=threads)
-        point = _point(config, 32, 2, plan_truncation(geometric_half, m=2, policy="fixed", M=4), 0, size)
+        config = _config(geometric_half, threads=threads)
+        point = _point(config, 32, 2, plan_truncation(geometric_half, m=2, policy="fixed", M=4), 0, size, 7)
         alive, joined, concatenate = [], [], np.concatenate
 
         def prefix_views(x, x_m, scratch):
@@ -150,14 +159,14 @@ class TestReplicateEngine:
         monkeypatch.setattr(clt, "coupled_spectra", counting)
         monkeypatch.setattr(clt, "Seeds", CountingSeeds)
         monkeypatch.setattr(clt.os, "cpu_count", lambda: 2)
-        config = _config(power_d2, bandwidth=BandwidthSchedule(d=2, gamma=1.0), replicates=7, threads=2)
+        config = _config(power_d2, bandwidth=BandwidthSchedule(d=2, gamma=1.0), threads=2)
         plan = plan_truncation(power_d2, m=2, policy="fixed", M=6)
         # a reduction takes the two fields of a batch and two scratch arrays shaped like them,
         # and returns arrays with one row per replicate
         def reduce(x, x_m, scratch):
             return (x.sum(axis=(1, 2)),)
 
-        point = replace(_point(config, 16, 2, plan, 0), batch=2)
+        point = _point(config, 16, 2, plan, 0, 2, 7)
         (rows,) = clt._run_replicates(config, point, reduce)
         # the two workers share one build of the spectra and one pass over the keys, of every replicate
         assert len(rows) == 7 and len(spectra) == 1
@@ -169,14 +178,14 @@ class TestReplicateEngine:
 class TestNormalizedStatistic:
     def test_identity_truncation_kills_remainder(self, identity_weights):
         # one weight: the truncated field is the field itself at every m
-        cfg = _config(identity_weights, n_grid=(256,), replicates=20)
-        _, table = run_clt_experiment(cfg, grid_points(cfg, "clt", **PLAN))
+        cfg = _config(identity_weights)
+        _, table = run_clt_experiment(cfg, grid_points(cfg, "clt", (256,), 20, **PLAN))
         assert table["T_remainder"].tolist() == [0.0] * 20
         assert table["T"].tolist() == table["T_zeta"].tolist()
 
     def test_decomposition_identity(self, geometric_half):
-        cfg = _config(geometric_half, n_grid=(512,), replicates=20)
-        _, table = run_clt_experiment(cfg, grid_points(cfg, "clt", x_points=(0.2,), delta=0.15))
+        cfg = _config(geometric_half)
+        _, table = run_clt_experiment(cfg, grid_points(cfg, "clt", (512,), 20, x_points=(0.2,), delta=0.15))
         t, tz, tr = (table[k] for k in ("T", "T_zeta", "T_remainder"))
         assert np.max(np.abs(t - (tz + tr))) <= 1e-12 * max(np.max(np.abs(t)), 1.0)
 
@@ -186,13 +195,8 @@ class TestRunCltExperiment:
         # gaussian kernel keeps the site-level kernel shift small; with
         # delta at the top of the feasible window the remainder variance
         # drops well below 5% of Var(T_n) by n = 4096
-        cfg = _config(
-            geometric_half,
-            kernel=kernel_by_name("gaussian"),
-            n_grid=(1024, 4096),
-            replicates=500,
-        )
-        rep, table = run_clt_experiment(cfg, grid_points(cfg, "clt", x_points=(0.0,), delta=0.199))
+        cfg = _config(geometric_half, kernel=kernel_by_name("gaussian"))
+        rep, table = run_clt_experiment(cfg, grid_points(cfg, "clt", (1024, 4096), 500, x_points=(0.0,), delta=0.199))
         p1, p2 = rep["points"]
         v1 = np.var(table["T_remainder"][table["n"] == 1024], ddof=1)
         v2 = np.var(table["T_remainder"][table["n"] == 4096], ddof=1)
@@ -200,25 +204,25 @@ class TestRunCltExperiment:
         assert v2 <= 0.05 * p2["variance"]
 
     def test_single_replicate_inconclusive(self, geometric_half):
-        cfg = _config(geometric_half, replicates=1, n_grid=(128,))
-        rep, _ = run_clt_experiment(cfg, grid_points(cfg, "clt", **PLAN))
+        cfg = _config(geometric_half)
+        rep, _ = run_clt_experiment(cfg, grid_points(cfg, "clt", (128,), 1, **PLAN))
         assert rep["overall"] == "inconclusive"
         assert rep["points"][0]["verdicts"]["overall"] == "inconclusive"
 
     def test_decomposition_identity_per_replicate(self, geometric_half):
-        cfg = _config(geometric_half, replicates=50, n_grid=(256,))
-        rep, table = run_clt_experiment(cfg, grid_points(cfg, "clt", **PLAN))
+        cfg = _config(geometric_half)
+        rep, table = run_clt_experiment(cfg, grid_points(cfg, "clt", (256,), 50, **PLAN))
         t = table["T"]
         back = table["T_zeta"] + table["T_remainder"]
         assert np.max(np.abs(t - back)) <= 1e-12 * max(np.max(np.abs(t)), 1.0)
         assert rep["nonfinite"] == 0
 
     def test_bit_identical_reports_and_thread_independence(self, geometric_half):
-        cfg1 = _config(geometric_half, replicates=32, n_grid=(128,))
-        cfg4 = _config(geometric_half, replicates=32, n_grid=(128,), threads=4)
-        a = canonical_json(run_clt_experiment(cfg1, grid_points(cfg1, "clt", **PLAN)))
-        b = canonical_json(run_clt_experiment(cfg1, grid_points(cfg1, "clt", **PLAN)))
-        c = canonical_json(run_clt_experiment(cfg4, grid_points(cfg4, "clt", **PLAN)))
+        cfg1 = _config(geometric_half)
+        cfg4 = _config(geometric_half, threads=4)
+        a = canonical_json(run_clt_experiment(cfg1, grid_points(cfg1, "clt", (128,), 32, **PLAN)))
+        b = canonical_json(run_clt_experiment(cfg1, grid_points(cfg1, "clt", (128,), 32, **PLAN)))
+        c = canonical_json(run_clt_experiment(cfg4, grid_points(cfg4, "clt", (128,), 32, **PLAN)))
         assert a == b == c
 
     def test_fail_regime_runs_but_is_labelled(self, tmp_path, power_d2):
@@ -233,9 +237,9 @@ class TestRunCltExperiment:
         assert rep["config"]["decay_window"]["passed"] is False
         assert rep["config"]["delta"] == 0.4
         # without an explicit schedule the empty window is an error
-        cfg = _config(power_d2, bandwidth=BandwidthSchedule(d=2, gamma=1.3), n_grid=(16,), replicates=20)
+        cfg = _config(power_d2, bandwidth=BandwidthSchedule(d=2, gamma=1.3))
         with pytest.raises(ValueError, match="config key schedule.delta"):
-            grid_points(cfg, "clt", x_points=(0.0,))
+            grid_points(cfg, "clt", (16,), 20, x_points=(0.0,))
 
 
 class TestAgainstNaiveReimplementation:
@@ -248,14 +252,10 @@ class TestAgainstNaiveReimplementation:
 
         n, m, M, x = 12, 2, 5, 0.1
         innov = InnovationModel("gaussian")
-        cfg = _config(
-            power_d2,
-            bandwidth=BandwidthSchedule(d=2, gamma=0.4),
-            n_grid=(n,),
-            replicates=1,
-        )
+        cfg = _config(power_d2, bandwidth=BandwidthSchedule(d=2, gamma=0.4))
         # round(12^0.25) = 2
-        report, table = run_clt_experiment(cfg, grid_points(cfg, "clt", x_points=(x,), delta=0.25, policy="fixed", M=M))
+        points = grid_points(cfg, "clt", (n,), 1, x_points=(x,), delta=0.25, policy="fixed", M=M)
+        report, table = run_clt_experiment(cfg, points)
         pt = report["points"][0]
         assert (pt["m"], pt["M"], pt["seeds"]["stream"]) == (m, M, 0)
         b = pt["b"]
@@ -576,17 +576,17 @@ class TestWuInequality:
         assert peak < 8 << 20  # 96.5 MiB with 2^22-value chunks of |X|
 
 
-def _samples(config, m, l=None):
+def _samples(config, n_grid, replicates, m, l=None):
     """``_block_samples`` at the grid points of gap ``m`` and block side ``l``."""
-    return _block_samples(config, grid_points(config, "blocks", m, l, **PLAN))
+    return _block_samples(config, grid_points(config, "blocks", n_grid, replicates, m, l, **PLAN))
 
 
 class TestBlocks:
     def test_single_block_no_gap(self, identity_weights):
         # block side l = n: the single block covers everything, so the gap
         # statistic is exactly zero
-        cfg1 = _config(identity_weights, n_grid=(128,), replicates=40)
-        samples = _samples(cfg1, 1, 128)
+        cfg1 = _config(identity_weights)
+        samples = _samples(cfg1, (128,), 40, 1, 128)
         rep = block_decomposition_check(cfg1, samples)
         assert rep["rows"][0]["blocks_per_axis"] == 1
         assert rep["rows"][0]["var_delta"] == 0.0
@@ -708,13 +708,8 @@ class TestBlocks:
             block_sides(64, 4, 128)
 
     def test_gap_variance_decreases(self, geometric_half):
-        cfg = _config(
-            geometric_half,
-            bandwidth=BandwidthSchedule(d=1, gamma=0.5),
-            n_grid=(256, 1024, 4096),
-            replicates=600,
-        )
-        rep = block_decomposition_check(cfg, _samples(cfg, 4))
+        cfg = _config(geometric_half, bandwidth=BandwidthSchedule(d=1, gamma=0.5))
+        rep = block_decomposition_check(cfg, _samples(cfg, (256, 1024, 4096), 600, 4))
         vals = [r["var_delta"] for r in rep["rows"]]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         proxies = [r["rate_proxy"] for r in rep["rows"]]
@@ -725,19 +720,14 @@ class TestBlocks:
     def test_lindeberg_baseline(self, identity_weights):
         # iid field, blocks of length >= 512: block variance per site near
         # sigma_0^2
-        cfg = _config(
-            identity_weights,
-            bandwidth=BandwidthSchedule(d=1, gamma=0.4),
-            n_grid=(4096,),
-            replicates=300,
-        )
-        rep = lindeberg_estimate(cfg, _samples(cfg, 1, 512), [1.0])
+        cfg = _config(identity_weights, bandwidth=BandwidthSchedule(d=1, gamma=0.4))
+        rep = lindeberg_estimate(cfg, _samples(cfg, (4096,), 300, 1, 512), [1.0])
         target = rep["sigma2_target"]
         assert rep["rows"][0]["lf1"] == pytest.approx(target, rel=0.1)
 
     def test_indicator_exactly_zero_for_large_eps(self, geometric_half, epanechnikov):
-        cfg = _config(geometric_half, n_grid=(256,), replicates=100)
-        samples = _samples(cfg, 2, 16)
+        cfg = _config(geometric_half)
+        samples = _samples(cfg, (256,), 100, 2, 16)
         point = samples[0][0]
         # |xi| <= l * 2 sup K / sqrt(b) almost surely, so a threshold above
         # that kills the indicator for every replicate
@@ -747,13 +737,8 @@ class TestBlocks:
         assert rep["rows"][0]["lf2"][eps] == 0.0
 
     def test_lf2_decreasing(self, geometric_half):
-        cfg = _config(
-            geometric_half,
-            bandwidth=BandwidthSchedule(d=1, gamma=0.5),
-            n_grid=(256, 1024, 4096),
-            replicates=600,
-        )
-        rep = lindeberg_estimate(cfg, _samples(cfg, 4), [0.5, 1.0, 2.0])
+        cfg = _config(geometric_half, bandwidth=BandwidthSchedule(d=1, gamma=0.5))
+        rep = lindeberg_estimate(cfg, _samples(cfg, (256, 1024, 4096), 600, 4), [0.5, 1.0, 2.0])
         for e, ok in rep["verdicts"]["lf2_vanishes"].items():
             assert ok
 
@@ -764,7 +749,8 @@ def _synthetic_block_sample(replicates, q):
     model = CoefficientModel(d=1, family="geometric", ratio=0.5)
     oracle = density_oracle(model, InnovationModel("gaussian"), 4)
     # the site centering sqrt(b) * E f_n(0) of X_m is 2^-6
-    point = replace(planned(model, 4096, 4, plan_truncation(model, m=4, policy="fixed", M=4)), b=4096**-0.5, l=36,
+    plan = plan_truncation(model, m=4, policy="fixed", M=4)
+    point = replace(planned(model, 4096, 4, plan, replicates=replicates), b=4096**-0.5, l=36,
                     q=q, xs=(0.0,), centering=((0.125,), (0.125,)),
                     sigma2_target=(asymptotic_variance(float(oracle.p(0.0)), kernel_by_name("epanechnikov")),))
     return point, rng.standard_normal(replicates), rng.standard_normal((replicates, q))
@@ -799,8 +785,8 @@ class TestLeanReductions:
         ],
     )
     def test_block_checks_equal_the_reference(self, model, n_grid, plan):
-        cfg = _config(model, n_grid=n_grid, replicates=40)
-        samples = _samples(cfg, *plan)
+        cfg = _config(model)
+        samples = _samples(cfg, n_grid, 40, *plan)
         got = block_decomposition_check(cfg, samples)
         assert got == block_reference.block_decomposition_check(cfg, samples)
         q = samples[0][0].q
@@ -809,7 +795,7 @@ class TestLeanReductions:
         assert lindeberg_estimate(cfg, samples, eps) == block_reference.lindeberg_estimate(cfg, samples, eps)
 
     def test_block_checks_equal_the_reference_on_a_large_sample(self, geometric_half):
-        cfg = _config(geometric_half, n_grid=(4096,), replicates=2000)
+        cfg = _config(geometric_half)
         samples = [_synthetic_block_sample(2000, 102)]
         # xi = eta - 36 * 2^-6 is exactly +-1, the threshold n^(1/2) eps at eps = 2^-6
         samples[0][2][0, :2] = (1.5625, -0.4375)
@@ -819,7 +805,7 @@ class TestLeanReductions:
 
     def test_block_checks_hold_few_copies_of_the_sample(self, geometric_half):
         # 7.0 and 3.1 times the sample with a centred copy and stacked pairs
-        cfg = _config(geometric_half, n_grid=(4096,), replicates=20_000)
+        cfg = _config(geometric_half)
         samples = [_synthetic_block_sample(20_000, 102)]
         size = samples[0][2].nbytes
         assert _traced_peak(block_decomposition_check, cfg, samples) <= 4.5 * size
@@ -913,10 +899,10 @@ class TestReductionMemory:
         import fieldkde.clt as clt
 
         model, m, M, l = CoefficientModel(d=d, family="power_decay", q=4.0), 2, 4, 8
-        cfg = _config(model, n_grid=(n,), replicates=16)
+        cfg = _config(model)
         # two full batches of 8, so the workspace is the one planned
         point = replace(planned(model, n, m, plan_truncation(model, m=m, policy="fixed", M=M), method, 8),
-                        xs=(0.1, 0.4), l=l, q=block_sides(n, m, l)[1])
+                        replicates=16, xs=(0.1, 0.4), l=l, q=block_sides(n, m, l)[1])
         assert point.batch == 8
         reduce = _reduction(reduction, point, cfg.kernel, d)
         # the outputs: their batches' parts, and at the join, the workspace freed, the joined arrays beside them
@@ -943,7 +929,7 @@ class TestReductionMemory:
         monkeypatch.setattr(clt, "generate_coupled_fields", recording_generate)
         monkeypatch.setattr(clt, "CoupledWorkspace", recording_workspace)
         monkeypatch.setattr(clt.os, "cpu_count", lambda: 2)
-        cfg = _config(geometric_half, n_grid=(64,), replicates=replicates, threads=threads)
+        cfg = _config(geometric_half, threads=threads)
         point = replace(planned(geometric_half, 64, 2, plan_truncation(geometric_half, m=2, policy="fixed", M=4),
                                 replicates=replicates), batch=batch)
         (rows,) = clt._run_replicates(cfg, point, lambda x, x_m, scratch: (x[:, 0],))
@@ -958,23 +944,25 @@ class TestRectangles:
     def test_iid_normalisation_constant(self, identity_weights):
         # independence: ||sum over rect||_2 / sqrt(vol) equals ||zeta_bar||_2
         # for every rectangle, up to Monte Carlo noise
-        cfg = _config(identity_weights, n_grid=(1024,), replicates=500)
-        rep = rectangle_moment_check(cfg, [4, 16, 64, 256, 1024], grid_points(cfg, "rectangles", **PLAN))
+        cfg = _config(identity_weights)
+        rep = rectangle_moment_check(cfg, [4, 16, 64, 256, 1024], grid_points(cfg, "rectangles", (1024,), 500, **PLAN))
         vals = [r["zeta_normalized_l2"] for r in rep["rows"]]
         assert max(vals) / min(vals) < 1.2
 
     def test_geometric_bounded(self, geometric_half):
-        cfg = _config(geometric_half, n_grid=(1024,), replicates=400)
-        rep = rectangle_moment_check(cfg, [2**r for r in range(2, 11)], grid_points(cfg, "rectangles", delta=0.25))
+        cfg = _config(geometric_half)
+        points = grid_points(cfg, "rectangles", (1024,), 400, delta=0.25)
+        rep = rectangle_moment_check(cfg, [2**r for r in range(2, 11)], points)
         assert rep["max_min_ratio"] < 3.0
         assert rep["passed"]
 
     def test_rectangle_larger_than_the_grid_is_rejected(self, identity_weights):
-        cfg = _config(identity_weights, n_grid=(64, 128), replicates=5)
+        cfg = _config(identity_weights)
+        points = grid_points(cfg, "rectangles", (64, 128), 5, **PLAN)
         with pytest.raises(ValueError, match=r"rectangle \[128\] does not fit inside n=64"):
-            rectangle_moment_check(cfg, [4, 128], grid_points(cfg, "rectangles", **PLAN))
+            rectangle_moment_check(cfg, [4, 128], points)
         with pytest.raises(ValueError, match="need at least one rectangle"):
-            rectangle_moment_check(cfg, [], grid_points(cfg, "rectangles", **PLAN))
+            rectangle_moment_check(cfg, [], points)
 
     def test_scaling_leaves_verdict_unchanged(self):
         base = CoefficientModel(d=1, family="power_decay", q=2.5)
@@ -982,8 +970,8 @@ class TestRectangles:
         rects = [4, 16, 64, 256]
         reps = []
         for model in (base, doubled):
-            cfg = _config(model, n_grid=(256,), replicates=200)
-            reps.append(rectangle_moment_check(cfg, rects, grid_points(cfg, "rectangles", delta=0.25)))
+            cfg = _config(model)
+            reps.append(rectangle_moment_check(cfg, rects, grid_points(cfg, "rectangles", (256,), 200, delta=0.25)))
         assert reps[0]["passed"] == reps[1]["passed"]
         # normalised levels scale with the field, ratios do not
         assert reps[0]["max_min_ratio"] == pytest.approx(reps[1]["max_min_ratio"], rel=0.2)
@@ -1017,41 +1005,26 @@ def _gap_quadrature_oracle(v, v_m, b, rough_grid=801):
 
 class TestTruncationGap:
     def test_identity_truncation_zero_gap(self, identity_weights):
-        cfg = _config(identity_weights, n_grid=(256, 1024), replicates=20)
-        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", 1, **PLAN), "fixed")
+        cfg = _config(identity_weights)
+        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", (256, 1024), 20, 1, **PLAN), "fixed")
         assert all(r["gap"] == 0.0 for r in rep["rows"])
 
     def test_fixed_gap_matches_quadrature(self, geometric_half):
-        cfg = _config(
-            geometric_half,
-            bandwidth=BandwidthSchedule(d=1, gamma=0.5),
-            n_grid=(4096,),
-            replicates=60,
-        )
-        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", 2, **PLAN), "fixed")
+        cfg = _config(geometric_half, bandwidth=BandwidthSchedule(d=1, gamma=0.5))
+        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", (4096,), 60, 2, **PLAN), "fixed")
         row = rep["rows"][0]
         oracle = _gap_quadrature_oracle(4.0 / 3.0, 1.25, row["b"])
         assert row["gap"] == pytest.approx(oracle, abs=4 * row["se"])
 
     def test_fixed_gap_has_positive_limit(self, geometric_half):
-        cfg = _config(
-            geometric_half,
-            bandwidth=BandwidthSchedule(d=1, gamma=0.5),
-            n_grid=(1024, 4096, 16384),
-            replicates=100,
-        )
-        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", 2, **PLAN), "fixed")
+        cfg = _config(geometric_half, bandwidth=BandwidthSchedule(d=1, gamma=0.5))
+        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", (1024, 4096, 16384), 100, 2, **PLAN), "fixed")
         assert rep["oracle_limit"] == pytest.approx(0.42139138362113, abs=1e-10)
         assert rep["passed"]
 
     def test_growing_gap_halves(self, geometric_half):
-        cfg = _config(
-            geometric_half,
-            bandwidth=BandwidthSchedule(d=1, gamma=0.5),
-            n_grid=(1024, 4096, 16384),
-            replicates=60,
-        )
-        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", x_points=(0.0,), delta=0.25), "growing")
+        cfg = _config(geometric_half, bandwidth=BandwidthSchedule(d=1, gamma=0.5))
+        rep = fixed_m_gap(cfg, grid_points(cfg, "gap", (1024, 4096, 16384), 60, x_points=(0.0,), delta=0.25), "growing")
         gaps = [r["gap"] for r in rep["rows"]]
         assert gaps[-1] <= 0.5 * gaps[0]
         assert rep["fitted_c"] > 0

@@ -7,7 +7,8 @@ from numpy.random import Generator, Philox, SeedSequence
 from scipy import stats
 
 from fieldkde import InnovationModel, Seeds
-from fieldkde.innovations import UNIFORM_HALF_WIDTH, draw_lattice, philox_keys
+from fieldkde.clt import result_bytes
+from fieldkde.innovations import KEY_CHUNK, UNIFORM_HALF_WIDTH, draw_lattice, philox_keys
 
 from conftest import MASTER_SEED, generator
 
@@ -124,6 +125,26 @@ class TestPhiloxKeys:
         replicates = range(2**32 - 3, 2**32 + 3)
         keys = philox_keys(master, stream, replicates)
         assert [tuple(k) for k in keys] == [tuple(_seed_sequence_key(master, stream, r)) for r in replicates]
+
+    @pytest.mark.parametrize("replicates", [range(KEY_CHUNK - 2, 2 * KEY_CHUNK + 3),
+                                            range(2**32 - KEY_CHUNK - 2, 2**32 + 3)],
+                             ids=["across_a_chunk_edge", "two_word_replicates_across_a_chunk_edge"])
+    def test_seeds_hash_in_chunks_the_keys_of_one_pass(self, replicates):
+        seeds = Seeds(MASTER_SEED, 403, replicates)
+        assert len(replicates) > KEY_CHUNK and seeds.keys.dtype == np.uint64
+        assert np.array_equal(seeds.keys, philox_keys(MASTER_SEED, 403, replicates))
+
+    def test_seeds_peak_within_what_the_plan_counts(self):
+        # 16 bytes of keys a replicate, and one chunk hashing at a time: 2.08 MB at 10^5, 11.6 MB in one pass
+        R = 100_000
+        Seeds(MASTER_SEED, 403, range(10))  # imports and caches, untraced
+        tracemalloc.start()
+        try:
+            seeds = Seeds(MASTER_SEED, 403, range(R))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seeds.keys.nbytes == 16 * R and peak <= result_bytes(R, 0) < 21 * R
 
     def test_out_of_range_seeds_rejected(self):
         with pytest.raises(ValueError):

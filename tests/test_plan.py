@@ -73,9 +73,9 @@ class TestLateCap:
         seen = []
         kde = cli.EXPERIMENTS["kde"]
 
-        def reading(cfg, section, run, out_dir):
+        def reading(cfg, config, section, run, out_dir):
             seen.append(_manifest(tmp_path, "kde"))
-            return kde.run(cfg, section, run, out_dir)
+            return kde.run(cfg, config, section, run, out_dir)
 
         monkeypatch.setitem(cli.EXPERIMENTS, "kde", replace(kde, run=reading))
         assert _run(tmp_path, "kde", "power_decay_d2.json", "kde.n=64") == 0
@@ -114,15 +114,15 @@ class TestResultCap:
     def test_blocks_sample_exits_1_naming_blocks_replicates(self, tmp_path, capsys, no_draw):
         # R (1 + q) doubles of totals and big-block sums at n = 256 and 1024 (q = 9 and 32), 34.4 MB, and beside
         # them Lindeberg's copies of the R q sums at n = 1024, 2 + 3/8 of them for the three eps: 95.2 MB, and the
-        # keys' peak of 116 bytes a replicate: 106.8 MB
+        # keys, 16 bytes a replicate and 120 a replicate of the chunk that hashes: 97.3 MB
         assert _run(tmp_path, "blocks", "blocks_d1.json", "blocks.n_grid=[256,1024]", "blocks.replicates=100000",
                     "limits.max_field_bytes=8000000") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: config key blocks.replicates: the replicate results hold 106800000 bytes ")
+        assert err.startswith("error: config key blocks.replicates: the replicate results hold 97291520 bytes ")
         manifest = _manifest(tmp_path, "blocks")
         assert [p["q"] for p in manifest["plan"]["points"]] == [9, 32]
         assert all(p["bytes"] <= 8_000_000 for p in manifest["plan"]["points"])
-        assert manifest["plan"]["result_bytes"] == 100_000 * (8 * (1 + 9 + 1 + 32) + 32 * (16 + 3) + 116)
+        assert manifest["plan"]["result_bytes"] == 100_000 * (8 * (1 + 9 + 1 + 32) + 32 * (16 + 3) + 16) + 4096 * 120
         assert [p.name for p in (tmp_path / "blocks").iterdir()] == ["manifest.json"]
 
     @pytest.mark.parametrize("sub,config,section", [("moment-check", "blocks_d1.json", "moment_check"),
@@ -137,8 +137,8 @@ class TestResultCap:
         assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
         cap = manifest["config"]["limits"]["max_field_bytes"]
         assert all(p["bytes"] <= cap for p in manifest["plan"]["points"])
-        # the keys' peak alone is 116 bytes a replicate
-        assert manifest["plan"]["result_bytes"] > 116 * 100_000_000
+        # the keys alone hold 16 bytes a replicate
+        assert manifest["plan"]["result_bytes"] > 16 * 100_000_000
         assert [p.name for p in (tmp_path / sub.replace("-", "_")).iterdir()] == ["manifest.json"]
 
 
@@ -175,7 +175,7 @@ class TestZeroDensity:
     def test_only_the_first_x_is_tested_outside_clt_run(self, sub, section):
         cfg = load_config(None, [f"{section}.x_points=[0.0,60.0]", f"{section}.n_grid=[256]",
                                  "moment_check.rectangles=[4]"])
-        (point,) = plan_run(cfg, sub).points
+        (point,) = plan_run(cfg, cli._experiment(cfg), sub).points
         assert len(point.sigma2_target) == len(point.sigma2_truncated) == 1 and point.sigma2_target[0] > 0
         assert [len(c) for c in point.centering] == [1, 1]
 
@@ -309,10 +309,10 @@ class TestOracleFigures:
 
     def test_the_plan_holds_what_the_checks_read(self):
         cfg = load_config(str(CONFIGS / "geometric_truncation_gap.json"), ["gap.n_grid=[256,1024]"])
-        config = cli._experiment(cfg, "gap")
+        config = cli._experiment(cfg)
         oracle = clt.density_oracle(config.model, config.innovations, 2)
         kern, x = config.kernel, 0.0  # the first of the x's at 0, 0.5 and 1 standard deviations
-        for point in plan_run(cfg, "fixed-m-gap").points:
+        for point in plan_run(cfg, config, "fixed-m-gap").points:
             assert point.sigma2_target == (clt.asymptotic_variance(float(oracle.p(x)), kern),)
             assert point.sigma2_truncated == (clt.asymptotic_variance(float(oracle.p_m(x)), kern),)
             assert point.centering == ((clt.expected_kde(oracle, kern, point.b, x),),
@@ -321,14 +321,17 @@ class TestOracleFigures:
 
 
 class TestHandlersPlanNothing:
-    """Once ``plan_run`` returns, no handler plans a grid point, picks a path or sizes a generation again."""
+    """Once ``plan_run`` returns, no handler plans a grid point, picks a path or sizes a generation again; once
+    ``_experiment`` returns, no planner or handler builds a model, kernel or bandwidth again."""
 
     PLANNERS = ("grid_points", "plan_point", "convolution_method", "estimate_field_bytes", "truncation_at",
                 "plan_truncation")
+    BUILDERS = ("model_from_config", "kernel_by_name", "BandwidthSchedule")
 
     @pytest.mark.parametrize(
         "sub,config,sets",
         [
+            ("check-conditions", "power_decay_d2.json", []),
             ("gen-field", "power_decay_d2.json", ["gen_field.n=16"]),
             ("kde", "power_decay_d2.json", ["kde.n=32"]),
             ("clt-run", "power_decay_d2.json", ["clt.n_grid=[16,24]", "clt.replicates=5"]),
@@ -338,7 +341,7 @@ class TestHandlersPlanNothing:
             ("fixed-m-gap", "geometric_truncation_gap.json", ["gap.n_grid=[128,256]", "gap.replicates=5"]),
         ],
     )
-    def test_same_exit_code_and_bytes_with_every_planner_refused_after_the_plan(
+    def test_same_exit_code_and_bytes_with_every_planner_and_builder_refused_once_made(
         self, tmp_path, monkeypatch, sub, config, sets
     ):
         def outputs(out):
@@ -351,7 +354,14 @@ class TestHandlersPlanNothing:
                 raise AssertionError(f"{name} was called after the run plan was made")
             return refuse
 
-        plan_run = cli.plan_run
+        experiment, plan_run = cli._experiment, cli.plan_run
+
+        def build_once(cfg):
+            config = experiment(cfg)
+            for name in self.BUILDERS:
+                monkeypatch.setattr(cli, name, refused(name))
+            monkeypatch.setattr(cli.InnovationModel, "from_config", refused("InnovationModel.from_config"))
+            return config
 
         def plan_once(*args, **kw):
             run = plan_run(*args, **kw)
@@ -363,6 +373,7 @@ class TestHandlersPlanNothing:
             return run
 
         free = outputs(tmp_path / "free")
+        monkeypatch.setattr(cli, "_experiment", build_once)
         monkeypatch.setattr(cli, "plan_run", plan_once)
         assert "report.json" in free[1] and outputs(tmp_path / "refused") == free
 
@@ -441,7 +452,8 @@ class TestDrawCount:
         ids=["kde_curve", "clt_d2", "blocks_d1"],
     )
     def test_equals_the_traced_draws(self, config, steps, draws):
-        plans = [plan_run(load_config(str(CONFIGS / config), sets, seed=1), sub) for sub, sets in steps]
+        cfgs = [(load_config(str(CONFIGS / config), sets, seed=1), sub) for sub, sets in steps]
+        plans = [plan_run(cfg, cli._experiment(cfg), sub) for cfg, sub in cfgs]
         assert sum(plan.draws for plan in plans) == draws
 
     @pytest.mark.parametrize(

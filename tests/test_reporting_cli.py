@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fieldkde import CoefficientModel, InnovationModel, wu_inequality_check
-from fieldkde.cli import CONFIG_KEYS, DEFAULT_CONFIG, EXPERIMENTS, cmd_blocks, load_config, main, plan_run
+from fieldkde.cli import CONFIG_KEYS, DEFAULT_CONFIG, EXPERIMENTS, _experiment, cmd_blocks, load_config, main, plan_run
 from fieldkde.clt import KsResult
 from fieldkde.coefficients import _FAMILY_OF, ConditionReport
 from fieldkde.field import TruncationPlan
@@ -230,7 +230,7 @@ class TestCanonicalJsonAgainstReference:
 
     def test_a_run_plan_equals_the_reference(self):
         cfg = load_config(str(REPO / "configs/power_decay_d2.json"), [])
-        plan = plan_run(cfg, "clt-run")
+        plan = plan_run(cfg, _experiment(cfg), "clt-run")
         assert canonical_json(plan) == json_reference.canonical_json(plan)
 
 
@@ -915,7 +915,7 @@ class TestCli:
     def test_a_fault_in_a_handler_leaves_the_manifest_at_error(self, tmp_path, monkeypatch):
         import fieldkde.cli as cli
 
-        def broken(cfg, section, run, out_dir):
+        def broken(cfg, config, section, run, out_dir):
             raise RuntimeError("broken on purpose")
 
         monkeypatch.setitem(cli.EXPERIMENTS, "kde", replace(cli.EXPERIMENTS["kde"], run=broken))
@@ -1388,12 +1388,16 @@ class TestCli:
             finally:
                 tracemalloc.stop()
 
+        def plan(replicates):
+            cfg = load_config(argv[2], argv[4::2] + [f"clt.replicates={replicates}"])
+            return plan_run(cfg, _experiment(cfg), "clt-run")
+
         def planned(replicates):
-            run = plan_run(load_config(argv[2], argv[4::2] + [f"clt.replicates={replicates}"]), "clt-run")
+            run = plan(replicates)
             return run.points[0].bytes + run.result_bytes
 
         def batch(replicates):
-            return plan_run(load_config(argv[2], argv[4::2] + [f"clt.replicates={replicates}"]), "clt-run").points[0].batch
+            return plan(replicates).points[0].batch
 
         assert batch(500) == batch(5000) < 500
         _run(tmp_path / "warm", *argv, "--set", "clt.replicates=500")  # imports and caches, untraced
@@ -1408,11 +1412,12 @@ class TestCli:
         # one grid point with many small blocks, so the big-block sums and the checks' copies of them dominate
         cfg = load_config(None, [f'coefficient={{"family":"geometric","d":{d},"ratio":0.5}}', "bandwidth.gamma=0.5",
                                  f"blocks.n_grid=[{n}]", "blocks.replicates=2000", "blocks.m=2", f"blocks.l={l}"])
-        run = plan_run(cfg, "blocks")
-        cmd_blocks(cfg, "blocks", run, tmp_path)  # imports and caches, untraced
+        config = _experiment(cfg)
+        run = plan_run(cfg, config, "blocks")
+        cmd_blocks(cfg, config, "blocks", run, tmp_path)  # imports and caches, untraced
         tracemalloc.start()
         try:
-            cmd_blocks(cfg, "blocks", run, tmp_path)
+            cmd_blocks(cfg, config, "blocks", run, tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1426,15 +1431,16 @@ class TestCli:
     ])
     def test_rectangle_and_gap_peaks_within_the_planned_bytes(self, tmp_path, sub, section, sets):
         # small batches under a small cap, so the replicate results and keys dominate: each point's results are
-        # held twice at its join, beside the last point's, and its keys peak at 116 bytes a replicate as they hash
+        # held twice at its join and freed before the next point runs, and its keys hash one chunk at a time
         cfg = load_config(None, ['coefficient={"family":"geometric","d":1,"ratio":0.5}', "bandwidth.gamma=0.5",
                                  "limits.max_field_bytes=300000", f"{section}.replicates=20000", *sets])
-        run = plan_run(cfg, sub)
+        config = _experiment(cfg)
+        run = plan_run(cfg, config, sub)
         handler = EXPERIMENTS[sub].run
-        handler(cfg, section, run, tmp_path)  # imports and caches, untraced
+        handler(cfg, config, section, run, tmp_path)  # imports and caches, untraced
         tracemalloc.start()
         try:
-            handler(cfg, section, run, tmp_path)
+            handler(cfg, config, section, run, tmp_path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
