@@ -29,7 +29,6 @@ from .clt import (
     ExperimentConfig,
     GridPoint,
     MAX_GRID_POINTS,
-    MomentError,
     block_decomposition_check,
     _block_samples,
     check_cap,
@@ -56,9 +55,7 @@ from .coefficients import (
 from .field import (
     DEFAULT_MAX_FIELD_BYTES,
     MAX_CSV_SIDE,
-    FieldSizeError,
     LatticeField,
-    TruncationError,
     coupled_spectra,
     generate_coupled_fields,
     lattice_convolve,
@@ -377,11 +374,11 @@ class RunPlan:
 def plan_run(cfg: dict, config: ExperimentConfig, subcommand: str) -> RunPlan:
     """The plan of ``subcommand`` at every grid point, with every check that needs no draw but the cap.
 
-    A truncation no radius meets, a block plan that does not fit and a field
-    too large for CSV raise, naming their key, and an x where the density is
-    0 raises ``MomentError``; the grid points' cap is ``check_cap``'s and
-    that of the replicate results ``main``'s, so a plan exists to record
-    when either exceeds it.
+    A truncation no radius meets, a block plan that does not fit, a field
+    too large for CSV and an x where the density is 0 raise
+    ``ParameterError``, naming their key; the grid points' cap is
+    ``check_cap``'s and that of the replicate results ``main``'s, so a plan
+    exists to record when either exceeds it.
     """
     experiment = EXPERIMENTS[subcommand]
     points, rows, results = experiment.plan(cfg, config, experiment.section) if experiment.plan else ((), 0, 0)
@@ -395,7 +392,7 @@ def _plan_field(cfg: dict, config: ExperimentConfig, section: str):
     sec, model, kde = cfg[section], config.model, section == "kde"
     n, m = sec["n"], sec["m"]
     if not kde and sec["write_csv"] and n > MAX_CSV_SIDE:
-        raise ToolError(f"config key gen_field.write_csv: CSV export limited to side <= {MAX_CSV_SIDE}, at n = {n}")
+        raise ParameterError("gen_field.write_csv", f"CSV export limited to side <= {MAX_CSV_SIDE}, at n = {n}")
     b = config.bandwidth.b(n)
     plan = truncation_at(n, model, m=m, b=b, **cfg["truncation"])
     point = plan_point(model, n, plan.M if kde else m, b, plan, 0, 1, config.max_field_bytes)
@@ -404,9 +401,9 @@ def _plan_field(cfg: dict, config: ExperimentConfig, section: str):
     return (replace(point, draws=2 * point.draws),), 3 * n**model.d, 0
 
 
-def _points(cfg: dict, config: ExperimentConfig, section: str, experiment: str, **kw) -> tuple:
-    """``grid_points`` of ``experiment`` with the grid, R and x's of ``section`` and the schedule's delta."""
-    return grid_points(config, experiment, cfg[section]["n_grid"], cfg[section]["replicates"],
+def _points(cfg: dict, config: ExperimentConfig, section: str, **kw) -> tuple:
+    """``grid_points`` of ``section`` with its grid, R and x's and the schedule's delta."""
+    return grid_points(config, section, cfg[section]["n_grid"], cfg[section]["replicates"],
                        x_points=cfg[section]["x_points"], delta=cfg["schedule"]["delta"], **kw)
 
 
@@ -415,14 +412,14 @@ def _plan_clt(cfg: dict, config: ExperimentConfig, section: str):
     # at the point being reduced nine doubles per (x, replicate): the kernel sums of X and X_m (or their chunk parts),
     # the estimates, T, T_zeta, T_remainder and two temporaries of a table column, and one per replicate for the
     # sorted copy of one x's KS test, beside one chunk of KS_CHUNK values
-    points, R = _points(cfg, config, section, "clt", **cfg["truncation"]), cfg[section]["replicates"]
+    points, R = _points(cfg, config, section, **cfg["truncation"]), cfg[section]["replicates"]
     xs = len(points[0].xs)
     return points, (R + 1) * xs, result_bytes(R, 8 * (6 * len(points) * xs + 9 * xs + 1))
 
 
 def _plan_blocks(cfg: dict, config: ExperimentConfig, section: str):
     sec, d, eps = cfg[section], config.model.d, len(cfg[section]["eps"])
-    points = _points(cfg, config, section, "blocks", m=sec["m"], l=sec["l"])
+    points = _points(cfg, config, section, m=sec["m"], l=sec["l"])
     # the total and q^d big-block sums of each replicate at every point, held twice at the join, or once beside the
     # checks' copies of the largest point's sums: 2d for the decomposition's pairs, 2 + len(eps)/8 for Lindeberg's
     sums, largest = sum(1 + p.q**d for p in points), max(p.q**d for p in points)
@@ -433,13 +430,13 @@ def _plan_moment_check(cfg: dict, config: ExperimentConfig, section: str):
     # each replicate's sums over every rectangle of both fields, the remainder's total and its square sum, held twice
     # at the join (a point's are freed before the next point runs), and two centred sums
     rects = len(cfg[section]["rectangles"])
-    points = _points(cfg, config, section, "rectangles", **cfg["truncation"])
+    points = _points(cfg, config, section, **cfg["truncation"])
     return points, rects, result_bytes(cfg[section]["replicates"], 8 * (2 * (2 * rects + 2) + 2))
 
 
 def _plan_gap(cfg: dict, config: ExperimentConfig, section: str):
     # each replicate's squared gap, held twice at the join (a point's are freed before the next point runs)
-    points = _points(cfg, config, section, "gap", m=cfg[section]["m"], **cfg["truncation"])
+    points = _points(cfg, config, section, m=cfg[section]["m"], **cfg["truncation"])
     return points, 1, result_bytes(cfg[section]["replicates"], 2 * 8)
 
 
@@ -534,10 +531,7 @@ def cmd_gen_field(cfg: dict, config: ExperimentConfig, section: str, run: RunPla
 def cmd_kde(cfg: dict, config: ExperimentConfig, section: str, run: RunPlan, out_dir: Path):
     sec, (point,), kern = cfg[section], run.points, config.kernel
     n, m, xs, b, plan = sec["n"], sec["m"], sec["x_grid"], point.b, point.truncation
-    try:  # before the draw; the curve reads the density of X alone
-        oracle = density_oracle(config.model, config.innovations, None)
-    except ValueError as exc:
-        raise MomentError(str(exc), "innovations.name") from None
+    oracle = density_oracle(config.model, config.innovations, None)  # before the draw; the curve reads X alone
     values, _ = _coupled_draw(config, point)
     est = kde_estimate(values, np.array(xs), b, kern)
     rows = [{"x": x, "estimate": float(e), "b": b, "oracle_density": float(px), "expected_estimate": float(ex),
@@ -630,22 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _message(exc: Exception, section: str) -> str:
-    """The message of a tool error, naming the config key that decides a truncation, a moment or the memory cap.
-
-    ``section`` is the config section of the subcommand, which holds the key of a ``MomentError``.
-    """
-    if isinstance(exc, MomentError):
-        return f"config key {exc.key if '.' in exc.key else f'{section}.{exc.key}'}: {exc}"
-    if isinstance(exc, ParameterError):
-        return f"config key {exc.key}: {exc}"
-    if isinstance(exc, TruncationError):
-        return f"config key truncation.{exc.key}: {exc}"
-    if isinstance(exc, FieldSizeError):
-        return f"config key limits.max_field_bytes: {exc}"
-    return str(exc)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = Path(args.out or os.environ.get(OUT_ENV) or "runs") / args.subcommand.replace("-", "_")
@@ -666,8 +644,8 @@ def main(argv=None) -> int:
         manifest.plan = run = plan_run(cfg, config, args.subcommand)
         check_cap(run.points, config.max_field_bytes)
         if run.result_bytes > config.max_field_bytes:
-            raise ToolError(f"config key {experiment.section}.replicates: the replicate results hold {run.result_bytes} "
-                            f"bytes (> cap {config.max_field_bytes} of limits.max_field_bytes)")
+            raise ParameterError(f"{experiment.section}.replicates", f"the replicate results hold {run.result_bytes} "
+                                 f"bytes (> cap {config.max_field_bytes} of limits.max_field_bytes)")
         manifest.write(out_dir / "manifest.json")
         ok, report, tables = experiment.run(cfg, config, experiment.section, run, out_dir)
         report.update(subcommand=args.subcommand, passed=bool(ok))
@@ -679,8 +657,8 @@ def main(argv=None) -> int:
         manifest.verdicts = {"passed": bool(ok)}
         manifest.status = "complete"
         code = 0 if ok else 2
-    except (ToolError, FieldSizeError, ValueError) as exc:
-        message = _message(exc, experiment.section)
+    except (ToolError, ValueError) as exc:  # a ParameterError names the config key that decides it
+        message = f"config key {exc.key}: {exc}" if isinstance(exc, ParameterError) else str(exc)
         manifest.status, manifest.error = "error", message
         print(f"error: {message}", file=sys.stderr)
     except BaseException as exc:

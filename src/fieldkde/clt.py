@@ -26,6 +26,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .coefficients import (
     CoefficientModel,
+    ParameterError,
     check_decay_window,
     delta_n,
     m_schedule,
@@ -84,7 +85,7 @@ KS_CHUNK = 1 << 10
 
 # Seed streams: grid point ni of an experiment draws from stream offset + ni,
 # so a grid longer than MAX_GRID_POINTS would reuse the next experiment's draws.
-STREAM_OFFSETS = {"clt": 0, "blocks": 100, "rectangles": 200, "gap": 300}
+STREAM_OFFSETS = {"clt": 0, "blocks": 100, "moment_check": 200, "gap": 300}
 MAX_GRID_POINTS = 100
 
 # A batch holds as many replicates as keep their innovation lattices within
@@ -96,17 +97,9 @@ BATCH_BYTES = 1 << 20
 GAP_BAND = 0.15
 
 
-class MomentError(ValueError):
+class MomentError(ParameterError):
     """A precondition of an experiment's moments fails: on the innovations, a density oracle at m, a limit
-    variance, rectangle norm or block variance of 0, or block sides that do not fit the lattice.
-
-    ``key`` is the key of the experiment's config section that decides it, or the dotted path of a shared
-    section's key.
-    """
-
-    def __init__(self, message: str, key: str = "x_points"):
-        super().__init__(message)
-        self.key = key
+    variance, rectangle norm or block variance of 0, or block sides that do not fit the lattice."""
 
 
 @dataclass(frozen=True)
@@ -192,8 +185,8 @@ def check_cap(points, max_bytes: int) -> tuple:
     """``points``, or FieldSizeError at the first whose batch holds more than ``max_bytes`` in one thread."""
     for p in points:
         if p.bytes > max_bytes:
-            raise FieldSizeError(f"coupled generation with M = {p.truncation.M} holds {p.bytes} bytes for a batch "
-                                 f"of {p.batch} (> cap {max_bytes}) at n = {p.n}")
+            raise FieldSizeError("limits.max_field_bytes", f"coupled generation with M = {p.truncation.M} holds "
+                                 f"{p.bytes} bytes for a batch of {p.batch} (> cap {max_bytes}) at n = {p.n}")
     return points
 
 
@@ -210,8 +203,10 @@ def grid_points(config: ExperimentConfig, experiment: str, n_grid, replicates: i
     """The GridPoint of each n of ``n_grid``, each of ``replicates``, every one planned before any is drawn.
 
     The grid holds 1 to ``MAX_GRID_POINTS`` points and R is at least 1, or
-    ``ValueError``.  m_n is ``m``, or the schedule round(n^delta) where
-    ``m`` is None, with ``delta`` else the midpoint of the decay window.
+    ``ValueError``.  ``experiment`` is a key of ``STREAM_OFFSETS``, the
+    config section whose keys a refusal names.  m_n is ``m``, or the
+    schedule round(n^delta) where ``m`` is None, with ``delta`` else the
+    midpoint of the decay window.
     The fields are generated under ``truncation``, the keywords of
     ``plan_truncation``, but for "blocks", whose points carry the sides l_n
     and q_n of ``block_sides(n, m_n, l)`` and are generated at M = m_n.  A
@@ -252,12 +247,13 @@ def grid_points(config: ExperimentConfig, experiment: str, n_grid, replicates: i
             try:
                 oracles[m_n] = density_oracle(model, config.innovations, m_n)
             except ValueError as exc:  # named by the key that set m_n
-                raise MomentError(f"{exc}, at m = {m_n} and n = {n}", "schedule.delta" if m is None else "m") from None
+                key = "schedule.delta" if m is None else f"{experiment}.m"
+                raise MomentError(key, f"{exc}, at m = {m_n} and n = {n}") from None
         oracle = oracles[m_n]
         sigma2 = tuple(asymptotic_variance(float(oracle.p(x)), kern) for x in xs)
         if 0.0 in sigma2:
-            raise MomentError(f"the field's density is 0 at x = {xs[sigma2.index(0.0)]}, so T_n has no limit "
-                              f"variance there, at n = {n}")
+            raise MomentError(f"{experiment}.x_points", f"the field's density is 0 at x = {xs[sigma2.index(0.0)]}, "
+                              f"so T_n has no limit variance there, at n = {n}")
         points.append(plan_point(
             model, n, m_n, b, plan, STREAM_OFFSETS[experiment] + ni, replicates, config.max_field_bytes,
             sigma2_target=sigma2, sigma2_truncated=tuple(asymptotic_variance(float(oracle.p_m(x)), kern) for x in xs),
@@ -509,13 +505,13 @@ def run_clt_experiment(config: ExperimentConfig, points, variance_band: float = 
 def block_sides(n: int, m: int, l: int | None = None) -> tuple[int, int]:
     """Block side l_n, by default m * ceil(log n), and blocks per axis q_n at n, with gap ``m`` between blocks.
 
-    Sides not above the gap or beyond the lattice raise ``MomentError`` on the ``l`` key.
+    Sides not above the gap or beyond the lattice raise ``MomentError`` on ``blocks.l``.
     """
     l_n = m * math.ceil(math.log(n)) if l is None else l
     if l_n <= m:
-        raise MomentError(f"need l_n > m_n at n = {n} (got l={l_n}, m={m})", "l")
+        raise MomentError("blocks.l", f"need l_n > m_n at n = {n} (got l={l_n}, m={m})")
     if l_n > n:
-        raise MomentError(f"block side {l_n} exceeds the lattice side {n}", "l")
+        raise MomentError("blocks.l", f"block side {l_n} exceeds the lattice side {n}")
     return l_n, max(n // (l_n + m), 1)
 
 
@@ -626,9 +622,9 @@ def block_decomposition_check(config: ExperimentConfig, samples: list[tuple]) ->
                     np.subtract(blocks, center_block, out=out)
             if not np.ptp(pairs, axis=1).all():
                 raise MomentError(
-                    f"at x = {point.xs[0]} the adjacent big-block sums of the truncated kernel field take one value "
-                    f"in every replicate at n = {n}, so their correlation is undefined: x lies beyond the "
-                    "kernel's reach of the field's values"
+                    "blocks.x_points", f"at x = {point.xs[0]} the adjacent big-block sums of the truncated kernel "
+                    f"field take one value in every replicate at n = {n}, so their correlation is undefined: x lies "
+                    "beyond the kernel's reach of the field's values"
                 )
             pairs -= pairs.mean(axis=1)[:, None]
             c = np.dot(pairs, pairs.T)
@@ -746,8 +742,8 @@ def _rectangle_rows(config: ExperimentConfig, point: GridPoint, rects) -> list:
     zs, ds, dsum, dsq = _run_replicates(config, point, reduce)
     if not zs.any():
         raise MomentError(
-            f"at x = {x} the truncated kernel field sums to 0 over every rectangle in every replicate "
-            f"at n = {n}, so the rectangle norms measure its centering alone: "
+            "moment_check.x_points", f"at x = {x} the truncated kernel field sums to 0 over every rectangle in every "
+            f"replicate at n = {n}, so the rectangle norms measure its centering alone: "
             "x lies beyond the kernel's reach of the field's values"
         )
     sites = point.replicates * n**model.d
@@ -781,7 +777,7 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, points, ratio_c
     boundedness proxy.  The remainder field is normalised instead by
     sqrt(j_1...j_d) * (||Zbar - zetabar||_2 + sqrt(b) Delta_n) and the
     smallest constant covering the grid is reported.  ``points`` are
-    ``grid_points(config, "rectangles", n_grid, R)``.  A point where every
+    ``grid_points(config, "moment_check", n_grid, R)``.  A point where every
     rectangle sum is 0 in every replicate, as at an x no site reaches, has
     norms of its centering alone: ``MomentError``.
     """
@@ -822,16 +818,15 @@ def wu_inequality_check(model: CoefficientModel, innovations: InnovationModel, o
     and the exact constant ``reference_c``: 1 at p=1, and
     3 + (kappa - 3) sum a^4 / (sum a^2)^2 at p=2, with kappa the innovation
     kurtosis.  Innovations without a finite E|eps|^(2 v 2p) raise
-    ``MomentError`` on the ``wu_p`` key, before any report is made.
+    ``MomentError`` on ``moment_check.wu_p``, before any report is made.
     """
     for q in orders:
         if q not in (1, 2):
             raise ValueError("p must be 1 or 2")
         order = max(2, 2 * q)
         if innovations.max_moment_order <= order:
-            raise MomentError(
-                f"innovations need E|eps|^{order} < inf (max finite order {innovations.max_moment_order})", "wu_p"
-            )
+            raise MomentError("moment_check.wu_p", f"innovations need E|eps|^{order} < inf "
+                              f"(max finite order {innovations.max_moment_order})")
     total = total_sq_mass(model)
     return [{
         "name": "wu_moment",

@@ -54,7 +54,7 @@ _FAMILY_OF = {"q": "power_decay", "scale": "power_decay", "ratio": "geometric", 
 
 
 class ParameterError(ValueError):
-    """A model parameter outside its domain; ``key`` is its config key, as "section.key"."""
+    """A refusal that one config key decides; ``key`` is that key in full, as "section.key"."""
 
     def __init__(self, key: str, message: str):
         super().__init__(message)
@@ -68,7 +68,9 @@ class CoefficientModel:
     ``beta`` optionally declares the exponent of a bound A[n] <= c1 * n^(-beta);
     when absent, ``decay_exponent`` derives it from the family (q - d/2 for
     power decay, +inf for geometric and finite tables).  A parameter of
-    another family is rejected; ``scale`` defaults to 1.
+    another family is rejected; ``scale`` defaults to 1.  Weights whose
+    square sum is 0 or beyond the float range are rejected, naming the
+    family's ``scale``, ``ratio`` or ``table``.
     """
 
     d: int
@@ -99,13 +101,6 @@ class CoefficientModel:
         elif self.family == "geometric":
             if self.ratio is None or not (0.0 < self.ratio < 1.0):
                 raise ParameterError("coefficient.ratio", f"geometric ratio must lie in (0, 1), got {self.ratio}")
-            try:
-                total_sq_mass(self)
-            except OverflowError:
-                raise ParameterError(
-                    "coefficient.ratio", f"coefficient.ratio = {self.ratio} in d = {self.d} dimensions gives the "
-                    "weights a square sum (1 - r^2)^(-d) beyond the float range"
-                ) from None
         else:
             try:
                 tab = np.asarray(self.table, dtype=float)
@@ -117,6 +112,22 @@ class CoefficientModel:
             object.__setattr__(self, "table", tab)
         if self.beta is not None and self.beta <= 0:
             raise ParameterError("coefficient.beta", f"declared decay exponent must be positive, got {self.beta}")
+        with np.errstate(over="ignore"):  # a table's square sum beyond the float range is inf
+            try:
+                mass = total_sq_mass(self)
+            except OverflowError:  # a float power beyond the float range
+                mass = math.inf
+        if not 0.0 < mass < math.inf:
+            where = "underflows to 0" if mass == 0.0 else "lies beyond the float range" if mass > 0.0 else "is NaN"
+            if self.family == "geometric":  # (1 - r^2)^(-d) >= 1 can only overflow
+                raise ParameterError("coefficient.ratio", f"coefficient.ratio = {self.ratio} in d = {self.d} "
+                                     "dimensions gives the weights a square sum (1 - r^2)^(-d) beyond the float range")
+            if self.family == "power_decay":
+                raise ParameterError("coefficient.scale", f"the power-decay weights' square sum scale^2 * sum "
+                                     f"(1+|k|_inf)^(-2q) {where}")
+            if not self.table.any():
+                raise ParameterError("coefficient.table", "finite_support needs a nonzero weight, got a table of zeros")
+            raise ParameterError("coefficient.table", f"the table's square sum {where}")
 
     def decay_exponent(self) -> float:
         if self.beta is not None:
@@ -129,10 +140,7 @@ class CoefficientModel:
         """Side of the smallest cube containing all nonzero a_k, or None."""
         if self.table is None:
             return None
-        nz = np.nonzero(self.table)
-        if len(nz[0]) == 0:
-            return 1
-        return int(max(ax.max() for ax in nz)) + 1
+        return int(max(ax.max() for ax in np.nonzero(self.table))) + 1
 
     def to_config(self) -> dict:
         cfg = {"family": self.family, "d": self.d}
@@ -537,7 +545,7 @@ def check_condition_c(model: CoefficientModel, bandwidth, delta: float, n_grid) 
     stricter per-sequence "pass").  Raw sequences are always attached.
     """
     if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+        raise ParameterError("schedule.delta", f"the conditions' schedule needs delta in (0, 1), got {delta}")
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 3 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly increasing with length >= 3")

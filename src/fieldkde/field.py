@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientModel, coeff_box, residual_sqrt_mass
+from .coefficients import CoefficientModel, ParameterError, coeff_box, residual_sqrt_mass
 from .fourier import irfftn, next_fast_len, rfftn
 from .innovations import InnovationModel, Seeds, draw_lattice
 
@@ -52,16 +52,12 @@ _MAGIC = b"FKDE"
 _VERSION = 1
 
 
-class FieldSizeError(RuntimeError):
-    """Requested lattice exceeds the configured memory cap."""
+class FieldSizeError(ParameterError):
+    """Requested lattice exceeds the configured memory cap, ``limits.max_field_bytes``."""
 
 
-class TruncationError(ValueError):
-    """No truncation plan meets the request; ``key`` is the argument of ``plan_truncation`` that decides it."""
-
-    def __init__(self, key: str, message: str):
-        super().__init__(message)
-        self.key = key
+class TruncationError(ParameterError):
+    """No truncation plan meets the request; ``key`` is the truncation key that decides it."""
 
 
 @dataclass(frozen=True)
@@ -96,9 +92,9 @@ def plan_truncation(
         raise ValueError("m must be >= 1")
     if policy == "fixed":
         if M is None:
-            raise TruncationError("M", "fixed policy needs an explicit M")
+            raise TruncationError("truncation.M", "fixed policy needs an explicit M")
         if M < m:
-            raise TruncationError("M", f"need m <= M (got m={m}, M={M})")
+            raise TruncationError("truncation.M", f"need m <= M (got m={m}, M={M})")
         return TruncationPlan(M=M, B_M=residual_sqrt_mass(model, M), policy="fixed")
     if policy != "bandwidth_relative":
         raise ValueError(f"unknown truncation policy {policy!r}")
@@ -114,7 +110,7 @@ def plan_truncation(
             M_star += max(1, M_star // 4)
             if M_star > MAX_RADIUS:
                 raise TruncationError(
-                    "eta", f"no truncation radius below {MAX_RADIUS} reaches B_M <= eta * b = {target:g}"
+                    "truncation.eta", f"no truncation radius below {MAX_RADIUS} reaches B_M <= eta * b = {target:g}"
                 )
         # walk back to the minimal radius
         while M_star > 1 and residual_sqrt_mass(model, M_star - 1) <= target:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import CoefficientModel, box_mass, coeff_box, residual_sqrt_mass, total_sq_mass
+from .coefficients import CoefficientModel, ParameterError, box_mass, coeff_box, residual_sqrt_mass, total_sq_mass
 from .innovations import UNIFORM_HALF_WIDTH, InnovationModel
 from .special import erfc, ndtr
 
@@ -423,9 +423,9 @@ def _inverted(oracle: DensityOracle, model: CoefficientModel, innovations: Innov
     README, "Density oracles", gives L, R, the nodes and each bound.
 
     An oracle whose m is None has X as its truncation, and L grows from 1.
-    Raises ``ValueError`` for uniform innovations with fewer than two nonzero
-    weights in [0, m)^d, or in [0, L)^d when m is None: that density has
-    jumps and its phi is not integrable.
+    Raises ``ParameterError`` on ``innovations.name`` for uniform innovations
+    with fewer than two nonzero weights in [0, m)^d, or in [0, L)^d when m is
+    None: that density has jumps and its phi is not integrable.
     """
     v, sd = oracle.variance, math.sqrt(oracle.variance)
     L = oracle.m or 1
@@ -439,8 +439,8 @@ def _inverted(oracle: DensityOracle, model: CoefficientModel, innovations: Innov
     box_m = box if oracle.m is None else nonzero(coeff_box(model, oracle.m))
     if innovations.name == "uniform" and box_m.size < 2:
         where = "" if oracle.m is None else " in [0, m)^d"
-        raise ValueError(f"uniform innovations need two nonzero weights{where}: with one, that density has jumps "
-                         "and its characteristic function is not integrable")
+        raise ParameterError("innovations.name", f"uniform innovations need two nonzero weights{where}: with one, "
+                             "that density has jumps and its characteristic function is not integrable")
     tail = residual_sqrt_mass(model, L) ** 2
     radius = 128.0 * sd
     if innovations.name == "uniform" and UNIFORM_HALF_WIDTH * box.sum() + 8.0 * sd < radius:
@@ -558,9 +558,11 @@ def expected_kde(oracle: DensityOracle, kernel: KernelModel, b: float, x, trunca
     Gaussian innovations, p = N(0, v): the Gaussian kernel gives the
     N(0, v + b^2) density; for the compact kernels, with s = sqrt(v) and
     beta = b/s, it is (1/s) int K(u) phi(|x|/s - beta u) du, from the Phi/phi
-    form for beta >= 1 and from the moment series for beta < 1.  Other laws:
-    the oracle's inversion with the kernel's characteristic function at b t,
-    within ``oracle.error_bound``.  Independent of n.
+    form for beta >= 1 and from the moment series for beta < 1; a beta whose
+    powers leave the float range raises ``ParameterError`` on
+    ``bandwidth.c2``.  Other laws: the oracle's inversion with the kernel's
+    characteristic function at b t, within ``oracle.error_bound``.
+    Independent of n.
     """
     if b <= 0:
         raise ValueError("bandwidth must be positive")
@@ -573,5 +575,10 @@ def expected_kde(oracle: DensityOracle, kernel: KernelModel, b: float, x, trunca
     else:
         s = math.sqrt(v)
         form = _cdf_form if b >= s else _moment_series
-        out = form(kernel.name, np.abs(xs) / s, b / s) / s
+        try:
+            with np.errstate(over="ignore"):  # phi is 0 where z^2 overflows
+                out = form(kernel.name, np.abs(xs) / s, b / s) / s
+        except OverflowError:  # a power of b / s in _cdf_form
+            raise ParameterError("bandwidth.c2", f"the bandwidth b = {b:g} spans {b / s:g} standard deviations of "
+                                 "the field, too many for the centering E f_n(x) in floats") from None
     return float(out) if xs.ndim == 0 else out

@@ -83,6 +83,8 @@ def ndtr(a):
 def _hurwitz(x: float, q: float) -> float:
     """zeta(x, q) by Euler-Maclaurin summation, cephes ``zeta`` for x > 1 and 0 < q <= 1e8, the same sum beyond."""
     s, a, i, b = math.pow(q, -x), q, 0, 0.0
+    if s == 0.0:  # q^(-x) underflows, and so does every later term
+        return s
     while i < 9 or a <= 9.0:
         i += 1
         a += 1.0

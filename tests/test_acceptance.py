@@ -221,7 +221,7 @@ def test_criterion_7_moment_inequalities():
         bandwidth=BandwidthSchedule(d=1, gamma=0.2),
         master_seed=MASTER_SEED,
     )
-    points = grid_points(cfg, "rectangles", (1024,), 400, x_points=(0.0,), delta=0.25)
+    points = grid_points(cfg, "moment_check", (1024,), 400, x_points=(0.0,), delta=0.25)
     rect = rectangle_moment_check(cfg, [2**r for r in range(2, 11)], points)
     rect_ok = rect["max_min_ratio"] < 3.0
     ok = p1_ok and p2_ok and rect_ok

@@ -29,9 +29,9 @@ from fieldkde import (
     run_clt_experiment,
     wu_inequality_check,
 )
-from fieldkde.clt import _block_samples, _skew_kurtosis
-from fieldkde.coefficients import coeff_box, total_sq_mass
-from fieldkde.field import coupled_spectra
+from fieldkde.clt import _block_samples, _skew_kurtosis, check_cap
+from fieldkde.coefficients import ParameterError, coeff_box, total_sq_mass
+from fieldkde.field import FieldSizeError, TruncationError, coupled_spectra
 from fieldkde.innovations import draw_lattice
 from fieldkde.reporting import canonical_json
 
@@ -78,6 +78,26 @@ class TestGridPoints:
     def test_rejects_empty_or_nonfinite_x_points(self, geometric_half, points):
         with pytest.raises(ValueError, match="x_points must be nonempty and finite"):
             grid_points(_config(geometric_half), "clt", (512,), 200, x_points=points, delta=0.15)
+
+
+class TestKeyedErrors:
+    """Every refusal that a config key decides is a ``ParameterError`` naming that key in full."""
+
+    def test_each_refusal_is_a_parameter_error_with_its_full_key(self, geometric_half):
+        config = _config(geometric_half, max_field_bytes=1)
+        refusals = [
+            (MomentError, "blocks.l", lambda: block_sides(64, 4, 2)),
+            (MomentError, "moment_check.wu_p",
+             lambda: wu_inequality_check(geometric_half, InnovationModel("student_t", nu=4.0), [2])),
+            (TruncationError, "truncation.M", lambda: plan_truncation(geometric_half, m=2, policy="fixed")),
+            (FieldSizeError, "limits.max_field_bytes",
+             lambda: check_cap(grid_points(config, "gap", (64,), 1, 2, policy="fixed", M=4, **PLAN), 1)),
+        ]
+        for cls, key, refuse in refusals:
+            assert issubclass(cls, ParameterError) and issubclass(cls, ValueError)
+            with pytest.raises(cls) as exc:
+                refuse()
+            assert exc.value.key == key
 
 
 def _point(config, n, m, plan, stream, batch=None, replicates=200):
@@ -437,7 +457,7 @@ class TestWuInequality:
     def test_moment_precondition(self, geometric_half):
         with pytest.raises(MomentError) as exc:
             wu_inequality_check(geometric_half, InnovationModel("student_t", nu=4.0), [2])
-        assert exc.value.key == "wu_p"
+        assert exc.value.key == "moment_check.wu_p"
 
     @pytest.mark.parametrize("model,innov", WU_CASES)
     def test_constants_against_box_sums(self, model, innov):
@@ -945,20 +965,21 @@ class TestRectangles:
         # independence: ||sum over rect||_2 / sqrt(vol) equals ||zeta_bar||_2
         # for every rectangle, up to Monte Carlo noise
         cfg = _config(identity_weights)
-        rep = rectangle_moment_check(cfg, [4, 16, 64, 256, 1024], grid_points(cfg, "rectangles", (1024,), 500, **PLAN))
+        points = grid_points(cfg, "moment_check", (1024,), 500, **PLAN)
+        rep = rectangle_moment_check(cfg, [4, 16, 64, 256, 1024], points)
         vals = [r["zeta_normalized_l2"] for r in rep["rows"]]
         assert max(vals) / min(vals) < 1.2
 
     def test_geometric_bounded(self, geometric_half):
         cfg = _config(geometric_half)
-        points = grid_points(cfg, "rectangles", (1024,), 400, delta=0.25)
+        points = grid_points(cfg, "moment_check", (1024,), 400, delta=0.25)
         rep = rectangle_moment_check(cfg, [2**r for r in range(2, 11)], points)
         assert rep["max_min_ratio"] < 3.0
         assert rep["passed"]
 
     def test_rectangle_larger_than_the_grid_is_rejected(self, identity_weights):
         cfg = _config(identity_weights)
-        points = grid_points(cfg, "rectangles", (64, 128), 5, **PLAN)
+        points = grid_points(cfg, "moment_check", (64, 128), 5, **PLAN)
         with pytest.raises(ValueError, match=r"rectangle \[128\] does not fit inside n=64"):
             rectangle_moment_check(cfg, [4, 128], points)
         with pytest.raises(ValueError, match="need at least one rectangle"):
@@ -971,7 +992,7 @@ class TestRectangles:
         reps = []
         for model in (base, doubled):
             cfg = _config(model)
-            reps.append(rectangle_moment_check(cfg, rects, grid_points(cfg, "rectangles", (256,), 200, delta=0.25)))
+            reps.append(rectangle_moment_check(cfg, rects, grid_points(cfg, "moment_check", (256,), 200, delta=0.25)))
         assert reps[0]["passed"] == reps[1]["passed"]
         # normalised levels scale with the field, ratios do not
         assert reps[0]["max_min_ratio"] == pytest.approx(reps[1]["max_min_ratio"], rel=0.2)

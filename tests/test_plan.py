@@ -513,8 +513,20 @@ class TestModelKeys:
             ('innovations={"name":"student_t","nu":2}', "innovations.nu", "student_t needs nu > 2 (finite variance)"),
             ('innovations={"name":"student_t"}', "innovations.nu", "student_t needs nu > 2 (finite variance)"),
             ('innovations={"name":"gaussian","nu":5}', "innovations.nu", "belongs to student_t, not to gaussian"),
+            # a square sum of the weights that is 0, underflows or overflows
+            ('coefficient={"family":"finite_support","d":2,"table":[[0.0,0.0]]}', "coefficient.table",
+             "finite_support needs a nonzero weight, got a table of zeros"),
+            ('coefficient={"family":"finite_support","d":2,"table":[[1e-200]]}', "coefficient.table",
+             "the table's square sum underflows to 0"),
+            ('coefficient={"family":"finite_support","d":2,"table":[[1e200]]}', "coefficient.table",
+             "the table's square sum lies beyond the float range"),
+            ('coefficient={"family":"power_decay","d":2,"q":3.0,"scale":1e-200}', "coefficient.scale",
+             "the power-decay weights' square sum scale^2 * sum (1+|k|_inf)^(-2q) underflows to 0"),
+            ('coefficient={"family":"power_decay","d":2,"q":3.0,"scale":1e200}', "coefficient.scale",
+             "the power-decay weights' square sum scale^2 * sum (1+|k|_inf)^(-2q) lies beyond the float range"),
         ],
     )
+    @pytest.mark.filterwarnings("error")  # nor a numpy warning on the way
     def test_exit_1_naming_the_key_before_any_plan(self, tmp_path, capsys, no_draw, sub, assignment, key, message):
         assert _run(tmp_path, sub, "power_decay_d2.json", assignment) == 1
         err = capsys.readouterr().err
@@ -523,6 +535,37 @@ class TestModelKeys:
         assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
         assert manifest["config"] is None and manifest["plan"] is None
         assert [p.name for p in (tmp_path / sub.replace("-", "_")).iterdir()] == ["manifest.json"]
+
+
+EPANECHNIKOV = 'kernel="epanechnikov"'
+
+
+class TestKeyedRefusals:
+    """A schedule outside the conditions' range and a bandwidth too wide for the centering exit 1 naming their key."""
+
+    @pytest.mark.parametrize(
+        "sub,sets,key,message",
+        [
+            ("check-conditions", ["schedule.delta=1.5"], "schedule.delta",
+             "the conditions' schedule needs delta in (0, 1), got 1.5"),
+            # beta = b / sqrt(v) near 1e109, whose cube is beyond the float range
+            ("clt-run", [EPANECHNIKOV, "bandwidth.c2=1e110", "clt.n_grid=[16]", "clt.replicates=2"], "bandwidth.c2",
+             "the bandwidth b ="),
+            ("fixed-m-gap", [EPANECHNIKOV, "bandwidth.c2=1e110", "gap.n_grid=[16]", "gap.replicates=2"],
+             "bandwidth.c2", "the bandwidth b ="),
+            ("kde", [EPANECHNIKOV, "bandwidth.c2=1e110", "kde.n=16", "kde.m=2"], "bandwidth.c2", "the bandwidth b ="),
+            ("kde", ["bandwidth.c2=1e200", 'kernel="triangular"', "kde.n=16", "kde.m=2"], "bandwidth.c2",
+             "the bandwidth b ="),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")  # nor a numpy warning on the way
+    def test_exit_1_naming_the_key(self, tmp_path, capsys, sub, sets, key, message):
+        assert _run(tmp_path, sub, "power_decay_d2.json", *sets) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key}: {message}") and "Traceback" not in err, err
+        manifest = _manifest(tmp_path, sub)
+        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
+        assert not (tmp_path / sub.replace("-", "_") / "report.json").exists()
 
 
 class TestUniformRefusal:
