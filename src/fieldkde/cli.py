@@ -31,13 +31,16 @@ from .clt import (
     MAX_GRID_POINTS,
     block_decomposition_check,
     _block_samples,
+    block_result_bytes,
     check_cap,
+    clt_result_bytes,
     fixed_m_gap,
+    gap_result_bytes,
     grid_points,
     lindeberg_estimate,
     plan_point,
     rectangle_moment_check,
-    result_bytes,
+    rectangle_result_bytes,
     run_clt_experiment,
     truncation_at,
     wu_inequality_check,
@@ -362,7 +365,7 @@ class RunPlan:
 
     One ``GridPoint`` per grid point (one for ``gen-field`` and ``kde``),
     every innovation value the run draws, and the bytes of the replicate
-    results and keys of the four replicate experiments (``clt.result_bytes``).
+    results and keys of the four replicate experiments, as ``clt`` counts them.
     """
 
     subcommand: str
@@ -408,36 +411,24 @@ def _points(cfg: dict, config: ExperimentConfig, section: str, **kw) -> tuple:
 
 
 def _plan_clt(cfg: dict, config: ExperimentConfig, section: str):
-    # the replicate rows and one summary row per x; the table's six columns over every (n, x, replicate) row, and
-    # at the point being reduced nine doubles per (x, replicate): the kernel sums of X and X_m (or their chunk parts),
-    # the estimates, T, T_zeta, T_remainder and two temporaries of a table column, and one per replicate for the
-    # sorted copy of one x's KS test, beside one chunk of KS_CHUNK values
-    points, R = _points(cfg, config, section, **cfg["truncation"]), cfg[section]["replicates"]
-    xs = len(points[0].xs)
-    return points, (R + 1) * xs, result_bytes(R, 8 * (6 * len(points) * xs + 9 * xs + 1))
+    # the replicate rows and one summary row per x
+    points = _points(cfg, config, section, **cfg["truncation"])
+    return points, (points[0].replicates + 1) * len(points[0].xs), clt_result_bytes(points)
 
 
 def _plan_blocks(cfg: dict, config: ExperimentConfig, section: str):
-    sec, d, eps = cfg[section], config.model.d, len(cfg[section]["eps"])
-    points = _points(cfg, config, section, m=sec["m"], l=sec["l"])
-    # the total and q^d big-block sums of each replicate at every point, held twice at the join, or once beside the
-    # checks' copies of the largest point's sums: 2d for the decomposition's pairs, 2 + len(eps)/8 for Lindeberg's
-    sums, largest = sum(1 + p.q**d for p in points), max(p.q**d for p in points)
-    return points, 1 + eps, result_bytes(sec["replicates"], max(16 * sums, 8 * sums + largest * max(16 * d, 16 + eps)))
+    points, eps = _points(cfg, config, section, m=cfg[section]["m"], l=cfg[section]["l"]), cfg[section]["eps"]
+    return points, 1 + len(eps), block_result_bytes(config, points, eps)
 
 
 def _plan_moment_check(cfg: dict, config: ExperimentConfig, section: str):
-    # each replicate's sums over every rectangle of both fields, the remainder's total and its square sum, held twice
-    # at the join (a point's are freed before the next point runs), and two centred sums
-    rects = len(cfg[section]["rectangles"])
-    points = _points(cfg, config, section, **cfg["truncation"])
-    return points, rects, result_bytes(cfg[section]["replicates"], 8 * (2 * (2 * rects + 2) + 2))
+    points, rects = _points(cfg, config, section, **cfg["truncation"]), cfg[section]["rectangles"]
+    return points, len(rects), rectangle_result_bytes(points, rects)
 
 
 def _plan_gap(cfg: dict, config: ExperimentConfig, section: str):
-    # each replicate's squared gap, held twice at the join (a point's are freed before the next point runs)
     points = _points(cfg, config, section, m=cfg[section]["m"], **cfg["truncation"])
-    return points, 1, result_bytes(cfg[section]["replicates"], 2 * 8)
+    return points, 1, gap_result_bytes(points)
 
 
 def _stated(cfg: dict, config: ExperimentConfig, section: str, run: RunPlan) -> dict:

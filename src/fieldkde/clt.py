@@ -31,8 +31,8 @@ from .coefficients import (
     delta_n,
     m_schedule,
     residual_sqrt_mass,
-    total_fourth_mass,
     total_sq_mass,
+    unit_masses,
 )
 from .field import (
     DEFAULT_MAX_FIELD_BYTES,
@@ -40,9 +40,10 @@ from .field import (
     FieldSizeError,
     TruncationError,
     TruncationPlan,
+    _layout,
+    _nbytes,
     convolution_method,
     coupled_spectra,
-    estimate_field_bytes,
     generate_coupled_fields,
     plan_truncation,
 )
@@ -159,13 +160,13 @@ class GridPoint:
     oracle: dict | None = None
 
 
-def _batch_size(d: int, n: int, M: int, spectra: int, per: int, max_bytes: int) -> int:
-    """Replicates per batch: lattices within BATCH_BYTES, the spectra and ``per`` a replicate within ``max_bytes``."""
-    return max(1, min(BATCH_BYTES // (8 * (n + M - 1) ** d), (max_bytes - spectra) // per))
+def _batch_size(lattice: int, spectra: int, per: int, max_bytes: int) -> int:
+    """Replicates per batch: their lattices within BATCH_BYTES, the spectra and ``per`` each within ``max_bytes``."""
+    return max(1, min(BATCH_BYTES // lattice, (max_bytes - spectra) // per))
 
 
 def plan_point(model: CoefficientModel, n, m, b, truncation, stream, replicates, max_bytes, **extra) -> GridPoint:
-    """The GridPoint of ``replicates`` at (n, m) under ``truncation``, its figures from ``estimate_field_bytes``.
+    """The GridPoint of ``replicates`` at (n, m) under ``truncation``, its bytes those of ``_layout``.
 
     Its bytes may exceed ``max_bytes``, at one replicate per batch; ``check_cap`` rejects such a point.
     """
@@ -173,12 +174,12 @@ def plan_point(model: CoefficientModel, n, m, b, truncation, stream, replicates,
     if n < 1 or not 1 <= m <= M:
         raise ValueError(f"need n >= 1 and 1 <= m <= M (got n={n}, m={m}, M={M})")
     method = convolution_method(model, n, M, max_bytes)
-    spectra = estimate_field_bytes(d, n, M, m, method, 0)
-    per = estimate_field_bytes(d, n, M, m, method, 1) - spectra
-    batch = min(_batch_size(d, n, M, spectra, per, max_bytes), replicates)
+    spectra, work, headroom = _layout(d, n, m, M, method, 1)
+    fixed, per = _nbytes(*spectra.values()), _nbytes(*work.values(), *headroom.values())
+    batch = min(_batch_size(_nbytes(work["lattices"]), fixed, per, max_bytes), replicates)
     P = next_fast_len(n + M - 1) if method == "fourier" else None
-    return GridPoint(n, m, b, truncation, stream, replicates, method, P, batch,
-                     estimate_field_bytes(d, n, M, m, method, batch), replicates * (n + M - 1) ** d, **extra)
+    return GridPoint(n, m, b, truncation, stream, replicates, method, P, batch, fixed + batch * per,
+                     replicates * math.prod(work["lattices"][0]), **extra)
 
 
 def check_cap(points, max_bytes: int) -> tuple:
@@ -421,6 +422,14 @@ def result_bytes(replicates: int, per: int) -> int:
     return replicates * (per + 16) + min(replicates, KEY_CHUNK) * 120
 
 
+def clt_result_bytes(points) -> int:
+    """``result_bytes`` of ``run_clt_experiment``: its table's six columns a (n, x, replicate) row; at the point
+    reduced, nine doubles a (x, replicate), the kernel sums of X and X_m (or their chunk parts), the estimates, T,
+    T_zeta, T_remainder and two temporaries of a column; and a sorted copy of one x's T for the KS test."""
+    xs = len(points[0].xs)
+    return result_bytes(points[0].replicates, 8 * (6 * len(points) * xs + 9 * xs + 1))
+
+
 def run_clt_experiment(config: ExperimentConfig, points, variance_band: float = 0.10) -> tuple[dict, dict]:
     """Estimate the law of T_n over independent replicates on the (n, x) grid: the report and the replicate table.
 
@@ -587,6 +596,14 @@ def _block_samples(config: ExperimentConfig, points) -> list[tuple]:
     return out
 
 
+def block_result_bytes(config: ExperimentConfig, points, eps) -> int:
+    """``result_bytes`` of ``_block_samples``: each replicate's total and q^d block sums at every point, twice at the
+    join, or once beside the checks' copies of the largest point's: 2d for the pairs, 2 + len(eps)/8 for Lindeberg."""
+    d = config.model.d
+    sums, largest = sum(1 + p.q**d for p in points), max(p.q**d for p in points)
+    return result_bytes(points[0].replicates, max(16 * sums, 8 * sums + largest * max(16 * d, 16 + len(eps))))
+
+
 def block_decomposition_check(config: ExperimentConfig, samples: list[tuple]) -> dict:
     """Gap between the full sum and the big-block sum of the truncated field.
 
@@ -595,8 +612,8 @@ def block_decomposition_check(config: ExperimentConfig, samples: list[tuple]) ->
     independence audit of adjacent blocks (their sample correlation must sit
     within +-4/sqrt(#blocks * R)).  Verdict: Var(Delta) strictly decreasing.
     ``samples`` are the (point, totals, etas) of ``_block_samples``.
-    Adjacent block sums without variance, as at an x no site reaches, have
-    no correlation: ``MomentError``.
+    Adjacent block sums without variance, as at an x no site reaches or
+    where every site has one kernel value, have no correlation: ``MomentError``.
     """
     d = config.model.d
     rows = []
@@ -624,7 +641,8 @@ def block_decomposition_check(config: ExperimentConfig, samples: list[tuple]) ->
                 raise MomentError(
                     "blocks.x_points", f"at x = {point.xs[0]} the adjacent big-block sums of the truncated kernel "
                     f"field take one value in every replicate at n = {n}, so their correlation is undefined: x lies "
-                    "beyond the kernel's reach of the field's values"
+                    "beyond the kernel's reach of the field's values, or the field's spread lies far below the "
+                    "bandwidth"
                 )
             pairs -= pairs.mean(axis=1)[:, None]
             c = np.dot(pairs, pairs.T)
@@ -740,12 +758,6 @@ def _rectangle_rows(config: ExperimentConfig, point: GridPoint, rects) -> list:
     ed = math.sqrt(b) * point.centering[0][0] - ez
     reduce = partial(_rectangle_sums, kernel=config.kernel, b=b, point=x, rects=rects)
     zs, ds, dsum, dsq = _run_replicates(config, point, reduce)
-    if not zs.any():
-        raise MomentError(
-            "moment_check.x_points", f"at x = {x} the truncated kernel field sums to 0 over every rectangle in every "
-            f"replicate at n = {n}, so the rectangle norms measure its centering alone: "
-            "x lies beyond the kernel's reach of the field's values"
-        )
     sites = point.replicates * n**model.d
     site_mean = float(dsum.sum()) / sites
     site_m2 = float(dsq.sum()) / sites
@@ -765,7 +777,20 @@ def _rectangle_rows(config: ExperimentConfig, point: GridPoint, rects) -> list:
             "remainder_normalized_l2": dnorm / math.sqrt(vol),
             "remainder_fitted_c": dnorm / (math.sqrt(vol) * bound_unit) if bound_unit > 0 else 0.0,
         })
+    if not zs.any() or 0.0 in (row["zeta_normalized_l2"] for row in rows):
+        raise MomentError(
+            "moment_check.x_points", f"at x = {x} the truncated kernel field sums to 0 over every rectangle in every "
+            f"replicate or to its centering over one rectangle in every replicate, at n = {n}, so the rectangle norms "
+            "measure its centering alone or vanish: x lies beyond the kernel's reach of the field's values, or the "
+            "field's spread lies far below the bandwidth"
+        )
     return rows
+
+
+def rectangle_result_bytes(points, rectangles) -> int:
+    """``result_bytes`` of ``rectangle_moment_check``: each replicate's rectangle sums of both fields, the remainder's
+    total and square sum, twice at the join (a point's are freed before the next runs), and two centred sums."""
+    return result_bytes(points[0].replicates, 8 * (2 * (2 * len(rectangles) + 2) + 2))
 
 
 def rectangle_moment_check(config: ExperimentConfig, rectangles, points, ratio_cap: float = 3.0) -> dict:
@@ -779,7 +804,8 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, points, ratio_c
     smallest constant covering the grid is reported.  ``points`` are
     ``grid_points(config, "moment_check", n_grid, R)``.  A point where every
     rectangle sum is 0 in every replicate, as at an x no site reaches, has
-    norms of its centering alone: ``MomentError``.
+    norms of its centering alone, and one where a rectangle's norm is 0, as
+    where every site has one kernel value, has no ratio: ``MomentError``.
     """
     model = config.model
     n_min = min(p.n for p in points)
@@ -817,8 +843,9 @@ def wu_inequality_check(model: CoefficientModel, innovations: InnovationModel, o
     One report per order p of ``orders``, each with the weight mass sum a^2
     and the exact constant ``reference_c``: 1 at p=1, and
     3 + (kappa - 3) sum a^4 / (sum a^2)^2 at p=2, with kappa the innovation
-    kurtosis.  Innovations without a finite E|eps|^(2 v 2p) raise
-    ``MomentError`` on ``moment_check.wu_p``, before any report is made.
+    kurtosis and the ratio of the weights at unit scale (``unit_masses``).
+    Innovations without a finite E|eps|^(2 v 2p) raise ``MomentError`` on
+    ``moment_check.wu_p``, before any report is made.
     """
     for q in orders:
         if q not in (1, 2):
@@ -827,12 +854,12 @@ def wu_inequality_check(model: CoefficientModel, innovations: InnovationModel, o
         if innovations.max_moment_order <= order:
             raise MomentError("moment_check.wu_p", f"innovations need E|eps|^{order} < inf "
                               f"(max finite order {innovations.max_moment_order})")
-    total = total_sq_mass(model)
+    square, fourth = unit_masses(model)
     return [{
         "name": "wu_moment",
         "p": q,
-        "weight_mass": float(total),
-        "reference_c": 1.0 if q == 1 else (innovations.kurtosis - 3.0) * total_fourth_mass(model) / total**2 + 3.0,
+        "weight_mass": float(total_sq_mass(model)),
+        "reference_c": 1.0 if q == 1 else (innovations.kurtosis - 3.0) * fourth / square**2 + 3.0,
     } for q in orders]
 
 
@@ -859,6 +886,11 @@ def _gap_row(config: ExperimentConfig, point: GridPoint) -> dict:
         "se": float(gaps.std(ddof=1) / math.sqrt(gaps.size)) if gaps.size > 1 else 0.0,
         "residual_ratio": residual_sqrt_mass(config.model, point.m) / point.b,
     }
+
+
+def gap_result_bytes(points) -> int:
+    """``result_bytes`` of ``fixed_m_gap``: each replicate's squared gap, twice at the join of one point's."""
+    return result_bytes(points[0].replicates, 2 * 8)
 
 
 def fixed_m_gap(config: ExperimentConfig, points, mode: str) -> dict:

@@ -22,7 +22,7 @@ series is truncated: the functionals are exact up to floating-point rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
@@ -38,7 +38,7 @@ __all__ = [
     "coeff_box",
     "box_mass",
     "total_sq_mass",
-    "total_fourth_mass",
+    "unit_masses",
     "residual_sqrt_mass",
     "check_decay_window",
     "check_hallin",
@@ -196,21 +196,20 @@ def coeff_box(model: CoefficientModel, side: int) -> np.ndarray:
 # in Hurwitz zeta values; 2q-k > 1 for every k <= d-1 is exactly q > d/2.
 
 
-def _power_moments(model: CoefficientModel, start: int) -> np.ndarray:
-    """P_0..P_{d-1} with P_r = sum_{s>=start} s^r c^2 (1+s)^(-2q).
+def _power_moments(d: int, p: float, start: int, scale: float = 1.0) -> np.ndarray:
+    """P_0..P_{d-1} with P_r = sum_{s>=start} s^r scale^2 (1+s)^(-p), p = 2q for the weights a_i^2.
 
     Summed from s >= 1, with the s = 0 term added exactly: from s = 0 the
-    alternating binomial sum cancels (up to ~6e-14 relative at d=3, q=4);
+    alternating binomial sum cancels (up to ~6e-14 relative at d=3, p=8);
     from s >= 1 it stays within 3e-15 of 40-digit values for start <= 300.
     """
-    d, q2 = model.d, 2.0 * model.q
-    z = zeta(q2 - np.arange(d), max(start, 1) + 1.0)
+    z = zeta(p - np.arange(d), max(start, 1) + 1.0)
     P = np.array(
         [sum(math.comb(r, k) * (-1) ** (r - k) * z[k] for k in range(r + 1)) for r in range(d)]
     )
     if start == 0:
         P[0] += 1.0
-    return model.scale**2 * P
+    return scale**2 * P
 
 
 def _elementary_coeffs(offsets) -> list[np.ndarray]:
@@ -229,7 +228,7 @@ def _elementary_coeffs(offsets) -> list[np.ndarray]:
 def _power_outside_mass(model: CoefficientModel, side: int) -> np.ndarray:
     """sum_{i >= j, |i|_inf >= side} a_i^2 for every j in [0, side)^d."""
     d = model.d
-    P = _power_moments(model, side)
+    P = _power_moments(d, 2.0 * model.q, side, model.scale)
     j_axes = [np.arange(side, dtype=float).reshape([-1 if t == ax else 1 for t in range(d)])
               for ax in range(d)]
     plus = _elementary_coeffs([1.0 - j for j in j_axes])
@@ -240,10 +239,9 @@ def _power_outside_mass(model: CoefficientModel, side: int) -> np.ndarray:
     return out
 
 
-def _power_residual_mass(model: CoefficientModel, m: int) -> float:
-    """sum_{i >= 0, |i|_inf >= m} a_i^2."""
-    d = model.d
-    P = _power_moments(model, m)
+def _power_mass(d: int, p: float, m: int, scale: float = 1.0) -> float:
+    """sum_{i >= 0, |i|_inf >= m} scale^2 (1+|i|_inf)^(-p), at p = 2q the power-decay sum of a_i^2 off [0, m)^d."""
+    P = _power_moments(d, p, m, scale)
     return float(sum(math.comb(d, r) * P[r] for r in range(d)))
 
 
@@ -254,19 +252,24 @@ def _power_residual_mass(model: CoefficientModel, m: int) -> float:
 def total_sq_mass(model: CoefficientModel) -> float:
     """sum_{k >= 0} a_k^2."""
     if model.family == "power_decay":
-        return _power_residual_mass(model, 0)
+        return _power_mass(model.d, 2.0 * model.q, 0, model.scale)
     if model.family == "geometric":
         return (1.0 - model.ratio**2) ** (-model.d)
     return float(np.sum(model.table**2))
 
 
-def total_fourth_mass(model: CoefficientModel) -> float:
-    """sum_{k >= 0} a_k^4: the square sum of the weights a_k^2, which belong to the same family."""
+def unit_masses(model: CoefficientModel) -> tuple[float, float]:
+    """(sum u^2, sum u^4) in closed form for the weights at unit scale, u = a / s with s the power-decay scale, a
+    table's largest |entry|, or 1 for geometric weights.  Their ratio is sum a^4 / (sum a^2)^2, which is free of the
+    scale, while the model's own sum of a^4 may underflow or overflow."""
+    d = model.d
     if model.family == "power_decay":
-        return total_sq_mass(replace(model, q=2.0 * model.q, scale=model.scale**2))
+        return _power_mass(d, 2.0 * model.q, 0), _power_mass(d, 4.0 * model.q, 0)
     if model.family == "geometric":
-        return total_sq_mass(replace(model, ratio=model.ratio**2))
-    return total_sq_mass(replace(model, table=model.table**2))
+        r2 = model.ratio**2
+        return (1.0 - r2) ** (-d), (1.0 - r2**2) ** (-d)
+    u2 = (model.table / np.max(np.abs(model.table))) ** 2
+    return float(np.sum(u2)), float(np.sum(u2**2))
 
 
 def box_mass(model: CoefficientModel, m: int) -> float:
@@ -292,7 +295,7 @@ def residual_sqrt_mass(model: CoefficientModel, m: int) -> float:
         val = (1.0 - (1.0 - r2**m) ** model.d) / (1.0 - r2) ** model.d
         return math.sqrt(max(val, 0.0))
     if model.family == "power_decay":
-        return math.sqrt(_power_residual_mass(model, m))
+        return math.sqrt(_power_mass(model.d, 2.0 * model.q, m, model.scale))
     return math.sqrt(max(total_sq_mass(model) - box_mass(model, m), 0.0))
 
 

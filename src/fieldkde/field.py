@@ -121,39 +121,45 @@ def plan_truncation(
     )
 
 
-def estimate_field_bytes(d: int, n: int, M: int, m: int = 1, method: str = "fourier", size: int = 1) -> int:
-    """Bytes that coupled generation of ``size`` replicates at (n, m, M) holds, with the reduction's headroom.
+def _layout(d: int, n: int, m: int, M: int, method: str, size: int) -> tuple[dict, dict, dict]:
+    """What coupled generation of ``size`` replicates at (n, m, M) holds, as tables of name -> (shape, dtype).
 
-    Exactly the ``nbytes`` of what ``coupled_spectra`` and a ``CoupledWorkspace``
-    of ``size`` allocate, plus one more field buffer per replicate as headroom
-    for the reduction that reads the fields.  The spectra: on the FFT path one
-    half spectrum of P^(d-1) * (P//2 + 1) complex values per coefficient box,
-    P = next_fast_len(n + M - 1), two when m < M and one when m = M; on the
-    direct path the box of side M, of which the [0, m)^d box is a view.  Per
-    replicate: the innovation lattice of side n + M - 1; on the FFT path the
-    lattice's half spectrum, one product and one inverse transform of side P
-    per field (one field when m = M, where X_m is X); on the direct path one
-    tap product and one array of side n per field.  The padded lattice that
-    the forward transform reads lives in the product, and the reduction's two
-    scratch arrays are buffers the fields no longer need, so none of them adds
-    to the count.  ``size`` 0 gives the spectra alone.
+    What ``coupled_spectra`` builds (on the direct path the [0, m)^d box is a
+    view of the M-box); what a ``CoupledWorkspace`` allocates, in this order;
+    and one more field a replicate, the headroom of the reduction that reads
+    the fields, whose scratch arrays are buffers the fields no longer need.
+    X_m is X when m = M: one spectrum and one field buffer serve both.
     """
-    fields = 1 if m == M else 2
+    count, lattices = 1 if m == M else 2, ((size,) + (n + M - 1,) * d, float)
     if method == "direct":
-        return 8 * M**d + 8 * size * ((n + M - 1) ** d + (fields + 2) * n**d)
-    P = next_fast_len(n + M - 1)
-    half = P ** (d - 1) * (P // 2 + 1)
-    return 16 * fields * half + size * (8 * (n + M - 1) ** d + 32 * half + 8 * (fields + 1) * P**d)
+        side, spectra = (n,) * d, {"full": ((M,) * d, float)}
+        work = {"lattices": lattices, "product": ((size,) + side, float)}
+    else:
+        side = (next_fast_len(n + M - 1),) * d
+        half = side[:-1] + (side[-1] // 2 + 1,)
+        spectra = dict.fromkeys(("full", "truncated")[:count], (half, complex))
+        work = {"lattices": lattices, "spectrum": ((size,) + half, complex), "product": ((size,) + half, complex)}
+    work["fields"] = ((count, size) + side, float)
+    return spectra, work, {"headroom": ((size,) + side, float)}
+
+
+def _nbytes(*buffers) -> int:
+    return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in buffers)
+
+
+def estimate_field_bytes(d: int, n: int, M: int, m: int = 1, method: str = "fourier", size: int = 1) -> int:
+    """Bytes that coupled generation of ``size`` replicates at (n, m, M) holds: every buffer of ``_layout``."""
+    return sum(_nbytes(*table.values()) for table in _layout(d, n, m, M, method, size))
 
 
 def convolution_method(model: CoefficientModel, n: int, M: int, max_bytes: int | None = None) -> str:
     """The path of coupled generation at (n, M), as ``lattice_convolve`` picks it for the full field.
 
-    A lattice whose 8 (n + M - 1)^d bytes exceed ``max_bytes`` fails the cap
-    on either path, since ``estimate_field_bytes`` counts it on both: it is
-    given the FFT path unweighed, and its coefficient box is not built.
+    A lattice whose bytes exceed ``max_bytes`` fails the cap on either path,
+    since ``_layout`` holds it on both: it is given the FFT path unweighed,
+    and its coefficient box is not built.
     """
-    if max_bytes is not None and 8 * (n + M - 1) ** model.d > max_bytes:
+    if max_bytes is not None and _nbytes(_layout(model.d, n, M, M, "direct", 1)[1]["lattices"]) > max_bytes:
         return "fourier"
     return _auto_method((n + M - 1,) * model.d, coeff_box(model, M))
 
@@ -273,32 +279,20 @@ class CoupledSpectra:
 class CoupledWorkspace:
     """Buffers for the coupled generation of up to ``size`` replicates at one ``CoupledSpectra``.
 
-    Allocated once and reused by every batch, so a run of many batches
-    faults in no fresh pages after its first: the stack of innovation
-    lattices, which the draws fill slot by slot; on the FFT path the
-    lattices' half spectrum, one product of spectra, whose real view first
-    holds the lattices zero-padded for the forward transform, and one
-    inverse transform per field, of which the fields are views and whose
-    rows outside the valid region are left unwritten; on the direct path
-    one array per field and one that takes each tap's product in turn.  The
-    fields of a batch stay valid until the next batch is convolved.
+    The buffers of ``_layout``, allocated once and reused by every batch, so
+    a run of many batches faults in no fresh pages after its first.  On the
+    FFT path the product's real view first holds the lattices zero-padded for
+    the forward transform, and the fields are views of the inverse
+    transforms, whose rows outside the valid region are left unwritten; on
+    the direct path the product takes each tap's product in turn.  The fields
+    of a batch stay valid until the next batch is convolved.
     """
 
     def __init__(self, spectra: CoupledSpectra, size: int):
         self.spectra = spectra
-        n, M, d = spectra.n, spectra.M, spectra.full.ndim
-        self.lattices = np.empty((size,) + (n + M - 1,) * d)
-        # when m == M the truncation is the field itself, and one buffer serves both
-        count = 1 if spectra.m == M else 2
-        if spectra.method == "fourier":
-            P = spectra.shape
-            half = (size,) + P[:-1] + (P[-1] // 2 + 1,)
-            self.spectrum = np.empty(half, dtype=complex)
-            self.product = np.empty(half, dtype=complex)
-            self.fields = np.empty((count, size) + P)
-        else:
-            self.product = np.empty((size,) + (n,) * d)
-            self.fields = np.empty((count, size) + (n,) * d)
+        _, buffers, _ = _layout(spectra.full.ndim, spectra.n, spectra.m, spectra.M, spectra.method, size)
+        for name, (shape, dtype) in buffers.items():
+            setattr(self, name, np.empty(shape, dtype))
 
     def convolve(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """(X, X_m) on [1, n]^d of the first ``count`` lattices of the stack; X_m is X when m == M."""

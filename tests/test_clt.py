@@ -468,6 +468,21 @@ class TestWuInequality:
         assert w1["reference_c"] == 1.0
         assert w2["reference_c"] == pytest.approx(3 + (innov.kurtosis - 3) * total4 / total2**2, rel=1e-9)
 
+    @pytest.mark.parametrize("scaled,unit", [
+        (dict(family="finite_support", table=[1e-100, 1e-100]), dict(family="finite_support", table=[1.0, 1.0])),
+        (dict(family="finite_support", table=[1e100, 1e100]), dict(family="finite_support", table=[1.0, 1.0])),
+        *((dict(family="power_decay", q=2.0, scale=scale), dict(family="power_decay", q=2.0))
+          for scale in (1e-150, 1e-80, 1e80)),
+    ], ids=["table-1e-100", "table-1e100", "power-1e-150", "power-1e-80", "power-1e80"])
+    def test_constants_of_any_weight_scale_are_those_at_unit_scale(self, scaled, unit):
+        # sum a^4 / (sum a^2)^2 is free of the scale, where the scaled sums of a^4 underflow, turn subnormal or
+        # overflow
+        uniform = InnovationModel("uniform")
+        (rep,) = wu_inequality_check(CoefficientModel(d=1, **scaled), uniform, [2])
+        (ref,) = wu_inequality_check(CoefficientModel(d=1, **unit), uniform, [2])
+        assert rep["reference_c"] == ref["reference_c"] == (2.4 if unit["family"] == "finite_support"
+                                                            else 1.9714285714285713)
+
     def test_reference_keeps_the_sampler_bits(self, geometric_half):
         # criterion 7's sample, as the run-time sampler drew it
         w1, w2 = wu_reference(geometric_half, InnovationModel("gaussian"), [1, 2], 200_000, MASTER_SEED)

@@ -21,8 +21,8 @@ from fieldkde.coefficients import (
     coeff_box,
     model_from_config,
     residual_sqrt_mass,
-    total_fourth_mass,
     total_sq_mass,
+    unit_masses,
 )
 
 from shell_reference import shell_power_moments
@@ -149,24 +149,27 @@ def _direct_shell_tail_bound(d, q, side):
     return d * float(side) ** (d - 2.0 * q) / (2.0 * q - d)
 
 
-class TestFourthMass:
-    """sum a^4 in closed form: the square sum of the weights a^2, which are of the same family."""
+class TestUnitMasses:
+    """sum u^2 and sum u^4 of the weights at unit scale in closed form, u = a / scale for power decay, a over the
+    table's largest |entry|, and a itself for geometric weights."""
 
     @pytest.mark.parametrize("d,ratio", [(1, 0.5), (2, 0.6), (3, 0.3)])
     def test_geometric_against_box_sum(self, d, ratio):
         model = CoefficientModel(d=d, family="geometric", ratio=ratio)
-        assert total_fourth_mass(model) == pytest.approx((1.0 - ratio**4) ** -d, rel=1e-15)
+        square, fourth = unit_masses(model)
+        assert square == total_sq_mass(model)
+        assert fourth == pytest.approx((1.0 - ratio**4) ** -d, rel=1e-15)
         # ratio^(4*80) < 1e-28 bounds what the box leaves out
-        assert total_fourth_mass(model) == pytest.approx(float(np.sum(coeff_box(model, 80) ** 4)), rel=1e-13)
+        assert fourth == pytest.approx(float(np.sum(coeff_box(model, 80) ** 4)), rel=1e-13)
 
     @pytest.mark.parametrize("d,q,scale,side", [(1, 1.8, 1.0, 4000), (2, 1.1, 1.0, 1200), (2, 4.0, 1.5, 100),
                                                 (3, 4.0, 0.5, 40)])
     def test_power_decay_against_box_sum(self, d, q, scale, side):
         model = CoefficientModel(d=d, family="power_decay", q=q, scale=scale)
-        box = float(np.sum(coeff_box(model, side) ** 4))
-        # a^4 = scale^4 (1+|i|_inf)^(-4q): the shell bound at exponent 2q bounds what the box leaves out
-        tail = scale**4 * _direct_shell_tail_bound(d, 2.0 * q, side)
-        assert -1e-14 * box <= total_fourth_mass(model) - box <= tail + 1e-14 * box
+        box = float(np.sum((coeff_box(model, side) / scale) ** 4))
+        # u^4 = (1+|i|_inf)^(-4q): the shell bound at exponent 2q bounds what the box leaves out
+        tail = _direct_shell_tail_bound(d, 2.0 * q, side)
+        assert -1e-14 * box <= unit_masses(model)[1] - box <= tail + 1e-14 * box
 
     @pytest.mark.parametrize("d,q,scale", [(1, 1.8, 1.0), (2, 1.1, 2.0), (2, 4.0, 1.5), (3, 1.6, 0.5), (3, 4.0, 1.0)])
     def test_power_decay_against_mpmath(self, d, q, scale):
@@ -174,16 +177,20 @@ class TestFourthMass:
         model = CoefficientModel(d=d, family="power_decay", q=q, scale=scale)
         with mpmath.workdps(40):
             # the shell |i|_inf = t - 1 holds t^d - (t-1)^d = sum_k C(d,k) (-1)^(d-1-k) t^k weights
-            q4 = 4 * mpmath.mpf(q)
-            exact = mpmath.mpf(scale) ** 4 * sum(
-                mpmath.binomial(d, k) * (-1) ** (d - 1 - k) * mpmath.zeta(q4 - k) for k in range(d)
-            )
-            assert float(abs(mpmath.mpf(total_fourth_mass(model)) / exact - 1)) < 1e-13
+            for power, got in zip((2, 4), unit_masses(model)):
+                qp = power * mpmath.mpf(q)
+                exact = sum(mpmath.binomial(d, k) * (-1) ** (d - 1 - k) * mpmath.zeta(qp - k) for k in range(d))
+                assert float(abs(mpmath.mpf(got) / exact - 1)) < 1e-13
 
-    def test_table_sums_directly(self):
+    @pytest.mark.parametrize("q,d", [(4.0, 2), (1.8, 1), (4.0, 3)])
+    def test_power_decay_square_at_scale_1_is_the_total_mass(self, q, d):
+        model = CoefficientModel(d=d, family="power_decay", q=q)
+        assert unit_masses(model)[0] == total_sq_mass(model)
+
+    def test_table_sums_directly_over_its_largest_entry(self):
         table = np.array([[1.0, -0.5, 0.0], [0.25, 2.0, 0.0]])
         model = CoefficientModel(d=2, family="finite_support", table=table)
-        assert total_fourth_mass(model) == float(np.sum(table**4))
+        assert unit_masses(model) == (float(np.sum((table / 2.0) ** 2)), float(np.sum((table / 2.0) ** 4)))
 
 
 class TestGeometricRange:
@@ -213,7 +220,7 @@ class TestPowerMomentsClosedForm:
     def test_against_certified_shell_sums(self, d, q, start):
         model = CoefficientModel(d=d, family="power_decay", q=q, scale=1.5)
         shells, rem = shell_power_moments(model, start, 1e-24)
-        closed = _power_moments(model, start)
+        closed = _power_moments(model.d, 2.0 * model.q, start, model.scale)
         for r in range(d):
             assert closed[r] == pytest.approx(shells[r], rel=1e-13, abs=2 * rem)
 
@@ -246,7 +253,7 @@ class TestPowerMomentsClosedForm:
                     model = CoefficientModel(d=d, family="power_decay", q=float(q))
                     q2 = 2 * mpmath.mpf(float(q))
                     for start in (0, 1, 2, 6, 15, 24, 300):
-                        closed = _power_moments(model, start)
+                        closed = _power_moments(model.d, 2.0 * model.q, start, model.scale)
                         zs = [mpmath.zeta(q2 - k, start + 1) for k in range(d)]
                         for r in range(d):
                             exact = sum(

@@ -457,6 +457,23 @@ class TestDrawCount:
         assert sum(plan.draws for plan in plans) == draws
 
     @pytest.mark.parametrize(
+        "config,sub,sets,figures",
+        [
+            ("power_decay_d2.json", "clt-run", ["clt.n_grid=[64,256]", "clt.replicates=200", "clt.x_points=[0.0]"],
+             [(64, "fourier", 80, 21, 6_556_832), (256, "fourier", 288, 1, 5_286_024)]),
+            ("blocks_d1.json", "blocks", [],
+             [(256, "direct", None, 506, 4_157_328), (1024, "direct", None, 127, 4_164_616),
+              (4096, "direct", None, 31, 4_064_008)]),
+            ("blocks_d1.json", "moment-check", [], [(1024, "direct", None, 126, 5_172_144)]),
+        ],
+        ids=["clt_d2", "blocks_d1-blocks", "blocks_d1-moment-check"],
+    )
+    def test_the_workloads_points_keep_their_path_side_batch_and_bytes(self, config, sub, sets, figures):
+        cfg = load_config(str(CONFIGS / config), sets, seed=1)
+        points = plan_run(cfg, cli._experiment(cfg), sub).points
+        assert [(p.n, p.method, p.P, p.batch, p.bytes) for p in points] == figures
+
+    @pytest.mark.parametrize(
         "sub,config,sets",
         [
             ("gen-field", "power_decay_d2.json", ["gen_field.n=16"]),

@@ -985,6 +985,21 @@ class TestCli:
         assert manifest["status"] == "error" and "moment_check.x_points" in manifest["error"]
         assert not (tmp_path / "moment_check" / "report.json").exists()
 
+    @pytest.mark.parametrize("scale", ["1e-20", "1e-150"])
+    def test_moment_check_on_a_field_far_narrower_than_the_bandwidth_exit_1(self, tmp_path, capsys, scale):
+        # every site has one kernel value, so every centred rectangle norm is 0 and their ratio has no value; at
+        # 1e-150 the weights' fourth powers underflow, which the Wu constants do not read
+        code = _run(tmp_path, "moment-check", "--config", str(REPO / "configs" / "power_decay_d2.json"),
+                    "--set", f"coefficient.scale={scale}", "--set", "moment_check.n_grid=[16,32]",
+                    "--set", "moment_check.replicates=50", "--set", "moment_check.rectangles=[2,4,8]")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key moment_check.x_points: at x = 0.0 "), err
+        assert err.endswith(" or the field's spread lies far below the bandwidth\n")
+        manifest = json.loads((tmp_path / "moment_check" / "manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
+        assert not (tmp_path / "moment_check" / "report.json").exists()
+
     @pytest.mark.filterwarnings("error")
     def test_blocks_at_a_point_no_site_reaches_exit_1(self, tmp_path, capsys):
         # the density is positive at x = 8, but every block sum is 0, so adjacent blocks have no correlation
@@ -995,7 +1010,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: config key blocks.x_points: at x = 8.0 the adjacent big-block sums "), err
         assert err.endswith(" at n = 256, so their correlation is undefined: x lies beyond the kernel's reach "
-                            "of the field's values\n")
+                            "of the field's values, or the field's spread lies far below the bandwidth\n")
         manifest = json.loads((tmp_path / "blocks" / "manifest.json").read_text())
         assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
         assert not (tmp_path / "blocks" / "report.json").exists()
