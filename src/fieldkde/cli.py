@@ -417,7 +417,10 @@ def _plan_clt(cfg: dict, config: ExperimentConfig, section: str):
 
 
 def _plan_blocks(cfg: dict, config: ExperimentConfig, section: str):
-    points, eps = _points(cfg, config, section, m=cfg[section]["m"], l=cfg[section]["l"]), cfg[section]["eps"]
+    eps = cfg[section]["eps"]
+    if len(set(eps)) < len(eps):  # the Lindeberg terms are keyed by eps, so a repeat would merge two rows
+        raise ParameterError(f"{section}.eps", f"must not repeat a value, got {json.dumps(list(eps))}")
+    points = _points(cfg, config, section, m=cfg[section]["m"], l=cfg[section]["l"])
     return points, 1 + len(eps), block_result_bytes(config, points, eps)
 
 
@@ -632,11 +635,14 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.set, seed=args.seed, threads=args.threads)
         manifest.config, manifest.master_seed = cfg, cfg["seed"]
         config = _experiment(cfg)
+        manifest.status = "planning"  # written first, so a run stopped while it plans leaves its config
+        manifest.write(out_dir / "manifest.json")
         manifest.plan = run = plan_run(cfg, config, args.subcommand)
         check_cap(run.points, config.max_field_bytes)
         if run.result_bytes > config.max_field_bytes:
             raise ParameterError(f"{experiment.section}.replicates", f"the replicate results hold {run.result_bytes} "
                                  f"bytes (> cap {config.max_field_bytes} of limits.max_field_bytes)")
+        manifest.status = "running"
         manifest.write(out_dir / "manifest.json")
         ok, report, tables = experiment.run(cfg, config, experiment.section, run, out_dir)
         report.update(subcommand=args.subcommand, passed=bool(ok))

@@ -85,6 +85,20 @@ class TestLateCap:
         # kde reports X alone, so it generates with m = M: one spectrum and one field buffer
         assert point["n"] == 64 and point["m"] == point["truncation"]["M"] and point["rows"] == 5
 
+    def test_the_manifest_is_at_planning_with_its_config_while_the_plan_is_made(self, tmp_path, monkeypatch):
+        seen, plan_run = [], cli.plan_run
+
+        def reading(*args):
+            seen.append(_manifest(tmp_path, "kde"))
+            return plan_run(*args)
+
+        monkeypatch.setattr(cli, "plan_run", reading)
+        assert _run(tmp_path, "kde", "power_decay_d2.json", "kde.n=64") == 0
+        (early,) = seen
+        assert early["status"] == "planning" and early["plan"] is None
+        assert early["config"] == _manifest(tmp_path, "kde")["config"] and early["config"]["kde"]["n"] == 64
+        assert _manifest(tmp_path, "kde")["status"] == "complete"
+
 
 class TestFieldCsv:
     def test_a_side_beyond_the_csv_limit_exits_1_naming_write_csv_before_any_draw(self, tmp_path, capsys, no_draw):

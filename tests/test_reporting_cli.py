@@ -853,6 +853,8 @@ class TestCli:
             ("kde", 'truncation.policy="fixed"', "truncation.M"),
             ("blocks", "blocks.l=2", "blocks.l"),
             ("blocks", "blocks.l=4", "blocks.l"),
+            # the Lindeberg terms are keyed by eps: a repeat wrote one row where the plan counted two
+            ("blocks", "blocks.eps=[0.5,0.5]", "blocks.eps"),
             ("check-conditions", "conditions.n_grid=[16]", "conditions.n_grid"),
             ("check-conditions", "conditions.n_grid=[16,64,32]", "conditions.n_grid"),
             # no numpy array holds a batch of fields in 64 dimensions
