@@ -96,14 +96,15 @@ def counts(tmp):
 
     mods = [importlib.import_module(f"fieldkde.{m.name}") for m in pkgutil.iter_modules(fieldkde.__path__)
             if m.name != "__main__"]
-    # ParameterError alone carries a config key, so it alone should define its own __init__
-    inits = sum("__init__" in vars(c) for m in mods for c in vars(m).values()
-                if inspect.isclass(c) and issubclass(c, Exception) and c.__module__ == m.__name__)
+    errors = [c for m in mods for c in vars(m).values()
+              if inspect.isclass(c) and issubclass(c, Exception) and c.__module__ == m.__name__]
+    # ParameterError, which carries a config key, should be the one exception class and define its own __init__
+    inits = sum("__init__" in vars(c) for c in errors)
     keys = sum(len(k) if isinstance(k, dict) else 1 for k in CONFIG_KEYS.values())
     return (f"src/fieldkde {src_lines(ROOT)} lines, cli.py {src_lines(ROOT, 'cli.py')}, clt.py "
             f"{src_lines(ROOT, 'clt.py')}, cli.py + clt.py {src_lines(ROOT, 'cli.py', 'clt.py')}; ExperimentConfig "
-            f"{len(dataclasses.fields(ExperimentConfig))} fields, CONFIG_KEYS {keys} keys, exception classes with "
-            f"their own __init__: {inits}")
+            f"{len(dataclasses.fields(ExperimentConfig))} fields, CONFIG_KEYS {keys} keys, exception classes "
+            f"{len(errors)}, with their own __init__ {inits}")
 
 
 # Each worker reduces in its workspace's idle buffers and holds one batch of an even split; in the three-point

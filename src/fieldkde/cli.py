@@ -5,7 +5,7 @@ fixed-m-gap.  A single JSON config document carries per-subcommand sections;
 ``--set key=value`` overrides win over file values, and the whole document is
 checked against ``CONFIG_KEYS`` as it loads.  Exit code 0 means the
 run completed and every verdict passed (or was inconclusive), 2 means a
-method verdict failed, 1 means a tool error.
+method verdict failed, 1 means a tool error, a usage error included.
 """
 
 from __future__ import annotations
@@ -181,10 +181,6 @@ DEFAULT_CONFIG = {
 }
 
 
-class ToolError(RuntimeError):
-    pass
-
-
 def _deep_merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for k, v in override.items():
@@ -197,7 +193,7 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 def _apply_set(cfg: dict, assignment: str) -> None:
     if "=" not in assignment:
-        raise ToolError(f"--set needs key=value, got {assignment!r}")
+        raise ValueError(f"--set needs key=value, got {assignment!r}")
     key, raw = assignment.split("=", 1)
     try:
         value = json.loads(raw)
@@ -208,28 +204,28 @@ def _apply_set(cfg: dict, assignment: str) -> None:
     for part in parts[:-1]:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
-            raise ToolError(f"cannot descend into {part!r} of --set {key!r}")
+            raise ValueError(f"cannot descend into {part!r} of --set {key!r}")
     node[parts[-1]] = value
 
 
 def load_config(path: str | None, sets, seed=None, threads=None) -> dict:
-    """The config document with every key of CONFIG_KEYS checked and read, or a ToolError or ParameterError
-    naming the key."""
+    """The config document with every key of CONFIG_KEYS checked and read, or a ParameterError naming the key;
+    a refusal that no one key decides, such as unknown keys or a missing file, is a plain ValueError."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
             if not isinstance(doc, dict):
-                raise ToolError(f"config file {path!r} must hold a JSON object, not {type(doc).__name__}")
+                raise ValueError(f"config file {path!r} must hold a JSON object, not {type(doc).__name__}")
             if "coefficient" in doc:
                 # replaced whole, not merged: the default's ratio belongs to the geometric family only
                 del cfg["coefficient"]
             cfg = _deep_merge(cfg, doc)
         except FileNotFoundError:
-            raise ToolError(f"config file {path!r} not found")
+            raise ValueError(f"config file {path!r} not found")
         except json.JSONDecodeError as exc:
-            raise ToolError(f"config file {path!r} is not valid JSON: {exc}")
+            raise ValueError(f"config file {path!r} is not valid JSON: {exc}")
     for assignment in sets or []:
         _apply_set(cfg, assignment)
     if seed is not None:
@@ -242,10 +238,10 @@ def load_config(path: str | None, sets, seed=None, threads=None) -> dict:
             unknown.append(name)
         elif isinstance(CONFIG_KEYS[name], dict):
             if not isinstance(value, dict):
-                raise ToolError(f"config section {name!r} must be an object")
+                raise ParameterError(name, f"must be an object, got {json.dumps(value)}")
             unknown.extend(f"{name}.{key}" for key in value if key not in CONFIG_KEYS[name])
     if unknown:
-        raise ToolError(f"unknown config key(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     out = {}
     for name, keys in CONFIG_KEYS.items():
         if isinstance(keys, Key):
@@ -256,7 +252,7 @@ def load_config(path: str | None, sets, seed=None, threads=None) -> dict:
             if key in cfg[name]:
                 section[key] = _read(k, cfg[name][key], f"{name}.{key}", section, out)
             elif not k.family:
-                raise ToolError(f"missing config key {name}.{key}")
+                raise ParameterError(f"{name}.{key}", "must be set: its section was replaced without it")
         if name in _MODELS:  # the model checks what the table leaves to it, raising ParameterError
             _MODELS[name](section)
     return out
@@ -317,11 +313,11 @@ def _read(k: Key, value, path: str, section: dict, cfg: dict):
     kind = ("null or " if k.optional else "") + bare
     got = None if null else _parse(k, value, d)
     if got is None and not null:
-        raise ToolError(f"config key {path} must be {kind}, got {json.dumps(value)}")
+        raise ParameterError(path, f"must be {kind}, got {json.dumps(value)}")
     if k.only_if and null == (section[k.only_if[0]] == k.only_if[1]):
         other = f"{path.rsplit('.', 1)[0]}.{k.only_if[0]}"
         rule = f"{bare} when" if null else "null unless"
-        raise ToolError(f"config key {path} must be {rule} {other} is {json.dumps(k.only_if[1])}, got {json.dumps(value)}")
+        raise ParameterError(path, f"must be {rule} {other} is {json.dumps(k.only_if[1])}, got {json.dumps(value)}")
     if null:
         return None
     listed = k.kind in ("ints", "nums")
@@ -332,17 +328,17 @@ def _read(k: Key, value, path: str, section: dict, cfg: dict):
             words, limit = f"{words} {limit} =", cfg[holder][key]
         if limit is not None and not all(holds(v, limit) for v in (got if listed else [got])):
             bound = f"{kind} {words} {limit}, got {json.dumps(value)}" if listed else f"{words} {limit}, got {got}"
-            raise ToolError(f"config key {path} must be {bound}")
+            raise ParameterError(path, f"must be {bound}")
     if k.increasing and (len(got) < k.increasing or any(b <= a for a, b in zip(got, got[1:]))):
-        raise ToolError(f"config key {path} must be {kind}, strictly increasing with at least "
-                        f"{k.increasing} entries, got {json.dumps(value)}")
+        raise ParameterError(path, f"must be {kind}, strictly increasing with at least "
+                             f"{k.increasing} entries, got {json.dumps(value)}")
     if k.most and len(got) > k.most:
-        raise ToolError(f"config key {path} must be {kind} of at most {k.most} entries, got {len(got)}")
+        raise ParameterError(path, f"must be {kind} of at most {k.most} entries, got {len(got)}")
     if k.fits:
         n = min(section[k.fits])
         too_big = [r for r in value if max(r if isinstance(r, list) else [r]) > n]
         if too_big:
-            raise ToolError(f"config key {path} must fit inside every grid point: {json.dumps(too_big)} exceed n = {n}")
+            raise ParameterError(path, f"must fit inside every grid point: {json.dumps(too_big)} exceed n = {n}")
     return got
 
 
@@ -618,8 +614,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parsed(parse, argv):
+    """``parse(argv)``, exiting 1 on a usage error, which argparse ends with 2, the code of a failed verdict."""
+    try:
+        return parse(argv)
+    except SystemExit as exc:
+        raise SystemExit(1 if exc.code == 2 else exc.code) from None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parsed(build_parser().parse_args, argv)
     out_dir = Path(args.out or os.environ.get(OUT_ENV) or "runs") / args.subcommand.replace("-", "_")
     out_dir.mkdir(parents=True, exist_ok=True)
     # opened before the config loads, so a rejected config leaves a manifest at "error" too
@@ -654,7 +658,7 @@ def main(argv=None) -> int:
         manifest.verdicts = {"passed": bool(ok)}
         manifest.status = "complete"
         code = 0 if ok else 2
-    except (ToolError, ValueError) as exc:  # a ParameterError names the config key that decides it
+    except ValueError as exc:  # a ParameterError names the config key that decides it
         message = f"config key {exc.key}: {exc}" if isinstance(exc, ParameterError) else str(exc)
         manifest.status, manifest.error = "error", message
         print(f"error: {message}", file=sys.stderr)
@@ -676,7 +680,7 @@ def run_script(name: str, config, subcommands, argv) -> int:
     """
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None)
-    base = out.parse_known_args(argv)[0].out or os.environ.get(OUT_ENV) or "runs"
+    base = _parsed(out.parse_known_args, argv)[0].out or os.environ.get(OUT_ENV) or "runs"
     code = 0
     for sub in subcommands:
         code = max(code, main([sub, "--config", str(config), *argv, "--out", str(Path(base) / name)]))

@@ -37,8 +37,6 @@ from .coefficients import (
 from .field import (
     DEFAULT_MAX_FIELD_BYTES,
     CoupledWorkspace,
-    FieldSizeError,
-    TruncationError,
     TruncationPlan,
     _layout,
     _nbytes,
@@ -65,7 +63,6 @@ __all__ = [
     "ExperimentConfig",
     "GridPoint",
     "KsResult",
-    "MomentError",
     "run_clt_experiment",
     "block_decomposition_check",
     "block_sides",
@@ -96,11 +93,6 @@ BATCH_BYTES = 1 << 20
 
 # fixed-m-gap's last gap must lie within this share of its positive limit
 GAP_BAND = 0.15
-
-
-class MomentError(ParameterError):
-    """A precondition of an experiment's moments fails: on the innovations, a density oracle at m, a limit
-    variance, rectangle norm or block variance of 0, or block sides that do not fit the lattice."""
 
 
 @dataclass(frozen=True)
@@ -183,20 +175,20 @@ def plan_point(model: CoefficientModel, n, m, b, truncation, stream, replicates,
 
 
 def check_cap(points, max_bytes: int) -> tuple:
-    """``points``, or FieldSizeError at the first whose batch holds more than ``max_bytes`` in one thread."""
+    """``points``, or a ParameterError at the first whose batch holds more than ``max_bytes`` in one thread."""
     for p in points:
         if p.bytes > max_bytes:
-            raise FieldSizeError("limits.max_field_bytes", f"coupled generation with M = {p.truncation.M} holds "
+            raise ParameterError("limits.max_field_bytes", f"coupled generation with M = {p.truncation.M} holds "
                                  f"{p.bytes} bytes for a batch of {p.batch} (> cap {max_bytes}) at n = {p.n}")
     return points
 
 
 def truncation_at(n: int, model: CoefficientModel, **request) -> TruncationPlan:
-    """``plan_truncation(model, **request)`` for grid point n, its ``TruncationError`` naming n."""
+    """``plan_truncation(model, **request)`` for grid point n, its ``ParameterError`` naming n."""
     try:
         return plan_truncation(model, **request)
-    except TruncationError as exc:
-        raise TruncationError(exc.key, f"{exc} at n = {n}") from None
+    except ParameterError as exc:
+        raise ParameterError(exc.key, f"{exc} at n = {n}") from None
 
 
 def grid_points(config: ExperimentConfig, experiment: str, n_grid, replicates: int, m: int | None = None,
@@ -214,11 +206,10 @@ def grid_points(config: ExperimentConfig, experiment: str, n_grid, replicates: i
     point's ``xs`` are every x of ``x_points`` for "clt" and the first for
     the others, where None stands for (0, 0.5, 1) standard deviations of the
     field; its oracle figures are taken there from one density oracle per
-    distinct m.  A point no truncation meets raises ``TruncationError``, and
-    one whose blocks do not fit, an x where the field's density is 0, which
-    has no limit law to test, or an m where the oracle has no density,
-    ``MomentError``, each naming its n.  The memory cap is left to
-    ``check_cap``.
+    distinct m.  A point no truncation meets, one whose blocks do not fit,
+    an x where the field's density is 0, which has no limit law to test, or
+    an m where the oracle has no density raises ``ParameterError``, naming
+    its n.  The memory cap is left to ``check_cap``.
     """
     model, kern = config.model, config.kernel
     if not (1 <= len(n_grid) <= MAX_GRID_POINTS and replicates >= 1):
@@ -233,8 +224,8 @@ def grid_points(config: ExperimentConfig, experiment: str, n_grid, replicates: i
     if m is None and delta is None:
         delta = check_decay_window(model.d, model.decay_exponent(), config.bandwidth.gamma).delta_star
         if delta is None:
-            raise ValueError("config key schedule.delta must be a number where m_n follows the schedule and "
-                             "the decay/bandwidth window is empty, got null")
+            raise ParameterError("schedule.delta", "must be a number where m_n follows the schedule and "
+                                 "the decay/bandwidth window is empty, got null")
     oracles, points = {}, []
     for ni, n in enumerate(n_grid):
         b, extra = config.bandwidth.b(n), {}
@@ -249,12 +240,12 @@ def grid_points(config: ExperimentConfig, experiment: str, n_grid, replicates: i
                 oracles[m_n] = density_oracle(model, config.innovations, m_n)
             except ValueError as exc:  # named by the key that set m_n
                 key = "schedule.delta" if m is None else f"{experiment}.m"
-                raise MomentError(key, f"{exc}, at m = {m_n} and n = {n}") from None
+                raise ParameterError(key, f"{exc}, at m = {m_n} and n = {n}") from None
         oracle = oracles[m_n]
         sigma2 = tuple(asymptotic_variance(float(oracle.p(x)), kern) for x in xs)
         if 0.0 in sigma2:
-            raise MomentError(f"{experiment}.x_points", f"the field's density is 0 at x = {xs[sigma2.index(0.0)]}, "
-                              f"so T_n has no limit variance there, at n = {n}")
+            raise ParameterError(f"{experiment}.x_points", f"the field's density is 0 at x = {xs[sigma2.index(0.0)]}, "
+                                 f"so T_n has no limit variance there, at n = {n}")
         points.append(plan_point(
             model, n, m_n, b, plan, STREAM_OFFSETS[experiment] + ni, replicates, config.max_field_bytes,
             sigma2_target=sigma2, sigma2_truncated=tuple(asymptotic_variance(float(oracle.p_m(x)), kern) for x in xs),
@@ -282,7 +273,7 @@ def _run_replicates(config: ExperimentConfig, point: GridPoint, reduce) -> tuple
     the same bits as one replicate at a time, so the result depends on
     neither the thread count nor the batch size.  Each output is joined
     once, in replicate order, from C-ordered parts.  The point's batch must
-    fit in the config's ``max_field_bytes``: ``FieldSizeError`` otherwise,
+    fit in the config's ``max_field_bytes``: ``ParameterError`` otherwise,
     before any draw.
     """
     check_cap((point,), config.max_field_bytes)
@@ -514,13 +505,13 @@ def run_clt_experiment(config: ExperimentConfig, points, variance_band: float = 
 def block_sides(n: int, m: int, l: int | None = None) -> tuple[int, int]:
     """Block side l_n, by default m * ceil(log n), and blocks per axis q_n at n, with gap ``m`` between blocks.
 
-    Sides not above the gap or beyond the lattice raise ``MomentError`` on ``blocks.l``.
+    Sides not above the gap or beyond the lattice raise ``ParameterError`` on ``blocks.l``.
     """
     l_n = m * math.ceil(math.log(n)) if l is None else l
     if l_n <= m:
-        raise MomentError("blocks.l", f"need l_n > m_n at n = {n} (got l={l_n}, m={m})")
+        raise ParameterError("blocks.l", f"need l_n > m_n at n = {n} (got l={l_n}, m={m})")
     if l_n > n:
-        raise MomentError("blocks.l", f"block side {l_n} exceeds the lattice side {n}")
+        raise ParameterError("blocks.l", f"block side {l_n} exceeds the lattice side {n}")
     return l_n, max(n // (l_n + m), 1)
 
 
@@ -613,7 +604,7 @@ def block_decomposition_check(config: ExperimentConfig, samples: list[tuple]) ->
     within +-4/sqrt(#blocks * R)).  Verdict: Var(Delta) strictly decreasing.
     ``samples`` are the (point, totals, etas) of ``_block_samples``.
     Adjacent block sums without variance, as at an x no site reaches or
-    where every site has one kernel value, have no correlation: ``MomentError``.
+    where every site has one kernel value, have no correlation: ``ParameterError``.
     """
     d = config.model.d
     rows = []
@@ -638,7 +629,7 @@ def block_decomposition_check(config: ExperimentConfig, samples: list[tuple]) ->
                     out = pairs[row, (ax - 1) * part : ax * part].reshape(blocks.shape)
                     np.subtract(blocks, center_block, out=out)
             if not np.ptp(pairs, axis=1).all():
-                raise MomentError(
+                raise ParameterError(
                     "blocks.x_points", f"at x = {point.xs[0]} the adjacent big-block sums of the truncated kernel "
                     f"field take one value in every replicate at n = {n}, so their correlation is undefined: x lies "
                     "beyond the kernel's reach of the field's values, or the field's spread lies far below the "
@@ -778,7 +769,7 @@ def _rectangle_rows(config: ExperimentConfig, point: GridPoint, rects) -> list:
             "remainder_fitted_c": dnorm / (math.sqrt(vol) * bound_unit) if bound_unit > 0 else 0.0,
         })
     if not zs.any() or 0.0 in (row["zeta_normalized_l2"] for row in rows):
-        raise MomentError(
+        raise ParameterError(
             "moment_check.x_points", f"at x = {x} the truncated kernel field sums to 0 over every rectangle in every "
             f"replicate or to its centering over one rectangle in every replicate, at n = {n}, so the rectangle norms "
             "measure its centering alone or vanish: x lies beyond the kernel's reach of the field's values, or the "
@@ -805,7 +796,7 @@ def rectangle_moment_check(config: ExperimentConfig, rectangles, points, ratio_c
     ``grid_points(config, "moment_check", n_grid, R)``.  A point where every
     rectangle sum is 0 in every replicate, as at an x no site reaches, has
     norms of its centering alone, and one where a rectangle's norm is 0, as
-    where every site has one kernel value, has no ratio: ``MomentError``.
+    where every site has one kernel value, has no ratio: ``ParameterError``.
     """
     model = config.model
     n_min = min(p.n for p in points)
@@ -844,7 +835,7 @@ def wu_inequality_check(model: CoefficientModel, innovations: InnovationModel, o
     and the exact constant ``reference_c``: 1 at p=1, and
     3 + (kappa - 3) sum a^4 / (sum a^2)^2 at p=2, with kappa the innovation
     kurtosis and the ratio of the weights at unit scale (``unit_masses``).
-    Innovations without a finite E|eps|^(2 v 2p) raise ``MomentError`` on
+    Innovations without a finite E|eps|^(2 v 2p) raise ``ParameterError`` on
     ``moment_check.wu_p``, before any report is made.
     """
     for q in orders:
@@ -852,8 +843,8 @@ def wu_inequality_check(model: CoefficientModel, innovations: InnovationModel, o
             raise ValueError("p must be 1 or 2")
         order = max(2, 2 * q)
         if innovations.max_moment_order <= order:
-            raise MomentError("moment_check.wu_p", f"innovations need E|eps|^{order} < inf "
-                              f"(max finite order {innovations.max_moment_order})")
+            raise ParameterError("moment_check.wu_p", f"innovations need E|eps|^{order} < inf "
+                                 f"(max finite order {innovations.max_moment_order})")
     square, fourth = unit_masses(model)
     return [{
         "name": "wu_moment",

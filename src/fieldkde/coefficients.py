@@ -54,7 +54,7 @@ _FAMILY_OF = {"q": "power_decay", "scale": "power_decay", "ratio": "geometric", 
 
 
 class ParameterError(ValueError):
-    """A refusal that one config key decides; ``key`` is that key in full, as "section.key"."""
+    """The package's one exception class: a refusal that one config key decides, ``key`` that key in full."""
 
     def __init__(self, key: str, message: str):
         super().__init__(message)

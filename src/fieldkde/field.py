@@ -27,8 +27,6 @@ __all__ = [
     "CoupledSpectra",
     "CoupledWorkspace",
     "TruncationPlan",
-    "FieldSizeError",
-    "TruncationError",
     "plan_truncation",
     "estimate_field_bytes",
     "convolution_method",
@@ -50,14 +48,6 @@ MAX_RADIUS = 1 << 20
 MAX_CSV_SIDE = 64
 _MAGIC = b"FKDE"
 _VERSION = 1
-
-
-class FieldSizeError(ParameterError):
-    """Requested lattice exceeds the configured memory cap, ``limits.max_field_bytes``."""
-
-
-class TruncationError(ParameterError):
-    """No truncation plan meets the request; ``key`` is the truncation key that decides it."""
 
 
 @dataclass(frozen=True)
@@ -92,9 +82,9 @@ def plan_truncation(
         raise ValueError("m must be >= 1")
     if policy == "fixed":
         if M is None:
-            raise TruncationError("truncation.M", "fixed policy needs an explicit M")
+            raise ParameterError("truncation.M", "fixed policy needs an explicit M")
         if M < m:
-            raise TruncationError("truncation.M", f"need m <= M (got m={m}, M={M})")
+            raise ParameterError("truncation.M", f"need m <= M (got m={m}, M={M})")
         return TruncationPlan(M=M, B_M=residual_sqrt_mass(model, M), policy="fixed")
     if policy != "bandwidth_relative":
         raise ValueError(f"unknown truncation policy {policy!r}")
@@ -109,7 +99,7 @@ def plan_truncation(
         while residual_sqrt_mass(model, M_star) > target:
             M_star += max(1, M_star // 4)
             if M_star > MAX_RADIUS:
-                raise TruncationError(
+                raise ParameterError(
                     "truncation.eta", f"no truncation radius below {MAX_RADIUS} reaches B_M <= eta * b = {target:g}"
                 )
         # walk back to the minimal radius

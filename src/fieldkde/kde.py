@@ -285,7 +285,8 @@ def asymptotic_variance(px: float, kernel: KernelModel) -> float:
 
 def _normal_pdf(x, v):
     x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * x * x / v) / math.sqrt(2.0 * math.pi * v)
+    with np.errstate(over="ignore"):  # the density is 0 where x^2 overflows
+        return np.exp(-0.5 * x * x / v) / math.sqrt(2.0 * math.pi * v)
 
 
 def sup_abs_normal_diff(v1: float, v2: float) -> float:

@@ -1,12 +1,24 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fieldkde.innovations as innovations
 from fieldkde import CoefficientModel, InnovationModel, Seeds, kernel_by_name
 from fieldkde.field import DEFAULT_MAX_FIELD_BYTES
 
 MASTER_SEED = 20260810
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Fails the test at the first innovation value drawn, so a refusal must come before any draw."""
+
+    def refuse(*args, **kw):
+        raise AssertionError("a value was drawn before the run was refused")
+
+    monkeypatch.setattr(innovations, "_draw", refuse)
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +44,19 @@ def gaussian_innov():
 @pytest.fixture(scope="session")
 def epanechnikov():
     return kernel_by_name("epanechnikov")
+
+
+def refusal(capsys, out, sub) -> str:
+    """The message of the refusal that ended the run of ``sub`` into ``out``: its one stderr line is
+    ``error: <message>``, and its manifest, the only file it wrote, is at error with that message."""
+    err = capsys.readouterr().err
+    message = err.removeprefix("error: ").removesuffix("\n")
+    assert err == f"error: {message}\n" and "\n" not in message, err
+    run = out / sub.replace("-", "_")
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["status"] == "error" and manifest["error"] == message, manifest["error"]
+    assert [p.name for p in run.iterdir()] == ["manifest.json"]
+    return message
 
 
 def generator(master, stream=0, replicate=0):

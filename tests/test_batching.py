@@ -124,7 +124,7 @@ class TestBatchSize:
         assert _point(geometric_half, 256, 4, 4, spectra + 4 * per - 1).batch == 3
         one = _point(geometric_half, 256, 4, 4, spectra + per - 1)
         assert one.batch == 1 and one.bytes == spectra + per
-        with pytest.raises(clt.FieldSizeError, match="at n = 256"):
+        with pytest.raises(clt.ParameterError, match="at n = 256"):
             clt.check_cap([one], spectra + per - 1)
 
     # fixed-m-gap on one grid point, so one figure decides the batch size

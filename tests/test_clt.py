@@ -12,7 +12,6 @@ from fieldkde import (
     CoefficientModel,
     ExperimentConfig,
     InnovationModel,
-    MomentError,
     Seeds,
     asymptotic_variance,
     block_decomposition_check,
@@ -31,7 +30,7 @@ from fieldkde import (
 )
 from fieldkde.clt import _block_samples, _skew_kurtosis, check_cap
 from fieldkde.coefficients import ParameterError, coeff_box, total_sq_mass
-from fieldkde.field import FieldSizeError, TruncationError, coupled_spectra
+from fieldkde.field import coupled_spectra
 from fieldkde.innovations import draw_lattice
 from fieldkde.reporting import canonical_json
 
@@ -86,18 +85,29 @@ class TestKeyedErrors:
     def test_each_refusal_is_a_parameter_error_with_its_full_key(self, geometric_half):
         config = _config(geometric_half, max_field_bytes=1)
         refusals = [
-            (MomentError, "blocks.l", lambda: block_sides(64, 4, 2)),
-            (MomentError, "moment_check.wu_p",
+            ("blocks.l", lambda: block_sides(64, 4, 2)),
+            ("moment_check.wu_p",
              lambda: wu_inequality_check(geometric_half, InnovationModel("student_t", nu=4.0), [2])),
-            (TruncationError, "truncation.M", lambda: plan_truncation(geometric_half, m=2, policy="fixed")),
-            (FieldSizeError, "limits.max_field_bytes",
+            ("truncation.M", lambda: plan_truncation(geometric_half, m=2, policy="fixed")),
+            ("limits.max_field_bytes",
              lambda: check_cap(grid_points(config, "gap", (64,), 1, 2, policy="fixed", M=4, **PLAN), 1)),
         ]
-        for cls, key, refuse in refusals:
-            assert issubclass(cls, ParameterError) and issubclass(cls, ValueError)
-            with pytest.raises(cls) as exc:
+        for key, refuse in refusals:
+            with pytest.raises(ParameterError) as exc:
                 refuse()
             assert exc.value.key == key
+
+    def test_parameter_error_is_the_one_exception_class(self):
+        import importlib
+        import inspect
+        import pkgutil
+
+        import fieldkde
+
+        modules = [importlib.import_module(f"fieldkde.{m.name}") for m in pkgutil.iter_modules(fieldkde.__path__)]
+        defined = {c for m in modules for c in vars(m).values()
+                   if inspect.isclass(c) and issubclass(c, BaseException) and c.__module__ == m.__name__}
+        assert defined == {ParameterError} and issubclass(ParameterError, ValueError)
 
 
 def _point(config, n, m, plan, stream, batch=None, replicates=200):
@@ -258,8 +268,9 @@ class TestRunCltExperiment:
         assert rep["config"]["delta"] == 0.4
         # without an explicit schedule the empty window is an error
         cfg = _config(power_d2, bandwidth=BandwidthSchedule(d=2, gamma=1.3))
-        with pytest.raises(ValueError, match="config key schedule.delta"):
+        with pytest.raises(ParameterError, match="must be a number where m_n follows the schedule") as exc:
             grid_points(cfg, "clt", (16,), 20, x_points=(0.0,))
+        assert exc.value.key == "schedule.delta"
 
 
 class TestAgainstNaiveReimplementation:
@@ -455,7 +466,7 @@ class TestWuInequality:
         assert mc["c_hat"] == pytest.approx(9.0 / 5.0, rel=0.05)
 
     def test_moment_precondition(self, geometric_half):
-        with pytest.raises(MomentError) as exc:
+        with pytest.raises(ParameterError) as exc:
             wu_inequality_check(geometric_half, InnovationModel("student_t", nu=4.0), [2])
         assert exc.value.key == "moment_check.wu_p"
 

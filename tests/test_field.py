@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from fieldkde import (
     CoefficientModel,
-    FieldSizeError,
     InnovationModel,
     LatticeField,
+    ParameterError,
     Seeds,
     generate_coupled_fields,
     lattice_convolve,
@@ -151,14 +151,14 @@ class TestCoupledGeneration:
 
     def test_memory_cap_message_carries_estimate(self, power_d2):
         plan = plan_truncation(power_d2, m=2, policy="fixed", M=64)
-        with pytest.raises(FieldSizeError) as err:
+        with pytest.raises(ParameterError) as err:
             check_cap([planned(power_d2, 40_000, 2, plan)], DEFAULT_MAX_FIELD_BYTES)
         assert str(estimate_field_bytes(2, 40_000, 64)) in str(err.value)
 
     def test_cap_just_below_estimate_raises(self, power_d2):
         plan = plan_truncation(power_d2, m=2, policy="fixed", M=9)
         need = estimate_field_bytes(2, 30, 9)
-        with pytest.raises(FieldSizeError):
+        with pytest.raises(ParameterError):
             check_cap([planned(power_d2, 30, 2, plan, max_bytes=need - 1)], need - 1)
         check_cap([planned(power_d2, 30, 2, plan, max_bytes=need)], need)
 

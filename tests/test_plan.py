@@ -15,23 +15,15 @@ from fieldkde import CoefficientModel, plan_truncation
 from fieldkde.cli import load_config, main, plan_run
 from fieldkde.field import CoupledWorkspace, coupled_spectra, estimate_field_bytes
 
-from conftest import planned
+from conftest import planned, refusal
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-@pytest.fixture
-def no_draw(monkeypatch):
-    def refuse(*args, **kw):
-        raise AssertionError("a value was drawn before the run plan was checked")
-
-    monkeypatch.setattr(field, "draw_lattice", refuse)
-
-
 def _run(tmp_path, sub, config, *sets):
     argv = [sub, "--config", str(CONFIGS / config), "--out", str(tmp_path)]
-    for assignment in sets:
-        argv += ["--set", assignment]
+    for assignment in sets:  # an option such as "--seed=5" as it is, every other entry as a --set
+        argv += [assignment] if assignment.startswith("--") else ["--set", assignment]
     return main(argv)
 
 
@@ -59,10 +51,9 @@ class TestLateCap:
     def test_exit_1_naming_the_key_and_n_with_the_plan_in_the_manifest(self, tmp_path, capsys, no_draw, sub,
                                                                        config, sets, n):
         assert _run(tmp_path, sub, config, *sets) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config key limits.max_field_bytes: ") and err.endswith(f" at n = {n}\n")
+        message = refusal(capsys, tmp_path, sub)
+        assert message.startswith("config key limits.max_field_bytes: ") and message.endswith(f" at n = {n}")
         manifest = _manifest(tmp_path, sub)
-        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
         cap = manifest["config"]["limits"]["max_field_bytes"]
         plan = manifest["plan"]
         assert plan["subcommand"] == sub and plan["points"][-1]["n"] == n
@@ -103,10 +94,8 @@ class TestLateCap:
 class TestFieldCsv:
     def test_a_side_beyond_the_csv_limit_exits_1_naming_write_csv_before_any_draw(self, tmp_path, capsys, no_draw):
         assert _run(tmp_path, "gen-field", "power_decay_d2.json", "gen_field.write_csv=true", "gen_field.n=1024") == 1
-        err = capsys.readouterr().err
-        assert err == "error: config key gen_field.write_csv: CSV export limited to side <= 64, at n = 1024\n"
-        assert _manifest(tmp_path, "gen-field")["status"] == "error"
-        assert [p.name for p in (tmp_path / "gen_field").iterdir()] == ["manifest.json"]
+        message = "config key gen_field.write_csv: CSV export limited to side <= 64, at n = 1024"
+        assert refusal(capsys, tmp_path, "gen-field") == message
 
 
 class TestResultCap:
@@ -116,14 +105,11 @@ class TestResultCap:
     def test_exit_1_naming_clt_replicates_with_the_plan_in_the_manifest(self, tmp_path, capsys, no_draw):
         assert _run(tmp_path, "clt-run", "iid_baseline.json", "clt.n_grid=[8]", "clt.x_points=[0.0,0.5]",
                     "clt.replicates=10000000") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config key clt.replicates: the replicate results hold ")
+        assert refusal(capsys, tmp_path, "clt-run").startswith("config key clt.replicates: the replicate results hold ")
         manifest = _manifest(tmp_path, "clt-run")
-        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
         cap = manifest["config"]["limits"]["max_field_bytes"]
         (point,) = manifest["plan"]["points"]
         assert point["rows"] == 20_000_002 and point["bytes"] <= cap < manifest["plan"]["result_bytes"]
-        assert [p.name for p in (tmp_path / "clt_run").iterdir()] == ["manifest.json"]
 
     def test_blocks_sample_exits_1_naming_blocks_replicates(self, tmp_path, capsys, no_draw):
         # R (1 + q) doubles of totals and big-block sums at n = 256 and 1024 (q = 9 and 32), 34.4 MB, and beside
@@ -131,13 +117,12 @@ class TestResultCap:
         # keys, 16 bytes a replicate and 120 a replicate of the chunk that hashes: 97.3 MB
         assert _run(tmp_path, "blocks", "blocks_d1.json", "blocks.n_grid=[256,1024]", "blocks.replicates=100000",
                     "limits.max_field_bytes=8000000") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config key blocks.replicates: the replicate results hold 97291520 bytes ")
+        message = refusal(capsys, tmp_path, "blocks")
+        assert message.startswith("config key blocks.replicates: the replicate results hold 97291520 bytes ")
         manifest = _manifest(tmp_path, "blocks")
         assert [p["q"] for p in manifest["plan"]["points"]] == [9, 32]
         assert all(p["bytes"] <= 8_000_000 for p in manifest["plan"]["points"])
         assert manifest["plan"]["result_bytes"] == 100_000 * (8 * (1 + 9 + 1 + 32) + 32 * (16 + 3) + 16) + 4096 * 120
-        assert [p.name for p in (tmp_path / "blocks").iterdir()] == ["manifest.json"]
 
     @pytest.mark.parametrize("sub,config,section", [("moment-check", "blocks_d1.json", "moment_check"),
                                                     ("fixed-m-gap", "geometric_truncation_gap.json", "gap")])
@@ -145,15 +130,13 @@ class TestResultCap:
                                                                       section):
         # every point's batch fits the cap at 10^8 replicates, but not their results and keys
         assert _run(tmp_path, sub, config, f"{section}.replicates=100000000") == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: config key {section}.replicates: the replicate results hold ")
+        message = refusal(capsys, tmp_path, sub)
+        assert message.startswith(f"config key {section}.replicates: the replicate results hold ")
         manifest = _manifest(tmp_path, sub)
-        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
         cap = manifest["config"]["limits"]["max_field_bytes"]
         assert all(p["bytes"] <= cap for p in manifest["plan"]["points"])
         # the keys alone hold 16 bytes a replicate
         assert manifest["plan"]["result_bytes"] > 16 * 100_000_000
-        assert [p.name for p in (tmp_path / sub.replace("-", "_")).iterdir()] == ["manifest.json"]
 
 
 class TestZeroDensity:
@@ -177,12 +160,9 @@ class TestZeroDensity:
     def test_exit_1_naming_the_x_points_before_any_draw(self, tmp_path, capsys, no_draw, sub, config, section,
                                                         sets):
         assert _run(tmp_path, sub, config, *sets) == 1
-        err = capsys.readouterr().err
         n = json.loads(sets[1].split("=")[1])[0]  # the first grid point
-        assert err == (f"error: config key {section}.x_points: the field's density is 0 at x = 60.0, "
-                       f"so T_n has no limit variance there, at n = {n}\n")
-        assert _manifest(tmp_path, sub)["status"] == "error"
-        assert [p.name for p in (tmp_path / sub.replace("-", "_")).iterdir()] == ["manifest.json"]
+        assert refusal(capsys, tmp_path, sub) == (f"config key {section}.x_points: the field's density is 0 at "
+                                                  f"x = 60.0, so T_n has no limit variance there, at n = {n}")
 
     @pytest.mark.parametrize("sub,section", [("blocks", "blocks"), ("moment-check", "moment_check"),
                                              ("fixed-m-gap", "gap")])
@@ -197,10 +177,8 @@ class TestZeroDensity:
 class TestWuOrders:
     def test_innovations_without_the_moment_exit_1_naming_wu_p_before_any_draw(self, tmp_path, capsys, no_draw):
         assert _run(tmp_path, "moment-check", "blocks_d1.json", 'innovations={"name":"student_t","nu":4}') == 1
-        err = capsys.readouterr().err
-        assert err == "error: config key moment_check.wu_p: innovations need E|eps|^4 < inf (max finite order 4.0)\n"
-        assert _manifest(tmp_path, "moment-check")["status"] == "error"
-        assert [p.name for p in (tmp_path / "moment_check").iterdir()] == ["manifest.json"]
+        message = "config key moment_check.wu_p: innovations need E|eps|^4 < inf (max finite order 4.0)"
+        assert refusal(capsys, tmp_path, "moment-check") == message
 
 
 class TestOneSchedule:
@@ -223,11 +201,8 @@ class TestOneSchedule:
     def test_the_schedule_without_a_delta_exits_1_naming_schedule_delta_before_any_draw(self, tmp_path, capsys,
                                                                                         no_draw, sub, sets):
         assert self._main(tmp_path, sub, self.HEAVY, *sets) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config key schedule.delta ")
-        manifest = _manifest(tmp_path, sub)
-        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
-        assert [p.name for p in (tmp_path / sub.replace("-", "_")).iterdir()] == ["manifest.json"]
+        message = refusal(capsys, tmp_path, sub)
+        assert message.startswith("config key schedule.delta: must be a number where m_n follows the schedule")
 
     @pytest.mark.parametrize("sub,section", [("fixed-m-gap", "gap"), ("blocks", "blocks")])
     def test_a_fixed_m_reports_no_delta_whatever_the_schedule_says(self, tmp_path, sub, section):
@@ -253,13 +228,10 @@ class TestGridLength:
     def test_exit_1_naming_the_n_grid_before_any_draw(self, tmp_path, capsys, no_draw, sub, section):
         grid = list(range(16, 16 + clt.MAX_GRID_POINTS + 1))
         assert _run(tmp_path, sub, "blocks_d1.json", f"{section}.n_grid={json.dumps(grid)}") == 1
-        err = capsys.readouterr().err
-        assert err == (f"error: config key {section}.n_grid must be a nonempty list of integers of at most "
-                       f"{clt.MAX_GRID_POINTS} entries, got {len(grid)}\n")
+        assert refusal(capsys, tmp_path, sub) == (f"config key {section}.n_grid: must be a nonempty list of integers "
+                                                  f"of at most {clt.MAX_GRID_POINTS} entries, got {len(grid)}")
         manifest = _manifest(tmp_path, sub)
-        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
         assert manifest["config"] is None and manifest["plan"] is None
-        assert [p.name for p in (tmp_path / sub.replace("-", "_")).iterdir()] == ["manifest.json"]
 
 
 class TestPointXs:
@@ -560,19 +532,17 @@ class TestModelKeys:
     @pytest.mark.filterwarnings("error")  # nor a numpy warning on the way
     def test_exit_1_naming_the_key_before_any_plan(self, tmp_path, capsys, no_draw, sub, assignment, key, message):
         assert _run(tmp_path, sub, "power_decay_d2.json", assignment) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: config key {key}: {message}"), err
+        assert refusal(capsys, tmp_path, sub).startswith(f"config key {key}: {message}")
         manifest = _manifest(tmp_path, sub)
-        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
         assert manifest["config"] is None and manifest["plan"] is None
-        assert [p.name for p in (tmp_path / sub.replace("-", "_")).iterdir()] == ["manifest.json"]
 
 
 EPANECHNIKOV = 'kernel="epanechnikov"'
 
 
 class TestKeyedRefusals:
-    """A schedule outside the conditions' range and a bandwidth too wide for the centering exit 1 naming their key."""
+    """Every refusal that one config key decides, from the load-time schema to the plan, exits 1 in one form,
+    ``config key <key>: …``."""
 
     @pytest.mark.parametrize(
         "sub,sets,key,message",
@@ -587,16 +557,33 @@ class TestKeyedRefusals:
             ("kde", [EPANECHNIKOV, "bandwidth.c2=1e110", "kde.n=16", "kde.m=2"], "bandwidth.c2", "the bandwidth b ="),
             ("kde", ["bandwidth.c2=1e200", 'kernel="triangular"', "kde.n=16", "kde.m=2"], "bandwidth.c2",
              "the bandwidth b ="),
+            # the Gaussian density of a far x underflows to 0 through an overflowing x^2
+            ("clt-run", ["clt.x_points=[1e200]"], "clt.x_points", "the field's density is 0 at x = 1e+200"),
+            # the load-time schema
+            ("clt-run", ["clt.replicates=x"], "clt.replicates", 'must be an integer, got "x"'),
+            ("clt-run", ["clt.n_grid=[]"], "clt.n_grid", "must be a nonempty list of integers, got []"),
+            ("clt-run", ["clt=5"], "clt", "must be an object, got 5"),
+            ("clt-run", ["truncation.M=5"], "truncation.M", 'must be null unless truncation.policy is "fixed", got 5'),
+            ("blocks", ["blocks.l=3"], "blocks.l", "must be greater than blocks.m = 4, got 3"),
+            ("moment-check", ["moment_check.rectangles=[2000]"], "moment_check.rectangles",
+             "must fit inside every grid point: [2000] exceed n = 1024"),
+            ("check-conditions", ["--seed=99999999999999999999999"], "seed",
+             "must be below 18446744073709551616, got 99999999999999999999999"),
+            # no window midpoint to take delta from: beta = 3 > d, but gamma = 1.9 lies above the threshold 1.2
+            ("clt-run", ["schedule.delta=null", "bandwidth.gamma=1.9"], "schedule.delta",
+             "must be a number where m_n follows the schedule and the decay/bandwidth window is empty, got null"),
         ],
     )
     @pytest.mark.filterwarnings("error")  # nor a numpy warning on the way
     def test_exit_1_naming_the_key(self, tmp_path, capsys, sub, sets, key, message):
         assert _run(tmp_path, sub, "power_decay_d2.json", *sets) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: config key {key}: {message}") and "Traceback" not in err, err
-        manifest = _manifest(tmp_path, sub)
-        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
-        assert not (tmp_path / sub.replace("-", "_") / "report.json").exists()
+        assert refusal(capsys, tmp_path, sub).startswith(f"config key {key}: {message}")
+
+    @pytest.mark.filterwarnings("error")  # the Gaussian density of a far x is 0, its overflowing x^2 unwarned
+    def test_a_far_x_is_no_refusal(self, tmp_path):
+        assert _run(tmp_path, "kde", "power_decay_d2.json", "kde.x_grid=[1e308]", "kde.n=64") == 0
+        header, row = (tmp_path / "kde" / "kde_curve.csv").read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["oracle_density"] == "0.0"
 
 
 class TestUniformRefusal:
@@ -615,11 +602,8 @@ class TestUniformRefusal:
     )
     def test_exit_1_naming_the_key_that_set_m(self, tmp_path, capsys, no_draw, sub, sets, key):
         assert _run(tmp_path, sub, "blocks_d1.json", *self.GEOMETRIC, *sets) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: config key {key}: uniform innovations need two nonzero weights in [0, m)^d"), err
-        manifest = _manifest(tmp_path, sub)
-        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
-        assert [p.name for p in (tmp_path / sub.replace("-", "_")).iterdir()] == ["manifest.json"]
+        message = refusal(capsys, tmp_path, sub)
+        assert message.startswith(f"config key {key}: uniform innovations need two nonzero weights in [0, m)^d")
 
     def test_kde_reads_the_density_of_x_alone(self, tmp_path):
         # the curve holds p(x) and E f_n(x) of X, so one weight in [0, kde.m)^d refuses nothing

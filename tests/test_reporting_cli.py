@@ -21,7 +21,7 @@ from fieldkde.coefficients import _FAMILY_OF, ConditionReport
 from fieldkde.field import TruncationPlan
 from fieldkde.reporting import CSV_CHUNK_ROWS, SCHEMA_VERSION, RunManifest, canonical_json, float_repr, write_csv
 
-from conftest import MASTER_SEED
+from conftest import MASTER_SEED, refusal
 import json_reference
 
 REPO = Path(__file__).resolve().parents[1]
@@ -393,10 +393,10 @@ class TestConfigResolution:
         assert cfg["seed"] == 99 and cfg["threads"] == 3
 
     def test_bad_set_rejected(self):
-        from fieldkde.cli import ToolError
-
-        with pytest.raises(ToolError):
+        # no one config key decides it, so it is a plain ValueError
+        with pytest.raises(ValueError, match="--set needs key=value") as exc:
             load_config(None, ["oops"])
+        assert type(exc.value) is ValueError
 
     @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.json")), ids=lambda p: p.name)
     def test_shipped_configs_load(self, path):
@@ -475,6 +475,11 @@ class TestCli:
         assert done.value.code == 0
         assert "--config" in capsys.readouterr().out
 
+    def test_version_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--version"])
+        assert done.value.code == 0 and capsys.readouterr().out.startswith("fieldkde ")
+
     def test_options_before_the_subcommand_parse_as_after_it(self):
         from fieldkde.cli import build_parser
 
@@ -485,12 +490,25 @@ class TestCli:
         assert build_parser().parse_args([*options[:6], "kde", *options[6:]]) == after
         assert after.subcommand == "kde" and after.set == ["a=1", "b=2"] and after.seed == 3
 
-    def test_unknown_subcommand_exits_2_listing_the_choices(self, capsys):
+    @pytest.mark.parametrize(
+        "script,argv,said",
+        [
+            (None, ["kde-run"], ["invalid choice: 'kde-run'", *(f"'{sub}'" for sub in SUBCOMMANDS)]),
+            (None, ["clt-run", "--threads", "x"], ["argument --threads: invalid int value: 'x'"]),
+            ("run_iid_baseline", ["--threads", "x"], ["argument --threads: invalid int value: 'x'"]),
+        ],
+    )
+    def test_a_usage_error_exits_1_with_its_usage_line(self, tmp_path, capsys, monkeypatch, script, argv, said):
+        # argparse ends a usage error with 2, which a gate or a script reads as a failed verdict
         with pytest.raises(SystemExit) as done:
-            main(["kde-run"])
-        assert done.value.code == 2
+            if script:
+                monkeypatch.setattr(sys, "argv", [script, *argv, "--out", str(tmp_path)])
+                runpy.run_path(str(REPO / "scripts" / f"{script}.py"), run_name="__main__")
+            else:
+                main(argv)
+        assert done.value.code == 1
         err = capsys.readouterr().err
-        assert "invalid choice: 'kde-run'" in err and all(f"'{sub}'" in err for sub in SUBCOMMANDS)
+        assert err.startswith("usage: fieldkde ") and all(words in err for words in said), err
 
     def test_check_conditions_pass(self, tmp_path):
         code = _run(
@@ -660,10 +678,7 @@ class TestCli:
                                                                               sets, key):
         argv = [subcommand] + [part for assignment in sets for part in ("--set", assignment)]
         assert _run(tmp_path, *argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err and "Traceback" not in err
-        manifest = json.loads((tmp_path / subcommand.replace("-", "_") / "manifest.json").read_text())
-        assert manifest["status"] == "error" and key in manifest["error"]
+        assert key in refusal(capsys, tmp_path, subcommand)
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_exit_1(self, tmp_path, threads):
@@ -728,7 +743,7 @@ class TestCli:
     )
     def test_incomplete_section_exit_1(self, tmp_path, capsys, subcommand, assignment, key):
         assert _run(tmp_path, subcommand, "--set", assignment) == 1
-        assert key in capsys.readouterr().err
+        assert refusal(capsys, tmp_path, subcommand).startswith(f"config key {key}: ")
 
     @pytest.mark.parametrize(
         "subcommand,assignment,key",
@@ -762,7 +777,8 @@ class TestCli:
     def test_section_missing_a_read_key_exit_1(self, tmp_path, capsys, subcommand, assignment, key):
         # a section replaced as a whole names the first key the subcommand reads and misses
         assert _run(tmp_path, subcommand, "--set", assignment) == 1
-        assert capsys.readouterr().err.strip() == f"error: missing config key {key}"
+        message = refusal(capsys, tmp_path, subcommand)
+        assert message == f"config key {key}: must be set: its section was replaced without it"
 
     @pytest.mark.parametrize(
         "subcommand,sets,key",
@@ -863,24 +879,15 @@ class TestCli:
     )
     def test_config_number_exit_1_naming_it(self, tmp_path, capsys, subcommand, assignment, key):
         assert _run(tmp_path, subcommand, "--set", assignment) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config key ") and key in err, err
-        out = tmp_path / subcommand.replace("-", "_")
-        assert [p.name for p in out.iterdir() if p.name != "manifest.json"] == []
+        assert refusal(capsys, tmp_path, subcommand).startswith(f"config key {key}: ")
 
     @pytest.mark.parametrize("path,k,test", BAD_VALUES, ids=[f"{path}-{test}" for path, _, test in BAD_VALUES])
     @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_every_table_key_rejects_a_bad_value_at_load(self, tmp_path, monkeypatch, path, k, test, data):
+    def test_every_table_key_rejects_a_bad_value_at_load(self, tmp_path, no_draw, path, k, test, data):
         import contextlib
         import io
 
-        import fieldkde.innovations as innovations
-
-        def no_draw(*args, **kw):
-            raise AssertionError("a field was drawn before the config was checked")
-
-        monkeypatch.setattr(innovations, "_draw", no_draw)
         value = data.draw(_bad_values(path, k)[test == "bounds"], label="value")
         subcommand = data.draw(st.sampled_from(SUBCOMMANDS), label="subcommand")
         out = tmp_path / subcommand.replace("-", "_")
@@ -888,7 +895,7 @@ class TestCli:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             assert _run(tmp_path, subcommand, "--set", f"{path}={json.dumps(value)}") == 1
-        assert err.getvalue().startswith(f"error: config key {path} "), err.getvalue()
+        assert err.getvalue().startswith(f"error: config key {path}: "), err.getvalue()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error" and path in manifest["error"] and manifest["config"] is None
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
@@ -910,9 +917,7 @@ class TestCli:
     def test_moment_check_orders_and_rectangles_exit_1_naming_the_key(self, tmp_path, capsys, assignment):
         key = assignment.split("=")[0]
         assert _run(tmp_path, "moment-check", "--set", assignment) == 1
-        assert capsys.readouterr().err.startswith(f"error: config key {key} must be ")
-        manifest = json.loads((tmp_path / "moment_check" / "manifest.json").read_text())
-        assert manifest["status"] == "error" and key in manifest["error"]
+        assert refusal(capsys, tmp_path, "moment-check").startswith(f"config key {key}: must be ")
 
     def test_a_fault_in_a_handler_leaves_the_manifest_at_error(self, tmp_path, monkeypatch):
         import fieldkde.cli as cli
@@ -927,19 +932,11 @@ class TestCli:
         assert manifest["status"] == "error" and manifest["error"] == "RuntimeError: broken on purpose"
         assert manifest["config"]["kde"]["n"] == 1024 and manifest["master_seed"] == DEFAULT_CONFIG["seed"]
 
-    def test_moment_check_rectangle_above_n_exit_1_before_any_draw(self, tmp_path, capsys, monkeypatch):
-        import fieldkde.innovations as innovations
-
-        def no_draw(*args, **kw):
-            raise AssertionError("a value was drawn before the rectangles were checked")
-
-        monkeypatch.setattr(innovations, "_draw", no_draw)
+    def test_moment_check_rectangle_above_n_exit_1_before_any_draw(self, tmp_path, capsys, no_draw):
         # the default rectangles [4, 16, 64, 256, 1024] at n = 64
         assert _run(tmp_path, "moment-check", "--set", "moment_check.n_grid=[64,128]") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config key moment_check.rectangles must fit") and "[256, 1024]" in err
-        manifest = json.loads((tmp_path / "moment_check" / "manifest.json").read_text())
-        assert manifest["status"] == "error" and "moment_check.rectangles" in manifest["error"]
+        message = refusal(capsys, tmp_path, "moment-check")
+        assert message.startswith("config key moment_check.rectangles: must fit") and "[256, 1024]" in message
 
     def test_moment_check_reports_every_rectangle_that_fits(self, tmp_path):
         code = _run(tmp_path, "moment-check", "--set", "moment_check.n_grid=[64,128]",
@@ -981,11 +978,7 @@ class TestCli:
                     "--set", f"moment_check.x_points=[{x}]", "--set", "moment_check.n_grid=[64]",
                     "--set", "moment_check.replicates=5", "--set", "moment_check.rectangles=[4,16]")
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: config key moment_check.x_points: {prefix}"), err
-        manifest = json.loads((tmp_path / "moment_check" / "manifest.json").read_text())
-        assert manifest["status"] == "error" and "moment_check.x_points" in manifest["error"]
-        assert not (tmp_path / "moment_check" / "report.json").exists()
+        assert refusal(capsys, tmp_path, "moment-check").startswith(f"config key moment_check.x_points: {prefix}")
 
     @pytest.mark.parametrize("scale", ["1e-20", "1e-150"])
     def test_moment_check_on_a_field_far_narrower_than_the_bandwidth_exit_1(self, tmp_path, capsys, scale):
@@ -995,12 +988,9 @@ class TestCli:
                     "--set", f"coefficient.scale={scale}", "--set", "moment_check.n_grid=[16,32]",
                     "--set", "moment_check.replicates=50", "--set", "moment_check.rectangles=[2,4,8]")
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config key moment_check.x_points: at x = 0.0 "), err
-        assert err.endswith(" or the field's spread lies far below the bandwidth\n")
-        manifest = json.loads((tmp_path / "moment_check" / "manifest.json").read_text())
-        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
-        assert not (tmp_path / "moment_check" / "report.json").exists()
+        message = refusal(capsys, tmp_path, "moment-check")
+        assert message.startswith("config key moment_check.x_points: at x = 0.0 ")
+        assert message.endswith(" or the field's spread lies far below the bandwidth")
 
     @pytest.mark.filterwarnings("error")
     def test_blocks_at_a_point_no_site_reaches_exit_1(self, tmp_path, capsys):
@@ -1009,26 +999,15 @@ class TestCli:
                     "--set", "blocks.x_points=[8.0]", "--set", "blocks.n_grid=[256,512,1024]",
                     "--set", "blocks.replicates=20")
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: config key blocks.x_points: at x = 8.0 the adjacent big-block sums "), err
-        assert err.endswith(" at n = 256, so their correlation is undefined: x lies beyond the kernel's reach "
-                            "of the field's values, or the field's spread lies far below the bandwidth\n")
-        manifest = json.loads((tmp_path / "blocks" / "manifest.json").read_text())
-        assert manifest["status"] == "error" and manifest["error"] == err[len("error: "):-1]
-        assert not (tmp_path / "blocks" / "report.json").exists()
+        message = refusal(capsys, tmp_path, "blocks")
+        assert message.startswith("config key blocks.x_points: at x = 8.0 the adjacent big-block sums ")
+        assert message.endswith(" at n = 256, so their correlation is undefined: x lies beyond the kernel's reach "
+                                "of the field's values, or the field's spread lies far below the bandwidth")
 
     @pytest.mark.parametrize("replicates", [1, 1.0])
-    def test_blocks_with_one_replicate_exit_1_before_any_draw(self, tmp_path, capsys, monkeypatch, replicates):
-        import fieldkde.innovations as innovations
-
-        def no_draw(*args, **kw):
-            raise AssertionError("a field was drawn before blocks.replicates was checked")
-
-        monkeypatch.setattr(innovations, "_draw", no_draw)
+    def test_blocks_with_one_replicate_exit_1_before_any_draw(self, tmp_path, capsys, no_draw, replicates):
         assert _run(tmp_path, "blocks", "--set", f"blocks.replicates={replicates}") == 1
-        assert capsys.readouterr().err == "error: config key blocks.replicates must be at least 2, got 1\n"
-        manifest = json.loads((tmp_path / "blocks" / "manifest.json").read_text())
-        assert manifest["status"] == "error" and "blocks.replicates" in manifest["error"]
+        assert refusal(capsys, tmp_path, "blocks") == "config key blocks.replicates: must be at least 2, got 1"
 
     @pytest.mark.parametrize(
         "sets,message",
@@ -1039,19 +1018,10 @@ class TestCli:
             (["blocks.l=300", "blocks.n_grid=[1024,256]"], "block side 300 exceeds the lattice side 256"),
         ],
     )
-    def test_block_plan_exit_1_naming_blocks_l_before_any_draw(self, tmp_path, capsys, monkeypatch, sets, message):
-        import fieldkde.innovations as innovations
-
-        def no_draw(*args, **kw):
-            raise AssertionError("a field was drawn before the block plan was resolved at every grid point")
-
-        monkeypatch.setattr(innovations, "_draw", no_draw)
+    def test_block_plan_exit_1_naming_blocks_l_before_any_draw(self, tmp_path, capsys, no_draw, sets, message):
         argv = [arg for assignment in sets for arg in ("--set", assignment)]
         assert _run(tmp_path, "blocks", *argv) == 1
-        assert capsys.readouterr().err == f"error: config key blocks.l: {message}\n"
-        manifest = json.loads((tmp_path / "blocks" / "manifest.json").read_text())
-        assert manifest["status"] == "error" and manifest["error"] == f"config key blocks.l: {message}"
-        assert [p.name for p in (tmp_path / "blocks").iterdir()] == ["manifest.json"]
+        assert refusal(capsys, tmp_path, "blocks") == f"config key blocks.l: {message}"
 
     @pytest.mark.parametrize(
         "argv,key",
@@ -1066,19 +1036,9 @@ class TestCli:
             (["kde", "--set", 'coefficient={"family":"power_decay","d":1,"q":0.6}'], "truncation.eta"),
         ],
     )
-    def test_truncation_plan_exit_1_naming_its_key(self, tmp_path, capsys, monkeypatch, argv, key):
-        import fieldkde.innovations as innovations
-
-        def no_draw(*args, **kw):
-            raise AssertionError("a field was drawn before the truncation was planned")
-
-        monkeypatch.setattr(innovations, "_draw", no_draw)
+    def test_truncation_plan_exit_1_naming_its_key(self, tmp_path, capsys, no_draw, argv, key):
         assert _run(tmp_path, *argv) == 1
-        assert capsys.readouterr().err.startswith(f"error: config key {key}: ")
-        out = tmp_path / argv[0].replace("-", "_")
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "error" and manifest["error"].startswith(f"config key {key}: ")
-        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert refusal(capsys, tmp_path, argv[0]).startswith(f"config key {key}: ")
 
     @pytest.mark.parametrize(
         "sub,section,sets",
@@ -1088,24 +1048,13 @@ class TestCli:
             ("fixed-m-gap", "gap", ["gap.m=null"]),
         ],
     )
-    def test_truncation_planned_at_every_grid_point_before_any_draw(self, tmp_path, capsys, monkeypatch, sub,
+    def test_truncation_planned_at_every_grid_point_before_any_draw(self, tmp_path, capsys, no_draw, sub,
                                                                      section, sets):
-        import fieldkde.innovations as innovations
-
-        def no_draw(*args, **kw):
-            raise AssertionError("a field was drawn before the truncation was planned at every grid point")
-
-        monkeypatch.setattr(innovations, "_draw", no_draw)
         # m_n = round(n^(5/12)) is 4 at n = 32, within the fixed radius, and 6 at n = 64
         sets = ['truncation.policy="fixed"', "truncation.M=4", f"{section}.n_grid=[32,64,1024]", *sets]
         argv = [arg for assignment in sets for arg in ("--set", assignment)]
         assert _run(tmp_path, sub, "--config", str(REPO / "configs" / "power_decay_d2.json"), *argv) == 1
-        message = "config key truncation.M: need m <= M (got m=6, M=4) at n = 64"
-        assert capsys.readouterr().err == f"error: {message}\n"
-        out = tmp_path / sub.replace("-", "_")
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "error" and manifest["error"] == message
-        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert refusal(capsys, tmp_path, sub) == "config key truncation.M: need m <= M (got m=6, M=4) at n = 64"
 
     @pytest.mark.parametrize(
         "subcommand,assignment,key",
@@ -1114,13 +1063,13 @@ class TestCli:
             ("kde", "kde.x_grid=[0.0, Infinity]", "kde.x_grid"),
             ("kde", "kde.x_grid=[]", "kde.x_grid"),
             ("clt-run", "clt.x_points=[NaN]", "clt.x_points"),
-            ("clt-run", "clt.x_points=[]", "x_points"),
+            ("clt-run", "clt.x_points=[]", "clt.x_points"),
             ("blocks", "blocks.x_points=[-Infinity]", "blocks.x_points"),
-            ("blocks", "blocks.x_points=[]", "x_points"),
+            ("blocks", "blocks.x_points=[]", "blocks.x_points"),
             ("moment-check", "moment_check.x_points=[NaN]", "moment_check.x_points"),
-            ("moment-check", "moment_check.x_points=[]", "x_points"),
+            ("moment-check", "moment_check.x_points=[]", "moment_check.x_points"),
             ("fixed-m-gap", "gap.x_points=[Infinity]", "gap.x_points"),
-            ("fixed-m-gap", "gap.x_points=[]", "x_points"),
+            ("fixed-m-gap", "gap.x_points=[]", "gap.x_points"),
             # values that are not lists of numbers
             ("clt-run", "clt.x_points=[null]", "clt.x_points"),
             ("clt-run", 'clt.x_points="a"', "clt.x_points"),
@@ -1133,17 +1082,10 @@ class TestCli:
             ("fixed-m-gap", "gap.x_points=[[0.0]]", "gap.x_points"),
         ],
     )
-    def test_empty_or_nonfinite_evaluation_points_exit_1(self, tmp_path, capsys, monkeypatch, subcommand,
+    def test_empty_or_nonfinite_evaluation_points_exit_1(self, tmp_path, capsys, no_draw, subcommand,
                                                          assignment, key):
-        import fieldkde.innovations as innovations
-
-        def no_draw(*args, **kw):
-            raise AssertionError("a field was drawn before the evaluation points were checked")
-
-        monkeypatch.setattr(innovations, "_draw", no_draw)
         assert _run(tmp_path, subcommand, "--set", assignment) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err, err
+        assert refusal(capsys, tmp_path, subcommand).startswith(f"config key {key}: ")
 
     def test_gen_field_provenance(self, tmp_path):
         from fieldkde.field import read_field_binary
